@@ -10,6 +10,7 @@ or audit failure), 2 (input error).
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -20,7 +21,7 @@ from . import curvature as curv
 from .contact import is_cosymplectic, validate_structure
 from .expressions import ExpressionError, parse_expression
 from .manifold import ChartManifold
-from .metric import GeometryError
+from .metric import GeometryError, field_values
 from .report import AuditReport, fmt
 from .specfile import SpecFormatError, dump_spec, load_spec, manifold_to_dict
 from .statistical import (StatisticalError, conjugate_connection, lambda_of,
@@ -73,12 +74,21 @@ def selected(name: str, checks) -> bool:
 # verbs
 
 
-def cmd_validate(m: ChartManifold, args) -> int:
+def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
+    """The selected structure/statistical/ACS axiom checks at every point."""
     rep = AuditReport()
-    for p in m.grid_points(args.grid):
-        rep.extend(validate_structure(m, p, tol=args.tol))
-        rep.extend(validate_statistical(m, p, tol=args.tol))
-        rep.extend(validate_acs(m, p, tol=args.tol))
+    for p in pts:
+        if selected("structure", checks):
+            rep.extend(validate_structure(m, p, tol=tol))
+        if selected("statistical", checks):
+            rep.extend(validate_statistical(m, p, tol=tol))
+        if selected("acs", checks):
+            rep.extend(validate_acs(m, p, tol=tol))
+    return rep
+
+
+def cmd_validate(m: ChartManifold, args) -> int:
+    rep = axiom_checks(m, m.grid_points(args.grid), args.tol)
     emit(rep, args.format)
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
 
@@ -89,9 +99,7 @@ def _sections_at(m, frame, args, rng):
         if len(fields) != m.dim:
             raise InputError(
                 f"--section needs {m.dim} comma-separated component expressions")
-        vec = np.array([f.eval_scalar(list(frame.point)) for f in fields],
-                       dtype=float)
-        return [vec]
+        return [np.array(field_values(fields, list(frame.point)), dtype=float)]
     return curv.sweep_sections(m, frame, rng=rng)
 
 
@@ -119,16 +127,8 @@ def cmd_curvature(m: ChartManifold, args) -> int:
 def cmd_audit(m: ChartManifold, args) -> int:
     checks = set(args.checks.split(",")) if args.checks else None
     rng = np.random.default_rng(args.seed)
-    rep = AuditReport()
     pts = m.grid_points(args.grid)
-
-    for p in pts:
-        if selected("structure", checks):
-            rep.extend(validate_structure(m, p, tol=args.tol))
-        if selected("statistical", checks):
-            rep.extend(validate_statistical(m, p, tol=args.tol))
-        if selected("acs", checks):
-            rep.extend(validate_acs(m, p, tol=args.tol))
+    rep = axiom_checks(m, pts, args.tol, checks)
 
     if selected("cosymplectic", checks):
         flag, res = is_cosymplectic(m, pts, tol=args.tol)
@@ -178,7 +178,6 @@ def cmd_export_zoo(args) -> int:
         dump_spec(m, args.output)
         print(f"wrote {args.output}")
     else:
-        import json
         print(json.dumps(manifold_to_dict(m), indent=2))
     return EXIT_OK
 

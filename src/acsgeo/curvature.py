@@ -10,8 +10,9 @@ import numpy as np
 
 from .contact import is_cosymplectic, nabla0_phi, phi_basis
 from .manifold import ChartManifold, PointFrame
-from .metric import (covariant_derivative_11, covariant_derivative_vector,
-                     plane_q, riemann, riemann_from_gamma,
+from .metric import (christoffel_jet, covariant_derivative_11,
+                     covariant_derivative_vector, field_first_derivatives,
+                     gamma_jet, nabla_g, plane_q, riemann, riemann_from_jet,
                      sectional_curvature)
 from .report import AuditReport
 from .statistical import lambda_of
@@ -117,18 +118,19 @@ def statistical_curvature(m: ChartManifold, point, prop_tol: float = 1e-6):
     """S = (R + R-bar)/2 from the two statistical connections, with the
     decomposition S = R^0 + [K,K] asserted as an internal cross-check.
 
+    nabla = nabla^0 + K and nabla-bar = nabla^0 - K are formed from one jet
+    of Gamma^0 and one of K; R^0 comes from its own ``riemann`` call.
     Returns (S, R^0, [K,K], R, R-bar).
     """
-    cache = getattr(m, "_curvature_cache", None)
-    if cache is None:
-        cache = m._curvature_cache = {}
+    cache = m._curvature_cache
     key = tuple(float(x) for x in point)
     if key in cache:
         return cache[key]
-    dim = m.dim
-    const = m.metric.is_constant and getattr(m.difference, "is_constant", False)
-    r = riemann_from_gamma(m.gamma_statistical, point, dim, constant=const)
-    r_bar = riemann_from_gamma(m.gamma_conjugate, point, dim, constant=const)
+    gamma0, dgamma0 = christoffel_jet(m.metric, point)
+    k, dk = gamma_jet(m.difference.components, point, m.dim,
+                      constant=m.difference.is_constant)
+    r = riemann_from_jet(gamma0 + k, dgamma0 + dk)
+    r_bar = riemann_from_jet(gamma0 - k, dgamma0 - dk)
     s = 0.5 * (r + r_bar)
     r0 = riemann(m.metric, point)
     kk = kk_tensor(m.frame_at(point).K)
@@ -204,6 +206,14 @@ def sweep_sections(m: ChartManifold, fr: PointFrame, rng=None, extra: int = 2):
     return out
 
 
+def max_abs_k_phi(m: ChartManifold, fr: PointFrame, rng=None) -> float:
+    """max |K_phi| over the sweep_sections of a point (0 when there are none)."""
+    worst = 0.0
+    for x in sweep_sections(m, fr, rng=rng):
+        worst = max(worst, abs(phi_sectional_k_curvature(fr, x).value))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # theorem audits
 
@@ -221,9 +231,7 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
         rep.add("thm_5_8/lambda", p, 0.0, passed=True, value=lam)
         flags = {}
 
-        worst = 0.0
-        for x in sweep_sections(m, fr, rng=rng):
-            worst = max(worst, abs(phi_sectional_k_curvature(fr, x).value))
+        worst = max_abs_k_phi(m, fr, rng=rng)
         flags["c1_kphi_zero"] = (worst, worst <= tol)
 
         s, r0, kk, _, _ = statistical_curvature(m, p)
@@ -288,7 +296,7 @@ def lemma_5_6_check(m: ChartManifold, point) -> float:
     """Max residual of (nabla^0_X phi)Y = (nabla_X phi)Y + 2 phi K(X,Y) over
     all frame pairs."""
     fr = m.frame_at(point)
-    d0 = covariant_derivative_11(fr.gamma0, m.phi, point)
+    d0 = nabla0_phi(m, point)
     d1 = covariant_derivative_11(fr.gamma0 + fr.K, m.phi, point)
     phi_k = np.einsum("im,mak->aik", fr.phi, fr.K)
     return float(np.max(np.abs(d0 - d1 - 2.0 * phi_k)))
@@ -322,7 +330,6 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
 
         # (b) nabla_X (phi Y) = phi nabla_X Y on coordinate fields, computed
         # without forming the covariant derivative of phi
-        from .metric import field_first_derivatives
         dim = fr.dim
         dphi_raw = np.array(field_first_derivatives(m.phi, [float(x) for x in p], dim),
                             dtype=float)
@@ -352,10 +359,8 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
             # Theorem 6.8 consequences
             _, cos_res = is_cosymplectic(m, [p], tol)
             rep.add("phi_compat/cosymplectic_consequence", p, cos_res, tol)
-            worst = 0.0
-            for x in sweep_sections(m, fr, rng=rng):
-                worst = max(worst, abs(phi_sectional_k_curvature(fr, x).value))
-            rep.add("phi_compat/kphi_zero_consequence", p, worst, tol)
+            rep.add("phi_compat/kphi_zero_consequence", p,
+                    max_abs_k_phi(m, fr, rng=rng), tol)
             # nabla_X xi and nabla^0_X xi parallel to xi
             dxi0 = covariant_derivative_vector(fr.gamma0, m.xi, p)
             dxi1 = dxi0 + np.einsum("ijm,m->ji", fr.K, fr.xi)
@@ -382,7 +387,6 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
         raise PreconditionNotMetError("structure is not phi-compatible")
 
     fr = m.frame_at(point)
-    from .metric import nabla_g
     ng = nabla_g(fr.gamma0 + fr.K, m.metric, point)          # (nabla_X g)_xyz
     psi = np.einsum("xym,mz->xyz", ng, fr.phi)               # Psi_X(Y, Z)
     rep = AuditReport()
@@ -408,8 +412,5 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
     # Propositions 6.6/6.7: under phi-compatibility both Psi and the
     # phi-sectional K-curvature vanish
     rep.add("psi/psi_zero", p, np.max(np.abs(psi)), tol)
-    worst = 0.0
-    for x in sweep_sections(m, fr):
-        worst = max(worst, abs(phi_sectional_k_curvature(fr, x).value))
-    rep.add("psi/kphi_zero", p, worst, tol)
+    rep.add("psi/kphi_zero", p, max_abs_k_phi(m, fr), tol)
     return rep

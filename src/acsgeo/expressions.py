@@ -127,7 +127,10 @@ def d_exp(x):
     if isinstance(x, Dual):
         e = d_exp(x.val)
         return Dual(e, e * x.dot)
-    return math.exp(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise NonFiniteError(f"exp({x}) overflows") from None
 
 
 def d_log(x):
@@ -153,7 +156,10 @@ def d_ipow(x, n: int):
     if n == 0:
         return 1.0
     if n < 0:
-        return 1.0 / d_ipow(x, -n)
+        d = d_ipow(x, -n)
+        if primal(d) == 0.0:
+            raise EvalDomainError(f"division by zero in power {n} of {primal(x)}")
+        return 1.0 / d
     r = x
     for _ in range(n - 1):
         r = r * x

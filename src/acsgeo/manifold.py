@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expressions import ScalarField, parse_expression
-from .metric import MetricField, christoffel, inv_generic
+from .metric import FieldArray, MetricField, christoffel, field_values, inv_generic
 
 
 def _as_fields(entries, coord_names):
@@ -57,8 +57,9 @@ class PointFrame:
 class ChartManifold:
     """An odd-dimensional chart with fields (g, phi, xi, eta, K) attached.
 
-    ``difference`` must expose ``components(coords)`` (generic scalars) and
-    ``array_at(point)``; see :mod:`acsgeo.statistical`.
+    ``difference`` must expose ``components(coords)`` (generic scalars),
+    ``array_at(point)`` and ``is_constant``, the constancy of its components
+    decided when it was built; see :mod:`acsgeo.statistical`.
     """
 
     def __init__(self, coord_names: Sequence[str], metric: MetricField,
@@ -71,9 +72,9 @@ class ChartManifold:
         if metric.dim != dim:
             raise ValueError("metric dimension mismatch")
         self.metric = metric
-        self.phi = _as_fields(phi, self.coords)
-        self.xi = _as_fields(xi, self.coords)
-        self.eta = _as_fields(eta, self.coords) if eta is not None else None
+        self.phi = FieldArray(_as_fields(phi, self.coords))
+        self.xi = FieldArray(_as_fields(xi, self.coords))
+        self.eta = FieldArray(_as_fields(eta, self.coords)) if eta is not None else None
         self.difference = difference
         self.box = [(float(lo), float(hi)) for lo, hi in box] if box is not None \
             else [(-1.0, 1.0)] * dim
@@ -82,6 +83,7 @@ class ChartManifold:
         self.grid = int(grid)
         self.name = name
         self._frame_cache = {}
+        self._curvature_cache = {}   # filled by curvature.statistical_curvature
 
     @property
     def dim(self):
@@ -98,27 +100,22 @@ class ChartManifold:
         pts = [np.array(p) for p in itertools.product(*axes)]
         return pts[:cap]
 
-    def eta_array_at(self, point, g=None) -> np.ndarray:
-        p = [float(x) for x in point]
-        if self.eta is not None:
-            return np.array([f.eval_scalar(p) for f in self.eta], dtype=float)
-        if g is None:
-            g = self.metric.array_at(p)
-        xi = np.array([f.eval_scalar(p) for f in self.xi], dtype=float)
-        return g @ xi
-
     def frame_at(self, point) -> PointFrame:
         key = tuple(float(x) for x in point)
         cached = self._frame_cache.get(key)
         if cached is not None:
             return cached
         p = np.array(key)
+        coords = list(key)
         g = self.metric.array_at(p)
+        # the only singularity gate when the metric is constant
         g_inv = np.array(inv_generic(g.tolist()), dtype=float)
-        phi = np.array([[f.eval_scalar(list(p)) for f in row] for row in self.phi],
-                       dtype=float)
-        xi = np.array([f.eval_scalar(list(p)) for f in self.xi], dtype=float)
-        eta = self.eta_array_at(p, g)
+        phi = np.array(field_values(self.phi, coords), dtype=float)
+        xi = np.array(field_values(self.xi, coords), dtype=float)
+        if self.eta is not None:
+            eta = np.array(field_values(self.eta, coords), dtype=float)
+        else:
+            eta = g @ xi
         gamma0 = christoffel(self.metric, p)
         k = self.difference.array_at(p)
         fr = PointFrame(point=p, g=g, g_inv=g_inv, phi=phi, xi=xi, eta=eta,
@@ -126,23 +123,3 @@ class ChartManifold:
         if len(self._frame_cache) < 4096:
             self._frame_cache[key] = fr
         return fr
-
-    # connection coefficient fields, generic in the scalar type ------------
-
-    def gamma_statistical(self, coords):
-        """Gamma of nabla = nabla^0 + K."""
-        from .metric import christoffel_values
-        g0 = christoffel_values(self.metric, coords)
-        k = self.difference.components(coords)
-        d = self.dim
-        return [[[g0[i][j][kk] + k[i][j][kk] for kk in range(d)]
-                 for j in range(d)] for i in range(d)]
-
-    def gamma_conjugate(self, coords):
-        """Gamma of the conjugate connection nabla-bar = nabla^0 - K."""
-        from .metric import christoffel_values
-        g0 = christoffel_values(self.metric, coords)
-        k = self.difference.components(coords)
-        d = self.dim
-        return [[[g0[i][j][kk] - k[i][j][kk] for kk in range(d)]
-                 for j in range(d)] for i in range(d)]

@@ -1,18 +1,19 @@
 """Riemannian machinery on a coordinate chart.
 
-Levi-Civita connection, Riemann curvature, covariant derivatives and
-sectional curvature, all evaluated pointwise with exact dual-number
-derivatives of the metric components.  Every function here is generic in
-the scalar type where it needs to be: Christoffel symbols can be evaluated
-with Dual coordinates, which is how curvature obtains the exact
-first derivatives of the symbols (nested seeding).
+Evaluation of nested arrays of expression fields, Levi-Civita connection,
+Riemann curvature, covariant derivatives and sectional curvature, all
+evaluated pointwise with exact dual-number derivatives of the components.
+Every function here is generic in the scalar type where it needs to be:
+Christoffel symbols can be evaluated with Dual coordinates, which is how
+curvature obtains the exact first derivatives of the symbols (nested
+seeding).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expressions import Dual, ScalarField, parse_expression, primal, tangent
+from .expressions import Dual, Num, ScalarField, parse_expression, primal, tangent
 
 
 class GeometryError(Exception):
@@ -74,6 +75,59 @@ def inv_generic(mat):
 
 
 # ---------------------------------------------------------------------------
+# nested arrays of scalar fields
+
+
+def field_values(fields, env):
+    """Evaluate a nested array of ScalarFields at one environment of
+    generic scalars; returns nested python lists of the same shape."""
+    if isinstance(fields, ScalarField):
+        return fields.eval_scalar(env)
+    if isinstance(fields[0], ScalarField):
+        return [f.eval_scalar(env) for f in fields]
+    return [field_values(sub, env) for sub in fields]
+
+
+def fields_constant(fields) -> bool:
+    """True when every ScalarField in a nested array is a bare constant."""
+    if isinstance(fields, ScalarField):
+        return isinstance(fields.body, Num)
+    return all(fields_constant(sub) for sub in fields)
+
+
+class FieldArray(list):
+    """A nested array of ScalarFields (a list of rows) whose constancy is
+    decided once, when it is built, so derivative calls never re-walk it."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.is_constant = fields_constant(self)
+
+
+def _tangents(values):
+    """tangent() of every entry of nested lists."""
+    if not isinstance(values[0], list):
+        return [tangent(v) for v in values]
+    return [_tangents(sub) for sub in values]
+
+
+def field_first_derivatives(fields, coords, dim):
+    """d_i of a nested array of ScalarFields, derivative index first, as
+    nested lists; a zero array when the fields are constant."""
+    if isinstance(fields, FieldArray):
+        constant = fields.is_constant
+    else:
+        constant = fields_constant(fields)
+    if constant:
+        return np.zeros((dim,) + np.shape(fields))
+    out = []
+    for i in range(dim):
+        env = [Dual(coords[n], 1.0 if n == i else 0.0) for n in range(dim)]
+        out.append(_tangents(field_values(fields, env)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # metric fields
 
 
@@ -85,12 +139,10 @@ class MetricField:
         for row in components:
             if len(row) != dim:
                 raise ValueError("metric component array must be square")
-        self.components = [list(row) for row in components]
+        self.components = FieldArray(list(row) for row in components)
         self.dim = dim
         # constant metrics short-circuit every derivative evaluation
-        from .expressions import Num
-        self.is_constant = all(isinstance(f.body, Num)
-                               for row in self.components for f in row)
+        self.is_constant = self.components.is_constant
 
     @classmethod
     def from_lower_triangle(cls, entries, coord_names):
@@ -112,7 +164,7 @@ class MetricField:
 
     def matrix_at(self, coords):
         """Evaluate g as a nested list; generic in the scalar type."""
-        return [[f.eval_scalar(coords) for f in row] for row in self.components]
+        return field_values(self.components, coords)
 
     def array_at(self, point) -> np.ndarray:
         return np.array(self.matrix_at([float(x) for x in point]), dtype=float)
@@ -135,19 +187,6 @@ class MetricField:
 # Christoffel symbols and curvature
 
 
-def metric_first_derivatives(g: MetricField, coords):
-    """dg[j][l][k] = d_j g_lk, by one extra dual level on top of coords."""
-    dim = g.dim
-    if g.is_constant:
-        return [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
-    out = []
-    for j in range(dim):
-        env = [Dual(coords[n], 1.0 if n == j else 0.0) for n in range(dim)]
-        out.append([[tangent(g.components[l][k].eval_scalar(env))
-                     for k in range(dim)] for l in range(dim)])
-    return out
-
-
 def christoffel_values(g: MetricField, coords):
     """Levi-Civita symbols Gamma^i_jk at generic coordinates.
 
@@ -156,7 +195,7 @@ def christoffel_values(g: MetricField, coords):
     dim = g.dim
     if g.is_constant:
         return [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
-    dg = metric_first_derivatives(g, coords)
+    dg = field_first_derivatives(g.components, coords, dim)
     ginv = inv_generic(g.matrix_at(coords))
     gamma = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
@@ -200,14 +239,20 @@ def gamma_jet(gamma_fn, point, dim, constant=False):
     return gamma, dgamma
 
 
-def riemann_from_gamma(gamma_fn, point, dim, constant=False) -> np.ndarray:
-    """Curvature of an arbitrary connection field, components R^i_jkl with
+def christoffel_jet(g: MetricField, point):
+    """gamma_jet of the Levi-Civita symbols of ``g``."""
+    return gamma_jet(lambda c: christoffel_values(g, c), point, g.dim,
+                     constant=g.is_constant)
+
+
+def riemann_from_jet(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """Curvature of a connection from its coefficients Gamma[i,j,k] and their
+    derivatives dGamma[m,i,j,k] at a point, components R^i_jkl with
     R(e_k, e_l) e_j = R^i_jkl e_i:
 
         R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj
                   + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj.
     """
-    gamma, dgamma = gamma_jet(gamma_fn, point, dim, constant=constant)
     # dGamma[k,i,l,j] = d_k Gamma^i_lj
     r = np.einsum("kilj->ijkl", dgamma) - np.einsum("likj->ijkl", dgamma)
     r += np.einsum("ikm,mlj->ijkl", gamma, gamma)
@@ -219,7 +264,7 @@ def riemann(g: MetricField, point) -> np.ndarray:
     """Riemann curvature of the Levi-Civita connection at a point."""
     if g.is_constant:
         return np.zeros((g.dim,) * 4)
-    return riemann_from_gamma(lambda c: christoffel_values(g, c), point, g.dim)
+    return riemann_from_jet(*christoffel_jet(g, point))
 
 
 def apply_curvature(r: np.ndarray, x, y, z) -> np.ndarray:
@@ -244,43 +289,12 @@ def sectional_curvature(g: np.ndarray, r: np.ndarray, x, y) -> float:
     return float(x @ g @ apply_curvature(r, x, y, y)) / q
 
 
-def fields_constant(fields) -> bool:
-    """True when every ScalarField in a nested array is a bare constant."""
-    from .expressions import Num
-    if isinstance(fields, ScalarField):
-        return isinstance(fields.body, Num)
-    return all(fields_constant(sub) for sub in fields)
-
-
-def field_first_derivatives(fields, coords, dim):
-    """d_i of a nested array of ScalarFields; returns a python nested list
-    with the derivative index first."""
-    def walk(node, env):
-        if isinstance(node, ScalarField):
-            return tangent(node.eval_scalar(env))
-        return [walk(sub, env) for sub in node]
-
-    if fields_constant(fields):
-        def zeros(node):
-            if isinstance(node, ScalarField):
-                return 0.0
-            return [zeros(sub) for sub in node]
-        return [zeros(fields) for _ in range(dim)]
-
-    out = []
-    for i in range(dim):
-        env = [Dual(coords[n], 1.0 if n == i else 0.0) for n in range(dim)]
-        out.append(walk(fields, env))
-    return out
-
-
 def nabla_g(gamma: np.ndarray, g: MetricField, point) -> np.ndarray:
     """(nabla g)_ijk = d_i g_jk - Gamma^m_ij g_mk - Gamma^m_ik g_jm for an
     arbitrary connection given by its coefficients at the point."""
     p = [float(x) for x in point]
-    dg = np.array(metric_first_derivatives(g, p), dtype=float)
+    out = np.array(field_first_derivatives(g.components, p, g.dim), dtype=float)
     gm = g.array_at(p)
-    out = dg.copy()
     out -= np.einsum("mij,mk->ijk", gamma, gm)
     out -= np.einsum("mik,jm->ijk", gamma, gm)
     return out
@@ -295,10 +309,8 @@ def covariant_derivative_11(gamma: np.ndarray, phi_fields, point) -> np.ndarray:
     """
     dim = gamma.shape[0]
     p = [float(x) for x in point]
-    dphi = np.array(field_first_derivatives(phi_fields, p, dim), dtype=float)
-    phi = np.array([[f.eval_scalar(p) for f in row] for row in phi_fields],
-                   dtype=float)
-    out = dphi.copy()
+    out = np.array(field_first_derivatives(phi_fields, p, dim), dtype=float)
+    phi = np.array(field_values(phi_fields, p), dtype=float)
     out += np.einsum("jim,mk->ijk", gamma, phi)
     out -= np.einsum("mik,jm->ijk", gamma, phi)
     return out
@@ -308,6 +320,6 @@ def covariant_derivative_vector(gamma: np.ndarray, v_fields, point) -> np.ndarra
     """(nabla_i v)^j = d_i v^j + Gamma^j_im v^m, shape (dim, dim)."""
     dim = gamma.shape[0]
     p = [float(x) for x in point]
-    dv = np.array(field_first_derivatives(list(v_fields), p, dim), dtype=float)
-    v = np.array([f.eval_scalar(p) for f in v_fields], dtype=float)
+    dv = np.array(field_first_derivatives(v_fields, p, dim), dtype=float)
+    v = np.array(field_values(v_fields, p), dtype=float)
     return dv + np.einsum("jim,m->ij", gamma, v)

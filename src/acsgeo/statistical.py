@@ -7,9 +7,9 @@ import itertools
 
 import numpy as np
 
-from .expressions import ScalarField
 from .manifold import ChartManifold, _as_fields
-from .metric import MetricField, christoffel_values, metric_first_derivatives, nabla_g
+from .metric import (FieldArray, MetricField, christoffel_values,
+                     field_first_derivatives, field_values, nabla_g)
 from .report import AuditReport
 
 
@@ -29,51 +29,47 @@ class AcsViolatedError(StatisticalError):
 # difference tensors
 
 
-class ExplicitDifferenceTensor:
-    """K^i_jk given directly as component ScalarFields."""
-
-    def __init__(self, fields, coord_names=None):
-        if coord_names is not None:
-            fields = _as_fields(fields, coord_names)
-        self.fields = fields
-        self.dim = len(fields)
-        from .metric import fields_constant
-        self.is_constant = fields_constant(fields)
-
-    def components(self, coords):
-        return [[[f.eval_scalar(coords) for f in row] for row in plane]
-                for plane in self.fields]
+class DifferenceTensor:
+    """Base of the difference tensors: ``components(coords)`` gives K^i_jk as
+    nested lists of generic scalars, ``is_constant`` whether they are
+    independent of the point."""
 
     def array_at(self, point) -> np.ndarray:
         return np.array(self.components([float(x) for x in point]), dtype=float)
 
 
-class ConnectionDifferenceTensor:
+class ExplicitDifferenceTensor(DifferenceTensor):
+    """K^i_jk given directly as component ScalarFields."""
+
+    def __init__(self, fields, coord_names=None):
+        if coord_names is not None:
+            fields = _as_fields(fields, coord_names)
+        self.fields = FieldArray(fields)
+        self.dim = len(fields)
+        self.is_constant = self.fields.is_constant
+
+    def components(self, coords):
+        return field_values(self.fields, coords)
+
+
+class ConnectionDifferenceTensor(DifferenceTensor):
     """K obtained as a user connection table minus the Levi-Civita symbols of
     the metric; evaluated lazily so it stays generic in the scalar type."""
 
     def __init__(self, gamma_fields, metric: MetricField, coord_names=None):
         if coord_names is not None:
             gamma_fields = _as_fields(gamma_fields, coord_names)
-        self.gamma_fields = gamma_fields
+        self.gamma_fields = FieldArray(gamma_fields)
         self.metric = metric
         self.dim = len(gamma_fields)
-        from .metric import fields_constant
-        self.is_constant = metric.is_constant and fields_constant(gamma_fields)
-
-    def user_gamma_at(self, coords):
-        return [[[f.eval_scalar(coords) for f in row] for row in plane]
-                for plane in self.gamma_fields]
+        self.is_constant = metric.is_constant and self.gamma_fields.is_constant
 
     def components(self, coords):
-        user = self.user_gamma_at(coords)
+        user = field_values(self.gamma_fields, coords)
         lc = christoffel_values(self.metric, coords)
         d = self.dim
         return [[[user[i][j][k] - lc[i][j][k] for k in range(d)]
                  for j in range(d)] for i in range(d)]
-
-    def array_at(self, point) -> np.ndarray:
-        return np.array(self.components([float(x) for x in point]), dtype=float)
 
 
 def zero_difference_tensor(coord_names) -> ExplicitDifferenceTensor:
@@ -93,7 +89,8 @@ def difference_from_connection(gamma_fields, metric: MetricField,
     k = ConnectionDifferenceTensor(gamma_fields, metric, coord_names)
     if sample_points is not None:
         for p in sample_points:
-            gam = np.array(k.user_gamma_at([float(x) for x in p]), dtype=float)
+            gam = np.array(field_values(k.gamma_fields, [float(x) for x in p]),
+                           dtype=float)
             asym = float(np.max(np.abs(gam - np.swapaxes(gam, 1, 2))))
             if asym > torsion_tol:
                 raise TorsionPresentError(
@@ -178,8 +175,8 @@ def conjugate_connection(m: ChartManifold, point, tol: float = 1e-9):
     fr = m.frame_at(point)
     gamma = fr.gamma0 + fr.K
     gamma_bar = fr.gamma0 - fr.K
-    dg = np.array(metric_first_derivatives(m.metric, [float(x) for x in point]),
-                  dtype=float)
+    dg = np.array(field_first_derivatives(m.metric.components,
+                                          [float(x) for x in point], m.dim), dtype=float)
     lhs = np.einsum("mz,mxy->xyz", fr.g, gamma) + np.einsum("ym,mxz->xyz", fr.g, gamma_bar)
     res = float(np.max(np.abs(lhs - dg)))
     if res > tol:

@@ -55,18 +55,20 @@ def test_validate_broken_structure_exits_one(capsys, tmp_path):
 
 
 def test_malformed_expression_exits_two(capsys, tmp_path):
-    spec = {
-        "coordinates": ["x", "y", "z"],
-        "metric_lower": [["x +"], ["0", "1"], ["0", "0", "1"]],
-        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
-        "xi": ["0", "0", "1"],
-        "K": {},
-    }
-    path = tmp_path / "syntax.json"
-    path.write_text(json.dumps(spec))
-    code, _, err = run(capsys, "validate", str(path))
-    assert code == 2
-    assert "position" in err or "expected" in err or "error" in err
+    # a syntax error, a negative power of zero and an exp overflow on the grid
+    for entry in ("x +", "1 + x^-2", "1 + exp(1000*x)"):
+        spec = {
+            "coordinates": ["x", "y", "z"],
+            "metric_lower": [[entry], ["0", "1"], ["0", "0", "1"]],
+            "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+            "xi": ["0", "0", "1"],
+            "K": {},
+        }
+        path = tmp_path / "syntax.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2, entry
+        assert "position" in err or "expected" in err or "error" in err
 
 
 def test_missing_file_exits_two(capsys):

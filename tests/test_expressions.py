@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acsgeo import (Dual, EvalDomainError, ExprSyntaxError,
+from acsgeo import (Dual, EvalDomainError, ExprSyntaxError, NonFiniteError,
                     UnknownIdentifierError, eval_with_derivative,
                     parse_expression)
 from acsgeo.expressions import primal, tangent
@@ -69,6 +69,24 @@ def test_domain_errors():
     g = parse_expression("sqrt(x)", ["x"])
     with pytest.raises(EvalDomainError):
         g([-4.0])
+
+
+def test_negative_power_of_zero_is_a_domain_error():
+    f = parse_expression("1 + x^-2", ["x"])
+    assert f([2.0]) == 1.25
+    with pytest.raises(EvalDomainError):
+        f([0.0])
+    with pytest.raises(EvalDomainError):
+        eval_with_derivative(f, [0.0], 0)
+
+
+def test_exp_overflow_is_an_expression_error():
+    f = parse_expression("exp(1000*x)", ["x"])
+    assert f([-1.0]) == 0.0
+    with pytest.raises(NonFiniteError):
+        f([1.0])
+    with pytest.raises(NonFiniteError):
+        eval_with_derivative(f, [1.0], 0)
 
 
 def test_round_trip_stability():
