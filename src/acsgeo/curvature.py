@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import is_cosymplectic, nabla0_phi, phi_basis
+from .expressions import NonFiniteError
 from .manifold import ChartManifold, PointFrame
 from .metric import (christoffel_jet, covariant_derivative_11,
                      covariant_derivative_vector, field_first_derivatives,
@@ -114,33 +115,71 @@ def phi_sectional_k_curvature(fr: PointFrame, x, cross_tol: float = 1e-9) -> Phi
                              point=tuple(fr.point))
 
 
+def _statistical_parts(gamma0, dgamma0, k, dk, r0, kk):
+    """(S, R^0, [K,K], R, R-bar) at one point from the jets of Gamma^0 and K:
+    nabla = nabla^0 + K and nabla-bar = nabla^0 - K."""
+    r = riemann_from_jet(gamma0 + k, dgamma0 + dk)
+    r_bar = riemann_from_jet(gamma0 - k, dgamma0 - dk)
+    return 0.5 * (r + r_bar), r0, kk, r, r_bar
+
+
 def statistical_curvature(m: ChartManifold, point, prop_tol: float = 1e-6):
     """S = (R + R-bar)/2 from the two statistical connections, with the
     decomposition S = R^0 + [K,K] asserted as an internal cross-check.
 
     nabla = nabla^0 + K and nabla-bar = nabla^0 - K are formed from one jet
     of Gamma^0 and one of K; R^0 comes from its own ``riemann`` call.
+    A point that ``statistical_curvature_grid`` cached is read from the
+    cache (the cross-check is applied there too).
     Returns (S, R^0, [K,K], R, R-bar).
     """
     cache = m._curvature_cache
     key = tuple(float(x) for x in point)
-    if key in cache:
-        return cache[key]
-    gamma0, dgamma0 = christoffel_jet(m.metric, point)
-    k, dk = gamma_jet(m.difference.components, point, m.dim,
-                      constant=m.difference.is_constant)
-    r = riemann_from_jet(gamma0 + k, dgamma0 + dk)
-    r_bar = riemann_from_jet(gamma0 - k, dgamma0 - dk)
-    s = 0.5 * (r + r_bar)
-    r0 = riemann(m.metric, point)
-    kk = kk_tensor(m.frame_at(point).K)
+    out = cache.get(key)
+    if out is None:
+        gamma0, dgamma0 = christoffel_jet(m.metric, point)
+        k, dk = gamma_jet(m.difference.components, point, m.dim,
+                          constant=m.difference.is_constant)
+        out = _statistical_parts(gamma0, dgamma0, k, dk, riemann(m.metric, point),
+                                 kk_tensor(m.frame_at(point).K))
+    s, r0, kk = out[:3]
     res = float(np.max(np.abs(s - r0 - kk)))
     if res > prop_tol:
         raise CrossCheckError(f"S - R0 - [K,K] residual {res} at {list(point)}")
-    out = (s, r0, kk, r, r_bar)
-    if len(cache) < 4096:
+    if key not in cache and len(cache) < 4096:
         cache[key] = out
     return out
+
+
+def statistical_curvature_grid(m: ChartManifold, points) -> None:
+    """Fill the curvature cache of ``m`` for all ``points`` in one pass.
+
+    The jets of Gamma^0 and K are taken once over all points, one lane per
+    point (``gamma_jet`` on lane coordinates), and R^0 from one lane
+    ``riemann`` call; R, R-bar, S and [K,K] follow point by point from
+    views of those arrays.  Every value is bit-identical to
+    ``statistical_curvature`` at the single point.  Raises the jets'
+    errors, or NonFiniteError for a non-finite jet, and then caches nothing.
+    """
+    if len(points) == 0:
+        return
+    pts = np.array(points, dtype=float).reshape(len(points), m.dim)
+    coords = [np.ascontiguousarray(pts[:, n]) for n in range(m.dim)]
+    gamma0, dgamma0 = christoffel_jet(m.metric, coords)
+    k, dk = gamma_jet(m.difference.components, coords, m.dim,
+                      constant=m.difference.is_constant)
+    for name, arr in (("Levi-Civita", gamma0), ("Levi-Civita derivative", dgamma0),
+                      ("K", k), ("K derivative", dk)):
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{name} jet is not finite on the grid")
+    r0 = riemann(m.metric, coords)
+    out = {tuple(p): _statistical_parts(gamma0[i], dgamma0[i], k[i], dk[i], r0[i],
+                                        kk_tensor(k[i]))
+           for i, p in enumerate(pts.tolist())}
+    cache = m._curvature_cache
+    for key, parts in out.items():
+        if key not in cache and len(cache) < 4096:
+            cache[key] = parts
 
 
 def phi_sectional_triple(m: ChartManifold, point, x, sum_tol: float = 1e-6):

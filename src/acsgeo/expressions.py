@@ -6,6 +6,14 @@ small set of operators and elementary functions.  Evaluation is generic in
 the scalar type: plugging in floats gives values, plugging in ``Dual``
 numbers gives exact directional derivatives, and nesting duals gives exact
 second derivatives (used downstream for curvature).
+
+A scalar may also be a ``(P,)`` float array with one lane per sample point,
+bare or as the parts of a ``Dual``.  Every lane then goes through the same
+IEEE operations as a float would (``sin``/``cos``/``exp``/``log``/``sqrt``
+call :mod:`math` lane by lane), so lane results are bit-identical to
+evaluating the points one at a time.  Domain checks raise when any lane
+fails.  Like Python floats, lanes overflow to inf silently: callers that
+evaluate lanes do so under ``np.errstate(all="ignore")``.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ from __future__ import annotations
 import math
 import re
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 
 class ExpressionError(Exception):
@@ -43,6 +53,35 @@ class NonFiniteError(ExpressionError):
 
 
 # ---------------------------------------------------------------------------
+# lanes
+
+
+def any_lane(cond) -> bool:
+    """A comparison of floats or of lane arrays, true when it holds anywhere."""
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def first_lane(x, cond):
+    """The value of ``x`` at the first lane where ``cond`` holds (``x`` itself
+    for a float), for error messages."""
+    return x[cond][0] if isinstance(cond, np.ndarray) else x
+
+
+def _libm(fn, x):
+    """``fn`` from :mod:`math` of a float, or of every lane of an array so that
+    lanes get the libm results a float gets; its range and domain errors
+    (overflow, ``sin`` of inf) raise NonFiniteError."""
+    if isinstance(x, np.ndarray):
+        return np.array([_libm(fn, v) for v in x.tolist()])
+    try:
+        return fn(x)
+    except OverflowError:
+        raise NonFiniteError(f"{fn.__name__}({x}) overflows") from None
+    except ValueError:
+        raise NonFiniteError(f"{fn.__name__}({x}) is undefined") from None
+
+
+# ---------------------------------------------------------------------------
 # dual numbers
 
 
@@ -50,10 +89,12 @@ class Dual:
     """Forward-mode dual number (value, tangent).
 
     ``val`` and ``dot`` may themselves be Dual, which yields exact mixed
-    second derivatives by nested seeding.
+    second derivatives by nested seeding, and the innermost parts may be
+    floats or ``(P,)`` lane arrays.
     """
 
     __slots__ = ("val", "dot")
+    __array_ufunc__ = None   # ndarray op Dual defers to Dual's reflected op
 
     def __init__(self, val, dot=0.0):
         self.val = val
@@ -61,7 +102,9 @@ class Dual:
 
     @staticmethod
     def _lift(x):
-        return x if isinstance(x, Dual) else Dual(float(x), 0.0)
+        if isinstance(x, Dual):
+            return x
+        return Dual(x if isinstance(x, np.ndarray) else float(x), 0.0)
 
     def __add__(self, other):
         o = Dual._lift(other)
@@ -84,7 +127,7 @@ class Dual:
 
     def __truediv__(self, other):
         o = Dual._lift(other)
-        if primal(o) == 0.0:
+        if any_lane(primal(o) == 0.0):
             raise EvalDomainError("division by zero")
         v = self.val / o.val
         return Dual(v, (self.dot - v * o.dot) / o.val)
@@ -114,41 +157,43 @@ def tangent(x):
 def d_sin(x):
     if isinstance(x, Dual):
         return Dual(d_sin(x.val), d_cos(x.val) * x.dot)
-    return math.sin(x)
+    return _libm(math.sin, x)
 
 
 def d_cos(x):
     if isinstance(x, Dual):
         return Dual(d_cos(x.val), -d_sin(x.val) * x.dot)
-    return math.cos(x)
+    return _libm(math.cos, x)
 
 
 def d_exp(x):
     if isinstance(x, Dual):
         e = d_exp(x.val)
         return Dual(e, e * x.dot)
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise NonFiniteError(f"exp({x}) overflows") from None
+    return _libm(math.exp, x)
+
+
+def _check_positive(x, what):
+    p = primal(x)
+    bad = p <= 0.0
+    if any_lane(bad):
+        raise EvalDomainError(f"{what} of non-positive argument {first_lane(p, bad)}")
 
 
 def d_log(x):
-    if primal(x) <= 0.0:
-        raise EvalDomainError(f"log of non-positive argument {primal(x)}")
+    _check_positive(x, "log")
     if isinstance(x, Dual):
         return Dual(d_log(x.val), x.dot / x.val)
-    return math.log(x)
+    return _libm(math.log, x)
 
 
 def d_sqrt(x):
-    if primal(x) <= 0.0:
-        # disallow 0 too: the derivative blows up there
-        raise EvalDomainError(f"sqrt of non-positive argument {primal(x)}")
+    # disallow 0 too: the derivative blows up there
+    _check_positive(x, "sqrt")
     if isinstance(x, Dual):
         s = d_sqrt(x.val)
         return Dual(s, x.dot / (2.0 * s))
-    return math.sqrt(x)
+    return _libm(math.sqrt, x)
 
 
 def d_ipow(x, n: int):
@@ -157,8 +202,10 @@ def d_ipow(x, n: int):
         return 1.0
     if n < 0:
         d = d_ipow(x, -n)
-        if primal(d) == 0.0:
-            raise EvalDomainError(f"division by zero in power {n} of {primal(x)}")
+        zero = primal(d) == 0.0
+        if any_lane(zero):
+            raise EvalDomainError(
+                f"division by zero in power {n} of {first_lane(primal(x), zero)}")
         return 1.0 / d
     r = x
     for _ in range(n - 1):
@@ -239,9 +286,9 @@ class BinOp:
             return a - b
         if self.op == "*":
             return a * b
-        # division: guard the float path (Dual guards internally)
+        # division: guard the float and lane path (Dual guards internally)
         if not isinstance(a, Dual) and not isinstance(b, Dual):
-            if b == 0.0:
+            if any_lane(b == 0.0):
                 raise EvalDomainError("division by zero")
             return a / b
         return Dual._lift(a) / b
@@ -436,7 +483,8 @@ class ScalarField:
         return len(self.coord_names)
 
     def eval_scalar(self, env):
-        """Evaluate with an arbitrary scalar environment (floats or Duals)."""
+        """Evaluate with an arbitrary scalar environment (floats, lane arrays
+        or Duals of either)."""
         return self.body.eval(env)
 
     def __call__(self, point: Sequence[float]) -> float:

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expressions import ScalarField, parse_expression
+from .expressions import NonFiniteError, ScalarField, parse_expression
 from .metric import FieldArray, MetricField, christoffel, field_values, inv_generic
 
 
@@ -22,6 +22,15 @@ def _as_fields(entries, coord_names):
     if isinstance(entries, (int, float)):
         return parse_expression(repr(float(entries)), coord_names)
     return [_as_fields(e, coord_names) for e in entries]
+
+
+def _finite(name, values, point) -> np.ndarray:
+    """An evaluated field array as floats; NonFiniteError if any entry is
+    inf or nan (checked once per array, not per scalar)."""
+    arr = np.asarray(values, dtype=float)
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:   # cheaper than .all()
+        raise NonFiniteError(f"{name} is not finite at {list(point)}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -107,17 +116,17 @@ class ChartManifold:
             return cached
         p = np.array(key)
         coords = list(key)
-        g = self.metric.array_at(p)
+        g = _finite("metric", self.metric.array_at(p), key)
         # the only singularity gate when the metric is constant
         g_inv = np.array(inv_generic(g.tolist()), dtype=float)
-        phi = np.array(field_values(self.phi, coords), dtype=float)
-        xi = np.array(field_values(self.xi, coords), dtype=float)
+        phi = _finite("phi", field_values(self.phi, coords), key)
+        xi = _finite("xi", field_values(self.xi, coords), key)
         if self.eta is not None:
-            eta = np.array(field_values(self.eta, coords), dtype=float)
+            eta = _finite("eta", field_values(self.eta, coords), key)
         else:
             eta = g @ xi
         gamma0 = christoffel(self.metric, p)
-        k = self.difference.array_at(p)
+        k = _finite("K", self.difference.array_at(p), key)
         fr = PointFrame(point=p, g=g, g_inv=g_inv, phi=phi, xi=xi, eta=eta,
                         gamma0=gamma0, K=k)
         if len(self._frame_cache) < 4096:

@@ -7,13 +7,21 @@ Every function here is generic in the scalar type where it needs to be:
 Christoffel symbols can be evaluated with Dual coordinates, which is how
 curvature obtains the exact first derivatives of the symbols (nested
 seeding).
+
+A coordinate may be a float or a ``(P,)`` float array with one lane per
+sample point (vector-mode forward differentiation).  ``field_values``,
+``field_first_derivatives``, ``inv_generic``, ``christoffel_values``,
+``gamma_jet`` and ``riemann`` accept lanes and give every lane the same
+float operations as a single point, so their results are bit-identical to
+a loop over the points; arrays they return put the lane axis first.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expressions import Dual, Num, ScalarField, parse_expression, primal, tangent
+from .expressions import (Dual, Num, ScalarField, any_lane, first_lane,
+                          parse_expression, primal, tangent)
 
 
 class GeometryError(Exception):
@@ -33,28 +41,111 @@ class DegeneratePlaneError(GeometryError):
 
 
 # ---------------------------------------------------------------------------
-# generic linear algebra (works on floats and Duals)
+# lanes
+
+
+class LaneSplit(Exception):
+    """Lanes that need different float operations: a per-lane choice would
+    pair a Dual with a plain float, whose arithmetic differs.  ``gamma_jet``
+    evaluates the lanes of ``mask`` and the others apart."""
+
+    def __init__(self, mask):
+        super().__init__("lanes take different operations")
+        self.mask = mask
+
+
+def lane_select(mask, x, y):
+    """Per lane, ``x`` where ``mask`` holds and ``y`` elsewhere."""
+    if isinstance(x, Dual) and isinstance(y, Dual):
+        return Dual(lane_select(mask, x.val, y.val), lane_select(mask, x.dot, y.dot))
+    if isinstance(x, Dual) or isinstance(y, Dual):
+        raise LaneSplit(mask)
+    return np.where(mask, x, y)
+
+
+def lane_count(coords):
+    """P when the coordinates are (P,) lane arrays, None at a single point."""
+    first = coords[0]
+    return len(first) if isinstance(first, np.ndarray) else None
+
+
+def lane_array(values, lanes=None):
+    """Nested lists of floats or lane arrays as one float array, with the
+    lane axis first when ``lanes`` is given."""
+    if lanes is None:
+        return np.array(values, dtype=float)
+    shape = []
+    flat = [values]
+    while isinstance(flat[0], list):
+        shape.append(len(flat[0]))
+        flat = [v for sub in flat for v in sub]
+    out = np.empty((lanes, len(flat)))
+    for i, v in enumerate(flat):
+        out[:, i] = v
+    return out.reshape([lanes] + shape)
+
+
+def lane_zeros(shape, lanes=None):
+    """Zeros of ``shape``, per lane as a broadcast view (no memory per lane)."""
+    z = np.zeros(shape)
+    return z if lanes is None else np.broadcast_to(z, (lanes,) + z.shape)
+
+
+# ---------------------------------------------------------------------------
+# generic linear algebra (works on floats, lanes and Duals)
+
+
+def _lane_pivot(mags, col):
+    """Per lane, the row of the first largest of the primal magnitudes
+    ``mags`` of column ``col`` from row ``col`` down (a later row wins only
+    when strictly larger, as with ``max``): an int when all lanes agree and
+    a (P,) int array otherwise."""
+    piv, best = col, mags[0]
+    for r, m in enumerate(mags[1:], col + 1):
+        larger = m > best
+        piv = np.where(larger, r, piv)
+        best = np.where(larger, m, best)
+    if (best < 1e-300).any():
+        raise SingularMetricError("matrix is numerically singular")
+    piv = np.broadcast_to(piv, best.shape)
+    return int(piv[0]) if (piv == piv[0]).all() else piv
 
 
 def inv_generic(mat):
     """Inverse of a small square matrix by Gauss-Jordan elimination.
 
-    Entries may be floats or (nested) Duals; pivoting is on the magnitude of
-    the primal part.  Raises SingularMetricError when the primal determinant
-    magnitude falls below 1e-12.
+    Entries may be floats, lane arrays or (nested) Duals of either; pivoting
+    is on the magnitude of the primal part, lane by lane.  Raises
+    SingularMetricError when the primal determinant magnitude falls below
+    1e-12 (in any lane).
     """
     n = len(mat)
     a = [list(row) for row in mat]
     inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     det = 1.0
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(primal(a[r][col])))
-        if abs(primal(a[piv][col])) < 1e-300:
-            raise SingularMetricError("matrix is numerically singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            det = -det
+        mags = [abs(primal(a[r][col])) for r in range(col, n)]
+        if np.ndarray in map(type, mags):
+            piv = _lane_pivot(mags, col)
+        else:
+            piv = max(range(col, n), key=lambda r: mags[r - col])
+            if mags[piv - col] < 1e-300:
+                raise SingularMetricError("matrix is numerically singular")
+        if isinstance(piv, int):
+            if piv != col:
+                a[col], a[piv] = a[piv], a[col]
+                inv[col], inv[piv] = inv[piv], inv[col]
+                det = -det
+        else:
+            for r in range(col + 1, n):
+                swap = piv == r
+                if swap.any():
+                    for rows in (a, inv):
+                        for j in range(n):
+                            x, y = rows[col][j], rows[r][j]
+                            rows[col][j] = lane_select(swap, y, x)
+                            rows[r][j] = lane_select(swap, x, y)
+            det = np.where(piv != col, -det, det)
         pivot = a[col][col]
         det *= primal(pivot)
         for j in range(n):
@@ -64,13 +155,27 @@ def inv_generic(mat):
             if r == col:
                 continue
             f = a[r][col]
-            if primal(f) == 0.0 and not isinstance(f, Dual):
-                continue
+            if not isinstance(f, Dual):
+                # a plain zero factor leaves the row alone, lane by lane
+                zero = f == 0.0
+                if not isinstance(zero, np.ndarray):
+                    if zero:
+                        continue
+                elif zero.all():
+                    continue
+                elif zero.any():
+                    for rows in (a, inv):
+                        for j in range(n):
+                            rows[r][j] = lane_select(zero, rows[r][j],
+                                                     rows[r][j] - f * rows[col][j])
+                    continue
             for j in range(n):
                 a[r][j] = a[r][j] - f * a[col][j]
                 inv[r][j] = inv[r][j] - f * inv[col][j]
-    if abs(det) < 1e-12:
-        raise SingularMetricError(f"metric determinant {det} below threshold")
+    small = abs(det) < 1e-12
+    if any_lane(small):
+        raise SingularMetricError(
+            f"metric determinant {first_lane(det, small)} below threshold")
     return inv
 
 
@@ -80,7 +185,8 @@ def inv_generic(mat):
 
 def field_values(fields, env):
     """Evaluate a nested array of ScalarFields at one environment of
-    generic scalars; returns nested python lists of the same shape."""
+    generic scalars (floats, lane arrays or Duals); returns nested python
+    lists of the same shape."""
     if isinstance(fields, ScalarField):
         return fields.eval_scalar(env)
     if isinstance(fields[0], ScalarField):
@@ -222,20 +328,41 @@ def gamma_jet(gamma_fn, point, dim, constant=False):
     ``gamma_fn(coords)`` must return nested-list Gamma^i_jk for generic
     scalar coords.  Returns (Gamma[i,j,k], dGamma[m,i,j,k] = d_m Gamma^i_jk).
     ``constant=True`` promises the coefficients do not depend on the point
-    and skips the derivative passes.
+    and skips the derivative passes (dGamma is then zeros).
+
+    ``point`` may hold (P,) lane arrays, one lane per sample point: then
+    both arrays get a leading lane axis and the lanes are evaluated together
+    under ``np.errstate(all="ignore")``, because Python float arithmetic
+    overflows silently.  Lanes that would need different float operations
+    (``LaneSplit``) are evaluated in groups.
     """
-    p = [float(x) for x in point]
-    gamma = np.array(gamma_fn(p), dtype=float)
+    lanes = lane_count(point)
+    if lanes is None:
+        return _jet([float(x) for x in point], gamma_fn, dim, constant, None)
+    coords = [np.asarray(x, dtype=float) for x in point]
+    try:
+        with np.errstate(all="ignore"):
+            return _jet(coords, gamma_fn, dim, constant, lanes)
+    except LaneSplit as split:
+        gamma = np.empty((lanes,) + (dim,) * 3)
+        dgamma = np.empty((lanes,) + (dim,) * 4)
+        for rows in (split.mask, ~split.mask):
+            gamma[rows], dgamma[rows] = gamma_jet(
+                gamma_fn, [c[rows] for c in coords], dim, constant)
+        return gamma, dgamma
+
+
+def _jet(p, gamma_fn, dim, constant, lanes):
+    """gamma_jet at coordinates ``p`` (floats, or arrays of ``lanes`` lanes)."""
+    gamma = lane_array(gamma_fn(p), lanes)
     if constant:
-        return gamma, np.zeros((dim, dim, dim, dim))
-    dgamma = np.empty((dim, dim, dim, dim))
+        return gamma, lane_zeros((dim,) * 4, lanes)
+    dgamma = np.empty(gamma.shape[:-3] + (dim,) * 4)
     for m in range(dim):
         coords = [Dual(p[n], 1.0 if n == m else 0.0) for n in range(dim)]
         gm = gamma_fn(coords)
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    dgamma[m, i, j, k] = primal(tangent(gm[i][j][k]))
+        dgamma[..., m, :, :, :] = lane_array(
+            [[[primal(tangent(v)) for v in row] for row in mat] for mat in gm], lanes)
     return gamma, dgamma
 
 
@@ -252,7 +379,12 @@ def riemann_from_jet(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
 
         R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj
                   + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj.
+
+    With a leading lane axis the contraction runs point by point, so every
+    sum is taken in the order of a single point.
     """
+    if gamma.ndim == 4:
+        return np.stack([riemann_from_jet(*jet) for jet in zip(gamma, dgamma)])
     # dGamma[k,i,l,j] = d_k Gamma^i_lj
     r = np.einsum("kilj->ijkl", dgamma) - np.einsum("likj->ijkl", dgamma)
     r += np.einsum("ikm,mlj->ijkl", gamma, gamma)
@@ -261,9 +393,10 @@ def riemann_from_jet(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
 
 
 def riemann(g: MetricField, point) -> np.ndarray:
-    """Riemann curvature of the Levi-Civita connection at a point."""
+    """Riemann curvature of the Levi-Civita connection at a point (or at
+    every lane of lane coordinates, lane axis first)."""
     if g.is_constant:
-        return np.zeros((g.dim,) * 4)
+        return lane_zeros((g.dim,) * 4, lane_count(point))
     return riemann_from_jet(*christoffel_jet(g, point))
 
 

@@ -2,6 +2,7 @@
 and the export/import round trip."""
 
 import json
+import logging
 
 import pytest
 
@@ -55,20 +56,27 @@ def test_validate_broken_structure_exits_one(capsys, tmp_path):
 
 
 def test_malformed_expression_exits_two(capsys, tmp_path):
-    # a syntax error, a negative power of zero and an exp overflow on the grid
-    for entry in ("x +", "1 + x^-2", "1 + exp(1000*x)"):
+    # a syntax error, a negative power of zero, an exp overflow, an entry
+    # that overflows to inf without an error, and sin/cos of an infinite
+    # argument (in g, and in K) on the grid
+    for entry, k in (("x +", {}), ("1 + x^-2", {}), ("1 + exp(1000*x)", {}),
+                     ("1 + exp(400*x)*exp(400*x)", {}),
+                     ("2 + sin(1e200*1e200*x)", {}),
+                     ("1", {"z,z,z": "cos(1e200*1e200*x)"})):
         spec = {
             "coordinates": ["x", "y", "z"],
             "metric_lower": [[entry], ["0", "1"], ["0", "0", "1"]],
             "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
             "xi": ["0", "0", "1"],
-            "K": {},
+            "K": k,
         }
         path = tmp_path / "syntax.json"
         path.write_text(json.dumps(spec))
-        code, _, err = run(capsys, "validate", str(path))
-        assert code == 2, entry
-        assert "position" in err or "expected" in err or "error" in err
+        for verb in ("validate", "audit"):
+            code, out, err = run(capsys, verb, str(path))
+            assert code == 2, (verb, entry, k)
+            assert "position" in err or "expected" in err or "error" in err
+            assert "NaN" not in out and "Traceback" not in err
 
 
 def test_missing_file_exits_two(capsys):
@@ -194,3 +202,31 @@ def test_seventeen_digit_output(capsys):
     x = 1.0 / 3.0
     assert float(fmt(x)) == x
     assert fmt(-1.0) == "-1"
+
+
+def _logged(caplog, capsys, *argv):
+    caplog.clear()
+    code, out, _ = run(capsys, *argv)
+    return code, out, [r.getMessage() for r in caplog.records if r.name == "acsgeo"]
+
+
+def test_grid_pass_logs_at_info(capsys, caplog, tmp_path):
+    quiet = run(capsys, "audit", "zoo:example_r3_negative", "--grid", "2")
+    caplog.set_level(logging.INFO, logger="acsgeo")
+    code, out, lines = _logged(caplog, capsys, "audit", "zoo:example_r3_negative",
+                               "--grid", "2")
+    assert (code, out) == quiet[:2]        # logging never touches stdout
+    assert len(lines) == 1 and lines[0].startswith("curvature grid pass: 8 points in ")
+
+    spec = {
+        "coordinates": ["x", "y", "z"], "grid": 3,
+        "metric_lower": [["x + 1 + 0*log(0.5 - x)"], ["0", "1"], ["0", "0", "1"]],
+        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+        "xi": ["0", "0", "1"], "K": {},
+    }
+    path = tmp_path / "two_failures.json"
+    path.write_text(json.dumps(spec))
+    code, _, lines = _logged(caplog, capsys, "curvature", str(path))
+    assert code == 1
+    assert lines == ["curvature grid pass: fallback to per-point: "
+                     "log of non-positive argument -0.5"]

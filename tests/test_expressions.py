@@ -89,6 +89,15 @@ def test_exp_overflow_is_an_expression_error():
         eval_with_derivative(f, [1.0], 0)
 
 
+@pytest.mark.parametrize("text", ["sin(1e200*1e200*x)", "cos(1e200*1e200*x)"])
+def test_sin_cos_of_infinity_is_an_expression_error(text):
+    f = parse_expression(text, ["x"])
+    with pytest.raises(NonFiniteError, match="is undefined"):
+        f([1.0])
+    with pytest.raises(NonFiniteError):
+        eval_with_derivative(f, [-1.0], 0)
+
+
 def test_round_trip_stability():
     texts = ["x^2 + sin(y)", "-(x + y)*z", "1 - x - y", "x/(y + 2)",
              "2*x^3 - 0.5*y^2", "cos(x)*sin(y) + exp(z)"]

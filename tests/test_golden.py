@@ -35,6 +35,24 @@ SPECS = {
     },
 }
 
+# a linear pull-back of a warped chart: every point swaps rows when
+# inv_generic pivots, and the metric entries are transcendental
+PB = "exp(0.1*((u + 3*v)^2 + v^2))"
+SPECS["pulled_back_warped"] = {
+    "coordinates": ["u", "v", "w"], "grid": 4,
+    "metric_lower": [[PB], [f"3*{PB}", f"10*{PB}"], ["0", "0", "1"]],
+    "phi": [["-3", "-10", "0"], ["1", "3", "0"], ["0", "0", "0"]],
+    "xi": ["0", "0", "1"], "K": {},
+}
+# singular at x = -1 (the first points) and a log domain error at x = 1:
+# evaluated point by point, the singularity surfaces first
+SPECS["two_failures"] = {
+    "coordinates": ["x", "y", "z"], "grid": 3,
+    "metric_lower": [["x + 1 + 0*log(0.5 - x)"], ["0", "1"], ["0", "0", "1"]],
+    "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+    "xi": ["0", "0", "1"], "K": {},
+}
+
 R3, FLAT = "zoo:example_r3_negative", "zoo:example_flat_acs:n=1"
 JSON = ["--format", "json"]
 
@@ -68,6 +86,19 @@ GOLDEN = [
      "30349ae26507a5dc82e6ef9a214949c6cf444a0d687ea00b47e9b4aa1db3ddd2"),
     ("audit-inadmissible-k", ["audit", "@inadmissible_k"] + JSON,
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("audit-pulled-back-warped", ["audit", "@pulled_back_warped", "--seed", "7"] + JSON,
+     "aeca067865aeee5a1bdb7415560082f0ea6af28d9820ab74bd999d48900856c6"),
+    ("curvature-pulled-back-warped",
+     ["curvature", "@pulled_back_warped", "--seed", "8"] + JSON,
+     "0a2098a81c00dd31fb8de00ba3265a64c6eee4be389331e6a5a8a9197ea037d8"),
+]
+
+# (id, argv, sha256 of "<exit code>\n<stderr>") for runs that fail
+GOLDEN_STDERR = [
+    ("audit-two-failures", ["audit", "@two_failures", "--seed", "7"] + JSON,
+     "07f9c9424c5b79a6f8e90c0f2fd07a01cb99a5d3b57b5d6cc9fddfeaab4cddb4"),
+    ("curvature-two-failures", ["curvature", "@two_failures", "--seed", "8"] + JSON,
+     "07f9c9424c5b79a6f8e90c0f2fd07a01cb99a5d3b57b5d6cc9fddfeaab4cddb4"),
 ]
 
 
@@ -75,8 +106,7 @@ def digest(code, out) -> str:
     return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
 
 
-@pytest.mark.parametrize("label, argv, expected", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_golden_output(capsys, tmp_path, label, argv, expected):
+def run(capsys, tmp_path, argv):
     argv = list(argv)
     if argv[1].startswith("@"):
         name = argv[1][1:]
@@ -84,4 +114,18 @@ def test_golden_output(capsys, tmp_path, label, argv, expected):
         path.write_text(json.dumps(SPECS[name]))
         argv[1] = str(path)
     code = main(argv)
-    assert digest(code, capsys.readouterr().out) == expected
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("label, argv, expected", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output(capsys, tmp_path, label, argv, expected):
+    code, captured = run(capsys, tmp_path, argv)
+    assert digest(code, captured.out) == expected
+
+
+@pytest.mark.parametrize("label, argv, expected", GOLDEN_STDERR,
+                         ids=[g[0] for g in GOLDEN_STDERR])
+def test_golden_error(capsys, tmp_path, label, argv, expected):
+    code, captured = run(capsys, tmp_path, argv)
+    assert captured.out == ""
+    assert digest(code, captured.err) == expected
