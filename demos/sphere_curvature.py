@@ -26,5 +26,5 @@ for theta in (np.pi / 6, np.pi / 3, np.pi / 2, 2.1):
     print(f"  sectional curvature = {k:.15f}")
 
     # metric compatibility of the Levi-Civita connection, as a residual
-    ng = nabla_g(gam, g, p)
+    ng = nabla_g(gam, g.array_at(p), g.derivatives_at(p))
     print(f"  max |nabla g|       = {np.max(np.abs(ng)):.3e}")

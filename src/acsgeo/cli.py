@@ -77,19 +77,37 @@ def selected(name: str, checks) -> bool:
     return checks is None or name in checks
 
 
-def curvature_grid(m: ChartManifold, pts):
-    """Cache the statistical curvature of every grid point in one lane pass.
+def sample_points(m: ChartManifold, grid):
+    """The sample grid of a run: ``--grid`` points per coordinate, or the
+    spec's grid when it is not given; fewer than one is an input error."""
+    k = m.grid if grid is None else grid
+    if k < 1:
+        raise InputError(f"grid must be at least 1 point per coordinate, got {k}")
+    return m.grid_points(k)
+
+
+def _grid_pass(name, level, fill, m, pts):
+    """Run one cache-filling lane pass over ``pts`` and log it at ``level``.
     When the pass raises an error that main() reports, nothing is cached
     and the verb evaluates point by point, so the error surfaces at the
     same point, with the same exit code and message, as without the pass."""
     start = time.perf_counter()
     try:
-        curv.statistical_curvature_grid(m, pts)
+        fill(m, pts)
     except INPUT_ERRORS + MATH_ERRORS as exc:
-        log.info("curvature grid pass: fallback to per-point: %s", exc)
+        log.log(level, "%s grid pass: fallback to per-point: %s", name, exc)
         return
-    log.info("curvature grid pass: %d points in %.3f s", len(pts),
-             time.perf_counter() - start)
+    log.log(level, "%s grid pass: %d points in %.3f s", name, len(pts),
+            time.perf_counter() - start)
+
+
+def grid_passes(m: ChartManifold, pts, curvature: bool):
+    """Cache the evaluation frame of every grid point in one lane pass (logged
+    at debug level) and, with ``curvature``, its statistical curvature in
+    another (logged at info level)."""
+    _grid_pass("frame", logging.DEBUG, ChartManifold.frame_grid, m, pts)
+    if curvature:
+        _grid_pass("curvature", logging.INFO, curv.statistical_curvature_grid, m, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +128,9 @@ def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
 
 
 def cmd_validate(m: ChartManifold, args) -> int:
-    rep = axiom_checks(m, m.grid_points(args.grid), args.tol)
+    pts = sample_points(m, args.grid)
+    grid_passes(m, pts, curvature=False)
+    rep = axiom_checks(m, pts, args.tol)
     emit(rep, args.format)
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
 
@@ -129,8 +149,8 @@ def cmd_curvature(m: ChartManifold, args) -> int:
     rng = np.random.default_rng(args.seed)
     rep = AuditReport()
     values = {"k_phi_S": [], "k_phi_0": [], "k_phi": [], "lambda": []}
-    pts = m.grid_points(args.grid)
-    curvature_grid(m, pts)
+    pts = sample_points(m, args.grid)
+    grid_passes(m, pts, curvature=True)
     for p in pts:
         fr = m.frame_at(p)
         lam = lambda_of(m, p, tol=max(args.tol, 1e-6))
@@ -151,9 +171,8 @@ def cmd_curvature(m: ChartManifold, args) -> int:
 def cmd_audit(m: ChartManifold, args) -> int:
     checks = set(args.checks.split(",")) if args.checks else None
     rng = np.random.default_rng(args.seed)
-    pts = m.grid_points(args.grid)
-    if selected("thm_5_8", checks) or selected("prop_5_2", checks):
-        curvature_grid(m, pts)
+    pts = sample_points(m, args.grid)
+    grid_passes(m, pts, selected("thm_5_8", checks) or selected("prop_5_2", checks))
     rep = axiom_checks(m, pts, args.tol, checks)
 
     if selected("cosymplectic", checks):

@@ -105,7 +105,7 @@ def gram_residual(fr: PointFrame, basis: np.ndarray) -> float:
 def nabla0_phi(m: ChartManifold, point) -> np.ndarray:
     """(nabla^0 phi)^j_{i,k} with the Levi-Civita connection, shape [i,j,k]."""
     fr = m.frame_at(point)
-    return covariant_derivative_11(fr.gamma0, m.phi, point)
+    return covariant_derivative_11(fr.gamma0, fr.phi, fr.dphi)
 
 
 def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9):

@@ -12,9 +12,8 @@ from .contact import is_cosymplectic, nabla0_phi, phi_basis
 from .expressions import NonFiniteError
 from .manifold import ChartManifold, PointFrame
 from .metric import (christoffel_jet, covariant_derivative_11,
-                     covariant_derivative_vector, field_first_derivatives,
-                     gamma_jet, nabla_g, plane_q, riemann, riemann_from_jet,
-                     sectional_curvature)
+                     covariant_derivative_vector, gamma_jet, nabla_g, plane_q,
+                     riemann, riemann_from_jet, sectional_curvature)
 from .report import AuditReport
 from .statistical import lambda_of
 
@@ -145,7 +144,8 @@ def statistical_curvature(m: ChartManifold, point, prop_tol: float = 1e-6):
     s, r0, kk = out[:3]
     res = float(np.max(np.abs(s - r0 - kk)))
     if res > prop_tol:
-        raise CrossCheckError(f"S - R0 - [K,K] residual {res} at {list(point)}")
+        raise CrossCheckError(
+            f"S - R0 - [K,K] residual {res} at {list(map(float, point))}")
     if key not in cache and len(cache) < 4096:
         cache[key] = out
     return out
@@ -336,7 +336,7 @@ def lemma_5_6_check(m: ChartManifold, point) -> float:
     all frame pairs."""
     fr = m.frame_at(point)
     d0 = nabla0_phi(m, point)
-    d1 = covariant_derivative_11(fr.gamma0 + fr.K, m.phi, point)
+    d1 = covariant_derivative_11(fr.gamma0 + fr.K, fr.phi, fr.dphi)
     phi_k = np.einsum("im,mak->aik", fr.phi, fr.K)
     return float(np.max(np.abs(d0 - d1 - 2.0 * phi_k)))
 
@@ -344,7 +344,7 @@ def lemma_5_6_check(m: ChartManifold, point) -> float:
 def geodesic_xi_check(m: ChartManifold, point):
     """(||nabla^0_xi xi||, ||nabla_xi xi||) at a point."""
     fr = m.frame_at(point)
-    dxi = covariant_derivative_vector(fr.gamma0, m.xi, point)  # [i, j]
+    dxi = covariant_derivative_vector(fr.gamma0, fr.xi, fr.dxi)  # [i, j]
     v0 = np.einsum("ij,i->j", dxi, fr.xi)
     v1 = v0 + fr.apply_k(fr.xi, fr.xi)
     return fr.norm(v0), fr.norm(v1)
@@ -364,15 +364,12 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
         gamma = fr.gamma0 + fr.K
 
         # (a) nabla phi = 0 componentwise
-        d_phi = covariant_derivative_11(gamma, m.phi, p)
+        d_phi = covariant_derivative_11(gamma, fr.phi, fr.dphi)
         res_a = float(np.max(np.abs(d_phi)))
 
         # (b) nabla_X (phi Y) = phi nabla_X Y on coordinate fields, computed
         # without forming the covariant derivative of phi
-        dim = fr.dim
-        dphi_raw = np.array(field_first_derivatives(m.phi, [float(x) for x in p], dim),
-                            dtype=float)
-        lhs = dphi_raw + np.einsum("iam,mk->aik", gamma, fr.phi)
+        lhs = fr.dphi + np.einsum("iam,mk->aik", gamma, fr.phi)
         rhs = np.einsum("im,mak->aik", fr.phi, gamma)
         res_b = float(np.max(np.abs(lhs - rhs)))
 
@@ -401,7 +398,7 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
             rep.add("phi_compat/kphi_zero_consequence", p,
                     max_abs_k_phi(m, fr, rng=rng), tol)
             # nabla_X xi and nabla^0_X xi parallel to xi
-            dxi0 = covariant_derivative_vector(fr.gamma0, m.xi, p)
+            dxi0 = covariant_derivative_vector(fr.gamma0, fr.xi, fr.dxi)
             dxi1 = dxi0 + np.einsum("ijm,m->ji", fr.K, fr.xi)
             for name, dxi in (("nabla0_xi_parallel", dxi0),
                               ("nabla_xi_parallel", dxi1)):
@@ -426,7 +423,7 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
         raise PreconditionNotMetError("structure is not phi-compatible")
 
     fr = m.frame_at(point)
-    ng = nabla_g(fr.gamma0 + fr.K, m.metric, point)          # (nabla_X g)_xyz
+    ng = nabla_g(fr.gamma0 + fr.K, fr.g, fr.dg)              # (nabla_X g)_xyz
     psi = np.einsum("xym,mz->xyz", ng, fr.phi)               # Psi_X(Y, Z)
     rep = AuditReport()
     p = fr.point

@@ -10,7 +10,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expressions import NonFiniteError, ScalarField, parse_expression
-from .metric import FieldArray, MetricField, christoffel, field_values, inv_generic
+from .metric import (FieldArray, MetricField, christoffel_from,
+                     field_first_derivatives, field_values, inv_generic,
+                     lane_array, lane_zeros)
 
 
 def _as_fields(entries, coord_names):
@@ -24,18 +26,31 @@ def _as_fields(entries, coord_names):
     return [_as_fields(e, coord_names) for e in entries]
 
 
-def _finite(name, values, point) -> np.ndarray:
-    """An evaluated field array as floats; NonFiniteError if any entry is
-    inf or nan (checked once per array, not per scalar)."""
-    arr = np.asarray(values, dtype=float)
+def _finite(name, arr, where) -> np.ndarray:
+    """NonFiniteError if any entry of an evaluated field array is inf or nan
+    (checked once per array, not per scalar)."""
     if np.count_nonzero(np.isfinite(arr)) < arr.size:   # cheaper than .all()
-        raise NonFiniteError(f"{name} is not finite at {list(point)}")
+        raise NonFiniteError(f"{name} is not finite {where}")
     return arr
+
+
+def _derivatives(fields, coords, lanes):
+    """d_i of a FieldArray as a float array, derivative index first (after
+    the lane axis, if any); zeros when the fields are constant."""
+    dim = len(coords)
+    if fields.is_constant:
+        return lane_zeros((dim,) + np.shape(fields), lanes)
+    return lane_array(field_first_derivatives(fields, coords, dim), lanes)
 
 
 @dataclass(frozen=True)
 class PointFrame:
-    """All structure tensors evaluated at one chart point."""
+    """All structure tensors evaluated at one chart point, with the first
+    derivatives of g, phi and xi (derivative index first).
+
+    The arrays are read-only: the frames that ``ChartManifold.frame_grid``
+    caches are views of one lane array per field.
+    """
 
     point: np.ndarray
     g: np.ndarray        # metric, (dim, dim)
@@ -45,6 +60,9 @@ class PointFrame:
     eta: np.ndarray      # eta_i
     gamma0: np.ndarray   # Levi-Civita Gamma^i_jk
     K: np.ndarray        # difference tensor K^i_jk
+    dg: np.ndarray       # d_i g_jk, (dim, dim, dim)
+    dphi: np.ndarray     # d_i phi^j_k, (dim, dim, dim)
+    dxi: np.ndarray      # d_i xi^j, (dim, dim)
 
     @property
     def dim(self):
@@ -66,9 +84,15 @@ class PointFrame:
 class ChartManifold:
     """An odd-dimensional chart with fields (g, phi, xi, eta, K) attached.
 
-    ``difference`` must expose ``components(coords)`` (generic scalars),
-    ``array_at(point)`` and ``is_constant``, the constancy of its components
-    decided when it was built; see :mod:`acsgeo.statistical`.
+    ``difference`` must expose ``components(coords)`` (generic scalars:
+    floats, lane arrays or Duals) and ``is_constant``, the constancy of its
+    components decided when it was built; see :mod:`acsgeo.statistical`.
+
+    ``frame_at`` evaluates the fields of one point into a ``PointFrame``;
+    ``frame_grid`` evaluates them for a whole sample grid in one lane pass,
+    bit-identical to ``frame_at``, and caches the frames.  Every CLI verb
+    runs the frame pass; ``audit`` and ``curvature`` also fill
+    ``_curvature_cache`` in one pass (``curvature.statistical_curvature_grid``).
     """
 
     def __init__(self, coord_names: Sequence[str], metric: MetricField,
@@ -91,7 +115,7 @@ class ChartManifold:
             raise ValueError("sampling box must have one interval per coordinate")
         self.grid = int(grid)
         self.name = name
-        self._frame_cache = {}
+        self._frame_cache = {}       # filled by frame_at and frame_grid
         self._curvature_cache = {}   # filled by curvature.statistical_curvature
 
     @property
@@ -104,10 +128,44 @@ class ChartManifold:
 
     def grid_points(self, per_axis: Optional[int] = None, cap: int = 243):
         """Uniform sample grid over the box, capped in total size."""
-        k = per_axis or self.grid
+        k = self.grid if per_axis is None else per_axis
         axes = [np.linspace(lo, hi, k) for lo, hi in self.box]
         pts = [np.array(p) for p in itertools.product(*axes)]
         return pts[:cap]
+
+    def _fields(self, coords, lanes, where):
+        """The PointFrame fields after ``point`` at ``coords`` (floats, or
+        (P,) lane arrays with ``lanes`` = P), as read-only float arrays with
+        the lane axis first.  The fields are evaluated, and checked for
+        finiteness, in the order of ``frame_at``, so the first error is the
+        one a point raises alone."""
+        metric = self.metric
+        g_rows = metric.matrix_at(coords)
+        g = _finite("metric", lane_array(g_rows, lanes), where)
+        # the only singularity gate when the metric is constant
+        g_inv_rows = inv_generic(g_rows)
+        phi = _finite("phi", lane_array(field_values(self.phi, coords), lanes), where)
+        xi = _finite("xi", lane_array(field_values(self.xi, coords), lanes), where)
+        if self.eta is not None:
+            eta = _finite("eta", lane_array(field_values(self.eta, coords), lanes), where)
+        elif lanes is None:
+            eta = g @ xi
+        else:
+            eta = np.array([gp @ xp for gp, xp in zip(g, xi)])
+        dg = _derivatives(metric.components, coords, lanes)
+        if metric.is_constant:
+            gamma0 = lane_zeros((self.dim,) * 3, lanes)
+        else:
+            # dg[j][l][k] as floats at a point, as lane arrays on a grid
+            rows = dg.tolist() if lanes is None else np.moveaxis(dg, 0, -1)
+            gamma0 = lane_array(christoffel_from(g_inv_rows, rows), lanes)
+        k = _finite("K", lane_array(self.difference.components(coords), lanes), where)
+        fields = (g, lane_array(g_inv_rows, lanes), phi, xi, eta, gamma0, k, dg,
+                  _derivatives(self.phi, coords, lanes),
+                  _derivatives(self.xi, coords, lanes))
+        for arr in fields:
+            arr.flags.writeable = False
+        return fields
 
     def frame_at(self, point) -> PointFrame:
         key = tuple(float(x) for x in point)
@@ -115,20 +173,28 @@ class ChartManifold:
         if cached is not None:
             return cached
         p = np.array(key)
-        coords = list(key)
-        g = _finite("metric", self.metric.array_at(p), key)
-        # the only singularity gate when the metric is constant
-        g_inv = np.array(inv_generic(g.tolist()), dtype=float)
-        phi = _finite("phi", field_values(self.phi, coords), key)
-        xi = _finite("xi", field_values(self.xi, coords), key)
-        if self.eta is not None:
-            eta = _finite("eta", field_values(self.eta, coords), key)
-        else:
-            eta = g @ xi
-        gamma0 = christoffel(self.metric, p)
-        k = _finite("K", self.difference.array_at(p), key)
-        fr = PointFrame(point=p, g=g, g_inv=g_inv, phi=phi, xi=xi, eta=eta,
-                        gamma0=gamma0, K=k)
+        p.flags.writeable = False
+        fr = PointFrame(p, *self._fields(list(key), None, f"at {list(key)}"))
         if len(self._frame_cache) < 4096:
             self._frame_cache[key] = fr
         return fr
+
+    def frame_grid(self, points) -> None:
+        """Fill the frame cache for all ``points`` in one pass, one lane per
+        point: every field and the first derivatives of g, phi and xi are
+        evaluated once over all points, and each frame holds views of those
+        arrays.  Every value is bit-identical to ``frame_at`` at the single
+        point.  Raises the evaluation errors of the fields (any lane), and
+        then caches nothing."""
+        if len(points) == 0:
+            return
+        pts = np.array(points, dtype=float).reshape(len(points), self.dim)
+        coords = [np.ascontiguousarray(pts[:, n]) for n in range(self.dim)]
+        # Python floats overflow silently; so do the lanes
+        with np.errstate(all="ignore"):
+            fields = self._fields(coords, len(pts), "on the grid")
+        pts.flags.writeable = False
+        cache = self._frame_cache
+        for i, key in enumerate(map(tuple, pts.tolist())):
+            if key not in cache and len(cache) < 4096:
+                cache[key] = PointFrame(pts[i], *(f[i] for f in fields))

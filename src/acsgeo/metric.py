@@ -11,9 +11,13 @@ seeding).
 A coordinate may be a float or a ``(P,)`` float array with one lane per
 sample point (vector-mode forward differentiation).  ``field_values``,
 ``field_first_derivatives``, ``inv_generic``, ``christoffel_values``,
-``gamma_jet`` and ``riemann`` accept lanes and give every lane the same
-float operations as a single point, so their results are bit-identical to
-a loop over the points; arrays they return put the lane axis first.
+``christoffel_from``, ``gamma_jet`` and ``riemann`` accept lanes and give
+every lane the same float operations as a single point, so their results
+are bit-identical to a loop over the points; arrays they return put the
+lane axis first.  The evaluation frames of a chart
+(:meth:`acsgeo.manifold.ChartManifold.frame_grid`) are built this way, and
+``nabla_g`` and the covariant derivatives take the field values and first
+derivatives those frames carry instead of evaluating fields themselves.
 """
 
 from __future__ import annotations
@@ -275,6 +279,11 @@ class MetricField:
     def array_at(self, point) -> np.ndarray:
         return np.array(self.matrix_at([float(x) for x in point]), dtype=float)
 
+    def derivatives_at(self, point) -> np.ndarray:
+        """d_i g_jk at a point, shape (dim, dim, dim)."""
+        return np.array(field_first_derivatives(
+            self.components, [float(x) for x in point], self.dim), dtype=float)
+
     def check_point(self, point, sym_tol=1e-12, minor_floor=1e-10):
         """Symmetry and positive definiteness at one point; raises on failure."""
         g = self.array_at(point)
@@ -302,7 +311,13 @@ def christoffel_values(g: MetricField, coords):
     if g.is_constant:
         return [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
     dg = field_first_derivatives(g.components, coords, dim)
-    ginv = inv_generic(g.matrix_at(coords))
+    return christoffel_from(inv_generic(g.matrix_at(coords)), dg)
+
+
+def christoffel_from(ginv, dg):
+    """Levi-Civita symbols from g^-1 and dg[i][j][k] = d_i g_jk, both nested
+    lists of generic scalars."""
+    dim = len(ginv)
     gamma = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
@@ -422,37 +437,31 @@ def sectional_curvature(g: np.ndarray, r: np.ndarray, x, y) -> float:
     return float(x @ g @ apply_curvature(r, x, y, y)) / q
 
 
-def nabla_g(gamma: np.ndarray, g: MetricField, point) -> np.ndarray:
+def nabla_g(gamma: np.ndarray, g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """(nabla g)_ijk = d_i g_jk - Gamma^m_ij g_mk - Gamma^m_ik g_jm for an
-    arbitrary connection given by its coefficients at the point."""
-    p = [float(x) for x in point]
-    out = np.array(field_first_derivatives(g.components, p, g.dim), dtype=float)
-    gm = g.array_at(p)
-    out -= np.einsum("mij,mk->ijk", gamma, gm)
-    out -= np.einsum("mik,jm->ijk", gamma, gm)
+    arbitrary connection, from its coefficients, g and dg[i,j,k] = d_i g_jk
+    at the point."""
+    out = dg - np.einsum("mij,mk->ijk", gamma, g)
+    out -= np.einsum("mik,jm->ijk", gamma, g)
     return out
 
 
-def covariant_derivative_11(gamma: np.ndarray, phi_fields, point) -> np.ndarray:
-    """Covariant derivative of a (1,1) tensor field:
+def covariant_derivative_11(gamma: np.ndarray, phi: np.ndarray,
+                            dphi: np.ndarray) -> np.ndarray:
+    """Covariant derivative of a (1,1) tensor field from its values phi[j,k]
+    and first derivatives dphi[i,j,k] = d_i phi^j_k at a point:
 
         (nabla_i phi)^j_k = d_i phi^j_k + Gamma^j_im phi^m_k - Gamma^m_ik phi^j_m
 
     Returns shape (dim, dim, dim) indexed [i, j, k].
     """
-    dim = gamma.shape[0]
-    p = [float(x) for x in point]
-    out = np.array(field_first_derivatives(phi_fields, p, dim), dtype=float)
-    phi = np.array(field_values(phi_fields, p), dtype=float)
-    out += np.einsum("jim,mk->ijk", gamma, phi)
+    out = dphi + np.einsum("jim,mk->ijk", gamma, phi)
     out -= np.einsum("mik,jm->ijk", gamma, phi)
     return out
 
 
-def covariant_derivative_vector(gamma: np.ndarray, v_fields, point) -> np.ndarray:
-    """(nabla_i v)^j = d_i v^j + Gamma^j_im v^m, shape (dim, dim)."""
-    dim = gamma.shape[0]
-    p = [float(x) for x in point]
-    dv = np.array(field_first_derivatives(v_fields, p, dim), dtype=float)
-    v = np.array(field_values(v_fields, p), dtype=float)
+def covariant_derivative_vector(gamma: np.ndarray, v: np.ndarray,
+                                dv: np.ndarray) -> np.ndarray:
+    """(nabla_i v)^j = d_i v^j + Gamma^j_im v^m from the values v[j] and first
+    derivatives dv[i,j] = d_i v^j at a point, shape (dim, dim)."""
     return dv + np.einsum("jim,m->ij", gamma, v)

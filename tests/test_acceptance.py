@@ -241,7 +241,7 @@ def test_criterion_8_numerical_infrastructure():
     worst_metricity = 0.0
     for p in ([0.0, 0.0, 0.0], [0.5, -0.3, 0.8], [-0.9, 0.7, -0.2]):
         worst_metricity = max(worst_metricity, float(np.max(np.abs(
-            nabla_g(christoffel(g, p), g, p)))))
+            nabla_g(christoffel(g, p), g.array_at(p), g.derivatives_at(p))))))
 
     # (c) round-sphere sectional curvature via the finite-difference oracle
     gs = sphere_metric()

@@ -230,3 +230,65 @@ def test_grid_pass_logs_at_info(capsys, caplog, tmp_path):
     assert code == 1
     assert lines == ["curvature grid pass: fallback to per-point: "
                      "log of non-positive argument -0.5"]
+
+
+def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
+    quiet = run(capsys, "validate", "zoo:example_r3_negative", "--grid", "2")
+    caplog.set_level(logging.DEBUG, logger="acsgeo")
+    code, out, lines = _logged(caplog, capsys, "validate", "zoo:example_r3_negative",
+                               "--grid", "2")
+    assert (code, out) == quiet[:2]
+    assert len(lines) == 1 and lines[0].startswith("frame grid pass: 8 points in ")
+
+    code, _, lines = _logged(caplog, capsys, "audit", "zoo:example_r3_negative",
+                             "--grid", "2")
+    assert code == 0
+    assert [line.split(":")[0] for line in lines] == ["frame grid pass",
+                                                      "curvature grid pass"]
+
+    spec = {
+        "coordinates": ["x", "y", "z"], "grid": 3,
+        "metric_lower": [["x + 1 + 0*log(0.5 - x)"], ["0", "1"], ["0", "0", "1"]],
+        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+        "xi": ["0", "0", "1"], "K": {},
+    }
+    path = tmp_path / "two_failures.json"
+    path.write_text(json.dumps(spec))
+    code, _, lines = _logged(caplog, capsys, "validate", str(path))
+    assert code == 1
+    assert lines == ["frame grid pass: fallback to per-point: "
+                     "log of non-positive argument -0.5"]
+
+
+def test_grid_below_one_exits_two(capsys, tmp_path):
+    spec = {
+        "coordinates": ["x", "y", "z"], "grid": 0,
+        "metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]],
+        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+        "xi": ["0", "0", "1"], "K": {},
+    }
+    path = tmp_path / "grid0.json"
+    path.write_text(json.dumps(spec))
+    cases = [(["zoo:example_r3_negative", "--grid", "0"], 0),
+             (["zoo:example_r3_negative", "--grid", "-1"], -1),
+             ([str(path)], 0)]
+    for verb in ("validate", "audit", "curvature"):
+        for argv, k in cases:
+            code, out, err = run(capsys, verb, *argv)
+            assert (code, out) == (2, ""), (verb, argv)
+            assert err == f"error: grid must be at least 1 point per coordinate, got {k}\n"
+
+
+def test_failure_messages_print_plain_floats(capsys, tmp_path):
+    spec = {
+        "coordinates": ["x", "y", "z"], "grid": 2,
+        "metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]],
+        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+        "xi": ["0", "0", "1"], "K": {"x,z,z": "1"},
+    }
+    path = tmp_path / "inadmissible_k.json"
+    path.write_text(json.dumps(spec))
+    for verb in ("audit", "curvature"):
+        assert run(capsys, verb, str(path), "--format", "json") == (
+            1, "", "audit failure: K(X, xi) = lambda eta(X) xi fails with residual "
+                   "1.0 at [-1.0, -1.0, -1.0]\n")

@@ -53,6 +53,15 @@ SPECS["two_failures"] = {
     "xi": ["0", "0", "1"], "K": {},
 }
 
+# non-constant phi and xi and an explicit eta, so the frames carry non-zero
+# derivatives of g, phi and xi
+SPECS["exp_frame"] = {
+    "coordinates": ["x", "y", "z"], "grid": 3,
+    "metric_lower": [["exp(2*z)"], ["0", "1"], ["0", "0", "exp(2*x)"]],
+    "phi": [["0", "-1*exp(-1*z)", "0"], ["exp(z)", "0", "0"], ["0", "0", "0"]],
+    "xi": ["0", "0", "exp(-1*x)"], "eta": ["0", "0", "exp(x)"], "K": {},
+}
+
 R3, FLAT = "zoo:example_r3_negative", "zoo:example_flat_acs:n=1"
 JSON = ["--format", "json"]
 
@@ -91,6 +100,12 @@ GOLDEN = [
     ("curvature-pulled-back-warped",
      ["curvature", "@pulled_back_warped", "--seed", "8"] + JSON,
      "0a2098a81c00dd31fb8de00ba3265a64c6eee4be389331e6a5a8a9197ea037d8"),
+    ("validate-exp-frame", ["validate", "@exp_frame"] + JSON,
+     "a0f372f362b5c74607f4d3becb17b4823939728e25378434c25f9276a9ab3f18"),
+    ("audit-exp-frame", ["audit", "@exp_frame", "--seed", "9"] + JSON,
+     "5e675437eb1d3a63ed845ae2e333b7be47b169297d0f49b45fddf3bce1824c81"),
+    ("curvature-exp-frame", ["curvature", "@exp_frame", "--seed", "10"] + JSON,
+     "0ec10d269e6b9df1524d81e32812218ab81165923b8ad82060f073c3159f7110"),
 ]
 
 # (id, argv, sha256 of "<exit code>\n<stderr>") for runs that fail

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from acsgeo import curvature as curv
 from acsgeo.expressions import Dual, ExpressionError, parse_expression
-from acsgeo.metric import (MetricField, christoffel_jet, gamma_jet, inv_generic,
-                           lane_count, riemann)
+from acsgeo.metric import (GeometryError, MetricField, christoffel_jet, gamma_jet,
+                           inv_generic, lane_count, riemann)
 from acsgeo.specfile import manifold_from_dict
 
 from conftest import poly3_metric
@@ -233,3 +233,82 @@ def test_cache_read_applies_the_cross_check():
     m._curvature_cache[key] = (s + 1.0, r0, kk, r, r_bar)
     with pytest.raises(curv.CrossCheckError):
         curv.statistical_curvature(m, p)
+
+
+# ---------------------------------------------------------------------------
+# the frame pass
+
+FRAME_FIELDS = ("point", "g", "g_inv", "phi", "xi", "eta", "gamma0", "K",
+                "dg", "dphi", "dxi")
+EXP_FRAME = {
+    "coordinates": ["x", "y", "z"], "grid": 3,
+    "metric_lower": [["exp(2*z)"], ["0", "1"], ["0", "0", "exp(2*x)"]],
+    "phi": [["0", "-1*exp(-1*z)", "0"], ["exp(z)", "0", "0"], ["0", "0", "0"]],
+    "xi": ["0", "0", "exp(-1*x)"], "eta": ["0", "0", "exp(x)"], "K": {},
+}
+POLY3_CHART = dict(LAMBDA_K, metric_lower=[
+    ["1 + 0.1*x^2"], ["0.1*x*y", "1 + 0.1*(y^2 + z^2)"],
+    ["0.05*z", "0.1*x*z", "1 + 0.1*(x^2 + y^2)"]], xi=["0", "0.1*x", "1 + 0.2*y*z"])
+F_W = "1 + 0.3*(x^2 + y^2)"
+CONNECTION = {key: val for key, val in LAMBDA_K.items() if key != "K"}
+CONNECTION.update(metric_lower=[[F_W], ["0", F_W], ["0", "0", "1"]],
+                  connection={"x,x,x": f"0.3*x/({F_W})", "y,y,y": f"0.3*y/({F_W})",
+                              "x,y,y": f"-0.3*x/({F_W})", "z,z,z": "0.5 + 0.3*x*y"})
+
+
+@pytest.mark.parametrize("spec", [POLY3_CHART, EXP_FRAME, CONNECTION, PULLED_BACK],
+                         ids=["poly3", "exp_frame", "connection", "pulled_back"])
+def test_frame_grid_matches_frame_at(spec):
+    m = manifold_from_dict(spec)
+    pts = m.grid_points()
+    m.frame_grid(pts)
+    assert len(m._frame_cache) == len(pts)
+    single = manifold_from_dict(spec)
+    for p in pts:
+        got, want = m.frame_at(p), single.frame_at(p)
+        assert got is m._frame_cache[tuple(p)]
+        for name in FRAME_FIELDS:
+            assert getattr(got, name).shape == getattr(want, name).shape, name
+            assert_same(getattr(got, name), getattr(want, name))
+
+
+FAILING = {
+    # singular at x = 0 only
+    "singular_lane": dict(LAMBDA_K, metric_lower=[["x^2"], ["0", "1"], ["0", "0", "1"]]),
+    # log of a non-positive argument at x = 1
+    "domain_error": dict(LAMBDA_K, phi=[["0", "-1", "0"], ["1", "0", "0"],
+                                        ["0", "0", "0*log(0.5 - x)"]]),
+    # inf at x = 1
+    "non_finite_K": dict(LAMBDA_K, K={"z,z,z": "exp(400*x)*exp(400*x)"}),
+}
+
+
+def _first_failure(m, pts):
+    for i, p in enumerate(pts):
+        try:
+            m.frame_at(p)
+        except (ExpressionError, GeometryError) as exc:
+            return i, type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_frame_grid_caches_nothing_on_error(name):
+    m = manifold_from_dict(FAILING[name])
+    pts = m.grid_points()
+    alone = _first_failure(manifold_from_dict(FAILING[name]), pts)
+    assert alone is not None and alone[0] > 0
+    with pytest.raises(alone[1]):
+        m.frame_grid(pts)
+    assert m._frame_cache == {}
+    assert _first_failure(m, pts) == alone
+
+
+def test_frame_arrays_are_read_only():
+    m = manifold_from_dict(EXP_FRAME)
+    pts = m.grid_points()
+    m.frame_grid(pts[:-1])
+    for fr in (m.frame_at(pts[0]), m.frame_at(pts[-1])):   # from the pass; alone
+        for name in FRAME_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(fr, name)[...] = 0.0
