@@ -19,14 +19,14 @@ import time
 import numpy as np
 
 from . import curvature as curv
-from .contact import is_cosymplectic, validate_structure
+from .contact import FrameError, is_cosymplectic, validate_structure
 from .expressions import ExpressionError, parse_expression
 from .manifold import ChartManifold
 from .metric import GeometryError, field_values
 from .report import AuditReport, fmt
 from .specfile import SpecFormatError, dump_spec, load_spec, manifold_to_dict
-from .statistical import (StatisticalError, conjugate_connection, lambda_of,
-                          validate_acs, validate_statistical)
+from .statistical import (StatisticalError, conjugate_connection, validate_acs,
+                          validate_statistical)
 from .zoo import UnsupportedDimensionError, get_entry, list_zoo
 
 log = logging.getLogger("acsgeo")
@@ -41,7 +41,7 @@ class InputError(Exception):
 # the errors main() reports with exit 2 and with exit 1
 INPUT_ERRORS = (InputError, SpecFormatError, ExpressionError, OSError,
                 UnsupportedDimensionError, curv.NotHorizontalError)
-MATH_ERRORS = (GeometryError, StatisticalError, curv.CurvatureError)
+MATH_ERRORS = (GeometryError, StatisticalError, curv.CurvatureError, FrameError)
 
 
 def resolve_input(ref: str) -> ChartManifold:
@@ -135,14 +135,21 @@ def cmd_validate(m: ChartManifold, args) -> int:
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
 
 
-def _sections_at(m, frame, args, rng):
-    if args.section:
-        fields = [parse_expression(s, m.coords) for s in args.section.split(",")]
-        if len(fields) != m.dim:
-            raise InputError(
-                f"--section needs {m.dim} comma-separated component expressions")
-        return [np.array(field_values(fields, list(frame.point)), dtype=float)]
-    return curv.sweep_sections(m, frame, rng=rng)
+def section_reader(m: ChartManifold, text: str):
+    """``--section`` as a function of a frame: the section vector at the
+    frame's point.  The components are parsed once, at the first call, so
+    a malformed or wrong-arity section fails at the first point."""
+    fields = []
+
+    def at(frame):
+        if not fields:
+            parsed = [parse_expression(s, m.coords) for s in text.split(",")]
+            if len(parsed) != m.dim:
+                raise InputError(
+                    f"--section needs {m.dim} comma-separated component expressions")
+            fields.extend(parsed)
+        return np.array(field_values(fields, list(frame.point)), dtype=float)
+    return at
 
 
 def cmd_curvature(m: ChartManifold, args) -> int:
@@ -151,14 +158,14 @@ def cmd_curvature(m: ChartManifold, args) -> int:
     values = {"k_phi_S": [], "k_phi_0": [], "k_phi": [], "lambda": []}
     pts = sample_points(m, args.grid)
     grid_passes(m, pts, curvature=True)
-    for p in pts:
-        fr = m.frame_at(p)
-        lam = lambda_of(m, p, tol=max(args.tol, 1e-6))
+    section = section_reader(m, args.section) if args.section else None
+    sweep = curv.phi_sectional_triples(m, pts, rng=rng, section=section,
+                                       lambda_tol=max(args.tol, 1e-6))
+    for p, (lam, triples) in zip(pts, sweep):
         rep.add("curvature/lambda", p, 0.0, passed=True, value=lam)
         values["lambda"].append(lam)
-        for x in _sections_at(m, fr, args, rng):
-            k_s, k_0, k_phi = curv.phi_sectional_triple(m, p, x)
-            for name, val in (("k_phi_S", k_s), ("k_phi_0", k_0), ("k_phi", k_phi)):
+        for triple in triples:
+            for name, val in zip(("k_phi_S", "k_phi_0", "k_phi"), triple):
                 rep.add(f"curvature/{name}", p, 0.0, passed=True, value=val)
                 values[name].append(val)
     for name, vals in values.items():
@@ -209,8 +216,7 @@ def cmd_audit(m: ChartManifold, args) -> int:
 
     if selected("psi", checks) and compat_rep is not None \
             and curv.is_phi_compatible(compat_rep):
-        for p in pts:
-            rep.extend(curv.psi_check(m, p, tol=args.tol, compat_report=compat_rep))
+        rep.extend(curv.psi_check(m, pts, tol=args.tol, compat_report=compat_rep))
 
     emit(rep, args.format)
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .manifold import ChartManifold, PointFrame
-from .metric import covariant_derivative_11
+from .metric import covariant_derivative_11, inner, matvec, norms
 from .report import AuditReport
 
 
@@ -58,44 +58,76 @@ def validate_structure(m: ChartManifold, point, tol: float = 1e-9) -> AuditRepor
     return rep
 
 
+def phi_bases(g, phi, xi, seed=None):
+    """phi_basis at P points at once, from stacked g, phi (P, dim, dim) and
+    xi (P, dim): the bases as a (P, dim, 2n+1) array, and per point None or
+    the FrameError that phi_basis raises there.
+
+    Without a ``seed`` the seed of a point is its first coordinate vector
+    with a component in ker(eta).  The Gram-Schmidt runs on all points in
+    lockstep with the float operations of one point; a point that skips a
+    candidate, or has all its pairs, keeps its vectors through ``np.where``,
+    so every basis is bit-identical to phi_basis at its point.
+    """
+    P, dim = xi.shape
+    n = (dim - 1) // 2
+    eye = np.eye(dim)
+    with np.errstate(all="ignore"):
+        if seed is None:
+            hs = eye - inner(g[:, None], eye, xi[:, None])[..., None] * xi[:, None]
+            usable = ~(norms(g[:, None], hs) < 1e-10)
+            h = hs[np.arange(P), np.argmax(usable, axis=1)]
+            degenerate = ~usable.any(axis=1)
+        else:
+            seed = np.broadcast_to(np.asarray(seed, dtype=float), (P, dim))
+            h = seed - inner(g, seed, xi)[:, None] * xi
+            degenerate = norms(g, h) < 1e-10
+
+        built = np.zeros((P, dim, dim))     # rows xi, e_1, phi e_1, e_2, ...
+        built[:, 0] = xi
+        pairs = np.zeros(P, dtype=int)
+        for cand in [h] + [np.broadcast_to(e, (P, dim)) for e in eye]:
+            active = pairs < n
+            if not active.any():
+                break
+            v = cand
+            for slot in range(1 + 2 * pairs.max()):     # project out what it built
+                w = built[:, slot]
+                v = np.where((slot < 1 + 2 * pairs)[:, None],
+                             v - inner(g, v, w)[:, None] * w, v)
+            nv = norms(g, v)
+            take = np.flatnonzero(active & ~(nv < 1e-8))
+            e = v[take] / nv[take, None]
+            built[take, 1 + 2 * pairs[take]] = e
+            built[take, 2 + 2 * pairs[take]] = matvec(phi[take], e)
+            pairs[take] += 1
+
+    basis = np.empty((P, dim, 2 * n + 1))
+    basis[:, :, :n] = built[:, 1::2].transpose(0, 2, 1)
+    basis[:, :, n:2 * n] = built[:, 2::2].transpose(0, 2, 1)
+    basis[:, :, 2 * n] = xi
+    errors = [DegenerateSeedError("seed has no component in ker(eta)" if seed is not None
+                                  else "no coordinate vector has a component in ker(eta)")
+              if degenerate[i] else
+              ExhaustedCandidatesError(
+                  "could not complete a phi-adapted frame; structure is degenerate")
+              if pairs[i] < n else None
+              for i in range(P)]
+    return basis, errors
+
+
 def phi_basis(m: ChartManifold, point, seed=None, frame: PointFrame = None) -> np.ndarray:
     """Orthonormal frame (e_1..e_n, phi e_1..phi e_n, xi) at a point, built by
-    Gram-Schmidt adapted to phi.  Returns a (dim, 2n+1) array of columns.
+    Gram-Schmidt adapted to phi from ``seed`` (by default the first
+    coordinate vector with a component in ker(eta)) and then the coordinate
+    vectors.  Returns a (dim, 2n+1) array of columns; a one-point
+    ``phi_bases``.
     """
     fr = frame if frame is not None else m.frame_at(point)
-    dim, n = fr.dim, (fr.dim - 1) // 2
-
-    def project_out(v, span):
-        for w in span:
-            v = v - fr.inner(v, w) * w
-        return v
-
-    if seed is None:
-        seed = np.eye(dim)[0]
-    seed = np.asarray(seed, dtype=float)
-
-    built = [fr.xi]
-    pairs = []
-    h = project_out(seed, built)
-    if fr.norm(h) < 1e-10:
-        raise DegenerateSeedError("seed has no component in ker(eta)")
-    candidates = [h] + [np.eye(dim)[i] for i in range(dim)]
-    for cand in candidates:
-        if len(pairs) == n:
-            break
-        v = project_out(np.asarray(cand, dtype=float), built)
-        nv = fr.norm(v)
-        if nv < 1e-8:
-            continue
-        e = v / nv
-        fe = fr.phi @ e
-        built.extend([e, fe])
-        pairs.append((e, fe))
-    if len(pairs) < n:
-        raise ExhaustedCandidatesError(
-            "could not complete a phi-adapted frame; structure is degenerate")
-    cols = [e for e, _ in pairs] + [fe for _, fe in pairs] + [fr.xi]
-    return np.column_stack(cols)
+    basis, errors = phi_bases(fr.g[None], fr.phi[None], fr.xi[None], seed)
+    if errors[0] is not None:
+        raise errors[0]
+    return basis[0]
 
 
 def gram_residual(fr: PointFrame, basis: np.ndarray) -> float:

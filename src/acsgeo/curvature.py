@@ -1,21 +1,33 @@
 """Curvature of almost contact statistical structures: the [K,K] bracket,
 phi-sectional K-curvature, the statistical curvature tensor, and executable
-audits of the equivalence and compatibility theorems."""
+audits of the equivalence and compatibility theorems.
+
+The sweeps over sections (phi-basis legs, their mixtures and random
+horizontal combinations) run as one ``section_sweep`` per audit over the
+stacked frames of all its points; the per-point functions
+(``phi_sectional_k_curvature``, ``max_abs_k_phi``, ...) are one-point
+calls of the same kernel."""
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .contact import is_cosymplectic, nabla0_phi, phi_basis
+from .contact import is_cosymplectic, nabla0_phi, phi_bases, phi_basis
 from .expressions import NonFiniteError
-from .manifold import ChartManifold, PointFrame
-from .metric import (christoffel_jet, covariant_derivative_11,
-                     covariant_derivative_vector, gamma_jet, nabla_g, plane_q,
-                     riemann, riemann_from_jet, sectional_curvature)
+from .manifold import ChartManifold, FrameStack, PointFrame
+from .metric import (DegeneratePlaneError, christoffel_jet,
+                     covariant_derivative_11, covariant_derivative_vector,
+                     gamma_jet, inner, matvec, nabla_g, norms, plane_q, pow2,
+                     riemann, riemann_from_jet, sectional_values)
 from .report import AuditReport
 from .statistical import lambda_of
+
+log = logging.getLogger(__name__)
 
 
 class CurvatureError(Exception):
@@ -43,10 +55,13 @@ class PreconditionNotMetError(CurvatureError):
 
 
 def kk_bracket(k: np.ndarray, x, y, z) -> np.ndarray:
-    """[K,K](X,Y)Z = K(X, K(Y,Z)) - K(Y, K(X,Z)) as a vector."""
+    """[K,K](X,Y)Z = K(X, K(Y,Z)) - K(Y, K(X,Z)) as a vector, for one triple
+    of vectors or stacked (..., dim) vectors with ``k`` broadcasting against
+    (..., dim, dim, dim)."""
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    kz = k @ z
-    return (k @ (kz @ y)) @ x - (k @ (kz @ x)) @ y
+    kz = matvec(k, z[..., None, :])
+    return (matvec(matvec(k, matvec(kz, y)[..., None, :]), x)
+            - matvec(matvec(k, matvec(kz, x)[..., None, :]), y))
 
 
 def kk_tensor(k: np.ndarray) -> np.ndarray:
@@ -73,7 +88,7 @@ def curvature_like_symmetry_residuals(t: np.ndarray, g: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# phi-sectional K-curvature
+# phi-sectional K-curvature: the section-sweep kernel
 
 
 @dataclass(frozen=True)
@@ -83,35 +98,136 @@ class PhiSectionalValue:
     point: tuple
 
 
-def _check_horizontal(fr: PointFrame, x, tol=1e-9):
-    x = np.asarray(x, dtype=float)
-    if abs(fr.eta_of(x)) > tol:
-        raise NotHorizontalError(f"eta(X) = {fr.eta_of(x)} beyond tolerance {tol}")
-    if fr.norm(x) <= 1e-10:
-        raise NotHorizontalError("X has negligible norm")
-    return x
+# the status of a (point, section) pair: the first check it fails, in the
+# order phi_sectional_k_curvature runs them
+OK, NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH = range(6)
+HORIZONTAL_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class SectionSweep:
+    """The results of ``section_sweep``, one entry per (point, section) pair:
+    the sections ``x`` and ``px`` = phi X, (P, S, dim), and (P, S) arrays of
+    eta(X), Q(X, phi X), the K_phi quotient ``value``, its closed form
+    ``closed`` and the ``status``.  ``k_s`` and ``k_0``, the S and R^0
+    sectional curvatures of span{X, phi X}, have a row for each point whose
+    curvatures were given, or are None."""
+
+    point: np.ndarray
+    x: np.ndarray
+    px: np.ndarray
+    eta: np.ndarray
+    q: np.ndarray
+    value: np.ndarray
+    closed: np.ndarray
+    k_s: Optional[np.ndarray]
+    k_0: Optional[np.ndarray]
+    status: np.ndarray
+
+    def error(self, i, j, plane: bool = False) -> Optional[Exception]:
+        """The error phi_sectional_k_curvature raises for pair (i, j), or
+        None.  With ``plane`` a degenerate section is the
+        DegeneratePlaneError of ``sectional_curvature``, which callers of
+        the sectional curvatures meet first."""
+        code = self.status[i, j]
+        if code == NOT_HORIZONTAL:
+            return NotHorizontalError(
+                f"eta(X) = {float(self.eta[i, j])} beyond tolerance {HORIZONTAL_TOL}")
+        if code == NEGLIGIBLE:
+            return NotHorizontalError("X has negligible norm")
+        if code == DEGENERATE:
+            q = float(self.q[i, j])
+            return (DegeneratePlaneError(f"Q(X,Y) = {q} below threshold") if plane
+                    else DegenerateSectionError(f"Q(X, phi X) = {q} below threshold"))
+        if code == NON_FINITE:
+            return NonFiniteError("phi-sectional curvature is not finite at "
+                                  f"{list(map(float, self.point[i]))}")
+        if code == MISMATCH:
+            return CrossCheckError(f"phi-sectional quotient {float(self.value[i, j])} "
+                                   f"vs closed form {float(self.closed[i, j])}")
+        return None
+
+
+def _sectional(g, r, x, px, chunk: int = 64):
+    """(len(r), S) sectional curvatures of span{X, phi X} for the tensors
+    ``r`` of the first points, one section at a time and ``chunk`` points
+    at a time, so no more than (chunk, dim, dim, dim, dim) is stacked."""
+    out = [np.empty((0, x.shape[1]))]
+    for c in range(0, len(r), chunk):
+        rc = np.stack(r[c:c + chunk])
+        rows = slice(c, c + len(rc))
+        out.append(np.stack([sectional_values(g[rows], rc, x[rows, j], px[rows, j])[0]
+                             for j in range(x.shape[1])], axis=1))
+    return np.concatenate(out)
+
+
+def section_sweep(frames: FrameStack, sections, s=None, r0=None,
+                  cross_tol: float = 1e-9) -> SectionSweep:
+    """phi-sectional K-curvature g([K,K](X, phi X) phi X, X) / Q(X, phi X),
+    its closed form -2 ||K(X,X)||^2 / ||X||^4 on an independent path, and,
+    given the statistical curvature ``s`` and R^0 ``r0`` of the first
+    points, the sectional curvatures of span{X, phi X}, for every section X
+    of every point of ``frames``.
+
+    ``sections`` is a list of (P, S_b, dim) blocks, joined along the
+    section axis; ``s`` and ``r0`` are sequences of (dim,)*4 tensors.  Each
+    pair gets the operand shapes of one vector (see ``metric.inner``), so
+    every value is bit-identical to the per-point functions, and a block
+    keeps the strides of its vectors: the legs of a phi-basis are strided
+    columns, which BLAS may sum in another order than contiguous vectors.  Intermediates stay O(P S dim^2); the curvature
+    tensors are applied one section and at most 64 points at a time.
+
+    Nothing is raised: a pair that fails gets a status, the first of
+    NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE (a value is inf or
+    nan) and MISMATCH (quotient and closed form differ beyond
+    ``cross_tol``); ``SectionSweep.error`` gives the exception.
+    """
+    start = time.perf_counter()
+    g, k = frames.g[:, None], frames.K[:, None]
+    blocks = []
+    with np.errstate(all="ignore"):
+        for x in sections:
+            px = matvec(frames.phi[:, None], x)
+            sq = inner(g, x, x)
+            q = plane_q(g, x, px)
+            kxx = matvec(matvec(k, x[..., None, :]), x)
+            sectional = [_sectional(frames.g, r, x, px) for r in (s, r0) if r is not None]
+            blocks.append([x, px, (frames.eta[:, None, None, :] @ x[..., :, None])[..., 0, 0],
+                           sq, q, inner(g, kk_bracket(k, x, px, px), x) / q,
+                           -2.0 * inner(g, kxx, kxx) / pow2(sq)] + sectional)
+        x, px, eta, sq, q, value, closed, *sectional = (
+            np.concatenate(parts, axis=1) for parts in zip(*blocks))
+        k_s, k_0 = sectional or (None, None)
+
+        finite = np.isfinite(eta) & np.isfinite(q) & np.isfinite(value) & np.isfinite(closed)
+        for arr in sectional:
+            finite[:len(arr)] &= np.isfinite(arr)
+        scale = np.maximum(np.maximum(1.0, np.abs(value)), np.abs(closed))
+        status = np.select(
+            [np.abs(eta) > HORIZONTAL_TOL, np.sqrt(np.maximum(sq, 0.0)) <= 1e-10,
+             q <= 1e-12, ~finite, np.abs(value - closed) > cross_tol * scale],
+            [NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH], OK)
+    log.debug("section sweep: %d points, %d sections in %.4f s",
+              x.shape[0], x.shape[1], time.perf_counter() - start)
+    return SectionSweep(frames.point, x, px, eta, q, value, closed, k_s, k_0, status)
 
 
 def phi_sectional_k_curvature(fr: PointFrame, x, cross_tol: float = 1e-9) -> PhiSectionalValue:
     """Definition-level quotient g([K,K](X, phi X) phi X, X) / Q(X, phi X),
     cross-checked against the closed form -2 ||K(X,X)||^2 / ||X||^4 computed
-    on an independent path."""
-    x = _check_horizontal(fr, x)
-    px = fr.phi @ x
-    q = plane_q(fr.g, x, px)
-    if q <= 1e-12:
-        raise DegenerateSectionError(f"Q(X, phi X) = {q} below threshold")
-    value = fr.inner(kk_bracket(fr.K, x, px, px), x) / q
-
-    kxx = fr.apply_k(x, x)
-    closed = -2.0 * fr.inner(kxx, kxx) / fr.inner(x, x) ** 2
-    scale = max(1.0, abs(value), abs(closed))
-    if abs(value - closed) > cross_tol * scale:
-        raise CrossCheckError(
-            f"phi-sectional quotient {value} vs closed form {closed}")
-    return PhiSectionalValue(value=float(value),
-                             section=(tuple(x), tuple(px)),
+    on an independent path: a one-pair ``section_sweep``."""
+    x = np.asarray(x, dtype=float)
+    sweep = section_sweep(FrameStack.of([fr]), [x[None, None]], cross_tol=cross_tol)
+    error = sweep.error(0, 0)
+    if error is not None:
+        raise error
+    return PhiSectionalValue(value=float(sweep.value[0, 0]),
+                             section=(tuple(x), tuple(sweep.px[0, 0])),
                              point=tuple(fr.point))
+
+
+# ---------------------------------------------------------------------------
+# the statistical curvature
 
 
 def _statistical_parts(gamma0, dgamma0, k, dk, r0, kk):
@@ -122,6 +238,13 @@ def _statistical_parts(gamma0, dgamma0, k, dk, r0, kk):
     return 0.5 * (r + r_bar), r0, kk, r, r_bar
 
 
+def _finite_parts(parts, where):
+    """NonFiniteError unless S, R^0, [K,K], R and R-bar are all finite."""
+    if not all(np.isfinite(a).all() for a in parts):
+        raise NonFiniteError(f"statistical curvature is not finite {where}")
+    return parts
+
+
 def statistical_curvature(m: ChartManifold, point, prop_tol: float = 1e-6):
     """S = (R + R-bar)/2 from the two statistical connections, with the
     decomposition S = R^0 + [K,K] asserted as an internal cross-check.
@@ -129,18 +252,21 @@ def statistical_curvature(m: ChartManifold, point, prop_tol: float = 1e-6):
     nabla = nabla^0 + K and nabla-bar = nabla^0 - K are formed from one jet
     of Gamma^0 and one of K; R^0 comes from its own ``riemann`` call.
     A point that ``statistical_curvature_grid`` cached is read from the
-    cache (the cross-check is applied there too).
+    cache (the cross-check is applied there too).  A part that is not
+    finite (K K overflowing, say) raises NonFiniteError.
     Returns (S, R^0, [K,K], R, R-bar).
     """
     cache = m._curvature_cache
     key = tuple(float(x) for x in point)
     out = cache.get(key)
     if out is None:
-        gamma0, dgamma0 = christoffel_jet(m.metric, point)
-        k, dk = gamma_jet(m.difference.components, point, m.dim,
-                          constant=m.difference.is_constant)
-        out = _statistical_parts(gamma0, dgamma0, k, dk, riemann(m.metric, point),
-                                 kk_tensor(m.frame_at(point).K))
+        with np.errstate(all="ignore"):
+            gamma0, dgamma0 = christoffel_jet(m.metric, point)
+            k, dk = gamma_jet(m.difference.components, point, m.dim,
+                              constant=m.difference.is_constant)
+            out = _statistical_parts(gamma0, dgamma0, k, dk, riemann(m.metric, point),
+                                     kk_tensor(m.frame_at(point).K))
+        _finite_parts(out, f"at {list(map(float, point))}")
     s, r0, kk = out[:3]
     res = float(np.max(np.abs(s - r0 - kk)))
     if res > prop_tol:
@@ -159,43 +285,30 @@ def statistical_curvature_grid(m: ChartManifold, points) -> None:
     ``riemann`` call; R, R-bar, S and [K,K] follow point by point from
     views of those arrays.  Every value is bit-identical to
     ``statistical_curvature`` at the single point.  Raises the jets'
-    errors, or NonFiniteError for a non-finite jet, and then caches nothing.
+    errors, or NonFiniteError for a jet or a part that is not finite, and
+    then caches nothing.
     """
     if len(points) == 0:
         return
     pts = np.array(points, dtype=float).reshape(len(points), m.dim)
     coords = [np.ascontiguousarray(pts[:, n]) for n in range(m.dim)]
-    gamma0, dgamma0 = christoffel_jet(m.metric, coords)
-    k, dk = gamma_jet(m.difference.components, coords, m.dim,
-                      constant=m.difference.is_constant)
-    for name, arr in (("Levi-Civita", gamma0), ("Levi-Civita derivative", dgamma0),
-                      ("K", k), ("K derivative", dk)):
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"{name} jet is not finite on the grid")
-    r0 = riemann(m.metric, coords)
-    out = {tuple(p): _statistical_parts(gamma0[i], dgamma0[i], k[i], dk[i], r0[i],
-                                        kk_tensor(k[i]))
-           for i, p in enumerate(pts.tolist())}
+    with np.errstate(all="ignore"):
+        gamma0, dgamma0 = christoffel_jet(m.metric, coords)
+        k, dk = gamma_jet(m.difference.components, coords, m.dim,
+                          constant=m.difference.is_constant)
+        for name, arr in (("Levi-Civita", gamma0), ("Levi-Civita derivative", dgamma0),
+                          ("K", k), ("K derivative", dk)):
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"{name} jet is not finite on the grid")
+        r0 = riemann(m.metric, coords)
+        out = {tuple(p): _finite_parts(_statistical_parts(gamma0[i], dgamma0[i], k[i],
+                                                          dk[i], r0[i], kk_tensor(k[i])),
+                                       "on the grid")
+               for i, p in enumerate(pts.tolist())}
     cache = m._curvature_cache
     for key, parts in out.items():
         if key not in cache and len(cache) < 4096:
             cache[key] = parts
-
-
-def phi_sectional_triple(m: ChartManifold, point, x, sum_tol: float = 1e-6):
-    """(statistical, Riemannian, K) sectional values on the phi-section of X,
-    with the additivity K^S = K^0 + K asserted."""
-    fr = m.frame_at(point)
-    x = _check_horizontal(fr, x)
-    px = fr.phi @ x
-    s, r0, kk, _, _ = statistical_curvature(m, point)
-    k_s = sectional_curvature(fr.g, s, x, px)
-    k_0 = sectional_curvature(fr.g, r0, x, px)
-    k_phi = phi_sectional_k_curvature(fr, x).value
-    if abs(k_s - (k_0 + k_phi)) > sum_tol * max(1.0, abs(k_s)):
-        raise CrossCheckError(
-            f"sectional additivity fails: {k_s} vs {k_0} + {k_phi}")
-    return k_s, k_0, k_phi
 
 
 # ---------------------------------------------------------------------------
@@ -214,43 +327,188 @@ def frame_vectors(dim: int):
     return vecs
 
 
+def horizontal_projections(frames: FrameStack, min_norm: float = 1e-8):
+    """The projections v - eta(v) xi of the frame_vectors family onto
+    ker(eta) at P points, (P, V, dim), and the (P, V) mask of those with
+    norm above ``min_norm``."""
+    vecs = np.array(frame_vectors(frames.xi.shape[1]))
+    with np.errstate(all="ignore"):
+        eta_v = (frames.eta[:, None, None, :] @ vecs[:, :, None])[..., 0, 0]
+        h = vecs - eta_v[..., None] * frames.xi[:, None]
+        keep = norms(frames.g[:, None], h) > min_norm
+    return h, keep
+
+
 def horizontal_vectors(fr: PointFrame, min_norm: float = 1e-8):
-    """Projections of the frame_vectors family onto ker(eta)."""
-    out = []
-    for v in frame_vectors(fr.dim):
-        h = v - fr.eta_of(v) * fr.xi
-        if fr.norm(h) > min_norm:
-            out.append(h)
-    return out
+    """Projections of the frame_vectors family onto ker(eta) (a one-point
+    ``horizontal_projections``)."""
+    h, keep = horizontal_projections(FrameStack.of([fr]), min_norm)
+    return list(h[0][keep[0]])
+
+
+def _sweep_blocks(g, basis, rng=None, extra: int = 2):
+    """The sections of ``sweep_sections`` at P points from their phi-bases
+    (P, dim, 2n+1), as section blocks (the legs, their mixtures and, with
+    ``rng``, the random combinations) and the (P, S) mask of the sections
+    each point keeps.  The legs are strided views of the basis columns, as
+    in one point's loop; the random combinations draw ``extra`` times 2n
+    normals per point, in point order, from one block of ``rng``."""
+    P, dim, _ = basis.shape
+    n = (dim - 1) // 2
+    legs = basis[:, :, :n].transpose(0, 2, 1)
+    mixtures = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            mixtures.append(legs[:, i] + legs[:, j])
+        mixtures.append(legs[:, i] + basis[:, :, n + i])  # mix in phi e_i
+    blocks = [legs, np.stack(mixtures, axis=1)]
+    keep = [np.ones((P, n + len(mixtures)), dtype=bool)]
+    if rng is not None:
+        coef = rng.standard_normal((P, extra, 2 * n))
+        with np.errstate(all="ignore"):
+            blocks.append(matvec(basis[:, None, :, :2 * n], coef))
+            keep.append(norms(g[:, None], blocks[-1]) > 1e-6)
+    return blocks, np.concatenate(keep, axis=1)
 
 
 def sweep_sections(m: ChartManifold, fr: PointFrame, rng=None, extra: int = 2):
     """Horizontal section vectors for a phi-basis sweep at a point: the
     phi-basis legs e_1..e_n, their pairwise mixtures, and a few random
     horizontal combinations."""
-    n = (fr.dim - 1) // 2
     basis = phi_basis(m, fr.point, frame=fr)
-    legs = [basis[:, i] for i in range(n)]
-    out = list(legs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(legs[i] + legs[j])
-        out.append(legs[i] + basis[:, n + i])  # mix in phi e_i
-    if rng is not None:
-        for _ in range(extra):
-            coef = rng.standard_normal(2 * n)
-            v = basis[:, :2 * n] @ coef
-            if fr.norm(v) > 1e-6:
-                out.append(v)
-    return out
+    blocks, keep = _sweep_blocks(fr.g[None], basis[None], rng, extra)
+    vectors = [v for block in blocks for v in block[0]]
+    return [v for v, kept in zip(vectors, keep[0]) if kept]
+
+
+class Prefix(list):
+    """``fn`` of each item in order, up to the first item it raises for.
+
+    ``at(i)`` returns the i-th result or, past the last one, raises that
+    error: a loop that reads ``at(i)`` where it used to call ``fn`` fails at
+    the same item, after the same earlier work."""
+
+    def __init__(self, fn, items):
+        super().__init__()
+        self.error = None
+        try:
+            for item in items:
+                self.append(fn(item))
+        except Exception as exc:      # raised again by at()
+            self.error = exc
+
+    def at(self, i):
+        if i < len(self):
+            return self[i]
+        raise self.error
+
+
+class AuditSweep:
+    """The section sweep of an audit: the phi-bases and sweep sections of
+    its frames (or the given ``sections`` blocks) and one ``section_sweep``
+    over all of them.
+
+    The methods answer for the i-th frame and raise the errors that the
+    per-point functions raised there, in their order; ``curvatures`` (a
+    Prefix of ``statistical_curvature`` results of the first frames) adds
+    the sectional curvatures.  The random combinations draw from ``rng``
+    for every frame up front, as the per-point loop drew for each point.
+    """
+
+    def __init__(self, frames, rng=None, curvatures=None, sections=None):
+        self.curvatures = curvatures
+        self.basis_errors = [None] * len(frames)
+        if not frames:
+            return
+        stack = FrameStack.of(frames)
+        if sections is None:
+            basis, self.basis_errors = phi_bases(stack.g, stack.phi, stack.xi)
+            sections, self.keep = _sweep_blocks(stack.g, basis, rng)
+            self.plain = sections[0].shape[1] + sections[1].shape[1]
+        else:
+            self.keep = np.ones((len(frames), sum(b.shape[1] for b in sections)), dtype=bool)
+        s = r0 = None
+        if curvatures:
+            s, r0 = ([parts[n] for parts in curvatures] for n in (0, 1))
+        self.sweep = section_sweep(stack, sections, s, r0)
+
+    def max_abs_k_phi(self, i) -> float:
+        """max |K_phi| over the sections of frame i, as ``max_abs_k_phi``."""
+        if self.basis_errors[i] is not None:
+            raise self.basis_errors[i]
+        sweep = self.sweep
+        cols = np.flatnonzero(self.keep[i])
+        failed = cols[sweep.status[i, cols] != OK]
+        if failed.size:
+            raise sweep.error(i, failed[0])
+        return float(np.max(np.abs(sweep.value[i, cols]), initial=0.0))
+
+    def sectional_gap(self, i) -> float:
+        """max |K^S - K^0| over the legs and mixtures of frame i (not the
+        random combinations); ``max_abs_k_phi`` has checked those pairs."""
+        gap = np.abs(self.sweep.k_s[i, :self.plain] - self.sweep.k_0[i, :self.plain])
+        return float(np.max(gap, initial=0.0))
+
+    def triples(self, i, sum_tol: float = 1e-6):
+        """(K^S, K^0, K_phi) of every section of frame i, as
+        ``phi_sectional_triple``: horizontality, the statistical curvature
+        of the point, the plane check of ``sectional_curvature``, the K_phi
+        checks, and the additivity K^S = K^0 + K_phi."""
+        if self.basis_errors[i] is not None:
+            raise self.basis_errors[i]
+        sweep = self.sweep
+        out = []
+        for j in np.flatnonzero(self.keep[i]):
+            if sweep.status[i, j] in (NOT_HORIZONTAL, NEGLIGIBLE):
+                raise sweep.error(i, j)
+            if not out:
+                self.curvatures.at(i)
+            if sweep.status[i, j] != OK:
+                raise sweep.error(i, j, plane=True)
+            k_s, k_0, k_phi = (float(a[i, j]) for a in (sweep.k_s, sweep.k_0, sweep.value))
+            if abs(k_s - (k_0 + k_phi)) > sum_tol * max(1.0, abs(k_s)):
+                raise CrossCheckError(
+                    f"sectional additivity fails: {k_s} vs {k_0} + {k_phi}")
+            out.append((k_s, k_0, k_phi))
+        return out
+
+
+def _curvatures(m: ChartManifold, points) -> Prefix:
+    return Prefix(lambda p: statistical_curvature(m, p), points)
 
 
 def max_abs_k_phi(m: ChartManifold, fr: PointFrame, rng=None) -> float:
     """max |K_phi| over the sweep_sections of a point (0 when there are none)."""
-    worst = 0.0
-    for x in sweep_sections(m, fr, rng=rng):
-        worst = max(worst, abs(phi_sectional_k_curvature(fr, x).value))
-    return worst
+    return AuditSweep([fr], rng=rng).max_abs_k_phi(0)
+
+
+def phi_sectional_triple(m: ChartManifold, point, x, sum_tol: float = 1e-6):
+    """(statistical, Riemannian, K) sectional values on the phi-section of X,
+    with the additivity K^S = K^0 + K asserted."""
+    fr = m.frame_at(point)
+    x = np.asarray(x, dtype=float)
+    sweep = AuditSweep([fr], curvatures=_curvatures(m, [point]), sections=[x[None, None]])
+    return sweep.triples(0, sum_tol)[0]
+
+
+def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
+                          lambda_tol: float = 1e-6):
+    """Yield (lambda, [(K^S, K^0, K_phi), ...]) for each point in order: the
+    triples of its sweep sections, or of the one vector ``section(frame)``.
+    One ``section_sweep`` covers all points; each point raises the errors
+    that ``lambda_of``, ``section`` and ``phi_sectional_triple`` raise
+    there, in their order."""
+    frames = Prefix(m.frame_at, points)
+    given = None if section is None else Prefix(section, frames)
+    n = len(frames if given is None else given)
+    sweep = AuditSweep(frames[:n], rng=rng, curvatures=_curvatures(m, points[:n]),
+                       sections=None if given is None else [np.array(given)[:, None]])
+    for i, p in enumerate(points):
+        frames.at(i)
+        lam = lambda_of(m, p, tol=lambda_tol)
+        if given is not None:
+            given.at(i)
+        yield lam, sweep.triples(i)
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +519,29 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
                       rng=None) -> AuditReport:
     """Evaluate the nine equivalent vanishing conditions independently at
     every sample point and flag any disagreement (which would falsify the
-    equivalence, i.e. signal an engine bug or inadmissible input)."""
-    pts = points if points is not None else m.grid_points()
+    equivalence, i.e. signal an engine bug or inadmissible input).
+
+    c1 and c2 read one section sweep over all points, and c6 one stack of
+    horizontal projections; the errors of a point surface where the
+    per-point evaluation raised them."""
+    pts = list(points) if points is not None else m.grid_points()
+    frames = Prefix(m.frame_at, pts)
+    curvatures = _curvatures(m, pts[:len(frames)])
+    sweep = AuditSweep(frames, rng=rng, curvatures=curvatures)
+    if frames:
+        horiz, keep = horizontal_projections(FrameStack.of(frames))
     rep = AuditReport()
-    for p in pts:
-        fr = m.frame_at(p)
+    for i, p in enumerate(pts):
+        fr = frames.at(i)
         lam = lambda_of(m, p, tol=max(tol, 1e-6))
         rep.add("thm_5_8/lambda", p, 0.0, passed=True, value=lam)
         flags = {}
 
-        worst = max_abs_k_phi(m, fr, rng=rng)
+        worst = sweep.max_abs_k_phi(i)
         flags["c1_kphi_zero"] = (worst, worst <= tol)
 
-        s, r0, kk, _, _ = statistical_curvature(m, p)
-        worst = 0.0
-        for x in sweep_sections(m, fr, rng=None):
-            px = fr.phi @ x
-            worst = max(worst, abs(sectional_curvature(fr.g, s, x, px)
-                                   - sectional_curvature(fr.g, r0, x, px)))
+        s, r0, kk, _, _ = curvatures.at(i)
+        worst = sweep.sectional_gap(i)
         flags["c2_statistical_equals_riemannian"] = (worst, worst <= tol)
 
         target = lam * np.einsum("i,j,k->ijk", fr.xi, fr.eta, fr.eta)
@@ -292,9 +555,9 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
         flags["c5_S_equals_R0"] = (res, res <= tol)
 
         vecs = np.array(frame_vectors(fr.dim))
-        horiz = np.array(horizontal_vectors(fr))
-        kvv_h = np.einsum("ijk,aj,ak->ai", fr.K, horiz, horiz)
-        res = float(np.max(np.abs(kvv_h))) if len(horiz) else 0.0
+        h = horiz[i][keep[i]]
+        kvv_h = np.einsum("ijk,aj,ak->ai", fr.K, h, h)
+        res = float(np.max(np.abs(kvv_h))) if len(h) else 0.0
         flags["c6_K_XX_zero_horizontal"] = (res, res <= tol)
 
         phiv = vecs @ fr.phi.T
@@ -350,34 +613,45 @@ def geodesic_xi_check(m: ChartManifold, point):
     return fr.norm(v0), fr.norm(v1)
 
 
+def _compat_residuals(m: ChartManifold, fr: PointFrame):
+    """The residuals of the three formulations of phi-compatibility at a
+    frame."""
+    gamma = fr.gamma0 + fr.K
+
+    # (a) nabla phi = 0 componentwise
+    d_phi = covariant_derivative_11(gamma, fr.phi, fr.dphi)
+    res_a = float(np.max(np.abs(d_phi)))
+
+    # (b) nabla_X (phi Y) = phi nabla_X Y on coordinate fields, computed
+    # without forming the covariant derivative of phi
+    lhs = fr.dphi + np.einsum("iam,mk->aik", gamma, fr.phi)
+    rhs = np.einsum("im,mak->aik", fr.phi, gamma)
+    res_b = float(np.max(np.abs(lhs - rhs)))
+
+    # (c) (nabla^0_X phi)Y = 2 phi K(X,Y)
+    d0_phi = nabla0_phi(m, fr.point)
+    phi_k = np.einsum("im,mak->aik", fr.phi, fr.K)
+    res_c = float(np.max(np.abs(d0_phi - 2.0 * phi_k)))
+    return res_a, res_b, res_c
+
+
 def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
                      rng=None) -> AuditReport:
     """phi-compatibility of the statistical connection, decided by three
     independent formulations that must agree; when compatible, the forced
     consequences (cosymplectic, vanishing phi-sectional K-curvature, and
-    xi-parallel covariant derivatives of xi) are asserted as well."""
-    pts = points if points is not None else m.grid_points()
+    xi-parallel covariant derivatives of xi) are asserted as well.  The
+    K_phi consequence of all compatible points is one section sweep."""
+    pts = list(points) if points is not None else m.grid_points()
+    frames = Prefix(m.frame_at, pts)
+    residuals = [_compat_residuals(m, fr) for fr in frames]
+    compatible = [all(res <= tol for res in r) for r in residuals]
+    sweep = AuditSweep([fr for fr, ok in zip(frames, compatible) if ok], rng=rng)
     rep = AuditReport()
-    compatible_everywhere = True
-    for p in pts:
-        fr = m.frame_at(p)
-        gamma = fr.gamma0 + fr.K
-
-        # (a) nabla phi = 0 componentwise
-        d_phi = covariant_derivative_11(gamma, fr.phi, fr.dphi)
-        res_a = float(np.max(np.abs(d_phi)))
-
-        # (b) nabla_X (phi Y) = phi nabla_X Y on coordinate fields, computed
-        # without forming the covariant derivative of phi
-        lhs = fr.dphi + np.einsum("iam,mk->aik", gamma, fr.phi)
-        rhs = np.einsum("im,mak->aik", fr.phi, gamma)
-        res_b = float(np.max(np.abs(lhs - rhs)))
-
-        # (c) (nabla^0_X phi)Y = 2 phi K(X,Y)
-        d0_phi = nabla0_phi(m, p)
-        phi_k = np.einsum("im,mak->aik", fr.phi, fr.K)
-        res_c = float(np.max(np.abs(d0_phi - 2.0 * phi_k)))
-
+    swept = 0
+    for i, p in enumerate(pts):
+        fr = frames.at(i)
+        res_a, res_b, res_c = residuals[i]
         oks = [res <= tol for res in (res_a, res_b, res_c)]
         for name, res in (("nabla_phi_zero", res_a),
                           ("nabla_commutes_with_phi", res_b),
@@ -386,17 +660,16 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
                     value=float(res <= tol))
         if len(set(oks)) != 1:
             rep.flag(f"phi-compatibility formulations disagree at {list(map(float, p))}")
-        compatible = all(oks)
         rep.add("phi_compat/compatible", p, min(res_a, res_b, res_c),
-                passed=True, value=float(compatible))
-        compatible_everywhere = compatible_everywhere and compatible
+                passed=True, value=float(compatible[i]))
 
-        if compatible:
+        if compatible[i]:
             # Theorem 6.8 consequences
             _, cos_res = is_cosymplectic(m, [p], tol)
             rep.add("phi_compat/cosymplectic_consequence", p, cos_res, tol)
             rep.add("phi_compat/kphi_zero_consequence", p,
-                    max_abs_k_phi(m, fr, rng=rng), tol)
+                    sweep.max_abs_k_phi(swept), tol)
+            swept += 1
             # nabla_X xi and nabla^0_X xi parallel to xi
             dxi0 = covariant_derivative_vector(fr.gamma0, fr.xi, fr.dxi)
             dxi1 = dxi0 + np.einsum("ijm,m->ji", fr.K, fr.xi)
@@ -415,38 +688,44 @@ def is_phi_compatible(report: AuditReport) -> bool:
 def psi_check(m: ChartManifold, point, tol: float = 1e-9,
               compat_report: AuditReport = None) -> AuditReport:
     """The 2-form family Psi_X(Y,Z) = (nabla_X g)(Y, phi Z) and its identities
-    under phi-compatibility.  Raises PreconditionNotMetError when the
-    structure is not phi-compatible at the point."""
+    under phi-compatibility, at one point or, for a (P, dim) sequence of
+    points, at each of them with one section sweep.  Raises
+    PreconditionNotMetError when the structure is not phi-compatible at the
+    points."""
+    points = [point] if np.ndim(point) == 1 else list(point)
     if compat_report is None:
-        compat_report = phi_compat_check(m, [point], tol=max(tol, 1e-9))
+        compat_report = phi_compat_check(m, points, tol=max(tol, 1e-9))
     if not is_phi_compatible(compat_report):
         raise PreconditionNotMetError("structure is not phi-compatible")
 
-    fr = m.frame_at(point)
-    ng = nabla_g(fr.gamma0 + fr.K, fr.g, fr.dg)              # (nabla_X g)_xyz
-    psi = np.einsum("xym,mz->xyz", ng, fr.phi)               # Psi_X(Y, Z)
+    frames = Prefix(m.frame_at, points)
+    sweep = AuditSweep(frames)
     rep = AuditReport()
-    p = fr.point
+    for i in range(len(points)):
+        fr = frames.at(i)
+        ng = nabla_g(fr.gamma0 + fr.K, fr.g, fr.dg)              # (nabla_X g)_xyz
+        psi = np.einsum("xym,mz->xyz", ng, fr.phi)               # Psi_X(Y, Z)
+        p = fr.point
 
-    rep.add("psi/antisymmetry_YZ", p,
-            np.max(np.abs(psi + np.einsum("xzy->xyz", psi))), tol)
-    # Psi_X(Y,Z) = 2 g(phi K(Y,Z), X)
-    phi_k = np.einsum("im,mjk->ijk", fr.phi, fr.K)
-    target = 2.0 * np.einsum("x i, iyz -> xyz", fr.g, phi_k)
-    rep.add("psi/equals_2g_phiK", p, np.max(np.abs(psi - target)), tol)
-    # slot symmetries
-    rep.add("psi/slot_symmetry_XY", p,
-            np.max(np.abs(psi - np.einsum("yxz->xyz", psi))), tol)
-    rep.add("psi/slot_symmetry_XZ", p,
-            np.max(np.abs(psi - np.einsum("zyx->xyz", psi))), tol)
-    # phi-slot rules
-    psi_phiY = np.einsum("xmz,my->xyz", psi, fr.phi)
-    psi_phiZ = np.einsum("xym,mz->xyz", psi, fr.phi)
-    rep.add("psi/phi_slot_flip", p, np.max(np.abs(psi_phiY + psi_phiZ)), tol)
-    psi_phi_both = np.einsum("xmn,my,nz->xyz", psi, fr.phi, fr.phi)
-    rep.add("psi/phi_slot_double", p, np.max(np.abs(psi_phi_both - psi)), tol)
-    # Propositions 6.6/6.7: under phi-compatibility both Psi and the
-    # phi-sectional K-curvature vanish
-    rep.add("psi/psi_zero", p, np.max(np.abs(psi)), tol)
-    rep.add("psi/kphi_zero", p, max_abs_k_phi(m, fr), tol)
+        rep.add("psi/antisymmetry_YZ", p,
+                np.max(np.abs(psi + np.einsum("xzy->xyz", psi))), tol)
+        # Psi_X(Y,Z) = 2 g(phi K(Y,Z), X)
+        phi_k = np.einsum("im,mjk->ijk", fr.phi, fr.K)
+        target = 2.0 * np.einsum("x i, iyz -> xyz", fr.g, phi_k)
+        rep.add("psi/equals_2g_phiK", p, np.max(np.abs(psi - target)), tol)
+        # slot symmetries
+        rep.add("psi/slot_symmetry_XY", p,
+                np.max(np.abs(psi - np.einsum("yxz->xyz", psi))), tol)
+        rep.add("psi/slot_symmetry_XZ", p,
+                np.max(np.abs(psi - np.einsum("zyx->xyz", psi))), tol)
+        # phi-slot rules
+        psi_phiY = np.einsum("xmz,my->xyz", psi, fr.phi)
+        psi_phiZ = np.einsum("xym,mz->xyz", psi, fr.phi)
+        rep.add("psi/phi_slot_flip", p, np.max(np.abs(psi_phiY + psi_phiZ)), tol)
+        psi_phi_both = np.einsum("xmn,my,nz->xyz", psi, fr.phi, fr.phi)
+        rep.add("psi/phi_slot_double", p, np.max(np.abs(psi_phi_both - psi)), tol)
+        # Propositions 6.6/6.7: under phi-compatibility both Psi and the
+        # phi-sectional K-curvature vanish
+        rep.add("psi/psi_zero", p, np.max(np.abs(psi)), tol)
+        rep.add("psi/kphi_zero", p, sweep.max_abs_k_phi(i), tol)
     return rep

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .expressions import NonFiniteError, ScalarField, parse_expression
 from .metric import (FieldArray, MetricField, christoffel_from,
-                     field_first_derivatives, field_values, inv_generic,
-                     lane_array, lane_zeros)
+                     field_first_derivatives, field_values, inner,
+                     inv_generic, lane_array, lane_zeros)
 
 
 def _as_fields(entries, coord_names):
@@ -69,7 +69,7 @@ class PointFrame:
         return len(self.point)
 
     def inner(self, x, y) -> float:
-        return float(np.asarray(x) @ self.g @ np.asarray(y))
+        return float(inner(self.g, x, y))
 
     def norm(self, x) -> float:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
@@ -79,6 +79,23 @@ class PointFrame:
 
     def apply_k(self, x, y) -> np.ndarray:
         return (self.K @ np.asarray(y)) @ np.asarray(x)
+
+
+class FrameStack(NamedTuple):
+    """The fields of P frames that a section sweep reads, stacked on a
+    leading point axis."""
+
+    point: np.ndarray    # (P, dim)
+    g: np.ndarray        # (P, dim, dim)
+    phi: np.ndarray      # (P, dim, dim)
+    xi: np.ndarray       # (P, dim)
+    eta: np.ndarray      # (P, dim)
+    K: np.ndarray        # (P, dim, dim, dim)
+
+    @classmethod
+    def of(cls, frames) -> "FrameStack":
+        return cls(*(np.stack([getattr(fr, name) for fr in frames])
+                     for name in cls._fields))
 
 
 class ChartManifold:

@@ -18,6 +18,10 @@ lane axis first.  The evaluation frames of a chart
 (:meth:`acsgeo.manifold.ChartManifold.frame_grid`) are built this way, and
 ``nabla_g`` and the covariant derivatives take the field values and first
 derivatives those frames carry instead of evaluating fields themselves.
+``inner``, ``matvec``, ``plane_q``, ``apply_curvature`` and
+``sectional_values`` take vectors stacked on leading axes, with the
+operand shapes of one vector per product, which is how the section sweep
+of :mod:`acsgeo.curvature` stays bit-identical to one section at a time.
 """
 
 from __future__ import annotations
@@ -415,13 +419,62 @@ def riemann(g: MetricField, point) -> np.ndarray:
     return riemann_from_jet(*christoffel_jet(g, point))
 
 
+def inner(g: np.ndarray, x, y):
+    """g(X, Y) = (x @ g) @ y, for one pair of vectors or for vectors stacked
+    on leading axes (``x``, ``y``: (..., dim); ``g`` broadcasts against
+    (..., dim, dim)).
+
+    Every pair multiplies a (1, dim) row by g and the result by a (dim, 1)
+    column, the operand shapes numpy gives two 1-D vectors, so a stacked
+    call is bit-identical to a loop over the pairs.  The vectors keep their
+    strides: BLAS may sum a strided vector in another order than a
+    contiguous one, so a section that is a column of a basis stays one.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    return ((x[..., None, :] @ g) @ y[..., :, None])[..., 0, 0]
+
+
+def norms(g: np.ndarray, v) -> np.ndarray:
+    """sqrt(max(g(v, v), 0)) of stacked vectors: ``PointFrame.norm`` of each
+    (a zero norm may lose its sign, so compare it, do not print it)."""
+    return np.sqrt(np.maximum(inner(g, v, v), 0.0))
+
+
+def matvec(a: np.ndarray, v) -> np.ndarray:
+    """a @ v with v a (dim,) vector or stacked (..., dim) vectors, as a
+    (dim, dim) @ (dim, 1) product per matrix of ``a``: the operand shapes,
+    and so the floats, of ``a @ v`` for one vector."""
+    return (a @ np.asarray(v)[..., :, None])[..., 0]
+
+
+def pow2(a: np.ndarray) -> np.ndarray:
+    """a ** 2 of every entry as a Python float computes it: libm ``pow``,
+    which is not always the rounded ``a * a`` that numpy squares with."""
+    return np.array([v ** 2 for v in a.ravel().tolist()]).reshape(a.shape)
+
+
 def apply_curvature(r: np.ndarray, x, y, z) -> np.ndarray:
-    """The vector R(X,Y)Z for a curvature-like tensor in R^i_jkl layout."""
-    return ((r @ np.asarray(y)) @ np.asarray(x)) @ np.asarray(z)
+    """The vector R(X,Y)Z for a curvature-like tensor in R^i_jkl layout, for
+    one triple of vectors or stacked (..., dim) vectors with ``r``
+    broadcasting against (..., dim, dim, dim, dim)."""
+    y = np.asarray(y)
+    return matvec(matvec(matvec(r, y[..., None, None, :]),
+                         np.asarray(x)[..., None, :]), z)
 
 
-def plane_q(g: np.ndarray, x, y) -> float:
-    return float((x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2)
+def plane_q(g: np.ndarray, x, y):
+    """Q(X,Y) = g(X,X) g(Y,Y) - g(X,Y)^2: a float for one pair of vectors,
+    an array for stacked vectors (see ``inner``)."""
+    q = inner(g, x, x) * inner(g, y, y) - pow2(inner(g, x, y))
+    return float(q) if q.ndim == 0 else q
+
+
+def sectional_values(g: np.ndarray, r: np.ndarray, x, y):
+    """(g(R(X,Y)Y, X) / Q(X,Y), Q(X,Y)) for stacked (..., dim) vectors, with
+    no threshold on Q: the arrays behind ``sectional_curvature``.  Run it
+    under ``np.errstate`` where Q may vanish."""
+    q = plane_q(g, x, y)
+    return inner(g, x, apply_curvature(r, x, y, y)) / q, q
 
 
 def sectional_curvature(g: np.ndarray, r: np.ndarray, x, y) -> float:
@@ -431,10 +484,11 @@ def sectional_curvature(g: np.ndarray, r: np.ndarray, x, y) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    q = plane_q(g, x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k, q = sectional_values(g, r, x, y)
     if q <= 1e-12:
         raise DegeneratePlaneError(f"Q(X,Y) = {q} below threshold")
-    return float(x @ g @ apply_curvature(r, x, y, y)) / q
+    return float(k)
 
 
 def nabla_g(gamma: np.ndarray, g: np.ndarray, dg: np.ndarray) -> np.ndarray:

@@ -57,12 +57,17 @@ def test_validate_broken_structure_exits_one(capsys, tmp_path):
 
 def test_malformed_expression_exits_two(capsys, tmp_path):
     # a syntax error, a negative power of zero, an exp overflow, an entry
-    # that overflows to inf without an error, and sin/cos of an infinite
-    # argument (in g, and in K) on the grid
-    for entry, k in (("x +", {}), ("1 + x^-2", {}), ("1 + exp(1000*x)", {}),
-                     ("1 + exp(400*x)*exp(400*x)", {}),
-                     ("2 + sin(1e200*1e200*x)", {}),
-                     ("1", {"z,z,z": "cos(1e200*1e200*x)"})):
+    # that overflows to inf without an error, sin/cos of an infinite
+    # argument (in g, and in K) on the grid, and a finite K whose products
+    # K K overflow in the curvature (validate never forms them)
+    for entry, k, verbs in (("x +", {}, ("validate", "audit")),
+                            ("1 + x^-2", {}, ("validate", "audit")),
+                            ("1 + exp(1000*x)", {}, ("validate", "audit")),
+                            ("1 + exp(400*x)*exp(400*x)", {}, ("validate", "audit")),
+                            ("2 + sin(1e200*1e200*x)", {}, ("validate", "audit")),
+                            ("1", {"z,z,z": "cos(1e200*1e200*x)"}, ("validate", "audit")),
+                            ("1", {"z,z,z": "exp(300*x)*exp(300*x)"},
+                             ("curvature", "audit"))):
         spec = {
             "coordinates": ["x", "y", "z"],
             "metric_lower": [[entry], ["0", "1"], ["0", "0", "1"]],
@@ -72,7 +77,7 @@ def test_malformed_expression_exits_two(capsys, tmp_path):
         }
         path = tmp_path / "syntax.json"
         path.write_text(json.dumps(spec))
-        for verb in ("validate", "audit"):
+        for verb in verbs:
             code, out, err = run(capsys, verb, str(path))
             assert code == 2, (verb, entry, k)
             assert "position" in err or "expected" in err or "error" in err
@@ -292,3 +297,76 @@ def test_failure_messages_print_plain_floats(capsys, tmp_path):
         assert run(capsys, verb, str(path), "--format", "json") == (
             1, "", "audit failure: K(X, xi) = lambda eta(X) xi fails with residual "
                    "1.0 at [-1.0, -1.0, -1.0]\n")
+
+
+XI_DX = {   # xi = d/dx: the first coordinate vector has no horizontal component
+    "coordinates": ["x", "y", "z"],
+    "metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]],
+    "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+    "xi": ["1", "0", "0"], "K": {},
+}
+
+
+def test_xi_along_first_coordinate_runs_every_verb(capsys, tmp_path):
+    path = tmp_path / "xi_dx.json"
+    path.write_text(json.dumps(XI_DX))
+    for verb in ("validate", "curvature", "audit"):
+        code, out, err = run(capsys, verb, str(path), "--format", "json")
+        assert (code, err) == (0, ""), verb
+        assert json_records(out)
+
+
+def test_frame_error_exits_one(capsys, tmp_path):
+    # g = diag(2^-56, 2^-56, 2^80) and the unit xi = 2^-40 d/dz: every
+    # horizontal coordinate vector has norm 2^-28, enough to seed the
+    # phi-basis (1e-10) and too short to join it (1e-8), so no phi-adapted
+    # frame exists
+    tiny, big = repr(2.0 ** -56), repr(2.0 ** 80)
+    spec = dict(XI_DX, metric_lower=[[tiny], ["0", tiny], ["0", "0", big]],
+                phi=[["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+                xi=["0", "0", repr(2.0 ** -40)])
+    path = tmp_path / "tiny_metric.json"
+    path.write_text(json.dumps(spec))
+    for verb in ("curvature", "audit"):
+        code, _, err = run(capsys, verb, str(path), "--checks", "thm_5_8")
+        assert (code, err) == (1, "audit failure: could not complete a phi-adapted "
+                                  "frame; structure is degenerate\n"), verb
+
+
+def test_section_sweep_logs_at_debug(capsys, caplog):
+    """One line per kernel call: the theorem 5.8 sweep (a leg, its phi-mixture
+    and two random combinations per point), the phi-compatibility and Psi
+    sweeps of a compatible structure, and a --section run."""
+    def sweeps(*argv):
+        caplog.clear()
+        code, out, _ = run(capsys, *argv)
+        return code, out, [r.getMessage() for r in caplog.records
+                           if r.name == "acsgeo.curvature"]
+
+    quiet = run(capsys, "audit", "zoo:example_flat_acs:n=1", "--grid", "2")
+    caplog.set_level(logging.DEBUG, logger="acsgeo")
+    code, out, lines = sweeps("audit", "zoo:example_flat_acs:n=1", "--grid", "2")
+    assert (code, out) == quiet[:2]
+    assert [line.split(" in ")[0] for line in lines] == [
+        "section sweep: 8 points, 4 sections",     # theorem 5.8
+        "section sweep: 8 points, 4 sections",     # phi-compatibility
+        "section sweep: 8 points, 2 sections"]     # Psi
+    assert all(line.endswith(" s") for line in lines)
+    _, _, lines = sweeps("curvature", "zoo:example_r3_negative", "--grid", "2",
+                         "--section", "1,2,0")
+    assert [line.split(" in ")[0] for line in lines] == ["section sweep: 8 points, 1 sections"]
+
+
+def test_section_is_parsed_once(capsys, monkeypatch):
+    import acsgeo.cli as cli
+    calls = []
+
+    def counting(text, coords):
+        calls.append(text)
+        return parse(text, coords)
+
+    parse = cli.parse_expression
+    monkeypatch.setattr(cli, "parse_expression", counting)
+    code, _, _ = run(capsys, "curvature", "zoo:example_r3_negative", "--grid", "2",
+                     "--section", "1,y,0")
+    assert code == 0 and calls == ["1", "y", "0"]

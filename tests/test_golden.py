@@ -106,6 +106,19 @@ GOLDEN = [
      "5e675437eb1d3a63ed845ae2e333b7be47b169297d0f49b45fddf3bce1824c81"),
     ("curvature-exp-frame", ["curvature", "@exp_frame", "--seed", "10"] + JSON,
      "0ec10d269e6b9df1524d81e32812218ab81165923b8ad82060f073c3159f7110"),
+    # the section sweep beyond dim 3: mixtures of n >= 2 legs, seeded random
+    # extras at dims 5 and 7, and a --section vector
+    ("audit-planar-block-dim5",
+     ["audit", "zoo:random:dim=5,seed=4,family=planar-block", "--grid", "2"] + JSON,
+     "55bb27f6ea287f0f1500b97b7c9309339ac2900f9e8dd3aeb0c23d645be7d11d"),
+    ("audit-mixed-dim7",
+     ["audit", "zoo:random:dim=7,seed=3,family=mixed", "--grid", "2"] + JSON,
+     "081a442034e4d969066a5bc871c981518457841781c58b5e4258ef09bfa0f55a"),
+    ("curvature-flat-n2", ["curvature", "zoo:example_flat_acs:n=2"] + JSON,
+     "ab87d25fea8739e613b5221e524a6945d7412982af000703a9b0b1150872de45"),
+    ("curvature-r3-section",
+     ["curvature", R3, "--grid", "2", "--section", "1,2,0"] + JSON,
+     "f55da494805aaffe75d06527de318ac4036f0989cc2ac3bce52221e7fe68e1b8"),
 ]
 
 # (id, argv, sha256 of "<exit code>\n<stderr>") for runs that fail
@@ -114,6 +127,14 @@ GOLDEN_STDERR = [
      "07f9c9424c5b79a6f8e90c0f2fd07a01cb99a5d3b57b5d6cc9fddfeaab4cddb4"),
     ("curvature-two-failures", ["curvature", "@two_failures", "--seed", "8"] + JSON,
      "07f9c9424c5b79a6f8e90c0f2fd07a01cb99a5d3b57b5d6cc9fddfeaab4cddb4"),
+    # a degenerate section fails its plane check (exit 1) and a vertical one
+    # its horizontality check (exit 2), each at the first point
+    ("curvature-r3-degenerate-section",
+     ["curvature", R3, "--grid", "2", "--section", "1e-7,0,0"] + JSON,
+     "e06ca86ccaa533513a4cd0100ba124b051c1da4af01c0010f462da607a8e9fa6"),
+    ("curvature-r3-vertical-section",
+     ["curvature", R3, "--grid", "2", "--section", "1,0,x"] + JSON,
+     "d8e2041bf401efbcfe7328526dce42f7bcd48086facb5ef1c3cd92d0703b62a5"),
 ]
 
 

@@ -11,9 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acsgeo import curvature as curv
+from acsgeo import generate_random_acs
+from acsgeo.contact import (DegenerateSeedError, ExhaustedCandidatesError, FrameError,
+                            phi_bases)
 from acsgeo.expressions import Dual, ExpressionError, parse_expression
-from acsgeo.metric import (GeometryError, MetricField, christoffel_jet, gamma_jet,
-                           inv_generic, lane_count, riemann)
+from acsgeo.manifold import FrameStack
+from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField,
+                           christoffel_jet, gamma_jet, inv_generic, lane_count, riemann)
 from acsgeo.specfile import manifold_from_dict
 
 from conftest import poly3_metric
@@ -312,3 +316,233 @@ def test_frame_arrays_are_read_only():
         for name in FRAME_FIELDS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(fr, name)[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the section sweep: the per-point loop it replaced is the reference
+
+
+def ref_inner(fr, x, y):
+    return float(np.asarray(x) @ fr.g @ np.asarray(y))
+
+
+def ref_norm(fr, x):
+    return float(np.sqrt(max(ref_inner(fr, x, x), 0.0)))
+
+
+def ref_phi_basis(fr):
+    """phi_basis as a loop over one point, seeded with the first coordinate
+    vector that has a component in ker(eta)."""
+    dim, n = fr.dim, (fr.dim - 1) // 2
+
+    def project_out(v, span):
+        for w in span:
+            v = v - ref_inner(fr, v, w) * w
+        return v
+
+    for seed in np.eye(dim):
+        h = project_out(seed, [fr.xi])
+        if not ref_norm(fr, h) < 1e-10:
+            break
+    else:
+        raise FrameError("no coordinate vector has a component in ker(eta)")
+    built, pairs = [fr.xi], []
+    for cand in [h] + [np.eye(dim)[i] for i in range(dim)]:
+        if len(pairs) == n:
+            break
+        v = project_out(np.asarray(cand, dtype=float), built)
+        nv = ref_norm(fr, v)
+        if nv < 1e-8:
+            continue
+        e = v / nv
+        fe = fr.phi @ e
+        built.extend([e, fe])
+        pairs.append((e, fe))
+    if len(pairs) < n:
+        raise FrameError("could not complete a phi-adapted frame")
+    return np.column_stack([e for e, _ in pairs] + [fe for _, fe in pairs] + [fr.xi])
+
+
+def ref_sweep_sections(fr, basis, rng=None, extra=2):
+    n = (fr.dim - 1) // 2
+    legs = [basis[:, i] for i in range(n)]
+    out = list(legs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out.append(legs[i] + legs[j])
+        out.append(legs[i] + basis[:, n + i])
+    if rng is not None:
+        for _ in range(extra):
+            v = basis[:, :2 * n] @ rng.standard_normal(2 * n)
+            if ref_norm(fr, v) > 1e-6:
+                out.append(v)
+    return out
+
+
+def ref_plane_q(g, x, y):
+    return float((x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2)
+
+
+def ref_sectional(g, r, x, y):
+    return float(x @ g @ (((r @ y) @ x) @ y)) / ref_plane_q(g, x, y)
+
+
+def ref_k_phi(fr, x):
+    """(status, eta, q, value, closed) of phi_sectional_k_curvature at X."""
+    eta = float(fr.eta @ x)
+    if abs(eta) > 1e-9:
+        return curv.NOT_HORIZONTAL, eta, None, None, None
+    if ref_norm(fr, x) <= 1e-10:
+        return curv.NEGLIGIBLE, eta, None, None, None
+    px = fr.phi @ x
+    q = ref_plane_q(fr.g, x, px)
+    if q <= 1e-12:
+        return curv.DEGENERATE, eta, q, None, None
+    with np.errstate(all="ignore"):     # the loop let an overflow pass as nan
+        kz = fr.K @ px
+        kk = (fr.K @ (kz @ px)) @ x - (fr.K @ (kz @ x)) @ px
+        value = ref_inner(fr, kk, x) / q
+        kxx = (fr.K @ x) @ x
+        closed = -2.0 * ref_inner(fr, kxx, kxx) / ref_inner(fr, x, x) ** 2
+    if not np.isfinite([value, closed]).all():
+        return curv.NON_FINITE, eta, q, value, closed
+    if abs(value - closed) > 1e-9 * max(1.0, abs(value), abs(closed)):
+        return curv.MISMATCH, eta, q, value, closed
+    return curv.OK, eta, q, value, closed
+
+
+ROTATING5 = {   # phi turns with y1 in the (x1, x2) plane: the basis skips a candidate at y1 = 0 only
+    "coordinates": ["x1", "y1", "x2", "y2", "z"], "grid": 3,
+    "metric_lower": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"],
+                     ["0", "0", "0", "0", "1"]],
+    "phi": [["0", "-1*cos(y1)", "0", "sin(y1)", "0"],
+            ["cos(y1)", "0", "-1*sin(y1)", "0", "0"],
+            ["0", "-1*sin(y1)", "0", "-1*cos(y1)", "0"],
+            ["sin(y1)", "0", "cos(y1)", "0", "0"],
+            ["0", "0", "0", "0", "0"]],
+    "xi": ["0", "0", "0", "0", "1"], "K": {"z,z,z": "0.5 + 0.1*x1"},
+}
+CHARTS = {"lambda_k": LAMBDA_K, "pulled_back": PULLED_BACK, "exp_frame": EXP_FRAME,
+          "rotating5": ROTATING5, "xi_dx": dict(
+              LAMBDA_K, metric_lower=[["1"], ["0", "1"], ["0", "0", "1"]],
+              phi=[["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+              xi=["1", "0", "0"], K={})}
+
+
+def check_sweep_matches_loop(m, pts, seed):
+    frames = [m.frame_at(p) for p in pts]
+    curvatures = curv.Prefix(lambda p: curv.statistical_curvature(m, p), pts)
+    sweep = curv.AuditSweep(frames, rng=np.random.default_rng(seed), curvatures=curvatures)
+    stack = FrameStack.of(frames)
+    bases, errors = phi_bases(stack.g, stack.phi, stack.xi)
+    horiz, keep_h = curv.horizontal_projections(stack)
+    ref_rng = np.random.default_rng(seed)
+    for i, fr in enumerate(frames):
+        basis = ref_phi_basis(fr)
+        assert errors[i] is None
+        assert_same(bases[i], basis)
+        sections = ref_sweep_sections(fr, basis, ref_rng)
+        cols = np.flatnonzero(sweep.keep[i])
+        assert len(cols) == len(sections)
+        s, r0 = curvatures[i][:2]
+        for j, x in zip(cols, sections):
+            assert_same(sweep.sweep.x[i, j], x)
+            code, eta, q, value, closed = ref_k_phi(fr, x)
+            assert sweep.sweep.status[i, j] == code
+            assert_same(sweep.sweep.eta[i, j], eta)
+            assert_same(sweep.sweep.q[i, j], q)
+            assert_same(sweep.sweep.value[i, j], value)
+            assert_same(sweep.sweep.closed[i, j], closed)
+            px = fr.phi @ x
+            assert_same(sweep.sweep.k_s[i, j], ref_sectional(fr.g, s, x, px))
+            assert_same(sweep.sweep.k_0[i, j], ref_sectional(fr.g, r0, x, px))
+        ref_h = [v - float(fr.eta @ v) * fr.xi for v in curv.frame_vectors(fr.dim)]
+        ref_h = np.array([h for h in ref_h if ref_norm(fr, h) > 1e-8])
+        assert_same(horiz[i][keep_h[i]], ref_h)
+    assert ref_rng.standard_normal() == sweep_rng_next(len(frames), frames[0].dim, seed)
+
+
+def sweep_rng_next(points, dim, seed):
+    """The next draw after a sweep of ``points`` points: the sweep takes two
+    combinations of 2n normals per point."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((points, 2, dim - 1))
+    return rng.standard_normal()
+
+
+def rotated(m, seed):
+    """The constant structure of ``m`` turned by a random rotation R (R phi
+    R^T, R xi, K rotated), so that its phi-basis legs are dense vectors."""
+    fr = m.frame_at(np.zeros(m.dim))
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((m.dim, m.dim)))
+    rot = q * np.sign(np.diag(r))
+    k = np.einsum("ia,abc,jb,kc->ijk", rot, fr.K, rot, rot)
+    c = m.coords
+    return manifold_from_dict({
+        "coordinates": list(c),
+        "metric_lower": [["1" if i == j else "0" for j in range(i + 1)] for i in range(m.dim)],
+        "phi": [[repr(float(v)) for v in row] for row in rot @ fr.phi @ rot.T],
+        "xi": [repr(float(v)) for v in rot @ fr.xi],
+        "K": {f"{c[i]},{c[j]},{c[l]}": repr(float(k[i, j, l]))
+              for i, j, l in itertools.product(range(m.dim), repeat=3) if k[i, j, l]}})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(0, 10 ** 6),
+       st.sampled_from(["trivial-lambda", "planar-block", "mixed"]), st.integers(0, 99),
+       st.booleans())
+def test_sweep_matches_loop_on_generated_structures(dim, seed, family, rng_seed, turn):
+    m = generate_random_acs(dim, seed, family).manifold
+    if turn:
+        m = rotated(m, seed)
+    pts = m.grid_points(2)[::max(1, 2 ** dim // 6)]
+    check_sweep_matches_loop(m, pts, rng_seed)
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_sweep_matches_loop_on_charts(name):
+    m = manifold_from_dict(CHARTS[name])
+    check_sweep_matches_loop(m, m.grid_points(), 3)
+
+
+def test_phi_bases_report_the_loop_errors():
+    # unit vectors of norm 1e-9 pass the seed test (1e-10) and fail the
+    # candidate test (1e-8); at norm 1e-15 no coordinate vector is a seed
+    g = np.eye(3)[None] * np.array([1.0, 1e-18, 1e-30])[:, None, None]
+    phi = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 3)
+    xi = np.array([[0.0, 0.0, 1.0]] * 3)
+    _, errors = phi_bases(g, phi, xi)
+    assert errors[0] is None
+    assert type(errors[1]) is ExhaustedCandidatesError
+    assert type(errors[2]) is DegenerateSeedError
+    _, errors = phi_bases(g[:1], phi[:1], xi[:1], seed=xi[0])
+    assert str(errors[0]) == "seed has no component in ker(eta)"
+
+
+def test_sweep_statuses_match_loop():
+    """Every status of the kernel against the loop: a horizontal and a
+    vertical section, the zero vector, a section too short for the Q
+    threshold, an asymmetric K whose quotient misses the closed form, and
+    a K whose bracket overflows."""
+    flat = dict(LAMBDA_K, metric_lower=[["1"], ["0", "1"], ["0", "0", "1"]])
+    specs = [dict(flat, K={"x,x,y": "0.5"}), dict(flat, K={"x,x,x": "1e200"}), flat]
+    frames = [manifold_from_dict(spec).frame_at(np.zeros(3)) for spec in specs]
+    xs = np.array([[1.0, 2.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1e-7, 0.0, 0.0]])
+    sweep = curv.section_sweep(FrameStack.of(frames), [np.array([xs] * 3)])
+    seen = set()
+    for i, fr in enumerate(frames):
+        for j, x in enumerate(xs):
+            code = ref_k_phi(fr, x)[0]
+            assert sweep.status[i, j] == code
+            seen.add(code)
+            error = sweep.error(i, j)
+            try:
+                curv.phi_sectional_k_curvature(fr, x)
+            except Exception as exc:       # the one-pair sweep raises the same
+                assert (type(exc), str(exc)) == (type(error), str(error))
+            else:
+                assert error is None
+    assert seen == {curv.OK, curv.NOT_HORIZONTAL, curv.NEGLIGIBLE, curv.DEGENERATE,
+                    curv.NON_FINITE, curv.MISMATCH}
+    plane = sweep.error(2, 3, plane=True)
+    assert type(plane) is DegeneratePlaneError and str(plane).startswith("Q(X,Y) = ")
