@@ -32,6 +32,10 @@ from .zoo import UnsupportedDimensionError, get_entry, list_zoo
 log = logging.getLogger("acsgeo")
 
 EXIT_OK, EXIT_MATH_FAIL, EXIT_INPUT_ERROR = 0, 1, 2
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+# the check groups of ``audit``, in the order it runs them
+CHECK_GROUPS = ("structure", "statistical", "acs", "cosymplectic", "thm_5_8",
+                "phi_compat", "lemma_5_6", "geodesic", "prop_5_2", "duality", "psi")
 
 
 class InputError(Exception):
@@ -65,16 +69,30 @@ def resolve_input(ref: str) -> ChartManifold:
 
 
 def emit(report: AuditReport, fmt_kind: str):
+    """Print the records and then the flags, as a table or as JSON lines."""
     if fmt_kind == "json":
         text = report.to_json_lines()
         if text:
             print(text)
+        for msg in report.flags:
+            print(json.dumps({"flag": msg}))
     else:
         print(report.to_table())
 
 
 def selected(name: str, checks) -> bool:
     return checks is None or name in checks
+
+
+def check_groups(text):
+    """The set of ``--checks`` groups, or None (every group) when the option
+    is not given; a name outside CHECK_GROUPS is an input error."""
+    groups = None if text is None else set(text.split(","))
+    unknown = sorted((groups or set()) - set(CHECK_GROUPS))
+    if unknown:
+        raise InputError(f"unknown check group {', '.join(map(repr, unknown))}; "
+                         f"valid groups: {', '.join(CHECK_GROUPS)}")
+    return groups
 
 
 def sample_points(m: ChartManifold, grid):
@@ -176,7 +194,7 @@ def cmd_curvature(m: ChartManifold, args) -> int:
 
 
 def cmd_audit(m: ChartManifold, args) -> int:
-    checks = set(args.checks.split(",")) if args.checks else None
+    checks = check_groups(args.checks)
     rng = np.random.default_rng(args.seed)
     pts = sample_points(m, args.grid)
     grid_passes(m, pts, selected("thm_5_8", checks) or selected("prop_5_2", checks))
@@ -189,10 +207,12 @@ def cmd_audit(m: ChartManifold, args) -> int:
     if selected("thm_5_8", checks):
         rep.extend(curv.theorem_5_8_audit(m, pts, tol=args.tol, rng=rng))
 
-    compat_rep = None
     if selected("phi_compat", checks):
         compat_rep = curv.phi_compat_check(m, pts, tol=args.tol, rng=rng)
         rep.extend(compat_rep)
+    elif selected("psi", checks):
+        # psi needs the verdict only: no records, no draws from rng
+        compat_rep = curv.phi_compat_check(m, pts, tol=args.tol)
 
     for p in pts:
         if selected("lemma_5_6", checks):
@@ -214,8 +234,7 @@ def cmd_audit(m: ChartManifold, args) -> int:
             _, res = conjugate_connection(m, p, tol=max(args.tol, 1e-6))
             rep.add("connection_duality", p, res, max(args.tol, 1e-6))
 
-    if selected("psi", checks) and compat_rep is not None \
-            and curv.is_phi_compatible(compat_rep):
+    if selected("psi", checks) and curv.is_phi_compatible(compat_rep):
         rep.extend(curv.psi_check(m, pts, tol=args.tol, compat_report=compat_rep))
 
     emit(rep, args.format)
@@ -272,14 +291,17 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("ACSM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("ACSM_LOG", "warning")
+        if level.lower() not in LOG_LEVELS:
+            raise InputError(f"ACSM_LOG must be one of {', '.join(LOG_LEVELS)}, got {level!r}")
+        logging.basicConfig(level=level.upper())
         if args.command == "list-zoo":
             return cmd_list_zoo()
         if args.command == "export-zoo":
             return cmd_export_zoo(args)
+        check_groups(args.checks)
         m = resolve_input(args.input)
         if args.command == "validate":
             return cmd_validate(m, args)

@@ -2,11 +2,11 @@
 phi-sectional K-curvature, the statistical curvature tensor, and executable
 audits of the equivalence and compatibility theorems.
 
-The sweeps over sections (phi-basis legs, their mixtures and random
-horizontal combinations) run as one ``section_sweep`` per audit over the
-stacked frames of all its points; the per-point functions
-(``phi_sectional_k_curvature``, ``max_abs_k_phi``, ...) are one-point
-calls of the same kernel."""
+The statistical curvature of a grid is one lane pass and of a point a
+pass of one lane.  The sweeps over sections (phi-basis legs, their
+mixtures and random horizontal combinations) are one ``section_sweep`` per
+audit over the stacked frames of its points; the per-point functions
+(``phi_sectional_k_curvature``, ...) are one-point calls of that kernel."""
 
 from __future__ import annotations
 
@@ -148,21 +148,20 @@ class SectionSweep:
         return None
 
 
-def _sectional(g, r, x, px, chunk: int = 64):
+def _sectional(g, r, x, px):
     """(len(r), S) sectional curvatures of span{X, phi X} for the tensors
-    ``r`` of the first points, one section at a time and ``chunk`` points
-    at a time, so no more than (chunk, dim, dim, dim, dim) is stacked."""
+    ``r`` of the first points, one section at a time and 64 points at a
+    time, so no more than (64, dim, dim, dim, dim) is stacked."""
     out = [np.empty((0, x.shape[1]))]
-    for c in range(0, len(r), chunk):
-        rc = np.stack(r[c:c + chunk])
+    for c in range(0, len(r), 64):
+        rc = np.stack(r[c:c + 64])
         rows = slice(c, c + len(rc))
         out.append(np.stack([sectional_values(g[rows], rc, x[rows, j], px[rows, j])[0]
                              for j in range(x.shape[1])], axis=1))
     return np.concatenate(out)
 
 
-def section_sweep(frames: FrameStack, sections, s=None, r0=None,
-                  cross_tol: float = 1e-9) -> SectionSweep:
+def section_sweep(frames: FrameStack, sections, s=None, r0=None) -> SectionSweep:
     """phi-sectional K-curvature g([K,K](X, phi X) phi X, X) / Q(X, phi X),
     its closed form -2 ||K(X,X)||^2 / ||X||^4 on an independent path, and,
     given the statistical curvature ``s`` and R^0 ``r0`` of the first
@@ -179,8 +178,8 @@ def section_sweep(frames: FrameStack, sections, s=None, r0=None,
 
     Nothing is raised: a pair that fails gets a status, the first of
     NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE (a value is inf or
-    nan) and MISMATCH (quotient and closed form differ beyond
-    ``cross_tol``); ``SectionSweep.error`` gives the exception.
+    nan) and MISMATCH (quotient and closed form differ by more than 1e-9,
+    relative); ``SectionSweep.error`` gives the exception.
     """
     start = time.perf_counter()
     g, k = frames.g[:, None], frames.K[:, None]
@@ -205,19 +204,19 @@ def section_sweep(frames: FrameStack, sections, s=None, r0=None,
         scale = np.maximum(np.maximum(1.0, np.abs(value)), np.abs(closed))
         status = np.select(
             [np.abs(eta) > HORIZONTAL_TOL, np.sqrt(np.maximum(sq, 0.0)) <= 1e-10,
-             q <= 1e-12, ~finite, np.abs(value - closed) > cross_tol * scale],
+             q <= 1e-12, ~finite, np.abs(value - closed) > 1e-9 * scale],
             [NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH], OK)
     log.debug("section sweep: %d points, %d sections in %.4f s",
               x.shape[0], x.shape[1], time.perf_counter() - start)
     return SectionSweep(frames.point, x, px, eta, q, value, closed, k_s, k_0, status)
 
 
-def phi_sectional_k_curvature(fr: PointFrame, x, cross_tol: float = 1e-9) -> PhiSectionalValue:
+def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
     """Definition-level quotient g([K,K](X, phi X) phi X, X) / Q(X, phi X),
     cross-checked against the closed form -2 ||K(X,X)||^2 / ||X||^4 computed
     on an independent path: a one-pair ``section_sweep``."""
     x = np.asarray(x, dtype=float)
-    sweep = section_sweep(FrameStack.of([fr]), [x[None, None]], cross_tol=cross_tol)
+    sweep = section_sweep(FrameStack.of([fr]), [x[None, None]])
     error = sweep.error(0, 0)
     if error is not None:
         raise error
@@ -245,70 +244,59 @@ def _finite_parts(parts, where):
     return parts
 
 
-def statistical_curvature(m: ChartManifold, point, prop_tol: float = 1e-6):
-    """S = (R + R-bar)/2 from the two statistical connections, with the
-    decomposition S = R^0 + [K,K] asserted as an internal cross-check.
-
-    nabla = nabla^0 + K and nabla-bar = nabla^0 - K are formed from one jet
-    of Gamma^0 and one of K; R^0 comes from its own ``riemann`` call.
-    A point that ``statistical_curvature_grid`` cached is read from the
-    cache (the cross-check is applied there too).  A part that is not
-    finite (K K overflowing, say) raises NonFiniteError.
-    Returns (S, R^0, [K,K], R, R-bar).
-    """
-    cache = m._curvature_cache
-    key = tuple(float(x) for x in point)
-    out = cache.get(key)
-    if out is None:
-        with np.errstate(all="ignore"):
-            gamma0, dgamma0 = christoffel_jet(m.metric, point)
-            k, dk = gamma_jet(m.difference.components, point, m.dim,
-                              constant=m.difference.is_constant)
-            out = _statistical_parts(gamma0, dgamma0, k, dk, riemann(m.metric, point),
-                                     kk_tensor(m.frame_at(point).K))
-        _finite_parts(out, f"at {list(map(float, point))}")
-    s, r0, kk = out[:3]
-    res = float(np.max(np.abs(s - r0 - kk)))
-    if res > prop_tol:
-        raise CrossCheckError(
-            f"S - R0 - [K,K] residual {res} at {list(map(float, point))}")
-    if key not in cache and len(cache) < 4096:
-        cache[key] = out
-    return out
-
-
-def statistical_curvature_grid(m: ChartManifold, points) -> None:
-    """Fill the curvature cache of ``m`` for all ``points`` in one pass.
-
-    The jets of Gamma^0 and K are taken once over all points, one lane per
-    point (``gamma_jet`` on lane coordinates), and R^0 from one lane
-    ``riemann`` call; R, R-bar, S and [K,K] follow point by point from
-    views of those arrays.  Every value is bit-identical to
-    ``statistical_curvature`` at the single point.  Raises the jets'
-    errors, or NonFiniteError for a jet or a part that is not finite, and
-    then caches nothing.
-    """
-    if len(points) == 0:
-        return
+def _curvature_parts(m: ChartManifold, points, where):
+    """(S, R^0, [K,K], R, R-bar) at each of ``points`` from one pass, one
+    lane per point, cached while the cache holds fewer than 4096: the jets
+    of Gamma^0 and K and R^0 are taken once over all points, and R, R-bar,
+    S and [K,K] follow point by point from views of those arrays.  A jet
+    entry that is not finite makes a part non-finite, so ``_finite_parts``
+    is the one gate.  Raises the jets' errors, or NonFiniteError (``where``
+    naming the points), and then caches nothing."""
     pts = np.array(points, dtype=float).reshape(len(points), m.dim)
     coords = [np.ascontiguousarray(pts[:, n]) for n in range(m.dim)]
     with np.errstate(all="ignore"):
         gamma0, dgamma0 = christoffel_jet(m.metric, coords)
         k, dk = gamma_jet(m.difference.components, coords, m.dim,
                           constant=m.difference.is_constant)
-        for name, arr in (("Levi-Civita", gamma0), ("Levi-Civita derivative", dgamma0),
-                          ("K", k), ("K derivative", dk)):
-            if not np.isfinite(arr).all():
-                raise NonFiniteError(f"{name} jet is not finite on the grid")
         r0 = riemann(m.metric, coords)
-        out = {tuple(p): _finite_parts(_statistical_parts(gamma0[i], dgamma0[i], k[i],
-                                                          dk[i], r0[i], kk_tensor(k[i])),
-                                       "on the grid")
-               for i, p in enumerate(pts.tolist())}
+        out = [_finite_parts(_statistical_parts(gamma0[i], dgamma0[i], k[i], dk[i],
+                                                r0[i], kk_tensor(k[i])), where)
+               for i in range(len(pts))]
     cache = m._curvature_cache
-    for key, parts in out.items():
+    for key, parts in zip(map(tuple, pts.tolist()), out):
         if key not in cache and len(cache) < 4096:
             cache[key] = parts
+    return out
+
+
+def statistical_curvature(m: ChartManifold, point):
+    """S = (R + R-bar)/2 from the two statistical connections, with the
+    decomposition S = R^0 + [K,K] asserted (to 1e-6) as an internal
+    cross-check.
+
+    nabla = nabla^0 + K and nabla-bar = nabla^0 - K are formed from one jet
+    of Gamma^0 and one of K; R^0 comes from its own ``riemann`` call.  The
+    parts come from the cache that ``statistical_curvature_grid`` fills or,
+    for any other point, from a pass of one lane; the cross-check applies
+    to both.  A part that is not finite (K K overflowing, say) raises
+    NonFiniteError.  Returns (S, R^0, [K,K], R, R-bar).
+    """
+    key = tuple(float(x) for x in point)
+    out = m._curvature_cache.get(key)
+    if out is None:
+        out = _curvature_parts(m, [key], f"at {list(key)}")[0]
+    s, r0, kk = out[:3]
+    res = float(np.max(np.abs(s - r0 - kk)))
+    if res > 1e-6:
+        raise CrossCheckError(f"S - R0 - [K,K] residual {res} at {list(key)}")
+    return out
+
+
+def statistical_curvature_grid(m: ChartManifold, points) -> None:
+    """Cache the statistical curvature of all ``points`` from one pass
+    (``_curvature_parts``); its errors name no point ("on the grid")."""
+    if len(points):
+        _curvature_parts(m, points, "on the grid")
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +315,16 @@ def frame_vectors(dim: int):
     return vecs
 
 
-def horizontal_projections(frames: FrameStack, min_norm: float = 1e-8):
+def horizontal_projections(frames: FrameStack):
     """The projections v - eta(v) xi of the frame_vectors family onto
     ker(eta) at P points, (P, V, dim), and the (P, V) mask of those with
-    norm above ``min_norm``."""
+    norm above 1e-8."""
     vecs = np.array(frame_vectors(frames.xi.shape[1]))
     with np.errstate(all="ignore"):
         eta_v = (frames.eta[:, None, None, :] @ vecs[:, :, None])[..., 0, 0]
         h = vecs - eta_v[..., None] * frames.xi[:, None]
-        keep = norms(frames.g[:, None], h) > min_norm
+        keep = norms(frames.g[:, None], h) > 1e-8
     return h, keep
-
-
-def horizontal_vectors(fr: PointFrame, min_norm: float = 1e-8):
-    """Projections of the frame_vectors family onto ker(eta) (a one-point
-    ``horizontal_projections``)."""
-    h, keep = horizontal_projections(FrameStack.of([fr]), min_norm)
-    return list(h[0][keep[0]])
 
 
 def _sweep_blocks(g, basis, rng=None, extra: int = 2):
@@ -449,11 +430,11 @@ class AuditSweep:
         gap = np.abs(self.sweep.k_s[i, :self.plain] - self.sweep.k_0[i, :self.plain])
         return float(np.max(gap, initial=0.0))
 
-    def triples(self, i, sum_tol: float = 1e-6):
+    def triples(self, i):
         """(K^S, K^0, K_phi) of every section of frame i, as
         ``phi_sectional_triple``: horizontality, the statistical curvature
         of the point, the plane check of ``sectional_curvature``, the K_phi
-        checks, and the additivity K^S = K^0 + K_phi."""
+        checks, and the additivity K^S = K^0 + K_phi (to 1e-6 relative)."""
         if self.basis_errors[i] is not None:
             raise self.basis_errors[i]
         sweep = self.sweep
@@ -466,7 +447,7 @@ class AuditSweep:
             if sweep.status[i, j] != OK:
                 raise sweep.error(i, j, plane=True)
             k_s, k_0, k_phi = (float(a[i, j]) for a in (sweep.k_s, sweep.k_0, sweep.value))
-            if abs(k_s - (k_0 + k_phi)) > sum_tol * max(1.0, abs(k_s)):
+            if abs(k_s - (k_0 + k_phi)) > 1e-6 * max(1.0, abs(k_s)):
                 raise CrossCheckError(
                     f"sectional additivity fails: {k_s} vs {k_0} + {k_phi}")
             out.append((k_s, k_0, k_phi))
@@ -482,13 +463,13 @@ def max_abs_k_phi(m: ChartManifold, fr: PointFrame, rng=None) -> float:
     return AuditSweep([fr], rng=rng).max_abs_k_phi(0)
 
 
-def phi_sectional_triple(m: ChartManifold, point, x, sum_tol: float = 1e-6):
+def phi_sectional_triple(m: ChartManifold, point, x):
     """(statistical, Riemannian, K) sectional values on the phi-section of X,
     with the additivity K^S = K^0 + K asserted."""
     fr = m.frame_at(point)
     x = np.asarray(x, dtype=float)
     sweep = AuditSweep([fr], curvatures=_curvatures(m, [point]), sections=[x[None, None]])
-    return sweep.triples(0, sum_tol)[0]
+    return sweep.triples(0)[0]
 
 
 def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,

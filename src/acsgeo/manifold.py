@@ -35,8 +35,8 @@ def _finite(name, arr, where) -> np.ndarray:
 
 
 def _derivatives(fields, coords, lanes):
-    """d_i of a FieldArray as a float array, derivative index first (after
-    the lane axis, if any); zeros when the fields are constant."""
+    """d_i of a FieldArray as a float array, derivative index first after
+    the lane axis; zeros when the fields are constant."""
     dim = len(coords)
     if fields.is_constant:
         return lane_zeros((dim,) + np.shape(fields), lanes)
@@ -105,10 +105,10 @@ class ChartManifold:
     floats, lane arrays or Duals) and ``is_constant``, the constancy of its
     components decided when it was built; see :mod:`acsgeo.statistical`.
 
-    ``frame_at`` evaluates the fields of one point into a ``PointFrame``;
-    ``frame_grid`` evaluates them for a whole sample grid in one lane pass,
-    bit-identical to ``frame_at``, and caches the frames.  Every CLI verb
-    runs the frame pass; ``audit`` and ``curvature`` also fill
+    ``frame_grid`` evaluates the fields of a whole sample grid into
+    ``PointFrame``s in one lane pass and caches them; ``frame_at`` is a pass
+    of one lane, so a point alone gets the same frame.  Every CLI verb runs
+    the frame pass; ``audit`` and ``curvature`` also fill
     ``_curvature_cache`` in one pass (``curvature.statistical_curvature_grid``).
     """
 
@@ -150,12 +150,12 @@ class ChartManifold:
         pts = [np.array(p) for p in itertools.product(*axes)]
         return pts[:cap]
 
-    def _fields(self, coords, lanes, where):
-        """The PointFrame fields after ``point`` at ``coords`` (floats, or
-        (P,) lane arrays with ``lanes`` = P), as read-only float arrays with
-        the lane axis first.  The fields are evaluated, and checked for
-        finiteness, in the order of ``frame_at``, so the first error is the
-        one a point raises alone."""
+    def _fields(self, coords, where):
+        """The PointFrame fields after ``point`` at the (P,) lane coordinates
+        ``coords``, as read-only float arrays with the lane axis first.  The
+        fields are evaluated, and checked for finiteness, in a fixed order,
+        so the first error is the one the failing point raises alone."""
+        lanes = len(coords[0])
         metric = self.metric
         g_rows = metric.matrix_at(coords)
         g = _finite("metric", lane_array(g_rows, lanes), where)
@@ -165,53 +165,47 @@ class ChartManifold:
         xi = _finite("xi", lane_array(field_values(self.xi, coords), lanes), where)
         if self.eta is not None:
             eta = _finite("eta", lane_array(field_values(self.eta, coords), lanes), where)
-        elif lanes is None:
-            eta = g @ xi
         else:
             eta = np.array([gp @ xp for gp, xp in zip(g, xi)])
         dg = _derivatives(metric.components, coords, lanes)
         if metric.is_constant:
             gamma0 = lane_zeros((self.dim,) * 3, lanes)
         else:
-            # dg[j][l][k] as floats at a point, as lane arrays on a grid
-            rows = dg.tolist() if lanes is None else np.moveaxis(dg, 0, -1)
-            gamma0 = lane_array(christoffel_from(g_inv_rows, rows), lanes)
+            # dg[j][l][k] as lane arrays
+            gamma0 = lane_array(christoffel_from(g_inv_rows, np.moveaxis(dg, 0, -1)), lanes)
         k = _finite("K", lane_array(self.difference.components(coords), lanes), where)
         fields = (g, lane_array(g_inv_rows, lanes), phi, xi, eta, gamma0, k, dg,
-                  _derivatives(self.phi, coords, lanes),
-                  _derivatives(self.xi, coords, lanes))
+                  _derivatives(self.phi, coords, lanes), _derivatives(self.xi, coords, lanes))
         for arr in fields:
             arr.flags.writeable = False
         return fields
 
-    def frame_at(self, point) -> PointFrame:
-        key = tuple(float(x) for x in point)
-        cached = self._frame_cache.get(key)
-        if cached is not None:
-            return cached
-        p = np.array(key)
-        p.flags.writeable = False
-        fr = PointFrame(p, *self._fields(list(key), None, f"at {list(key)}"))
-        if len(self._frame_cache) < 4096:
-            self._frame_cache[key] = fr
-        return fr
-
-    def frame_grid(self, points) -> None:
-        """Fill the frame cache for all ``points`` in one pass, one lane per
-        point: every field and the first derivatives of g, phi and xi are
-        evaluated once over all points, and each frame holds views of those
-        arrays.  Every value is bit-identical to ``frame_at`` at the single
-        point.  Raises the evaluation errors of the fields (any lane), and
-        then caches nothing."""
-        if len(points) == 0:
-            return
+    def _frames(self, points, where):
+        """The frames of ``points`` from one pass, one lane per point: every
+        field and the first derivatives of g, phi and xi are evaluated once
+        over all points, and each frame holds views of those arrays.  New
+        frames are cached while the cache holds fewer than 4096.  Raises the
+        fields' evaluation errors, ``where`` naming the points, and then
+        caches nothing."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
         coords = [np.ascontiguousarray(pts[:, n]) for n in range(self.dim)]
         # Python floats overflow silently; so do the lanes
         with np.errstate(all="ignore"):
-            fields = self._fields(coords, len(pts), "on the grid")
+            fields = self._fields(coords, where)
         pts.flags.writeable = False
-        cache = self._frame_cache
-        for i, key in enumerate(map(tuple, pts.tolist())):
-            if key not in cache and len(cache) < 4096:
-                cache[key] = PointFrame(pts[i], *(f[i] for f in fields))
+        frames = [PointFrame(p, *f) for p, *f in zip(pts, *fields)]
+        for key, fr in zip(map(tuple, pts.tolist()), frames):
+            if key not in self._frame_cache and len(self._frame_cache) < 4096:
+                self._frame_cache[key] = fr
+        return frames
+
+    def frame_at(self, point) -> PointFrame:
+        """The frame of one point: the cached one, or a pass of one lane."""
+        key = tuple(float(x) for x in point)
+        cached = self._frame_cache.get(key)
+        return cached if cached is not None else self._frames([key], f"at {list(key)}")[0]
+
+    def frame_grid(self, points) -> None:
+        """Cache the frames of all ``points`` from one pass (``_frames``)."""
+        if len(points):
+            self._frames(points, "on the grid")

@@ -14,10 +14,11 @@ sample point (vector-mode forward differentiation).  ``field_values``,
 ``christoffel_from``, ``gamma_jet`` and ``riemann`` accept lanes and give
 every lane the same float operations as a single point, so their results
 are bit-identical to a loop over the points; arrays they return put the
-lane axis first.  The evaluation frames of a chart
-(:meth:`acsgeo.manifold.ChartManifold.frame_grid`) are built this way, and
-``nabla_g`` and the covariant derivatives take the field values and first
-derivatives those frames carry instead of evaluating fields themselves.
+lane axis first.  A chart's evaluation frames and statistical curvatures
+are built only this way, a single point as one lane; the float paths
+(``christoffel``, ``christoffel_jet``, ``riemann`` at a point) are the
+tests' reference.  ``nabla_g`` and the covariant derivatives take the
+values and first derivatives the frames carry, evaluating no fields.
 ``inner``, ``matvec``, ``plane_q``, ``apply_curvature`` and
 ``sectional_values`` take vectors stacked on leading axes, with the
 operand shapes of one vector per product, which is how the section sweep

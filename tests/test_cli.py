@@ -370,3 +370,44 @@ def test_section_is_parsed_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "curvature", "zoo:example_r3_negative", "--grid", "2",
                      "--section", "1,y,0")
     assert code == 0 and calls == ["1", "y", "0"]
+
+
+@pytest.mark.parametrize("checks", ["thm58", ",", "", "thm_5_8,bogus"])
+def test_unknown_check_group_exits_two(capsys, checks):
+    for verb in ("validate", "curvature", "audit"):
+        code, out, err = run(capsys, verb, "zoo:example_r3_negative", "--grid", "2",
+                             "--checks", checks)
+        assert (code, out) == (2, ""), verb
+        assert err.startswith("error: unknown check group "), verb
+        assert err.endswith("; valid groups: structure, statistical, acs, cosymplectic, "
+                            "thm_5_8, phi_compat, lemma_5_6, geodesic, prop_5_2, "
+                            "duality, psi\n")
+
+
+def test_psi_alone_decides_phi_compatibility(capsys):
+    flat = ("zoo:example_flat_acs:n=1", "--grid", "2", "--format", "json")
+    code, out, _ = run(capsys, "audit", *flat, "--checks", "psi")
+    both = json_records(run(capsys, "audit", *flat, "--checks", "phi_compat,psi")[1])
+    assert code == 0
+    recs = json_records(out)
+    assert recs and recs == [r for r in both if r["check"].startswith("psi/")]
+    # not phi-compatible: no Psi records, as with phi_compat,psi
+    code, out, _ = run(capsys, "audit", "zoo:example_r3_negative", "--grid", "2",
+                       "--checks", "psi")
+    assert code == 0 and out.splitlines()[1:] == []
+
+
+@pytest.mark.parametrize("value", ["basic_format", "verbose", ""])
+def test_unknown_log_level_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("ACSM_LOG", value)
+    code, out, err = run(capsys, "validate", "zoo:example_r3_negative", "--grid", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: ACSM_LOG must be one of debug, info, warning, error, "
+                   f"critical, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["debug", "INFO", "Warning", "error", "critical"])
+def test_log_levels_are_accepted(capsys, monkeypatch, value):
+    monkeypatch.setenv("ACSM_LOG", value)
+    assert run(capsys, "validate", "zoo:example_r3_negative", "--grid", "2")[0] == 0
+

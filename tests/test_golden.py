@@ -52,6 +52,20 @@ SPECS["two_failures"] = {
     "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
     "xi": ["0", "0", "1"], "K": {},
 }
+# an inadmissible K on a flat chart whose metric has a log domain error at
+# x = 1 (the last points): the audits fail at the first point before the
+# domain error, unless no check reads K(X, xi)
+SPECS["inadmissible_then_log"] = dict(
+    SPECS["inadmissible_k"], grid=3,
+    metric_lower=[["2 + 0*log(0.5 - x)"], ["0", "1"], ["0", "0", "1"]])
+
+# the planar K block of example_r3_negative scaled by 1e-5: K_phi = -1e-10
+# passes the tolerance and K = lambda eta eta xi does not, so every point of
+# an audit raises an EquivalenceViolation flag
+SPECS["small_planar"] = dict(SPECS["inadmissible_k"], K={
+    key: repr(sign * 5e-6) for key, sign in (
+        ("x,x,x", -1), ("y,x,x", 1), ("x,x,y", 1), ("x,y,x", 1),
+        ("y,x,y", 1), ("y,y,x", 1), ("x,y,y", 1), ("y,y,y", -1))})
 
 # non-constant phi and xi and an explicit eta, so the frames carry non-zero
 # derivatives of g, phi and xi
@@ -119,6 +133,9 @@ GOLDEN = [
     ("curvature-r3-section",
      ["curvature", R3, "--grid", "2", "--section", "1,2,0"] + JSON,
      "f55da494805aaffe75d06527de318ac4036f0989cc2ac3bce52221e7fe68e1b8"),
+    # the flags follow the records as {"flag": ...} lines
+    ("audit-small-planar-flags", ["audit", "@small_planar"] + JSON,
+     "686ee680680c6cd8b6481817921379abecf01cdce123ba6fe11935768e73267b"),
 ]
 
 # (id, argv, sha256 of "<exit code>\n<stderr>") for runs that fail
@@ -135,6 +152,19 @@ GOLDEN_STDERR = [
     ("curvature-r3-vertical-section",
      ["curvature", R3, "--grid", "2", "--section", "1,0,x"] + JSON,
      "d8e2041bf401efbcfe7328526dce42f7bcd48086facb5ef1c3cd92d0703b62a5"),
+    # both grid passes fall back; the lambda check fails first (exit 1) where
+    # it runs, the domain error surfaces (exit 2) where it does not: the
+    # prop_5_2-only audit reaches it through the per-point curvature
+    ("audit-thm58-inadmissible-then-log",
+     ["audit", "@inadmissible_then_log", "--checks", "thm_5_8"] + JSON,
+     "7d115d952a50f123d1ed986fb3454d66b68d3016bbe1c79cd4e4d3d9ef2b0f96"),
+    ("curvature-inadmissible-then-log", ["curvature", "@inadmissible_then_log"] + JSON,
+     "7d115d952a50f123d1ed986fb3454d66b68d3016bbe1c79cd4e4d3d9ef2b0f96"),
+    ("audit-inadmissible-then-log", ["audit", "@inadmissible_then_log"] + JSON,
+     "ec7e914b286d53bbb1ec26b0272fbd8d2ce864699ac64c769e4d7620a34d2d31"),
+    ("audit-prop52-inadmissible-then-log",
+     ["audit", "@inadmissible_then_log", "--checks", "prop_5_2"] + JSON,
+     "ec7e914b286d53bbb1ec26b0272fbd8d2ce864699ac64c769e4d7620a34d2d31"),
 ]
 
 

@@ -14,10 +14,11 @@ from acsgeo import curvature as curv
 from acsgeo import generate_random_acs
 from acsgeo.contact import (DegenerateSeedError, ExhaustedCandidatesError, FrameError,
                             phi_bases)
-from acsgeo.expressions import Dual, ExpressionError, parse_expression
+from acsgeo.expressions import Dual, ExpressionError, NonFiniteError, parse_expression
 from acsgeo.manifold import FrameStack
-from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField,
-                           christoffel_jet, gamma_jet, inv_generic, lane_count, riemann)
+from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField, christoffel,
+                           christoffel_jet, field_first_derivatives, field_values, gamma_jet,
+                           inv_generic, lane_count, riemann)
 from acsgeo.specfile import manifold_from_dict
 
 from conftest import poly3_metric
@@ -274,6 +275,58 @@ def test_frame_grid_matches_frame_at(spec):
         for name in FRAME_FIELDS:
             assert getattr(got, name).shape == getattr(want, name).shape, name
             assert_same(getattr(got, name), getattr(want, name))
+
+
+FRAME_CHARTS = pytest.mark.parametrize(
+    "spec", [POLY3_CHART, EXP_FRAME, CONNECTION, PULLED_BACK],
+    ids=["poly3", "exp_frame", "connection", "pulled_back"])
+
+
+@FRAME_CHARTS
+def test_point_frame_matches_float_paths(spec):
+    """A point alone is a pass of one lane; the float paths of metric, which
+    evaluate one point on Python floats, are the reference."""
+    m = manifold_from_dict(spec)
+    for p in m.grid_points():
+        x = [float(c) for c in p]
+        g = m.metric.array_at(p)
+        xi = np.array(field_values(m.xi, x), dtype=float)
+        want = {"point": p, "g": g, "g_inv": inv_generic(m.metric.matrix_at(x)),
+                "phi": field_values(m.phi, x), "xi": xi,
+                "eta": g @ xi if m.eta is None else field_values(m.eta, x),
+                "gamma0": christoffel(m.metric, p), "K": m.difference.array_at(p),
+                "dg": m.metric.derivatives_at(p),
+                "dphi": field_first_derivatives(m.phi, x, m.dim),
+                "dxi": field_first_derivatives(m.xi, x, m.dim)}
+        fr = m.frame_at(p)
+        for name in FRAME_FIELDS:
+            assert getattr(fr, name).shape == np.shape(want[name]), name
+            assert_same(getattr(fr, name), want[name])
+
+
+@FRAME_CHARTS
+def test_point_curvature_matches_float_jets(spec):
+    m = manifold_from_dict(spec)
+    for p in m.grid_points():
+        gamma0, dgamma0 = christoffel_jet(m.metric, p)
+        k, dk = gamma_jet(m.difference.components, p, m.dim,
+                          constant=m.difference.is_constant)
+        want = curv._statistical_parts(gamma0, dgamma0, k, dk, riemann(m.metric, p),
+                                       curv.kk_tensor(k))
+        for got, ref in zip(curv.statistical_curvature(m, p), want):
+            assert_same(got, ref)
+
+
+# K is inf at x = 1; K is finite there but its derivative is not
+@pytest.mark.parametrize("k", ["exp(400*x)*exp(400*x)", "1e-10*exp(709*x)"])
+def test_non_finite_jets_fail_the_parts_gate(k):
+    m = manifold_from_dict(dict(LAMBDA_K, K={"z,z,z": k}))
+    with pytest.raises(NonFiniteError, match="^statistical curvature is not finite "
+                                             "on the grid$"):
+        curv.statistical_curvature_grid(m, m.grid_points())
+    assert m._curvature_cache == {}
+    with pytest.raises(NonFiniteError, match=r"not finite at \[1.0, -1.0, -1.0\]$"):
+        curv.statistical_curvature(m, [1.0, -1.0, -1.0])
 
 
 FAILING = {
