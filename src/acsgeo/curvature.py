@@ -6,13 +6,17 @@ The statistical curvature of a grid is one lane pass and of a point a
 pass of one lane.  The sweeps over sections (phi-basis legs, their
 mixtures and random horizontal combinations) are one ``section_sweep`` per
 audit over the stacked frames of its points; the per-point functions
-(``phi_sectional_k_curvature``, ...) are one-point calls of that kernel."""
+(``phi_sectional_k_curvature``, ...) are one-point calls of that kernel.
+
+An audit takes each of its steps for all points at once and raises at the
+first failure; ``replay`` then runs it again one point at a time, so the
+error it reports is the one a per-point loop meets first."""
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -110,8 +114,9 @@ class SectionSweep:
     the sections ``x`` and ``px`` = phi X, (P, S, dim), and (P, S) arrays of
     eta(X), Q(X, phi X), the K_phi quotient ``value``, its closed form
     ``closed`` and the ``status``.  ``k_s`` and ``k_0``, the S and R^0
-    sectional curvatures of span{X, phi X}, have a row for each point whose
-    curvatures were given, or are None."""
+    sectional curvatures of span{X, phi X}, are None until
+    ``with_curvatures`` adds them from ``blocks``, the (X, phi X) of each
+    section block with the strides of its vectors."""
 
     point: np.ndarray
     x: np.ndarray
@@ -123,6 +128,7 @@ class SectionSweep:
     k_s: Optional[np.ndarray]
     k_0: Optional[np.ndarray]
     status: np.ndarray
+    blocks: list
 
     def error(self, i, j, plane: bool = False) -> Optional[Exception]:
         """The error phi_sectional_k_curvature raises for pair (i, j), or
@@ -147,34 +153,38 @@ class SectionSweep:
                                    f"vs closed form {float(self.closed[i, j])}")
         return None
 
+    def with_curvatures(self, g, curvatures) -> "SectionSweep":
+        """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
+        statistical curvatures (S, R^0, ...) of its points, applied one
+        section and 64 points at a time, so no more than (64, dim, dim,
+        dim, dim) is stacked; a pair that is OK or MISMATCH becomes
+        NON_FINITE where one of them is not finite."""
+        k_s, k_0 = [], []
+        with np.errstate(all="ignore"):
+            for c in range(0, len(g), 64):
+                rows = slice(c, c + 64)
+                for n, out in enumerate((k_s, k_0)):
+                    r = np.stack([parts[n] for parts in curvatures[rows]])
+                    out.append(np.stack([sectional_values(g[rows], r, x[rows, j], px[rows, j])[0]
+                                         for x, px in self.blocks for j in range(x.shape[1])],
+                                        axis=1))
+        k_s, k_0 = np.concatenate(k_s), np.concatenate(k_0)
+        status = np.where(np.isin(self.status, (OK, MISMATCH))
+                          & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
+        return replace(self, k_s=k_s, k_0=k_0, status=status)
 
-def _sectional(g, r, x, px):
-    """(len(r), S) sectional curvatures of span{X, phi X} for the tensors
-    ``r`` of the first points, one section at a time and 64 points at a
-    time, so no more than (64, dim, dim, dim, dim) is stacked."""
-    out = [np.empty((0, x.shape[1]))]
-    for c in range(0, len(r), 64):
-        rc = np.stack(r[c:c + 64])
-        rows = slice(c, c + len(rc))
-        out.append(np.stack([sectional_values(g[rows], rc, x[rows, j], px[rows, j])[0]
-                             for j in range(x.shape[1])], axis=1))
-    return np.concatenate(out)
 
-
-def section_sweep(frames: FrameStack, sections, s=None, r0=None) -> SectionSweep:
-    """phi-sectional K-curvature g([K,K](X, phi X) phi X, X) / Q(X, phi X),
-    its closed form -2 ||K(X,X)||^2 / ||X||^4 on an independent path, and,
-    given the statistical curvature ``s`` and R^0 ``r0`` of the first
-    points, the sectional curvatures of span{X, phi X}, for every section X
-    of every point of ``frames``.
+def section_sweep(frames: FrameStack, sections) -> SectionSweep:
+    """phi-sectional K-curvature g([K,K](X, phi X) phi X, X) / Q(X, phi X)
+    and its closed form -2 ||K(X,X)||^2 / ||X||^4 on an independent path,
+    for every section X of every point of ``frames``.
 
     ``sections`` is a list of (P, S_b, dim) blocks, joined along the
-    section axis; ``s`` and ``r0`` are sequences of (dim,)*4 tensors.  Each
-    pair gets the operand shapes of one vector (see ``metric.inner``), so
-    every value is bit-identical to the per-point functions, and a block
-    keeps the strides of its vectors: the legs of a phi-basis are strided
-    columns, which BLAS may sum in another order than contiguous vectors.  Intermediates stay O(P S dim^2); the curvature
-    tensors are applied one section and at most 64 points at a time.
+    section axis.  Each pair gets the operand shapes of one vector (see
+    ``metric.inner``), so every value is bit-identical to the per-point
+    functions, and a block keeps the strides of its vectors: the legs of a
+    phi-basis are strided columns, which BLAS may sum in another order than
+    contiguous vectors.  Intermediates stay O(P S dim^2).
 
     Nothing is raised: a pair that fails gets a status, the first of
     NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE (a value is inf or
@@ -190,17 +200,14 @@ def section_sweep(frames: FrameStack, sections, s=None, r0=None) -> SectionSweep
             sq = inner(g, x, x)
             q = plane_q(g, x, px)
             kxx = matvec(matvec(k, x[..., None, :]), x)
-            sectional = [_sectional(frames.g, r, x, px) for r in (s, r0) if r is not None]
             blocks.append([x, px, (frames.eta[:, None, None, :] @ x[..., :, None])[..., 0, 0],
                            sq, q, inner(g, kk_bracket(k, x, px, px), x) / q,
-                           -2.0 * inner(g, kxx, kxx) / pow2(sq)] + sectional)
-        x, px, eta, sq, q, value, closed, *sectional = (
+                           -2.0 * inner(g, kxx, kxx) / pow2(sq)])
+        x, px, eta, sq, q, value, closed = (
             np.concatenate(parts, axis=1) for parts in zip(*blocks))
-        k_s, k_0 = sectional or (None, None)
+        blocks = [block[:2] for block in blocks]
 
         finite = np.isfinite(eta) & np.isfinite(q) & np.isfinite(value) & np.isfinite(closed)
-        for arr in sectional:
-            finite[:len(arr)] &= np.isfinite(arr)
         scale = np.maximum(np.maximum(1.0, np.abs(value)), np.abs(closed))
         status = np.select(
             [np.abs(eta) > HORIZONTAL_TOL, np.sqrt(np.maximum(sq, 0.0)) <= 1e-10,
@@ -208,7 +215,8 @@ def section_sweep(frames: FrameStack, sections, s=None, r0=None) -> SectionSweep
             [NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH], OK)
     log.debug("section sweep: %d points, %d sections in %.4f s",
               x.shape[0], x.shape[1], time.perf_counter() - start)
-    return SectionSweep(frames.point, x, px, eta, q, value, closed, k_s, k_0, status)
+    return SectionSweep(frames.point, x, px, eta, q, value, closed, None, None, status,
+                        blocks)
 
 
 def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
@@ -362,134 +370,96 @@ def sweep_sections(m: ChartManifold, fr: PointFrame, rng=None, extra: int = 2):
     return [v for v, kept in zip(vectors, keep[0]) if kept]
 
 
-class Prefix(list):
-    """``fn`` of each item in order, up to the first item it raises for.
-
-    ``at(i)`` returns the i-th result or, past the last one, raises that
-    error: a loop that reads ``at(i)`` where it used to call ``fn`` fails at
-    the same item, after the same earlier work."""
-
-    def __init__(self, fn, items):
-        super().__init__()
-        self.error = None
-        try:
-            for item in items:
-                self.append(fn(item))
-        except Exception as exc:      # raised again by at()
-            self.error = exc
-
-    def at(self, i):
-        if i < len(self):
-            return self[i]
-        raise self.error
+def phi_sweep(frames: FrameStack, rng=None):
+    """The ``section_sweep`` of the sweep sections of every point of
+    ``frames`` and the (P, S) mask of the sections each point keeps.
+    Raises the first point's ``phi_bases`` error."""
+    basis, errors = phi_bases(frames.g, frames.phi, frames.xi)
+    for error in filter(None, errors):
+        raise error
+    blocks, keep = _sweep_blocks(frames.g, basis, rng)
+    return section_sweep(frames, blocks), keep
 
 
-class AuditSweep:
-    """The section sweep of an audit: the phi-bases and sweep sections of
-    its frames (or the given ``sections`` blocks) and one ``section_sweep``
-    over all of them.
+def _k_phi(sweep: SectionSweep, keep) -> np.ndarray:
+    """max |K_phi| over the kept sections of each point (0 without any), or
+    the error of the first kept pair that fails, in point order."""
+    failed = np.argwhere(keep & (sweep.status != OK))
+    if len(failed):
+        raise sweep.error(*failed[0])
+    return np.max(np.abs(np.where(keep, sweep.value, 0.0)), axis=1, initial=0.0)
 
-    The methods answer for the i-th frame and raise the errors that the
-    per-point functions raised there, in their order; ``curvatures`` (a
-    Prefix of ``statistical_curvature`` results of the first frames) adds
-    the sectional curvatures.  The random combinations draw from ``rng``
-    for every frame up front, as the per-point loop drew for each point.
-    """
 
-    def __init__(self, frames, rng=None, curvatures=None, sections=None):
-        self.curvatures = curvatures
-        self.basis_errors = [None] * len(frames)
-        if not frames:
-            return
-        stack = FrameStack.of(frames)
-        if sections is None:
-            basis, self.basis_errors = phi_bases(stack.g, stack.phi, stack.xi)
-            sections, self.keep = _sweep_blocks(stack.g, basis, rng)
-            self.plain = sections[0].shape[1] + sections[1].shape[1]
-        else:
-            self.keep = np.ones((len(frames), sum(b.shape[1] for b in sections)), dtype=bool)
-        s = r0 = None
-        if curvatures:
-            s, r0 = ([parts[n] for parts in curvatures] for n in (0, 1))
-        self.sweep = section_sweep(stack, sections, s, r0)
+def replay(run, points, rng):
+    """``run(points, rng)``, an audit that takes each step for all points
+    at once and raises at the first failure.  When it raises, ``run`` goes
+    again over one point at a time from the same rng state, so the error
+    that surfaces is the one a per-point loop meets first: a run over one
+    point is the per-point path."""
+    state = None if rng is None else rng.bit_generator.state
+    try:
+        return run(points, rng)
+    except Exception as exc:
+        if len(points) < 2:
+            raise
+        log.debug("replay: %d points one at a time after %s", len(points), exc)
+        if rng is not None:
+            rng.bit_generator.state = state
+        for p in points:
+            run([p], rng)
+        raise       # no point fails alone: the batch's own error
 
-    def max_abs_k_phi(self, i) -> float:
-        """max |K_phi| over the sections of frame i, as ``max_abs_k_phi``."""
-        if self.basis_errors[i] is not None:
-            raise self.basis_errors[i]
-        sweep = self.sweep
-        cols = np.flatnonzero(self.keep[i])
-        failed = cols[sweep.status[i, cols] != OK]
-        if failed.size:
-            raise sweep.error(i, failed[0])
-        return float(np.max(np.abs(sweep.value[i, cols]), initial=0.0))
 
-    def sectional_gap(self, i) -> float:
-        """max |K^S - K^0| over the legs and mixtures of frame i (not the
-        random combinations); ``max_abs_k_phi`` has checked those pairs."""
-        gap = np.abs(self.sweep.k_s[i, :self.plain] - self.sweep.k_0[i, :self.plain])
-        return float(np.max(gap, initial=0.0))
-
-    def triples(self, i):
-        """(K^S, K^0, K_phi) of every section of frame i, as
-        ``phi_sectional_triple``: horizontality, the statistical curvature
-        of the point, the plane check of ``sectional_curvature``, the K_phi
-        checks, and the additivity K^S = K^0 + K_phi (to 1e-6 relative)."""
-        if self.basis_errors[i] is not None:
-            raise self.basis_errors[i]
-        sweep = self.sweep
-        out = []
-        for j in np.flatnonzero(self.keep[i]):
-            if sweep.status[i, j] in (NOT_HORIZONTAL, NEGLIGIBLE):
-                raise sweep.error(i, j)
-            if not out:
-                self.curvatures.at(i)
+def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, keep):
+    """(K^S, K^0, K_phi) of the kept sections of each point, as
+    ``phi_sectional_triple``: the horizontality of the first section, the
+    statistical curvature of the point, and for each section the plane
+    check of ``sectional_curvature``, the K_phi checks and the additivity
+    K^S = K^0 + K_phi (to 1e-6 relative)."""
+    vertical = np.flatnonzero(np.isin(sweep.status[:, 0], (NOT_HORIZONTAL, NEGLIGIBLE)))
+    if vertical.size:
+        raise sweep.error(vertical[0], 0)
+    sweep = sweep.with_curvatures(frames.g, [statistical_curvature(m, p) for p in frames.point])
+    out = []
+    for i, cols in enumerate(keep):
+        triples = []
+        for j in np.flatnonzero(cols):
             if sweep.status[i, j] != OK:
                 raise sweep.error(i, j, plane=True)
             k_s, k_0, k_phi = (float(a[i, j]) for a in (sweep.k_s, sweep.k_0, sweep.value))
             if abs(k_s - (k_0 + k_phi)) > 1e-6 * max(1.0, abs(k_s)):
                 raise CrossCheckError(
                     f"sectional additivity fails: {k_s} vs {k_0} + {k_phi}")
-            out.append((k_s, k_0, k_phi))
-        return out
-
-
-def _curvatures(m: ChartManifold, points) -> Prefix:
-    return Prefix(lambda p: statistical_curvature(m, p), points)
-
-
-def max_abs_k_phi(m: ChartManifold, fr: PointFrame, rng=None) -> float:
-    """max |K_phi| over the sweep_sections of a point (0 when there are none)."""
-    return AuditSweep([fr], rng=rng).max_abs_k_phi(0)
+            triples.append((k_s, k_0, k_phi))
+        out.append(triples)
+    return out
 
 
 def phi_sectional_triple(m: ChartManifold, point, x):
     """(statistical, Riemannian, K) sectional values on the phi-section of X,
     with the additivity K^S = K^0 + K asserted."""
-    fr = m.frame_at(point)
-    x = np.asarray(x, dtype=float)
-    sweep = AuditSweep([fr], curvatures=_curvatures(m, [point]), sections=[x[None, None]])
-    return sweep.triples(0)[0]
+    frames = FrameStack.of([m.frame_at(point)])
+    sweep = section_sweep(frames, [np.asarray(x, dtype=float)[None, None]])
+    return _section_triples(m, frames, sweep, np.ones((1, 1), dtype=bool))[0][0]
 
 
 def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
                           lambda_tol: float = 1e-6):
-    """Yield (lambda, [(K^S, K^0, K_phi), ...]) for each point in order: the
-    triples of its sweep sections, or of the one vector ``section(frame)``.
-    One ``section_sweep`` covers all points; each point raises the errors
-    that ``lambda_of``, ``section`` and ``phi_sectional_triple`` raise
-    there, in their order."""
-    frames = Prefix(m.frame_at, points)
-    given = None if section is None else Prefix(section, frames)
-    n = len(frames if given is None else given)
-    sweep = AuditSweep(frames[:n], rng=rng, curvatures=_curvatures(m, points[:n]),
-                       sections=None if given is None else [np.array(given)[:, None]])
-    for i, p in enumerate(points):
-        frames.at(i)
-        lam = lambda_of(m, p, tol=lambda_tol)
-        if given is not None:
-            given.at(i)
-        yield lam, sweep.triples(i)
+    """[(lambda, [(K^S, K^0, K_phi), ...]) for each point]: the triples of
+    its sweep sections, or of the one vector ``section(frame)``, from one
+    ``section_sweep``.  Steps: frames, ``lambda_of``, ``section``, then
+    ``_section_triples``; a failure raises through ``replay``."""
+    def run(points, rng):
+        frames = [m.frame_at(p) for p in points]
+        lams = [lambda_of(m, p, tol=lambda_tol) for p in points]
+        stack = FrameStack.of(frames)
+        if section is None:
+            sweep, keep = phi_sweep(stack, rng)
+        else:
+            sweep = section_sweep(stack, [np.array([section(fr) for fr in frames])[:, None]])
+            keep = np.ones((len(frames), 1), dtype=bool)
+        return list(zip(lams, _section_triples(m, stack, sweep, keep)))
+    return replay(run, list(points), rng) if len(points) else []
 
 
 # ---------------------------------------------------------------------------
@@ -503,26 +473,39 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
     equivalence, i.e. signal an engine bug or inadmissible input).
 
     c1 and c2 read one section sweep over all points, and c6 one stack of
-    horizontal projections; the errors of a point surface where the
-    per-point evaluation raised them."""
+    horizontal projections.  Steps, through ``replay``: frames, lambda,
+    phi-bases, section statuses, statistical curvature (when it raises, the
+    statuses come first, without the sectional values)."""
     pts = list(points) if points is not None else m.grid_points()
-    frames = Prefix(m.frame_at, pts)
-    curvatures = _curvatures(m, pts[:len(frames)])
-    sweep = AuditSweep(frames, rng=rng, curvatures=curvatures)
-    if frames:
-        horiz, keep = horizontal_projections(FrameStack.of(frames))
+    return replay(lambda pts, rng: _theorem_5_8(m, pts, tol, rng), pts, rng) if pts \
+        else AuditReport()
+
+
+def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
+    frames = [m.frame_at(p) for p in pts]
+    lams = [lambda_of(m, p, tol=max(tol, 1e-6)) for p in pts]
+    stack = FrameStack.of(frames)
+    sweep, keep = phi_sweep(stack, rng)
+    try:
+        curvatures = [statistical_curvature(m, p) for p in pts]
+    except Exception:
+        _k_phi(sweep, keep)     # the statuses come first
+        raise
+    sweep = sweep.with_curvatures(stack.g, curvatures)
+    k_phi = _k_phi(sweep, keep)
+    plain = m.n * (m.n + 3) // 2       # the legs and mixtures, not the random sections
+    gap = np.max(np.abs(sweep.k_s[:, :plain] - sweep.k_0[:, :plain]), axis=1, initial=0.0)
+    horiz, keep_h = horizontal_projections(stack)
     rep = AuditReport()
-    for i, p in enumerate(pts):
-        fr = frames.at(i)
-        lam = lambda_of(m, p, tol=max(tol, 1e-6))
+    for i, (p, fr, lam) in enumerate(zip(pts, frames, lams)):
         rep.add("thm_5_8/lambda", p, 0.0, passed=True, value=lam)
         flags = {}
 
-        worst = sweep.max_abs_k_phi(i)
+        worst = float(k_phi[i])
         flags["c1_kphi_zero"] = (worst, worst <= tol)
 
-        s, r0, kk, _, _ = curvatures.at(i)
-        worst = sweep.sectional_gap(i)
+        s, r0, kk, _, _ = curvatures[i]
+        worst = float(gap[i])
         flags["c2_statistical_equals_riemannian"] = (worst, worst <= tol)
 
         target = lam * np.einsum("i,j,k->ijk", fr.xi, fr.eta, fr.eta)
@@ -536,7 +519,7 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
         flags["c5_S_equals_R0"] = (res, res <= tol)
 
         vecs = np.array(frame_vectors(fr.dim))
-        h = horiz[i][keep[i]]
+        h = horiz[i][keep_h[i]]
         kvv_h = np.einsum("ijk,aj,ak->ai", fr.K, h, h)
         res = float(np.max(np.abs(kvv_h))) if len(h) else 0.0
         flags["c6_K_XX_zero_horizontal"] = (res, res <= tol)
@@ -622,16 +605,22 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
     independent formulations that must agree; when compatible, the forced
     consequences (cosymplectic, vanishing phi-sectional K-curvature, and
     xi-parallel covariant derivatives of xi) are asserted as well.  The
-    K_phi consequence of all compatible points is one section sweep."""
+    K_phi consequence of all compatible points is one section sweep.
+    Steps, through ``replay``: frames, then the phi-bases and section
+    statuses of the compatible points."""
     pts = list(points) if points is not None else m.grid_points()
-    frames = Prefix(m.frame_at, pts)
+    return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), pts, rng)
+
+
+def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
+    frames = [m.frame_at(p) for p in pts]
     residuals = [_compat_residuals(m, fr) for fr in frames]
     compatible = [all(res <= tol for res in r) for r in residuals]
-    sweep = AuditSweep([fr for fr, ok in zip(frames, compatible) if ok], rng=rng)
+    swept = [fr for fr, ok in zip(frames, compatible) if ok]
+    if swept:
+        k_phi = iter(_k_phi(*phi_sweep(FrameStack.of(swept), rng)))
     rep = AuditReport()
-    swept = 0
-    for i, p in enumerate(pts):
-        fr = frames.at(i)
+    for i, (p, fr) in enumerate(zip(pts, frames)):
         res_a, res_b, res_c = residuals[i]
         oks = [res <= tol for res in (res_a, res_b, res_c)]
         for name, res in (("nabla_phi_zero", res_a),
@@ -648,9 +637,7 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
             # Theorem 6.8 consequences
             _, cos_res = is_cosymplectic(m, [p], tol)
             rep.add("phi_compat/cosymplectic_consequence", p, cos_res, tol)
-            rep.add("phi_compat/kphi_zero_consequence", p,
-                    sweep.max_abs_k_phi(swept), tol)
-            swept += 1
+            rep.add("phi_compat/kphi_zero_consequence", p, float(next(k_phi)), tol)
             # nabla_X xi and nabla^0_X xi parallel to xi
             dxi0 = covariant_derivative_vector(fr.gamma0, fr.xi, fr.dxi)
             dxi1 = dxi0 + np.einsum("ijm,m->ji", fr.K, fr.xi)
@@ -672,18 +659,20 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
     under phi-compatibility, at one point or, for a (P, dim) sequence of
     points, at each of them with one section sweep.  Raises
     PreconditionNotMetError when the structure is not phi-compatible at the
-    points."""
+    points; then the steps, through ``replay``, are frames, phi-bases and
+    section statuses."""
     points = [point] if np.ndim(point) == 1 else list(point)
     if compat_report is None:
         compat_report = phi_compat_check(m, points, tol=max(tol, 1e-9))
     if not is_phi_compatible(compat_report):
         raise PreconditionNotMetError("structure is not phi-compatible")
+    return replay(lambda pts, _: _psi(m, pts, tol), points, None)
 
-    frames = Prefix(m.frame_at, points)
-    sweep = AuditSweep(frames)
+
+def _psi(m: ChartManifold, points, tol) -> AuditReport:
+    frames = [m.frame_at(p) for p in points]
     rep = AuditReport()
-    for i in range(len(points)):
-        fr = frames.at(i)
+    for fr, k_phi in zip(frames, _k_phi(*phi_sweep(FrameStack.of(frames)))):
         ng = nabla_g(fr.gamma0 + fr.K, fr.g, fr.dg)              # (nabla_X g)_xyz
         psi = np.einsum("xym,mz->xyz", ng, fr.phi)               # Psi_X(Y, Z)
         p = fr.point
@@ -708,5 +697,5 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
         # Propositions 6.6/6.7: under phi-compatibility both Psi and the
         # phi-sectional K-curvature vanish
         rep.add("psi/psi_zero", p, np.max(np.abs(psi)), tol)
-        rep.add("psi/kphi_zero", p, sweep.max_abs_k_phi(i), tol)
+        rep.add("psi/kphi_zero", p, float(k_phi), tol)
     return rep

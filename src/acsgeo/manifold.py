@@ -3,16 +3,17 @@ and a difference tensor, plus pointwise evaluation frames."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .expressions import NonFiniteError, ScalarField, parse_expression
-from .metric import (FieldArray, MetricField, christoffel_from,
-                     field_first_derivatives, field_values, inner,
-                     inv_generic, lane_array, lane_zeros)
+from .metric import (FieldArray, MetricField, NotPositiveDefiniteError,
+                     christoffel_from, field_first_derivatives, field_values,
+                     inner, inv_generic, lane_array, lane_zeros)
+
+GRID_CAP = 243      # the most points a sample grid keeps
 
 
 def _as_fields(entries, coord_names):
@@ -143,12 +144,17 @@ class ChartManifold:
     def n(self):
         return (self.dim - 1) // 2
 
-    def grid_points(self, per_axis: Optional[int] = None, cap: int = 243):
-        """Uniform sample grid over the box, capped in total size."""
+    def grid_points(self, per_axis: Optional[int] = None):
+        """Uniform sample grid over the box in product order or, above
+        GRID_CAP points, GRID_CAP of them at evenly spaced positions of that
+        order, which meet every value of every axis."""
         k = self.grid if per_axis is None else per_axis
         axes = [np.linspace(lo, hi, k) for lo, hi in self.box]
-        pts = [np.array(p) for p in itertools.product(*axes)]
-        return pts[:cap]
+        total = k ** self.dim
+        picks = range(total) if total <= GRID_CAP else \
+            [i * (total - 1) // (GRID_CAP - 1) for i in range(GRID_CAP)]
+        return [np.array([axis[q // k ** (self.dim - 1 - n) % k] for n, axis in enumerate(axes)])
+                for q in picks]
 
     def _fields(self, coords, where):
         """The PointFrame fields after ``point`` at the (P,) lane coordinates
@@ -161,6 +167,8 @@ class ChartManifold:
         g = _finite("metric", lane_array(g_rows, lanes), where)
         # the only singularity gate when the metric is constant
         g_inv_rows = inv_generic(g_rows)
+        if (np.linalg.eigvalsh(g)[:, 0] <= 0.0).any():
+            raise NotPositiveDefiniteError(f"metric is not positive definite {where}")
         phi = _finite("phi", lane_array(field_values(self.phi, coords), lanes), where)
         xi = _finite("xi", lane_array(field_values(self.xi, coords), lanes), where)
         if self.eta is not None:

@@ -289,15 +289,16 @@ class MetricField:
         return np.array(field_first_derivatives(
             self.components, [float(x) for x in point], self.dim), dtype=float)
 
-    def check_point(self, point, sym_tol=1e-12, minor_floor=1e-10):
-        """Symmetry and positive definiteness at one point; raises on failure."""
+    def check_point(self, point):
+        """Symmetry (to 1e-12) and positive definiteness (leading principal
+        minors above 1e-10) at one point; raises on failure."""
         g = self.array_at(point)
         asym = float(np.max(np.abs(g - g.T)))
-        if asym > sym_tol:
+        if asym > 1e-12:
             raise GeometryError(f"metric asymmetry {asym} at {list(point)}")
         for k in range(1, self.dim + 1):
             minor = float(np.linalg.det(g[:k, :k]))
-            if minor <= minor_floor:
+            if minor <= 1e-10:
                 raise NotPositiveDefiniteError(
                     f"leading principal minor {k} is {minor} at {list(point)}")
         return g

@@ -75,9 +75,9 @@ class AuditReport:
     def to_json_lines(self) -> str:
         return "\n".join(r.to_json() for r in self.records)
 
-    def to_table(self, worst_only: bool = True) -> str:
-        rows = (list(self.worst_by_check().values()) if worst_only
-                else list(self.records))
+    def to_table(self) -> str:
+        """The worst record of each check, then the flags."""
+        rows = list(self.worst_by_check().values())
         name_w = max([len(r.check) for r in rows] + [5])
         lines = [f"{'check':<{name_w}}  {'residual':>24}  result"]
         for r in rows:

@@ -79,12 +79,11 @@ def zero_difference_tensor(coord_names) -> ExplicitDifferenceTensor:
 
 
 def difference_from_connection(gamma_fields, metric: MetricField,
-                               sample_points=None, coord_names=None,
-                               torsion_tol: float = 1e-12) -> ConnectionDifferenceTensor:
+                               sample_points=None, coord_names=None) -> ConnectionDifferenceTensor:
     """Normalize a full connection table into a difference tensor.
 
     The user connection must be torsion-free; asymmetry of the lower index
-    pair beyond ``torsion_tol`` at any sample point raises TorsionPresentError.
+    pair beyond 1e-12 at any sample point raises TorsionPresentError.
     """
     k = ConnectionDifferenceTensor(gamma_fields, metric, coord_names)
     if sample_points is not None:
@@ -92,7 +91,7 @@ def difference_from_connection(gamma_fields, metric: MetricField,
             gam = np.array(field_values(k.gamma_fields, [float(x) for x in p]),
                            dtype=float)
             asym = float(np.max(np.abs(gam - np.swapaxes(gam, 1, 2))))
-            if asym > torsion_tol:
+            if asym > 1e-12:
                 raise TorsionPresentError(
                     f"connection has torsion residual {asym} at {list(map(float, p))}")
     return k

@@ -397,6 +397,44 @@ def test_psi_alone_decides_phi_compatibility(capsys):
     assert code == 0 and out.splitlines()[1:] == []
 
 
+STRUCTURE_CHECKS = ["phi_squared", "eta_of_xi", "phi_of_xi", "eta_after_phi", "phi_rank",
+                    "metric_compatibility", "xi_unit", "eta_is_g_xi", "phi_g_antisymmetric"]
+
+
+def test_validate_runs_the_selected_groups(capsys):
+    flat = ("zoo:example_flat_acs:n=1", "--grid", "2", "--format", "json")
+    full = json_records(run(capsys, "validate", *flat)[1])
+    code, out, _ = run(capsys, "validate", *flat, "--checks", "structure")
+    recs = json_records(out)
+    assert code == 0 and [r["check"] for r in recs] == STRUCTURE_CHECKS * 8
+    # per point, in the order of a full run
+    code, out, _ = run(capsys, "validate", *flat, "--checks", "acs,structure")
+    assert code == 0 and json_records(out) == [
+        r for r in full if r["check"] in STRUCTURE_CHECKS or r["check"].startswith("acs_")]
+    assert json_records(run(capsys, "validate", *flat, "--checks",
+                            "structure,statistical,acs")[1]) == full
+
+
+@pytest.mark.parametrize("checks", ["cosymplectic", "structure,thm_5_8"])
+def test_validate_rejects_audit_groups(capsys, checks):
+    code, out, err = run(capsys, "validate", "zoo:example_flat_acs:n=1", "--grid", "2",
+                         "--checks", checks)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown check group ")
+    assert err.endswith("; valid groups: structure, statistical, acs\n")
+
+
+def test_indefinite_metric_exits_one(capsys, tmp_path):
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(dict(XI_DX, metric_lower=[["-1"], ["0", "-1"], ["0", "0", "1"]],
+                                    phi=[["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+                                    xi=["0", "0", "1"])))
+    for verb in ("validate", "curvature", "audit"):
+        code, out, err = run(capsys, verb, str(path))
+        assert (code, out) == (1, ""), verb
+        assert err == "audit failure: metric is not positive definite at [-1.0, -1.0, -1.0]\n"
+
+
 @pytest.mark.parametrize("value", ["basic_format", "verbose", ""])
 def test_unknown_log_level_exits_two(capsys, monkeypatch, value):
     monkeypatch.setenv("ACSM_LOG", value)

@@ -5,6 +5,7 @@ the pinned digest together with a note of why it changed."""
 
 import hashlib
 import json
+import logging
 
 import pytest
 
@@ -66,6 +67,17 @@ SPECS["small_planar"] = dict(SPECS["inadmissible_k"], K={
     key: repr(sign * 5e-6) for key, sign in (
         ("x,x,x", -1), ("y,x,x", 1), ("x,x,y", 1), ("x,y,x", 1),
         ("y,x,y", 1), ("y,y,x", 1), ("x,y,y", 1), ("y,y,y", -1))})
+
+# two failures on a flat chart, each at a different step of a point: a K
+# that misses the closed form at x = -1 (the first points) and breaks
+# K(X, xi) = lambda eta(X) xi from x = 0 on, and the same lambda failure
+# behind a --section vector that is vertical at x = -1.  A run that took
+# each step for all points before the next would report the later point's
+# error.
+SPECS["mismatch_then_lambda"] = dict(
+    SPECS["inadmissible_k"], grid=3, K={"x,x,y": "0.5*(1 - x)", "x,z,z": "0.5*(1 + x)"})
+SPECS["lambda_from_zero"] = dict(SPECS["inadmissible_k"], grid=3,
+                                 K={"x,z,z": "0.5*(1 + x)"})
 
 # non-constant phi and xi and an explicit eta, so the frames carry non-zero
 # derivatives of g, phi and xi
@@ -165,6 +177,17 @@ GOLDEN_STDERR = [
     ("audit-prop52-inadmissible-then-log",
      ["audit", "@inadmissible_then_log", "--checks", "prop_5_2"] + JSON,
      "ec7e914b286d53bbb1ec26b0272fbd8d2ce864699ac64c769e4d7620a34d2d31"),
+    # the error of the first failing point, whatever its step: the quotient
+    # mismatch at x = -1 (exit 1), not the lambda failure at x = 0
+    ("audit-thm58-mismatch-then-lambda",
+     ["audit", "@mismatch_then_lambda", "--checks", "thm_5_8"] + JSON,
+     "c8032827dd677c87647cad78f5c008d3fa463be961bcfef9fd5c331e974a9060"),
+    ("curvature-mismatch-then-lambda", ["curvature", "@mismatch_then_lambda"] + JSON,
+     "c8032827dd677c87647cad78f5c008d3fa463be961bcfef9fd5c331e974a9060"),
+    # the vertical section at x = -1 (exit 2), not the lambda failure
+    ("curvature-vertical-section-then-lambda",
+     ["curvature", "@lambda_from_zero", "--section", "1,0,1-x"] + JSON,
+     "81b6202a1b81bce1619cd1b0c06d8d398b47d8816b395499d0777d10890f985b"),
 ]
 
 
@@ -195,3 +218,16 @@ def test_golden_error(capsys, tmp_path, label, argv, expected):
     code, captured = run(capsys, tmp_path, argv)
     assert captured.out == ""
     assert digest(code, captured.err) == expected
+
+
+def test_failing_batch_is_replayed_point_by_point(capsys, caplog, tmp_path):
+    """The batch fails at its lambda step (x = 0); the replay one point at a
+    time finds the mismatch at x = -1 first."""
+    caplog.set_level(logging.DEBUG, logger="acsgeo")
+    code, captured = run(capsys, tmp_path, ["curvature", "@mismatch_then_lambda"] + JSON)
+    assert (code, captured.out) == (1, "")
+    replays = [(r.name, r.levelno, r.getMessage()) for r in caplog.records
+               if r.getMessage().startswith("replay:")]
+    assert replays == [("acsgeo.curvature", logging.DEBUG,
+                        "replay: 27 points one at a time after K(X, xi) = lambda "
+                        "eta(X) xi fails with residual 0.5 at [0.0, -1.0, -1.0]")]

@@ -484,9 +484,10 @@ CHARTS = {"lambda_k": LAMBDA_K, "pulled_back": PULLED_BACK, "exp_frame": EXP_FRA
 
 def check_sweep_matches_loop(m, pts, seed):
     frames = [m.frame_at(p) for p in pts]
-    curvatures = curv.Prefix(lambda p: curv.statistical_curvature(m, p), pts)
-    sweep = curv.AuditSweep(frames, rng=np.random.default_rng(seed), curvatures=curvatures)
+    curvatures = [curv.statistical_curvature(m, p) for p in pts]
     stack = FrameStack.of(frames)
+    sweep, keep = curv.phi_sweep(stack, np.random.default_rng(seed))
+    sweep = sweep.with_curvatures(stack.g, curvatures)
     bases, errors = phi_bases(stack.g, stack.phi, stack.xi)
     horiz, keep_h = curv.horizontal_projections(stack)
     ref_rng = np.random.default_rng(seed)
@@ -495,20 +496,20 @@ def check_sweep_matches_loop(m, pts, seed):
         assert errors[i] is None
         assert_same(bases[i], basis)
         sections = ref_sweep_sections(fr, basis, ref_rng)
-        cols = np.flatnonzero(sweep.keep[i])
+        cols = np.flatnonzero(keep[i])
         assert len(cols) == len(sections)
         s, r0 = curvatures[i][:2]
         for j, x in zip(cols, sections):
-            assert_same(sweep.sweep.x[i, j], x)
+            assert_same(sweep.x[i, j], x)
             code, eta, q, value, closed = ref_k_phi(fr, x)
-            assert sweep.sweep.status[i, j] == code
-            assert_same(sweep.sweep.eta[i, j], eta)
-            assert_same(sweep.sweep.q[i, j], q)
-            assert_same(sweep.sweep.value[i, j], value)
-            assert_same(sweep.sweep.closed[i, j], closed)
+            assert sweep.status[i, j] == code
+            assert_same(sweep.eta[i, j], eta)
+            assert_same(sweep.q[i, j], q)
+            assert_same(sweep.value[i, j], value)
+            assert_same(sweep.closed[i, j], closed)
             px = fr.phi @ x
-            assert_same(sweep.sweep.k_s[i, j], ref_sectional(fr.g, s, x, px))
-            assert_same(sweep.sweep.k_0[i, j], ref_sectional(fr.g, r0, x, px))
+            assert_same(sweep.k_s[i, j], ref_sectional(fr.g, s, x, px))
+            assert_same(sweep.k_0[i, j], ref_sectional(fr.g, r0, x, px))
         ref_h = [v - float(fr.eta @ v) * fr.xi for v in curv.frame_vectors(fr.dim)]
         ref_h = np.array([h for h in ref_h if ref_norm(fr, h) > 1e-8])
         assert_same(horiz[i][keep_h[i]], ref_h)

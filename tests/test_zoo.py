@@ -120,3 +120,19 @@ def test_r3_constancy_over_grid():
         vals.append(phi_sectional_k_curvature(fr, [0.3, 0.7, 0.0]).value)
     assert max(vals) - min(vals) < 1e-9
     assert vals[0] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_capped_grid_samples_every_axis_value():
+    # 3^7 = 2187 points keep 243 spread over the product order; a prefix
+    # would fix x1 = y1 = -1
+    m = generate_random_acs(7, 4, "mixed").manifold
+    pts = np.array(m.grid_points(3))
+    assert pts.shape == (243, 7) and len(np.unique(pts, axis=0)) == 243
+    for n in range(7):
+        assert set(pts[:, n]) == {-1.0, 0.0, 1.0}
+    assert (pts[0] == -1.0).all() and (pts[-1] == 1.0).all()
+    # up to the cap the grid is the whole product, in order
+    assert np.array_equal(generate_random_acs(5, 4, "mixed").manifold.grid_points(3),
+                          [[a, b, c, d, e] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)
+                           for c in (-1.0, 0.0, 1.0) for d in (-1.0, 0.0, 1.0)
+                           for e in (-1.0, 0.0, 1.0)])
