@@ -2,9 +2,10 @@
 
 Verbs: validate, curvature, audit, export-zoo, list-zoo.  Inputs are either
 spec-file paths or zoo references of the form ``zoo:name`` /
-``zoo:name:key=value,key=value``.  All numeric output is printed with 17
-significant digits; exit codes are 0 (success), 1 (mathematical validation
-or audit failure), 2 (input error).
+``zoo:name:key=value,key=value``.  JSON output writes each float as its
+shortest round-trip repr, as ``json.dumps`` does; the table prints
+residuals with 17 significant digits.  Exit codes are 0 (success), 1
+(mathematical validation or audit failure), 2 (input error).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .statistical import (StatisticalError, conjugate_connection, validate_acs,
 from .zoo import UnsupportedDimensionError, get_entry, list_zoo
 
 log = logging.getLogger("acsgeo")
+render_log = logging.getLogger("acsgeo.report")
 
 EXIT_OK, EXIT_MATH_FAIL, EXIT_INPUT_ERROR = 0, 1, 2
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
@@ -70,15 +72,29 @@ def resolve_input(ref: str) -> ChartManifold:
 
 
 def emit(report: AuditReport, fmt_kind: str):
-    """Print the records and then the flags, as a table or as JSON lines."""
+    """Print the records and then the flags, as a table or as JSON lines,
+    and log the render at debug level.  When the reader closes stdout
+    early, the rest of the output is dropped and the verb keeps its exit
+    code."""
+    start = time.perf_counter()
     if fmt_kind == "json":
-        text = report.to_json_lines()
+        text = "\n".join(filter(None, [report.to_json_lines()] +
+                                [json.dumps({"flag": msg}) for msg in report.flags]))
+    else:
+        text = report.to_table()
+    try:
         if text:
             print(text)
-        for msg in report.flags:
-            print(json.dumps({"flag": msg}))
-    else:
-        print(report.to_table())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return
+    if render_log.isEnabledFor(logging.DEBUG):
+        render_log.debug("report: %d records at %d points rendered in %.3f s",
+                         len(report.checks), report.point_count,
+                         time.perf_counter() - start)
 
 
 def selected(name: str, checks) -> bool:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import is_cosymplectic, nabla0_phi, phi_bases, phi_basis
+from .contact import nabla0_phi, phi_bases, phi_basis
 from .expressions import NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame
 from .metric import (DegeneratePlaneError, christoffel_jet,
@@ -549,8 +549,8 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
 
 def audit_branch(report: AuditReport) -> str:
     """'all-true', 'all-false' or 'mixed' summary of a theorem_5_8_audit."""
-    vals = {bool(r.value) for r in report.records
-            if r.check.startswith("thm_5_8/c")}
+    vals = {bool(v) for c, v in zip(report.checks, report.values)
+            if c.startswith("thm_5_8/c")}
     if vals == {True}:
         return "all-true"
     if vals == {False}:
@@ -579,7 +579,7 @@ def geodesic_xi_check(m: ChartManifold, point):
 
 def _compat_residuals(m: ChartManifold, fr: PointFrame):
     """The residuals of the three formulations of phi-compatibility at a
-    frame."""
+    frame, and max |nabla^0 phi| (the cosymplectic residual) read from (c)."""
     gamma = fr.gamma0 + fr.K
 
     # (a) nabla phi = 0 componentwise
@@ -596,7 +596,7 @@ def _compat_residuals(m: ChartManifold, fr: PointFrame):
     d0_phi = nabla0_phi(m, fr.point)
     phi_k = np.einsum("im,mak->aik", fr.phi, fr.K)
     res_c = float(np.max(np.abs(d0_phi - 2.0 * phi_k)))
-    return res_a, res_b, res_c
+    return (res_a, res_b, res_c), float(np.max(np.abs(d0_phi)))
 
 
 def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
@@ -615,13 +615,13 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
 def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
     frames = [m.frame_at(p) for p in pts]
     residuals = [_compat_residuals(m, fr) for fr in frames]
-    compatible = [all(res <= tol for res in r) for r in residuals]
+    compatible = [all(res <= tol for res in r) for r, _ in residuals]
     swept = [fr for fr, ok in zip(frames, compatible) if ok]
     if swept:
         k_phi = iter(_k_phi(*phi_sweep(FrameStack.of(swept), rng)))
     rep = AuditReport()
     for i, (p, fr) in enumerate(zip(pts, frames)):
-        res_a, res_b, res_c = residuals[i]
+        (res_a, res_b, res_c), cos_res = residuals[i]
         oks = [res <= tol for res in (res_a, res_b, res_c)]
         for name, res in (("nabla_phi_zero", res_a),
                           ("nabla_commutes_with_phi", res_b),
@@ -635,7 +635,6 @@ def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
 
         if compatible[i]:
             # Theorem 6.8 consequences
-            _, cos_res = is_cosymplectic(m, [p], tol)
             rep.add("phi_compat/cosymplectic_consequence", p, cos_res, tol)
             rep.add("phi_compat/kphi_zero_consequence", p, float(next(k_phi)), tol)
             # nabla_X xi and nabla^0_X xi parallel to xi
@@ -649,19 +648,21 @@ def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
 
 
 def is_phi_compatible(report: AuditReport) -> bool:
-    return all(bool(r.value) for r in report.records
-               if r.check == "phi_compat/compatible")
+    return all(bool(v) for c, v in zip(report.checks, report.values)
+               if c == "phi_compat/compatible")
 
 
 def psi_check(m: ChartManifold, point, tol: float = 1e-9,
               compat_report: AuditReport = None) -> AuditReport:
     """The 2-form family Psi_X(Y,Z) = (nabla_X g)(Y, phi Z) and its identities
     under phi-compatibility, at one point or, for a (P, dim) sequence of
-    points, at each of them with one section sweep.  Raises
-    PreconditionNotMetError when the structure is not phi-compatible at the
-    points; then the steps, through ``replay``, are frames, phi-bases and
-    section statuses."""
-    points = [point] if np.ndim(point) == 1 else list(point)
+    points, at each of them with one section sweep (no points give an
+    empty report).  Raises PreconditionNotMetError when the structure is
+    not phi-compatible at the points; then the steps, through ``replay``,
+    are frames, phi-bases and section statuses."""
+    points = [point] if np.ndim(point) == 1 and len(point) else list(point)
+    if not points:
+        return AuditReport()
     if compat_report is None:
         compat_report = phi_compat_check(m, points, tol=max(tol, 1e-9))
     if not is_phi_compatible(compat_report):

@@ -1,16 +1,35 @@
 """Pass/fail audit records with residual magnitudes, and their JSON-lines
-and table renderings."""
+and table renderings.
+
+An ``AuditReport`` is columnar: one plain list per field, one row per
+record.  A point is kept as the bytes of its float64 coordinates, so a
+record keeps the point's value at ``add`` time and equal points share one
+key.  ``to_json_lines`` writes the same text as one ``json.dumps`` per
+record, but renders each distinct check name and each distinct point once.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
+
+import numpy as np
 
 
 def fmt(x: float) -> str:
-    """Numeric formatting used everywhere in reports: 17 significant digits."""
+    """Numeric formatting of the table: 17 significant digits."""
     return f"{float(x):.17g}"
+
+
+# json's spelling of the floats that have no JSON literal, keyed by repr
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _num(x: float) -> str:
+    """A Python float as ``json.dumps`` writes it: shortest round-trip repr."""
+    r = repr(x)
+    return _NON_FINITE.get(r, r)
 
 
 @dataclass(frozen=True)
@@ -21,59 +40,83 @@ class CheckRecord:
     passed: bool
     value: Optional[float] = None  # measured value, when the check reports one
 
-    def to_json(self) -> str:
-        d = {
-            "check": self.check,
-            "point": [float(x) for x in self.point],
-            "residual": float(self.residual),
-            "pass": bool(self.passed),
-        }
-        if self.value is not None:
-            d["value"] = float(self.value)
-        return json.dumps(d)
 
-
-@dataclass
 class AuditReport:
-    records: List[CheckRecord] = field(default_factory=list)
-    flags: List[str] = field(default_factory=list)
+    """Records as columns (``checks``, ``points``, ``residuals``, ``passed``,
+    ``values``), then the flags."""
+
+    def __init__(self):
+        self.checks: List[str] = []
+        self.points: List[bytes] = []         # float64 coordinates of each point
+        self.residuals: List[float] = []
+        self.passed: List[bool] = []
+        self.values: List[Optional[float]] = []
+        self.flags: List[str] = []
 
     def add(self, check, point, residual, tol=None, passed=None, value=None):
         if passed is None:
             passed = abs(residual) <= tol
-        self.records.append(CheckRecord(check=check, point=tuple(float(x) for x in point),
-                                        residual=float(residual), passed=bool(passed),
-                                        value=value))
+        self.checks.append(check)
+        self.points.append(np.asarray(point, dtype=float).tobytes())
+        self.residuals.append(float(residual))
+        self.passed.append(bool(passed))
+        self.values.append(None if value is None else float(value))
         return passed
 
     def flag(self, message: str):
         self.flags.append(message)
 
     def extend(self, other: "AuditReport"):
-        self.records.extend(other.records)
-        self.flags.extend(other.flags)
+        self.checks += other.checks
+        self.points += other.points
+        self.residuals += other.residuals
+        self.passed += other.passed
+        self.values += other.values
+        self.flags += other.flags
+
+    def _record(self, i: int) -> CheckRecord:
+        return CheckRecord(self.checks[i], tuple(np.frombuffer(self.points[i]).tolist()),
+                           self.residuals[i], self.passed[i], self.values[i])
+
+    @property
+    def records(self) -> List[CheckRecord]:
+        """Every record as a ``CheckRecord``, built on each access."""
+        return [self._record(i) for i in range(len(self.checks))]
+
+    @property
+    def point_count(self) -> int:
+        """The number of distinct points of the records, not counting the
+        empty point of point-free checks."""
+        return len(set(self.points) - {b""})
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.records) and not self.flags
+        return all(self.passed) and not self.flags
 
     def max_residual(self, check_prefix: str = "") -> float:
-        vals = [abs(r.residual) for r in self.records if r.check.startswith(check_prefix)]
-        return max(vals) if vals else 0.0
+        return max((abs(r) for c, r in zip(self.checks, self.residuals)
+                    if c.startswith(check_prefix)), default=0.0)
 
-    def worst_by_check(self):
+    def worst_by_check(self) -> Dict[str, CheckRecord]:
         worst = {}
-        for r in self.records:
-            w = worst.get(r.check)
-            if w is None or abs(r.residual) > abs(w.residual):
-                worst[r.check] = r
-        return worst
+        for i, (c, r) in enumerate(zip(self.checks, self.residuals)):
+            w = worst.get(c)
+            if w is None or abs(r) > abs(self.residuals[w]):
+                worst[c] = i
+        return {c: self._record(i) for c, i in worst.items()}
 
     def failures(self) -> List[CheckRecord]:
-        return [r for r in self.records if not r.passed]
+        return [self._record(i) for i, ok in enumerate(self.passed) if not ok]
 
     def to_json_lines(self) -> str:
-        return "\n".join(r.to_json() for r in self.records)
+        heads = {c: f'{{"check": {json.dumps(c)}, "point": [' for c in set(self.checks)}
+        mids = {k: ", ".join(map(_num, np.frombuffer(k).tolist())) + '], "residual": '
+                for k in set(self.points)}
+        return "\n".join([
+            f'{heads[c]}{mids[k]}{_num(r)}, "pass": {"true" if ok else "false"}'
+            + ("}" if v is None else f', "value": {_num(v)}}}')
+            for c, k, r, ok, v in zip(self.checks, self.points, self.residuals,
+                                      self.passed, self.values)])
 
     def to_table(self) -> str:
         """The worst record of each check, then the flags."""

@@ -3,10 +3,16 @@ and the export/import round trip."""
 
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
 from acsgeo.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -355,6 +361,49 @@ def test_section_sweep_logs_at_debug(capsys, caplog):
     _, _, lines = sweeps("curvature", "zoo:example_r3_negative", "--grid", "2",
                          "--section", "1,2,0")
     assert [line.split(" in ")[0] for line in lines] == ["section sweep: 8 points, 1 sections"]
+
+
+def test_render_logs_at_debug(capsys, caplog):
+    """One line per run on acsgeo.report: the records, the distinct points
+    (the point-free constancy gaps not counted) and the render time."""
+    def rendered(*argv):
+        caplog.clear()
+        code, out, _ = run(capsys, *argv)
+        return code, out, [r.getMessage() for r in caplog.records
+                           if r.name == "acsgeo.report"]
+
+    argv = ("zoo:example_flat_acs:n=1", "--grid", "2")
+    quiet = run(capsys, "audit", *argv, "--format", "json")
+    assert rendered("audit", *argv)[2] == []          # nothing at warning level
+    caplog.set_level(logging.DEBUG, logger="acsgeo")
+    code, out, lines = rendered("audit", *argv, "--format", "json")
+    assert (code, out) == quiet[:2]
+    assert len(lines) == 1
+    assert re.fullmatch(rf"report: {len(json_records(out))} records at 8 points "
+                        r"rendered in \d+\.\d{3} s", lines[0])
+    for verb in ("validate", "curvature", "audit"):
+        code, out, lines = rendered(verb, *argv)
+        assert code == 0 and len(lines) == 1
+        assert re.fullmatch(r"report: \d+ records at 8 points rendered in \d+\.\d{3} s",
+                            lines[0]), lines
+
+
+def test_closed_stdout_pipe_is_not_an_error():
+    """A reader that stops after one line (``| head -1``) is not an input
+    error: the verb exits with its own code and stderr stays empty.  The
+    output (about 1.4 MB) is far above a pipe buffer."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("ACSM_LOG", None)
+    proc = subprocess.Popen([sys.executable, "-m", "acsgeo.cli", "audit",
+                             "zoo:example_flat_acs:n=2", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert json.loads(first)["check"] == "phi_squared"
 
 
 def test_section_is_parsed_once(capsys, monkeypatch):

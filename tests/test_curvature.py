@@ -4,11 +4,13 @@ executable theorem audits on the built-in structures."""
 import numpy as np
 import pytest
 
+from acsgeo import contact, curvature
 from acsgeo import (NotHorizontalError, PreconditionNotMetError,
                     geodesic_xi_check, kk_bracket, kk_tensor, lemma_5_6_check,
                     phi_compat_check, phi_sectional_k_curvature,
                     phi_sectional_triple, psi_check, statistical_curvature,
                     theorem_5_8_audit)
+from acsgeo.contact import is_cosymplectic
 from acsgeo.curvature import (audit_branch, curvature_like_symmetry_residuals,
                               is_phi_compatible, sweep_sections)
 
@@ -206,3 +208,27 @@ def test_psi_zero_k(warped):
     rep = psi_check(warped, np.array([0.3, -0.2, 0.5]))
     assert rep.all_passed
     assert rep.max_residual("psi/psi_zero") < 1e-12
+
+
+def test_no_points_give_empty_reports(flat3):
+    """An empty point list is no points, not one point of dimension 0."""
+    for rep in (psi_check(flat3, []), psi_check(flat3, np.empty((0, 3))),
+                theorem_5_8_audit(flat3, []), phi_compat_check(flat3, [])):
+        assert rep.records == [] and not rep.flags and rep.all_passed
+
+
+def test_phi_compat_takes_nabla0_phi_once_per_point(flat3, monkeypatch):
+    """The cosymplectic consequence reads the nabla^0 phi that formulation
+    (c) built, and gives the residual is_cosymplectic gives."""
+    calls = []
+    for mod in (contact, curvature):
+        orig = mod.nabla0_phi
+        monkeypatch.setattr(mod, "nabla0_phi",
+                            lambda m, p, orig=orig: calls.append(p) or orig(m, p))
+    pts = flat3.grid_points(2)
+    rep = phi_compat_check(flat3, pts)
+    assert len(calls) == len(pts) == 8
+    assert rep.failures() == [] and is_phi_compatible(rep)
+    consequences = [r.residual for r in rep.records
+                    if r.check == "phi_compat/cosymplectic_consequence"]
+    assert consequences == [is_cosymplectic(flat3, [p])[1] for p in pts]

@@ -1,0 +1,128 @@
+"""The columnar report renders exactly what one ``json.dumps`` per record
+writes, and keeps each record's values as they were at ``add`` time."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acsgeo import AuditReport, CheckRecord
+
+SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+           -2.2250738585072014e-308, 1e16, -1.2345678901234567e16, 1.7976931348623157e308,
+           0.1, 1 / 3]
+
+
+def reference_line(check, point, residual, passed, value) -> str:
+    """One record as the JSON line of the row-per-object report."""
+    d = {"check": check, "point": [float(x) for x in point],
+         "residual": float(residual), "pass": bool(passed)}
+    if value is not None:
+        d["value"] = float(value)
+    return json.dumps(d)
+
+
+def doubles():
+    return st.one_of(st.sampled_from(SPECIAL),
+                     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+def numbers():
+    """A Python float, a numpy float64 or a numpy float32 scalar."""
+    return st.one_of(doubles(), doubles().map(np.float64),
+                     st.floats(width=32).map(np.float32))
+
+
+def points():
+    coords = st.lists(doubles(), max_size=7)
+    return st.one_of(
+        st.just(()),
+        coords.map(tuple),
+        coords.map(lambda c: np.array(c, dtype=float)),
+        st.lists(st.floats(width=32), max_size=7).map(lambda c: np.array(c, dtype=np.float32)),
+        st.lists(numbers(), max_size=7))
+
+
+rows = st.tuples(
+    st.one_of(st.sampled_from(["phi_squared", "thm_5_8/c1_kphi_zero",
+                               "curvature/constancy_gap/k_phi"]), st.text()),
+    points(), numbers(),
+    st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+    st.one_of(st.none(), numbers(), st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rows, max_size=12), st.integers(0, 12))
+def test_render_matches_one_dumps_per_record(rows, cut):
+    """Rows added to two reports, then joined with ``extend``, render as
+    the reference lines; so do the ``records`` built back from the columns."""
+    first, second = AuditReport(), AuditReport()
+    for i, (check, point, residual, passed, value) in enumerate(rows):
+        rep = first if i < cut else second
+        assert rep.add(check, point, residual, passed=passed, value=value) is passed
+    first.extend(second)
+    expected = "\n".join(reference_line(*row) for row in rows)
+    assert first.to_json_lines() == expected
+    assert all(isinstance(r, CheckRecord) for r in first.records)
+    assert "\n".join(reference_line(r.check, r.point, r.residual, r.passed, r.value)
+                     for r in first.records) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(points(), st.one_of(doubles(), doubles().map(np.float64))),
+                max_size=8), doubles())
+def test_passed_from_tolerance(rows, tol):
+    """Without ``passed``, a record passes when ``abs(residual) <= tol``."""
+    rep = AuditReport()
+    for point, residual in rows:
+        assert rep.add("check", point, residual, tol) == (abs(residual) <= tol)
+    assert rep.to_json_lines() == "\n".join(
+        reference_line("check", p, r, abs(r) <= tol, None) for p, r in rows)
+
+
+def test_point_is_kept_at_add_time():
+    """The report copies the point: mutating the array afterwards changes
+    neither the rendered record nor the records added later."""
+    p = np.array([0.5, -1.0, 2.0])
+    rep = AuditReport()
+    rep.add("a", p, 0.0, passed=True)
+    rep.add("b", p, 1e-12, 1e-9)
+    p[0] = 7.0
+    rep.add("c", p, 0.0, passed=True, value=1.0)
+    assert rep.to_json_lines() == "\n".join([
+        reference_line("a", [0.5, -1.0, 2.0], 0.0, True, None),
+        reference_line("b", [0.5, -1.0, 2.0], 1e-12, True, None),
+        reference_line("c", [7.0, -1.0, 2.0], 0.0, True, 1.0)])
+    assert rep.point_count == 2
+
+
+def test_signed_zero_points_stay_distinct():
+    """0.0 == -0.0, but a point with -0.0 renders its own sign."""
+    rep = AuditReport()
+    rep.add("a", [0.0], 0.0, passed=True)
+    rep.add("a", [-0.0], 0.0, passed=True)
+    assert rep.to_json_lines().splitlines() == [
+        reference_line("a", [0.0], 0.0, True, None),
+        reference_line("a", [-0.0], 0.0, True, None)]
+
+
+def test_queries_read_the_columns():
+    rep = AuditReport()
+    rep.add("x/a", [0.0, 1.0], 1e-3, 1e-9)
+    rep.add("x/a", [1.0, 1.0], -2e-3, 1e-9)
+    rep.add("x/b", [0.0, 1.0], 0.0, passed=True, value=0.0)
+    rep.add("y", (), 5.0, passed=True, value=5.0)
+    assert not rep.all_passed
+    assert rep.max_residual("x/") == 2e-3 and rep.max_residual() == 5.0
+    assert rep.max_residual("z") == 0.0
+    assert rep.worst_by_check() == {
+        "x/a": CheckRecord("x/a", (1.0, 1.0), -2e-3, False),
+        "x/b": CheckRecord("x/b", (0.0, 1.0), 0.0, True, 0.0),
+        "y": CheckRecord("y", (), 5.0, True, 5.0)}
+    assert [r.point for r in rep.failures()] == [(0.0, 1.0), (1.0, 1.0)]
+    assert rep.point_count == 2
+    empty = AuditReport()
+    assert empty.all_passed and empty.to_json_lines() == "" and empty.records == []
+    empty.flag("disagreement")
+    assert not empty.all_passed
