@@ -25,9 +25,9 @@ from .contact import nabla0_phi, phi_bases, phi_basis
 from .expressions import NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame
 from .metric import (DegeneratePlaneError, christoffel_jet,
-                     covariant_derivative_11, covariant_derivative_vector,
-                     gamma_jet, inner, matvec, nabla_g, norms, plane_q, pow2,
-                     riemann, riemann_from_jet, sectional_values)
+                     covariant_derivative_11, covariant_derivative_vector, inner,
+                     matvec, nabla_g, norms, plane_q, pow2, riemann,
+                     sectional_values)
 from .report import AuditReport
 from .statistical import lambda_of
 
@@ -70,9 +70,9 @@ def kk_bracket(k: np.ndarray, x, y, z) -> np.ndarray:
 
 def kk_tensor(k: np.ndarray) -> np.ndarray:
     """[K,K] in the same R^i_jkl component layout as the curvature tensors:
-    [K,K](e_k, e_l) e_j = T^i_jkl e_i."""
-    return (np.einsum("ikm,mlj->ijkl", k, k)
-            - np.einsum("ilm,mkj->ijkl", k, k))
+    [K,K](e_k, e_l) e_j = T^i_jkl e_i (any leading axes)."""
+    return (np.einsum("...ikm,...mlj->...ijkl", k, k)
+            - np.einsum("...ilm,...mkj->...ijkl", k, k))
 
 
 def curvature_like_symmetry_residuals(t: np.ndarray, g: np.ndarray):
@@ -237,43 +237,35 @@ def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
 # the statistical curvature
 
 
-def _statistical_parts(gamma0, dgamma0, k, dk, r0, kk):
-    """(S, R^0, [K,K], R, R-bar) at one point from the jets of Gamma^0 and K:
-    nabla = nabla^0 + K and nabla-bar = nabla^0 - K."""
-    r = riemann_from_jet(gamma0 + k, dgamma0 + dk)
-    r_bar = riemann_from_jet(gamma0 - k, dgamma0 - dk)
-    return 0.5 * (r + r_bar), r0, kk, r, r_bar
-
-
-def _finite_parts(parts, where):
-    """NonFiniteError unless S, R^0, [K,K], R and R-bar are all finite."""
-    if not all(np.isfinite(a).all() for a in parts):
-        raise NonFiniteError(f"statistical curvature is not finite {where}")
-    return parts
+def _statistical_parts(gamma0, dgamma0, k, dk):
+    """(S, R^0, [K,K], R, R-bar) from the jets of Gamma^0 and K (any leading
+    axes): nabla = nabla^0 + K and nabla-bar = nabla^0 - K."""
+    r = riemann(gamma0 + k, dgamma0 + dk)
+    r_bar = riemann(gamma0 - k, dgamma0 - dk)
+    return 0.5 * (r + r_bar), riemann(gamma0, dgamma0), kk_tensor(k), r, r_bar
 
 
 def _curvature_parts(m: ChartManifold, points, where):
     """(S, R^0, [K,K], R, R-bar) at each of ``points`` from one pass, one
-    lane per point, cached while the cache holds fewer than 4096: the jets
-    of Gamma^0 and K and R^0 are taken once over all points, and R, R-bar,
-    S and [K,K] follow point by point from views of those arrays.  A jet
-    entry that is not finite makes a part non-finite, so ``_finite_parts``
-    is the one gate.  Raises the jets' errors, or NonFiniteError (``where``
-    naming the points), and then caches nothing."""
+    lane per point, cached while the cache holds fewer than 4096: one
+    second-order walk of g gives the Gamma^0 jet in closed form, one
+    first-order walk of the K table (or of the connection table, less
+    Gamma^0) the K jet, and the parts follow for all points at once.  A jet
+    entry that is not finite makes a part non-finite, so the parts are the
+    one finiteness gate.  Raises the jets' errors, or NonFiniteError
+    (``where`` naming the points), and then caches nothing."""
     pts = np.array(points, dtype=float).reshape(len(points), m.dim)
     coords = [np.ascontiguousarray(pts[:, n]) for n in range(m.dim)]
     with np.errstate(all="ignore"):
-        gamma0, dgamma0 = christoffel_jet(m.metric, coords)
-        k, dk = gamma_jet(m.difference.components, coords, m.dim,
-                          constant=m.difference.is_constant)
-        r0 = riemann(m.metric, coords)
-        out = [_finite_parts(_statistical_parts(gamma0[i], dgamma0[i], k[i], dk[i],
-                                                r0[i], kk_tensor(k[i])), where)
-               for i in range(len(pts))]
+        levi_civita = christoffel_jet(m.metric, coords)
+        parts = _statistical_parts(*levi_civita, *m.difference.jet(coords, levi_civita))
+    if not all(np.isfinite(a).all() for a in parts):
+        raise NonFiniteError(f"statistical curvature is not finite {where}")
+    out = list(zip(*parts))
     cache = m._curvature_cache
-    for key, parts in zip(map(tuple, pts.tolist()), out):
+    for key, point_parts in zip(map(tuple, pts.tolist()), out):
         if key not in cache and len(cache) < 4096:
-            cache[key] = parts
+            cache[key] = point_parts
     return out
 
 
@@ -283,7 +275,7 @@ def statistical_curvature(m: ChartManifold, point):
     cross-check.
 
     nabla = nabla^0 + K and nabla-bar = nabla^0 - K are formed from one jet
-    of Gamma^0 and one of K; R^0 comes from its own ``riemann`` call.  The
+    of Gamma^0 and one of K, and R^0 from the jet of Gamma^0.  The
     parts come from the cache that ``statistical_curvature_grid`` fills or,
     for any other point, from a pass of one lane; the cross-check applies
     to both.  A part that is not finite (K K overflowing, say) raises

@@ -1,19 +1,20 @@
-"""Scalar expression fields on a coordinate chart, with forward-mode
-dual-number differentiation.
+"""Scalar expression fields on a coordinate chart, with exact forward-mode
+differentiation.
 
 Expressions are parsed from strings over declared coordinate names and a
 small set of operators and elementary functions.  Evaluation is generic in
 the scalar type: plugging in floats gives values, plugging in ``Dual``
-numbers gives exact directional derivatives, and nesting duals gives exact
-second derivatives (used downstream for curvature).
+numbers gives exact directional derivatives, and plugging in ``Jet``s
+gives the value, the gradient and the Hessian in one walk of the tree
+(used downstream for curvature).
 
 A scalar may also be a ``(P,)`` float array with one lane per sample point,
-bare or as the parts of a ``Dual``.  Every lane then goes through the same
-IEEE operations as a float would (``sin``/``cos``/``exp``/``log``/``sqrt``
-call :mod:`math` lane by lane), so lane results are bit-identical to
-evaluating the points one at a time.  Domain checks raise when any lane
-fails.  Like Python floats, lanes overflow to inf silently: callers that
-evaluate lanes do so under ``np.errstate(all="ignore")``.
+bare or as the parts of a ``Dual`` or ``Jet``.  Every lane then goes through
+the same IEEE operations (``sin``/``cos``/``exp``/``log``/``sqrt`` call
+:mod:`math` lane by lane), so a lane's result does not depend on the other
+lanes.  Domain checks look at values only and raise when any lane fails.
+Like Python floats, lanes overflow to inf silently: callers that evaluate
+lanes do so under ``np.errstate(all="ignore")``.
 """
 
 from __future__ import annotations
@@ -142,9 +143,98 @@ class Dual:
         return f"Dual({self.val!r}, {self.dot!r})"
 
 
+# ---------------------------------------------------------------------------
+# Taylor jets
+
+
+class Jet:
+    """Truncated Taylor expansion of a scalar over P lanes (Griewank and
+    Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): the value ``val``
+    (P,), the gradient ``grad`` (n, P) and the Hessian ``hess`` (n, n, P),
+    or None for a first-order jet.  Plain floats and lane arrays act as
+    constants; every jet of one walk has the same order."""
+
+    __slots__ = ("val", "grad", "hess")
+    __array_ufunc__ = None   # ndarray op Jet defers to Jet's reflected op
+
+    def __init__(self, val, grad, hess=None):
+        self.val = val
+        self.grad = grad
+        self.hess = hess
+
+    @classmethod
+    def variables(cls, coords, order: int):
+        """The jets of the coordinates themselves: unit gradients, zero
+        Hessians at order 2."""
+        n, lanes = len(coords), len(coords[0])
+        hess = np.zeros((n, n, lanes)) if order == 2 else None
+        jets = []
+        for i, c in enumerate(coords):
+            grad = np.zeros((n, lanes))
+            grad[i] = 1.0
+            jets.append(cls(c, grad, hess))
+        return jets
+
+    def _sym(self, grad, other_grad):
+        """grad (x) other_grad plus its transpose, (n, n, P)."""
+        cross = grad[:, None] * other_grad[None, :]
+        return cross + cross.transpose(1, 0, 2)
+
+    def __add__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.val + other, self.grad, self.hess)
+        return Jet(self.val + other.val, self.grad + other.grad,
+                   None if self.hess is None else self.hess + other.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.val, -self.grad, None if self.hess is None else -self.hess)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.val * other, self.grad * other,
+                       None if self.hess is None else self.hess * other)
+        hess = None if self.hess is None else (
+            self.hess * other.val + self.val * other.hess + self._sym(self.grad, other.grad))
+        return Jet(self.val * other.val, self.grad * other.val + self.val * other.grad, hess)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.val / other, self.grad / other,
+                       None if self.hess is None else self.hess / other)
+        return other._divide(self.val, self.grad, self.hess)
+
+    def __rtruediv__(self, other):
+        return self._divide(other, 0.0, 0.0)
+
+    def _divide(self, val, grad, hess):
+        """The jet (val, grad, hess) / self: v = val / b, differentiating
+        v b = val once and twice."""
+        v = val / self.val
+        dv = (grad - v * self.grad) / self.val
+        hv = None if self.hess is None else (
+            hess - v * self.hess - self._sym(dv, self.grad)) / self.val
+        return Jet(v, dv, hv)
+
+    def chain(self, f0, f1, f2):
+        """f(self) from f, f' and f'' at the value."""
+        hess = None if self.hess is None else (
+            f1 * self.hess + f2 * (self.grad[:, None] * self.grad[None, :]))
+        return Jet(f0, f1 * self.grad, hess)
+
+
 def primal(x):
-    """Strip all dual levels and return the underlying float."""
-    while isinstance(x, Dual):
+    """Strip all dual or jet levels and return the underlying value."""
+    while isinstance(x, (Dual, Jet)):
         x = x.val
     return x
 
@@ -157,12 +247,18 @@ def tangent(x):
 def d_sin(x):
     if isinstance(x, Dual):
         return Dual(d_sin(x.val), d_cos(x.val) * x.dot)
+    if isinstance(x, Jet):
+        s = d_sin(x.val)
+        return x.chain(s, d_cos(x.val), -s)
     return _libm(math.sin, x)
 
 
 def d_cos(x):
     if isinstance(x, Dual):
         return Dual(d_cos(x.val), -d_sin(x.val) * x.dot)
+    if isinstance(x, Jet):
+        c = d_cos(x.val)
+        return x.chain(c, -d_sin(x.val), -c)
     return _libm(math.cos, x)
 
 
@@ -170,6 +266,9 @@ def d_exp(x):
     if isinstance(x, Dual):
         e = d_exp(x.val)
         return Dual(e, e * x.dot)
+    if isinstance(x, Jet):
+        e = d_exp(x.val)
+        return x.chain(e, e, e)
     return _libm(math.exp, x)
 
 
@@ -184,6 +283,9 @@ def d_log(x):
     _check_positive(x, "log")
     if isinstance(x, Dual):
         return Dual(d_log(x.val), x.dot / x.val)
+    if isinstance(x, Jet):
+        inv = 1.0 / x.val
+        return x.chain(d_log(x.val), inv, -inv * inv)
     return _libm(math.log, x)
 
 
@@ -193,6 +295,9 @@ def d_sqrt(x):
     if isinstance(x, Dual):
         s = d_sqrt(x.val)
         return Dual(s, x.dot / (2.0 * s))
+    if isinstance(x, Jet):
+        s = d_sqrt(x.val)
+        return x.chain(s, 0.5 / s, -0.25 / (s * x.val))
     return _libm(math.sqrt, x)
 
 
@@ -286,12 +391,11 @@ class BinOp:
             return a - b
         if self.op == "*":
             return a * b
-        # division: guard the float and lane path (Dual guards internally)
-        if not isinstance(a, Dual) and not isinstance(b, Dual):
-            if any_lane(b == 0.0):
-                raise EvalDomainError("division by zero")
-            return a / b
-        return Dual._lift(a) / b
+        if isinstance(a, Dual) or isinstance(b, Dual):
+            return Dual._lift(a) / b      # Dual guards division itself
+        if any_lane(primal(b) == 0.0):
+            raise EvalDomainError("division by zero")
+        return a / b
 
     @property
     def prec(self):
@@ -483,8 +587,8 @@ class ScalarField:
         return len(self.coord_names)
 
     def eval_scalar(self, env):
-        """Evaluate with an arbitrary scalar environment (floats, lane arrays
-        or Duals of either)."""
+        """Evaluate with an arbitrary scalar environment (floats, lane arrays,
+        Duals of either or Jets)."""
         return self.body.eval(env)
 
     def __call__(self, point: Sequence[float]) -> float:

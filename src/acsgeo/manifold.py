@@ -10,8 +10,7 @@ import numpy as np
 
 from .expressions import NonFiniteError, ScalarField, parse_expression
 from .metric import (FieldArray, MetricField, NotPositiveDefiniteError,
-                     christoffel_from, field_first_derivatives, field_values,
-                     inner, inv_generic, lane_array, lane_zeros)
+                     christoffel_from, field_jet, inner, inv_generic)
 
 GRID_CAP = 243      # the most points a sample grid keeps
 
@@ -33,15 +32,6 @@ def _finite(name, arr, where) -> np.ndarray:
     if np.count_nonzero(np.isfinite(arr)) < arr.size:   # cheaper than .all()
         raise NonFiniteError(f"{name} is not finite {where}")
     return arr
-
-
-def _derivatives(fields, coords, lanes):
-    """d_i of a FieldArray as a float array, derivative index first after
-    the lane axis; zeros when the fields are constant."""
-    dim = len(coords)
-    if fields.is_constant:
-        return lane_zeros((dim,) + np.shape(fields), lanes)
-    return lane_array(field_first_derivatives(fields, coords, dim), lanes)
 
 
 @dataclass(frozen=True)
@@ -102,9 +92,10 @@ class FrameStack(NamedTuple):
 class ChartManifold:
     """An odd-dimensional chart with fields (g, phi, xi, eta, K) attached.
 
-    ``difference`` must expose ``components(coords)`` (generic scalars:
-    floats, lane arrays or Duals) and ``is_constant``, the constancy of its
-    components decided when it was built; see :mod:`acsgeo.statistical`.
+    ``difference`` must expose ``jet(coords, levi_civita)``, K at lane
+    coordinates to the order of the Levi-Civita jet it is given, and
+    ``is_constant``, the constancy of its components decided when it was
+    built; see :mod:`acsgeo.statistical`.
 
     ``frame_grid`` evaluates the fields of a whole sample grid into
     ``PointFrame``s in one lane pass and caches them; ``frame_at`` is a pass
@@ -158,32 +149,33 @@ class ChartManifold:
 
     def _fields(self, coords, where):
         """The PointFrame fields after ``point`` at the (P,) lane coordinates
-        ``coords``, as read-only float arrays with the lane axis first.  The
-        fields are evaluated, and checked for finiteness, in a fixed order,
-        so the first error is the one the failing point raises alone."""
-        lanes = len(coords[0])
+        ``coords``, as read-only float arrays with the lane axis first: one
+        first-order walk of g, phi and xi and one value walk of eta and K.
+        The fields are checked in a fixed order, values first and then the
+        derivatives and Gamma^0, so the first error is the one the failing
+        point raises alone."""
         metric = self.metric
-        g_rows = metric.matrix_at(coords)
-        g = _finite("metric", lane_array(g_rows, lanes), where)
+        g, dg = field_jet(metric.components, coords, 1)
+        _finite("metric", g, where)
         # the only singularity gate when the metric is constant
-        g_inv_rows = inv_generic(g_rows)
+        g_inv = inv_generic(g)
         if (np.linalg.eigvalsh(g)[:, 0] <= 0.0).any():
             raise NotPositiveDefiniteError(f"metric is not positive definite {where}")
-        phi = _finite("phi", lane_array(field_values(self.phi, coords), lanes), where)
-        xi = _finite("xi", lane_array(field_values(self.xi, coords), lanes), where)
+        phi, dphi = field_jet(self.phi, coords, 1)
+        _finite("phi", phi, where)
+        xi, dxi = field_jet(self.xi, coords, 1)
+        _finite("xi", xi, where)
         if self.eta is not None:
-            eta = _finite("eta", lane_array(field_values(self.eta, coords), lanes), where)
+            eta = _finite("eta", field_jet(self.eta, coords, 0)[0], where)
         else:
             eta = np.array([gp @ xp for gp, xp in zip(g, xi)])
-        dg = _derivatives(metric.components, coords, lanes)
-        if metric.is_constant:
-            gamma0 = lane_zeros((self.dim,) * 3, lanes)
-        else:
-            # dg[j][l][k] as lane arrays
-            gamma0 = lane_array(christoffel_from(g_inv_rows, np.moveaxis(dg, 0, -1)), lanes)
-        k = _finite("K", lane_array(self.difference.components(coords), lanes), where)
-        fields = (g, lane_array(g_inv_rows, lanes), phi, xi, eta, gamma0, k, dg,
-                  _derivatives(self.phi, coords, lanes), _derivatives(self.xi, coords, lanes))
+        gamma0 = np.zeros((len(g),) + (self.dim,) * 3) if metric.is_constant \
+            else christoffel_from(g_inv, dg)
+        k = _finite("K", self.difference.jet(coords, (gamma0,))[0], where)
+        for name, arr in (("metric derivative", dg), ("Levi-Civita connection", gamma0),
+                          ("phi derivative", dphi), ("xi derivative", dxi)):
+            _finite(name, arr, where)
+        fields = (g, g_inv, phi, xi, eta, gamma0, k, dg, dphi, dxi)
         for arr in fields:
             arr.flags.writeable = False
         return fields

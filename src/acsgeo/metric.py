@@ -1,36 +1,30 @@
 """Riemannian machinery on a coordinate chart.
 
-Evaluation of nested arrays of expression fields, Levi-Civita connection,
-Riemann curvature, covariant derivatives and sectional curvature, all
-evaluated pointwise with exact dual-number derivatives of the components.
-Every function here is generic in the scalar type where it needs to be:
-Christoffel symbols can be evaluated with Dual coordinates, which is how
-curvature obtains the exact first derivatives of the symbols (nested
-seeding).
+A field is a nested array of expression fields.  ``field_jet`` evaluates
+one at (P,) lane coordinates, one lane per sample point, with one Taylor
+walk of each distinct expression tree: the values and, to the order asked,
+the gradients and Hessians, as float arrays with the lane axis first.  The
+Levi-Civita connection and its derivatives follow in closed form
+(``christoffel_from``, ``gamma_jet``) from g^-1, which ``inv_generic``
+takes in one batched call behind a singularity gate, and curvature
+(``riemann``) follows from a connection's jet.  Every step acts on each
+lane alone, so a point evaluated alone (a pass of one lane) gets the bits
+it gets inside a grid.  Functions that take a ``point`` accept one point
+of floats or (P,) lane coordinates.
 
-A coordinate may be a float or a ``(P,)`` float array with one lane per
-sample point (vector-mode forward differentiation).  ``field_values``,
-``field_first_derivatives``, ``inv_generic``, ``christoffel_values``,
-``christoffel_from``, ``gamma_jet`` and ``riemann`` accept lanes and give
-every lane the same float operations as a single point, so their results
-are bit-identical to a loop over the points; arrays they return put the
-lane axis first.  A chart's evaluation frames and statistical curvatures
-are built only this way, a single point as one lane; the float paths
-(``christoffel``, ``christoffel_jet``, ``riemann`` at a point) are the
-tests' reference.  ``nabla_g`` and the covariant derivatives take the
-values and first derivatives the frames carry, evaluating no fields.
-``inner``, ``matvec``, ``plane_q``, ``apply_curvature`` and
-``sectional_values`` take vectors stacked on leading axes, with the
-operand shapes of one vector per product, which is how the section sweep
-of :mod:`acsgeo.curvature` stays bit-identical to one section at a time.
+``nabla_g`` and the covariant derivatives take the values and first
+derivatives the frames carry, evaluating no fields.  ``inner``,
+``matvec``, ``plane_q``, ``apply_curvature`` and ``sectional_values`` take
+vectors stacked on leading axes, with the operand shapes of one vector per
+product, which is how the section sweep of :mod:`acsgeo.curvature` stays
+bit-identical to one section at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expressions import (Dual, Num, ScalarField, any_lane, first_lane,
-                          parse_expression, primal, tangent)
+from .expressions import Jet, Num, ScalarField, parse_expression
 
 
 class GeometryError(Exception):
@@ -49,143 +43,25 @@ class DegeneratePlaneError(GeometryError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# lanes
-
-
-class LaneSplit(Exception):
-    """Lanes that need different float operations: a per-lane choice would
-    pair a Dual with a plain float, whose arithmetic differs.  ``gamma_jet``
-    evaluates the lanes of ``mask`` and the others apart."""
-
-    def __init__(self, mask):
-        super().__init__("lanes take different operations")
-        self.mask = mask
-
-
-def lane_select(mask, x, y):
-    """Per lane, ``x`` where ``mask`` holds and ``y`` elsewhere."""
-    if isinstance(x, Dual) and isinstance(y, Dual):
-        return Dual(lane_select(mask, x.val, y.val), lane_select(mask, x.dot, y.dot))
-    if isinstance(x, Dual) or isinstance(y, Dual):
-        raise LaneSplit(mask)
-    return np.where(mask, x, y)
-
-
-def lane_count(coords):
-    """P when the coordinates are (P,) lane arrays, None at a single point."""
-    first = coords[0]
-    return len(first) if isinstance(first, np.ndarray) else None
-
-
-def lane_array(values, lanes=None):
-    """Nested lists of floats or lane arrays as one float array, with the
-    lane axis first when ``lanes`` is given."""
-    if lanes is None:
-        return np.array(values, dtype=float)
-    shape = []
-    flat = [values]
-    while isinstance(flat[0], list):
-        shape.append(len(flat[0]))
-        flat = [v for sub in flat for v in sub]
-    out = np.empty((lanes, len(flat)))
-    for i, v in enumerate(flat):
-        out[:, i] = v
-    return out.reshape([lanes] + shape)
-
-
-def lane_zeros(shape, lanes=None):
-    """Zeros of ``shape``, per lane as a broadcast view (no memory per lane)."""
-    z = np.zeros(shape)
-    return z if lanes is None else np.broadcast_to(z, (lanes,) + z.shape)
-
-
-# ---------------------------------------------------------------------------
-# generic linear algebra (works on floats, lanes and Duals)
-
-
-def _lane_pivot(mags, col):
-    """Per lane, the row of the first largest of the primal magnitudes
-    ``mags`` of column ``col`` from row ``col`` down (a later row wins only
-    when strictly larger, as with ``max``): an int when all lanes agree and
-    a (P,) int array otherwise."""
-    piv, best = col, mags[0]
-    for r, m in enumerate(mags[1:], col + 1):
-        larger = m > best
-        piv = np.where(larger, r, piv)
-        best = np.where(larger, m, best)
-    if (best < 1e-300).any():
-        raise SingularMetricError("matrix is numerically singular")
-    piv = np.broadcast_to(piv, best.shape)
-    return int(piv[0]) if (piv == piv[0]).all() else piv
+def lanes_of(point):
+    """The coordinates of one point (floats) or of lanes ((P,) arrays) as a
+    list of (P,) float arrays, and whether they were one point."""
+    single = np.ndim(point[0]) == 0
+    return [np.atleast_1d(np.asarray(c, dtype=float)) for c in point], single
 
 
 def inv_generic(mat):
-    """Inverse of a small square matrix by Gauss-Jordan elimination.
-
-    Entries may be floats, lane arrays or (nested) Duals of either; pivoting
-    is on the magnitude of the primal part, lane by lane.  Raises
-    SingularMetricError when the primal determinant magnitude falls below
-    1e-12 (in any lane).
-    """
-    n = len(mat)
-    a = [list(row) for row in mat]
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    det = 1.0
-    for col in range(n):
-        mags = [abs(primal(a[r][col])) for r in range(col, n)]
-        if np.ndarray in map(type, mags):
-            piv = _lane_pivot(mags, col)
-        else:
-            piv = max(range(col, n), key=lambda r: mags[r - col])
-            if mags[piv - col] < 1e-300:
-                raise SingularMetricError("matrix is numerically singular")
-        if isinstance(piv, int):
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                inv[col], inv[piv] = inv[piv], inv[col]
-                det = -det
-        else:
-            for r in range(col + 1, n):
-                swap = piv == r
-                if swap.any():
-                    for rows in (a, inv):
-                        for j in range(n):
-                            x, y = rows[col][j], rows[r][j]
-                            rows[col][j] = lane_select(swap, y, x)
-                            rows[r][j] = lane_select(swap, x, y)
-            det = np.where(piv != col, -det, det)
-        pivot = a[col][col]
-        det *= primal(pivot)
-        for j in range(n):
-            a[col][j] = a[col][j] / pivot
-            inv[col][j] = inv[col][j] / pivot
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if not isinstance(f, Dual):
-                # a plain zero factor leaves the row alone, lane by lane
-                zero = f == 0.0
-                if not isinstance(zero, np.ndarray):
-                    if zero:
-                        continue
-                elif zero.all():
-                    continue
-                elif zero.any():
-                    for rows in (a, inv):
-                        for j in range(n):
-                            rows[r][j] = lane_select(zero, rows[r][j],
-                                                     rows[r][j] - f * rows[col][j])
-                    continue
-            for j in range(n):
-                a[r][j] = a[r][j] - f * a[col][j]
-                inv[r][j] = inv[r][j] - f * inv[col][j]
-    small = abs(det) < 1e-12
-    if any_lane(small):
-        raise SingularMetricError(
-            f"metric determinant {first_lane(det, small)} below threshold")
-    return inv
+    """Inverses of a stack of square matrices (..., n, n) in one batched
+    call, behind a singularity gate: SingularMetricError when a matrix is
+    singular (its LU determinant is 0) or the magnitude of its determinant
+    is below 1e-12."""
+    det = np.linalg.det(mat)
+    if (det == 0.0).any():
+        raise SingularMetricError("matrix is numerically singular")
+    small = np.abs(det) < 1e-12
+    if small.any():
+        raise SingularMetricError(f"metric determinant {det[small][0]} below threshold")
+    return np.linalg.inv(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +95,55 @@ class FieldArray(list):
         self.is_constant = fields_constant(self)
 
 
-def _tangents(values):
-    """tangent() of every entry of nested lists."""
-    if not isinstance(values[0], list):
-        return [tangent(v) for v in values]
-    return [_tangents(sub) for sub in values]
+def _flat(fields):
+    if isinstance(fields[0], ScalarField):
+        return list(fields)
+    return [f for sub in fields for f in _flat(sub)]
 
 
-def field_first_derivatives(fields, coords, dim):
-    """d_i of a nested array of ScalarFields, derivative index first, as
-    nested lists; a zero array when the fields are constant."""
-    if isinstance(fields, FieldArray):
-        constant = fields.is_constant
-    else:
-        constant = fields_constant(fields)
+def field_jet(fields, coords, order: int):
+    """The jet of a nested array of ScalarFields at the (P,) lane coordinates
+    ``coords``: the values (P, *shape) and, up to ``order`` (0, 1 or 2), the
+    gradients (P, dim, *shape) and Hessians (P, dim, dim, *shape), from one
+    walk of each distinct field (a metric's mirrored entries share one).
+    The derivatives of a constant array are broadcast zeros.  Run it under
+    ``np.errstate(all="ignore")``: lanes overflow as Python floats do."""
+    lanes, dim = len(coords[0]), len(coords)
+    flat = _flat(fields)
+    shape = np.shape(fields)
+    constant = fields.is_constant if isinstance(fields, FieldArray) else fields_constant(fields)
+    out = [np.empty((lanes, len(flat)))]
+    if not constant:
+        out += [np.zeros((lanes,) + (dim,) * k + (len(flat),)) for k in range(1, order + 1)]
+    env = Jet.variables(coords, order) if len(out) > 1 else coords
+    first = {}
+    for i, f in enumerate(flat):
+        j = first.setdefault(id(f), i)
+        if j < i:
+            for a in out:
+                a[..., i] = a[..., j]
+            continue
+        jet = f.eval_scalar(env)
+        if isinstance(jet, Jet):
+            out[0][:, i] = jet.val
+            out[1][..., i] = jet.grad.T
+            if order == 2:
+                out[2][..., i] = jet.hess.transpose(2, 0, 1)
+        else:
+            out[0][:, i] = jet
     if constant:
-        return np.zeros((dim,) + np.shape(fields))
-    out = []
-    for i in range(dim):
-        env = [Dual(coords[n], 1.0 if n == i else 0.0) for n in range(dim)]
-        out.append(_tangents(field_values(fields, env)))
-    return out
+        out += [np.broadcast_to(0.0, (lanes,) + (dim,) * k + (len(flat),))
+                for k in range(1, order + 1)]
+    return tuple(a.reshape(a.shape[:-1] + shape) for a in out)
+
+
+def field_first_derivatives(fields, point):
+    """d_i of a nested array of ScalarFields at a point, or at lanes with the
+    lane axis first, derivative index first."""
+    coords, single = lanes_of(point)
+    with np.errstate(all="ignore"):
+        d = field_jet(fields, coords, 1)[1]
+    return d[0] if single else d
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +190,7 @@ class MetricField:
 
     def derivatives_at(self, point) -> np.ndarray:
         """d_i g_jk at a point, shape (dim, dim, dim)."""
-        return np.array(field_first_derivatives(
-            self.components, [float(x) for x in point], self.dim), dtype=float)
+        return field_first_derivatives(self.components, [float(x) for x in point])
 
     def check_point(self, point):
         """Symmetry (to 1e-12) and positive definiteness (leading principal
@@ -308,117 +211,78 @@ class MetricField:
 # Christoffel symbols and curvature
 
 
-def christoffel_values(g: MetricField, coords):
-    """Levi-Civita symbols Gamma^i_jk at generic coordinates.
-
-    Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk).
-    """
-    dim = g.dim
-    if g.is_constant:
-        return [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
-    dg = field_first_derivatives(g.components, coords, dim)
-    return christoffel_from(inv_generic(g.matrix_at(coords)), dg)
-
-
 def christoffel_from(ginv, dg):
-    """Levi-Civita symbols from g^-1 and dg[i][j][k] = d_i g_jk, both nested
-    lists of generic scalars."""
-    dim = len(ginv)
-    gamma = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(j, dim):
-                s = 0.0
-                for l in range(dim):
-                    s = s + ginv[i][l] * (dg[j][l][k] + dg[k][j][l] - dg[l][j][k])
-                val = 0.5 * s
-                gamma[i][j][k] = val
-                gamma[i][k][j] = val
-    return gamma
+    """Levi-Civita symbols Gamma[..., i, j, k] from g^-1 and dg[..., i, j, k]
+    = d_i g_jk (any leading axes):
 
-
-def christoffel(g: MetricField, point) -> np.ndarray:
-    """Levi-Civita connection coefficients at a point, shape (dim,dim,dim),
-    symmetric in the lower pair."""
-    return np.array(christoffel_values(g, [float(x) for x in point]), dtype=float)
-
-
-def gamma_jet(gamma_fn, point, dim, constant=False):
-    """Value and exact coordinate derivatives of a connection field.
-
-    ``gamma_fn(coords)`` must return nested-list Gamma^i_jk for generic
-    scalar coords.  Returns (Gamma[i,j,k], dGamma[m,i,j,k] = d_m Gamma^i_jk).
-    ``constant=True`` promises the coefficients do not depend on the point
-    and skips the derivative passes (dGamma is then zeros).
-
-    ``point`` may hold (P,) lane arrays, one lane per sample point: then
-    both arrays get a leading lane axis and the lanes are evaluated together
-    under ``np.errstate(all="ignore")``, because Python float arithmetic
-    overflows silently.  Lanes that would need different float operations
-    (``LaneSplit``) are evaluated in groups.
+        Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_jl - d_l g_jk).
     """
-    lanes = lane_count(point)
-    if lanes is None:
-        return _jet([float(x) for x in point], gamma_fn, dim, constant, None)
-    coords = [np.asarray(x, dtype=float) for x in point]
-    try:
-        with np.errstate(all="ignore"):
-            return _jet(coords, gamma_fn, dim, constant, lanes)
-    except LaneSplit as split:
-        gamma = np.empty((lanes,) + (dim,) * 3)
-        dgamma = np.empty((lanes,) + (dim,) * 4)
-        for rows in (split.mask, ~split.mask):
-            gamma[rows], dgamma[rows] = gamma_jet(
-                gamma_fn, [c[rows] for c in coords], dim, constant)
-        return gamma, dgamma
+    t = dg + np.einsum("...kjl->...jlk", dg) - np.einsum("...ljk->...jlk", dg)
+    return 0.5 * np.einsum("...il,...jlk->...ijk", ginv, t)
 
 
-def _jet(p, gamma_fn, dim, constant, lanes):
-    """gamma_jet at coordinates ``p`` (floats, or arrays of ``lanes`` lanes)."""
-    gamma = lane_array(gamma_fn(p), lanes)
-    if constant:
-        return gamma, lane_zeros((dim,) * 4, lanes)
-    dgamma = np.empty(gamma.shape[:-3] + (dim,) * 4)
-    for m in range(dim):
-        coords = [Dual(p[n], 1.0 if n == m else 0.0) for n in range(dim)]
-        gm = gamma_fn(coords)
-        dgamma[..., m, :, :, :] = lane_array(
-            [[[primal(tangent(v)) for v in row] for row in mat] for mat in gm], lanes)
+def gamma_jet(ginv, dg, ddg):
+    """The Levi-Civita symbols and their derivatives, (Gamma[..., i, j, k],
+    dGamma[..., m, i, j, k] = d_m Gamma^i_jk), in closed form from g^-1, dg
+    and ddg[..., m, i, j, k] = d_m d_i g_jk.  As d_m g^-1 = -g^-1 (d_m g) g^-1,
+
+        d_m Gamma^i_jk = -g^ia (d_m g_ab) Gamma^b_jk
+                         + 1/2 g^il d_m (d_j g_lk + d_k g_jl - d_l g_jk).
+    """
+    gamma = christoffel_from(ginv, dg)
+    dginv_g = np.einsum("...ia,...mab->...mib", ginv, dg)
+    dgamma = (christoffel_from(ginv[..., None, :, :], ddg)
+              - np.einsum("...mib,...bjk->...mijk", dginv_g, gamma))
     return gamma, dgamma
 
 
+def christoffel_values(g: MetricField, point) -> np.ndarray:
+    """Levi-Civita symbols Gamma^i_jk of ``g`` at a point (dim, dim, dim), or
+    at lanes with the lane axis first, from one first-order walk of g."""
+    coords, single = lanes_of(point)
+    if g.is_constant:
+        gamma = np.zeros((len(coords[0]),) + (g.dim,) * 3)
+    else:
+        with np.errstate(all="ignore"):
+            gv, dg = field_jet(g.components, coords, 1)
+            gamma = christoffel_from(inv_generic(gv), dg)
+    return gamma[0] if single else gamma
+
+
+christoffel = christoffel_values
+
+
 def christoffel_jet(g: MetricField, point):
-    """gamma_jet of the Levi-Civita symbols of ``g``."""
-    return gamma_jet(lambda c: christoffel_values(g, c), point, g.dim,
-                     constant=g.is_constant)
+    """(Gamma, dGamma) of the Levi-Civita connection of ``g`` at a point, or
+    at lanes with the lane axis first, from one second-order walk of g and
+    ``gamma_jet``; zeros for a constant metric."""
+    coords, single = lanes_of(point)
+    if g.is_constant:
+        jet = tuple(np.broadcast_to(0.0, (len(coords[0]),) + (g.dim,) * k) for k in (3, 4))
+    else:
+        with np.errstate(all="ignore"):
+            gv, dg, ddg = field_jet(g.components, coords, 2)
+            jet = gamma_jet(inv_generic(gv), dg, ddg)
+    return tuple(a[0] for a in jet) if single else jet
 
 
-def riemann_from_jet(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """Curvature of a connection from its coefficients Gamma[i,j,k] and their
-    derivatives dGamma[m,i,j,k] at a point, components R^i_jkl with
-    R(e_k, e_l) e_j = R^i_jkl e_i:
+def riemann(gamma, dgamma) -> np.ndarray:
+    """Curvature R^i_jkl, with R(e_k, e_l) e_j = R^i_jkl e_i, of a connection
+    from its coefficients Gamma[..., i, j, k] and their derivatives
+    dGamma[..., m, i, j, k] = d_m Gamma^i_jk (any leading axes):
 
         R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj
                   + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj.
 
-    With a leading lane axis the contraction runs point by point, so every
-    sum is taken in the order of a single point.
+    ``riemann(g, point)`` with a MetricField ``g`` is the curvature of its
+    Levi-Civita connection at a point or at lanes (``christoffel_jet``).
     """
-    if gamma.ndim == 4:
-        return np.stack([riemann_from_jet(*jet) for jet in zip(gamma, dgamma)])
-    # dGamma[k,i,l,j] = d_k Gamma^i_lj
-    r = np.einsum("kilj->ijkl", dgamma) - np.einsum("likj->ijkl", dgamma)
-    r += np.einsum("ikm,mlj->ijkl", gamma, gamma)
-    r -= np.einsum("ilm,mkj->ijkl", gamma, gamma)
+    if isinstance(gamma, MetricField):
+        gamma, dgamma = christoffel_jet(gamma, dgamma)
+    r = np.einsum("...kilj->...ijkl", dgamma) - np.einsum("...likj->...ijkl", dgamma)
+    r += np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
+    r -= np.einsum("...ilm,...mkj->...ijkl", gamma, gamma)
     return r
-
-
-def riemann(g: MetricField, point) -> np.ndarray:
-    """Riemann curvature of the Levi-Civita connection at a point (or at
-    every lane of lane coordinates, lane axis first)."""
-    if g.is_constant:
-        return lane_zeros((g.dim,) * 4, lane_count(point))
-    return riemann_from_jet(*christoffel_jet(g, point))
 
 
 def inner(g: np.ndarray, x, y):

@@ -11,6 +11,7 @@ record, but renders each distinct check name and each distinct point once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -98,10 +99,15 @@ class AuditReport:
                     if c.startswith(check_prefix)), default=0.0)
 
     def worst_by_check(self) -> Dict[str, CheckRecord]:
+        """The first record of each check with the largest |residual|; a NaN
+        residual is worse than any number."""
+        def badness(r):
+            return math.isnan(r), abs(r)
+
         worst = {}
         for i, (c, r) in enumerate(zip(self.checks, self.residuals)):
             w = worst.get(c)
-            if w is None or abs(r) > abs(self.residuals[w]):
+            if w is None or badness(r) > badness(self.residuals[w]):
                 worst[c] = i
         return {c: self._record(i) for c, i in worst.items()}
 

@@ -8,8 +8,8 @@ import itertools
 import numpy as np
 
 from .manifold import ChartManifold, _as_fields
-from .metric import (FieldArray, MetricField, christoffel_values, field_values,
-                     nabla_g)
+from .metric import (FieldArray, MetricField, christoffel_values, field_jet,
+                     field_values, lanes_of, nabla_g)
 from .report import AuditReport
 
 
@@ -30,12 +30,11 @@ class AcsViolatedError(StatisticalError):
 
 
 class DifferenceTensor:
-    """Base of the difference tensors: ``components(coords)`` gives K^i_jk as
-    nested lists of generic scalars, ``is_constant`` whether they are
-    independent of the point."""
-
-    def array_at(self, point) -> np.ndarray:
-        return np.array(self.components([float(x) for x in point]), dtype=float)
+    """Base of the difference tensors: ``jet(coords, levi_civita)`` gives
+    K^i_jk at (P,) lane coordinates and, when ``levi_civita`` is the jet
+    (Gamma, dGamma) of the Levi-Civita connection there rather than
+    (Gamma,), its derivatives dK[P, m, i, j, k] = d_m K^i_jk; ``is_constant``
+    says whether K is independent of the point."""
 
 
 class ExplicitDifferenceTensor(DifferenceTensor):
@@ -48,13 +47,17 @@ class ExplicitDifferenceTensor(DifferenceTensor):
         self.dim = len(fields)
         self.is_constant = self.fields.is_constant
 
-    def components(self, coords):
-        return field_values(self.fields, coords)
+    def jet(self, coords, levi_civita):
+        return field_jet(self.fields, coords, len(levi_civita) - 1)
+
+    def array_at(self, point) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return field_jet(self.fields, lanes_of(point)[0], 0)[0][0]
 
 
 class ConnectionDifferenceTensor(DifferenceTensor):
     """K obtained as a user connection table minus the Levi-Civita symbols of
-    the metric; evaluated lazily so it stays generic in the scalar type."""
+    the metric, whose jet the caller passes in."""
 
     def __init__(self, gamma_fields, metric: MetricField, coord_names=None):
         if coord_names is not None:
@@ -64,12 +67,14 @@ class ConnectionDifferenceTensor(DifferenceTensor):
         self.dim = len(gamma_fields)
         self.is_constant = metric.is_constant and self.gamma_fields.is_constant
 
-    def components(self, coords):
-        user = field_values(self.gamma_fields, coords)
-        lc = christoffel_values(self.metric, coords)
-        d = self.dim
-        return [[[user[i][j][k] - lc[i][j][k] for k in range(d)]
-                 for j in range(d)] for i in range(d)]
+    def jet(self, coords, levi_civita):
+        user = field_jet(self.gamma_fields, coords, len(levi_civita) - 1)
+        return tuple(u - lc for u, lc in zip(user, levi_civita))
+
+    def array_at(self, point) -> np.ndarray:
+        coords = lanes_of(point)[0]
+        with np.errstate(all="ignore"):
+            return self.jet(coords, (christoffel_values(self.metric, coords),))[0][0]
 
 
 def zero_difference_tensor(coord_names) -> ExplicitDifferenceTensor:
@@ -107,10 +112,10 @@ def cubic_form(g: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def total_symmetry_residual(t: np.ndarray) -> float:
-    worst = 0.0
-    for perm in itertools.permutations(range(3)):
-        worst = max(worst, float(np.max(np.abs(t - np.transpose(t, perm)))))
-    return worst
+    """max |t - t permuted| over the permutations of the three slots; NaN
+    when t holds a NaN."""
+    return float(np.max([np.max(np.abs(t - np.transpose(t, perm)))
+                         for perm in itertools.permutations(range(3))]))
 
 
 def validate_statistical(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:

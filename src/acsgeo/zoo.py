@@ -194,17 +194,27 @@ def generate_random_acs(dim: int, seed: int, family: str) -> ZooEntry:
 # registry
 
 
+# the parameters each entry takes
+PARAMETERS = {"example_flat_acs": ("n",), "example_r3_negative": (),
+              "random": ("dim", "seed", "family")}
+
+
 def list_zoo():
-    return ["example_flat_acs", "example_r3_negative", "random"]
+    return list(PARAMETERS)
 
 
 def get_entry(name: str, **params) -> ZooEntry:
+    """The zoo entry ``name`` built with ``params``; a parameter the entry
+    does not take is a ValueError that lists the ones it does."""
+    if name not in PARAMETERS:
+        raise KeyError(f"unknown zoo entry {name!r}; available: {list_zoo()}")
+    unknown = sorted(set(params) - set(PARAMETERS[name]))
+    if unknown:
+        raise ValueError(f"unknown parameter {', '.join(map(repr, unknown))} for zoo entry "
+                         f"{name!r}; valid keys: {', '.join(PARAMETERS[name]) or 'none'}")
     if name == "example_flat_acs":
         return example_flat_acs(int(params.get("n", 1)))
     if name == "example_r3_negative":
         return example_r3_negative()
-    if name == "random":
-        return generate_random_acs(int(params.get("dim", 3)),
-                                   int(params.get("seed", 0)),
-                                   str(params.get("family", "trivial-lambda")))
-    raise KeyError(f"unknown zoo entry {name!r}; available: {list_zoo()}")
+    return generate_random_acs(int(params.get("dim", 3)), int(params.get("seed", 0)),
+                               str(params.get("family", "trivial-lambda")))

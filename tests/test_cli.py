@@ -498,3 +498,29 @@ def test_log_levels_are_accepted(capsys, monkeypatch, value):
     monkeypatch.setenv("ACSM_LOG", value)
     assert run(capsys, "validate", "zoo:example_r3_negative", "--grid", "2")[0] == 0
 
+
+
+def test_non_finite_derivatives_exit_two(capsys, tmp_path):
+    """g stays finite at x = 1 while d g overflows: every verb stops at the
+    frame gate and names the field and the point."""
+    f = "1 + exp(709*x)"
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(dict(XI_DX, metric_lower=[[f], ["0", f], ["0", "0", "1"]],
+                                    phi=[["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+                                    xi=["0", "0", "1"])))
+    for verb in ("validate", "curvature", "audit"):
+        code, out, err = run(capsys, verb, str(path))
+        assert (code, out) == (2, ""), verb
+        assert err == "error: metric derivative is not finite at [1.0, -1.0, -1.0]\n"
+
+
+@pytest.mark.parametrize("ref, valid", [
+    ("zoo:random:dim=5,sed=3", "dim, seed, family"),
+    ("zoo:random:dim=3,famly=mixed", "dim, seed, family"),
+    ("zoo:example_r3_negative:n=4", "none"),
+    ("zoo:example_flat_acs:m=2", "n")])
+def test_unknown_zoo_parameter_exits_two(capsys, ref, valid):
+    code, out, err = run(capsys, "validate", ref)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown parameter ")
+    assert err.endswith(f"; valid keys: {valid}\n")

@@ -1,7 +1,7 @@
 """Lanes: a coordinate may be a (P,) array with one lane per sample point.
 Every lane must give bit-identical results, sign bits included, to
-evaluating its point on plain floats, and an input must fail on the lanes
-exactly when it fails at one of its points."""
+evaluating its point alone (as floats or as a pass of one lane), and an
+input must fail on the lanes exactly when it fails at one of its points."""
 
 import itertools
 
@@ -14,11 +14,11 @@ from acsgeo import curvature as curv
 from acsgeo import generate_random_acs
 from acsgeo.contact import (DegenerateSeedError, ExhaustedCandidatesError, FrameError,
                             phi_bases)
-from acsgeo.expressions import Dual, ExpressionError, NonFiniteError, parse_expression
+from acsgeo.expressions import ExpressionError, Jet, NonFiniteError, parse_expression
 from acsgeo.manifold import FrameStack
-from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField, christoffel,
-                           christoffel_jet, field_first_derivatives, field_values, gamma_jet,
-                           inv_generic, lane_count, riemann)
+from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField,
+                           SingularMetricError, christoffel, christoffel_jet,
+                           field_first_derivatives, field_values, inv_generic, riemann)
 from acsgeo.specfile import manifold_from_dict
 
 from conftest import poly3_metric
@@ -35,21 +35,19 @@ def assert_same(lane_value, point_values):
     assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
 
 
-def parts(x, depth):
-    """The 2**depth components of a (nested) Dual; plain floats have zero
-    tangents."""
-    if depth == 0:
-        return [x]
-    val, dot = (x.val, x.dot) if isinstance(x, Dual) else (x, 0.0)
-    return parts(val, depth - 1) + parts(dot, depth - 1)
+def parts(x, order, lanes):
+    """Value, gradient and Hessian of an evaluation, as many as ``order``
+    asks for, lane axis first; a plain value has zero derivatives."""
+    if not isinstance(x, Jet):
+        x = Jet(np.full(lanes, x), np.zeros((3, lanes)), np.zeros((3, 3, lanes)))
+    return [np.moveaxis(np.broadcast_to(a, a.shape[:-1] + (lanes,)), -1, 0)
+            for a in (np.atleast_1d(x.val), x.grad, x.hess)[:order + 1]]
 
 
-def seeded(coords, depth, m=0, i=1):
-    """Coordinates seeded for value (0), d_m (1) or d_i d_m (2) evaluation."""
-    env = list(coords)
-    for axis in (m, i)[:depth]:
-        env = [Dual(c, 1.0 if n == axis else 0.0) for n, c in enumerate(env)]
-    return env
+def seeded(coords, order):
+    """Coordinates seeded for values (order 0) or for Jets of ``order``."""
+    return list(coords) if order == 0 else Jet.variables(
+        [np.atleast_1d(np.asarray(c, dtype=float)) for c in coords], order)
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +80,13 @@ def _evaluate(field, env):
 
 
 @settings(max_examples=300, deadline=None)
-@given(EXPRESSIONS, POINTS, st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
-def test_expression_lanes_match_points(text, points, depth, m, i):
+@given(EXPRESSIONS, POINTS, st.integers(0, 2))
+def test_expression_lanes_match_points(text, points, order):
     field = parse_expression(text, XYZ)
-    per_point = [_evaluate(field, seeded(p, depth, m, i)) for p in points]
     lanes = [np.array(c) for c in zip(*points)]
-    with np.errstate(all="ignore"):
-        lane_out, lane_err = _evaluate(field, seeded(lanes, depth, m, i))
+    with np.errstate(all="ignore"):     # one-point jets are lanes too
+        per_point = [_evaluate(field, seeded(p, order)) for p in points]
+        lane_out, lane_err = _evaluate(field, seeded(lanes, order))
     errors = {err for _, err in per_point if err is not None}
     if errors:
         # the lanes stop at the first node where some lane fails; that
@@ -96,10 +94,10 @@ def test_expression_lanes_match_points(text, points, depth, m, i):
         assert lane_err in errors
         return
     assert lane_err is None
-    got = parts(lane_out, depth)
-    want = [parts(out, depth) for out, _ in per_point]
+    got = parts(lane_out, order, len(points))
+    want = [parts(out, order, 1) for out, _ in per_point]
     for k, lane_value in enumerate(got):
-        assert_same(lane_value, [w[k] for w in want])
+        assert_same(lane_value, [w[k][0] for w in want])
 
 
 def test_lane_domain_errors_name_a_failing_lane():
@@ -109,40 +107,27 @@ def test_lane_domain_errors_name_a_failing_lane():
 
 
 # ---------------------------------------------------------------------------
-# inv_generic with per-lane pivots
+# inv_generic: one batched call behind a singularity gate
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 5), st.integers(2, 9))
-def test_inv_generic_lanes_pivot_per_lane(seed, n, lanes):
+def test_inv_generic_stack_matches_one_at_a_time(seed, n, lanes):
     rng = np.random.default_rng(seed)
-    mats = []
-    for p in range(lanes):
-        chol = np.tril(rng.uniform(-1.0, 1.0, (n, n)))
-        np.fill_diagonal(chol, rng.uniform(0.5, 1.5, n))
-        # in column 0, lanes 1, 4, ... pivot on row 1, lanes 2, 5, ... on
-        # another row, and lanes 0, 3, ... tie rows 0 and 1 exactly (the first
-        # of equal magnitudes wins)
-        scale = (chol[0, 0], 2.0, 0.25)[p % 3]
-        chol[1, 0] = scale * rng.choice([-1.0, 1.0])
-        mats.append(chol @ chol.T)
-    a = np.array(mats)
-    da = rng.uniform(-1.0, 1.0, a.shape)
-    da = da + da.transpose(0, 2, 1)
+    chol = np.tril(rng.uniform(-1.0, 1.0, (lanes, n, n)))
+    chol[:, range(n), range(n)] = rng.uniform(0.5, 1.5, (lanes, n))
+    a = chol @ chol.transpose(0, 2, 1)
+    got = inv_generic(a)
+    assert_same(got, [inv_generic(mat[None])[0] for mat in a])
+    assert np.allclose(got @ a, np.eye(n), atol=1e-9)
 
-    want = [inv_generic(mat.tolist()) for mat in a]
-    got = inv_generic([[a[:, r, c] for c in range(n)] for r in range(n)])
-    for r in range(n):
-        for c in range(n):
-            assert_same(got[r][c], [w[r][c] for w in want])
 
-    want = [inv_generic([[Dual(mat[r, c], dmat[r, c]) for c in range(n)] for r in range(n)])
-            for mat, dmat in zip(a, da)]
-    got = inv_generic([[Dual(a[:, r, c], da[:, r, c]) for c in range(n)] for r in range(n)])
-    for r in range(n):
-        for c in range(n):
-            for k in range(2):
-                assert_same(parts(got[r][c], 1)[k], [parts(w[r][c], 1)[k] for w in want])
+@pytest.mark.parametrize("mat, message", [
+    (np.diag([0.0, 1.0, 1.0]), "^matrix is numerically singular$"),
+    (np.diag([1e-7, 1e-7, 1.0]), r"^metric determinant 9\.9999999999999\d*e-15 below threshold$")])
+def test_inv_generic_gate(mat, message):
+    with pytest.raises(SingularMetricError, match=message):
+        inv_generic(np.stack([np.eye(3), mat]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +145,8 @@ def grid(box, k):
 
 METRICS = {
     "poly3": poly3_metric(),
-    # the constant 1 and the Dual x trade places in column 0 where |x| > 1,
-    # so the lanes are evaluated in two groups
+    # the constant 1 and x trade places as the larger entry of column 0
+    # where |x| > 1
     "mixed_type_pivot": MetricField.from_lower_triangle(
         [["1"], ["x", "4"], ["0", "0", "1"]], XYZ),
     "mixed_pivot_transcendental": MetricField.from_lower_triangle(
@@ -175,7 +160,6 @@ def test_christoffel_jet_and_riemann_lanes_match_points(name):
     g = METRICS[name]
     points = grid([(-1.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)], 4)
     coords = lane_coords(points)
-    assert lane_count(coords) == len(points)
     gamma, dgamma = christoffel_jet(g, coords)
     r = riemann(g, coords)
     for p, point in enumerate(points):
@@ -186,10 +170,10 @@ def test_christoffel_jet_and_riemann_lanes_match_points(name):
 
 
 def test_constant_jet_lanes_are_broadcast_zeros():
-    k, dk = gamma_jet(lambda c: [[[0.5] * 3] * 3] * 3, lane_coords(grid([(0, 1)] * 3, 2)),
-                      3, constant=True)
-    assert k.shape == (8, 3, 3, 3) and dk.shape == (8, 3, 3, 3, 3)
-    assert dk.strides[0] == 0 and not dk.any()
+    g = MetricField.from_lower_triangle([["2"], ["0.5", "1"], ["0", "0", "1"]], XYZ)
+    gamma, dgamma = christoffel_jet(g, lane_coords(grid([(0, 1)] * 3, 2)))
+    assert gamma.shape == (8, 3, 3, 3) and dgamma.shape == (8, 3, 3, 3, 3)
+    assert dgamma.strides[0] == 0 and not dgamma.any() and not gamma.any()
 
 
 F = "exp(0.1*((u + 3*v)^2 + v^2))"
@@ -284,8 +268,8 @@ FRAME_CHARTS = pytest.mark.parametrize(
 
 @FRAME_CHARTS
 def test_point_frame_matches_float_paths(spec):
-    """A point alone is a pass of one lane; the float paths of metric, which
-    evaluate one point on Python floats, are the reference."""
+    """A point alone is a pass of one lane; the functions of metric that
+    take one point are the reference."""
     m = manifold_from_dict(spec)
     for p in m.grid_points():
         x = [float(c) for c in p]
@@ -296,8 +280,8 @@ def test_point_frame_matches_float_paths(spec):
                 "eta": g @ xi if m.eta is None else field_values(m.eta, x),
                 "gamma0": christoffel(m.metric, p), "K": m.difference.array_at(p),
                 "dg": m.metric.derivatives_at(p),
-                "dphi": field_first_derivatives(m.phi, x, m.dim),
-                "dxi": field_first_derivatives(m.xi, x, m.dim)}
+                "dphi": field_first_derivatives(m.phi, x),
+                "dxi": field_first_derivatives(m.xi, x)}
         fr = m.frame_at(p)
         for name in FRAME_FIELDS:
             assert getattr(fr, name).shape == np.shape(want[name]), name
@@ -308,11 +292,10 @@ def test_point_frame_matches_float_paths(spec):
 def test_point_curvature_matches_float_jets(spec):
     m = manifold_from_dict(spec)
     for p in m.grid_points():
-        gamma0, dgamma0 = christoffel_jet(m.metric, p)
-        k, dk = gamma_jet(m.difference.components, p, m.dim,
-                          constant=m.difference.is_constant)
-        want = curv._statistical_parts(gamma0, dgamma0, k, dk, riemann(m.metric, p),
-                                       curv.kk_tensor(k))
+        levi_civita = christoffel_jet(m.metric, p)
+        k, dk = (a[0] for a in m.difference.jet(lane_coords([p]), christoffel_jet(
+            m.metric, lane_coords([p]))))
+        want = curv._statistical_parts(*levi_civita, k, dk)
         for got, ref in zip(curv.statistical_curvature(m, p), want):
             assert_same(got, ref)
 

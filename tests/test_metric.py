@@ -133,5 +133,5 @@ def test_covariant_derivative_of_coordinate_field():
     from acsgeo import parse_expression
     v_fields = [parse_expression(s, POLY3_COORDS) for s in ("1", "0", "0")]
     dv = covariant_derivative_vector(gam, np.array([f(p) for f in v_fields]),
-                                     np.array(field_first_derivatives(v_fields, p, 3)))
+                                     field_first_derivatives(v_fields, p))
     assert np.max(np.abs(dv - gam[:, :, 0].T)) < 1e-12

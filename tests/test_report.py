@@ -126,3 +126,16 @@ def test_queries_read_the_columns():
     assert empty.all_passed and empty.to_json_lines() == "" and empty.records == []
     empty.flag("disagreement")
     assert not empty.all_passed
+
+
+def test_nan_residual_is_the_worst():
+    rep = AuditReport()
+    rep.add("c", [0.0], 0.5, tol=1.0)
+    rep.add("c", [1.0], float("nan"), tol=1.0)
+    rep.add("c", [2.0], 2.0, tol=1.0)
+    rep.add("d", [0.0], float("nan"), tol=1.0)
+    rep.add("d", [1.0], float("nan"), tol=1.0)
+    worst = rep.worst_by_check()
+    assert worst["c"].point == (1.0,) and worst["d"].point == (0.0,)
+    assert rep.to_table().splitlines()[1:] == [
+        f"{name:<5}  {'nan':>24}  FAIL" for name in "cd"]

@@ -153,3 +153,15 @@ def test_k_polarization():
     diag_only = max(float(np.max(np.abs(fr.apply_k(e, e))))
                     for e in np.eye(3))
     assert diag_only == 0.0
+
+
+def test_total_symmetry_residual_propagates_nan():
+    t = np.zeros((3, 3, 3))
+    t[0, 1, 2] = np.nan
+    assert np.isnan(total_symmetry_residual(t))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        t = rng.standard_normal((4, 4, 4))
+        loop = max(float(np.max(np.abs(t - np.transpose(t, perm))))
+                   for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
+        assert total_symmetry_residual(t) == loop
