@@ -250,15 +250,20 @@ def _curvature_parts(m: ChartManifold, points, where):
     lane per point, cached while the cache holds fewer than 4096: one
     second-order walk of g gives the Gamma^0 jet in closed form, one
     first-order walk of the K table (or of the connection table, less
-    Gamma^0) the K jet, and the parts follow for all points at once.  A jet
+    Gamma^0) the K jet, and the parts follow 16 points at a time.  A jet
     entry that is not finite makes a part non-finite, so the parts are the
     one finiteness gate.  Raises the jets' errors, or NonFiniteError
     (``where`` naming the points), and then caches nothing."""
     pts = np.array(points, dtype=float).reshape(len(points), m.dim)
     coords = [np.ascontiguousarray(pts[:, n]) for n in range(m.dim)]
+    parts = [np.empty((len(pts),) + (m.dim,) * 4) for _ in range(5)]
     with np.errstate(all="ignore"):
         levi_civita = christoffel_jet(m.metric, coords)
-        parts = _statistical_parts(*levi_civita, *m.difference.jet(coords, levi_civita))
+        jets = levi_civita + m.difference.jet(coords, levi_civita)
+        for c in range(0, len(pts), 16):    # 16 points at a time bounds the temporaries
+            rows = slice(c, c + 16)
+            for part, value in zip(parts, _statistical_parts(*(a[rows] for a in jets))):
+                part[rows] = value
     if not all(np.isfinite(a).all() for a in parts):
         raise NonFiniteError(f"statistical curvature is not finite {where}")
     out = list(zip(*parts))

@@ -169,7 +169,7 @@ class ChartManifold:
             eta = _finite("eta", field_jet(self.eta, coords, 0)[0], where)
         else:
             eta = np.array([gp @ xp for gp, xp in zip(g, xi)])
-        gamma0 = np.zeros((len(g),) + (self.dim,) * 3) if metric.is_constant \
+        gamma0 = np.broadcast_to(0.0, (len(g),) + (self.dim,) * 3) if metric.is_constant \
             else christoffel_from(g_inv, dg)
         k = _finite("K", self.difference.jet(coords, (gamma0,))[0], where)
         for name, arr in (("metric derivative", dg), ("Levi-Civita connection", gamma0),

@@ -190,7 +190,7 @@ class MetricField:
 
     def derivatives_at(self, point) -> np.ndarray:
         """d_i g_jk at a point, shape (dim, dim, dim)."""
-        return field_first_derivatives(self.components, [float(x) for x in point])
+        return field_first_derivatives(self.components, point)
 
     def check_point(self, point):
         """Symmetry (to 1e-12) and positive definiteness (leading principal

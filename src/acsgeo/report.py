@@ -95,8 +95,10 @@ class AuditReport:
         return all(self.passed) and not self.flags
 
     def max_residual(self, check_prefix: str = "") -> float:
-        return max((abs(r) for c, r in zip(self.checks, self.residuals)
-                    if c.startswith(check_prefix)), default=0.0)
+        """max |residual| of the checks named ``check_prefix...`` (0 without
+        any); NaN when one of them is NaN."""
+        return float(np.max([abs(r) for c, r in zip(self.checks, self.residuals)
+                             if c.startswith(check_prefix)], initial=0.0))
 
     def worst_by_check(self) -> Dict[str, CheckRecord]:
         """The first record of each check with the largest |residual|; a NaN

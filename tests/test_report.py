@@ -137,5 +137,6 @@ def test_nan_residual_is_the_worst():
     rep.add("d", [1.0], float("nan"), tol=1.0)
     worst = rep.worst_by_check()
     assert worst["c"].point == (1.0,) and worst["d"].point == (0.0,)
+    assert np.isnan(rep.max_residual("c")) and np.isnan(rep.max_residual())
     assert rep.to_table().splitlines()[1:] == [
         f"{name:<5}  {'nan':>24}  FAIL" for name in "cd"]
