@@ -65,7 +65,7 @@ def resolve_input(ref: str) -> ChartManifold:
         try:
             return get_entry(name, **params).manifold
         except (KeyError, ValueError) as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
     if not os.path.exists(ref):
         raise InputError(f"no such spec file: {ref}")
     return load_spec(ref)

@@ -114,8 +114,8 @@ def cubic_form(g: np.ndarray, k: np.ndarray) -> np.ndarray:
 def total_symmetry_residual(t: np.ndarray) -> float:
     """max |t - t permuted| over the permutations of the three slots; NaN
     when t holds a NaN."""
-    return float(np.max([np.max(np.abs(t - np.transpose(t, perm)))
-                         for perm in itertools.permutations(range(3))]))
+    permuted = np.stack([np.transpose(t, perm) for perm in itertools.permutations(range(3))])
+    return float(np.max(np.abs(t - permuted)))
 
 
 def validate_statistical(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:

@@ -152,8 +152,10 @@ def test_curvature_wrong_section_arity_exits_two(capsys):
 
 
 def test_malformed_zoo_ref_exits_two(capsys):
-    code, _, _ = run(capsys, "audit", "zoo:nonexistent")
+    code, _, err = run(capsys, "audit", "zoo:nonexistent")
     assert code == 2
+    assert err == ("error: unknown zoo entry 'nonexistent'; available: "
+                   "['example_flat_acs', 'example_r3_negative', 'random']\n")
     code, _, _ = run(capsys, "validate", "zoo:random:family=bogus")
     assert code == 2
 

@@ -87,6 +87,9 @@ def test_expression_lanes_match_points(text, points, order):
     with np.errstate(all="ignore"):     # one-point jets are lanes too
         per_point = [_evaluate(field, seeded(p, order)) for p in points]
         lane_out, lane_err = _evaluate(field, seeded(lanes, order))
+    floats = [_evaluate(field, list(p)) for p in points]
+    # a jet's value is the float value, and it fails where the float fails
+    assert [err for _, err in per_point] == [err for _, err in floats]
     errors = {err for _, err in per_point if err is not None}
     if errors:
         # the lanes stop at the first node where some lane fails; that
@@ -98,6 +101,7 @@ def test_expression_lanes_match_points(text, points, order):
     want = [parts(out, order, 1) for out, _ in per_point]
     for k, lane_value in enumerate(got):
         assert_same(lane_value, [w[k][0] for w in want])
+    assert_same(got[0], [out for out, _ in floats])
 
 
 def test_lane_domain_errors_name_a_failing_lane():
