@@ -175,11 +175,6 @@ class Jet:
             jets.append(cls(c, grad, hess))
         return jets
 
-    def _sym(self, grad, other_grad):
-        """grad (x) other_grad plus its transpose, (n, n, P)."""
-        cross = grad[:, None] * other_grad[None, :]
-        return cross + cross.transpose(1, 0, 2)
-
     def __add__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.val + other, self.grad, self.hess)
@@ -202,7 +197,7 @@ class Jet:
             return Jet(self.val * other, self.grad * other,
                        None if self.hess is None else self.hess * other)
         hess = None if self.hess is None else (
-            self.hess * other.val + self.val * other.hess + self._sym(self.grad, other.grad))
+            self.hess * other.val + self.val * other.hess + _sym_outer(self.grad, other.grad))
         return Jet(self.val * other.val, self.grad * other.val + self.val * other.grad, hess)
 
     __rmul__ = __mul__
@@ -222,14 +217,25 @@ class Jet:
         v = val / self.val
         dv = (grad - v * self.grad) / self.val
         hv = None if self.hess is None else (
-            hess - v * self.hess - self._sym(dv, self.grad)) / self.val
+            hess - v * self.hess - _sym_outer(dv, self.grad)) / self.val
         return Jet(v, dv, hv)
 
     def chain(self, f0, f1, f2):
         """f(self) from f, f' and f'' at the value."""
         hess = None if self.hess is None else (
-            f1 * self.hess + f2 * (self.grad[:, None] * self.grad[None, :]))
+            f1 * self.hess + f2 * _outer(self.grad, self.grad))
         return Jet(f0, f1 * self.grad, hess)
+
+
+def _outer(a, b):
+    """a (x) b of two gradients (n, P), lane by lane: (n, n, P)."""
+    return a[:, None] * b[None, :]
+
+
+def _sym_outer(a, b):
+    """a (x) b + b (x) a of two gradients (n, P), lane by lane."""
+    cross = _outer(a, b)
+    return cross + cross.transpose(1, 0, 2)
 
 
 def primal(x):
