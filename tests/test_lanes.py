@@ -14,7 +14,8 @@ from acsgeo import curvature as curv
 from acsgeo import generate_random_acs
 from acsgeo.contact import (DegenerateSeedError, ExhaustedCandidatesError, FrameError,
                             phi_bases)
-from acsgeo.expressions import ExpressionError, Jet, NonFiniteError, parse_expression
+from acsgeo.expressions import (Dual, ExpressionError, Jet, NonFiniteError, parse_expression,
+                                primal, tangent)
 from acsgeo.manifold import FrameStack
 from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField,
                            SingularMetricError, christoffel, christoffel_jet,
@@ -102,6 +103,27 @@ def test_expression_lanes_match_points(text, points, order):
     for k, lane_value in enumerate(got):
         assert_same(lane_value, [w[k][0] for w in want])
     assert_same(got[0], [out for out, _ in floats])
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXPRESSIONS, st.tuples(COORD, COORD, COORD))
+def test_jet_matches_nested_duals(text, point):
+    """The gradient and Hessian of one Taylor walk against d_m and d_i d_m
+    from nested Dual seeding, an independent reference."""
+    field = parse_expression(text, XYZ)
+    with np.errstate(all="ignore"):
+        jet, error = _evaluate(field, seeded(point, 2))
+        for m, i in itertools.product(range(3), repeat=2):
+            env = [Dual(Dual(c, float(n == m)), float(n == i)) for n, c in enumerate(point)]
+            out, dual_error = _evaluate(field, env)
+            assert dual_error == error
+            if error is not None:
+                return
+            grad, hess = parts(jet, 2, 1)[1:]
+            d_m = primal(tangent(out.val)) if isinstance(out, Dual) else 0.0
+            for got, want in ((grad[0, m], d_m), (hess[0, i, m], tangent(tangent(out)))):
+                if np.isfinite(got) and np.isfinite(want):
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_lane_domain_errors_name_a_failing_lane():
