@@ -230,9 +230,9 @@ def gamma_jet(ginv, dg, ddg):
                          + 1/2 g^il d_m (d_j g_lk + d_k g_jl - d_l g_jk).
     """
     gamma = christoffel_from(ginv, dg)
-    dginv_g = np.einsum("...ia,...mab->...mib", ginv, dg)
+    ginv_dg = np.einsum("...ia,...mab->...mib", ginv, dg)
     dgamma = (christoffel_from(ginv[..., None, :, :], ddg)
-              - np.einsum("...mib,...bjk->...mijk", dginv_g, gamma))
+              - np.einsum("...mib,...bjk->...mijk", ginv_dg, gamma))
     return gamma, dgamma
 
 
