@@ -20,14 +20,14 @@ import time
 import numpy as np
 
 from . import curvature as curv
-from .contact import FrameError, is_cosymplectic, validate_structure
+from .contact import FrameError, is_cosymplectic, structure_columns
 from .expressions import ExpressionError, parse_expression
 from .manifold import ChartManifold
-from .metric import GeometryError, field_values
-from .report import AuditReport, fmt
+from .metric import GeometryError, field_jet, point_lanes
+from .report import AuditReport, Column, within
 from .specfile import SpecFormatError, dump_spec, load_spec, manifold_to_dict
-from .statistical import (StatisticalError, conjugate_connection, validate_acs,
-                          validate_statistical)
+from .statistical import (StatisticalError, acs_columns, conjugate_connections,
+                          statistical_columns)
 from .zoo import UnsupportedDimensionError, get_entry, list_zoo
 
 log = logging.getLogger("acsgeo")
@@ -150,16 +150,48 @@ def grid_passes(m: ChartManifold, pts, curvature: bool):
 
 
 def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
-    """The selected structure/statistical/ACS axiom checks at every point."""
-    rep = AuditReport()
-    for p in pts:
-        if selected("structure", checks):
-            rep.extend(validate_structure(m, p, tol=tol))
-        if selected("statistical", checks):
-            rep.extend(validate_statistical(m, p, tol=tol))
-        if selected("acs", checks):
-            rep.extend(validate_acs(m, p, tol=tol))
-    return rep
+    """The selected structure/statistical/ACS axiom checks at every point,
+    over one stack of the frames; they raise only the frames' errors."""
+    if not any(selected(name, checks) for name in CHECK_GROUPS[:3]):
+        return AuditReport()
+    fs = m.frame_stack(pts)
+    columns = []
+    if selected("structure", checks):
+        columns += structure_columns(m, fs, tol)
+    if selected("statistical", checks):
+        columns += statistical_columns(fs, tol)
+    if selected("acs", checks):
+        columns += acs_columns(fs, tol)
+    return AuditReport.from_columns(fs.point, columns)
+
+
+def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
+    """The selected lemma_5_6, geodesic, prop_5_2 and duality checks at every
+    point, in one run through ``curvature.replay``: the statistical
+    curvature and the conjugate duality raise where a per-point loop would."""
+    wanted = [name for name in ("lemma_5_6", "geodesic", "prop_5_2", "duality")
+              if selected(name, checks)]
+    loose = max(tol, 1e-6)
+
+    def run(points, _):
+        fs = m.frame_stack(points)
+        zero, yes = np.zeros(len(points)), np.ones(len(points), dtype=bool)
+        columns = []
+        if "lemma_5_6" in wanted:
+            columns.append(within("lemma_5_6", curv.lemma_5_6_residuals(fs), tol))
+        if "geodesic" in wanted:
+            n0, n1 = curv.geodesic_norms(fs)
+            columns += [Column("geodesic/nabla0_xi_xi", zero, yes, n0),
+                        Column("geodesic/nabla_xi_xi", zero, yes, n1)]
+        if "prop_5_2" in wanted:
+            cross, dual = curv.prop_5_2_residuals(m, fs)
+            columns += [within("prop_5_2", cross, loose),
+                        within("conjugate_duality", dual, loose)]
+        if "duality" in wanted:
+            columns.append(within("connection_duality",
+                                  conjugate_connections(fs, tol=loose)[1], loose))
+        return AuditReport.from_columns(fs.point, columns)
+    return curv.replay(run, list(pts), None) if wanted else AuditReport()
 
 
 def cmd_validate(m: ChartManifold, args) -> int:
@@ -172,19 +204,21 @@ def cmd_validate(m: ChartManifold, args) -> int:
 
 
 def section_reader(m: ChartManifold, text: str):
-    """``--section`` as a function of a frame: the section vector at the
-    frame's point.  The components are parsed once, at the first call, so
-    a malformed or wrong-arity section fails at the first point."""
+    """``--section`` as a function of stacked frames: the section vector at
+    each frame's point, (P, dim).  The components are parsed once, at the
+    first call, so a malformed or wrong-arity section fails at the first
+    point."""
     fields = []
 
-    def at(frame):
+    def at(frames):
         if not fields:
             parsed = [parse_expression(s, m.coords) for s in text.split(",")]
             if len(parsed) != m.dim:
                 raise InputError(
                     f"--section needs {m.dim} comma-separated component expressions")
             fields.extend(parsed)
-        return np.array(field_values(fields, list(frame.point)), dtype=float)
+        with np.errstate(all="ignore"):
+            return field_jet(fields, point_lanes(frames.point), 0)[0]
     return at
 
 
@@ -232,25 +266,7 @@ def cmd_audit(m: ChartManifold, args) -> int:
         # psi needs the verdict only: no records, no draws from rng
         compat_rep = curv.phi_compat_check(m, pts, tol=args.tol)
 
-    for p in pts:
-        if selected("lemma_5_6", checks):
-            rep.add("lemma_5_6", p, curv.lemma_5_6_check(m, p), args.tol)
-        if selected("geodesic", checks):
-            n0, n1 = curv.geodesic_xi_check(m, p)
-            rep.add("geodesic/nabla0_xi_xi", p, 0.0, passed=True, value=n0)
-            rep.add("geodesic/nabla_xi_xi", p, 0.0, passed=True, value=n1)
-        if selected("prop_5_2", checks):
-            s, r0, kk, r, r_bar = curv.statistical_curvature(m, p)
-            rep.add("prop_5_2", p, float(np.max(np.abs(s - r0 - kk))),
-                    max(args.tol, 1e-6))
-            fr = m.frame_at(p)
-            low = np.einsum("am,mjkl->ajkl", fr.g, r)
-            low_bar = np.einsum("am,mjkl->ajkl", fr.g, r_bar)
-            dual_res = float(np.max(np.abs(low + np.einsum("jakl->ajkl", low_bar))))
-            rep.add("conjugate_duality", p, dual_res, max(args.tol, 1e-6))
-        if selected("duality", checks):
-            _, res = conjugate_connection(m, p, tol=max(args.tol, 1e-6))
-            rep.add("connection_duality", p, res, max(args.tol, 1e-6))
+    rep.extend(pointwise_checks(m, pts, args.tol, checks))
 
     if selected("psi", checks) and curv.is_phi_compatible(compat_rep):
         rep.extend(curv.psi_check(m, pts, tol=args.tol, compat_report=compat_rep))

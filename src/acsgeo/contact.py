@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifold import ChartManifold, PointFrame
-from .metric import covariant_derivative_11, inner, matvec, norms
-from .report import AuditReport
+from .manifold import ChartManifold, FrameStack, PointFrame
+from .metric import covariant_derivative_11, inner, matvec, norms, outer
+from .report import AuditReport, Column, max_abs, within
 
 
 class FrameError(Exception):
@@ -22,40 +22,38 @@ class ExhaustedCandidatesError(FrameError):
     pass
 
 
+@np.errstate(all="ignore")
+def structure_columns(m: ChartManifold, fs: FrameStack, tol: float):
+    """The almost contact metric axioms and their derived identities at the
+    points of ``fs``, one column each; a residual that is not finite fails."""
+    gphi = fs.g @ fs.phi
+    sv = np.linalg.svd(fs.phi, compute_uv=False)
+    return [
+        within("phi_squared", max_abs(fs.phi @ fs.phi + np.eye(fs.phi.shape[-1])
+                                      - outer(fs.xi, fs.eta)), tol),
+        within("eta_of_xi", (fs.eta[:, None] @ fs.xi[..., None])[:, 0, 0] - 1.0, tol),
+        within("phi_of_xi", max_abs(matvec(fs.phi, fs.xi)), tol),
+        within("eta_after_phi", max_abs(fs.eta[:, None] @ fs.phi), tol),
+        # rank(phi) = 2n via the two-threshold singular value rule: exactly
+        # one vanishing singular value
+        Column("phi_rank", sv[:, -1], (sv[:, -1] < 1e-9) & (sv[:, -2] > 1e-6)),
+        # metric compatibility g(phi X, phi Y) = g(X,Y) - eta(X) eta(Y)
+        within("metric_compatibility", max_abs(np.swapaxes(fs.phi, 1, 2) @ fs.g @ fs.phi
+                                               - fs.g + outer(fs.eta, fs.eta)), tol),
+        # derived metric identities
+        within("xi_unit", inner(fs.g, fs.xi, fs.xi) - 1.0, tol),
+        within("eta_is_g_xi", max_abs(fs.eta - matvec(fs.g, fs.xi)),
+               1e-12 if m.eta is not None else tol),
+        within("phi_g_antisymmetric", max_abs(gphi + np.swapaxes(gphi, 1, 2)), tol),
+    ]
+
+
 def validate_structure(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:
     """Residuals of the almost contact metric axioms and their derived
     identities at one point.  Failures are report entries, never exceptions.
     """
-    fr = m.frame_at(point)
-    dim = fr.dim
-    rep = AuditReport()
-    p = fr.point
-
-    eye = np.eye(dim)
-    rep.add("phi_squared", p, np.max(np.abs(fr.phi @ fr.phi + eye
-                                            - np.outer(fr.xi, fr.eta))), tol)
-    rep.add("eta_of_xi", p, fr.eta @ fr.xi - 1.0, tol)
-    rep.add("phi_of_xi", p, np.max(np.abs(fr.phi @ fr.xi)), tol)
-    rep.add("eta_after_phi", p, np.max(np.abs(fr.eta @ fr.phi)), tol)
-
-    # rank(phi) = 2n via the two-threshold singular value rule: exactly one
-    # vanishing singular value
-    sv = np.linalg.svd(fr.phi, compute_uv=False)
-    rank_ok = sv[-1] < 1e-9 and sv[-2] > 1e-6
-    rep.add("phi_rank", p, sv[-1], passed=rank_ok)
-
-    # metric compatibility g(phi X, phi Y) = g(X,Y) - eta(X) eta(Y)
-    rep.add("metric_compatibility", p,
-            np.max(np.abs(fr.phi.T @ fr.g @ fr.phi - fr.g + np.outer(fr.eta, fr.eta))),
-            tol)
-
-    # derived metric identities
-    rep.add("xi_unit", p, fr.inner(fr.xi, fr.xi) - 1.0, tol)
-    rep.add("eta_is_g_xi", p, np.max(np.abs(fr.eta - fr.g @ fr.xi)),
-            1e-12 if m.eta is not None else tol)
-    gphi = fr.g @ fr.phi
-    rep.add("phi_g_antisymmetric", p, np.max(np.abs(gphi + gphi.T)), tol)
-    return rep
+    fs = m.frame_stack([point])
+    return AuditReport.from_columns(fs.point, structure_columns(m, fs, tol))
 
 
 def phi_bases(g, phi, xi, seed=None):
@@ -134,17 +132,22 @@ def gram_residual(fr: PointFrame, basis: np.ndarray) -> float:
     return float(np.max(np.abs(basis.T @ fr.g @ basis - np.eye(basis.shape[1]))))
 
 
+@np.errstate(all="ignore")
+def nabla0_phi_of(fs: FrameStack) -> np.ndarray:
+    """nabla^0 phi with the Levi-Civita connection at the points of ``fs``,
+    (P, dim, dim, dim) indexed [p, i, j, k]."""
+    return covariant_derivative_11(fs.gamma0, fs.phi, fs.dphi)
+
+
 def nabla0_phi(m: ChartManifold, point) -> np.ndarray:
     """(nabla^0 phi)^j_{i,k} with the Levi-Civita connection, shape [i,j,k]."""
-    fr = m.frame_at(point)
-    return covariant_derivative_11(fr.gamma0, fr.phi, fr.dphi)
+    return nabla0_phi_of(m.frame_stack([point]))[0]
 
 
 def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9):
-    """True iff max |nabla^0 phi| over the sample points is within ``tol``.
-    Returns (flag, max_residual)."""
+    """True iff max |nabla^0 phi| over the sample points is within ``tol``
+    (a point where it is NaN does not count).  Returns (flag, max_residual)."""
     pts = points if points is not None else m.grid_points()
-    worst = 0.0
-    for p in pts:
-        worst = max(worst, float(np.max(np.abs(nabla0_phi(m, p)))))
+    per_point = max_abs(nabla0_phi_of(m.frame_stack(pts))) if len(pts) else []
+    worst = float(np.fmax.reduce(per_point, initial=0.0))
     return worst <= tol, worst

@@ -21,15 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .contact import nabla0_phi, phi_bases, phi_basis
+from .contact import nabla0_phi_of, phi_bases, phi_basis
 from .expressions import NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame
 from .metric import (DegeneratePlaneError, christoffel_jet,
                      covariant_derivative_11, covariant_derivative_vector, inner,
-                     matvec, nabla_g, norms, plane_q, pow2, riemann,
-                     sectional_values)
-from .report import AuditReport
-from .statistical import lambda_of
+                     matvec, nabla_g, norms, outer, plane_q, point_lanes, pow2,
+                     riemann, sectional_values)
+from .report import AuditReport, Column, max_abs, raise_first, within
+from .statistical import lambdas
 
 log = logging.getLogger(__name__)
 
@@ -156,19 +156,14 @@ class SectionSweep:
     def with_curvatures(self, g, curvatures) -> "SectionSweep":
         """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
         statistical curvatures (S, R^0, ...) of its points, applied one
-        section and 64 points at a time, so no more than (64, dim, dim,
-        dim, dim) is stacked; a pair that is OK or MISMATCH becomes
-        NON_FINITE where one of them is not finite."""
-        k_s, k_0 = [], []
-        with np.errstate(all="ignore"):
-            for c in range(0, len(g), 64):
-                rows = slice(c, c + 64)
-                for n, out in enumerate((k_s, k_0)):
-                    r = np.stack([parts[n] for parts in curvatures[rows]])
-                    out.append(np.stack([sectional_values(g[rows], r, x[rows, j], px[rows, j])[0]
-                                         for x, px in self.blocks for j in range(x.shape[1])],
-                                        axis=1))
-        k_s, k_0 = np.concatenate(k_s), np.concatenate(k_0)
+        section and 16 points at a time (``_per_chunk``); a pair that is OK
+        or MISMATCH becomes NON_FINITE where one of them is not finite."""
+        def sectional(r, g, *vectors):
+            return np.stack([sectional_values(g, r, x[:, j], px[:, j])[0]
+                             for x, px in zip(vectors[::2], vectors[1::2])
+                             for j in range(x.shape[1])], axis=1)
+        vectors = [v for block in self.blocks for v in block]
+        k_s, k_0 = (_per_chunk(sectional, curvatures, (n,), g, *vectors) for n in (0, 1))
         status = np.where(np.isin(self.status, (OK, MISMATCH))
                           & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
         return replace(self, k_s=k_s, k_0=k_0, status=status)
@@ -250,20 +245,25 @@ def _curvature_parts(m: ChartManifold, points, where):
     lane per point, cached while the cache holds fewer than 4096: one
     second-order walk of g gives the Gamma^0 jet in closed form, one
     first-order walk of the K table (or of the connection table, less
-    Gamma^0) the K jet, and the parts follow 16 points at a time.  A jet
-    entry that is not finite makes a part non-finite, so the parts are the
-    one finiteness gate.  Raises the jets' errors, or NonFiniteError
-    (``where`` naming the points), and then caches nothing."""
+    Gamma^0) the K jet, and the parts follow 16 points at a time.  R^0 of
+    a constant metric is one broadcast zero.  A jet entry that is not
+    finite makes a part non-finite, so the parts are the one finiteness
+    gate.  Raises the jets' errors, or NonFiniteError (``where`` naming the
+    points), and then caches nothing."""
     pts = np.array(points, dtype=float).reshape(len(points), m.dim)
-    coords = [np.ascontiguousarray(pts[:, n]) for n in range(m.dim)]
-    parts = [np.empty((len(pts),) + (m.dim,) * 4) for _ in range(5)]
+    coords = point_lanes(pts)
+    shape = (len(pts),) + (m.dim,) * 4
+    flat = m.metric.is_constant
+    parts = [np.broadcast_to(0.0, shape) if flat and n == 1 else np.empty(shape)
+             for n in range(5)]
     with np.errstate(all="ignore"):
         levi_civita = christoffel_jet(m.metric, coords)
         jets = levi_civita + m.difference.jet(coords, levi_civita)
         for c in range(0, len(pts), 16):    # 16 points at a time bounds the temporaries
             rows = slice(c, c + 16)
-            for part, value in zip(parts, _statistical_parts(*(a[rows] for a in jets))):
-                part[rows] = value
+            for n, value in enumerate(_statistical_parts(*(a[rows] for a in jets))):
+                if not (flat and n == 1):
+                    parts[n][rows] = value
     if not all(np.isfinite(a).all() for a in parts):
         raise NonFiniteError(f"statistical curvature is not finite {where}")
     out = list(zip(*parts))
@@ -274,27 +274,52 @@ def _curvature_parts(m: ChartManifold, points, where):
     return out
 
 
-def statistical_curvature(m: ChartManifold, point):
-    """S = (R + R-bar)/2 from the two statistical connections, with the
-    decomposition S = R^0 + [K,K] asserted (to 1e-6) as an internal
-    cross-check.
+def _per_chunk(fn, curvatures, parts, *arrays):
+    """``fn`` of the curvature ``parts`` (indices into (S, R^0, [K,K], R,
+    R-bar)) and the rows of ``arrays``, 16 points at a time, stacked, so no
+    part is stacked beyond (16, dim, dim, dim, dim); joined on the point
+    axis."""
+    out = []
+    with np.errstate(all="ignore"):
+        for c in range(0, len(curvatures), 16):
+            rows = slice(c, c + 16)
+            out.append(fn(*(np.stack([cv[n] for cv in curvatures[rows]]) for n in parts),
+                          *(a[rows] for a in arrays)))
+    return np.concatenate(out)
+
+
+def _cross_residuals(curvatures) -> np.ndarray:
+    """max |S - R^0 - [K,K]| at each point, (P,)."""
+    return _per_chunk(lambda s, r0, kk: max_abs(s - r0 - kk), curvatures, (0, 1, 2))
+
+
+def statistical_curvatures(m: ChartManifold, points):
+    """S = (R + R-bar)/2 from the two statistical connections at each of
+    ``points``, with the decomposition S = R^0 + [K,K] asserted (to 1e-6)
+    as an internal cross-check.  Returns [(S, R^0, [K,K], R, R-bar), ...].
 
     nabla = nabla^0 + K and nabla-bar = nabla^0 - K are formed from one jet
-    of Gamma^0 and one of K, and R^0 from the jet of Gamma^0.  The
-    parts come from the cache that ``statistical_curvature_grid`` fills or,
-    for any other point, from a pass of one lane; the cross-check applies
-    to both.  A part that is not finite (K K overflowing, say) raises
-    NonFiniteError.  Returns (S, R^0, [K,K], R, R-bar).
+    of Gamma^0 and one of K, and R^0 from the jet of Gamma^0.  The parts
+    come from the cache that ``statistical_curvature_grid`` fills and, for
+    the points it lacks, from one pass over them; the cross-check applies
+    to both and raises CrossCheckError at the first point where it fails.
+    A part that is not finite (K K overflowing, say) raises NonFiniteError.
     """
-    key = tuple(float(x) for x in point)
-    out = m._curvature_cache.get(key)
-    if out is None:
-        out = _curvature_parts(m, [key], f"at {list(key)}")[0]
-    s, r0, kk = out[:3]
-    res = float(np.max(np.abs(s - r0 - kk)))
-    if res > 1e-6:
-        raise CrossCheckError(f"S - R0 - [K,K] residual {res} at {list(key)}")
+    keys = [tuple(float(x) for x in p) for p in points]
+    cache = m._curvature_cache
+    missing = [key for key in dict.fromkeys(keys) if key not in cache]
+    fresh = {}
+    if missing:
+        where = f"at {list(missing[0])}" if len(missing) == 1 else "on the grid"
+        fresh = dict(zip(missing, _curvature_parts(m, missing, where)))
+    out = [cache[key] if key in cache else fresh[key] for key in keys]
+    raise_first(CrossCheckError, keys, _cross_residuals(out), 1e-6, "S - R0 - [K,K] residual")
     return out
+
+
+def statistical_curvature(m: ChartManifold, point):
+    """``statistical_curvatures`` at one point: (S, R^0, [K,K], R, R-bar)."""
+    return statistical_curvatures(m, [point])[0]
 
 
 def statistical_curvature_grid(m: ChartManifold, points) -> None:
@@ -338,7 +363,9 @@ def _sweep_blocks(g, basis, rng=None, extra: int = 2):
     ``rng``, the random combinations) and the (P, S) mask of the sections
     each point keeps.  The legs are strided views of the basis columns, as
     in one point's loop; the random combinations draw ``extra`` times 2n
-    normals per point, in point order, from one block of ``rng``."""
+    normals per point, in point order, from one block of ``rng``, and a
+    point keeps those with norm above 1e-3, whose plane form Q(X, phi X) =
+    |X|^4 clears the kernel's 1e-12 gate."""
     P, dim, _ = basis.shape
     n = (dim - 1) // 2
     legs = basis[:, :, :n].transpose(0, 2, 1)
@@ -353,7 +380,7 @@ def _sweep_blocks(g, basis, rng=None, extra: int = 2):
         coef = rng.standard_normal((P, extra, 2 * n))
         with np.errstate(all="ignore"):
             blocks.append(matvec(basis[:, None, :, :2 * n], coef))
-            keep.append(norms(g[:, None], blocks[-1]) > 1e-6)
+            keep.append(norms(g[:, None], blocks[-1]) > 1e-3)
     return blocks, np.concatenate(keep, axis=1)
 
 
@@ -389,10 +416,18 @@ def _k_phi(sweep: SectionSweep, keep) -> np.ndarray:
 
 def replay(run, points, rng):
     """``run(points, rng)``, an audit that takes each step for all points
-    at once and raises at the first failure.  When it raises, ``run`` goes
-    again over one point at a time from the same rng state, so the error
-    that surfaces is the one a per-point loop meets first: a run over one
-    point is the per-point path."""
+    at once and raises at the first failure.  When it raises, the error
+    that surfaces is the one a per-point loop meets first: the run over
+    that loop's first failing point alone.
+
+    Each step acts on each point alone, so a run fails when one of its
+    points fails alone, and a run that passes draws from ``rng`` what the
+    per-point runs of its points draw.  The points are bisected: from the
+    rng state before them, run the first half; if it fails, the failure
+    lies there (rewind), else go on with the second half from the state the
+    first half left.  The point left runs alone: at most ceil(log2 P) + 2
+    runs in all.  If it passes, no point fails alone and the batch's own
+    error surfaces."""
     state = None if rng is None else rng.bit_generator.state
     try:
         return run(points, rng)
@@ -400,10 +435,20 @@ def replay(run, points, rng):
         if len(points) < 2:
             raise
         log.debug("replay: %d points one at a time after %s", len(points), exc)
+        while len(points) > 1:
+            if rng is not None:
+                rng.bit_generator.state = state
+            half = len(points) // 2
+            try:
+                run(points[:half], rng)
+            except Exception:
+                points = points[:half]
+                continue
+            points = points[half:]
+            state = None if rng is None else rng.bit_generator.state
         if rng is not None:
             rng.bit_generator.state = state
-        for p in points:
-            run([p], rng)
+        run(points, rng)
         raise       # no point fails alone: the batch's own error
 
 
@@ -416,26 +461,26 @@ def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, 
     vertical = np.flatnonzero(np.isin(sweep.status[:, 0], (NOT_HORIZONTAL, NEGLIGIBLE)))
     if vertical.size:
         raise sweep.error(vertical[0], 0)
-    sweep = sweep.with_curvatures(frames.g, [statistical_curvature(m, p) for p in frames.point])
-    out = []
-    for i, cols in enumerate(keep):
-        triples = []
-        for j in np.flatnonzero(cols):
-            if sweep.status[i, j] != OK:
-                raise sweep.error(i, j, plane=True)
-            k_s, k_0, k_phi = (float(a[i, j]) for a in (sweep.k_s, sweep.k_0, sweep.value))
-            if abs(k_s - (k_0 + k_phi)) > 1e-6 * max(1.0, abs(k_s)):
-                raise CrossCheckError(
-                    f"sectional additivity fails: {k_s} vs {k_0} + {k_phi}")
-            triples.append((k_s, k_0, k_phi))
-        out.append(triples)
-    return out
+    sweep = sweep.with_curvatures(frames.g, statistical_curvatures(m, frames.point))
+    k_s, k_0, k_phi = sweep.k_s, sweep.k_0, sweep.value
+    with np.errstate(all="ignore"):
+        additive = np.abs(k_s - (k_0 + k_phi)) <= 1e-6 * np.maximum(1.0, np.abs(k_s))
+    failed = np.argwhere(keep & ((sweep.status != OK) | ~additive))
+    if len(failed):
+        i, j = failed[0]
+        if sweep.status[i, j] != OK:
+            raise sweep.error(i, j, plane=True)
+        raise CrossCheckError(f"sectional additivity fails: {float(k_s[i, j])} vs "
+                              f"{float(k_0[i, j])} + {float(k_phi[i, j])}")
+    triples = np.stack([k_s, k_0, k_phi], axis=-1).tolist()
+    return [[tuple(t) for t, kept in zip(row, cols) if kept]
+            for row, cols in zip(triples, keep.tolist())]
 
 
 def phi_sectional_triple(m: ChartManifold, point, x):
     """(statistical, Riemannian, K) sectional values on the phi-section of X,
     with the additivity K^S = K^0 + K asserted."""
-    frames = FrameStack.of([m.frame_at(point)])
+    frames = m.frame_stack([point])
     sweep = section_sweep(frames, [np.asarray(x, dtype=float)[None, None]])
     return _section_triples(m, frames, sweep, np.ones((1, 1), dtype=bool))[0][0]
 
@@ -443,19 +488,19 @@ def phi_sectional_triple(m: ChartManifold, point, x):
 def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
                           lambda_tol: float = 1e-6):
     """[(lambda, [(K^S, K^0, K_phi), ...]) for each point]: the triples of
-    its sweep sections, or of the one vector ``section(frame)``, from one
-    ``section_sweep``.  Steps: frames, ``lambda_of``, ``section``, then
-    ``_section_triples``; a failure raises through ``replay``."""
+    its sweep sections, or of the one vector per point that
+    ``section(frames)`` gives, (P, dim), from one ``section_sweep``.  Steps:
+    frames, ``lambdas``, ``section``, then ``_section_triples``; a failure
+    raises through ``replay``."""
     def run(points, rng):
-        frames = [m.frame_at(p) for p in points]
-        lams = [lambda_of(m, p, tol=lambda_tol) for p in points]
-        stack = FrameStack.of(frames)
+        stack = m.frame_stack(points)
+        lams = lambdas(stack, lambda_tol)
         if section is None:
             sweep, keep = phi_sweep(stack, rng)
         else:
-            sweep = section_sweep(stack, [np.array([section(fr) for fr in frames])[:, None]])
-            keep = np.ones((len(frames), 1), dtype=bool)
-        return list(zip(lams, _section_triples(m, stack, sweep, keep)))
+            sweep = section_sweep(stack, [section(stack)[:, None]])
+            keep = np.ones((len(points), 1), dtype=bool)
+        return list(zip(lams.tolist(), _section_triples(m, stack, sweep, keep)))
     return replay(run, list(points), rng) if len(points) else []
 
 
@@ -479,68 +524,48 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
 
 
 def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
-    frames = [m.frame_at(p) for p in pts]
-    lams = [lambda_of(m, p, tol=max(tol, 1e-6)) for p in pts]
-    stack = FrameStack.of(frames)
-    sweep, keep = phi_sweep(stack, rng)
+    fs = m.frame_stack(pts)
+    lams = lambdas(fs, max(tol, 1e-6))
+    sweep, keep = phi_sweep(fs, rng)
     try:
-        curvatures = [statistical_curvature(m, p) for p in pts]
+        curvatures = statistical_curvatures(m, pts)
     except Exception:
         _k_phi(sweep, keep)     # the statuses come first
         raise
-    sweep = sweep.with_curvatures(stack.g, curvatures)
+    sweep = sweep.with_curvatures(fs.g, curvatures)
     k_phi = _k_phi(sweep, keep)
     plain = m.n * (m.n + 3) // 2       # the legs and mixtures, not the random sections
-    gap = np.max(np.abs(sweep.k_s[:, :plain] - sweep.k_0[:, :plain]), axis=1, initial=0.0)
-    horiz, keep_h = horizontal_projections(stack)
-    rep = AuditReport()
-    for i, (p, fr, lam) in enumerate(zip(pts, frames, lams)):
-        rep.add("thm_5_8/lambda", p, 0.0, passed=True, value=lam)
-        flags = {}
-
-        worst = float(k_phi[i])
-        flags["c1_kphi_zero"] = (worst, worst <= tol)
-
-        s, r0, kk, _, _ = curvatures[i]
-        worst = float(gap[i])
-        flags["c2_statistical_equals_riemannian"] = (worst, worst <= tol)
-
-        target = lam * np.einsum("i,j,k->ijk", fr.xi, fr.eta, fr.eta)
-        res = float(np.max(np.abs(fr.K - target)))
-        flags["c3_K_is_lambda_eta_eta_xi"] = (res, res <= tol)
-
-        res = float(np.max(np.abs(kk)))
-        flags["c4_kk_bracket_zero"] = (res, res <= tol)
-
-        res = float(np.max(np.abs(s - r0)))
-        flags["c5_S_equals_R0"] = (res, res <= tol)
-
-        vecs = np.array(frame_vectors(fr.dim))
-        h = horiz[i][keep_h[i]]
-        kvv_h = np.einsum("ijk,aj,ak->ai", fr.K, h, h)
-        res = float(np.max(np.abs(kvv_h))) if len(h) else 0.0
-        flags["c6_K_XX_zero_horizontal"] = (res, res <= tol)
-
-        phiv = vecs @ fr.phi.T
-        res = float(np.max(np.abs(np.einsum("ijk,aj,ak->ai", fr.K, vecs, phiv))))
-        flags["c7_K_X_phiX_zero"] = (res, res <= tol)
-
-        kvv = np.einsum("ijk,aj,ak->ai", fr.K, vecs, vecs)
-        res = float(np.max(np.abs(kvv @ fr.phi.T)))
-        flags["c8_phi_K_XX_zero"] = (res, res <= tol)
-
-        res = float(np.max(np.abs(kvv - np.outer(kvv @ fr.eta, fr.xi))))
-        flags["c9_K_XX_parallel_xi"] = (res, res <= tol)
-
-        booleans = []
-        for name, (residual, ok) in flags.items():
-            rep.add(f"thm_5_8/{name}", p, residual, passed=True, value=float(ok))
-            booleans.append(ok)
-        unanimous = len(set(booleans)) == 1
-        rep.add("thm_5_8/unanimity", p, 0.0 if unanimous else 1.0, passed=unanimous)
-        if not unanimous:
-            rep.flag(f"EquivalenceViolation at {list(map(float, p))}: "
-                     + ", ".join(f"{n}={ok}" for n, (_, ok) in flags.items()))
+    horiz, keep_h = horizontal_projections(fs)
+    vecs = np.array(frame_vectors(m.dim))
+    with np.errstate(all="ignore"):
+        kvv = np.einsum("...ijk,aj,ak->...ai", fs.K, vecs, vecs)
+        kvv_h = np.einsum("...ijk,...aj,...ak->...ai", fs.K, horiz, horiz)
+        phiv = vecs @ np.swapaxes(fs.phi, 1, 2)
+        residuals = {
+            "c1_kphi_zero": k_phi,
+            "c2_statistical_equals_riemannian": np.max(np.abs(
+                sweep.k_s[:, :plain] - sweep.k_0[:, :plain]), axis=1, initial=0.0),
+            "c3_K_is_lambda_eta_eta_xi": max_abs(fs.K - lams[:, None, None, None] * np.einsum(
+                "...i,...j,...k->...ijk", fs.xi, fs.eta, fs.eta)),
+            "c4_kk_bracket_zero": _per_chunk(max_abs, curvatures, (2,)),
+            "c5_S_equals_R0": _per_chunk(lambda s, r0: max_abs(s - r0), curvatures, (0, 1)),
+            "c6_K_XX_zero_horizontal": np.max(np.abs(np.where(keep_h[..., None], kvv_h, 0.0)),
+                                              axis=(1, 2), initial=0.0),
+            "c7_K_X_phiX_zero": max_abs(np.einsum("...ijk,aj,...ak->...ai", fs.K, vecs, phiv)),
+            "c8_phi_K_XX_zero": max_abs(kvv @ np.swapaxes(fs.phi, 1, 2)),
+            "c9_K_XX_parallel_xi": max_abs(kvv - outer(matvec(kvv, fs.eta), fs.xi)),
+        }
+    oks = {name: res <= tol for name, res in residuals.items()}
+    stacked = np.array(list(oks.values()))
+    unanimous = stacked.all(axis=0) | ~stacked.any(axis=0)
+    zero, yes = np.zeros(len(pts)), np.ones(len(pts), dtype=bool)
+    rep = AuditReport.from_columns(fs.point, [Column("thm_5_8/lambda", zero, yes, lams)] + [
+        Column(f"thm_5_8/{name}", res, yes, oks[name].astype(float))
+        for name, res in residuals.items()] + [
+        Column("thm_5_8/unanimity", np.where(unanimous, 0.0, 1.0), unanimous)])
+    for i in np.flatnonzero(~unanimous):
+        rep.flag(f"EquivalenceViolation at {list(map(float, pts[i]))}: "
+                 + ", ".join(f"{name}={bool(ok[i])}" for name, ok in oks.items()))
     return rep
 
 
@@ -555,45 +580,65 @@ def audit_branch(report: AuditReport) -> str:
     return "mixed"
 
 
-def lemma_5_6_check(m: ChartManifold, point) -> float:
+@np.errstate(all="ignore")
+def lemma_5_6_residuals(fs: FrameStack) -> np.ndarray:
     """Max residual of (nabla^0_X phi)Y = (nabla_X phi)Y + 2 phi K(X,Y) over
-    all frame pairs."""
-    fr = m.frame_at(point)
-    d0 = nabla0_phi(m, point)
-    d1 = covariant_derivative_11(fr.gamma0 + fr.K, fr.phi, fr.dphi)
-    phi_k = np.einsum("im,mak->aik", fr.phi, fr.K)
-    return float(np.max(np.abs(d0 - d1 - 2.0 * phi_k)))
+    all frame pairs at each point of ``fs``, (P,)."""
+    d1 = covariant_derivative_11(fs.gamma0 + fs.K, fs.phi, fs.dphi)
+    phi_k = np.einsum("...im,...mak->...aik", fs.phi, fs.K)
+    return max_abs(nabla0_phi_of(fs) - d1 - 2.0 * phi_k)
+
+
+def lemma_5_6_check(m: ChartManifold, point) -> float:
+    """``lemma_5_6_residuals`` at one point."""
+    return float(lemma_5_6_residuals(m.frame_stack([point]))[0])
+
+
+@np.errstate(all="ignore")
+def geodesic_norms(fs: FrameStack):
+    """(||nabla^0_xi xi||, ||nabla_xi xi||) at each point of ``fs``, two (P,)."""
+    dxi = covariant_derivative_vector(fs.gamma0, fs.xi, fs.dxi)   # [p, i, j]
+    v0 = np.einsum("...ij,...i->...j", dxi, fs.xi)
+    v1 = v0 + matvec(matvec(fs.K, fs.xi[:, None]), fs.xi)
+    return norms(fs.g, v0), norms(fs.g, v1)
 
 
 def geodesic_xi_check(m: ChartManifold, point):
     """(||nabla^0_xi xi||, ||nabla_xi xi||) at a point."""
-    fr = m.frame_at(point)
-    dxi = covariant_derivative_vector(fr.gamma0, fr.xi, fr.dxi)  # [i, j]
-    v0 = np.einsum("ij,i->j", dxi, fr.xi)
-    v1 = v0 + fr.apply_k(fr.xi, fr.xi)
-    return fr.norm(v0), fr.norm(v1)
+    n0, n1 = geodesic_norms(m.frame_stack([point]))
+    return float(n0[0]), float(n1[0])
 
 
-def _compat_residuals(m: ChartManifold, fr: PointFrame):
-    """The residuals of the three formulations of phi-compatibility at a
-    frame, and max |nabla^0 phi| (the cosymplectic residual) read from (c)."""
-    gamma = fr.gamma0 + fr.K
+def prop_5_2_residuals(m: ChartManifold, fs: FrameStack):
+    """At each point of ``fs``, (P,) each: max |S - R^0 - [K,K]|
+    (Proposition 5.2) and max |g(R(e_k, e_l) e_j, e_a) + g(e_j, R-bar(e_k,
+    e_l) e_a)| (the conjugate duality of the curvatures).  The statistical
+    curvature raises as in ``statistical_curvatures``."""
+    curvatures = statistical_curvatures(m, fs.point)
 
-    # (a) nabla phi = 0 componentwise
-    d_phi = covariant_derivative_11(gamma, fr.phi, fr.dphi)
-    res_a = float(np.max(np.abs(d_phi)))
+    def duality(r, r_bar, g):
+        low = np.einsum("...am,...mjkl->...ajkl", g, r)
+        low_bar = np.einsum("...am,...mjkl->...ajkl", g, r_bar)
+        return max_abs(low + np.einsum("...jakl->...ajkl", low_bar))
+    return _cross_residuals(curvatures), _per_chunk(duality, curvatures, (3, 4), fs.g)
 
-    # (b) nabla_X (phi Y) = phi nabla_X Y on coordinate fields, computed
-    # without forming the covariant derivative of phi
-    lhs = fr.dphi + np.einsum("iam,mk->aik", gamma, fr.phi)
-    rhs = np.einsum("im,mak->aik", fr.phi, gamma)
-    res_b = float(np.max(np.abs(lhs - rhs)))
 
-    # (c) (nabla^0_X phi)Y = 2 phi K(X,Y)
-    d0_phi = nabla0_phi(m, fr.point)
-    phi_k = np.einsum("im,mak->aik", fr.phi, fr.K)
-    res_c = float(np.max(np.abs(d0_phi - 2.0 * phi_k)))
-    return (res_a, res_b, res_c), float(np.max(np.abs(d0_phi)))
+@np.errstate(all="ignore")
+def _compat_residuals(fs: FrameStack):
+    """The residuals of the three formulations of phi-compatibility at the
+    points of ``fs``, (3, P), and nabla^0 phi there, which (c) reads."""
+    gamma = fs.gamma0 + fs.K
+    d0_phi = nabla0_phi_of(fs)
+    phi_k = np.einsum("...im,...mak->...aik", fs.phi, fs.K)
+    return np.stack([
+        # (a) nabla phi = 0 componentwise
+        max_abs(covariant_derivative_11(gamma, fs.phi, fs.dphi)),
+        # (b) nabla_X (phi Y) = phi nabla_X Y on coordinate fields, computed
+        # without forming the covariant derivative of phi
+        max_abs(fs.dphi + np.einsum("...iam,...mk->...aik", gamma, fs.phi)
+                - np.einsum("...im,...mak->...aik", fs.phi, gamma)),
+        # (c) (nabla^0_X phi)Y = 2 phi K(X,Y)
+        max_abs(d0_phi - 2.0 * phi_k)]), d0_phi
 
 
 def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
@@ -606,41 +651,38 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
     Steps, through ``replay``: frames, then the phi-bases and section
     statuses of the compatible points."""
     pts = list(points) if points is not None else m.grid_points()
-    return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), pts, rng)
+    return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), pts, rng) if pts \
+        else AuditReport()
 
 
 def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
-    frames = [m.frame_at(p) for p in pts]
-    residuals = [_compat_residuals(m, fr) for fr in frames]
-    compatible = [all(res <= tol for res in r) for r, _ in residuals]
-    swept = [fr for fr, ok in zip(frames, compatible) if ok]
-    if swept:
-        k_phi = iter(_k_phi(*phi_sweep(FrameStack.of(swept), rng)))
-    rep = AuditReport()
-    for i, (p, fr) in enumerate(zip(pts, frames)):
-        (res_a, res_b, res_c), cos_res = residuals[i]
-        oks = [res <= tol for res in (res_a, res_b, res_c)]
-        for name, res in (("nabla_phi_zero", res_a),
-                          ("nabla_commutes_with_phi", res_b),
-                          ("nabla0_phi_is_2phiK", res_c)):
-            rep.add(f"phi_compat/{name}", p, res, passed=True,
-                    value=float(res <= tol))
-        if len(set(oks)) != 1:
-            rep.flag(f"phi-compatibility formulations disagree at {list(map(float, p))}")
-        rep.add("phi_compat/compatible", p, min(res_a, res_b, res_c),
-                passed=True, value=float(compatible[i]))
-
-        if compatible[i]:
-            # Theorem 6.8 consequences
-            rep.add("phi_compat/cosymplectic_consequence", p, cos_res, tol)
-            rep.add("phi_compat/kphi_zero_consequence", p, float(next(k_phi)), tol)
-            # nabla_X xi and nabla^0_X xi parallel to xi
-            dxi0 = covariant_derivative_vector(fr.gamma0, fr.xi, fr.dxi)
-            dxi1 = dxi0 + np.einsum("ijm,m->ji", fr.K, fr.xi)
-            for name, dxi in (("nabla0_xi_parallel", dxi0),
-                              ("nabla_xi_parallel", dxi1)):
-                horiz = dxi - np.outer(dxi @ fr.eta, fr.xi)
-                rep.add(f"phi_compat/{name}", p, float(np.max(np.abs(horiz))), tol)
+    fs = m.frame_stack(pts)
+    res, d0_phi = _compat_residuals(fs)
+    oks = res <= tol
+    compatible = oks.all(axis=0)
+    k_phi = np.zeros(len(pts))
+    if compatible.any():
+        k_phi[compatible] = _k_phi(*phi_sweep(FrameStack(*(a[compatible] for a in fs)), rng))
+    with np.errstate(all="ignore"):
+        # nabla_X xi and nabla^0_X xi parallel to xi
+        dxi0 = covariant_derivative_vector(fs.gamma0, fs.xi, fs.dxi)
+        dxi1 = dxi0 + np.einsum("...ijm,...m->...ji", fs.K, fs.xi)
+        parallel = [max_abs(dxi - outer(matvec(dxi, fs.eta), fs.xi)) for dxi in (dxi0, dxi1)]
+    least = res[0]
+    for r in res[1:]:
+        least = np.where(r < least, r, least)       # min(a, b, c) as floats take it
+    yes = np.ones(len(pts), dtype=bool)
+    columns = [Column(f"phi_compat/{name}", r, yes, ok.astype(float)) for name, r, ok in zip(
+        ("nabla_phi_zero", "nabla_commutes_with_phi", "nabla0_phi_is_2phiK"), res, oks)]
+    columns.append(Column("phi_compat/compatible", least, yes, compatible.astype(float)))
+    # Theorem 6.8 consequences, at the compatible points
+    consequences = (("cosymplectic_consequence", max_abs(d0_phi)), ("kphi_zero_consequence", k_phi),
+                    ("nabla0_xi_parallel", parallel[0]), ("nabla_xi_parallel", parallel[1]))
+    columns += [within(f"phi_compat/{name}", r, tol)._replace(at=compatible)
+                for name, r in consequences]
+    rep = AuditReport.from_columns(fs.point, columns)
+    for i in np.flatnonzero(oks.any(axis=0) & ~compatible):
+        rep.flag(f"phi-compatibility formulations disagree at {list(map(float, pts[i]))}")
     return rep
 
 
@@ -668,32 +710,28 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
 
 
 def _psi(m: ChartManifold, points, tol) -> AuditReport:
-    frames = [m.frame_at(p) for p in points]
-    rep = AuditReport()
-    for fr, k_phi in zip(frames, _k_phi(*phi_sweep(FrameStack.of(frames)))):
-        ng = nabla_g(fr.gamma0 + fr.K, fr.g, fr.dg)              # (nabla_X g)_xyz
-        psi = np.einsum("xym,mz->xyz", ng, fr.phi)               # Psi_X(Y, Z)
-        p = fr.point
-
-        rep.add("psi/antisymmetry_YZ", p,
-                np.max(np.abs(psi + np.einsum("xzy->xyz", psi))), tol)
+    fs = m.frame_stack(points)
+    k_phi = _k_phi(*phi_sweep(fs))
+    with np.errstate(all="ignore"):
+        ng = nabla_g(fs.gamma0 + fs.K, fs.g, fs.dg)                  # (nabla_X g)_xyz
+        psi = np.einsum("...xym,...mz->...xyz", ng, fs.phi)          # Psi_X(Y, Z)
         # Psi_X(Y,Z) = 2 g(phi K(Y,Z), X)
-        phi_k = np.einsum("im,mjk->ijk", fr.phi, fr.K)
-        target = 2.0 * np.einsum("x i, iyz -> xyz", fr.g, phi_k)
-        rep.add("psi/equals_2g_phiK", p, np.max(np.abs(psi - target)), tol)
-        # slot symmetries
-        rep.add("psi/slot_symmetry_XY", p,
-                np.max(np.abs(psi - np.einsum("yxz->xyz", psi))), tol)
-        rep.add("psi/slot_symmetry_XZ", p,
-                np.max(np.abs(psi - np.einsum("zyx->xyz", psi))), tol)
+        phi_k = np.einsum("...im,...mjk->...ijk", fs.phi, fs.K)
+        target = 2.0 * np.einsum("...xi,...iyz->...xyz", fs.g, phi_k)
         # phi-slot rules
-        psi_phiY = np.einsum("xmz,my->xyz", psi, fr.phi)
-        psi_phiZ = np.einsum("xym,mz->xyz", psi, fr.phi)
-        rep.add("psi/phi_slot_flip", p, np.max(np.abs(psi_phiY + psi_phiZ)), tol)
-        psi_phi_both = np.einsum("xmn,my,nz->xyz", psi, fr.phi, fr.phi)
-        rep.add("psi/phi_slot_double", p, np.max(np.abs(psi_phi_both - psi)), tol)
-        # Propositions 6.6/6.7: under phi-compatibility both Psi and the
-        # phi-sectional K-curvature vanish
-        rep.add("psi/psi_zero", p, np.max(np.abs(psi)), tol)
-        rep.add("psi/kphi_zero", p, float(k_phi), tol)
-    return rep
+        psi_phi_y = np.einsum("...xmz,...my->...xyz", psi, fs.phi)
+        psi_phi_z = np.einsum("...xym,...mz->...xyz", psi, fs.phi)
+        psi_phi_both = np.einsum("...xmn,...my,...nz->...xyz", psi, fs.phi, fs.phi)
+        columns = [
+            within("psi/antisymmetry_YZ", max_abs(psi + np.einsum("...xzy->...xyz", psi)), tol),
+            within("psi/equals_2g_phiK", max_abs(psi - target), tol),
+            # slot symmetries
+            within("psi/slot_symmetry_XY", max_abs(psi - np.einsum("...yxz->...xyz", psi)), tol),
+            within("psi/slot_symmetry_XZ", max_abs(psi - np.einsum("...zyx->...xyz", psi)), tol),
+            within("psi/phi_slot_flip", max_abs(psi_phi_y + psi_phi_z), tol),
+            within("psi/phi_slot_double", max_abs(psi_phi_both - psi), tol),
+            # Propositions 6.6/6.7: under phi-compatibility both Psi and the
+            # phi-sectional K-curvature vanish
+            within("psi/psi_zero", max_abs(psi), tol),
+            within("psi/kphi_zero", k_phi, tol)]
+    return AuditReport.from_columns(fs.point, columns)

@@ -3,14 +3,13 @@ and a difference tensor, plus pointwise evaluation frames."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .expressions import NonFiniteError, ScalarField, parse_expression
 from .metric import (FieldArray, MetricField, NotPositiveDefiniteError,
-                     christoffel_from, field_jet, inner, inv_generic)
+                     christoffel_from, field_jet, inner, inv_generic, point_lanes)
 
 GRID_CAP = 243      # the most points a sample grid keeps
 
@@ -34,10 +33,11 @@ def _finite(name, arr, where) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class PointFrame:
+class PointFrame(NamedTuple):
     """All structure tensors evaluated at one chart point, with the first
-    derivatives of g, phi and xi (derivative index first).
+    derivatives of g, phi and xi (derivative index first); as a
+    ``FrameStack``, the same fields of P frames stacked on a leading point
+    axis, which the batched checks and the section sweep read.
 
     The arrays are read-only: the frames that ``ChartManifold.frame_grid``
     caches are views of one lane array per field.
@@ -55,9 +55,14 @@ class PointFrame:
     dphi: np.ndarray     # d_i phi^j_k, (dim, dim, dim)
     dxi: np.ndarray      # d_i xi^j, (dim, dim)
 
+    @classmethod
+    def of(cls, frames) -> "FrameStack":
+        """The frames stacked on a leading point axis."""
+        return cls(*(np.stack(field) for field in zip(*frames)))
+
     @property
     def dim(self):
-        return len(self.point)
+        return self.point.shape[-1]
 
     def inner(self, x, y) -> float:
         return float(inner(self.g, x, y))
@@ -72,21 +77,7 @@ class PointFrame:
         return (self.K @ np.asarray(y)) @ np.asarray(x)
 
 
-class FrameStack(NamedTuple):
-    """The fields of P frames that a section sweep reads, stacked on a
-    leading point axis."""
-
-    point: np.ndarray    # (P, dim)
-    g: np.ndarray        # (P, dim, dim)
-    phi: np.ndarray      # (P, dim, dim)
-    xi: np.ndarray       # (P, dim)
-    eta: np.ndarray      # (P, dim)
-    K: np.ndarray        # (P, dim, dim, dim)
-
-    @classmethod
-    def of(cls, frames) -> "FrameStack":
-        return cls(*(np.stack([getattr(fr, name) for fr in frames])
-                     for name in cls._fields))
+FrameStack = PointFrame
 
 
 class ChartManifold:
@@ -125,6 +116,7 @@ class ChartManifold:
         self.grid = int(grid)
         self.name = name
         self._frame_cache = {}       # filled by frame_at and frame_grid
+        self._grid_stack = None      # the FrameStack of the last frame_grid pass
         self._curvature_cache = {}   # filled by curvature.statistical_curvature
 
     @property
@@ -181,31 +173,42 @@ class ChartManifold:
         return fields
 
     def _frames(self, points, where):
-        """The frames of ``points`` from one pass, one lane per point: every
-        field and the first derivatives of g, phi and xi are evaluated once
-        over all points, and each frame holds views of those arrays.  New
-        frames are cached while the cache holds fewer than 4096.  Raises the
-        fields' evaluation errors, ``where`` naming the points, and then
-        caches nothing."""
+        """The frames of ``points`` from one pass, one lane per point, as the
+        FrameStack of the pass and its frames: every field and the first
+        derivatives of g, phi and xi are evaluated once over all points,
+        and each frame holds views of those arrays.  New frames are cached
+        while the cache holds fewer than 4096.  Raises the fields'
+        evaluation errors, ``where`` naming the points, and then caches
+        nothing."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
-        coords = [np.ascontiguousarray(pts[:, n]) for n in range(self.dim)]
+        coords = point_lanes(pts)
         # Python floats overflow silently; so do the lanes
         with np.errstate(all="ignore"):
             fields = self._fields(coords, where)
         pts.flags.writeable = False
-        frames = [PointFrame(p, *f) for p, *f in zip(pts, *fields)]
+        stack = FrameStack(pts, *fields)
+        frames = [PointFrame(*f) for f in zip(*stack)]
         for key, fr in zip(map(tuple, pts.tolist()), frames):
             if key not in self._frame_cache and len(self._frame_cache) < 4096:
                 self._frame_cache[key] = fr
-        return frames
+        return stack, frames
 
     def frame_at(self, point) -> PointFrame:
         """The frame of one point: the cached one, or a pass of one lane."""
         key = tuple(float(x) for x in point)
         cached = self._frame_cache.get(key)
-        return cached if cached is not None else self._frames([key], f"at {list(key)}")[0]
+        return cached if cached is not None else self._frames([key], f"at {list(key)}")[1][0]
+
+    def frame_stack(self, points) -> FrameStack:
+        """The frames of ``points`` stacked: the arrays of the ``frame_grid``
+        pass when ``points`` are its points, else ``frame_at`` in point
+        order, so the first point whose frame fails raises."""
+        grid = self._grid_stack
+        if grid is not None and np.array_equal(np.asarray(points, dtype=float), grid.point):
+            return grid
+        return FrameStack.of([self.frame_at(p) for p in points])
 
     def frame_grid(self, points) -> None:
         """Cache the frames of all ``points`` from one pass (``_frames``)."""
         if len(points):
-            self._frames(points, "on the grid")
+            self._grid_stack = self._frames(points, "on the grid")[0]

@@ -13,11 +13,11 @@ it gets inside a grid.  Functions that take a ``point`` accept one point
 of floats or (P,) lane coordinates.
 
 ``nabla_g`` and the covariant derivatives take the values and first
-derivatives the frames carry, evaluating no fields.  ``inner``,
-``matvec``, ``plane_q``, ``apply_curvature`` and ``sectional_values`` take
-vectors stacked on leading axes, with the operand shapes of one vector per
-product, which is how the section sweep of :mod:`acsgeo.curvature` stays
-bit-identical to one section at a time.
+derivatives the frames carry, stacked on any leading axes, evaluating no
+fields.  ``inner``, ``matvec``, ``plane_q``, ``apply_curvature`` and
+``sectional_values`` take vectors stacked on leading axes, with the operand
+shapes of one vector per product, which is how the section sweep of
+:mod:`acsgeo.curvature` stays bit-identical to one section at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ def lanes_of(point):
     list of (P,) float arrays, and whether they were one point."""
     single = np.ndim(point[0]) == 0
     return [np.atleast_1d(np.asarray(c, dtype=float)) for c in point], single
+
+
+def point_lanes(points: np.ndarray):
+    """The coordinates of (P, dim) points as a list of dim (P,) lanes."""
+    return list(np.ascontiguousarray(points.T))
 
 
 def inv_generic(mat):
@@ -300,6 +305,11 @@ def inner(g: np.ndarray, x, y):
     return ((x[..., None, :] @ g) @ y[..., :, None])[..., 0, 0]
 
 
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The outer products a^i b^j of vectors stacked on leading axes."""
+    return a[..., :, None] * b[..., None, :]
+
+
 def norms(g: np.ndarray, v) -> np.ndarray:
     """sqrt(max(g(v, v), 0)) of stacked vectors: ``PointFrame.norm`` of each
     (a zero norm may lose its sign, so compare it, do not print it)."""
@@ -359,29 +369,31 @@ def sectional_curvature(g: np.ndarray, r: np.ndarray, x, y) -> float:
 
 def nabla_g(gamma: np.ndarray, g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """(nabla g)_ijk = d_i g_jk - Gamma^m_ij g_mk - Gamma^m_ik g_jm for an
-    arbitrary connection, from its coefficients, g and dg[i,j,k] = d_i g_jk
-    at the point."""
-    out = dg - np.einsum("mij,mk->ijk", gamma, g)
-    out -= np.einsum("mik,jm->ijk", gamma, g)
+    arbitrary connection, from its coefficients, g and dg[..., i, j, k] =
+    d_i g_jk (any leading axes)."""
+    out = dg - np.einsum("...mij,...mk->...ijk", gamma, g)
+    out -= np.einsum("...mik,...jm->...ijk", gamma, g)
     return out
 
 
 def covariant_derivative_11(gamma: np.ndarray, phi: np.ndarray,
                             dphi: np.ndarray) -> np.ndarray:
-    """Covariant derivative of a (1,1) tensor field from its values phi[j,k]
-    and first derivatives dphi[i,j,k] = d_i phi^j_k at a point:
+    """Covariant derivative of a (1,1) tensor field from its values
+    phi[..., j, k] and first derivatives dphi[..., i, j, k] = d_i phi^j_k
+    (any leading axes):
 
         (nabla_i phi)^j_k = d_i phi^j_k + Gamma^j_im phi^m_k - Gamma^m_ik phi^j_m
 
-    Returns shape (dim, dim, dim) indexed [i, j, k].
+    Returns shape (..., dim, dim, dim) indexed [..., i, j, k].
     """
-    out = dphi + np.einsum("jim,mk->ijk", gamma, phi)
-    out -= np.einsum("mik,jm->ijk", gamma, phi)
+    out = dphi + np.einsum("...jim,...mk->...ijk", gamma, phi)
+    out -= np.einsum("...mik,...jm->...ijk", gamma, phi)
     return out
 
 
 def covariant_derivative_vector(gamma: np.ndarray, v: np.ndarray,
                                 dv: np.ndarray) -> np.ndarray:
-    """(nabla_i v)^j = d_i v^j + Gamma^j_im v^m from the values v[j] and first
-    derivatives dv[i,j] = d_i v^j at a point, shape (dim, dim)."""
-    return dv + np.einsum("jim,m->ij", gamma, v)
+    """(nabla_i v)^j = d_i v^j + Gamma^j_im v^m from the values v[..., j] and
+    first derivatives dv[..., i, j] = d_i v^j (any leading axes), shape
+    (..., dim, dim)."""
+    return dv + np.einsum("...jim,...m->...ij", gamma, v)

@@ -6,6 +6,10 @@ record.  A point is kept as the bytes of its float64 coordinates, so a
 record keeps the point's value at ``add`` time and equal points share one
 key.  ``to_json_lines`` writes the same text as one ``json.dumps`` per
 record, but renders each distinct check name and each distinct point once.
+
+A batched check gives one ``Column`` per check name, its residuals, pass
+flags and values at P points; ``AuditReport.add_columns`` writes them
+point-major, one ``add`` per record.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,6 +46,38 @@ class CheckRecord:
     value: Optional[float] = None  # measured value, when the check reports one
 
 
+class Column(NamedTuple):
+    """One check at P points: residuals, pass flags and, when the check
+    reports one, values, each (P,); ``at`` (P,) masks the points that get a
+    record (all of them when None)."""
+
+    check: str
+    residual: np.ndarray
+    passed: np.ndarray
+    value: Optional[np.ndarray] = None
+    at: Optional[np.ndarray] = None
+
+
+def within(check: str, residual, tol: float) -> Column:
+    """The column of a check that passes where |residual| <= tol, so never
+    where the residual is NaN."""
+    return Column(check, residual, np.abs(residual) <= tol)
+
+
+def max_abs(a: np.ndarray) -> np.ndarray:
+    """max |a| over every axis after the leading point axis, (P,); NaN where
+    a holds a NaN."""
+    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))
+
+
+def raise_first(error, points, residual, tol: float, text: str):
+    """Raise ``error`` at the first of ``points`` whose residual exceeds
+    ``tol`` (never a NaN one), naming the residual and the point."""
+    bad = np.flatnonzero(residual > tol)
+    if bad.size:
+        raise error(f"{text} {float(residual[bad[0]])} at {list(map(float, points[bad[0]]))}")
+
+
 class AuditReport:
     """Records as columns (``checks``, ``points``, ``residuals``, ``passed``,
     ``values``), then the flags."""
@@ -63,6 +99,24 @@ class AuditReport:
         self.passed.append(bool(passed))
         self.values.append(None if value is None else float(value))
         return passed
+
+    @classmethod
+    def from_columns(cls, points, columns) -> "AuditReport":
+        rep = cls()
+        rep.add_columns(points, columns)
+        return rep
+
+    def add_columns(self, points, columns):
+        """One record per point and column, point-major: every column at the
+        first point, then at the next."""
+        lists = [(c.check, c.residual.tolist(), c.passed.tolist(),
+                  None if c.value is None else c.value.tolist(),
+                  None if c.at is None else c.at.tolist()) for c in columns]
+        for i, p in enumerate(points):
+            for check, residual, passed, value, at in lists:
+                if at is None or at[i]:
+                    self.add(check, p, residual[i], passed=passed[i],
+                             value=None if value is None else value[i])
 
     def flag(self, message: str):
         self.flags.append(message)

@@ -10,6 +10,7 @@ comma-separated coordinate names, e.g. ``"z,z,z": "1"``.
 from __future__ import annotations
 
 import json
+import sys
 
 from .manifold import ChartManifold
 from .metric import MetricField
@@ -26,7 +27,26 @@ def _require(cond, message):
         raise SpecFormatError(message)
 
 
-def _sparse_tensor3(table, coords):
+def _number(x) -> bool:
+    """A JSON number that is a finite double."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and \
+        abs(x) <= sys.float_info.max
+
+
+def _scalars(value, shape, name):
+    """``value`` as nested lists of ``shape`` whose entries are expression
+    strings (numbers become their float repr); SpecFormatError otherwise."""
+    if not shape:
+        _require(isinstance(value, str) or _number(value),
+                 f"{name} must be an expression string or a finite number")
+        return value if isinstance(value, str) else repr(float(value))
+    _require(isinstance(value, list) and len(value) == shape[0],
+             f"{name} must be a list of {shape[0]} entries")
+    return [_scalars(v, shape[1:], f"{name}[{i}]") for i, v in enumerate(value)]
+
+
+def _sparse_tensor3(table, coords, name):
+    _require(isinstance(table, dict), f"{name!r} must be an object of tensor entries")
     dim = len(coords)
     index = {c: i for i, c in enumerate(coords)}
     out = [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
@@ -36,43 +56,58 @@ def _sparse_tensor3(table, coords):
         for s in parts:
             _require(s in index, f"tensor key {key!r} uses unknown coordinate {s!r}")
         i, j, k = (index[s] for s in parts)
-        out[i][j][k] = str(expr)
+        out[i][j][k] = _scalars(expr, (), f"{name}[{key!r}]")
     return out
 
 
 def manifold_from_dict(data: dict) -> ChartManifold:
+    """The manifold of a spec; every field is checked for its type and
+    shape first, so a malformed spec raises SpecFormatError."""
     _require(isinstance(data, dict), "spec must be a JSON object")
     for key in ("coordinates", "metric_lower", "phi", "xi"):
         _require(key in data, f"spec is missing required field {key!r}")
 
-    coords = list(data["coordinates"])
+    coords = data["coordinates"]
+    _require(isinstance(coords, list) and all(isinstance(c, str) for c in coords),
+             "coordinates must be a list of names")
     dim = len(coords)
     _require(dim % 2 == 1 and dim >= 3,
              f"dimension must be odd and >= 3, got {dim}")
     if "dimension" in data:
-        _require(int(data["dimension"]) == dim,
+        _require(data["dimension"] == dim and not isinstance(data["dimension"], bool),
                  "declared dimension disagrees with the coordinate list")
     _require(len(set(coords)) == dim, "coordinate names must be distinct")
 
     box = data.get("box", [[-1.0, 1.0]] * dim)
-    _require(len(box) == dim, "box must have one [lo, hi] interval per coordinate")
-    grid = int(data.get("grid", 3))
+    _require(isinstance(box, list) and len(box) == dim and all(
+        isinstance(iv, list) and len(iv) == 2 and all(map(_number, iv)) for iv in box),
+        "box must have one [lo, hi] interval of finite numbers per coordinate")
+    grid = data.get("grid", 3)
+    _require(isinstance(grid, int) and not isinstance(grid, bool), "grid must be an integer")
 
-    metric = MetricField.from_lower_triangle(data["metric_lower"], coords)
+    rows = data["metric_lower"]
+    _require(isinstance(rows, list) and len(rows) == dim,
+             f"metric_lower must be a list of {dim} rows")
+    metric = MetricField.from_lower_triangle(
+        [_scalars(row, (i + 1,), f"metric_lower[{i}]") for i, row in enumerate(rows)], coords)
+    phi = _scalars(data["phi"], (dim, dim), "phi")
+    xi = _scalars(data["xi"], (dim,), "xi")
+    eta = data.get("eta")
+    if eta is not None:
+        eta = _scalars(eta, (dim,), "eta")
 
     has_k = "K" in data and data["K"] is not None
     has_conn = "connection" in data and data["connection"] is not None
     _require(has_k != has_conn,
              "exactly one of 'K' and 'connection' must be present")
     if has_k:
-        diff = ExplicitDifferenceTensor(_sparse_tensor3(data["K"], coords), coords)
+        diff = ExplicitDifferenceTensor(_sparse_tensor3(data["K"], coords, "K"), coords)
     else:
         diff = difference_from_connection(
-            _sparse_tensor3(data["connection"], coords), metric,
+            _sparse_tensor3(data["connection"], coords, "connection"), metric,
             coord_names=coords)
 
-    return ChartManifold(coords, metric, data["phi"], data["xi"], diff,
-                         eta=data.get("eta"), box=box, grid=grid,
+    return ChartManifold(coords, metric, phi, xi, diff, eta=eta, box=box, grid=grid,
                          name=str(data.get("name", "")))
 
 

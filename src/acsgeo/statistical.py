@@ -7,10 +7,10 @@ import itertools
 
 import numpy as np
 
-from .manifold import ChartManifold, _as_fields
+from .manifold import ChartManifold, FrameStack, _as_fields
 from .metric import (FieldArray, MetricField, christoffel_values, field_jet,
-                     field_values, lanes_of, nabla_g)
-from .report import AuditReport
+                     inner, lanes_of, matvec, nabla_g, outer, point_lanes)
+from .report import AuditReport, max_abs, raise_first, within
 
 
 class StatisticalError(Exception):
@@ -91,14 +91,12 @@ def difference_from_connection(gamma_fields, metric: MetricField,
     pair beyond 1e-12 at any sample point raises TorsionPresentError.
     """
     k = ConnectionDifferenceTensor(gamma_fields, metric, coord_names)
-    if sample_points is not None:
-        for p in sample_points:
-            gam = np.array(field_values(k.gamma_fields, [float(x) for x in p]),
-                           dtype=float)
-            asym = float(np.max(np.abs(gam - np.swapaxes(gam, 1, 2))))
-            if asym > 1e-12:
-                raise TorsionPresentError(
-                    f"connection has torsion residual {asym} at {list(map(float, p))}")
+    if sample_points is not None and len(sample_points):
+        pts = np.array(sample_points, dtype=float).reshape(len(sample_points), k.dim)
+        with np.errstate(all="ignore"):
+            gam = field_jet(k.gamma_fields, point_lanes(pts), 0)[0]
+        raise_first(TorsionPresentError, pts, max_abs(gam - np.swapaxes(gam, 2, 3)),
+                    1e-12, "connection has torsion residual")
     return k
 
 
@@ -107,82 +105,99 @@ def difference_from_connection(gamma_fields, metric: MetricField,
 
 
 def cubic_form(g: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """C_ijk = g(e_i, K(e_j, e_k))."""
-    return np.einsum("im,mjk->ijk", g, k)
+    """C_ijk = g(e_i, K(e_j, e_k)) (any leading axes)."""
+    return np.einsum("...im,...mjk->...ijk", g, k)
 
 
-def total_symmetry_residual(t: np.ndarray) -> float:
-    """max |t - t permuted| over the permutations of the three slots; NaN
-    when t holds a NaN."""
-    permuted = np.stack([np.transpose(t, perm) for perm in itertools.permutations(range(3))])
-    return float(np.max(np.abs(t - permuted)))
+def total_symmetry_residual(t: np.ndarray):
+    """max |t - t permuted| over the permutations of the last three slots:
+    a float for one tensor, an array for tensors stacked on leading axes;
+    NaN where t holds a NaN."""
+    lead, slots = tuple(range(t.ndim - 3)), tuple(range(t.ndim - 3, t.ndim))
+    res = np.maximum.reduce([np.max(np.abs(t - np.transpose(t, lead + perm)), axis=slots)
+                             for perm in itertools.permutations(slots)])
+    return float(res) if res.ndim == 0 else res
+
+
+@np.errstate(all="ignore")
+def statistical_columns(fs: FrameStack, tol: float):
+    """The statistical-structure conditions at the points of ``fs``, one
+    column each: lower-index symmetry of K, total symmetry of the cubic
+    form C, total symmetry of nabla g (for both nabla and the conjugate),
+    and the cross identity (nabla_X g)(Y,Z) = -2 g(X, K(Y,Z))."""
+    c = cubic_form(fs.g, fs.K)
+    ng = nabla_g(fs.gamma0 + fs.K, fs.g, fs.dg)
+    ng_bar = nabla_g(fs.gamma0 - fs.K, fs.g, fs.dg)
+    return [within("K_lower_symmetry", max_abs(fs.K - np.swapaxes(fs.K, 2, 3)), 1e-12),
+            within("cubic_form_symmetry", total_symmetry_residual(c), tol),
+            within("nabla_g_symmetry", total_symmetry_residual(ng), tol),
+            within("nabla_g_cross_identity", max_abs(ng + 2.0 * c), tol),
+            within("conjugate_nabla_g_symmetry", total_symmetry_residual(ng_bar), tol)]
 
 
 def validate_statistical(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:
-    """Residuals of the statistical-structure conditions at one point:
-    lower-index symmetry of K, total symmetry of the cubic form C, total
-    symmetry of nabla g (for both nabla and the conjugate), and the cross
-    identity (nabla_X g)(Y,Z) = -2 g(X, K(Y,Z))."""
-    fr = m.frame_at(point)
-    rep = AuditReport()
-    p = fr.point
+    """Residuals of the statistical-structure conditions at one point (see
+    ``statistical_columns``)."""
+    fs = m.frame_stack([point])
+    return AuditReport.from_columns(fs.point, statistical_columns(fs, tol))
 
-    rep.add("K_lower_symmetry", p,
-            np.max(np.abs(fr.K - np.swapaxes(fr.K, 1, 2))), 1e-12)
-    c = cubic_form(fr.g, fr.K)
-    rep.add("cubic_form_symmetry", p, total_symmetry_residual(c), tol)
 
-    gamma = fr.gamma0 + fr.K
-    ng = nabla_g(gamma, fr.g, fr.dg)
-    rep.add("nabla_g_symmetry", p, total_symmetry_residual(ng), tol)
-    rep.add("nabla_g_cross_identity", p, np.max(np.abs(ng + 2.0 * c)), tol)
-
-    gamma_bar = fr.gamma0 - fr.K
-    ng_bar = nabla_g(gamma_bar, fr.g, fr.dg)
-    rep.add("conjugate_nabla_g_symmetry", p, total_symmetry_residual(ng_bar), tol)
-    return rep
+@np.errstate(all="ignore")
+def acs_columns(fs: FrameStack, tol: float):
+    """The almost-contact statistical condition K(X, phi Y) + phi K(X, Y) = 0
+    and its equivalent form K(X, phi Y) = K(phi X, Y), over all basis
+    pairs, at the points of ``fs``."""
+    k_phi = np.einsum("...ijm,...mk->...ijk", fs.K, fs.phi)       # K(e_j, phi e_k)
+    phi_k = np.einsum("...im,...mjk->...ijk", fs.phi, fs.K)       # phi K(e_j, e_k)
+    k_phi_first = np.einsum("...imk,...mj->...ijk", fs.K, fs.phi)  # K(phi e_j, e_k)
+    return [within("acs_defining_condition", max_abs(k_phi + phi_k), tol),
+            within("acs_swap_condition", max_abs(k_phi - k_phi_first), tol)]
 
 
 def validate_acs(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:
-    """The almost-contact statistical condition K(X, phi Y) + phi K(X, Y) = 0
-    and its equivalent form K(X, phi Y) = K(phi X, Y), over all basis pairs."""
-    fr = m.frame_at(point)
-    rep = AuditReport()
-    p = fr.point
-    k_phi = np.einsum("ijm,mk->ijk", fr.K, fr.phi)      # K(e_j, phi e_k)
-    phi_k = np.einsum("im,mjk->ijk", fr.phi, fr.K)      # phi K(e_j, e_k)
-    rep.add("acs_defining_condition", p, np.max(np.abs(k_phi + phi_k)), tol)
-    k_phi_first = np.einsum("imk,mj->ijk", fr.K, fr.phi)  # K(phi e_j, e_k)
-    rep.add("acs_swap_condition", p, np.max(np.abs(k_phi - k_phi_first)), tol)
-    return rep
+    """The almost-contact statistical conditions at one point (see
+    ``acs_columns``)."""
+    fs = m.frame_stack([point])
+    return AuditReport.from_columns(fs.point, acs_columns(fs, tol))
+
+
+@np.errstate(all="ignore")
+def lambdas(fs: FrameStack, tol: float) -> np.ndarray:
+    """lambda = g(K(xi, xi), xi) at the points of ``fs``, (P,); verifies
+    K(xi,xi) = lambda xi and K(X, xi) = lambda eta(X) xi on the coordinate
+    frame and raises AcsViolatedError at the first point where they fail."""
+    k_xi = matvec(fs.K, fs.xi[:, None])                  # K(e_j, xi)^i as [p, i, j]
+    k_xi_xi = matvec(k_xi, fs.xi)
+    lam = inner(fs.g, k_xi_xi, fs.xi)
+    res = max_abs(k_xi_xi - lam[:, None] * fs.xi)
+    res_x = max_abs(k_xi - lam[:, None, None] * outer(fs.xi, fs.eta))
+    res = np.where(res_x > res, res_x, res)              # max(res, res_x) as floats take it
+    raise_first(AcsViolatedError, fs.point, res, tol,
+                "K(X, xi) = lambda eta(X) xi fails with residual")
+    return lam
 
 
 def lambda_of(m: ChartManifold, point, tol: float = 1e-9) -> float:
-    """lambda = g(K(xi, xi), xi); also verifies K(xi,xi) = lambda xi and
-    K(X, xi) = lambda eta(X) xi on the coordinate frame."""
-    fr = m.frame_at(point)
-    k_xi_xi = fr.apply_k(fr.xi, fr.xi)
-    lam = fr.inner(k_xi_xi, fr.xi)
-    res = float(np.max(np.abs(k_xi_xi - lam * fr.xi)))
-    k_dot_xi = np.einsum("ijk,k->ij", fr.K, fr.xi)        # K(e_j, xi)^i
-    res = max(res, float(np.max(np.abs(k_dot_xi - lam * np.outer(fr.xi, fr.eta)))))
-    if res > tol:
-        raise AcsViolatedError(
-            f"K(X, xi) = lambda eta(X) xi fails with residual {res} "
-            f"at {list(map(float, point))}")
-    return float(lam)
+    """lambda = g(K(xi, xi), xi) at one point; also verifies K(xi,xi) =
+    lambda xi and K(X, xi) = lambda eta(X) xi on the coordinate frame."""
+    return float(lambdas(m.frame_stack([point]), tol)[0])
+
+
+@np.errstate(all="ignore")
+def conjugate_connections(fs: FrameStack, tol: float):
+    """Coefficients of the conjugate connection at the points of ``fs``, with
+    the defining duality g(nabla_X Y, Z) + g(Y, nabla-bar_X Z) = X . g(Y, Z)
+    re-checked on all coordinate triples; raises StatisticalError at the
+    first point where it fails.  Returns (gamma_bar, duality_residual)."""
+    gamma_bar = fs.gamma0 - fs.K
+    lhs = (np.einsum("...mz,...mxy->...xyz", fs.g, fs.gamma0 + fs.K)
+           + np.einsum("...ym,...mxz->...xyz", fs.g, gamma_bar))
+    res = max_abs(lhs - fs.dg)
+    raise_first(StatisticalError, fs.point, res, tol, "conjugate duality residual")
+    return gamma_bar, res
 
 
 def conjugate_connection(m: ChartManifold, point, tol: float = 1e-9):
-    """Coefficients of the conjugate connection at a point, with the defining
-    duality g(nabla_X Y, Z) + g(Y, nabla-bar_X Z) = X . g(Y, Z) re-checked on
-    all coordinate triples.  Returns (gamma_bar, duality_residual)."""
-    fr = m.frame_at(point)
-    gamma = fr.gamma0 + fr.K
-    gamma_bar = fr.gamma0 - fr.K
-    lhs = np.einsum("mz,mxy->xyz", fr.g, gamma) + np.einsum("ym,mxz->xyz", fr.g, gamma_bar)
-    res = float(np.max(np.abs(lhs - fr.dg)))
-    if res > tol:
-        raise StatisticalError(
-            f"conjugate duality residual {res} at {list(map(float, point))}")
-    return gamma_bar, res
+    """``conjugate_connections`` at one point: (gamma_bar, duality_residual)."""
+    gamma_bar, res = conjugate_connections(m.frame_stack([point]), tol)
+    return gamma_bar[0], float(res[0])

@@ -12,8 +12,9 @@ moves the last bits of residuals; byte digests of the output do not.
 the floats behind it (residuals, values, the unmasked stderr line).
 ``compare`` lists the ops whose decisions differ and the largest change of
 any residual or value (and stderr float), absolute and relative to
-max(1, |before|).  pytest does not collect this file;
-``tests/test_decisions.py`` pins the decision digests of a few ops.
+max(1, |before|), and exits 1 when any op decides differently.  pytest
+does not collect this file; ``tests/test_decisions.py`` pins the decision
+digest of every op (``decision_digests.json``).
 """
 
 import contextlib
@@ -214,12 +215,13 @@ def compare(before_path, after_path):
     print(f"{changed} of {len(before)} ops decide differently")
     for part, (rel, absolute, argv) in worst.items():
         print(f"largest {part} change: {absolute:.3e} ({rel:.3e} relative) in {argv}")
+    return changed
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["record"] and len(sys.argv) == 3:
         record(sys.argv[2])
     elif sys.argv[1:2] == ["compare"] and len(sys.argv) == 4:
-        compare(sys.argv[2], sys.argv[3])
+        sys.exit(1 if compare(sys.argv[2], sys.argv[3]) else 0)
     else:
         sys.exit(__doc__)

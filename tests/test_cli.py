@@ -1,16 +1,22 @@
 """Command line front-end: exit codes, JSON-lines schema, section handling,
 and the export/import round trip."""
 
+import contextlib
+import io
 import json
 import logging
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acsgeo.cli import main
+from acsgeo.expressions import ExpressionError, parse_expression
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -526,3 +532,146 @@ def test_unknown_zoo_parameter_exits_two(capsys, ref, valid):
     assert (code, out) == (2, "")
     assert err.startswith("error: unknown parameter ")
     assert err.endswith(f"; valid keys: {valid}\n")
+
+
+def test_short_random_section_is_not_kept(capsys, tmp_path):
+    """A random section with |X| just above 1e-6 (Q(X, phi X) = 1.8e-14) is
+    dropped like a shorter one, not failed by the sweep kernel."""
+    f = "1 + 0.501545214639704*(x^2 + y^2)"
+    path = tmp_path / "warped.json"
+    path.write_text(json.dumps(dict(XI_DX, grid=5, K={},
+                                    metric_lower=[[f], ["0", f], ["0", "0", "1"]],
+                                    phi=[["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+                                    xi=["0", "0", "1"])))
+    code, _, err = run(capsys, "audit", str(path), "--seed", "676207198", "--format", "json")
+    assert (code, err) == (0, "")
+
+
+def test_overflowing_residuals_are_failing_records(capsys, tmp_path):
+    """K of 1e308 overflows the nabla g residuals: validate reports failing
+    records and audit stops at the non-finite curvature, with no numpy
+    warning on either."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(FLAT_BLOCK, K={"z,z,z": "1", "x,z,x": "1e308"})))
+    code, out, err = run(capsys, "validate", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    assert not all(r["pass"] for r in json_records(out))
+    assert run(capsys, "audit", str(path))[::2] == (
+        2, "error: statistical curvature is not finite at [-1.0, -1.0, -1.0]\n")
+
+
+# ---------------------------------------------------------------------------
+# malformed spec fields end in exit 2, never in a traceback
+
+FLAT_BLOCK = {
+    "coordinates": ["x", "y", "z"], "grid": 2,
+    "metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]],
+    "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+    "xi": ["0", "0", "1"], "K": {"z,z,z": "1"},
+}
+
+
+def _run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exits_two_everywhere(spec):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        for verb in ("validate", "curvature", "audit"):
+            code, out, err = _run_quiet(verb, path)
+            assert (code, out) == (2, ""), (verb, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (verb, err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("phi", None), ("grid", "a"), ("xi", ["1"]), ("connection", "x"),
+    ("box", [[-1, 1, 2]] * 3), ("metric_lower", [[]])])
+def test_malformed_field_exits_two(field, value):
+    spec = dict(FLAT_BLOCK, **{field: value})
+    if field == "connection":
+        del spec["K"]
+    _exits_two_everywhere(spec)
+
+
+NOT_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+NOT_SCALAR = st.one_of(st.none(), st.booleans(), st.lists(st.integers(), max_size=2),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                       st.sampled_from([float("nan"), float("inf"), -float("inf"), 10 ** 400]))
+
+
+def _valid(shape):
+    return "0" if not shape else [_valid(shape[1:]) for _ in range(shape[0])]
+
+
+def _wrong(shape):
+    """Values that are not nested lists of ``shape`` with expression-string
+    or number entries: not a list, a list of another length, or one entry
+    of the wrong type or shape."""
+    if not shape:
+        return NOT_SCALAR
+    n = shape[0]
+    return st.one_of(
+        NOT_LIST,
+        st.integers(0, 5).filter(lambda k: k != n).map(lambda k: [_valid(shape[1:])] * k),
+        st.tuples(st.integers(0, n - 1), _wrong(shape[1:])).map(
+            lambda bad: [bad[1] if i == bad[0] else _valid(shape[1:]) for i in range(n)]))
+
+
+WRONG_FIELDS = st.one_of(
+    st.tuples(st.just("coordinates"), st.one_of(
+        NOT_LIST, st.tuples(st.integers(0, 2), NOT_SCALAR | st.integers()).map(
+            lambda bad: [bad[1] if i == bad[0] else c for i, c in enumerate("xyz")]))),
+    st.tuples(st.just("metric_lower"), st.one_of(
+        NOT_LIST,
+        st.integers(0, 5).filter(lambda k: k != 3).map(lambda k: [["1"]] * k),
+        st.integers(0, 2).flatmap(lambda i: _wrong((i + 1,)).map(
+            lambda row: [row if j == i else ["0"] * j + ["1"] for j in range(3)])))),
+    st.tuples(st.just("phi"), _wrong((3, 3))),
+    st.tuples(st.just("xi"), _wrong((3,))),
+    st.tuples(st.just("eta"), _wrong((3,)).filter(lambda v: v is not None)),
+    st.tuples(st.just("K"), st.one_of(
+        NOT_LIST.filter(lambda v: not isinstance(v, dict)), st.lists(st.integers(), max_size=2),
+        NOT_SCALAR.map(lambda v: {"z,z,z": v}))),
+    st.tuples(st.just("connection"), st.one_of(
+        NOT_LIST.filter(lambda v: v is not None and not isinstance(v, dict)),
+        st.lists(st.integers(), max_size=2), NOT_SCALAR.map(lambda v: {"z,z,z": v}))),
+    st.tuples(st.just("grid"), st.one_of(
+        st.none(), st.booleans(), st.floats(), st.text(max_size=3), st.lists(st.integers(), max_size=2))),
+    st.tuples(st.just("box"), st.one_of(
+        NOT_LIST.filter(lambda v: v is not None),
+        st.integers(0, 5).filter(lambda k: k != 3).map(lambda k: [[-1, 1]] * k),
+        st.tuples(st.integers(0, 2), st.one_of(
+            NOT_LIST, st.lists(st.floats(), max_size=4).filter(lambda v: len(v) != 2),
+            NOT_SCALAR.map(lambda v: [v, 1]), st.text(max_size=2).map(lambda v: [-1, v]))).map(
+            lambda bad: [bad[1] if i == bad[0] else [-1, 1] for i in range(3)]))))
+
+EXPRESSION_TEXT = st.one_of(
+    st.text(alphabet="xyz0123456789.+-*/^() eE,", max_size=30),
+    st.lists(st.sampled_from(["x", "y", "z", "1", "2.5", "1e3", "e", ".", "+", "-", "*", "/",
+                              "^", "(", ")", " ", "sin", "cos", "exp", "log", "sqrt", ","]),
+             max_size=25).map("".join))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_value=WRONG_FIELDS, text=EXPRESSION_TEXT)
+def test_wrong_field_types_and_shapes_exit_two(field_value, text):
+    """One field of a valid spec replaced by a value of the wrong type or
+    shape: every verb exits 2 with one ``error:`` line.  And
+    ``parse_expression`` on any text of its alphabet returns or raises
+    ExpressionError."""
+    field, value = field_value
+    spec = dict(FLAT_BLOCK, **{field: value})
+    if field == "connection":
+        del spec["K"]
+    _exits_two_everywhere(spec)
+    try:
+        parse_expression(text, ["x", "y", "z"])
+    except ExpressionError:
+        pass

@@ -1,10 +1,12 @@
 """[K,K] bracket, phi-sectional K-curvature, statistical curvature, and the
 executable theorem audits on the built-in structures."""
 
+import math
+
 import numpy as np
 import pytest
 
-from acsgeo import contact, curvature
+from acsgeo import contact, curvature, get_entry
 from acsgeo import (NotHorizontalError, PreconditionNotMetError,
                     geodesic_xi_check, kk_bracket, kk_tensor, lemma_5_6_check,
                     phi_compat_check, phi_sectional_k_curvature,
@@ -218,17 +220,74 @@ def test_no_points_give_empty_reports(flat3):
 
 
 def test_phi_compat_takes_nabla0_phi_once_per_point(flat3, monkeypatch):
-    """The cosymplectic consequence reads the nabla^0 phi that formulation
-    (c) built, and gives the residual is_cosymplectic gives."""
+    """phi_compat_check takes nabla^0 phi once per point, in one batched call
+    over all its points; the cosymplectic consequence reads the array
+    formulation (c) built, and gives the residual is_cosymplectic gives."""
     calls = []
-    for mod in (contact, curvature):
-        orig = mod.nabla0_phi
-        monkeypatch.setattr(mod, "nabla0_phi",
-                            lambda m, p, orig=orig: calls.append(p) or orig(m, p))
+    orig = contact.nabla0_phi_of
+    monkeypatch.setattr(curvature, "nabla0_phi_of",
+                        lambda fs: calls.append(len(fs.point)) or orig(fs))
     pts = flat3.grid_points(2)
     rep = phi_compat_check(flat3, pts)
-    assert len(calls) == len(pts) == 8
+    assert calls == [len(pts)] == [8]
     assert rep.failures() == [] and is_phi_compatible(rep)
     consequences = [r.residual for r in rep.records
                     if r.check == "phi_compat/cosymplectic_consequence"]
     assert consequences == [is_cosymplectic(flat3, [p])[1] for p in pts]
+
+
+# ---------------------------------------------------------------------------
+# replay
+
+
+def _failing_from(k, runs):
+    """A batched run that draws one normal per point and fails at every point
+    from ``k`` on; a batch names its last failing point, so only a run of
+    one point names the point the per-point loop meets first."""
+    def run(points, rng):
+        runs.append(len(points))
+        draws = rng.standard_normal(len(points))
+        bad = [(p, d) for p, d in zip(points, draws) if p >= k]
+        if bad:
+            raise ValueError(f"point {bad[-1][0]} fails after drawing {bad[-1][1]}")
+        return draws
+    return run
+
+
+@pytest.mark.parametrize("P, k", [(1, 0), (2, 0), (2, 1), (7, 3), (243, 0), (243, 162),
+                                  (243, 242)])
+def test_replay_bisects_to_the_per_point_error(P, k):
+    runs = []
+    run = _failing_from(k, runs)
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError) as loop:
+        for p in range(P):
+            run([p], rng)
+    runs.clear()
+    with pytest.raises(ValueError) as replayed:
+        curvature.replay(run, list(range(P)), np.random.default_rng(3))
+    assert str(replayed.value) == str(loop.value)
+    assert len(runs) <= 2 * math.ceil(math.log2(P)) + 1
+
+
+def test_replay_keeps_the_batch_error_when_no_point_fails_alone():
+    runs = []
+
+    def run(points, rng):
+        runs.append(len(points))
+        if len(points) > 1:
+            raise ValueError(f"batch of {len(points)}")
+
+    with pytest.raises(ValueError, match="^batch of 9$"):
+        curvature.replay(run, list(range(9)), None)
+    assert runs[-1] == 1 and len(runs) <= 2 * math.ceil(math.log2(9)) + 1
+
+
+def test_flat_r0_is_one_broadcast_zero():
+    """The cached R^0 of a constant metric holds no memory of its own."""
+    m = get_entry("random", dim=7, seed=5, family="trivial-lambda").manifold
+    pts = m.grid_points(3)
+    curvature.statistical_curvature_grid(m, pts)
+    for p in pts:
+        r0 = m._curvature_cache[tuple(p.tolist())][1]
+        assert r0.shape == (7,) * 4 and r0.strides == (0,) * 4 and not r0.any()

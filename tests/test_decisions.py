@@ -1,13 +1,22 @@
-"""Decision digests of a few CLI runs: the exit code, the first stderr
-line with floats masked, and per record the check, point, pass flag and
-whether the value is non-zero, plus the flags (see ``decision_corpus.py``,
-which records the same for the whole corpus).  A change that moves only the
-last bits of residuals keeps these digests; a change of any decision breaks
-one."""
+"""Decision digests of CLI runs: the exit code, the first stderr line with
+floats masked, and per record the check, point, pass flag and whether the
+value is non-zero, plus the flags (see ``decision_corpus.py``).  A change
+that moves only the last bits of residuals keeps these digests; a change of
+any decision breaks one.  ``PINNED`` holds a few runs outside the corpus
+ops too; ``decision_digests.json`` holds the digest of every corpus op."""
+
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from decision_corpus import decision_of, digest
+from decision_corpus import OPS, decision_of, digest
+
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "decision_digests.json")) as _fh:
+    CORPUS = [(op["argv"], op["digest"]) for op in json.load(_fh)]
 
 # (argv, sha256 of the decision); "@name" is a spec of decision_corpus.SPECS
 PINNED = [
@@ -80,3 +89,30 @@ PINNED = [
                          ids=["-".join(argv[:2]) + f"-{i}" for i, (argv, _) in enumerate(PINNED)])
 def test_decision_digest(argv, expected, tmp_path):
     assert digest(decision_of(argv, str(tmp_path))) == expected
+
+
+def test_digests_cover_the_corpus():
+    assert [argv for argv, _ in CORPUS] == OPS
+
+
+@pytest.mark.parametrize("argv, expected", CORPUS,
+                         ids=[f"{i}-" + "-".join(argv[:2]) for i, (argv, _) in enumerate(CORPUS)])
+def test_corpus_decision_digest(argv, expected, tmp_path):
+    assert digest(decision_of(argv, str(tmp_path))) == expected
+
+
+def test_compare_exits_one_on_a_decision_change(tmp_path):
+    argv = ["validate", "zoo:example_r3_negative", "--grid", "1"]
+    floats = {"stderr": "", "residuals": [0.0], "values": [None]}
+    corpora = {}
+    for name, passed in (("before", True), ("same", True), ("after", False)):
+        decision = {"exit": 0, "stderr": "", "records": [["phi_squared", [0.0] * 3, passed, None]],
+                    "flags": []}
+        corpora[name] = tmp_path / f"{name}.json"
+        corpora[name].write_text(json.dumps([{"argv": argv, "decision": decision,
+                                              "floats": floats}]))
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "decision_corpus.py")
+    codes = [subprocess.run([sys.executable, script, "compare", str(corpora["before"]),
+                             str(corpora[name])], capture_output=True).returncode
+             for name in ("same", "after")]
+    assert codes == [0, 1]

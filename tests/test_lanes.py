@@ -436,7 +436,7 @@ def ref_sweep_sections(fr, basis, rng=None, extra=2):
     if rng is not None:
         for _ in range(extra):
             v = basis[:, :2 * n] @ rng.standard_normal(2 * n)
-            if ref_norm(fr, v) > 1e-6:
+            if ref_norm(fr, v) > 1e-3:
                 out.append(v)
     return out
 
