@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import curvature as curv
-from .contact import FrameError, is_cosymplectic, structure_columns
+from .contact import FrameError, is_cosymplectic, nabla0_phi_of, structure_columns
 from .expressions import ExpressionError, parse_expression
 from .manifold import ChartManifold
 from .metric import GeometryError, field_jet, point_lanes
@@ -165,20 +165,24 @@ def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
     return AuditReport.from_columns(fs.point, columns)
 
 
-def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
+def pointwise_checks(m: ChartManifold, pts, tol: float, checks,
+                     nabla0_phi=None) -> AuditReport:
     """The selected lemma_5_6, geodesic, prop_5_2 and duality checks at every
     point, in one run through ``curvature.replay``: the statistical
-    curvature and the conjugate duality raise where a per-point loop would."""
+    curvature and the conjugate duality raise where a per-point loop would.
+    ``nabla0_phi`` is ``nabla0_phi_of`` of the stack of ``pts`` when the
+    caller has it."""
     wanted = [name for name in ("lemma_5_6", "geodesic", "prop_5_2", "duality")
               if selected(name, checks)]
     loose = max(tol, 1e-6)
 
     def run(points, _):
         fs = m.frame_stack(points)
-        zero, yes = np.zeros(len(points)), np.ones(len(points), dtype=bool)
+        zero, yes = np.zeros(1), np.ones(1, dtype=bool)
         columns = []
         if "lemma_5_6" in wanted:
-            columns.append(within("lemma_5_6", curv.lemma_5_6_residuals(fs), tol))
+            d0_phi = nabla0_phi if len(points) == len(pts) else None
+            columns.append(within("lemma_5_6", curv.lemma_5_6_residuals(fs, d0_phi), tol))
         if "geodesic" in wanted:
             n0, n1 = curv.geodesic_norms(fs)
             columns += [Column("geodesic/nabla0_xi_xi", zero, yes, n0),
@@ -245,32 +249,43 @@ def cmd_curvature(m: ChartManifold, args) -> int:
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
 
 
-def cmd_audit(m: ChartManifold, args) -> int:
-    checks = check_groups(args.checks, CHECK_GROUPS)
-    rng = np.random.default_rng(args.seed)
-    pts = sample_points(m, args.grid)
+def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
+    """The records and flags of ``audit`` at the points ``pts``: the grid
+    passes, then the selected check groups in ``CHECK_GROUPS`` order."""
     grid_passes(m, pts, selected("thm_5_8", checks) or selected("prop_5_2", checks))
-    rep = axiom_checks(m, pts, args.tol, checks)
+    rep = axiom_checks(m, pts, tol, checks)
+    # nabla^0 phi, taken once for the checks that read it
+    d0_phi = nabla0_phi_of(m.frame_stack(pts)) if any(
+        selected(name, checks) for name in ("cosymplectic", "phi_compat", "lemma_5_6", "psi")) \
+        else None
 
     if selected("cosymplectic", checks):
-        flag, res = is_cosymplectic(m, pts, tol=args.tol)
+        flag, res = is_cosymplectic(m, pts, tol=tol, nabla0_phi=d0_phi)
         rep.add("cosymplectic", pts[0], res, passed=True, value=float(flag))
 
     if selected("thm_5_8", checks):
-        rep.extend(curv.theorem_5_8_audit(m, pts, tol=args.tol, rng=rng))
+        rep.extend(curv.theorem_5_8_audit(m, pts, tol=tol, rng=rng))
 
-    if selected("phi_compat", checks):
-        compat_rep = curv.phi_compat_check(m, pts, tol=args.tol, rng=rng)
-        rep.extend(compat_rep)
-    elif selected("psi", checks):
-        # psi needs the verdict only: no records, no draws from rng
-        compat_rep = curv.phi_compat_check(m, pts, tol=args.tol)
+    if selected("phi_compat", checks) or selected("psi", checks):
+        # psi alone needs the verdict only: no records, no draws from rng
+        compat_rep, k_phi = curv.phi_compat_audit(
+            m, pts, tol=tol, rng=rng if selected("phi_compat", checks) else None,
+            nabla0_phi=d0_phi)
+        if selected("phi_compat", checks):
+            rep.extend(compat_rep)
 
-    rep.extend(pointwise_checks(m, pts, args.tol, checks))
+    rep.extend(pointwise_checks(m, pts, tol, checks, d0_phi))
 
     if selected("psi", checks) and curv.is_phi_compatible(compat_rep):
-        rep.extend(curv.psi_check(m, pts, tol=args.tol, compat_report=compat_rep))
+        # Psi reads the plain-section K_phi of the phi-compatibility sweep
+        rep.extend(curv.psi_check(m, pts, tol=tol, compat_report=compat_rep, k_phi=k_phi))
+    return rep
 
+
+def cmd_audit(m: ChartManifold, args) -> int:
+    checks = check_groups(args.checks, CHECK_GROUPS)
+    rng = np.random.default_rng(args.seed)
+    rep = audit_report(m, sample_points(m, args.grid), args.tol, checks, rng)
     emit(rep, args.format)
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
 

@@ -134,8 +134,8 @@ def gram_residual(fr: PointFrame, basis: np.ndarray) -> float:
 
 @np.errstate(all="ignore")
 def nabla0_phi_of(fs: FrameStack) -> np.ndarray:
-    """nabla^0 phi with the Levi-Civita connection at the points of ``fs``,
-    (P, dim, dim, dim) indexed [p, i, j, k]."""
+    """nabla^0 phi with the Levi-Civita connection at the lanes of ``fs``,
+    (L, dim, dim, dim) indexed [lane, i, j, k]."""
     return covariant_derivative_11(fs.gamma0, fs.phi, fs.dphi)
 
 
@@ -144,10 +144,14 @@ def nabla0_phi(m: ChartManifold, point) -> np.ndarray:
     return nabla0_phi_of(m.frame_stack([point]))[0]
 
 
-def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9):
+def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9, nabla0_phi=None):
     """True iff max |nabla^0 phi| over the sample points is within ``tol``
-    (a point where it is NaN does not count).  Returns (flag, max_residual)."""
+    (a point where it is NaN does not count); ``nabla0_phi`` is
+    ``nabla0_phi_of`` of the points' stack when the caller has it.
+    Returns (flag, max_residual)."""
     pts = points if points is not None else m.grid_points()
-    per_point = max_abs(nabla0_phi_of(m.frame_stack(pts))) if len(pts) else []
+    if nabla0_phi is None and len(pts):
+        nabla0_phi = nabla0_phi_of(m.frame_stack(pts))
+    per_point = max_abs(nabla0_phi) if len(pts) else []
     worst = float(np.fmax.reduce(per_point, initial=0.0))
     return worst <= tol, worst

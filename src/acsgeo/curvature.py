@@ -14,6 +14,7 @@ error it reports is the one a per-point loop meets first."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -155,15 +156,21 @@ class SectionSweep:
 
     def with_curvatures(self, g, curvatures) -> "SectionSweep":
         """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
-        statistical curvatures (S, R^0, ...) of its points, applied one
-        section and 16 points at a time (``_per_chunk``); a pair that is OK
-        or MISMATCH becomes NON_FINITE where one of them is not finite."""
+        statistical curvature lanes (S, R^0, ...) of its points, applied
+        one section and 16 rows at a time (``_per_chunk``) to each run of
+        blocks with the same number of rows, so blocks of one row (the
+        shared sections of a constant chart) are evaluated once; a pair
+        that is OK or MISMATCH becomes NON_FINITE where one of them is not
+        finite."""
         def sectional(r, g, *vectors):
             return np.stack([sectional_values(g, r, x[:, j], px[:, j])[0]
                              for x, px in zip(vectors[::2], vectors[1::2])
                              for j in range(x.shape[1])], axis=1)
-        vectors = [v for block in self.blocks for v in block]
-        k_s, k_0 = (_per_chunk(sectional, curvatures, (n,), g, *vectors) for n in (0, 1))
+        runs = [[v for block in run for v in block]
+                for _, run in itertools.groupby(self.blocks, key=lambda block: len(block[0]))]
+        k_s, k_0 = (_points_concat(len(self.point), [
+            _per_chunk(sectional, curvatures, (n,), g, *vectors) for vectors in runs])
+            for n in (0, 1))
         status = np.where(np.isin(self.status, (OK, MISMATCH))
                           & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
         return replace(self, k_s=k_s, k_0=k_0, status=status)
@@ -175,11 +182,13 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     for every section X of every point of ``frames``.
 
     ``sections`` is a list of (P, S_b, dim) blocks, joined along the
-    section axis.  Each pair gets the operand shapes of one vector (see
-    ``metric.inner``), so every value is bit-identical to the per-point
-    functions, and a block keeps the strides of its vectors: the legs of a
-    phi-basis are strided columns, which BLAS may sum in another order than
-    contiguous vectors.  Intermediates stay O(P S dim^2).
+    section axis; a block of one row, like a one-lane stack, is shared by
+    all P points and evaluated once.  Each pair gets the operand shapes of
+    one vector (see ``metric.inner``), so every value is bit-identical to
+    the per-point functions, and a block keeps the strides of its vectors:
+    the legs of a phi-basis are strided columns, which BLAS may sum in
+    another order than contiguous vectors.  Intermediates stay
+    O(P S dim^2).
 
     Nothing is raised: a pair that fails gets a status, the first of
     NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE (a value is inf or
@@ -199,7 +208,7 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
                            sq, q, inner(g, kk_bracket(k, x, px, px), x) / q,
                            -2.0 * inner(g, kxx, kxx) / pow2(sq)])
         x, px, eta, sq, q, value, closed = (
-            np.concatenate(parts, axis=1) for parts in zip(*blocks))
+            _points_concat(len(frames.point), parts) for parts in zip(*blocks))
         blocks = [block[:2] for block in blocks]
 
         finite = np.isfinite(eta) & np.isfinite(q) & np.isfinite(value) & np.isfinite(closed)
@@ -212,6 +221,12 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
               x.shape[0], x.shape[1], time.perf_counter() - start)
     return SectionSweep(frames.point, x, px, eta, q, value, closed, None, None, status,
                         blocks)
+
+
+def _points_concat(points: int, parts) -> np.ndarray:
+    """Arrays of 1 or ``points`` rows, broadcast to ``points`` rows and joined
+    along the section axis."""
+    return np.concatenate([np.broadcast_to(a, (points,) + a.shape[1:]) for a in parts], axis=1)
 
 
 def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
@@ -242,84 +257,100 @@ def _statistical_parts(gamma0, dgamma0, k, dk):
 
 def _curvature_parts(m: ChartManifold, points, where):
     """(S, R^0, [K,K], R, R-bar) at each of ``points`` from one pass, one
-    lane per point, cached while the cache holds fewer than 4096: one
-    second-order walk of g gives the Gamma^0 jet in closed form, one
-    first-order walk of the K table (or of the connection table, less
-    Gamma^0) the K jet, and the parts follow 16 points at a time.  R^0 of
-    a constant metric is one broadcast zero.  A jet entry that is not
-    finite makes a part non-finite, so the parts are the one finiteness
-    gate.  Raises the jets' errors, or NonFiniteError (``where`` naming the
-    points), and then caches nothing."""
+    lane per point (on a constant chart, the first point's lane alone),
+    and the cross residuals max |S - R^0 - [K,K]| of the lanes, cached
+    while the cache holds fewer than 4096 points: one second-order walk of
+    g gives the Gamma^0 jet in closed form, one first-order walk of the K
+    table (or of the connection table, less Gamma^0) the K jet, and the
+    parts and residuals follow 16 lanes at a time.  R^0 of a constant
+    metric is one broadcast zero.  A jet entry that is not finite makes a
+    part non-finite, so the parts are the one finiteness gate.  Raises the
+    jets' errors, or NonFiniteError (``where`` naming the points), and then
+    caches nothing."""
     pts = np.array(points, dtype=float).reshape(len(points), m.dim)
-    coords = point_lanes(pts)
-    shape = (len(pts),) + (m.dim,) * 4
+    lanes = pts[:1] if m.is_constant else pts
+    coords = point_lanes(lanes)
+    shape = (len(lanes),) + (m.dim,) * 4
     flat = m.metric.is_constant
     parts = [np.broadcast_to(0.0, shape) if flat and n == 1 else np.empty(shape)
              for n in range(5)]
+    cross = np.empty(len(lanes))
     with np.errstate(all="ignore"):
         levi_civita = christoffel_jet(m.metric, coords)
         jets = levi_civita + m.difference.jet(coords, levi_civita)
-        for c in range(0, len(pts), 16):    # 16 points at a time bounds the temporaries
+        for c in range(0, len(lanes), 16):    # 16 lanes at a time bounds the temporaries
             rows = slice(c, c + 16)
             for n, value in enumerate(_statistical_parts(*(a[rows] for a in jets))):
                 if not (flat and n == 1):
                     parts[n][rows] = value
+            cross[rows] = max_abs(parts[0][rows] - parts[1][rows] - parts[2][rows])
     if not all(np.isfinite(a).all() for a in parts):
         raise NonFiniteError(f"statistical curvature is not finite {where}")
-    out = list(zip(*parts))
-    cache = m._curvature_cache
-    for key, point_parts in zip(map(tuple, pts.tolist()), out):
+    for a in parts:
+        a.flags.writeable = False
+    out = list(zip(*(np.broadcast_to(a, (len(pts),) + a.shape[1:]) for a in parts)))
+    cache, cross_cache = m._curvature_cache, m._cross_cache
+    for i, key in enumerate(map(tuple, pts.tolist())):
         if key not in cache and len(cache) < 4096:
-            cache[key] = point_parts
-    return out
+            cache[key] = out[i]
+            cross_cache[key] = float(cross[0 if m.is_constant else i])
+    return out[:len(lanes)], cross
 
 
 def _per_chunk(fn, curvatures, parts, *arrays):
     """``fn`` of the curvature ``parts`` (indices into (S, R^0, [K,K], R,
-    R-bar)) and the rows of ``arrays``, 16 points at a time, stacked, so no
-    part is stacked beyond (16, dim, dim, dim, dim); joined on the point
-    axis."""
+    R-bar)) of the lanes ``curvatures`` and the rows of ``arrays``, 16 rows
+    at a time, stacked, so no part is stacked beyond (16, dim, dim, dim,
+    dim); joined on the row axis.  An argument of one lane or row is shared
+    by every row."""
+    def rows_of(a, rows):
+        return a if len(a) == 1 else a[rows]
     out = []
     with np.errstate(all="ignore"):
-        for c in range(0, len(curvatures), 16):
+        for c in range(0, max(map(len, (curvatures,) + arrays)), 16):
             rows = slice(c, c + 16)
-            out.append(fn(*(np.stack([cv[n] for cv in curvatures[rows]]) for n in parts),
-                          *(a[rows] for a in arrays)))
+            lanes = rows_of(curvatures, rows)
+            out.append(fn(*(np.stack([cv[n] for cv in lanes]) for n in parts),
+                          *(rows_of(a, rows) for a in arrays)))
     return np.concatenate(out)
 
 
-def _cross_residuals(curvatures) -> np.ndarray:
-    """max |S - R^0 - [K,K]| at each point, (P,)."""
-    return _per_chunk(lambda s, r0, kk: max_abs(s - r0 - kk), curvatures, (0, 1, 2))
-
-
 def statistical_curvatures(m: ChartManifold, points):
-    """S = (R + R-bar)/2 from the two statistical connections at each of
-    ``points``, with the decomposition S = R^0 + [K,K] asserted (to 1e-6)
-    as an internal cross-check.  Returns [(S, R^0, [K,K], R, R-bar), ...].
+    """S = (R + R-bar)/2 from the two statistical connections at the lanes
+    of ``points``, with the decomposition S = R^0 + [K,K] asserted (to 1e-6)
+    as an internal cross-check.  The lanes are those of
+    ``m.frame_stack(points)``: one per point, or on a constant chart the
+    first point's, which every point shares.  Returns the lanes
+    [(S, R^0, [K,K], R, R-bar), ...] and their (L,) cross residuals
+    max |S - R^0 - [K,K]|.
 
     nabla = nabla^0 + K and nabla-bar = nabla^0 - K are formed from one jet
     of Gamma^0 and one of K, and R^0 from the jet of Gamma^0.  The parts
-    come from the cache that ``statistical_curvature_grid`` fills and, for
-    the points it lacks, from one pass over them; the cross-check applies
-    to both and raises CrossCheckError at the first point where it fails.
-    A part that is not finite (K K overflowing, say) raises NonFiniteError.
+    and residuals come from the cache that ``statistical_curvature_grid``
+    fills and, for the points it lacks, from one pass over them; the
+    cross-check reads the residuals of both and raises CrossCheckError at
+    the first point where it fails.  A part that is not finite (K K
+    overflowing, say) raises NonFiniteError.
     """
     keys = [tuple(float(x) for x in p) for p in points]
+    if m.is_constant:
+        keys = keys[:1]
     cache = m._curvature_cache
     missing = [key for key in dict.fromkeys(keys) if key not in cache]
     fresh = {}
     if missing:
         where = f"at {list(missing[0])}" if len(missing) == 1 else "on the grid"
-        fresh = dict(zip(missing, _curvature_parts(m, missing, where)))
-    out = [cache[key] if key in cache else fresh[key] for key in keys]
-    raise_first(CrossCheckError, keys, _cross_residuals(out), 1e-6, "S - R0 - [K,K] residual")
-    return out
+        lanes, cross = _curvature_parts(m, missing, where)
+        fresh = dict(zip(missing, zip(lanes, cross.tolist())))
+    out = [(cache[key], m._cross_cache[key]) if key in cache else fresh[key] for key in keys]
+    cross = np.array([c for _, c in out])
+    raise_first(CrossCheckError, keys, cross, 1e-6, "S - R0 - [K,K] residual")
+    return [lane for lane, _ in out], cross
 
 
 def statistical_curvature(m: ChartManifold, point):
     """``statistical_curvatures`` at one point: (S, R^0, [K,K], R, R-bar)."""
-    return statistical_curvatures(m, [point])[0]
+    return statistical_curvatures(m, [point])[0][0]
 
 
 def statistical_curvature_grid(m: ChartManifold, points) -> None:
@@ -357,16 +388,23 @@ def horizontal_projections(frames: FrameStack):
     return h, keep
 
 
-def _sweep_blocks(g, basis, rng=None, extra: int = 2):
-    """The sections of ``sweep_sections`` at P points from their phi-bases
-    (P, dim, 2n+1), as section blocks (the legs, their mixtures and, with
-    ``rng``, the random combinations) and the (P, S) mask of the sections
-    each point keeps.  The legs are strided views of the basis columns, as
-    in one point's loop; the random combinations draw ``extra`` times 2n
-    normals per point, in point order, from one block of ``rng``, and a
-    point keeps those with norm above 1e-3, whose plane form Q(X, phi X) =
-    |X|^4 clears the kernel's 1e-12 gate."""
-    P, dim, _ = basis.shape
+def plain_sections(n: int) -> int:
+    """The number of sweep sections that draw no random numbers: the n legs
+    and their n (n + 1) / 2 mixtures."""
+    return n * (n + 3) // 2
+
+
+def _sweep_blocks(g, basis, points: int, rng=None, extra: int = 2):
+    """The sections of ``sweep_sections`` at P = ``points`` points from their
+    phi-bases (L, dim, 2n+1), one per point or one that all points share
+    (L = 1), as section blocks (the legs, their mixtures and, with ``rng``,
+    the random combinations) and the (P, S) mask of the sections each point
+    keeps.  The legs are strided views of the basis columns, as in one
+    point's loop; the random combinations draw ``extra`` times 2n normals
+    per point, in point order, from one block of ``rng``, and a point keeps
+    those with norm above 1e-3, whose plane form Q(X, phi X) = |X|^4 clears
+    the kernel's 1e-12 gate."""
+    P, dim = points, basis.shape[1]
     n = (dim - 1) // 2
     legs = basis[:, :, :n].transpose(0, 2, 1)
     mixtures = []
@@ -375,7 +413,7 @@ def _sweep_blocks(g, basis, rng=None, extra: int = 2):
             mixtures.append(legs[:, i] + legs[:, j])
         mixtures.append(legs[:, i] + basis[:, :, n + i])  # mix in phi e_i
     blocks = [legs, np.stack(mixtures, axis=1)]
-    keep = [np.ones((P, n + len(mixtures)), dtype=bool)]
+    keep = [np.ones((P, plain_sections(n)), dtype=bool)]
     if rng is not None:
         coef = rng.standard_normal((P, extra, 2 * n))
         with np.errstate(all="ignore"):
@@ -389,19 +427,20 @@ def sweep_sections(m: ChartManifold, fr: PointFrame, rng=None, extra: int = 2):
     phi-basis legs e_1..e_n, their pairwise mixtures, and a few random
     horizontal combinations."""
     basis = phi_basis(m, fr.point, frame=fr)
-    blocks, keep = _sweep_blocks(fr.g[None], basis[None], rng, extra)
+    blocks, keep = _sweep_blocks(fr.g[None], basis[None], 1, rng, extra)
     vectors = [v for block in blocks for v in block[0]]
     return [v for v, kept in zip(vectors, keep[0]) if kept]
 
 
 def phi_sweep(frames: FrameStack, rng=None):
     """The ``section_sweep`` of the sweep sections of every point of
-    ``frames`` and the (P, S) mask of the sections each point keeps.
-    Raises the first point's ``phi_bases`` error."""
+    ``frames`` and the (P, S) mask of the sections each point keeps; the
+    plain sections of a one-lane stack are one row, and the random ones are
+    drawn for every point.  Raises the first point's ``phi_bases`` error."""
     basis, errors = phi_bases(frames.g, frames.phi, frames.xi)
     for error in filter(None, errors):
         raise error
-    blocks, keep = _sweep_blocks(frames.g, basis, rng)
+    blocks, keep = _sweep_blocks(frames.g, basis, len(frames.point), rng)
     return section_sweep(frames, blocks), keep
 
 
@@ -461,7 +500,7 @@ def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, 
     vertical = np.flatnonzero(np.isin(sweep.status[:, 0], (NOT_HORIZONTAL, NEGLIGIBLE)))
     if vertical.size:
         raise sweep.error(vertical[0], 0)
-    sweep = sweep.with_curvatures(frames.g, statistical_curvatures(m, frames.point))
+    sweep = sweep.with_curvatures(frames.g, statistical_curvatures(m, frames.point)[0])
     k_s, k_0, k_phi = sweep.k_s, sweep.k_0, sweep.value
     with np.errstate(all="ignore"):
         additive = np.abs(k_s - (k_0 + k_phi)) <= 1e-6 * np.maximum(1.0, np.abs(k_s))
@@ -494,7 +533,7 @@ def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
     raises through ``replay``."""
     def run(points, rng):
         stack = m.frame_stack(points)
-        lams = lambdas(stack, lambda_tol)
+        lams = np.broadcast_to(lambdas(stack, lambda_tol), (len(points),))
         if section is None:
             sweep, keep = phi_sweep(stack, rng)
         else:
@@ -528,13 +567,13 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
     lams = lambdas(fs, max(tol, 1e-6))
     sweep, keep = phi_sweep(fs, rng)
     try:
-        curvatures = statistical_curvatures(m, pts)
+        curvatures = statistical_curvatures(m, pts)[0]
     except Exception:
         _k_phi(sweep, keep)     # the statuses come first
         raise
     sweep = sweep.with_curvatures(fs.g, curvatures)
     k_phi = _k_phi(sweep, keep)
-    plain = m.n * (m.n + 3) // 2       # the legs and mixtures, not the random sections
+    plain = plain_sections(m.n)        # the legs and mixtures, not the random sections
     horiz, keep_h = horizontal_projections(fs)
     vecs = np.array(frame_vectors(m.dim))
     with np.errstate(all="ignore"):
@@ -556,16 +595,16 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
             "c9_K_XX_parallel_xi": max_abs(kvv - outer(matvec(kvv, fs.eta), fs.xi)),
         }
     oks = {name: res <= tol for name, res in residuals.items()}
-    stacked = np.array(list(oks.values()))
+    stacked = np.array(np.broadcast_arrays(*oks.values()))
     unanimous = stacked.all(axis=0) | ~stacked.any(axis=0)
-    zero, yes = np.zeros(len(pts)), np.ones(len(pts), dtype=bool)
+    zero, yes = np.zeros(1), np.ones(1, dtype=bool)
     rep = AuditReport.from_columns(fs.point, [Column("thm_5_8/lambda", zero, yes, lams)] + [
         Column(f"thm_5_8/{name}", res, yes, oks[name].astype(float))
         for name, res in residuals.items()] + [
         Column("thm_5_8/unanimity", np.where(unanimous, 0.0, 1.0), unanimous)])
     for i in np.flatnonzero(~unanimous):
         rep.flag(f"EquivalenceViolation at {list(map(float, pts[i]))}: "
-                 + ", ".join(f"{name}={bool(ok[i])}" for name, ok in oks.items()))
+                 + ", ".join(f"{name}={bool(ok[i])}" for name, ok in zip(oks, stacked)))
     return rep
 
 
@@ -581,12 +620,14 @@ def audit_branch(report: AuditReport) -> str:
 
 
 @np.errstate(all="ignore")
-def lemma_5_6_residuals(fs: FrameStack) -> np.ndarray:
+def lemma_5_6_residuals(fs: FrameStack, nabla0_phi=None) -> np.ndarray:
     """Max residual of (nabla^0_X phi)Y = (nabla_X phi)Y + 2 phi K(X,Y) over
-    all frame pairs at each point of ``fs``, (P,)."""
+    all frame pairs at each lane of ``fs``, (L,); ``nabla0_phi`` is
+    ``nabla0_phi_of(fs)`` when the caller has it."""
+    d0_phi = nabla0_phi_of(fs) if nabla0_phi is None else nabla0_phi
     d1 = covariant_derivative_11(fs.gamma0 + fs.K, fs.phi, fs.dphi)
     phi_k = np.einsum("...im,...mak->...aik", fs.phi, fs.K)
-    return max_abs(nabla0_phi_of(fs) - d1 - 2.0 * phi_k)
+    return max_abs(d0_phi - d1 - 2.0 * phi_k)
 
 
 def lemma_5_6_check(m: ChartManifold, point) -> float:
@@ -610,25 +651,25 @@ def geodesic_xi_check(m: ChartManifold, point):
 
 
 def prop_5_2_residuals(m: ChartManifold, fs: FrameStack):
-    """At each point of ``fs``, (P,) each: max |S - R^0 - [K,K]|
-    (Proposition 5.2) and max |g(R(e_k, e_l) e_j, e_a) + g(e_j, R-bar(e_k,
-    e_l) e_a)| (the conjugate duality of the curvatures).  The statistical
-    curvature raises as in ``statistical_curvatures``."""
-    curvatures = statistical_curvatures(m, fs.point)
+    """At each lane of ``fs``, (L,) each: max |S - R^0 - [K,K]|
+    (Proposition 5.2, the residual the curvature pass keeps beside the
+    parts) and max |g(R(e_k, e_l) e_j, e_a) + g(e_j, R-bar(e_k, e_l) e_a)|
+    (the conjugate duality of the curvatures).  The statistical curvature
+    raises as in ``statistical_curvatures``."""
+    curvatures, cross = statistical_curvatures(m, fs.point)
 
     def duality(r, r_bar, g):
         low = np.einsum("...am,...mjkl->...ajkl", g, r)
         low_bar = np.einsum("...am,...mjkl->...ajkl", g, r_bar)
         return max_abs(low + np.einsum("...jakl->...ajkl", low_bar))
-    return _cross_residuals(curvatures), _per_chunk(duality, curvatures, (3, 4), fs.g)
+    return cross, _per_chunk(duality, curvatures, (3, 4), fs.g)
 
 
 @np.errstate(all="ignore")
-def _compat_residuals(fs: FrameStack):
+def _compat_residuals(fs: FrameStack, d0_phi):
     """The residuals of the three formulations of phi-compatibility at the
-    points of ``fs``, (3, P), and nabla^0 phi there, which (c) reads."""
+    lanes of ``fs``, (3, L); (c) reads ``d0_phi``, nabla^0 phi there."""
     gamma = fs.gamma0 + fs.K
-    d0_phi = nabla0_phi_of(fs)
     phi_k = np.einsum("...im,...mak->...aik", fs.phi, fs.K)
     return np.stack([
         # (a) nabla phi = 0 componentwise
@@ -638,7 +679,7 @@ def _compat_residuals(fs: FrameStack):
         max_abs(fs.dphi + np.einsum("...iam,...mk->...aik", gamma, fs.phi)
                 - np.einsum("...im,...mak->...aik", fs.phi, gamma)),
         # (c) (nabla^0_X phi)Y = 2 phi K(X,Y)
-        max_abs(d0_phi - 2.0 * phi_k)]), d0_phi
+        max_abs(d0_phi - 2.0 * phi_k)])
 
 
 def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
@@ -650,19 +691,34 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
     K_phi consequence of all compatible points is one section sweep.
     Steps, through ``replay``: frames, then the phi-bases and section
     statuses of the compatible points."""
+    return phi_compat_audit(m, points, tol, rng)[0]
+
+
+def phi_compat_audit(m: ChartManifold, points=None, tol: float = 1e-9, rng=None,
+                     nabla0_phi=None):
+    """``phi_compat_check`` and, per point, max |K_phi| over the plain
+    sections of its sweep (0 where it is not compatible), which
+    ``psi_check`` reads; ``nabla0_phi`` is ``contact.nabla0_phi_of`` of the
+    stack of all the points when the caller has it."""
     pts = list(points) if points is not None else m.grid_points()
-    return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), pts, rng) if pts \
-        else AuditReport()
+    if not pts:
+        return AuditReport(), np.zeros(0)
+    return replay(lambda run_pts, rng: _phi_compat(
+        m, run_pts, tol, rng, nabla0_phi if len(run_pts) == len(pts) else None), pts, rng)
 
 
-def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
+def _phi_compat(m: ChartManifold, pts, tol, rng, nabla0_phi=None):
     fs = m.frame_stack(pts)
-    res, d0_phi = _compat_residuals(fs)
+    d0_phi = nabla0_phi_of(fs) if nabla0_phi is None else nabla0_phi
+    res = _compat_residuals(fs, d0_phi)
     oks = res <= tol
     compatible = oks.all(axis=0)
-    k_phi = np.zeros(len(pts))
-    if compatible.any():
-        k_phi[compatible] = _k_phi(*phi_sweep(FrameStack(*(a[compatible] for a in fs)), rng))
+    at = np.broadcast_to(compatible, (len(pts),))
+    k_phi, k_plain = np.zeros(len(pts)), np.zeros(len(pts))
+    if at.any():
+        sweep, keep = phi_sweep(fs.select(at), rng)
+        k_phi[at] = _k_phi(sweep, keep)
+        k_plain[at] = np.max(np.abs(sweep.value[:, :plain_sections(m.n)]), axis=1, initial=0.0)
     with np.errstate(all="ignore"):
         # nabla_X xi and nabla^0_X xi parallel to xi
         dxi0 = covariant_derivative_vector(fs.gamma0, fs.xi, fs.dxi)
@@ -671,7 +727,7 @@ def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
     least = res[0]
     for r in res[1:]:
         least = np.where(r < least, r, least)       # min(a, b, c) as floats take it
-    yes = np.ones(len(pts), dtype=bool)
+    yes = np.ones(1, dtype=bool)
     columns = [Column(f"phi_compat/{name}", r, yes, ok.astype(float)) for name, r, ok in zip(
         ("nabla_phi_zero", "nabla_commutes_with_phi", "nabla0_phi_is_2phiK"), res, oks)]
     columns.append(Column("phi_compat/compatible", least, yes, compatible.astype(float)))
@@ -681,9 +737,9 @@ def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
     columns += [within(f"phi_compat/{name}", r, tol)._replace(at=compatible)
                 for name, r in consequences]
     rep = AuditReport.from_columns(fs.point, columns)
-    for i in np.flatnonzero(oks.any(axis=0) & ~compatible):
+    for i in np.flatnonzero(np.broadcast_to(oks.any(axis=0) & ~compatible, (len(pts),))):
         rep.flag(f"phi-compatibility formulations disagree at {list(map(float, pts[i]))}")
-    return rep
+    return rep, k_plain
 
 
 def is_phi_compatible(report: AuditReport) -> bool:
@@ -692,13 +748,15 @@ def is_phi_compatible(report: AuditReport) -> bool:
 
 
 def psi_check(m: ChartManifold, point, tol: float = 1e-9,
-              compat_report: AuditReport = None) -> AuditReport:
+              compat_report: AuditReport = None, k_phi=None) -> AuditReport:
     """The 2-form family Psi_X(Y,Z) = (nabla_X g)(Y, phi Z) and its identities
     under phi-compatibility, at one point or, for a (P, dim) sequence of
     points, at each of them with one section sweep (no points give an
-    empty report).  Raises PreconditionNotMetError when the structure is
-    not phi-compatible at the points; then the steps, through ``replay``,
-    are frames, phi-bases and section statuses."""
+    empty report).  ``k_phi`` is the plain-section K_phi of the points from
+    the ``phi_compat_audit`` that gave ``compat_report``, which then takes
+    no sweep of its own.  Raises PreconditionNotMetError when the structure
+    is not phi-compatible at the points; then the steps, through
+    ``replay``, are frames, phi-bases and section statuses."""
     points = [point] if np.ndim(point) == 1 and len(point) else list(point)
     if not points:
         return AuditReport()
@@ -706,12 +764,14 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
         compat_report = phi_compat_check(m, points, tol=max(tol, 1e-9))
     if not is_phi_compatible(compat_report):
         raise PreconditionNotMetError("structure is not phi-compatible")
-    return replay(lambda pts, _: _psi(m, pts, tol), points, None)
+    return replay(lambda pts, _: _psi(m, pts, tol, k_phi if len(pts) == len(points) else None),
+                  points, None)
 
 
-def _psi(m: ChartManifold, points, tol) -> AuditReport:
+def _psi(m: ChartManifold, points, tol, k_phi=None) -> AuditReport:
     fs = m.frame_stack(points)
-    k_phi = _k_phi(*phi_sweep(fs))
+    if k_phi is None:
+        k_phi = _k_phi(*phi_sweep(fs))
     with np.errstate(all="ignore"):
         ng = nabla_g(fs.gamma0 + fs.K, fs.g, fs.dg)                  # (nabla_X g)_xyz
         psi = np.einsum("...xym,...mz->...xyz", ng, fs.phi)          # Psi_X(Y, Z)

@@ -36,8 +36,12 @@ def _finite(name, arr, where) -> np.ndarray:
 class PointFrame(NamedTuple):
     """All structure tensors evaluated at one chart point, with the first
     derivatives of g, phi and xi (derivative index first); as a
-    ``FrameStack``, the same fields of P frames stacked on a leading point
-    axis, which the batched checks and the section sweep read.
+    ``FrameStack``, the frames of P points, which the batched checks and
+    the section sweep read: ``point`` is (P, dim) and every field is
+    stacked on a leading lane axis, with one lane per point or, on a
+    constant chart, one lane that all P points share.  A check over a
+    stack gives one entry per lane, and ``report.AuditReport`` broadcasts
+    a one-lane column to the points.
 
     The arrays are read-only: the frames that ``ChartManifold.frame_grid``
     caches are views of one lane array per field.
@@ -63,6 +67,12 @@ class PointFrame(NamedTuple):
     @property
     def dim(self):
         return self.point.shape[-1]
+
+    def select(self, mask) -> "FrameStack":
+        """The frames of the points where the (P,) ``mask`` holds; a shared
+        lane stays shared."""
+        lanes = len(self.g) == len(self.point)
+        return FrameStack(self.point[mask], *(a[mask] if lanes else a for a in self[1:]))
 
     def inner(self, x, y) -> float:
         return float(inner(self.g, x, y))
@@ -93,6 +103,15 @@ class ChartManifold:
     of one lane, so a point alone gets the same frame.  Every CLI verb runs
     the frame pass; ``audit`` and ``curvature`` also fill
     ``_curvature_cache`` in one pass (``curvature.statistical_curvature_grid``).
+
+    ``is_constant`` is decided once, when the chart is built, from the
+    build-time constancy of g, phi, xi, eta (when given) and K.  The
+    fields of a constant chart, and so its curvatures, are the same at
+    every point: its frame and curvature passes evaluate the first point's
+    lane alone, its stacks carry that one lane for all their points, and
+    every point's cached frame and curvature are read-only views of it.
+    A point alone gets the bits it gets in a grid, so the lane serves
+    every point bit for bit.
     """
 
     def __init__(self, coord_names: Sequence[str], metric: MetricField,
@@ -115,9 +134,13 @@ class ChartManifold:
             raise ValueError("sampling box must have one interval per coordinate")
         self.grid = int(grid)
         self.name = name
+        self.is_constant = (metric.is_constant and self.phi.is_constant
+                            and self.xi.is_constant and difference.is_constant
+                            and (self.eta is None or self.eta.is_constant))
         self._frame_cache = {}       # filled by frame_at and frame_grid
         self._grid_stack = None      # the FrameStack of the last frame_grid pass
         self._curvature_cache = {}   # filled by curvature.statistical_curvature
+        self._cross_cache = {}       # max |S - R^0 - [K,K]| beside each cached curvature
 
     @property
     def dim(self):
@@ -173,21 +196,22 @@ class ChartManifold:
         return fields
 
     def _frames(self, points, where):
-        """The frames of ``points`` from one pass, one lane per point, as the
-        FrameStack of the pass and its frames: every field and the first
-        derivatives of g, phi and xi are evaluated once over all points,
-        and each frame holds views of those arrays.  New frames are cached
-        while the cache holds fewer than 4096.  Raises the fields'
-        evaluation errors, ``where`` naming the points, and then caches
-        nothing."""
+        """The frames of ``points`` from one pass, one lane per point (on a
+        constant chart, the first point's lane alone), as the FrameStack of
+        the pass and its frames: every field and the first derivatives of
+        g, phi and xi are evaluated once over the lanes, and each frame
+        holds views of those arrays.  New frames are cached while the cache
+        holds fewer than 4096.  Raises the fields' evaluation errors,
+        ``where`` naming the points, and then caches nothing."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
-        coords = point_lanes(pts)
+        coords = point_lanes(pts[:1] if self.is_constant else pts)
         # Python floats overflow silently; so do the lanes
         with np.errstate(all="ignore"):
             fields = self._fields(coords, where)
         pts.flags.writeable = False
         stack = FrameStack(pts, *fields)
-        frames = [PointFrame(*f) for f in zip(*stack)]
+        frames = [PointFrame(*f) for f in zip(
+            pts, *(np.broadcast_to(a, (len(pts),) + a.shape[1:]) for a in fields))]
         for key, fr in zip(map(tuple, pts.tolist()), frames):
             if key not in self._frame_cache and len(self._frame_cache) < 4096:
                 self._frame_cache[key] = fr
@@ -202,10 +226,15 @@ class ChartManifold:
     def frame_stack(self, points) -> FrameStack:
         """The frames of ``points`` stacked: the arrays of the ``frame_grid``
         pass when ``points`` are its points, else ``frame_at`` in point
-        order, so the first point whose frame fails raises."""
+        order, so the first point whose frame fails raises.  On a constant
+        chart the stack is the first point's lane, shared by all points."""
         grid = self._grid_stack
         if grid is not None and np.array_equal(np.asarray(points, dtype=float), grid.point):
             return grid
+        if self.is_constant and len(points):
+            pts = np.array(points, dtype=float).reshape(len(points), self.dim)
+            pts.flags.writeable = False
+            return FrameStack(pts, *(a[None] for a in self.frame_at(points[0])[1:]))
         return FrameStack.of([self.frame_at(p) for p in points])
 
     def frame_grid(self, points) -> None:

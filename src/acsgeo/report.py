@@ -1,15 +1,18 @@
 """Pass/fail audit records with residual magnitudes, and their JSON-lines
 and table renderings.
 
-An ``AuditReport`` is columnar: one plain list per field, one row per
+An ``AuditReport`` is columnar: one plain list per field, one entry per
 record.  A point is kept as the bytes of its float64 coordinates, so a
 record keeps the point's value at ``add`` time and equal points share one
 key.  ``to_json_lines`` writes the same text as one ``json.dumps`` per
-record, but renders each distinct check name and each distinct point once.
+record, but renders each distinct check name, each distinct point and
+each distinct float once.
 
-A batched check gives one ``Column`` per check name, its residuals, pass
-flags and values at P points; ``AuditReport.add_columns`` writes them
-point-major, one ``add`` per record.
+A batched check gives one ``Column`` per check name: its residuals, pass
+flags and values at P points, each of length P or of length 1 when all
+points share the entry (the checks of a constant chart run on one lane).
+``AuditReport.add_columns`` writes them point-major, one ``add`` per
+record.
 """
 
 from __future__ import annotations
@@ -37,6 +40,17 @@ def _num(x: float) -> str:
     return _NON_FINITE.get(r, r)
 
 
+def _spellings(floats) -> List[str]:
+    """``_num`` of each of a list of floats, each distinct float (by its
+    bits, so -0.0 is not 0.0) formatted once."""
+    if len(floats) < 2:
+        return [_num(x) for x in floats]
+    bits, inverse = np.unique(np.array(floats, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = [_num(x) for x in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     check: str
@@ -48,8 +62,9 @@ class CheckRecord:
 
 class Column(NamedTuple):
     """One check at P points: residuals, pass flags and, when the check
-    reports one, values, each (P,); ``at`` (P,) masks the points that get a
-    record (all of them when None)."""
+    reports one, values; ``at`` masks the points that get a record (all of
+    them when None).  Each array has length P, or length 1 when all P
+    points share its entry."""
 
     check: str
     residual: np.ndarray
@@ -72,7 +87,8 @@ def max_abs(a: np.ndarray) -> np.ndarray:
 
 def raise_first(error, points, residual, tol: float, text: str):
     """Raise ``error`` at the first of ``points`` whose residual exceeds
-    ``tol`` (never a NaN one), naming the residual and the point."""
+    ``tol`` (never a NaN one), naming the residual and the point; a
+    residual of one lane is every point's."""
     bad = np.flatnonzero(residual > tol)
     if bad.size:
         raise error(f"{text} {float(residual[bad[0]])} at {list(map(float, points[bad[0]]))}")
@@ -108,10 +124,13 @@ class AuditReport:
 
     def add_columns(self, points, columns):
         """One record per point and column, point-major: every column at the
-        first point, then at the next."""
-        lists = [(c.check, c.residual.tolist(), c.passed.tolist(),
-                  None if c.value is None else c.value.tolist(),
-                  None if c.at is None else c.at.tolist()) for c in columns]
+        first point, then at the next; an entry of length 1 is every
+        point's.  Each record is one ``add`` call, the count the
+        benchmark's tracer reports as ``report.records``."""
+        def full(a):
+            return None if a is None else np.broadcast_to(a, (len(points),)).tolist()
+        lists = [(c.check, full(c.residual), full(c.passed), full(c.value), full(c.at))
+                 for c in columns]
         for i, p in enumerate(points):
             for check, residual, passed, value, at in lists:
                 if at is None or at[i]:
@@ -174,10 +193,11 @@ class AuditReport:
         heads = {c: f'{{"check": {json.dumps(c)}, "point": [' for c in set(self.checks)}
         mids = {k: ", ".join(map(_num, np.frombuffer(k).tolist())) + '], "residual": '
                 for k in set(self.points)}
+        values = iter(_spellings([v for v in self.values if v is not None]))
         return "\n".join([
-            f'{heads[c]}{mids[k]}{_num(r)}, "pass": {"true" if ok else "false"}'
-            + ("}" if v is None else f', "value": {_num(v)}}}')
-            for c, k, r, ok, v in zip(self.checks, self.points, self.residuals,
+            f'{heads[c]}{mids[k]}{r}, "pass": {"true" if ok else "false"}'
+            + ("}" if v is None else f', "value": {next(values)}}}')
+            for c, k, r, ok, v in zip(self.checks, self.points, _spellings(self.residuals),
                                       self.passed, self.values)])
 
     def to_table(self) -> str:

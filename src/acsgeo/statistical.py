@@ -119,20 +119,34 @@ def total_symmetry_residual(t: np.ndarray):
     return float(res) if res.ndim == 0 else res
 
 
+def _by_16_lanes(fn, *arrays):
+    """``fn`` of 16 lanes of ``arrays`` at a time, each of its outputs joined
+    on the lane axis, so temporaries of the shape (L, dim, dim, dim) stay
+    (16, dim, dim, dim)."""
+    chunks = [fn(*(a[c:c + 16] for a in arrays)) for c in range(0, len(arrays[0]), 16)]
+    return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
 @np.errstate(all="ignore")
 def statistical_columns(fs: FrameStack, tol: float):
-    """The statistical-structure conditions at the points of ``fs``, one
+    """The statistical-structure conditions at the lanes of ``fs``, one
     column each: lower-index symmetry of K, total symmetry of the cubic
     form C, total symmetry of nabla g (for both nabla and the conjugate),
-    and the cross identity (nabla_X g)(Y,Z) = -2 g(X, K(Y,Z))."""
-    c = cubic_form(fs.g, fs.K)
-    ng = nabla_g(fs.gamma0 + fs.K, fs.g, fs.dg)
-    ng_bar = nabla_g(fs.gamma0 - fs.K, fs.g, fs.dg)
-    return [within("K_lower_symmetry", max_abs(fs.K - np.swapaxes(fs.K, 2, 3)), 1e-12),
-            within("cubic_form_symmetry", total_symmetry_residual(c), tol),
-            within("nabla_g_symmetry", total_symmetry_residual(ng), tol),
-            within("nabla_g_cross_identity", max_abs(ng + 2.0 * c), tol),
-            within("conjugate_nabla_g_symmetry", total_symmetry_residual(ng_bar), tol)]
+    and the cross identity (nabla_X g)(Y,Z) = -2 g(X, K(Y,Z)), 16 lanes at
+    a time."""
+    def residuals(g, gamma0, k, dg):
+        c = cubic_form(g, k)
+        ng = nabla_g(gamma0 + k, g, dg)
+        ng_bar = nabla_g(gamma0 - k, g, dg)
+        return [max_abs(k - np.swapaxes(k, 2, 3)), total_symmetry_residual(c),
+                total_symmetry_residual(ng), max_abs(ng + 2.0 * c),
+                total_symmetry_residual(ng_bar)]
+    res = _by_16_lanes(residuals, fs.g, fs.gamma0, fs.K, fs.dg)
+    return [within("K_lower_symmetry", res[0], 1e-12),
+            within("cubic_form_symmetry", res[1], tol),
+            within("nabla_g_symmetry", res[2], tol),
+            within("nabla_g_cross_identity", res[3], tol),
+            within("conjugate_nabla_g_symmetry", res[4], tol)]
 
 
 def validate_statistical(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:
@@ -146,12 +160,15 @@ def validate_statistical(m: ChartManifold, point, tol: float = 1e-9) -> AuditRep
 def acs_columns(fs: FrameStack, tol: float):
     """The almost-contact statistical condition K(X, phi Y) + phi K(X, Y) = 0
     and its equivalent form K(X, phi Y) = K(phi X, Y), over all basis
-    pairs, at the points of ``fs``."""
-    k_phi = np.einsum("...ijm,...mk->...ijk", fs.K, fs.phi)       # K(e_j, phi e_k)
-    phi_k = np.einsum("...im,...mjk->...ijk", fs.phi, fs.K)       # phi K(e_j, e_k)
-    k_phi_first = np.einsum("...imk,...mj->...ijk", fs.K, fs.phi)  # K(phi e_j, e_k)
-    return [within("acs_defining_condition", max_abs(k_phi + phi_k), tol),
-            within("acs_swap_condition", max_abs(k_phi - k_phi_first), tol)]
+    pairs, at the lanes of ``fs``, 16 lanes at a time."""
+    def residuals(k, phi):
+        k_phi = np.einsum("...ijm,...mk->...ijk", k, phi)       # K(e_j, phi e_k)
+        phi_k = np.einsum("...im,...mjk->...ijk", phi, k)       # phi K(e_j, e_k)
+        k_phi_first = np.einsum("...imk,...mj->...ijk", k, phi)  # K(phi e_j, e_k)
+        return max_abs(k_phi + phi_k), max_abs(k_phi - k_phi_first)
+    defining, swap = _by_16_lanes(residuals, fs.K, fs.phi)
+    return [within("acs_defining_condition", defining, tol),
+            within("acs_swap_condition", swap, tol)]
 
 
 def validate_acs(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:

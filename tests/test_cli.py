@@ -349,8 +349,9 @@ def test_frame_error_exits_one(capsys, tmp_path):
 
 def test_section_sweep_logs_at_debug(capsys, caplog):
     """One line per kernel call: the theorem 5.8 sweep (a leg, its phi-mixture
-    and two random combinations per point), the phi-compatibility and Psi
-    sweeps of a compatible structure, and a --section run."""
+    and two random combinations per point), the phi-compatibility sweep of a
+    compatible structure, whose plain sections Psi reads, and a --section
+    run."""
     def sweeps(*argv):
         caplog.clear()
         code, out, _ = run(capsys, *argv)
@@ -363,12 +364,14 @@ def test_section_sweep_logs_at_debug(capsys, caplog):
     assert (code, out) == quiet[:2]
     assert [line.split(" in ")[0] for line in lines] == [
         "section sweep: 8 points, 4 sections",     # theorem 5.8
-        "section sweep: 8 points, 4 sections",     # phi-compatibility
-        "section sweep: 8 points, 2 sections"]     # Psi
+        "section sweep: 8 points, 4 sections"]     # phi-compatibility and Psi
     assert all(line.endswith(" s") for line in lines)
     _, _, lines = sweeps("curvature", "zoo:example_r3_negative", "--grid", "2",
                          "--section", "1,2,0")
     assert [line.split(" in ")[0] for line in lines] == ["section sweep: 8 points, 1 sections"]
+    # Psi alone: the verdict's sweep of the plain sections serves it
+    _, _, lines = sweeps("audit", "zoo:example_flat_acs:n=1", "--grid", "2", "--checks", "psi")
+    assert [line.split(" in ")[0] for line in lines] == ["section sweep: 8 points, 2 sections"]
 
 
 def test_render_logs_at_debug(capsys, caplog):

@@ -1,0 +1,130 @@
+"""Constant charts: when g, phi, xi, eta and K are all constant, the frame
+and curvature passes evaluate the first point's lane alone and every point
+shares it.  Each record that draws no random numbers must then be, bit for
+bit, the record a run at that point alone gives; a chart with one
+non-constant field must take a lane per point."""
+
+import json
+
+import numpy as np
+import pytest
+
+from acsgeo import cli, contact, curvature, get_entry, manifold, metric, statistical
+from acsgeo.specfile import manifold_from_dict
+
+from test_lanes import ROTATING5, sweep_rng_next
+
+CONSTANT = [("example_flat_acs", {"n": n}) for n in (1, 2, 3)] + [
+    ("random", {"dim": dim, "seed": 0, "family": family})
+    for dim in (3, 5, 7) for family in ("planar-block", "mixed")]
+# the checks that read the random sweep sections, and cosymplectic, which
+# the audit reports once, at its first point
+PER_RUN = {"thm_5_8/c1_kphi_zero", "thm_5_8/unanimity",
+           "phi_compat/kphi_zero_consequence", "cosymplectic"}
+
+
+def _lines_by_point(rep):
+    by_point = {}
+    for line in rep.to_json_lines().splitlines():
+        rec = json.loads(line)
+        if rec["check"] not in PER_RUN:
+            by_point.setdefault(tuple(rec["point"]), []).append(line)
+    return by_point
+
+
+@pytest.mark.parametrize("name,params", CONSTANT, ids=[
+    f"{name}:{','.join(f'{k}={v}' for k, v in params.items())}" for name, params in CONSTANT])
+def test_shared_lane_records_match_one_point_runs(name, params):
+    m = get_entry(name, **params).manifold
+    assert m.is_constant
+    pts = m.grid_points(2)
+    grid = _lines_by_point(cli.audit_report(m, pts, 1e-9, None, np.random.default_rng(0)))
+    assert len(grid) == len(pts)
+    alone = get_entry(name, **params).manifold
+    for p in pts:
+        rep = cli.audit_report(alone, [p], 1e-9, None, np.random.default_rng(0))
+        assert grid[tuple(p.tolist())] == _lines_by_point(rep)[tuple(p.tolist())]
+
+
+def _count_lanes(monkeypatch):
+    """The lanes of every field_jet call (frame and curvature passes) and of
+    every riemann call (the curvature pass)."""
+    seen = {"field_jet": [], "riemann": []}
+
+    def counted(name, fn, lanes):
+        def wrapper(*args):
+            seen[name].append(lanes(*args))
+            return fn(*args)
+        return wrapper
+    for mod in (manifold, metric, statistical):
+        monkeypatch.setattr(mod, "field_jet", counted(
+            "field_jet", mod.field_jet, lambda fields, coords, order: len(coords[0])))
+    monkeypatch.setattr(curvature, "riemann", counted(
+        "riemann", curvature.riemann, lambda gamma, dgamma: len(gamma)))
+    return seen
+
+
+def _audit(m, grid):
+    """The distinct points of an audit of ``m`` on ``grid`` points per axis."""
+    rep = cli.audit_report(m, m.grid_points(grid), 1e-9, None, np.random.default_rng(0))
+    return {tuple(np.frombuffer(k)) for k in rep.points} - {()}
+
+
+@pytest.mark.parametrize("ref", [("example_flat_acs", {"n": 2}),
+                                 ("random", {"dim": 7, "seed": 3, "family": "mixed"})])
+def test_constant_chart_takes_one_lane(monkeypatch, ref):
+    m = get_entry(ref[0], **ref[1]).manifold
+    seen = _count_lanes(monkeypatch)
+    assert len(_audit(m, 3)) == min(3 ** m.dim, 243)
+    assert seen["field_jet"] and set(seen["field_jet"]) == {1}
+    assert seen["riemann"] and set(seen["riemann"]) == {1}
+
+
+@pytest.mark.parametrize("spec", ["trivial-lambda", "rotating5"])
+def test_one_varying_field_takes_every_lane(monkeypatch, spec):
+    """trivial-lambda has a constant g and a varying K, ROTATING5 a
+    constant g and a varying phi."""
+    m = get_entry("random", dim=5, seed=0, family=spec).manifold \
+        if spec == "trivial-lambda" else manifold_from_dict(ROTATING5)
+    assert m.metric.is_constant and not m.is_constant
+    seen = _count_lanes(monkeypatch)
+    points = len(_audit(m, 2))
+    assert points == 2 ** m.dim
+    assert set(seen["field_jet"]) == {points}
+    assert sum(seen["riemann"]) == 3 * points     # R, R-bar and R^0, 16 lanes at a time
+
+
+@pytest.mark.parametrize("argv", [
+    ["zoo:example_flat_acs:n=1"], ["zoo:random:dim=5,seed=2,family=trivial-lambda"],
+    ["zoo:example_flat_acs:n=2", "--checks", "psi"],
+    ["zoo:example_r3_negative", "--checks", "cosymplectic,lemma_5_6"]])
+def test_nabla0_phi_once_per_audit(monkeypatch, capsys, argv):
+    calls = []
+    orig = contact.nabla0_phi_of
+
+    def counted(fs):
+        calls.append(len(fs.point))
+        return orig(fs)
+    for mod in (contact, curvature, cli):
+        monkeypatch.setattr(mod, "nabla0_phi_of", counted)
+    assert cli.main(["audit"] + argv + ["--grid", "2", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    points = {tuple(json.loads(line)["point"]) for line in out.splitlines()}
+    assert calls == [len(points)]
+
+
+@pytest.mark.parametrize("dim", [3, 7])
+def test_shared_lane_sweep_draws_for_every_point(dim):
+    """The plain sections of a one-lane stack are one row; the random ones
+    are drawn, (P, 2, 2n) in point order, for every point."""
+    m = get_entry("random", dim=dim, seed=1, family="mixed").manifold
+    pts = m.grid_points(2)
+    fs = m.frame_stack(pts)
+    assert len(fs.point) == len(pts) and len(fs.g) == 1
+    rng = np.random.default_rng(5)
+    sweep, keep = curvature.phi_sweep(fs, rng)
+    assert rng.standard_normal() == sweep_rng_next(len(pts), dim, 5)
+    plain = curvature.plain_sections(m.n)
+    assert sweep.value.shape == keep.shape == (len(pts), plain + 2)
+    assert len(sweep.blocks[0][0]) == 1 and len(sweep.blocks[-1][0]) == len(pts)
+    assert (sweep.value[:, :plain] == sweep.value[:1, :plain]).all()

@@ -240,13 +240,16 @@ def test_grid_pass_caches_nothing_on_error():
 
 
 def test_cache_read_applies_the_cross_check():
+    """The pass keeps max |S - R0 - [K,K]| beside the cached parts, and a
+    read of the cache gates on it."""
     m = manifold_from_dict(LAMBDA_K)
     p = m.grid_points()[0]
     curv.statistical_curvature_grid(m, [p])
     key = tuple(float(x) for x in p)
-    s, r0, kk, r, r_bar = m._curvature_cache[key]
-    m._curvature_cache[key] = (s + 1.0, r0, kk, r, r_bar)
-    with pytest.raises(curv.CrossCheckError):
+    s, r0, kk, _, _ = m._curvature_cache[key]
+    assert m._cross_cache[key] == float(np.max(np.abs(s - r0 - kk)))
+    m._cross_cache[key] = 1.0
+    with pytest.raises(curv.CrossCheckError, match=r"^S - R0 - \[K,K\] residual 1\.0 at "):
         curv.statistical_curvature(m, p)
 
 

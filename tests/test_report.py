@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acsgeo import AuditReport, CheckRecord
+from acsgeo.report import Column
 
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
            -2.2250738585072014e-308, 1e16, -1.2345678901234567e16, 1.7976931348623157e308,
@@ -67,6 +68,71 @@ def test_render_matches_one_dumps_per_record(rows, cut):
     assert all(isinstance(r, CheckRecord) for r in first.records)
     assert "\n".join(reference_line(r.check, r.point, r.residual, r.passed, r.value)
                      for r in first.records) == expected
+
+
+@st.composite
+def column_blocks(draw):
+    """P points of one dimension and columns over them, each array of length
+    P or of length 1 (shared by every point), with and without values and
+    ``at`` masks."""
+    n = draw(st.integers(0, 5))
+    pts = draw(st.lists(st.lists(doubles(), min_size=2, max_size=2), min_size=n, max_size=n))
+
+    def array(elements, dtype):
+        size = draw(st.sampled_from([1, n] if n else [1]))
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=dtype)
+    columns = [Column(draw(st.sampled_from(["a", "b/c", "thm_5_8/c1_kphi_zero"])),
+                      array(doubles(), float), array(st.booleans(), bool),
+                      array(doubles(), float) if draw(st.booleans()) else None,
+                      array(st.booleans(), bool) if draw(st.booleans()) else None)
+               for _ in range(draw(st.integers(0, 4)))]
+    return np.array(pts, dtype=float).reshape(n, 2), columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_blocks(), st.lists(rows, max_size=3))
+def test_columns_render_and_query_as_their_records(block, rows):
+    """Columns, broadcast and masked, render as one ``json.dumps`` per
+    record, point-major, and answer every query as the same records added
+    one at a time; a report of columns extended by single records too."""
+    pts, columns = block
+    ref = AuditReport()
+    lines = []
+    for i, p in enumerate(pts):
+        for c in columns:
+            def at(a):
+                return None if a is None else np.broadcast_to(a, (len(pts),))[i]
+            if c.at is None or at(c.at):
+                ref.add(c.check, p, at(c.residual), passed=at(c.passed), value=at(c.value))
+                lines.append(reference_line(c.check, p, at(c.residual), at(c.passed),
+                                            at(c.value)))
+    rep = AuditReport.from_columns(pts, columns)
+    for check, point, residual, passed, value in rows:
+        for r in (rep, ref):
+            r.add(check, point, residual, passed=passed, value=value)
+        lines.append(reference_line(check, point, residual, passed, value))
+    assert rep.to_json_lines() == "\n".join(lines)
+    assert repr(rep.records) == repr(ref.records)       # repr: nan is not nan
+    for prefix in ("", "a", "b/", "thm"):
+        assert repr(rep.max_residual(prefix)) == repr(ref.max_residual(prefix))
+    assert repr(rep.worst_by_check()) == repr(ref.worst_by_check())
+    assert repr(rep.failures()) == repr(ref.failures())
+    assert rep.point_count == ref.point_count and rep.all_passed == ref.all_passed
+
+
+def test_columns_add_one_record_at_a_time(monkeypatch):
+    """add_columns writes each record through ``add``: one call per record,
+    the count the benchmark's tracer reads."""
+    calls = []
+    orig = AuditReport.add
+    monkeypatch.setattr(AuditReport, "add", lambda self, *a, **k: calls.append(a[0])
+                        or orig(self, *a, **k))
+    pts = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    rep = AuditReport.from_columns(pts, [
+        Column("a", np.zeros(1), np.ones(1, dtype=bool)),
+        Column("b", np.arange(3.0), np.ones(3, dtype=bool), np.ones(1),
+               np.array([True, False, True]))])
+    assert calls == ["a", "b", "a", "a", "b"] == rep.checks
 
 
 @settings(max_examples=100, deadline=None)
