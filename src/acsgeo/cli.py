@@ -6,6 +6,10 @@ spec-file paths or zoo references of the form ``zoo:name`` /
 shortest round-trip repr, as ``json.dumps`` does; the table prints
 residuals with 17 significant digits.  Exit codes are 0 (success), 1
 (mathematical validation or audit failure), 2 (input error).
+
+The checks read frames and curvatures from the kept lane passes of
+``ChartManifold.frame_stack`` and ``curvature.statistical_curvatures``; a
+failing check raises what a per-point loop meets first (``curvature.replay``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .statistical import (StatisticalError, acs_columns, conjugate_connections,
                           statistical_columns)
 from .zoo import UnsupportedDimensionError, get_entry, list_zoo
 
-log = logging.getLogger("acsgeo")
 render_log = logging.getLogger("acsgeo.report")
 
 EXIT_OK, EXIT_MATH_FAIL, EXIT_INPUT_ERROR = 0, 1, 2
@@ -121,30 +124,6 @@ def sample_points(m: ChartManifold, grid):
     return m.grid_points(k)
 
 
-def _grid_pass(name, level, fill, m, pts):
-    """Run one cache-filling lane pass over ``pts`` and log it at ``level``.
-    When the pass raises an error that main() reports, nothing is cached
-    and the verb evaluates point by point, so the error surfaces at the
-    same point, with the same exit code and message, as without the pass."""
-    start = time.perf_counter()
-    try:
-        fill(m, pts)
-    except INPUT_ERRORS + MATH_ERRORS as exc:
-        log.log(level, "%s grid pass: fallback to per-point: %s", name, exc)
-        return
-    log.log(level, "%s grid pass: %d points in %.3f s", name, len(pts),
-            time.perf_counter() - start)
-
-
-def grid_passes(m: ChartManifold, pts, curvature: bool):
-    """Cache the evaluation frame of every grid point in one lane pass (logged
-    at debug level) and, with ``curvature``, its statistical curvature in
-    another (logged at info level)."""
-    _grid_pass("frame", logging.DEBUG, ChartManifold.frame_grid, m, pts)
-    if curvature:
-        _grid_pass("curvature", logging.INFO, curv.statistical_curvature_grid, m, pts)
-
-
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -201,7 +180,6 @@ def pointwise_checks(m: ChartManifold, pts, tol: float, checks,
 def cmd_validate(m: ChartManifold, args) -> int:
     checks = check_groups(args.checks, CHECK_GROUPS[:3])
     pts = sample_points(m, args.grid)
-    grid_passes(m, pts, curvature=False)
     rep = axiom_checks(m, pts, args.tol, checks)
     emit(rep, args.format)
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
@@ -231,7 +209,6 @@ def cmd_curvature(m: ChartManifold, args) -> int:
     rep = AuditReport()
     values = {"k_phi_S": [], "k_phi_0": [], "k_phi": [], "lambda": []}
     pts = sample_points(m, args.grid)
-    grid_passes(m, pts, curvature=True)
     section = section_reader(m, args.section) if args.section else None
     sweep = curv.phi_sectional_triples(m, pts, rng=rng, section=section,
                                        lambda_tol=max(args.tol, 1e-6))
@@ -250,9 +227,8 @@ def cmd_curvature(m: ChartManifold, args) -> int:
 
 
 def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
-    """The records and flags of ``audit`` at the points ``pts``: the grid
-    passes, then the selected check groups in ``CHECK_GROUPS`` order."""
-    grid_passes(m, pts, selected("thm_5_8", checks) or selected("prop_5_2", checks))
+    """The records and flags of ``audit`` at the points ``pts``: the
+    selected check groups in ``CHECK_GROUPS`` order."""
     rep = axiom_checks(m, pts, tol, checks)
     # nabla^0 phi, taken once for the checks that read it
     d0_phi = nabla0_phi_of(m.frame_stack(pts)) if any(

@@ -2,8 +2,8 @@
 phi-sectional K-curvature, the statistical curvature tensor, and executable
 audits of the equivalence and compatibility theorems.
 
-The statistical curvature of a grid is one lane pass and of a point a
-pass of one lane.  The sweeps over sections (phi-basis legs, their
+The statistical curvature of some points is one lane pass, kept until
+other points are asked for.  The sweeps over sections (phi-basis legs, their
 mixtures and random horizontal combinations) are one ``section_sweep`` per
 audit over the stacked frames of its points; the per-point functions
 (``phi_sectional_k_curvature``, ...) are one-point calls of that kernel.
@@ -18,14 +18,14 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .contact import nabla0_phi_of, phi_bases, phi_basis
-from .expressions import NonFiniteError
+from .expressions import ExpressionError, NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame
-from .metric import (DegeneratePlaneError, christoffel_jet,
+from .metric import (DegeneratePlaneError, GeometryError, christoffel_jet,
                      covariant_derivative_11, covariant_derivative_vector, inner,
                      matvec, nabla_g, norms, outer, plane_q, point_lanes, pow2,
                      riemann, sectional_values)
@@ -156,12 +156,11 @@ class SectionSweep:
 
     def with_curvatures(self, g, curvatures) -> "SectionSweep":
         """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
-        statistical curvature lanes (S, R^0, ...) of its points, applied
-        one section and 16 rows at a time (``_per_chunk``) to each run of
-        blocks with the same number of rows, so blocks of one row (the
-        shared sections of a constant chart) are evaluated once; a pair
-        that is OK or MISMATCH becomes NON_FINITE where one of them is not
-        finite."""
+        ``CurvatureStack`` of its points, applied one section and 16 rows at
+        a time (``_per_chunk``) to each run of blocks with the same number
+        of rows, so blocks of one row (the shared sections of a constant
+        chart) are evaluated once; a pair that is OK or MISMATCH becomes
+        NON_FINITE where one of them is not finite."""
         def sectional(r, g, *vectors):
             return np.stack([sectional_values(g, r, x[:, j], px[:, j])[0]
                              for x, px in zip(vectors[::2], vectors[1::2])
@@ -169,8 +168,8 @@ class SectionSweep:
         runs = [[v for block in run for v in block]
                 for _, run in itertools.groupby(self.blocks, key=lambda block: len(block[0]))]
         k_s, k_0 = (_points_concat(len(self.point), [
-            _per_chunk(sectional, curvatures, (n,), g, *vectors) for vectors in runs])
-            for n in (0, 1))
+            _per_chunk(sectional, r, g, *vectors) for vectors in runs])
+            for r in (curvatures.s, curvatures.r0))
         status = np.where(np.isin(self.status, (OK, MISMATCH))
                           & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
         return replace(self, k_s=k_s, k_0=k_0, status=status)
@@ -255,19 +254,28 @@ def _statistical_parts(gamma0, dgamma0, k, dk):
     return 0.5 * (r + r_bar), riemann(gamma0, dgamma0), kk_tensor(k), r, r_bar
 
 
-def _curvature_parts(m: ChartManifold, points, where):
-    """(S, R^0, [K,K], R, R-bar) at each of ``points`` from one pass, one
-    lane per point (on a constant chart, the first point's lane alone),
-    and the cross residuals max |S - R^0 - [K,K]| of the lanes, cached
-    while the cache holds fewer than 4096 points: one second-order walk of
-    g gives the Gamma^0 jet in closed form, one first-order walk of the K
-    table (or of the connection table, less Gamma^0) the K jet, and the
-    parts and residuals follow 16 lanes at a time.  R^0 of a constant
-    metric is one broadcast zero.  A jet entry that is not finite makes a
-    part non-finite, so the parts are the one finiteness gate.  Raises the
-    jets' errors, or NonFiniteError (``where`` naming the points), and then
-    caches nothing."""
-    pts = np.array(points, dtype=float).reshape(len(points), m.dim)
+class CurvatureStack(NamedTuple):
+    """The statistical curvature of the (P, dim) ``point`` from one pass,
+    read-only: S = (R + R-bar)/2, R^0, [K,K], R and R-bar, (L, dim, dim,
+    dim, dim), and ``cross`` = max |S - R^0 - [K,K]|, (L,), with one lane per
+    point or, on a constant chart, one lane that all P points share."""
+
+    point: np.ndarray
+    s: np.ndarray
+    r0: np.ndarray
+    kk: np.ndarray
+    r: np.ndarray
+    r_bar: np.ndarray
+    cross: np.ndarray
+
+
+def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
+    """The CurvatureStack of the (P, dim) ``pts`` from one pass: one
+    second-order walk of g gives the Gamma^0 jet in closed form, one
+    first-order walk of the K table (or of the connection table, less
+    Gamma^0) the K jet, and the parts and residuals follow 16 lanes at a
+    time.  R^0 of a constant metric is one broadcast zero.  A jet entry
+    that is not finite makes a part non-finite, the one gate: NonFiniteError."""
     lanes = pts[:1] if m.is_constant else pts
     coords = point_lanes(lanes)
     shape = (len(lanes),) + (m.dim,) * 4
@@ -285,79 +293,54 @@ def _curvature_parts(m: ChartManifold, points, where):
                     parts[n][rows] = value
             cross[rows] = max_abs(parts[0][rows] - parts[1][rows] - parts[2][rows])
     if not all(np.isfinite(a).all() for a in parts):
+        where = f"at {lanes[0].tolist()}" if len(lanes) == 1 else "on the grid"
         raise NonFiniteError(f"statistical curvature is not finite {where}")
-    for a in parts:
+    for a in parts + [cross, pts]:
         a.flags.writeable = False
-    out = list(zip(*(np.broadcast_to(a, (len(pts),) + a.shape[1:]) for a in parts)))
-    cache, cross_cache = m._curvature_cache, m._cross_cache
-    for i, key in enumerate(map(tuple, pts.tolist())):
-        if key not in cache and len(cache) < 4096:
-            cache[key] = out[i]
-            cross_cache[key] = float(cross[0 if m.is_constant else i])
-    return out[:len(lanes)], cross
+    return CurvatureStack(pts, *parts, cross)
 
 
-def _per_chunk(fn, curvatures, parts, *arrays):
-    """``fn`` of the curvature ``parts`` (indices into (S, R^0, [K,K], R,
-    R-bar)) of the lanes ``curvatures`` and the rows of ``arrays``, 16 rows
-    at a time, stacked, so no part is stacked beyond (16, dim, dim, dim,
-    dim); joined on the row axis.  An argument of one lane or row is shared
-    by every row."""
+def _per_chunk(fn, *arrays):
+    """``fn`` of the rows of ``arrays``, 16 rows at a time, so no curvature
+    lane stack is read beyond (16, dim, dim, dim, dim); joined on the row
+    axis.  An argument of one lane or row is shared by every row."""
     def rows_of(a, rows):
         return a if len(a) == 1 else a[rows]
     out = []
     with np.errstate(all="ignore"):
-        for c in range(0, max(map(len, (curvatures,) + arrays)), 16):
+        for c in range(0, max(map(len, arrays)), 16):
             rows = slice(c, c + 16)
-            lanes = rows_of(curvatures, rows)
-            out.append(fn(*(np.stack([cv[n] for cv in lanes]) for n in parts),
-                          *(rows_of(a, rows) for a in arrays)))
+            out.append(fn(*(rows_of(a, rows) for a in arrays)))
     return np.concatenate(out)
 
 
-def statistical_curvatures(m: ChartManifold, points):
-    """S = (R + R-bar)/2 from the two statistical connections at the lanes
-    of ``points``, with the decomposition S = R^0 + [K,K] asserted (to 1e-6)
-    as an internal cross-check.  The lanes are those of
-    ``m.frame_stack(points)``: one per point, or on a constant chart the
-    first point's, which every point shares.  Returns the lanes
-    [(S, R^0, [K,K], R, R-bar), ...] and their (L,) cross residuals
-    max |S - R^0 - [K,K]|.
-
-    nabla = nabla^0 + K and nabla-bar = nabla^0 - K are formed from one jet
-    of Gamma^0 and one of K, and R^0 from the jet of Gamma^0.  The parts
-    and residuals come from the cache that ``statistical_curvature_grid``
-    fills and, for the points it lacks, from one pass over them; the
-    cross-check reads the residuals of both and raises CrossCheckError at
-    the first point where it fails.  A part that is not finite (K K
-    overflowing, say) raises NonFiniteError.
-    """
-    keys = [tuple(float(x) for x in p) for p in points]
-    if m.is_constant:
-        keys = keys[:1]
-    cache = m._curvature_cache
-    missing = [key for key in dict.fromkeys(keys) if key not in cache]
-    fresh = {}
-    if missing:
-        where = f"at {list(missing[0])}" if len(missing) == 1 else "on the grid"
-        lanes, cross = _curvature_parts(m, missing, where)
-        fresh = dict(zip(missing, zip(lanes, cross.tolist())))
-    out = [(cache[key], m._cross_cache[key]) if key in cache else fresh[key] for key in keys]
-    cross = np.array([c for _, c in out])
-    raise_first(CrossCheckError, keys, cross, 1e-6, "S - R0 - [K,K] residual")
-    return [lane for lane, _ in out], cross
+def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
+    """The CurvatureStack of ``points``: S = (R + R-bar)/2 from nabla =
+    nabla^0 + K and nabla-bar = nabla^0 - K, with S = R^0 + [K,K] asserted
+    (to 1e-6) as an internal cross-check, which raises CrossCheckError at
+    the first point where it fails.  It is the stack of the last pass when
+    ``points`` are its points, else that of a new pass over them
+    (``_curvature_parts``), kept and logged at info level; a pass that
+    fails is not kept."""
+    pts = np.array(points, dtype=float).reshape(len(points), m.dim)
+    kept = m._curvatures
+    if kept is None or not np.array_equal(pts, kept.point):
+        m._curvatures = None
+        start = time.perf_counter()
+        try:
+            kept = _curvature_parts(m, pts)
+        except (ExpressionError, GeometryError) as exc:
+            log.info("curvature grid pass: failed: %s", exc)
+            raise
+        log.info("curvature grid pass: %d points in %.3f s", len(pts), time.perf_counter() - start)
+        m._curvatures = kept
+    raise_first(CrossCheckError, pts, kept.cross, 1e-6, "S - R0 - [K,K] residual")
+    return kept
 
 
 def statistical_curvature(m: ChartManifold, point):
     """``statistical_curvatures`` at one point: (S, R^0, [K,K], R, R-bar)."""
-    return statistical_curvatures(m, [point])[0][0]
-
-
-def statistical_curvature_grid(m: ChartManifold, points) -> None:
-    """Cache the statistical curvature of all ``points`` from one pass
-    (``_curvature_parts``); its errors name no point ("on the grid")."""
-    if len(points):
-        _curvature_parts(m, points, "on the grid")
+    return tuple(a[0] for a in statistical_curvatures(m, [point])[1:6])
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +483,7 @@ def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, 
     vertical = np.flatnonzero(np.isin(sweep.status[:, 0], (NOT_HORIZONTAL, NEGLIGIBLE)))
     if vertical.size:
         raise sweep.error(vertical[0], 0)
-    sweep = sweep.with_curvatures(frames.g, statistical_curvatures(m, frames.point)[0])
+    sweep = sweep.with_curvatures(frames.g, statistical_curvatures(m, frames.point))
     k_s, k_0, k_phi = sweep.k_s, sweep.k_0, sweep.value
     with np.errstate(all="ignore"):
         additive = np.abs(k_s - (k_0 + k_phi)) <= 1e-6 * np.maximum(1.0, np.abs(k_s))
@@ -567,7 +550,7 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
     lams = lambdas(fs, max(tol, 1e-6))
     sweep, keep = phi_sweep(fs, rng)
     try:
-        curvatures = statistical_curvatures(m, pts)[0]
+        curvatures = statistical_curvatures(m, pts)
     except Exception:
         _k_phi(sweep, keep)     # the statuses come first
         raise
@@ -586,8 +569,9 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
                 sweep.k_s[:, :plain] - sweep.k_0[:, :plain]), axis=1, initial=0.0),
             "c3_K_is_lambda_eta_eta_xi": max_abs(fs.K - lams[:, None, None, None] * np.einsum(
                 "...i,...j,...k->...ijk", fs.xi, fs.eta, fs.eta)),
-            "c4_kk_bracket_zero": _per_chunk(max_abs, curvatures, (2,)),
-            "c5_S_equals_R0": _per_chunk(lambda s, r0: max_abs(s - r0), curvatures, (0, 1)),
+            "c4_kk_bracket_zero": _per_chunk(max_abs, curvatures.kk),
+            "c5_S_equals_R0": _per_chunk(lambda s, r0: max_abs(s - r0),
+                                         curvatures.s, curvatures.r0),
             "c6_K_XX_zero_horizontal": np.max(np.abs(np.where(keep_h[..., None], kvv_h, 0.0)),
                                               axis=(1, 2), initial=0.0),
             "c7_K_X_phiX_zero": max_abs(np.einsum("...ijk,aj,...ak->...ai", fs.K, vecs, phiv)),
@@ -656,13 +640,13 @@ def prop_5_2_residuals(m: ChartManifold, fs: FrameStack):
     parts) and max |g(R(e_k, e_l) e_j, e_a) + g(e_j, R-bar(e_k, e_l) e_a)|
     (the conjugate duality of the curvatures).  The statistical curvature
     raises as in ``statistical_curvatures``."""
-    curvatures, cross = statistical_curvatures(m, fs.point)
+    curvatures = statistical_curvatures(m, fs.point)
 
     def duality(r, r_bar, g):
         low = np.einsum("...am,...mjkl->...ajkl", g, r)
         low_bar = np.einsum("...am,...mjkl->...ajkl", g, r_bar)
         return max_abs(low + np.einsum("...jakl->...ajkl", low_bar))
-    return cross, _per_chunk(duality, curvatures, (3, 4), fs.g)
+    return curvatures.cross, _per_chunk(duality, curvatures.r, curvatures.r_bar, fs.g)
 
 
 @np.errstate(all="ignore")

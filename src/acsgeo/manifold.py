@@ -1,15 +1,20 @@
 """Coordinate-chart manifolds carrying an almost contact metric structure
-and a difference tensor, plus pointwise evaluation frames."""
+and a difference tensor, plus the evaluation frames of their points."""
 
 from __future__ import annotations
 
+import logging
+import time
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .expressions import NonFiniteError, ScalarField, parse_expression
-from .metric import (FieldArray, MetricField, NotPositiveDefiniteError,
-                     christoffel_from, field_jet, inner, inv_generic, point_lanes)
+from .expressions import ExpressionError, NonFiniteError, ScalarField, parse_expression
+from .metric import (FieldArray, GeometryError, MetricField, NotPositiveDefiniteError,
+                     SingularMetricError, christoffel_from, field_jet, inner, inv_generic,
+                     point_lanes)
+
+log = logging.getLogger(__name__)
 
 GRID_CAP = 243      # the most points a sample grid keeps
 
@@ -43,8 +48,8 @@ class PointFrame(NamedTuple):
     stack gives one entry per lane, and ``report.AuditReport`` broadcasts
     a one-lane column to the points.
 
-    The arrays are read-only: the frames that ``ChartManifold.frame_grid``
-    caches are views of one lane array per field.
+    The arrays are read-only: the frames of a pass are views of one lane
+    array per field.
     """
 
     point: np.ndarray
@@ -98,18 +103,16 @@ class ChartManifold:
     ``is_constant``, the constancy of its components decided when it was
     built; see :mod:`acsgeo.statistical`.
 
-    ``frame_grid`` evaluates the fields of a whole sample grid into
-    ``PointFrame``s in one lane pass and caches them; ``frame_at`` is a pass
-    of one lane, so a point alone gets the same frame.  Every CLI verb runs
-    the frame pass; ``audit`` and ``curvature`` also fill
-    ``_curvature_cache`` in one pass (``curvature.statistical_curvature_grid``).
+    ``frame_stack`` evaluates the fields of a list of points in one lane
+    pass and keeps it; ``frame_at`` is a pass of one lane, so a point alone
+    gets the same frame.  ``curvature.statistical_curvatures`` keeps the
+    statistical curvature of its last pass the same way.
 
     ``is_constant`` is decided once, when the chart is built, from the
     build-time constancy of g, phi, xi, eta (when given) and K.  The
     fields of a constant chart, and so its curvatures, are the same at
     every point: its frame and curvature passes evaluate the first point's
-    lane alone, its stacks carry that one lane for all their points, and
-    every point's cached frame and curvature are read-only views of it.
+    lane alone, and their stacks carry that one lane for all their points.
     A point alone gets the bits it gets in a grid, so the lane serves
     every point bit for bit.
     """
@@ -137,10 +140,9 @@ class ChartManifold:
         self.is_constant = (metric.is_constant and self.phi.is_constant
                             and self.xi.is_constant and difference.is_constant
                             and (self.eta is None or self.eta.is_constant))
-        self._frame_cache = {}       # filled by frame_at and frame_grid
-        self._grid_stack = None      # the FrameStack of the last frame_grid pass
-        self._curvature_cache = {}   # filled by curvature.statistical_curvature
-        self._cross_cache = {}       # max |S - R^0 - [K,K]| beside each cached curvature
+        self._frame_cache = {}       # the frame of each point a pass evaluated
+        self._stack = None           # the FrameStack of the last frame pass
+        self._curvatures = None      # the CurvatureStack of the last curvature pass
 
     @property
     def dim(self):
@@ -173,7 +175,10 @@ class ChartManifold:
         g, dg = field_jet(metric.components, coords, 1)
         _finite("metric", g, where)
         # the only singularity gate when the metric is constant
-        g_inv = inv_generic(g)
+        try:
+            g_inv = inv_generic(g)
+        except SingularMetricError as exc:
+            raise SingularMetricError(f"{exc} {where}") from None
         if (np.linalg.eigvalsh(g)[:, 0] <= 0.0).any():
             raise NotPositiveDefiniteError(f"metric is not positive definite {where}")
         phi, dphi = field_jet(self.phi, coords, 1)
@@ -195,49 +200,45 @@ class ChartManifold:
             arr.flags.writeable = False
         return fields
 
-    def _frames(self, points, where):
-        """The frames of ``points`` from one pass, one lane per point (on a
-        constant chart, the first point's lane alone), as the FrameStack of
-        the pass and its frames: every field and the first derivatives of
-        g, phi and xi are evaluated once over the lanes, and each frame
-        holds views of those arrays.  New frames are cached while the cache
-        holds fewer than 4096.  Raises the fields' evaluation errors,
-        ``where`` naming the points, and then caches nothing."""
-        pts = np.array(points, dtype=float).reshape(len(points), self.dim)
+    def _frames(self, pts, where) -> FrameStack:
+        """The FrameStack of the (P, dim) ``pts`` from one pass, one lane per
+        point (on a constant chart, the first point's lane alone).  Each
+        point's frame, views of its lane, is cached while ``_frame_cache``
+        holds fewer than 4096.  Raises the fields' errors, naming ``where``."""
         coords = point_lanes(pts[:1] if self.is_constant else pts)
         # Python floats overflow silently; so do the lanes
         with np.errstate(all="ignore"):
             fields = self._fields(coords, where)
         pts.flags.writeable = False
-        stack = FrameStack(pts, *fields)
-        frames = [PointFrame(*f) for f in zip(
-            pts, *(np.broadcast_to(a, (len(pts),) + a.shape[1:]) for a in fields))]
-        for key, fr in zip(map(tuple, pts.tolist()), frames):
+        frames = zip(pts, *(np.broadcast_to(a, (len(pts),) + a.shape[1:]) for a in fields))
+        for key, frame in zip(map(tuple, pts.tolist()), frames):
             if key not in self._frame_cache and len(self._frame_cache) < 4096:
-                self._frame_cache[key] = fr
-        return stack, frames
+                self._frame_cache[key] = PointFrame(*frame)
+        return FrameStack(pts, *fields)
 
     def frame_at(self, point) -> PointFrame:
         """The frame of one point: the cached one, or a pass of one lane."""
         key = tuple(float(x) for x in point)
         cached = self._frame_cache.get(key)
-        return cached if cached is not None else self._frames([key], f"at {list(key)}")[1][0]
+        return cached if cached is not None else PointFrame(
+            *(a[0] for a in self._frames(np.array([key]), f"at {list(key)}")))
 
     def frame_stack(self, points) -> FrameStack:
-        """The frames of ``points`` stacked: the arrays of the ``frame_grid``
-        pass when ``points`` are its points, else ``frame_at`` in point
-        order, so the first point whose frame fails raises.  On a constant
-        chart the stack is the first point's lane, shared by all points."""
-        grid = self._grid_stack
-        if grid is not None and np.array_equal(np.asarray(points, dtype=float), grid.point):
-            return grid
-        if self.is_constant and len(points):
-            pts = np.array(points, dtype=float).reshape(len(points), self.dim)
-            pts.flags.writeable = False
-            return FrameStack(pts, *(a[None] for a in self.frame_at(points[0])[1:]))
-        return FrameStack.of([self.frame_at(p) for p in points])
-
-    def frame_grid(self, points) -> None:
-        """Cache the frames of all ``points`` from one pass (``_frames``)."""
-        if len(points):
-            self._grid_stack = self._frames(points, "on the grid")[0]
+        """The FrameStack of the last pass when ``points`` are its points,
+        else that of a new pass over them, kept and logged at debug level.
+        A pass that fails is not kept: its points run one at a time through
+        ``frame_at``, and the first that fails alone raises (if none does,
+        the pass's own error)."""
+        pts = np.array(points, dtype=float).reshape(len(points), self.dim)
+        if self._stack is None or not np.array_equal(pts, self._stack.point):
+            self._stack = None
+            start = time.perf_counter()
+            try:
+                self._stack = self._frames(pts, "on the grid")
+            except (ExpressionError, GeometryError) as exc:
+                log.debug("frame grid pass: fallback to per-point: %s", exc)
+                for p in pts:
+                    self.frame_at(p)
+                raise
+            log.debug("frame grid pass: %d points in %.3f s", len(pts), time.perf_counter() - start)
+        return self._stack

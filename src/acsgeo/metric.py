@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expressions import Jet, Num, ScalarField, parse_expression
+from .expressions import Jet, Num, ScalarField, Var, parse_expression
 
 
 class GeometryError(Exception):
@@ -85,10 +85,19 @@ def field_values(fields, env):
 
 
 def fields_constant(fields) -> bool:
-    """True when every ScalarField in a nested array is a bare constant."""
+    """True when no ScalarField in a nested array reads a coordinate: its
+    expression tree holds no Var."""
     if isinstance(fields, ScalarField):
-        return isinstance(fields.body, Num)
+        # a bare constant, the common entry, skips the walk
+        return isinstance(fields.body, Num) or not _reads_coordinate(fields.body)
     return all(fields_constant(sub) for sub in fields)
+
+
+def _reads_coordinate(node) -> bool:
+    if isinstance(node, (Num, Var)):
+        return isinstance(node, Var)
+    return any(_reads_coordinate(getattr(node, child))
+               for child in ("arg", "left", "right", "base") if hasattr(node, child))
 
 
 class FieldArray(list):

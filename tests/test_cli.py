@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acsgeo import curvature, manifold
 from acsgeo.cli import main
 from acsgeo.expressions import ExpressionError, parse_expression
 
@@ -223,10 +224,22 @@ def test_seventeen_digit_output(capsys):
     assert fmt(-1.0) == "-1"
 
 
+# the pass lines of the two stores: a frame pass at debug level, a
+# curvature pass at info level
+PASS_LINES = {("acsgeo.manifold", logging.DEBUG), ("acsgeo.curvature", logging.INFO)}
+TWO_FAILURES = {
+    "coordinates": ["x", "y", "z"], "grid": 3,
+    "metric_lower": [["x + 1 + 0*log(0.5 - x)"], ["0", "1"], ["0", "0", "1"]],
+    "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+    "xi": ["0", "0", "1"], "K": {},
+}
+
+
 def _logged(caplog, capsys, *argv):
     caplog.clear()
     code, out, _ = run(capsys, *argv)
-    return code, out, [r.getMessage() for r in caplog.records if r.name == "acsgeo"]
+    return code, out, [r.getMessage() for r in caplog.records
+                       if (r.name, r.levelno) in PASS_LINES]
 
 
 def test_grid_pass_logs_at_info(capsys, caplog, tmp_path):
@@ -236,19 +249,27 @@ def test_grid_pass_logs_at_info(capsys, caplog, tmp_path):
                                "--grid", "2")
     assert (code, out) == quiet[:2]        # logging never touches stdout
     assert len(lines) == 1 and lines[0].startswith("curvature grid pass: 8 points in ")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), ACSM_LOG="info")
+    proc = subprocess.run([sys.executable, "-m", "acsgeo.cli", "audit", "zoo:example_r3_negative",
+                           "--grid", "2"], capture_output=True, text=True, env=env, timeout=120)
+    lines = [line for line in proc.stderr.splitlines() if "grid pass" in line]
+    assert proc.returncode == 0 and len(lines) == 1
+    assert lines[0].startswith("INFO:acsgeo.curvature:curvature grid pass: 8 points in ")
 
-    spec = {
-        "coordinates": ["x", "y", "z"], "grid": 3,
-        "metric_lower": [["x + 1 + 0*log(0.5 - x)"], ["0", "1"], ["0", "0", "1"]],
-        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
-        "xi": ["0", "0", "1"], "K": {},
-    }
-    path = tmp_path / "two_failures.json"
+    # K K overflows from x = 1 on: the pass fails, and the replay's passes
+    # over its halves end at the first point that fails alone
+    spec = dict(TWO_FAILURES, metric_lower=[["1"], ["0", "1"], ["0", "0", "1"]],
+                K={"z,z,z": "1e-10*exp(709*x)"})
+    path = tmp_path / "overflow.json"
     path.write_text(json.dumps(spec))
     code, _, lines = _logged(caplog, capsys, "curvature", str(path))
-    assert code == 1
-    assert lines == ["curvature grid pass: fallback to per-point: "
-                     "log of non-positive argument -0.5"]
+    assert code == 2
+    assert lines[0] == "curvature grid pass: failed: statistical curvature is not finite " \
+                       "on the grid"
+    assert lines[-1] == "curvature grid pass: failed: statistical curvature is not finite " \
+                        "at [1.0, -1.0, -1.0]"
+    assert all(re.fullmatch(r"curvature grid pass: (\d+ points in \d+\.\d{3} s|failed: .*)",
+                            line) for line in lines)
 
 
 def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
@@ -265,18 +286,44 @@ def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
     assert [line.split(":")[0] for line in lines] == ["frame grid pass",
                                                       "curvature grid pass"]
 
-    spec = {
-        "coordinates": ["x", "y", "z"], "grid": 3,
-        "metric_lower": [["x + 1 + 0*log(0.5 - x)"], ["0", "1"], ["0", "0", "1"]],
-        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
-        "xi": ["0", "0", "1"], "K": {},
-    }
     path = tmp_path / "two_failures.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(TWO_FAILURES))
     code, _, lines = _logged(caplog, capsys, "validate", str(path))
     assert code == 1
     assert lines == ["frame grid pass: fallback to per-point: "
                      "log of non-positive argument -0.5"]
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["validate"], (1, 0)), (["curvature"], (1, 1)), (["audit"], (1, 1)),
+    (["audit", "--checks", "structure"], (1, 0))])
+def test_one_pass_per_store(monkeypatch, capsys, argv, passes):
+    """A passing run evaluates its frames once and its curvature at most
+    once, however many checks read them."""
+    counts = {"frames": 0, "curvature": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(manifold.ChartManifold, "_frames",
+                        counted("frames", manifold.ChartManifold._frames))
+    monkeypatch.setattr(curvature, "_curvature_parts",
+                        counted("curvature", curvature._curvature_parts))
+    code, out, _ = run(capsys, argv[0], "zoo:random:dim=3,seed=1,family=trivial-lambda",
+                       *argv[1:], "--grid", "2", "--format", "json")
+    assert code == 0 and out
+    assert (counts["frames"], counts["curvature"]) == passes
+
+
+def test_singular_metric_names_its_point(capsys, tmp_path):
+    spec = dict(TWO_FAILURES, metric_lower=[["x + 1"], ["0", "1"], ["0", "0", "1"]])
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(spec))
+    for verb in ("validate", "curvature", "audit"):
+        assert run(capsys, verb, str(path)) == (
+            1, "", "audit failure: matrix is numerically singular at [-1.0, -1.0, -1.0]\n")
 
 
 def test_grid_below_one_exits_two(capsys, tmp_path):
@@ -356,7 +403,7 @@ def test_section_sweep_logs_at_debug(capsys, caplog):
         caplog.clear()
         code, out, _ = run(capsys, *argv)
         return code, out, [r.getMessage() for r in caplog.records
-                           if r.name == "acsgeo.curvature"]
+                           if (r.name, r.levelno) == ("acsgeo.curvature", logging.DEBUG)]
 
     quiet = run(capsys, "audit", "zoo:example_flat_acs:n=1", "--grid", "2")
     caplog.set_level(logging.DEBUG, logger="acsgeo")

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from acsgeo import cli, contact, curvature, get_entry, manifold, metric, statistical
+from acsgeo.expressions import parse_expression
 from acsgeo.specfile import manifold_from_dict
 
 from test_lanes import ROTATING5, sweep_rng_next
 
-CONSTANT = [("example_flat_acs", {"n": n}) for n in (1, 2, 3)] + [
+CONSTANT = [("example_r3_negative", {})] + [
+    ("example_flat_acs", {"n": n}) for n in (1, 2, 3)] + [
     ("random", {"dim": dim, "seed": 0, "family": family})
     for dim in (3, 5, 7) for family in ("planar-block", "mixed")]
 # the checks that read the random sweep sections, and cosymplectic, which
@@ -44,6 +46,21 @@ def test_shared_lane_records_match_one_point_runs(name, params):
     for p in pts:
         rep = cli.audit_report(alone, [p], 1e-9, None, np.random.default_rng(0))
         assert grid[tuple(p.tolist())] == _lines_by_point(rep)[tuple(p.tolist())]
+
+
+def test_constancy_is_reading_no_coordinate():
+    """A field is constant when its expression holds no coordinate, like the
+    quotients of example_r3_negative's connection table; 0*x reads one."""
+    assert get_entry("example_r3_negative").manifold.is_constant
+    xyz = ["x", "y", "z"]
+    assert metric.fields_constant([parse_expression(text, xyz)
+                                   for text in ("-1/2", "2/2", "exp(0)/3", "-(3)^2")])
+    assert not metric.fields_constant(parse_expression("0*x", xyz))
+    flat = dict(ROTATING5, phi=[["0", "-1", "0", "0", "0"], ["1", "0", "0", "0", "0"],
+                                ["0", "0", "0", "-1", "0"], ["0", "0", "1", "0", "0"],
+                                ["0", "0", "0", "0", "0"]])
+    assert manifold_from_dict(dict(flat, K={"z,z,z": "-1/2"})).is_constant
+    assert not manifold_from_dict(dict(flat, K={"z,z,z": "-1/2 + 0*x1"})).is_constant
 
 
 def _count_lanes(monkeypatch):

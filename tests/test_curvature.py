@@ -284,10 +284,10 @@ def test_replay_keeps_the_batch_error_when_no_point_fails_alone():
 
 
 def test_flat_r0_is_one_broadcast_zero():
-    """The cached R^0 of a constant metric holds no memory of its own."""
+    """The kept R^0 of a constant metric holds no memory of its own."""
     m = get_entry("random", dim=7, seed=5, family="trivial-lambda").manifold
     pts = m.grid_points(3)
-    curvature.statistical_curvature_grid(m, pts)
-    for p in pts:
-        r0 = m._curvature_cache[tuple(p.tolist())][1]
-        assert r0.shape == (7,) * 4 and r0.strides == (0,) * 4 and not r0.any()
+    r0 = curvature.statistical_curvatures(m, pts).r0
+    assert r0.shape == (len(pts),) + (7,) * 4 and r0.strides == (0,) * 5 and not r0.any()
+    r0 = curvature.statistical_curvature(m, pts[0])[1]
+    assert r0.shape == (7,) * 4 and r0.strides == (0,) * 4 and not r0.any()

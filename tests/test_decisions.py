@@ -69,7 +69,7 @@ PINNED = [
     (["audit", "@inadmissible_k", "--grid", "2", "--format", "json"],
      "ca040351db8aaf196f6420f0c1cf0fc9e5e6f15605e7300eecef24037a5b1b02"),  # exit 1
     (["audit", "@two_failures", "--grid", "3", "--format", "json"],
-     "70ebb91343543b22d191ed3202bf065ecfe3118e72b1d249f6d68f8f3f89a552"),  # exit 1
+     "cba66624d0b46100db21be7460eec2d1704bf363c052dedb48ac800dcba90380"),  # exit 1
     (["curvature", "@inadmissible_then_log", "--grid", "3", "--format", "json"],
      "ca040351db8aaf196f6420f0c1cf0fc9e5e6f15605e7300eecef24037a5b1b02"),  # exit 1
     (["audit", "@mismatch_then_lambda", "--checks", "thm_5_8", "--format", "json"],

@@ -46,7 +46,7 @@ SPECS["pulled_back_warped"] = {
     "xi": ["0", "0", "1"], "K": {},
 }
 # singular at x = -1 (the first points) and a log domain error at x = 1:
-# evaluated point by point, the singularity surfaces first
+# evaluated point by point, the singularity surfaces first, naming its point
 SPECS["two_failures"] = {
     "coordinates": ["x", "y", "z"], "grid": 3,
     "metric_lower": [["x + 1 + 0*log(0.5 - x)"], ["0", "1"], ["0", "0", "1"]],
@@ -153,9 +153,9 @@ GOLDEN = [
 # (id, argv, sha256 of "<exit code>\n<stderr>") for runs that fail
 GOLDEN_STDERR = [
     ("audit-two-failures", ["audit", "@two_failures", "--seed", "7"] + JSON,
-     "07f9c9424c5b79a6f8e90c0f2fd07a01cb99a5d3b57b5d6cc9fddfeaab4cddb4"),
+     "6cdbf7b0833b7ebe13ec4ad347523768540d45e07e178b0b697f1f0e89aac2b8"),
     ("curvature-two-failures", ["curvature", "@two_failures", "--seed", "8"] + JSON,
-     "07f9c9424c5b79a6f8e90c0f2fd07a01cb99a5d3b57b5d6cc9fddfeaab4cddb4"),
+     "6cdbf7b0833b7ebe13ec4ad347523768540d45e07e178b0b697f1f0e89aac2b8"),
     # a degenerate section fails its plane check (exit 1) and a vertical one
     # its horizontality check (exit 2), each at the first point
     ("curvature-r3-degenerate-section",
@@ -164,9 +164,9 @@ GOLDEN_STDERR = [
     ("curvature-r3-vertical-section",
      ["curvature", R3, "--grid", "2", "--section", "1,0,x"] + JSON,
      "d8e2041bf401efbcfe7328526dce42f7bcd48086facb5ef1c3cd92d0703b62a5"),
-    # both grid passes fall back; the lambda check fails first (exit 1) where
-    # it runs, the domain error surfaces (exit 2) where it does not: the
-    # prop_5_2-only audit reaches it through the per-point curvature
+    # the frame pass falls back to per-point evaluation; the lambda check
+    # fails first (exit 1) where it runs, the domain error surfaces (exit 2)
+    # where it does not
     ("audit-thm58-inadmissible-then-log",
      ["audit", "@inadmissible_then_log", "--checks", "thm_5_8"] + JSON,
      "7d115d952a50f123d1ed986fb3454d66b68d3016bbe1c79cd4e4d3d9ef2b0f96"),

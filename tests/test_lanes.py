@@ -221,34 +221,35 @@ LAMBDA_K = {
 def test_grid_pass_matches_statistical_curvature(spec):
     m = manifold_from_dict(spec)
     pts = m.grid_points()
-    curv.statistical_curvature_grid(m, pts)
-    assert len(m._curvature_cache) == len(pts)
+    stack = curv.statistical_curvatures(m, pts)
+    assert curv.statistical_curvatures(m, pts) is stack        # the kept pass
+    assert len(stack.s) == len(stack.cross) == len(pts)
     single = manifold_from_dict(spec)
-    for p in pts:
-        for got, want in zip(curv.statistical_curvature(m, p),
-                             curv.statistical_curvature(single, p)):
-            assert_same(got, want)
+    for i, p in enumerate(pts):
+        alone = curv.statistical_curvatures(single, [p])
+        for got, want in zip(stack[1:], alone[1:]):
+            assert_same(got[i], want[0])
 
 
 def test_grid_pass_caches_nothing_on_error():
     spec = dict(LAMBDA_K, metric_lower=[["x + 1 + 0*log(0.5 - x)"], ["0", "1"],
                                         ["0", "0", "1"]])
     m = manifold_from_dict(spec)
+    pts = m.grid_points()
+    curv.statistical_curvatures(m, [p for p in pts if p[0] == 0.0])
     with pytest.raises(ExpressionError):
-        curv.statistical_curvature_grid(m, m.grid_points())
-    assert m._curvature_cache == {}
+        curv.statistical_curvatures(m, pts)
+    assert m._curvatures is None
 
 
 def test_cache_read_applies_the_cross_check():
-    """The pass keeps max |S - R0 - [K,K]| beside the cached parts, and a
-    read of the cache gates on it."""
+    """The pass keeps max |S - R0 - [K,K]| beside the parts, and a read of
+    the kept pass gates on it."""
     m = manifold_from_dict(LAMBDA_K)
     p = m.grid_points()[0]
-    curv.statistical_curvature_grid(m, [p])
-    key = tuple(float(x) for x in p)
-    s, r0, kk, _, _ = m._curvature_cache[key]
-    assert m._cross_cache[key] == float(np.max(np.abs(s - r0 - kk)))
-    m._cross_cache[key] = 1.0
+    stack = curv.statistical_curvatures(m, [p])
+    assert stack.cross[0] == float(np.max(np.abs(stack.s - stack.r0 - stack.kk)))
+    m._curvatures = stack._replace(cross=np.ones(1))
     with pytest.raises(curv.CrossCheckError, match=r"^S - R0 - \[K,K\] residual 1\.0 at "):
         curv.statistical_curvature(m, p)
 
@@ -279,15 +280,17 @@ CONNECTION.update(metric_lower=[[F_W], ["0", F_W], ["0", "0", "1"]],
 def test_frame_grid_matches_frame_at(spec):
     m = manifold_from_dict(spec)
     pts = m.grid_points()
-    m.frame_grid(pts)
+    stack = m.frame_stack(pts)
+    assert m.frame_stack(pts) is stack         # the kept pass
     assert len(m._frame_cache) == len(pts)
     single = manifold_from_dict(spec)
-    for p in pts:
+    for i, p in enumerate(pts):
         got, want = m.frame_at(p), single.frame_at(p)
         assert got is m._frame_cache[tuple(p)]
         for name in FRAME_FIELDS:
             assert getattr(got, name).shape == getattr(want, name).shape, name
             assert_same(getattr(got, name), getattr(want, name))
+            assert_same(getattr(stack, name)[i], getattr(want, name))
 
 
 FRAME_CHARTS = pytest.mark.parametrize(
@@ -335,8 +338,8 @@ def test_non_finite_jets_fail_the_parts_gate(k):
     m = manifold_from_dict(dict(LAMBDA_K, K={"z,z,z": k}))
     with pytest.raises(NonFiniteError, match="^statistical curvature is not finite "
                                              "on the grid$"):
-        curv.statistical_curvature_grid(m, m.grid_points())
-    assert m._curvature_cache == {}
+        curv.statistical_curvatures(m, m.grid_points())
+    assert m._curvatures is None
     with pytest.raises(NonFiniteError, match=r"not finite at \[1.0, -1.0, -1.0\]$"):
         curv.statistical_curvature(m, [1.0, -1.0, -1.0])
 
@@ -363,24 +366,67 @@ def _first_failure(m, pts):
 
 @pytest.mark.parametrize("name", sorted(FAILING))
 def test_frame_grid_caches_nothing_on_error(name):
+    """A failing pass is not kept; its points run one at a time, and the
+    first that fails alone raises."""
     m = manifold_from_dict(FAILING[name])
     pts = m.grid_points()
     alone = _first_failure(manifold_from_dict(FAILING[name]), pts)
     assert alone is not None and alone[0] > 0
-    with pytest.raises(alone[1]):
-        m.frame_grid(pts)
-    assert m._frame_cache == {}
+    m.frame_stack(pts[:1])
+    with pytest.raises(alone[1]) as info:
+        m.frame_stack(pts)
+    assert str(info.value) == alone[2] and m._stack is None
+    assert list(m._frame_cache) == [tuple(p) for p in pts[:alone[0]]]
     assert _first_failure(m, pts) == alone
+
+
+def test_pass_error_surfaces_when_no_point_fails_alone(monkeypatch):
+    m = manifold_from_dict(LAMBDA_K)
+    frames = m._frames
+
+    def batch_fails(pts, where):
+        if len(pts) > 1:
+            raise GeometryError(f"batch of {len(pts)} {where}")
+        return frames(pts, where)
+    monkeypatch.setattr(m, "_frames", batch_fails)
+    with pytest.raises(GeometryError, match="^batch of 27 on the grid$"):
+        m.frame_stack(m.grid_points())
+    assert m._stack is None and len(m._frame_cache) == 27
 
 
 def test_frame_arrays_are_read_only():
     m = manifold_from_dict(EXP_FRAME)
     pts = m.grid_points()
-    m.frame_grid(pts[:-1])
-    for fr in (m.frame_at(pts[0]), m.frame_at(pts[-1])):   # from the pass; alone
+    stack = m.frame_stack(pts[:-1])
+    curvatures = curv.statistical_curvatures(m, pts[:-1])
+    # the frames from the pass and alone, the stack and the curvature stack
+    for fr in (m.frame_at(pts[0]), m.frame_at(pts[-1]), stack):
         for name in FRAME_FIELDS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(fr, name)[...] = 0.0
+    for part in curvatures:
+        with pytest.raises(ValueError, match="read-only"):
+            part[...] = 0.0
+
+
+def test_full_request_after_a_replay_gets_the_grid_bits():
+    """A replay leaves the pass of its last subset kept; the next request
+    for the whole grid is a new pass with the grid pass's bits."""
+    m = manifold_from_dict(LAMBDA_K)
+    pts = m.grid_points()
+    grid = [np.array(a) for a in m.frame_stack(pts) + curv.statistical_curvatures(m, pts)]
+
+    def run(points, _):
+        m.frame_stack(points)
+        curv.statistical_curvatures(m, points)
+        if any(p[0] == 1.0 for p in points):
+            raise ValueError("fails at x = 1")
+    with pytest.raises(ValueError):
+        curv.replay(run, list(pts), None)
+    assert len(m._stack.point) == len(m._curvatures.point) == 1
+    again = m.frame_stack(pts) + curv.statistical_curvatures(m, pts)
+    for got, want in zip(again, grid):
+        assert_same(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +542,7 @@ CHARTS = {"lambda_k": LAMBDA_K, "pulled_back": PULLED_BACK, "exp_frame": EXP_FRA
 
 def check_sweep_matches_loop(m, pts, seed):
     frames = [m.frame_at(p) for p in pts]
-    curvatures = [curv.statistical_curvature(m, p) for p in pts]
+    curvatures = curv.statistical_curvatures(m, pts)
     stack = FrameStack.of(frames)
     sweep, keep = curv.phi_sweep(stack, np.random.default_rng(seed))
     sweep = sweep.with_curvatures(stack.g, curvatures)
@@ -510,7 +556,7 @@ def check_sweep_matches_loop(m, pts, seed):
         sections = ref_sweep_sections(fr, basis, ref_rng)
         cols = np.flatnonzero(keep[i])
         assert len(cols) == len(sections)
-        s, r0 = curvatures[i][:2]
+        s, r0 = curv.statistical_curvature(m, fr.point)[:2]      # the point alone
         for j, x in zip(cols, sections):
             assert_same(sweep.x[i, j], x)
             code, eta, q, value, closed = ref_k_phi(fr, x)
