@@ -9,7 +9,7 @@ residuals with 17 significant digits.  Exit codes are 0 (success), 1
 
 The checks read frames and curvatures from the kept lane passes of
 ``ChartManifold.frame_stack`` and ``curvature.statistical_curvatures``; a
-failing check raises what a per-point loop meets first (``curvature.replay``).
+failing pass or check raises what a per-point loop meets first (``replay``).
 """
 
 from __future__ import annotations
@@ -133,15 +133,18 @@ def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
     over one stack of the frames; they raise only the frames' errors."""
     if not any(selected(name, checks) for name in CHECK_GROUPS[:3]):
         return AuditReport()
-    fs = m.frame_stack(pts)
-    columns = []
-    if selected("structure", checks):
-        columns += structure_columns(m, fs, tol)
-    if selected("statistical", checks):
-        columns += statistical_columns(fs, tol)
-    if selected("acs", checks):
-        columns += acs_columns(fs, tol)
-    return AuditReport.from_columns(fs.point, columns)
+
+    def run(points, _):
+        fs = m.frame_stack(points)
+        columns = []
+        if selected("structure", checks):
+            columns += structure_columns(m, fs, tol)
+        if selected("statistical", checks):
+            columns += statistical_columns(fs, tol)
+        if selected("acs", checks):
+            columns += acs_columns(fs, tol)
+        return AuditReport.from_columns(fs.point, columns)
+    return curv.replay(run, list(pts), None)
 
 
 def pointwise_checks(m: ChartManifold, pts, tol: float, checks,
@@ -231,9 +234,10 @@ def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
     selected check groups in ``CHECK_GROUPS`` order."""
     rep = axiom_checks(m, pts, tol, checks)
     # nabla^0 phi, taken once for the checks that read it
-    d0_phi = nabla0_phi_of(m.frame_stack(pts)) if any(
-        selected(name, checks) for name in ("cosymplectic", "phi_compat", "lemma_5_6", "psi")) \
-        else None
+    d0_phi = None
+    if any(selected(name, checks) for name in ("cosymplectic", "phi_compat", "lemma_5_6", "psi")):
+        d0_phi = curv.replay(lambda points, _: nabla0_phi_of(m.frame_stack(points)),
+                             list(pts), None)
 
     if selected("cosymplectic", checks):
         flag, res = is_cosymplectic(m, pts, tol=tol, nabla0_phi=d0_phi)

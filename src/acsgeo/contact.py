@@ -147,8 +147,9 @@ def nabla0_phi(m: ChartManifold, point) -> np.ndarray:
 def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9, nabla0_phi=None):
     """True iff max |nabla^0 phi| over the sample points is within ``tol``
     (a point where it is NaN does not count); ``nabla0_phi`` is
-    ``nabla0_phi_of`` of the points' stack when the caller has it.
-    Returns (flag, max_residual)."""
+    ``nabla0_phi_of`` of the points' stack when the caller has it.  Without
+    it, its own frame pass over several points raises the pass's error, not
+    the first failing point's.  Returns (flag, max_residual)."""
     pts = points if points is not None else m.grid_points()
     if nabla0_phi is None and len(pts):
         nabla0_phi = nabla0_phi_of(m.frame_stack(pts))

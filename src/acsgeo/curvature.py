@@ -24,11 +24,11 @@ import numpy as np
 
 from .contact import nabla0_phi_of, phi_bases, phi_basis
 from .expressions import ExpressionError, NonFiniteError
-from .manifold import ChartManifold, FrameStack, PointFrame
+from .manifold import ChartManifold, FrameStack, PointFrame, named_pass
 from .metric import (DegeneratePlaneError, GeometryError, christoffel_jet,
                      covariant_derivative_11, covariant_derivative_vector, inner,
-                     matvec, nabla_g, norms, outer, plane_q, point_lanes, pow2,
-                     riemann, sectional_values)
+                     matvec, nabla_g, norms, outer, per_16_lanes, plane_q, point_lanes,
+                     pow2, riemann, sectional_values)
 from .report import AuditReport, Column, max_abs, raise_first, within
 from .statistical import lambdas
 
@@ -157,7 +157,7 @@ class SectionSweep:
     def with_curvatures(self, g, curvatures) -> "SectionSweep":
         """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
         ``CurvatureStack`` of its points, applied one section and 16 rows at
-        a time (``_per_chunk``) to each run of blocks with the same number
+        a time (``per_16_lanes``) to each run of blocks with the same number
         of rows, so blocks of one row (the shared sections of a constant
         chart) are evaluated once; a pair that is OK or MISMATCH becomes
         NON_FINITE where one of them is not finite."""
@@ -168,7 +168,7 @@ class SectionSweep:
         runs = [[v for block in run for v in block]
                 for _, run in itertools.groupby(self.blocks, key=lambda block: len(block[0]))]
         k_s, k_0 = (_points_concat(len(self.point), [
-            _per_chunk(sectional, r, g, *vectors) for vectors in runs])
+            per_16_lanes(sectional, r, g, *vectors) for vectors in runs])
             for r in (curvatures.s, curvatures.r0))
         status = np.where(np.isin(self.status, (OK, MISMATCH))
                           & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
@@ -283,7 +283,7 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
     parts = [np.broadcast_to(0.0, shape) if flat and n == 1 else np.empty(shape)
              for n in range(5)]
     cross = np.empty(len(lanes))
-    with np.errstate(all="ignore"):
+    with named_pass(lanes), np.errstate(all="ignore"):
         levi_civita = christoffel_jet(m.metric, coords)
         jets = levi_civita + m.difference.jet(coords, levi_civita)
         for c in range(0, len(lanes), 16):    # 16 lanes at a time bounds the temporaries
@@ -292,26 +292,11 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
                 if not (flat and n == 1):
                     parts[n][rows] = value
             cross[rows] = max_abs(parts[0][rows] - parts[1][rows] - parts[2][rows])
-    if not all(np.isfinite(a).all() for a in parts):
-        where = f"at {lanes[0].tolist()}" if len(lanes) == 1 else "on the grid"
-        raise NonFiniteError(f"statistical curvature is not finite {where}")
+        if not all(np.isfinite(a).all() for a in parts):
+            raise NonFiniteError("statistical curvature is not finite")
     for a in parts + [cross, pts]:
         a.flags.writeable = False
     return CurvatureStack(pts, *parts, cross)
-
-
-def _per_chunk(fn, *arrays):
-    """``fn`` of the rows of ``arrays``, 16 rows at a time, so no curvature
-    lane stack is read beyond (16, dim, dim, dim, dim); joined on the row
-    axis.  An argument of one lane or row is shared by every row."""
-    def rows_of(a, rows):
-        return a if len(a) == 1 else a[rows]
-    out = []
-    with np.errstate(all="ignore"):
-        for c in range(0, max(map(len, arrays)), 16):
-            rows = slice(c, c + 16)
-            out.append(fn(*(rows_of(a, rows) for a in arrays)))
-    return np.concatenate(out)
 
 
 def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
@@ -440,16 +425,17 @@ def replay(run, points, rng):
     """``run(points, rng)``, an audit that takes each step for all points
     at once and raises at the first failure.  When it raises, the error
     that surfaces is the one a per-point loop meets first: the run over
-    that loop's first failing point alone.
+    that loop's first failing point alone.  The stores raise the error of
+    a failing pass, so every multi-point caller of the CLI runs here.
 
     Each step acts on each point alone, so a run fails when one of its
     points fails alone, and a run that passes draws from ``rng`` what the
     per-point runs of its points draw.  The points are bisected: from the
     rng state before them, run the first half; if it fails, the failure
-    lies there (rewind), else go on with the second half from the state the
-    first half left.  The point left runs alone: at most ceil(log2 P) + 2
-    runs in all.  If it passes, no point fails alone and the batch's own
-    error surfaces."""
+    lies there (rewind; a half of one point raises), else go on with the
+    second half from the state the first half left, and a point left runs
+    alone: at most ceil(log2 P) + 2 runs, none of a point alone twice.  If
+    that passes, no point fails alone and the batch's own error surfaces."""
     state = None if rng is None else rng.bit_generator.state
     try:
         return run(points, rng)
@@ -464,13 +450,13 @@ def replay(run, points, rng):
             try:
                 run(points[:half], rng)
             except Exception:
+                if half == 1:
+                    raise       # the first point that fails alone
                 points = points[:half]
                 continue
             points = points[half:]
             state = None if rng is None else rng.bit_generator.state
-        if rng is not None:
-            rng.bit_generator.state = state
-        run(points, rng)
+        run(points, rng)        # from the state the passing half left
         raise       # no point fails alone: the batch's own error
 
 
@@ -569,9 +555,9 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
                 sweep.k_s[:, :plain] - sweep.k_0[:, :plain]), axis=1, initial=0.0),
             "c3_K_is_lambda_eta_eta_xi": max_abs(fs.K - lams[:, None, None, None] * np.einsum(
                 "...i,...j,...k->...ijk", fs.xi, fs.eta, fs.eta)),
-            "c4_kk_bracket_zero": _per_chunk(max_abs, curvatures.kk),
-            "c5_S_equals_R0": _per_chunk(lambda s, r0: max_abs(s - r0),
-                                         curvatures.s, curvatures.r0),
+            "c4_kk_bracket_zero": per_16_lanes(max_abs, curvatures.kk),
+            "c5_S_equals_R0": per_16_lanes(lambda s, r0: max_abs(s - r0),
+                                           curvatures.s, curvatures.r0),
             "c6_K_XX_zero_horizontal": np.max(np.abs(np.where(keep_h[..., None], kvv_h, 0.0)),
                                               axis=(1, 2), initial=0.0),
             "c7_K_X_phiX_zero": max_abs(np.einsum("...ijk,aj,...ak->...ai", fs.K, vecs, phiv)),
@@ -646,7 +632,7 @@ def prop_5_2_residuals(m: ChartManifold, fs: FrameStack):
         low = np.einsum("...am,...mjkl->...ajkl", g, r)
         low_bar = np.einsum("...am,...mjkl->...ajkl", g, r_bar)
         return max_abs(low + np.einsum("...jakl->...ajkl", low_bar))
-    return curvatures.cross, _per_chunk(duality, curvatures.r, curvatures.r_bar, fs.g)
+    return curvatures.cross, per_16_lanes(duality, curvatures.r, curvatures.r_bar, fs.g)
 
 
 @np.errstate(all="ignore")

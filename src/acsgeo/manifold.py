@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .expressions import ExpressionError, NonFiniteError, ScalarField, parse_expression
 from .metric import (FieldArray, GeometryError, MetricField, NotPositiveDefiniteError,
-                     SingularMetricError, christoffel_from, field_jet, inner, inv_generic,
-                     point_lanes)
+                     christoffel_from, field_jet, inner, inv_generic, point_lanes)
 
 log = logging.getLogger(__name__)
 
@@ -30,12 +30,24 @@ def _as_fields(entries, coord_names):
     return [_as_fields(e, coord_names) for e in entries]
 
 
-def _finite(name, arr, where) -> np.ndarray:
+def _finite(name, arr) -> np.ndarray:
     """NonFiniteError if any entry of an evaluated field array is inf or nan
     (checked once per array, not per scalar)."""
     if np.count_nonzero(np.isfinite(arr)) < arr.size:   # cheaper than .all()
-        raise NonFiniteError(f"{name} is not finite {where}")
+        raise NonFiniteError(f"{name} is not finite")
     return arr
+
+
+@contextmanager
+def named_pass(lanes):
+    """A pass over the (L, dim) ``lanes``: an ExpressionError or GeometryError
+    it raises ends with ``at [p]`` for one lane, else ``on the grid``."""
+    try:
+        yield
+    except (ExpressionError, GeometryError) as exc:
+        where = f"at {lanes[0].tolist()}" if len(lanes) == 1 else "on the grid"
+        exc.args = (f"{exc} {where}",)
+        raise
 
 
 class PointFrame(NamedTuple):
@@ -106,7 +118,8 @@ class ChartManifold:
     ``frame_stack`` evaluates the fields of a list of points in one lane
     pass and keeps it; ``frame_at`` is a pass of one lane, so a point alone
     gets the same frame.  ``curvature.statistical_curvatures`` keeps the
-    statistical curvature of its last pass the same way.
+    statistical curvature of its last pass the same way.  A failing pass of
+    either store is not kept, and ``curvature.replay`` localises it.
 
     ``is_constant`` is decided once, when the chart is built, from the
     build-time constancy of g, phi, xi, eta (when given) and K.  The
@@ -164,7 +177,7 @@ class ChartManifold:
         return [np.array([axis[q // k ** (self.dim - 1 - n) % k] for n, axis in enumerate(axes)])
                 for q in picks]
 
-    def _fields(self, coords, where):
+    def _fields(self, coords):
         """The PointFrame fields after ``point`` at the (P,) lane coordinates
         ``coords``, as read-only float arrays with the lane axis first: one
         first-order walk of g, phi and xi and one value walk of eta and K.
@@ -173,42 +186,38 @@ class ChartManifold:
         point raises alone."""
         metric = self.metric
         g, dg = field_jet(metric.components, coords, 1)
-        _finite("metric", g, where)
-        # the only singularity gate when the metric is constant
-        try:
-            g_inv = inv_generic(g)
-        except SingularMetricError as exc:
-            raise SingularMetricError(f"{exc} {where}") from None
+        _finite("metric", g)
+        g_inv = inv_generic(g)      # the only singularity gate when the metric is constant
         if (np.linalg.eigvalsh(g)[:, 0] <= 0.0).any():
-            raise NotPositiveDefiniteError(f"metric is not positive definite {where}")
+            raise NotPositiveDefiniteError("metric is not positive definite")
         phi, dphi = field_jet(self.phi, coords, 1)
-        _finite("phi", phi, where)
+        _finite("phi", phi)
         xi, dxi = field_jet(self.xi, coords, 1)
-        _finite("xi", xi, where)
+        _finite("xi", xi)
         if self.eta is not None:
-            eta = _finite("eta", field_jet(self.eta, coords, 0)[0], where)
+            eta = _finite("eta", field_jet(self.eta, coords, 0)[0])
         else:
             eta = np.array([gp @ xp for gp, xp in zip(g, xi)])
         gamma0 = np.broadcast_to(0.0, (len(g),) + (self.dim,) * 3) if metric.is_constant \
             else christoffel_from(g_inv, dg)
-        k = _finite("K", self.difference.jet(coords, (gamma0,))[0], where)
+        k = _finite("K", self.difference.jet(coords, (gamma0,))[0])
         for name, arr in (("metric derivative", dg), ("Levi-Civita connection", gamma0),
                           ("phi derivative", dphi), ("xi derivative", dxi)):
-            _finite(name, arr, where)
+            _finite(name, arr)
         fields = (g, g_inv, phi, xi, eta, gamma0, k, dg, dphi, dxi)
         for arr in fields:
             arr.flags.writeable = False
         return fields
 
-    def _frames(self, pts, where) -> FrameStack:
+    def _frames(self, pts) -> FrameStack:
         """The FrameStack of the (P, dim) ``pts`` from one pass, one lane per
         point (on a constant chart, the first point's lane alone).  Each
         point's frame, views of its lane, is cached while ``_frame_cache``
-        holds fewer than 4096.  Raises the fields' errors, naming ``where``."""
-        coords = point_lanes(pts[:1] if self.is_constant else pts)
+        holds fewer than 4096.  Raises the fields' errors (``named_pass``)."""
+        lanes = pts[:1] if self.is_constant else pts
         # Python floats overflow silently; so do the lanes
-        with np.errstate(all="ignore"):
-            fields = self._fields(coords, where)
+        with named_pass(lanes), np.errstate(all="ignore"):
+            fields = self._fields(point_lanes(lanes))
         pts.flags.writeable = False
         frames = zip(pts, *(np.broadcast_to(a, (len(pts),) + a.shape[1:]) for a in fields))
         for key, frame in zip(map(tuple, pts.tolist()), frames):
@@ -221,24 +230,22 @@ class ChartManifold:
         key = tuple(float(x) for x in point)
         cached = self._frame_cache.get(key)
         return cached if cached is not None else PointFrame(
-            *(a[0] for a in self._frames(np.array([key]), f"at {list(key)}")))
+            *(a[0] for a in self._frames(np.array([key]))))
 
     def frame_stack(self, points) -> FrameStack:
         """The FrameStack of the last pass when ``points`` are its points,
         else that of a new pass over them, kept and logged at debug level.
-        A pass that fails is not kept: its points run one at a time through
-        ``frame_at``, and the first that fails alone raises (if none does,
-        the pass's own error)."""
+        A pass that fails is not kept and raises its own error; a caller
+        that must name the point a per-point loop meets first runs under
+        ``curvature.replay``."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
         if self._stack is None or not np.array_equal(pts, self._stack.point):
             self._stack = None
             start = time.perf_counter()
             try:
-                self._stack = self._frames(pts, "on the grid")
+                self._stack = self._frames(pts)
             except (ExpressionError, GeometryError) as exc:
-                log.debug("frame grid pass: fallback to per-point: %s", exc)
-                for p in pts:
-                    self.frame_at(p)
+                log.debug("frame grid pass: failed: %s", exc)
                 raise
             log.debug("frame grid pass: %d points in %.3f s", len(pts), time.perf_counter() - start)
         return self._stack

@@ -55,6 +55,15 @@ def point_lanes(points: np.ndarray):
     return list(np.ascontiguousarray(points.T))
 
 
+def per_16_lanes(fn, *arrays):
+    """``fn`` of the lanes of ``arrays``, 16 at a time, joined on the lane
+    axis, so no temporary holds more than 16 lanes of a (L, dim, dim, dim,
+    dim) curvature stack; an argument of one lane is shared by every lane."""
+    with np.errstate(all="ignore"):
+        return np.concatenate([fn(*(a if len(a) == 1 else a[c:c + 16] for a in arrays))
+                               for c in range(0, max(map(len, arrays)), 16)])
+
+
 def inv_generic(mat):
     """Inverses of a stack of square matrices (..., n, n) in one batched
     call, behind a singularity gate: SingularMetricError when a matrix is

@@ -9,7 +9,7 @@ import numpy as np
 
 from .manifold import ChartManifold, FrameStack, _as_fields
 from .metric import (FieldArray, MetricField, christoffel_values, field_jet,
-                     inner, lanes_of, matvec, nabla_g, outer, point_lanes)
+                     inner, lanes_of, matvec, nabla_g, outer, per_16_lanes, point_lanes)
 from .report import AuditReport, max_abs, raise_first, within
 
 
@@ -119,14 +119,6 @@ def total_symmetry_residual(t: np.ndarray):
     return float(res) if res.ndim == 0 else res
 
 
-def _by_16_lanes(fn, *arrays):
-    """``fn`` of 16 lanes of ``arrays`` at a time, each of its outputs joined
-    on the lane axis, so temporaries of the shape (L, dim, dim, dim) stay
-    (16, dim, dim, dim)."""
-    chunks = [fn(*(a[c:c + 16] for a in arrays)) for c in range(0, len(arrays[0]), 16)]
-    return [np.concatenate(parts) for parts in zip(*chunks)]
-
-
 @np.errstate(all="ignore")
 def statistical_columns(fs: FrameStack, tol: float):
     """The statistical-structure conditions at the lanes of ``fs``, one
@@ -138,10 +130,10 @@ def statistical_columns(fs: FrameStack, tol: float):
         c = cubic_form(g, k)
         ng = nabla_g(gamma0 + k, g, dg)
         ng_bar = nabla_g(gamma0 - k, g, dg)
-        return [max_abs(k - np.swapaxes(k, 2, 3)), total_symmetry_residual(c),
-                total_symmetry_residual(ng), max_abs(ng + 2.0 * c),
-                total_symmetry_residual(ng_bar)]
-    res = _by_16_lanes(residuals, fs.g, fs.gamma0, fs.K, fs.dg)
+        return np.stack([max_abs(k - np.swapaxes(k, 2, 3)), total_symmetry_residual(c),
+                         total_symmetry_residual(ng), max_abs(ng + 2.0 * c),
+                         total_symmetry_residual(ng_bar)], axis=1)
+    res = per_16_lanes(residuals, fs.g, fs.gamma0, fs.K, fs.dg).T
     return [within("K_lower_symmetry", res[0], 1e-12),
             within("cubic_form_symmetry", res[1], tol),
             within("nabla_g_symmetry", res[2], tol),
@@ -165,8 +157,8 @@ def acs_columns(fs: FrameStack, tol: float):
         k_phi = np.einsum("...ijm,...mk->...ijk", k, phi)       # K(e_j, phi e_k)
         phi_k = np.einsum("...im,...mjk->...ijk", phi, k)       # phi K(e_j, e_k)
         k_phi_first = np.einsum("...imk,...mj->...ijk", k, phi)  # K(phi e_j, e_k)
-        return max_abs(k_phi + phi_k), max_abs(k_phi - k_phi_first)
-    defining, swap = _by_16_lanes(residuals, fs.K, fs.phi)
+        return np.stack([max_abs(k_phi + phi_k), max_abs(k_phi - k_phi_first)], axis=1)
+    defining, swap = per_16_lanes(residuals, fs.K, fs.phi).T
     return [within("acs_defining_condition", defining, tol),
             within("acs_swap_condition", swap, tol)]
 

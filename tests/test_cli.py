@@ -5,19 +5,23 @@ import contextlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acsgeo import curvature, manifold
 from acsgeo.cli import main
 from acsgeo.expressions import ExpressionError, parse_expression
+from acsgeo.metric import GeometryError
+from acsgeo.specfile import manifold_from_dict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -286,12 +290,15 @@ def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
     assert [line.split(":")[0] for line in lines] == ["frame grid pass",
                                                       "curvature grid pass"]
 
+    # the grid pass meets the log at x = 1 first; the replay's passes over
+    # the halves holding x = -1 fail there, down to the first point alone
     path = tmp_path / "two_failures.json"
     path.write_text(json.dumps(TWO_FAILURES))
     code, _, lines = _logged(caplog, capsys, "validate", str(path))
     assert code == 1
-    assert lines == ["frame grid pass: fallback to per-point: "
-                     "log of non-positive argument -0.5"]
+    singular = "frame grid pass: failed: matrix is numerically singular"
+    assert lines == ["frame grid pass: failed: log of non-positive argument -0.5 on the grid"] \
+        + [f"{singular} on the grid"] * 3 + [f"{singular} at [-1.0, -1.0, -1.0]"]
 
 
 @pytest.mark.parametrize("argv, passes", [
@@ -725,3 +732,61 @@ def test_wrong_field_types_and_shapes_exit_two(field_value, text):
         parse_expression(text, ["x", "y", "z"])
     except ExpressionError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# specs valid in shape whose expressions fail on part of the grid end in one
+# message, the one a per-point loop meets first, from O(log P) frame passes
+
+FAILING_VERBS = (["validate"], ["curvature"], ["audit"], ["audit", "--checks", "thm_5_8"],
+                 ["audit", "--checks", "psi"], ["audit", "--checks", "cosymplectic"])
+
+
+def _failing_on_part(kind, a, c, grid):
+    """A flat structure with K = 0 on the box [-1, 2]^3 whose one entry fails
+    where s = a . (x, y, z) reaches c: the log of c - s in g (a domain error
+    where s >= c), exp(709 (s - c)) in phi (an overflow of the value or of
+    its derivative where s - c >= 1), or g_zz = (c - s)^2 (a singular metric
+    where s = c)."""
+    s = " + ".join(f"{ai}*{v}" for ai, v in zip(a, "xyz"))
+    g_zz, phi_zz = "1", "0"
+    if kind == "domain":
+        g_zz = f"1 + 0*log({c} - ({s}))"
+    elif kind == "overflow":
+        phi_zz = f"0*exp(709*({s} - {c}))"
+    else:
+        g_zz = f"({c} - ({s}))^2"
+    return dict(FLAT_BLOCK, grid=grid, box=[[-1, 2]] * 3, K={},
+                metric_lower=[["1"], ["0", "1"], ["0", "0", g_zz]],
+                phi=[["0", "-1", "0"], ["1", "0", "0"], ["0", "0", phi_zz]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["domain", "overflow", "singular"]),
+       a=st.tuples(*[st.sampled_from([-1, 0, 1])] * 3).filter(any),
+       c=st.sampled_from([-2.5, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5]),
+       grid=st.integers(1, 3))
+def test_expressions_failing_on_part_of_the_grid(kind, a, c, grid):
+    spec = _failing_on_part(kind, a, c, grid)
+    fresh = manifold_from_dict(spec)
+    points = fresh.grid_points()
+    expected = None
+    for p in points:
+        try:
+            fresh.frame_at(p)
+        except (ExpressionError, GeometryError) as exc:
+            expected = (2, f"error: {exc}\n") if isinstance(exc, ExpressionError) \
+                else (1, f"audit failure: {exc}\n")
+            break
+    assume(expected is not None)
+    bound = math.ceil(math.log2(len(points))) + 2
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        for verb in FAILING_VERBS:
+            with mock.patch.object(manifold.ChartManifold, "_frames", autospec=True,
+                                   side_effect=manifold.ChartManifold._frames) as frames:
+                code, out, err = _run_quiet(verb[0], path, *verb[1:])
+            assert (code, out, err) == (expected[0], "", expected[1]), verb
+            assert frames.call_count <= bound, verb

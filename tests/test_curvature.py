@@ -245,7 +245,7 @@ def _failing_from(k, runs):
     from ``k`` on; a batch names its last failing point, so only a run of
     one point names the point the per-point loop meets first."""
     def run(points, rng):
-        runs.append(len(points))
+        runs.append(list(points))
         draws = rng.standard_normal(len(points))
         bad = [(p, d) for p, d in zip(points, draws) if p >= k]
         if bad:
@@ -264,10 +264,13 @@ def test_replay_bisects_to_the_per_point_error(P, k):
         for p in range(P):
             run([p], rng)
     runs.clear()
+    replay_rng = np.random.default_rng(3)
     with pytest.raises(ValueError) as replayed:
-        curvature.replay(run, list(range(P)), np.random.default_rng(3))
+        curvature.replay(run, list(range(P)), replay_rng)
     assert str(replayed.value) == str(loop.value)
-    assert len(runs) <= 2 * math.ceil(math.log2(P)) + 1
+    # the rng ends where the loop left it, and the failing point runs alone once
+    assert replay_rng.bit_generator.state == rng.bit_generator.state
+    assert runs.count([k]) == 1 and len(runs) <= math.ceil(math.log2(P)) + 2
 
 
 def test_replay_keeps_the_batch_error_when_no_point_fails_alone():

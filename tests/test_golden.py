@@ -164,19 +164,19 @@ GOLDEN_STDERR = [
     ("curvature-r3-vertical-section",
      ["curvature", R3, "--grid", "2", "--section", "1,0,x"] + JSON,
      "d8e2041bf401efbcfe7328526dce42f7bcd48086facb5ef1c3cd92d0703b62a5"),
-    # the frame pass falls back to per-point evaluation; the lambda check
-    # fails first (exit 1) where it runs, the domain error surfaces (exit 2)
-    # where it does not
+    # the replay of the failing frame pass meets the lambda check first
+    # (exit 1) where it runs, and the domain error at x = 1, which names its
+    # point, where it does not (exit 2)
     ("audit-thm58-inadmissible-then-log",
      ["audit", "@inadmissible_then_log", "--checks", "thm_5_8"] + JSON,
      "7d115d952a50f123d1ed986fb3454d66b68d3016bbe1c79cd4e4d3d9ef2b0f96"),
     ("curvature-inadmissible-then-log", ["curvature", "@inadmissible_then_log"] + JSON,
      "7d115d952a50f123d1ed986fb3454d66b68d3016bbe1c79cd4e4d3d9ef2b0f96"),
     ("audit-inadmissible-then-log", ["audit", "@inadmissible_then_log"] + JSON,
-     "ec7e914b286d53bbb1ec26b0272fbd8d2ce864699ac64c769e4d7620a34d2d31"),
+     "b5690cc8b3da635a6875e482788a2abb7538cc49ab5bfff2731350969705d689"),
     ("audit-prop52-inadmissible-then-log",
      ["audit", "@inadmissible_then_log", "--checks", "prop_5_2"] + JSON,
-     "ec7e914b286d53bbb1ec26b0272fbd8d2ce864699ac64c769e4d7620a34d2d31"),
+     "b5690cc8b3da635a6875e482788a2abb7538cc49ab5bfff2731350969705d689"),
     # the error of the first failing point, whatever its step: the quotient
     # mismatch at x = -1 (exit 1), not the lambda failure at x = 0
     ("audit-thm58-mismatch-then-lambda",

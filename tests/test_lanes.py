@@ -364,18 +364,29 @@ def _first_failure(m, pts):
     return None
 
 
+def _replayed_frames(m, pts):
+    """The frame passes of ``pts`` under ``replay``, as a checked run
+    over several points takes them."""
+    return curv.replay(lambda points, _: m.frame_stack(points), list(pts), None)
+
+
 @pytest.mark.parametrize("name", sorted(FAILING))
 def test_frame_grid_caches_nothing_on_error(name):
-    """A failing pass is not kept; its points run one at a time, and the
-    first that fails alone raises."""
+    """A failing pass is not kept and raises its own error; under
+    ``replay`` the first point that fails alone raises, and the passes that
+    passed cached the frames of exactly the points before it."""
     m = manifold_from_dict(FAILING[name])
     pts = m.grid_points()
     alone = _first_failure(manifold_from_dict(FAILING[name]), pts)
     assert alone is not None and alone[0] > 0
     m.frame_stack(pts[:1])
-    with pytest.raises(alone[1]) as info:
+    with pytest.raises(alone[1], match=" on the grid$"):
         m.frame_stack(pts)
+    assert m._stack is None
+    with pytest.raises(alone[1]) as info:
+        _replayed_frames(m, pts)
     assert str(info.value) == alone[2] and m._stack is None
+    assert str(info.value).endswith(f" at {pts[alone[0]].tolist()}")
     assert list(m._frame_cache) == [tuple(p) for p in pts[:alone[0]]]
     assert _first_failure(m, pts) == alone
 
@@ -383,15 +394,20 @@ def test_frame_grid_caches_nothing_on_error(name):
 def test_pass_error_surfaces_when_no_point_fails_alone(monkeypatch):
     m = manifold_from_dict(LAMBDA_K)
     frames = m._frames
+    passes = []
 
-    def batch_fails(pts, where):
+    def batch_fails(pts):
+        passes.append(len(pts))
         if len(pts) > 1:
-            raise GeometryError(f"batch of {len(pts)} {where}")
-        return frames(pts, where)
+            raise GeometryError(f"batch of {len(pts)}")
+        return frames(pts)
     monkeypatch.setattr(m, "_frames", batch_fails)
-    with pytest.raises(GeometryError, match="^batch of 27 on the grid$"):
-        m.frame_stack(m.grid_points())
-    assert m._stack is None and len(m._frame_cache) == 27
+    with pytest.raises(GeometryError, match="^batch of 27$"):
+        _replayed_frames(m, m.grid_points())
+    # 27, 13, 6 and 3 fail; the first point passes alone, then the second,
+    # and the third is left to run alone
+    assert passes == [27, 13, 6, 3, 1, 1, 1]
+    assert len(m._stack.point) == 1 and len(m._frame_cache) == 3
 
 
 def test_frame_arrays_are_read_only():
