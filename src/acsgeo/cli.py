@@ -7,9 +7,11 @@ shortest round-trip repr, as ``json.dumps`` does; the table prints
 residuals with 17 significant digits.  Exit codes are 0 (success), 1
 (mathematical validation or audit failure), 2 (input error).
 
-The checks read frames and curvatures from the kept lane passes of
-``ChartManifold.frame_stack`` and ``curvature.statistical_curvatures``; a
-failing pass or check raises what a per-point loop meets first (``replay``).
+The checks read the frames, the statistical curvature and nabla^0 phi of
+the sample points from the chart's store (``ChartManifold.kept``), each
+computed once per run; every check over several points runs under
+``curvature.replay``, so a failing pass or check raises what a per-point
+loop meets first.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import time
 import numpy as np
 
 from . import curvature as curv
-from .contact import FrameError, is_cosymplectic, nabla0_phi_of, structure_columns
+from .contact import FrameError, is_cosymplectic, nabla0_phi_pass, structure_columns
 from .expressions import ExpressionError, parse_expression
 from .manifold import ChartManifold
 from .metric import GeometryError, field_jet, point_lanes
@@ -147,13 +149,10 @@ def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
     return curv.replay(run, list(pts), None)
 
 
-def pointwise_checks(m: ChartManifold, pts, tol: float, checks,
-                     nabla0_phi=None) -> AuditReport:
+def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
     """The selected lemma_5_6, geodesic, prop_5_2 and duality checks at every
     point, in one run through ``curvature.replay``: the statistical
-    curvature and the conjugate duality raise where a per-point loop would.
-    ``nabla0_phi`` is ``nabla0_phi_of`` of the stack of ``pts`` when the
-    caller has it."""
+    curvature and the conjugate duality raise where a per-point loop would."""
     wanted = [name for name in ("lemma_5_6", "geodesic", "prop_5_2", "duality")
               if selected(name, checks)]
     loose = max(tol, 1e-6)
@@ -163,8 +162,8 @@ def pointwise_checks(m: ChartManifold, pts, tol: float, checks,
         zero, yes = np.zeros(1), np.ones(1, dtype=bool)
         columns = []
         if "lemma_5_6" in wanted:
-            d0_phi = nabla0_phi if len(points) == len(pts) else None
-            columns.append(within("lemma_5_6", curv.lemma_5_6_residuals(fs, d0_phi), tol))
+            columns.append(within("lemma_5_6", curv.lemma_5_6_residuals(
+                fs, m.kept(nabla0_phi_pass, points)), tol))
         if "geodesic" in wanted:
             n0, n1 = curv.geodesic_norms(fs)
             columns += [Column("geodesic/nabla0_xi_xi", zero, yes, n0),
@@ -209,20 +208,18 @@ def section_reader(m: ChartManifold, text: str):
 
 def cmd_curvature(m: ChartManifold, args) -> int:
     rng = np.random.default_rng(args.seed)
-    rep = AuditReport()
-    values = {"k_phi_S": [], "k_phi_0": [], "k_phi": [], "lambda": []}
     pts = sample_points(m, args.grid)
     section = section_reader(m, args.section) if args.section else None
-    sweep = curv.phi_sectional_triples(m, pts, rng=rng, section=section,
-                                       lambda_tol=max(args.tol, 1e-6))
-    for p, (lam, triples) in zip(pts, sweep):
-        rep.add("curvature/lambda", p, 0.0, passed=True, value=lam)
-        values["lambda"].append(lam)
-        for triple in triples:
-            for name, val in zip(("k_phi_S", "k_phi_0", "k_phi"), triple):
-                rep.add(f"curvature/{name}", p, 0.0, passed=True, value=val)
-                values[name].append(val)
-    for name, vals in values.items():
+    lams, triples, keep = curv.phi_sectional_triples(m, pts, rng=rng, section=section,
+                                                     lambda_tol=max(args.tol, 1e-6))
+    names = ("k_phi_S", "k_phi_0", "k_phi")
+    zero, yes = np.zeros(1), np.ones(1, dtype=bool)
+    rep = AuditReport.from_columns(pts, [Column("curvature/lambda", zero, yes, lams)] + [
+        Column(f"curvature/{name}", zero, yes, triples[:, j, n], keep[:, j])
+        for j in range(keep.shape[1]) for n, name in enumerate(names)])
+    # the kept values in point-major order, as Python max and min take them
+    values = [triples[..., n][keep].tolist() for n in range(3)] + [lams.tolist()]
+    for name, vals in zip(names + ("lambda",), values):
         gap = (max(vals) - min(vals)) if vals else 0.0
         rep.add(f"curvature/constancy_gap/{name}", (), gap, passed=True, value=gap)
     emit(rep, args.format)
@@ -233,14 +230,9 @@ def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
     """The records and flags of ``audit`` at the points ``pts``: the
     selected check groups in ``CHECK_GROUPS`` order."""
     rep = axiom_checks(m, pts, tol, checks)
-    # nabla^0 phi, taken once for the checks that read it
-    d0_phi = None
-    if any(selected(name, checks) for name in ("cosymplectic", "phi_compat", "lemma_5_6", "psi")):
-        d0_phi = curv.replay(lambda points, _: nabla0_phi_of(m.frame_stack(points)),
-                             list(pts), None)
-
     if selected("cosymplectic", checks):
-        flag, res = is_cosymplectic(m, pts, tol=tol, nabla0_phi=d0_phi)
+        flag, res = curv.replay(lambda points, _: is_cosymplectic(m, points, tol=tol),
+                                list(pts), None)
         rep.add("cosymplectic", pts[0], res, passed=True, value=float(flag))
 
     if selected("thm_5_8", checks):
@@ -249,12 +241,11 @@ def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
     if selected("phi_compat", checks) or selected("psi", checks):
         # psi alone needs the verdict only: no records, no draws from rng
         compat_rep, k_phi = curv.phi_compat_audit(
-            m, pts, tol=tol, rng=rng if selected("phi_compat", checks) else None,
-            nabla0_phi=d0_phi)
+            m, pts, tol=tol, rng=rng if selected("phi_compat", checks) else None)
         if selected("phi_compat", checks):
             rep.extend(compat_rep)
 
-    rep.extend(pointwise_checks(m, pts, tol, checks, d0_phi))
+    rep.extend(pointwise_checks(m, pts, tol, checks))
 
     if selected("psi", checks) and curv.is_phi_compatible(compat_rep):
         # Psi reads the plain-section K_phi of the phi-compatibility sweep

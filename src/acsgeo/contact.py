@@ -133,26 +133,26 @@ def gram_residual(fr: PointFrame, basis: np.ndarray) -> float:
 
 
 @np.errstate(all="ignore")
-def nabla0_phi_of(fs: FrameStack) -> np.ndarray:
-    """nabla^0 phi with the Levi-Civita connection at the lanes of ``fs``,
-    (L, dim, dim, dim) indexed [lane, i, j, k]."""
+def nabla0_phi_pass(m: ChartManifold, pts) -> np.ndarray:
+    """nabla^0 phi with the Levi-Civita connection at the lanes of the frame
+    pass of ``pts``, (L, dim, dim, dim) indexed [lane, i, j, k]: the part of
+    the chart's store (``ChartManifold.kept``) that its checks read."""
+    fs = m.frame_stack(pts)
     return covariant_derivative_11(fs.gamma0, fs.phi, fs.dphi)
 
 
 def nabla0_phi(m: ChartManifold, point) -> np.ndarray:
     """(nabla^0 phi)^j_{i,k} with the Levi-Civita connection, shape [i,j,k]."""
-    return nabla0_phi_of(m.frame_stack([point]))[0]
+    return m.kept(nabla0_phi_pass, [point])[0]
 
 
-def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9, nabla0_phi=None):
+def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9):
     """True iff max |nabla^0 phi| over the sample points is within ``tol``
-    (a point where it is NaN does not count); ``nabla0_phi`` is
-    ``nabla0_phi_of`` of the points' stack when the caller has it.  Without
-    it, its own frame pass over several points raises the pass's error, not
-    the first failing point's.  Returns (flag, max_residual)."""
+    (a point where it is NaN does not count), from the chart's kept nabla^0
+    phi of the points.  A frame pass over several points that fails raises
+    the pass's error; a caller that must name the first failing point runs
+    it under ``curvature.replay``.  Returns (flag, max_residual)."""
     pts = points if points is not None else m.grid_points()
-    if nabla0_phi is None and len(pts):
-        nabla0_phi = nabla0_phi_of(m.frame_stack(pts))
-    per_point = max_abs(nabla0_phi) if len(pts) else []
+    per_point = max_abs(m.kept(nabla0_phi_pass, pts)) if len(pts) else []
     worst = float(np.fmax.reduce(per_point, initial=0.0))
     return worst <= tol, worst

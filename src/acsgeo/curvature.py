@@ -2,11 +2,12 @@
 phi-sectional K-curvature, the statistical curvature tensor, and executable
 audits of the equivalence and compatibility theorems.
 
-The statistical curvature of some points is one lane pass, kept until
-other points are asked for.  The sweeps over sections (phi-basis legs, their
-mixtures and random horizontal combinations) are one ``section_sweep`` per
-audit over the stacked frames of its points; the per-point functions
-(``phi_sectional_k_curvature``, ...) are one-point calls of that kernel.
+The statistical curvature of some points is one lane pass, a part of the
+chart's store (``ChartManifold.kept``).  The sweeps over sections (phi-basis
+legs, their mixtures and random horizontal combinations) are one
+``section_sweep`` per audit over the stacked frames of its points; the
+per-point functions (``phi_sectional_k_curvature``, ...) are one-point calls
+of that kernel.
 
 An audit takes each of its steps for all points at once and raises at the
 first failure; ``replay`` then runs it again one point at a time, so the
@@ -22,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .contact import nabla0_phi_of, phi_bases, phi_basis
+from .contact import nabla0_phi_pass, phi_bases, phi_basis
 from .expressions import ExpressionError, NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame, named_pass
 from .metric import (DegeneratePlaneError, GeometryError, christoffel_jet,
@@ -299,28 +300,28 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
     return CurvatureStack(pts, *parts, cross)
 
 
+def _curvature_pass(m: ChartManifold, pts) -> CurvatureStack:
+    """``_curvature_parts`` of ``pts``, logged at info level."""
+    start = time.perf_counter()
+    try:
+        stack = _curvature_parts(m, pts)
+    except (ExpressionError, GeometryError) as exc:
+        log.info("curvature grid pass: failed: %s", exc)
+        raise
+    log.info("curvature grid pass: %d points in %.3f s", len(pts), time.perf_counter() - start)
+    return stack
+
+
 def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
     """The CurvatureStack of ``points``: S = (R + R-bar)/2 from nabla =
     nabla^0 + K and nabla-bar = nabla^0 - K, with S = R^0 + [K,K] asserted
     (to 1e-6) as an internal cross-check, which raises CrossCheckError at
-    the first point where it fails.  It is the stack of the last pass when
-    ``points`` are its points, else that of a new pass over them
-    (``_curvature_parts``), kept and logged at info level; a pass that
-    fails is not kept."""
-    pts = np.array(points, dtype=float).reshape(len(points), m.dim)
-    kept = m._curvatures
-    if kept is None or not np.array_equal(pts, kept.point):
-        m._curvatures = None
-        start = time.perf_counter()
-        try:
-            kept = _curvature_parts(m, pts)
-        except (ExpressionError, GeometryError) as exc:
-            log.info("curvature grid pass: failed: %s", exc)
-            raise
-        log.info("curvature grid pass: %d points in %.3f s", len(pts), time.perf_counter() - start)
-        m._curvatures = kept
-    raise_first(CrossCheckError, pts, kept.cross, 1e-6, "S - R0 - [K,K] residual")
-    return kept
+    the first point where it fails.  The stack is the chart's kept part of
+    ``_curvature_pass`` (``ChartManifold.kept``); a pass that fails raises
+    its own error and keeps nothing."""
+    stack = m.kept(_curvature_pass, points)
+    raise_first(CrossCheckError, stack.point, stack.cross, 1e-6, "S - R0 - [K,K] residual")
+    return stack
 
 
 def statistical_curvature(m: ChartManifold, point):
@@ -461,11 +462,11 @@ def replay(run, points, rng):
 
 
 def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, keep):
-    """(K^S, K^0, K_phi) of the kept sections of each point, as
-    ``phi_sectional_triple``: the horizontality of the first section, the
-    statistical curvature of the point, and for each section the plane
-    check of ``sectional_curvature``, the K_phi checks and the additivity
-    K^S = K^0 + K_phi (to 1e-6 relative)."""
+    """(K^S, K^0, K_phi) of each section of each point, (P, S, 3), with the
+    checks of ``phi_sectional_triple`` at the sections ``keep`` holds: the
+    horizontality of the first section, the statistical curvature of the
+    point, and for each section the plane check of ``sectional_curvature``,
+    the K_phi checks and the additivity K^S = K^0 + K_phi (to 1e-6 relative)."""
     vertical = np.flatnonzero(np.isin(sweep.status[:, 0], (NOT_HORIZONTAL, NEGLIGIBLE)))
     if vertical.size:
         raise sweep.error(vertical[0], 0)
@@ -480,9 +481,7 @@ def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, 
             raise sweep.error(i, j, plane=True)
         raise CrossCheckError(f"sectional additivity fails: {float(k_s[i, j])} vs "
                               f"{float(k_0[i, j])} + {float(k_phi[i, j])}")
-    triples = np.stack([k_s, k_0, k_phi], axis=-1).tolist()
-    return [[tuple(t) for t, kept in zip(row, cols) if kept]
-            for row, cols in zip(triples, keep.tolist())]
+    return np.stack([k_s, k_0, k_phi], axis=-1)
 
 
 def phi_sectional_triple(m: ChartManifold, point, x):
@@ -490,16 +489,17 @@ def phi_sectional_triple(m: ChartManifold, point, x):
     with the additivity K^S = K^0 + K asserted."""
     frames = m.frame_stack([point])
     sweep = section_sweep(frames, [np.asarray(x, dtype=float)[None, None]])
-    return _section_triples(m, frames, sweep, np.ones((1, 1), dtype=bool))[0][0]
+    return tuple(_section_triples(m, frames, sweep, np.ones((1, 1), dtype=bool))[0, 0].tolist())
 
 
 def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
                           lambda_tol: float = 1e-6):
-    """[(lambda, [(K^S, K^0, K_phi), ...]) for each point]: the triples of
-    its sweep sections, or of the one vector per point that
-    ``section(frames)`` gives, (P, dim), from one ``section_sweep``.  Steps:
-    frames, ``lambdas``, ``section``, then ``_section_triples``; a failure
-    raises through ``replay``."""
+    """(lambda (P,), triples (P, S, 3), keep (P, S)): the (K^S, K^0, K_phi)
+    of the sweep sections of each point, or of the one vector per point
+    that ``section(frames)`` gives, (P, dim), from one ``section_sweep``,
+    and the mask of the sections each point keeps.  Steps: frames,
+    ``lambdas``, ``section``, then ``_section_triples``; a failure raises
+    through ``replay``."""
     def run(points, rng):
         stack = m.frame_stack(points)
         lams = np.broadcast_to(lambdas(stack, lambda_tol), (len(points),))
@@ -508,8 +508,10 @@ def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
         else:
             sweep = section_sweep(stack, [section(stack)[:, None]])
             keep = np.ones((len(points), 1), dtype=bool)
-        return list(zip(lams.tolist(), _section_triples(m, stack, sweep, keep)))
-    return replay(run, list(points), rng) if len(points) else []
+        return lams, _section_triples(m, stack, sweep, keep), keep
+    if not len(points):
+        return np.zeros(0), np.zeros((0, 0, 3)), np.zeros((0, 0), dtype=bool)
+    return replay(run, list(points), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -590,19 +592,19 @@ def audit_branch(report: AuditReport) -> str:
 
 
 @np.errstate(all="ignore")
-def lemma_5_6_residuals(fs: FrameStack, nabla0_phi=None) -> np.ndarray:
+def lemma_5_6_residuals(fs: FrameStack, nabla0_phi) -> np.ndarray:
     """Max residual of (nabla^0_X phi)Y = (nabla_X phi)Y + 2 phi K(X,Y) over
-    all frame pairs at each lane of ``fs``, (L,); ``nabla0_phi`` is
-    ``nabla0_phi_of(fs)`` when the caller has it."""
-    d0_phi = nabla0_phi_of(fs) if nabla0_phi is None else nabla0_phi
+    all frame pairs at each lane of ``fs``, (L,), from ``nabla0_phi``,
+    nabla^0 phi at those lanes (``contact.nabla0_phi_pass``)."""
     d1 = covariant_derivative_11(fs.gamma0 + fs.K, fs.phi, fs.dphi)
     phi_k = np.einsum("...im,...mak->...aik", fs.phi, fs.K)
-    return max_abs(d0_phi - d1 - 2.0 * phi_k)
+    return max_abs(nabla0_phi - d1 - 2.0 * phi_k)
 
 
 def lemma_5_6_check(m: ChartManifold, point) -> float:
     """``lemma_5_6_residuals`` at one point."""
-    return float(lemma_5_6_residuals(m.frame_stack([point]))[0])
+    return float(lemma_5_6_residuals(m.frame_stack([point]),
+                                     m.kept(nabla0_phi_pass, [point]))[0])
 
 
 @np.errstate(all="ignore")
@@ -664,22 +666,19 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
     return phi_compat_audit(m, points, tol, rng)[0]
 
 
-def phi_compat_audit(m: ChartManifold, points=None, tol: float = 1e-9, rng=None,
-                     nabla0_phi=None):
+def phi_compat_audit(m: ChartManifold, points=None, tol: float = 1e-9, rng=None):
     """``phi_compat_check`` and, per point, max |K_phi| over the plain
     sections of its sweep (0 where it is not compatible), which
-    ``psi_check`` reads; ``nabla0_phi`` is ``contact.nabla0_phi_of`` of the
-    stack of all the points when the caller has it."""
+    ``psi_check`` reads."""
     pts = list(points) if points is not None else m.grid_points()
     if not pts:
         return AuditReport(), np.zeros(0)
-    return replay(lambda run_pts, rng: _phi_compat(
-        m, run_pts, tol, rng, nabla0_phi if len(run_pts) == len(pts) else None), pts, rng)
+    return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), pts, rng)
 
 
-def _phi_compat(m: ChartManifold, pts, tol, rng, nabla0_phi=None):
+def _phi_compat(m: ChartManifold, pts, tol, rng):
     fs = m.frame_stack(pts)
-    d0_phi = nabla0_phi_of(fs) if nabla0_phi is None else nabla0_phi
+    d0_phi = m.kept(nabla0_phi_pass, pts)
     res = _compat_residuals(fs, d0_phi)
     oks = res <= tol
     compatible = oks.all(axis=0)

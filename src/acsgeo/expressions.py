@@ -397,8 +397,6 @@ class BinOp:
             return a - b
         if self.op == "*":
             return a * b
-        if isinstance(a, Dual) or isinstance(b, Dual):
-            return Dual._lift(a) / b      # Dual guards division itself
         if any_lane(primal(b) == 0.0):
             raise EvalDomainError("division by zero")
         return a / b

@@ -115,11 +115,12 @@ class ChartManifold:
     ``is_constant``, the constancy of its components decided when it was
     built; see :mod:`acsgeo.statistical`.
 
-    ``frame_stack`` evaluates the fields of a list of points in one lane
-    pass and keeps it; ``frame_at`` is a pass of one lane, so a point alone
-    gets the same frame.  ``curvature.statistical_curvatures`` keeps the
-    statistical curvature of its last pass the same way.  A failing pass of
-    either store is not kept, and ``curvature.replay`` localises it.
+    ``kept`` stores one part per pass of the last points asked for: the
+    frames of ``frame_stack``, the curvatures of
+    ``curvature.statistical_curvatures`` and ``contact.nabla0_phi_pass``.
+    A failing pass keeps nothing and ``curvature.replay`` localises it.
+    ``frame_at`` is a pass of one lane, outside the store, so a point alone
+    gets the same frame.
 
     ``is_constant`` is decided once, when the chart is built, from the
     build-time constancy of g, phi, xi, eta (when given) and K.  The
@@ -154,8 +155,8 @@ class ChartManifold:
                             and self.xi.is_constant and difference.is_constant
                             and (self.eta is None or self.eta.is_constant))
         self._frame_cache = {}       # the frame of each point a pass evaluated
-        self._stack = None           # the FrameStack of the last frame pass
-        self._curvatures = None      # the CurvatureStack of the last curvature pass
+        self._kept_points = None     # the (P, dim) points of the kept parts
+        self._kept_parts = {}        # pass function -> its part of those points
 
     @property
     def dim(self):
@@ -232,20 +233,30 @@ class ChartManifold:
         return cached if cached is not None else PointFrame(
             *(a[0] for a in self._frames(np.array([key]))))
 
-    def frame_stack(self, points) -> FrameStack:
-        """The FrameStack of the last pass when ``points`` are its points,
-        else that of a new pass over them, kept and logged at debug level.
-        A pass that fails is not kept and raises its own error; a caller
-        that must name the point a per-point loop meets first runs under
-        ``curvature.replay``."""
+    def kept(self, pass_fn, points):
+        """``pass_fn(self, pts)`` of the (P, dim) ``pts`` of ``points``: the
+        part kept for these points, else a new pass, kept beside their other
+        parts.  Other points drop every part; a pass that raises keeps nothing."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
-        if self._stack is None or not np.array_equal(pts, self._stack.point):
-            self._stack = None
-            start = time.perf_counter()
-            try:
-                self._stack = self._frames(pts)
-            except (ExpressionError, GeometryError) as exc:
-                log.debug("frame grid pass: failed: %s", exc)
-                raise
-            log.debug("frame grid pass: %d points in %.3f s", len(pts), time.perf_counter() - start)
-        return self._stack
+        if self._kept_points is None or not np.array_equal(pts, self._kept_points):
+            self._kept_points, self._kept_parts = pts, {}
+        if pass_fn not in self._kept_parts:
+            self._kept_parts[pass_fn] = pass_fn(self, self._kept_points)
+        return self._kept_parts[pass_fn]
+
+    def frame_stack(self, points) -> FrameStack:
+        """The FrameStack of ``points``, the kept part of ``_frame_pass``.  A
+        pass that fails raises its own error; a caller that must name the
+        point a per-point loop meets first runs under ``curvature.replay``."""
+        return self.kept(ChartManifold._frame_pass, points)
+
+    def _frame_pass(self, pts) -> FrameStack:
+        """``_frames`` of ``pts``, logged at debug level."""
+        start = time.perf_counter()
+        try:
+            stack = self._frames(pts)
+        except (ExpressionError, GeometryError) as exc:
+            log.debug("frame grid pass: failed: %s", exc)
+            raise
+        log.debug("frame grid pass: %d points in %.3f s", len(pts), time.perf_counter() - start)
+        return stack

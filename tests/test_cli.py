@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acsgeo import curvature, manifold
+from acsgeo import contact, curvature, manifold
 from acsgeo.cli import main
 from acsgeo.expressions import ExpressionError, parse_expression
 from acsgeo.metric import GeometryError
@@ -302,12 +302,13 @@ def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["validate"], (1, 0)), (["curvature"], (1, 1)), (["audit"], (1, 1)),
-    (["audit", "--checks", "structure"], (1, 0))])
+    (["validate"], (1, 0, 0)), (["curvature"], (1, 1, 0)), (["audit"], (1, 1, 1)),
+    (["audit", "--checks", "structure"], (1, 0, 0)),
+    (["audit", "--checks", "cosymplectic,lemma_5_6,phi_compat"], (1, 0, 1))])
 def test_one_pass_per_store(monkeypatch, capsys, argv, passes):
-    """A passing run evaluates its frames once and its curvature at most
-    once, however many checks read them."""
-    counts = {"frames": 0, "curvature": 0}
+    """A passing run evaluates its frames once, and its curvature and
+    nabla^0 phi at most once, however many checks read them."""
+    counts = {"frames": 0, "curvature": 0, "nabla0_phi": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -318,10 +319,28 @@ def test_one_pass_per_store(monkeypatch, capsys, argv, passes):
                         counted("frames", manifold.ChartManifold._frames))
     monkeypatch.setattr(curvature, "_curvature_parts",
                         counted("curvature", curvature._curvature_parts))
+    # contact calls covariant_derivative_11 in the nabla^0 phi pass only
+    monkeypatch.setattr(contact, "covariant_derivative_11",
+                        counted("nabla0_phi", contact.covariant_derivative_11))
     code, out, _ = run(capsys, argv[0], "zoo:random:dim=3,seed=1,family=trivial-lambda",
                        *argv[1:], "--grid", "2", "--format", "json")
     assert code == 0 and out
-    assert (counts["frames"], counts["curvature"]) == passes
+    assert (counts["frames"], counts["curvature"], counts["nabla0_phi"]) == passes
+
+
+def test_a_later_group_keeps_the_first_error(capsys, tmp_path):
+    """The selected groups run in ``CHECK_GROUPS`` order, so a group that
+    reads nabla^0 phi does not move thm_5_8's first error (the curvature at
+    x = 0) to its own (K overflows at x = 1)."""
+    spec = dict(TWO_FAILURES, metric_lower=[["1"], ["0", "1"], ["0", "0", "1"]],
+                K={"z,z,z": "1e-10*exp(709*(x + 1))"})
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(spec))
+    curvature_first = (2, "", "error: statistical curvature is not finite at [0.0, -1.0, -1.0]\n")
+    for checks in ("thm_5_8", "thm_5_8,lemma_5_6", "thm_5_8,psi"):
+        assert run(capsys, "audit", str(path), "--checks", checks) == curvature_first
+    assert run(capsys, "audit", str(path), "--checks", "lemma_5_6") == (
+        2, "", "error: exp(1418.0) overflows at [1.0, -1.0, -1.0]\n")
 
 
 def test_singular_metric_names_its_point(capsys, tmp_path):

@@ -116,18 +116,18 @@ def test_one_varying_field_takes_every_lane(monkeypatch, spec):
     ["zoo:example_flat_acs:n=2", "--checks", "psi"],
     ["zoo:example_r3_negative", "--checks", "cosymplectic,lemma_5_6"]])
 def test_nabla0_phi_once_per_audit(monkeypatch, capsys, argv):
+    """One pass over every point: one lane each, or one on a constant chart."""
     calls = []
-    orig = contact.nabla0_phi_of
+    orig = contact.covariant_derivative_11
 
-    def counted(fs):
-        calls.append(len(fs.point))
-        return orig(fs)
-    for mod in (contact, curvature, cli):
-        monkeypatch.setattr(mod, "nabla0_phi_of", counted)
+    def counted(gamma, *fields):    # contact calls it in the nabla^0 phi pass only
+        calls.append(len(gamma))
+        return orig(gamma, *fields)
+    monkeypatch.setattr(contact, "covariant_derivative_11", counted)
     assert cli.main(["audit"] + argv + ["--grid", "2", "--format", "json"]) == 0
     out = capsys.readouterr().out
     points = {tuple(json.loads(line)["point"]) for line in out.splitlines()}
-    assert calls == [len(points)]
+    assert calls == [1 if cli.resolve_input(argv[0]).is_constant else len(points)]
 
 
 @pytest.mark.parametrize("dim", [3, 7])

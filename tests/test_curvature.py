@@ -217,19 +217,22 @@ def test_no_points_give_empty_reports(flat3):
     for rep in (psi_check(flat3, []), psi_check(flat3, np.empty((0, 3))),
                 theorem_5_8_audit(flat3, []), phi_compat_check(flat3, [])):
         assert rep.records == [] and not rep.flags and rep.all_passed
+    lams, triples, keep = curvature.phi_sectional_triples(flat3, [])
+    assert (lams.shape, triples.shape, keep.shape) == ((0,), (0, 0, 3), (0, 0))
 
 
 def test_phi_compat_takes_nabla0_phi_once_per_point(flat3, monkeypatch):
     """phi_compat_check takes nabla^0 phi once per point, in one batched call
-    over all its points; the cosymplectic consequence reads the array
-    formulation (c) built, and gives the residual is_cosymplectic gives."""
+    over all its points, kept in the chart's store; the cosymplectic
+    consequence reads the array formulation (c) built, and gives the
+    residual is_cosymplectic gives."""
     calls = []
-    orig = contact.nabla0_phi_of
-    monkeypatch.setattr(curvature, "nabla0_phi_of",
-                        lambda fs: calls.append(len(fs.point)) or orig(fs))
+    orig = contact.covariant_derivative_11      # called in the nabla^0 phi pass only
+    monkeypatch.setattr(contact, "covariant_derivative_11",
+                        lambda *args: calls.append(args) or orig(*args))
     pts = flat3.grid_points(2)
     rep = phi_compat_check(flat3, pts)
-    assert calls == [len(pts)] == [8]
+    assert len(calls) == 1 and np.array_equal(flat3._kept_points, pts)
     assert rep.failures() == [] and is_phi_compatible(rep)
     consequences = [r.residual for r in rep.records
                     if r.check == "phi_compat/cosymplectic_consequence"]

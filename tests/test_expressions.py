@@ -69,6 +69,11 @@ def test_domain_errors():
     g = parse_expression("sqrt(x)", ["x"])
     with pytest.raises(EvalDomainError):
         g([-4.0])
+    # a denominator that vanishes, as a float and as a Dual
+    h = parse_expression("x / (y - 1)", ["x", "y"])
+    for evaluate in (lambda: h([2.0, 1.0]), lambda: eval_with_derivative(h, [2.0, 1.0], 1)):
+        with pytest.raises(EvalDomainError, match="^division by zero$"):
+            evaluate()
 
 
 def test_negative_power_of_zero_is_a_domain_error():

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from acsgeo import curvature as curv
 from acsgeo import generate_random_acs
 from acsgeo.contact import (DegenerateSeedError, ExhaustedCandidatesError, FrameError,
-                            phi_bases)
+                            nabla0_phi_pass, phi_bases)
 from acsgeo.expressions import (Dual, ExpressionError, Jet, NonFiniteError, parse_expression,
                                 primal, tangent)
-from acsgeo.manifold import FrameStack
+from acsgeo.manifold import ChartManifold, FrameStack
 from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField,
                            SingularMetricError, christoffel, christoffel_jet,
                            field_first_derivatives, field_values, inv_generic, riemann)
@@ -239,7 +239,7 @@ def test_grid_pass_caches_nothing_on_error():
     curv.statistical_curvatures(m, [p for p in pts if p[0] == 0.0])
     with pytest.raises(ExpressionError):
         curv.statistical_curvatures(m, pts)
-    assert m._curvatures is None
+    assert curv._curvature_pass not in m._kept_parts
 
 
 def test_cache_read_applies_the_cross_check():
@@ -249,9 +249,33 @@ def test_cache_read_applies_the_cross_check():
     p = m.grid_points()[0]
     stack = curv.statistical_curvatures(m, [p])
     assert stack.cross[0] == float(np.max(np.abs(stack.s - stack.r0 - stack.kk)))
-    m._curvatures = stack._replace(cross=np.ones(1))
+    m._kept_parts[curv._curvature_pass] = stack._replace(cross=np.ones(1))
     with pytest.raises(curv.CrossCheckError, match=r"^S - R0 - \[K,K\] residual 1\.0 at "):
         curv.statistical_curvature(m, p)
+
+
+def test_store_keeps_the_parts_of_one_point_set():
+    """The chart keeps one part per pass for the last points asked for:
+    other points drop every kept part, and a part whose pass fails keeps
+    nothing while the other parts of the same points stay."""
+    m = manifold_from_dict(dict(LAMBDA_K, K={"z,z,z": "1e-10*exp(709*x)"}))
+    pts = m.grid_points()
+    head = [p for p in pts if p[0] < 1.0]
+
+    def parts(points):
+        return [m.frame_stack(points), curv.statistical_curvatures(m, points),
+                m.kept(nabla0_phi_pass, points)]
+    kept = parts(head)
+    assert all(a is b for a, b in zip(parts(head), kept))
+    frames = m.frame_stack(pts)
+    assert list(m._kept_parts) == [ChartManifold._frame_pass]
+    # the curvature of x = 1 is not finite
+    with pytest.raises(NonFiniteError, match=" on the grid$"):
+        curv.statistical_curvatures(m, pts)
+    d0_phi = m.kept(nabla0_phi_pass, pts)
+    assert list(m._kept_parts) == [ChartManifold._frame_pass, nabla0_phi_pass]
+    assert m.frame_stack(pts) is frames and m.kept(nabla0_phi_pass, pts) is d0_phi
+    assert not any(a is b for a, b in zip(parts(head), kept))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +363,7 @@ def test_non_finite_jets_fail_the_parts_gate(k):
     with pytest.raises(NonFiniteError, match="^statistical curvature is not finite "
                                              "on the grid$"):
         curv.statistical_curvatures(m, m.grid_points())
-    assert m._curvatures is None
+    assert curv._curvature_pass not in m._kept_parts
     with pytest.raises(NonFiniteError, match=r"not finite at \[1.0, -1.0, -1.0\]$"):
         curv.statistical_curvature(m, [1.0, -1.0, -1.0])
 
@@ -382,10 +406,10 @@ def test_frame_grid_caches_nothing_on_error(name):
     m.frame_stack(pts[:1])
     with pytest.raises(alone[1], match=" on the grid$"):
         m.frame_stack(pts)
-    assert m._stack is None
+    assert m._kept_parts == {}
     with pytest.raises(alone[1]) as info:
         _replayed_frames(m, pts)
-    assert str(info.value) == alone[2] and m._stack is None
+    assert str(info.value) == alone[2] and m._kept_parts == {}
     assert str(info.value).endswith(f" at {pts[alone[0]].tolist()}")
     assert list(m._frame_cache) == [tuple(p) for p in pts[:alone[0]]]
     assert _first_failure(m, pts) == alone
@@ -407,7 +431,8 @@ def test_pass_error_surfaces_when_no_point_fails_alone(monkeypatch):
     # 27, 13, 6 and 3 fail; the first point passes alone, then the second,
     # and the third is left to run alone
     assert passes == [27, 13, 6, 3, 1, 1, 1]
-    assert len(m._stack.point) == 1 and len(m._frame_cache) == 3
+    assert len(m._kept_parts[ChartManifold._frame_pass].point) == 1
+    assert len(m._frame_cache) == 3
 
 
 def test_frame_arrays_are_read_only():
@@ -439,7 +464,7 @@ def test_full_request_after_a_replay_gets_the_grid_bits():
             raise ValueError("fails at x = 1")
     with pytest.raises(ValueError):
         curv.replay(run, list(pts), None)
-    assert len(m._stack.point) == len(m._curvatures.point) == 1
+    assert [len(part.point) for part in m._kept_parts.values()] == [1, 1]
     again = m.frame_stack(pts) + curv.statistical_curvatures(m, pts)
     for got, want in zip(again, grid):
         assert_same(got, want)
