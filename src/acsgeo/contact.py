@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .manifold import ChartManifold, FrameStack, PointFrame
-from .metric import covariant_derivative_11, inner, matvec, norms, outer
+from .metric import contract, covariant_derivative_11, inner, norms, outer
 from .report import AuditReport, Column, max_abs, within
 
 
@@ -32,7 +32,7 @@ def structure_columns(m: ChartManifold, fs: FrameStack, tol: float):
         within("phi_squared", max_abs(fs.phi @ fs.phi + np.eye(fs.phi.shape[-1])
                                       - outer(fs.xi, fs.eta)), tol),
         within("eta_of_xi", (fs.eta[:, None] @ fs.xi[..., None])[:, 0, 0] - 1.0, tol),
-        within("phi_of_xi", max_abs(matvec(fs.phi, fs.xi)), tol),
+        within("phi_of_xi", max_abs(contract(fs.phi, fs.xi)), tol),
         within("eta_after_phi", max_abs(fs.eta[:, None] @ fs.phi), tol),
         # rank(phi) = 2n via the two-threshold singular value rule: exactly
         # one vanishing singular value
@@ -42,7 +42,7 @@ def structure_columns(m: ChartManifold, fs: FrameStack, tol: float):
                                                - fs.g + outer(fs.eta, fs.eta)), tol),
         # derived metric identities
         within("xi_unit", inner(fs.g, fs.xi, fs.xi) - 1.0, tol),
-        within("eta_is_g_xi", max_abs(fs.eta - matvec(fs.g, fs.xi)),
+        within("eta_is_g_xi", max_abs(fs.eta - contract(fs.g, fs.xi)),
                1e-12 if m.eta is not None else tol),
         within("phi_g_antisymmetric", max_abs(gphi + np.swapaxes(gphi, 1, 2)), tol),
     ]
@@ -97,7 +97,7 @@ def phi_bases(g, phi, xi, seed=None):
             take = np.flatnonzero(active & ~(nv < 1e-8))
             e = v[take] / nv[take, None]
             built[take, 1 + 2 * pairs[take]] = e
-            built[take, 2 + 2 * pairs[take]] = matvec(phi[take], e)
+            built[take, 2 + 2 * pairs[take]] = contract(phi[take], e)
             pairs[take] += 1
 
     basis = np.empty((P, dim, 2 * n + 1))

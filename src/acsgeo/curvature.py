@@ -15,7 +15,6 @@ error it reports is the one a per-point loop meets first."""
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -26,9 +25,9 @@ import numpy as np
 from .contact import nabla0_phi_pass, phi_bases, phi_basis
 from .expressions import ExpressionError, NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame, named_pass
-from .metric import (DegeneratePlaneError, GeometryError, christoffel_jet,
+from .metric import (DegeneratePlaneError, GeometryError, christoffel_jet, contract,
                      covariant_derivative_11, covariant_derivative_vector, inner,
-                     matvec, nabla_g, norms, outer, per_16_lanes, plane_q, point_lanes,
+                     nabla_g, norms, outer, per_16_lanes, plane_q, point_lanes,
                      pow2, riemann, sectional_values)
 from .report import AuditReport, Column, max_abs, raise_first, within
 from .statistical import lambdas
@@ -62,19 +61,19 @@ class PreconditionNotMetError(CurvatureError):
 
 def kk_bracket(k: np.ndarray, x, y, z) -> np.ndarray:
     """[K,K](X,Y)Z = K(X, K(Y,Z)) - K(Y, K(X,Z)) as a vector, for one triple
-    of vectors or stacked (..., dim) vectors with ``k`` broadcasting against
-    (..., dim, dim, dim)."""
+    of vectors or stacked (..., dim) vectors, whose leading axes broadcast
+    against those of ``k`` (see ``metric.contract``)."""
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    kz = matvec(k, z[..., None, :])
-    return (matvec(matvec(k, matvec(kz, y)[..., None, :]), x)
-            - matvec(matvec(k, matvec(kz, x)[..., None, :]), y))
+    kz = contract(k, z)
+    return contract(contract(k, contract(kz, y)), x) - contract(contract(k, contract(kz, x)), y)
 
 
 def kk_tensor(k: np.ndarray) -> np.ndarray:
     """[K,K] in the same R^i_jkl component layout as the curvature tensors:
-    [K,K](e_k, e_l) e_j = T^i_jkl e_i (any leading axes)."""
-    return (np.einsum("...ikm,...mlj->...ijkl", k, k)
-            - np.einsum("...ilm,...mkj->...ijkl", k, k))
+    [K,K](e_k, e_l) e_j = T^i_jkl e_i (any leading axes): K^i_km K^m_lj less
+    its k <-> l swap, taken as a view."""
+    t = np.einsum("...ikm,...mlj->...ijkl", k, k)
+    return t - t.swapaxes(-1, -2)
 
 
 def curvature_like_symmetry_residuals(t: np.ndarray, g: np.ndarray):
@@ -157,19 +156,15 @@ class SectionSweep:
 
     def with_curvatures(self, g, curvatures) -> "SectionSweep":
         """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
-        ``CurvatureStack`` of its points, applied one section and 16 rows at
-        a time (``per_16_lanes``) to each run of blocks with the same number
-        of rows, so blocks of one row (the shared sections of a constant
-        chart) are evaluated once; a pair that is OK or MISMATCH becomes
-        NON_FINITE where one of them is not finite."""
-        def sectional(r, g, *vectors):
-            return np.stack([sectional_values(g, r, x[:, j], px[:, j])[0]
-                             for x, px in zip(vectors[::2], vectors[1::2])
-                             for j in range(x.shape[1])], axis=1)
-        runs = [[v for block in run for v in block]
-                for _, run in itertools.groupby(self.blocks, key=lambda block: len(block[0]))]
+        ``CurvatureStack`` of its points, applied to each block 16 rows at a
+        time (``per_16_lanes``) with its sections as a batch axis, so a block
+        of one row (the shared sections of a constant chart) is evaluated
+        once; a pair that is OK or MISMATCH becomes NON_FINITE where one of
+        them is not finite."""
+        def sectional(r, g, x, px):
+            return sectional_values(g[:, None], r[:, None], x, px)[0]
         k_s, k_0 = (_points_concat(len(self.point), [
-            per_16_lanes(sectional, r, g, *vectors) for vectors in runs])
+            per_16_lanes(sectional, r, g, x, px) for x, px in self.blocks])
             for r in (curvatures.s, curvatures.r0))
         status = np.where(np.isin(self.status, (OK, MISMATCH))
                           & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
@@ -200,10 +195,10 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     blocks = []
     with np.errstate(all="ignore"):
         for x in sections:
-            px = matvec(frames.phi[:, None], x)
+            px = contract(frames.phi[:, None], x)
             sq = inner(g, x, x)
             q = plane_q(g, x, px)
-            kxx = matvec(matvec(k, x[..., None, :]), x)
+            kxx = contract(contract(k, x), x)
             blocks.append([x, px, (frames.eta[:, None, None, :] @ x[..., :, None])[..., 0, 0],
                            sq, q, inner(g, kk_bracket(k, x, px, px), x) / q,
                            -2.0 * inner(g, kxx, kxx) / pow2(sq)])
@@ -247,12 +242,14 @@ def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
 # the statistical curvature
 
 
-def _statistical_parts(gamma0, dgamma0, k, dk):
+def _statistical_parts(gamma0, dgamma0, k, dk, flat: bool = False):
     """(S, R^0, [K,K], R, R-bar) from the jets of Gamma^0 and K (any leading
-    axes): nabla = nabla^0 + K and nabla-bar = nabla^0 - K."""
+    axes): nabla = nabla^0 + K and nabla-bar = nabla^0 - K.  R^0 is None
+    when ``flat``: the metric is constant, so Gamma^0 and its jet vanish."""
     r = riemann(gamma0 + k, dgamma0 + dk)
     r_bar = riemann(gamma0 - k, dgamma0 - dk)
-    return 0.5 * (r + r_bar), riemann(gamma0, dgamma0), kk_tensor(k), r, r_bar
+    r0 = None if flat else riemann(gamma0, dgamma0)
+    return 0.5 * (r + r_bar), r0, kk_tensor(k), r, r_bar
 
 
 class CurvatureStack(NamedTuple):
@@ -275,8 +272,9 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
     second-order walk of g gives the Gamma^0 jet in closed form, one
     first-order walk of the K table (or of the connection table, less
     Gamma^0) the K jet, and the parts and residuals follow 16 lanes at a
-    time.  R^0 of a constant metric is one broadcast zero.  A jet entry
-    that is not finite makes a part non-finite, the one gate: NonFiniteError."""
+    time.  R^0 of a constant metric is one broadcast zero, never computed.
+    A jet entry that is not finite makes a part non-finite, the one gate:
+    NonFiniteError."""
     lanes = pts[:1] if m.is_constant else pts
     coords = point_lanes(lanes)
     shape = (len(lanes),) + (m.dim,) * 4
@@ -289,8 +287,8 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
         jets = levi_civita + m.difference.jet(coords, levi_civita)
         for c in range(0, len(lanes), 16):    # 16 lanes at a time bounds the temporaries
             rows = slice(c, c + 16)
-            for n, value in enumerate(_statistical_parts(*(a[rows] for a in jets))):
-                if not (flat and n == 1):
+            for n, value in enumerate(_statistical_parts(*(a[rows] for a in jets), flat)):
+                if value is not None:
                     parts[n][rows] = value
             cross[rows] = max_abs(parts[0][rows] - parts[1][rows] - parts[2][rows])
         if not all(np.isfinite(a).all() for a in parts):
@@ -386,7 +384,7 @@ def _sweep_blocks(g, basis, points: int, rng=None, extra: int = 2):
     if rng is not None:
         coef = rng.standard_normal((P, extra, 2 * n))
         with np.errstate(all="ignore"):
-            blocks.append(matvec(basis[:, None, :, :2 * n], coef))
+            blocks.append(contract(basis[:, None, :, :2 * n], coef))
             keep.append(norms(g[:, None], blocks[-1]) > 1e-3)
     return blocks, np.concatenate(keep, axis=1)
 
@@ -431,17 +429,24 @@ def replay(run, points, rng):
 
     Each step acts on each point alone, so a run fails when one of its
     points fails alone, and a run that passes draws from ``rng`` what the
-    per-point runs of its points draw.  The points are bisected: from the
-    rng state before them, run the first half; if it fails, the failure
-    lies there (rewind; a half of one point raises), else go on with the
-    second half from the state the first half left, and a point left runs
-    alone: at most ceil(log2 P) + 2 runs, none of a point alone twice.  If
-    that passes, no point fails alone and the batch's own error surfaces."""
+    per-point runs of its points draw.  A run that fails in a pass of one
+    lane, the lane of its first point (``manifold.named_pass`` keeps it on
+    the error), has met that point's own error and raises it: every pass of
+    a constant chart is such a pass.  Otherwise the points are bisected:
+    from the rng state before them, run the first half; if it fails, the
+    failure lies there (rewind; a half of one point raises, as does a half
+    that fails in the lane of its first point), else go on with the second
+    half from the state the first half left, and a point left runs alone:
+    at most ceil(log2 P) + 2 runs, none of a point alone twice.  If that
+    passes, no point fails alone and the batch's own error surfaces."""
+    def located(exc, points):
+        return getattr(exc, "lane", None) == np.asarray(points[0], dtype=float).tolist()
+
     state = None if rng is None else rng.bit_generator.state
     try:
         return run(points, rng)
     except Exception as exc:
-        if len(points) < 2:
+        if len(points) < 2 or located(exc, points):
             raise
         log.debug("replay: %d points one at a time after %s", len(points), exc)
         while len(points) > 1:
@@ -450,8 +455,8 @@ def replay(run, points, rng):
             half = len(points) // 2
             try:
                 run(points[:half], rng)
-            except Exception:
-                if half == 1:
+            except Exception as half_exc:
+                if half == 1 or located(half_exc, points):
                     raise       # the first point that fails alone
                 points = points[:half]
                 continue
@@ -509,7 +514,7 @@ def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
             sweep = section_sweep(stack, [section(stack)[:, None]])
             keep = np.ones((len(points), 1), dtype=bool)
         return lams, _section_triples(m, stack, sweep, keep), keep
-    if not len(points):
+    if not len(points):     # no points, no sections: not the (0, S, 3) of a sweep
         return np.zeros(0), np.zeros((0, 0, 3)), np.zeros((0, 0), dtype=bool)
     return replay(run, list(points), rng)
 
@@ -529,8 +534,7 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
     phi-bases, section statuses, statistical curvature (when it raises, the
     statuses come first, without the sectional values)."""
     pts = list(points) if points is not None else m.grid_points()
-    return replay(lambda pts, rng: _theorem_5_8(m, pts, tol, rng), pts, rng) if pts \
-        else AuditReport()
+    return replay(lambda pts, rng: _theorem_5_8(m, pts, tol, rng), pts, rng)
 
 
 def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
@@ -564,7 +568,7 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
                                               axis=(1, 2), initial=0.0),
             "c7_K_X_phiX_zero": max_abs(np.einsum("...ijk,aj,...ak->...ai", fs.K, vecs, phiv)),
             "c8_phi_K_XX_zero": max_abs(kvv @ np.swapaxes(fs.phi, 1, 2)),
-            "c9_K_XX_parallel_xi": max_abs(kvv - outer(matvec(kvv, fs.eta), fs.xi)),
+            "c9_K_XX_parallel_xi": max_abs(kvv - outer(contract(kvv, fs.eta), fs.xi)),
         }
     oks = {name: res <= tol for name, res in residuals.items()}
     stacked = np.array(np.broadcast_arrays(*oks.values()))
@@ -612,7 +616,7 @@ def geodesic_norms(fs: FrameStack):
     """(||nabla^0_xi xi||, ||nabla_xi xi||) at each point of ``fs``, two (P,)."""
     dxi = covariant_derivative_vector(fs.gamma0, fs.xi, fs.dxi)   # [p, i, j]
     v0 = np.einsum("...ij,...i->...j", dxi, fs.xi)
-    v1 = v0 + matvec(matvec(fs.K, fs.xi[:, None]), fs.xi)
+    v1 = v0 + contract(contract(fs.K, fs.xi), fs.xi)
     return norms(fs.g, v0), norms(fs.g, v1)
 
 
@@ -671,8 +675,6 @@ def phi_compat_audit(m: ChartManifold, points=None, tol: float = 1e-9, rng=None)
     sections of its sweep (0 where it is not compatible), which
     ``psi_check`` reads."""
     pts = list(points) if points is not None else m.grid_points()
-    if not pts:
-        return AuditReport(), np.zeros(0)
     return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), pts, rng)
 
 
@@ -692,7 +694,7 @@ def _phi_compat(m: ChartManifold, pts, tol, rng):
         # nabla_X xi and nabla^0_X xi parallel to xi
         dxi0 = covariant_derivative_vector(fs.gamma0, fs.xi, fs.dxi)
         dxi1 = dxi0 + np.einsum("...ijm,...m->...ji", fs.K, fs.xi)
-        parallel = [max_abs(dxi - outer(matvec(dxi, fs.eta), fs.xi)) for dxi in (dxi0, dxi1)]
+        parallel = [max_abs(dxi - outer(contract(dxi, fs.eta), fs.xi)) for dxi in (dxi0, dxi1)]
     least = res[0]
     for r in res[1:]:
         least = np.where(r < least, r, least)       # min(a, b, c) as floats take it
@@ -727,8 +729,6 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
     is not phi-compatible at the points; then the steps, through
     ``replay``, are frames, phi-bases and section statuses."""
     points = [point] if np.ndim(point) == 1 and len(point) else list(point)
-    if not points:
-        return AuditReport()
     if compat_report is None:
         compat_report = phi_compat_check(m, points, tol=max(tol, 1e-9))
     if not is_phi_compatible(compat_report):

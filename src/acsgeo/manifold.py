@@ -12,7 +12,7 @@ import numpy as np
 
 from .expressions import ExpressionError, NonFiniteError, ScalarField, parse_expression
 from .metric import (FieldArray, GeometryError, MetricField, NotPositiveDefiniteError,
-                     christoffel_from, field_jet, inner, inv_generic, point_lanes)
+                     christoffel_from, contract, field_jet, inner, inv_generic, point_lanes)
 
 log = logging.getLogger(__name__)
 
@@ -41,11 +41,15 @@ def _finite(name, arr) -> np.ndarray:
 @contextmanager
 def named_pass(lanes):
     """A pass over the (L, dim) ``lanes``: an ExpressionError or GeometryError
-    it raises ends with ``at [p]`` for one lane, else ``on the grid``."""
+    it raises ends with ``at [p]`` for one lane, which it keeps as its
+    ``lane`` attribute, else ``on the grid``."""
     try:
         yield
     except (ExpressionError, GeometryError) as exc:
-        where = f"at {lanes[0].tolist()}" if len(lanes) == 1 else "on the grid"
+        where = "on the grid"
+        if len(lanes) == 1:
+            exc.lane = lanes[0].tolist()
+            where = f"at {exc.lane}"
         exc.args = (f"{exc} {where}",)
         raise
 
@@ -198,7 +202,7 @@ class ChartManifold:
         if self.eta is not None:
             eta = _finite("eta", field_jet(self.eta, coords, 0)[0])
         else:
-            eta = np.array([gp @ xp for gp, xp in zip(g, xi)])
+            eta = contract(g, xi)
         gamma0 = np.broadcast_to(0.0, (len(g),) + (self.dim,) * 3) if metric.is_constant \
             else christoffel_from(g_inv, dg)
         k = _finite("K", self.difference.jet(coords, (gamma0,))[0])

@@ -14,13 +14,21 @@ of floats or (P,) lane coordinates.
 
 ``nabla_g`` and the covariant derivatives take the values and first
 derivatives the frames carry, stacked on any leading axes, evaluating no
-fields.  ``inner``, ``matvec``, ``plane_q``, ``apply_curvature`` and
-``sectional_values`` take vectors stacked on leading axes, with the operand
-shapes of one vector per product, which is how the section sweep of
-:mod:`acsgeo.curvature` stays bit-identical to one section at a time.
+fields.  ``inner``, ``contract``, ``plane_q``, ``apply_curvature`` and
+``sectional_values`` take vectors stacked on leading axes, and a stack goes
+through the products of one vector: ``inner`` a (1 x dim) @ (dim x dim)
+and a (1 x dim) @ (dim x 1) product per pair, ``contract`` one
+(rows x dim) @ (dim x 1) product per vector, with all the rows of its
+tensor merged.  The vectors keep their strides.  So one vector or pair and
+a stack of them get the same floats, which is how the section sweep of
+:mod:`acsgeo.curvature` stays bit-identical to one section and one point
+at a time.  ``riemann`` takes its k <-> l halves (the second derivative
+term and the Gamma Gamma term) as transposed views of the first.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,10 +66,11 @@ def point_lanes(points: np.ndarray):
 def per_16_lanes(fn, *arrays):
     """``fn`` of the lanes of ``arrays``, 16 at a time, joined on the lane
     axis, so no temporary holds more than 16 lanes of a (L, dim, dim, dim,
-    dim) curvature stack; an argument of one lane is shared by every lane."""
+    dim) curvature stack; an argument of one lane is shared by every lane.
+    Without lanes, ``fn`` runs once, on none."""
     with np.errstate(all="ignore"):
         return np.concatenate([fn(*(a if len(a) == 1 else a[c:c + 16] for a in arrays))
-                               for c in range(0, max(map(len, arrays)), 16)])
+                               for c in range(0, max(map(len, arrays)) or 1, 16)])
 
 
 def inv_generic(mat):
@@ -302,9 +311,11 @@ def riemann(gamma, dgamma) -> np.ndarray:
     """
     if isinstance(gamma, MetricField):
         gamma, dgamma = christoffel_jet(gamma, dgamma)
-    r = np.einsum("...kilj->...ijkl", dgamma) - np.einsum("...likj->...ijkl", dgamma)
-    r += np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
-    r -= np.einsum("...ilm,...mkj->...ijkl", gamma, gamma)
+    d = np.einsum("...kilj->...ijkl", dgamma)       # a view: d_k Gamma^i_lj
+    r = d - d.swapaxes(-1, -2)
+    t = np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
+    r += t
+    r -= t.swapaxes(-1, -2)     # Gamma^i_lm Gamma^m_kj, the k <-> l swap of t
     return r
 
 
@@ -334,11 +345,21 @@ def norms(g: np.ndarray, v) -> np.ndarray:
     return np.sqrt(np.maximum(inner(g, v, v), 0.0))
 
 
-def matvec(a: np.ndarray, v) -> np.ndarray:
-    """a @ v with v a (dim,) vector or stacked (..., dim) vectors, as a
-    (dim, dim) @ (dim, 1) product per matrix of ``a``: the operand shapes,
-    and so the floats, of ``a @ v`` for one vector."""
-    return (a @ np.asarray(v)[..., :, None])[..., 0]
+def contract(a: np.ndarray, v) -> np.ndarray:
+    """a[..., r_1, ..., r_m, i] v[..., i]: the last axis of tensors ``a``
+    contracted with a (dim,) vector or stacked (..., dim) vectors, whose
+    leading axes broadcast against the first ``v.ndim - 1`` axes of ``a``;
+    the axes between are the rows, (..., r_1, ..., r_m) comes back.
+
+    Each vector takes one (rows x dim) @ (dim x 1) product, the rows of its
+    tensor merged into one matrix, the same product for one vector as in a
+    stack; the vectors keep their strides (see ``inner``).  A matrix ``a``
+    is ``a @ v`` as numpy computes it for one vector."""
+    v = np.asarray(v)
+    lead = v.ndim - 1
+    rows = a.shape[lead:-1]
+    out = np.reshape(a, a.shape[:lead] + (math.prod(rows), a.shape[-1])) @ v[..., :, None]
+    return out.reshape(out.shape[:-2] + rows)
 
 
 def pow2(a: np.ndarray) -> np.ndarray:
@@ -348,12 +369,11 @@ def pow2(a: np.ndarray) -> np.ndarray:
 
 
 def apply_curvature(r: np.ndarray, x, y, z) -> np.ndarray:
-    """The vector R(X,Y)Z for a curvature-like tensor in R^i_jkl layout, for
-    one triple of vectors or stacked (..., dim) vectors with ``r``
-    broadcasting against (..., dim, dim, dim, dim)."""
-    y = np.asarray(y)
-    return matvec(matvec(matvec(r, y[..., None, None, :]),
-                         np.asarray(x)[..., None, :]), z)
+    """The vector R(X,Y)Z = R^i_jkl Z^j X^k Y^l for a curvature-like tensor
+    in R^i_jkl layout, for one triple of vectors or stacked (..., dim)
+    vectors, whose leading axes broadcast against those of ``r`` (one
+    ``contract`` per slot: Y, then X, then Z)."""
+    return contract(contract(contract(r, y), x), z)
 
 
 def plane_q(g: np.ndarray, x, y):

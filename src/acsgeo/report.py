@@ -107,10 +107,13 @@ class AuditReport:
         self.flags: List[str] = []
 
     def add(self, check, point, residual, tol=None, passed=None, value=None):
+        """One record; ``point`` is coordinates or, as it is kept, their
+        float64 bytes."""
         if passed is None:
             passed = abs(residual) <= tol
         self.checks.append(check)
-        self.points.append(np.asarray(point, dtype=float).tobytes())
+        self.points.append(point if isinstance(point, bytes)
+                           else np.asarray(point, dtype=float).tobytes())
         self.residuals.append(float(residual))
         self.passed.append(bool(passed))
         self.values.append(None if value is None else float(value))
@@ -126,12 +129,14 @@ class AuditReport:
         """One record per point and column, point-major: every column at the
         first point, then at the next; an entry of length 1 is every
         point's.  Each record is one ``add`` call, the count the
-        benchmark's tracer reports as ``report.records``."""
+        benchmark's tracer reports as ``report.records``, given the point's
+        bytes, taken once per point."""
         def full(a):
             return None if a is None else np.broadcast_to(a, (len(points),)).tolist()
         lists = [(c.check, full(c.residual), full(c.passed), full(c.value), full(c.at))
                  for c in columns]
-        for i, p in enumerate(points):
+        keys = [np.asarray(p, dtype=float).tobytes() for p in points]
+        for i, p in enumerate(keys):
             for check, residual, passed, value, at in lists:
                 if at is None or at[i]:
                     self.add(check, p, residual[i], passed=passed[i],

@@ -8,8 +8,8 @@ import itertools
 import numpy as np
 
 from .manifold import ChartManifold, FrameStack, _as_fields
-from .metric import (FieldArray, MetricField, christoffel_values, field_jet,
-                     inner, lanes_of, matvec, nabla_g, outer, per_16_lanes, point_lanes)
+from .metric import (FieldArray, MetricField, christoffel_values, contract, field_jet,
+                     inner, lanes_of, nabla_g, outer, per_16_lanes, point_lanes)
 from .report import AuditReport, max_abs, raise_first, within
 
 
@@ -175,8 +175,8 @@ def lambdas(fs: FrameStack, tol: float) -> np.ndarray:
     """lambda = g(K(xi, xi), xi) at the points of ``fs``, (P,); verifies
     K(xi,xi) = lambda xi and K(X, xi) = lambda eta(X) xi on the coordinate
     frame and raises AcsViolatedError at the first point where they fail."""
-    k_xi = matvec(fs.K, fs.xi[:, None])                  # K(e_j, xi)^i as [p, i, j]
-    k_xi_xi = matvec(k_xi, fs.xi)
+    k_xi = contract(fs.K, fs.xi)                      # K(e_j, xi)^i as [p, i, j]
+    k_xi_xi = contract(k_xi, fs.xi)
     lam = inner(fs.g, k_xi_xi, fs.xi)
     res = max_abs(k_xi_xi - lam[:, None] * fs.xi)
     res_x = max_abs(k_xi - lam[:, None, None] * outer(fs.xi, fs.eta))

@@ -5,6 +5,7 @@ bit, the record a run at that point alone gives; a chart with one
 non-constant field must take a lane per point."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from acsgeo import cli, contact, curvature, get_entry, manifold, metric, statist
 from acsgeo.expressions import parse_expression
 from acsgeo.specfile import manifold_from_dict
 
+from test_invariance import WARPED
 from test_lanes import ROTATING5, sweep_rng_next
 
 CONSTANT = [("example_r3_negative", {})] + [
@@ -97,18 +99,21 @@ def test_constant_chart_takes_one_lane(monkeypatch, ref):
     assert seen["riemann"] and set(seen["riemann"]) == {1}
 
 
-@pytest.mark.parametrize("spec", ["trivial-lambda", "rotating5"])
+@pytest.mark.parametrize("spec", ["trivial-lambda", "rotating5", "warped"])
 def test_one_varying_field_takes_every_lane(monkeypatch, spec):
     """trivial-lambda has a constant g and a varying K, ROTATING5 a
-    constant g and a varying phi."""
+    constant g and a varying phi, WARPED a varying g and K: R^0 is taken
+    where the metric varies, and only there."""
     m = get_entry("random", dim=5, seed=0, family=spec).manifold \
-        if spec == "trivial-lambda" else manifold_from_dict(ROTATING5)
-    assert m.metric.is_constant and not m.is_constant
+        if spec == "trivial-lambda" else manifold_from_dict(
+            ROTATING5 if spec == "rotating5" else WARPED)
+    assert m.metric.is_constant == (spec != "warped") and not m.is_constant
     seen = _count_lanes(monkeypatch)
     points = len(_audit(m, 2))
     assert points == 2 ** m.dim
     assert set(seen["field_jet"]) == {points}
-    assert sum(seen["riemann"]) == 3 * points     # R, R-bar and R^0, 16 lanes at a time
+    # R and R-bar, and R^0 where the metric varies, 16 lanes at a time
+    assert sum(seen["riemann"]) == (2 if m.metric.is_constant else 3) * points
 
 
 @pytest.mark.parametrize("argv", [
@@ -145,3 +150,20 @@ def test_shared_lane_sweep_draws_for_every_point(dim):
     assert sweep.value.shape == keep.shape == (len(pts), plain + 2)
     assert len(sweep.blocks[0][0]) == 1 and len(sweep.blocks[-1][0]) == len(pts)
     assert (sweep.value[:, :plain] == sweep.value[:1, :plain]).all()
+
+
+def test_shared_lane_failure_is_not_bisected(caplog, capsys, tmp_path):
+    """A constant chart fails in its one shared lane, its first point's: the
+    error a per-point loop meets first, raised without a second pass."""
+    spec = {"coordinates": ["x", "y", "z"], "grid": 5,
+            "metric_lower": [["0"], ["0", "1"], ["0", "0", "1"]],
+            "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+            "xi": ["0", "0", "1"], "K": {}}
+    path = tmp_path / "flat_singular.json"
+    path.write_text(json.dumps(spec))
+    caplog.set_level(logging.DEBUG, logger="acsgeo")
+    assert cli.main(["audit", str(path)]) == 1
+    error = "matrix is numerically singular at [-1.0, -1.0, -1.0]"
+    assert capsys.readouterr().err == f"audit failure: {error}\n"
+    assert [r.getMessage() for r in caplog.records if "grid pass" in r.getMessage()] == [
+        f"frame grid pass: failed: {error}"]

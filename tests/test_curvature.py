@@ -297,3 +297,26 @@ def test_flat_r0_is_one_broadcast_zero():
     assert r0.shape == (len(pts),) + (7,) * 4 and r0.strides == (0,) * 5 and not r0.any()
     r0 = curvature.statistical_curvature(m, pts[0])[1]
     assert r0.shape == (7,) * 4 and r0.strides == (0,) * 4 and not r0.any()
+
+
+@pytest.mark.parametrize("name,params", [("example_flat_acs", {"n": 1}),
+                                         ("random", {"dim": 5, "seed": 0,
+                                                     "family": "trivial-lambda"})])
+def test_no_points_sweep_to_empty_results(name, params):
+    """The batched sweep runs on zero points, on a constant chart and on a
+    varying one: each entry gives an empty result and draws nothing."""
+    m = get_entry(name, **params).manifold
+    assert m.is_constant == (name == "example_flat_acs")
+    rng = np.random.default_rng(0)
+    frames = m.frame_stack([])
+    sweep, keep = curvature.phi_sweep(frames, rng)
+    sweep = sweep.with_curvatures(frames.g, curvature.statistical_curvatures(m, []))
+    sections = curvature.plain_sections(m.n) + 2
+    assert keep.shape == sweep.k_s.shape == sweep.value.shape == (0, sections)
+    compat, k_plain = curvature.phi_compat_audit(m, [], rng=rng)
+    assert k_plain.shape == (0,)
+    for rep in (theorem_5_8_audit(m, [], rng=rng), compat, psi_check(m, [])):
+        assert not rep.checks and not rep.flags and rep.to_json_lines() == ""
+    lams, triples, keep = curvature.phi_sectional_triples(m, [], rng=rng)
+    assert (lams.shape, triples.shape, keep.shape) == ((0,), (0, 0, 3), (0, 0))
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
