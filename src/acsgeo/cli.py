@@ -322,6 +322,10 @@ def main(argv=None) -> int:
         if args.command == "export-zoo":
             return cmd_export_zoo(args)
         check_groups(args.checks, CHECK_GROUPS)
+        if args.seed < 0:
+            raise InputError(f"seed must be non-negative, got {args.seed}")
+        if not 0.0 <= args.tol < float("inf"):
+            raise InputError(f"tol must be finite and non-negative, got {args.tol}")
         m = resolve_input(args.input)
         if args.command == "validate":
             return cmd_validate(m, args)

@@ -153,6 +153,5 @@ def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9):
     the pass's error; a caller that must name the first failing point runs
     it under ``curvature.replay``.  Returns (flag, max_residual)."""
     pts = points if points is not None else m.grid_points()
-    per_point = max_abs(m.kept(nabla0_phi_pass, pts)) if len(pts) else []
-    worst = float(np.fmax.reduce(per_point, initial=0.0))
+    worst = float(np.fmax.reduce(max_abs(m.kept(nabla0_phi_pass, pts)), initial=0.0))
     return worst <= tol, worst

@@ -24,7 +24,7 @@ import numpy as np
 
 from .contact import nabla0_phi_pass, phi_bases, phi_basis
 from .expressions import ExpressionError, NonFiniteError
-from .manifold import ChartManifold, FrameStack, PointFrame, named_pass
+from .manifold import ChartManifold, FrameStack, PointFrame, lane_rows, named_pass
 from .metric import (DegeneratePlaneError, GeometryError, christoffel_jet, contract,
                      covariant_derivative_11, covariant_derivative_vector, inner,
                      nabla_g, norms, outer, per_16_lanes, plane_q, point_lanes,
@@ -687,7 +687,7 @@ def _phi_compat(m: ChartManifold, pts, tol, rng):
     at = np.broadcast_to(compatible, (len(pts),))
     k_phi, k_plain = np.zeros(len(pts)), np.zeros(len(pts))
     if at.any():
-        sweep, keep = phi_sweep(fs.select(at), rng)
+        sweep, keep = phi_sweep(lane_rows(fs, np.flatnonzero(at), len(pts)), rng)
         k_phi[at] = _k_phi(sweep, keep)
         k_plain[at] = np.max(np.abs(sweep.value[:, :plain_sections(m.n)]), axis=1, initial=0.0)
     with np.errstate(all="ignore"):

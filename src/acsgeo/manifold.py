@@ -89,12 +89,6 @@ class PointFrame(NamedTuple):
     def dim(self):
         return self.point.shape[-1]
 
-    def select(self, mask) -> "FrameStack":
-        """The frames of the points where the (P,) ``mask`` holds; a shared
-        lane stays shared."""
-        lanes = len(self.g) == len(self.point)
-        return FrameStack(self.point[mask], *(a[mask] if lanes else a for a in self[1:]))
-
     def inner(self, x, y) -> float:
         return float(inner(self.g, x, y))
 
@@ -111,6 +105,17 @@ class PointFrame(NamedTuple):
 FrameStack = PointFrame
 
 
+def lane_rows(part, rows, points: int):
+    """The point ``rows`` of ``part``, a pass's lane arrays of ``points`` points
+    (a NamedTuple of them, or one), read-only; a lane the points share stays one."""
+    def of(a):
+        if len(a) != points:        # the one lane of a constant chart
+            return a[:min(len(rows), 1)]
+        # a read-only view; a stride-0 broadcast, such as the flat R^0, stays one
+        return np.broadcast_to(a[rows] if a.strides[0] else a[:1], (len(rows),) + a.shape[1:])
+    return of(part) if isinstance(part, np.ndarray) else type(part)(*map(of, part))
+
+
 class ChartManifold:
     """An odd-dimensional chart with fields (g, phi, xi, eta, K) attached.
 
@@ -122,9 +127,9 @@ class ChartManifold:
     ``kept`` stores one part per pass of the last points asked for: the
     frames of ``frame_stack``, the curvatures of
     ``curvature.statistical_curvatures`` and ``contact.nabla0_phi_pass``.
+    A request for some of those points reads the rows of a kept part, so
+    ``frame_at`` and the one-point functions after a grid run take no pass.
     A failing pass keeps nothing and ``curvature.replay`` localises it.
-    ``frame_at`` is a pass of one lane, outside the store, so a point alone
-    gets the same frame.
 
     ``is_constant`` is decided once, when the chart is built, from the
     build-time constancy of g, phi, xi, eta (when given) and K.  The
@@ -158,8 +163,8 @@ class ChartManifold:
         self.is_constant = (metric.is_constant and self.phi.is_constant
                             and self.xi.is_constant and difference.is_constant
                             and (self.eta is None or self.eta.is_constant))
-        self._frame_cache = {}       # the frame of each point a pass evaluated
-        self._kept_points = None     # the (P, dim) points of the kept parts
+        self._frame_cache = {}       # each point's frame; only bench/tracer.py reads it
+        self._kept_points = np.empty((0, dim))     # the points of the kept parts
         self._kept_parts = {}        # pass function -> its part of those points
 
     @property
@@ -231,27 +236,29 @@ class ChartManifold:
         return FrameStack(pts, *fields)
 
     def frame_at(self, point) -> PointFrame:
-        """The frame of one point: the cached one, or a pass of one lane."""
-        key = tuple(float(x) for x in point)
-        cached = self._frame_cache.get(key)
-        return cached if cached is not None else PointFrame(
-            *(a[0] for a in self._frames(np.array([key]))))
+        """The frame of one point: row 0 of ``frame_stack([point])``."""
+        return PointFrame(*(a[0] for a in self.frame_stack([point])))
 
     def kept(self, pass_fn, points):
-        """``pass_fn(self, pts)`` of the (P, dim) ``pts`` of ``points``: the
-        part kept for these points, else a new pass, kept beside their other
-        parts.  Other points drop every part; a pass that raises keeps nothing."""
+        """``pass_fn(self, pts)`` of the (P, dim) ``pts`` of ``points``: the part kept for
+        them, its ``lane_rows`` when all are kept points (matched by bytes), else a new pass,
+        kept beside their parts or in place of other points'; a pass that raises keeps nothing."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
-        if self._kept_points is None or not np.array_equal(pts, self._kept_points):
+        if pts.tobytes() != self._kept_points.tobytes():
+            if pass_fn in self._kept_parts:
+                index = {p.tobytes(): i for i, p in enumerate(self._kept_points)}
+                rows = [index.get(p.tobytes()) for p in pts]
+                if None not in rows:
+                    return lane_rows(self._kept_parts[pass_fn], rows, len(self._kept_points))
             self._kept_points, self._kept_parts = pts, {}
         if pass_fn not in self._kept_parts:
             self._kept_parts[pass_fn] = pass_fn(self, self._kept_points)
         return self._kept_parts[pass_fn]
 
     def frame_stack(self, points) -> FrameStack:
-        """The FrameStack of ``points``, the kept part of ``_frame_pass``.  A
-        pass that fails raises its own error; a caller that must name the
-        point a per-point loop meets first runs under ``curvature.replay``."""
+        """The FrameStack of ``points``, the part of ``_frame_pass`` that ``kept``
+        gives.  A pass that fails raises its own error; a caller that must name
+        the point a per-point loop meets first runs under ``curvature.replay``."""
         return self.kept(ChartManifold._frame_pass, points)
 
     def _frame_pass(self, pts) -> FrameStack:

@@ -371,6 +371,21 @@ def test_grid_below_one_exits_two(capsys, tmp_path):
             assert err == f"error: grid must be at least 1 point per coordinate, got {k}\n"
 
 
+def test_bad_seed_and_tol_exit_two(capsys):
+    """A negative seed and a NaN, infinite or negative tolerance are input
+    errors on every verb that samples points."""
+    tol = "tol must be finite and non-negative, got"
+    cases = [(["--seed", "-1"], "seed must be non-negative, got -1"),
+             (["--tol", "nan"], f"{tol} nan"), (["--tol", "inf"], f"{tol} inf"),
+             (["--tol=-inf"], f"{tol} -inf"), (["--tol", "-1"], f"{tol} -1.0"),
+             (["--tol=-1e-300"], f"{tol} -1e-300")]
+    for verb in ("validate", "audit", "curvature"):
+        for argv, message in cases:
+            assert run(capsys, verb, "zoo:example_flat_acs", *argv) == (
+                2, "", f"error: {message}\n"), (verb, argv)
+        assert run(capsys, verb, "zoo:example_flat_acs", "--tol", "0", "--seed", "0")[0] == 0
+
+
 def test_failure_messages_print_plain_floats(capsys, tmp_path):
     spec = {
         "coordinates": ["x", "y", "z"], "grid": 2,

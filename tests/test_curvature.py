@@ -319,4 +319,5 @@ def test_no_points_sweep_to_empty_results(name, params):
         assert not rep.checks and not rep.flags and rep.to_json_lines() == ""
     lams, triples, keep = curvature.phi_sectional_triples(m, [], rng=rng)
     assert (lams.shape, triples.shape, keep.shape) == ((0,), (0, 0, 3), (0, 0))
+    assert is_cosymplectic(m, []) == (True, 0.0)
     assert rng.standard_normal() == np.random.default_rng(0).standard_normal()

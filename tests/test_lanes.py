@@ -4,16 +4,20 @@ evaluating its point alone (as floats or as a pass of one lane), and an
 input must fail on the lanes exactly when it fails at one of its points."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acsgeo import (AuditReport, cli, conjugate_connection, contact, generate_random_acs,
+                    geodesic_xi_check, get_entry, is_cosymplectic, lambda_of,
+                    lemma_5_6_check, phi_basis, phi_sectional_triple, statistical_curvature,
+                    validate_acs, validate_statistical, validate_structure)
 from acsgeo import curvature as curv
-from acsgeo import generate_random_acs
 from acsgeo.contact import (DegenerateSeedError, ExhaustedCandidatesError, FrameError,
-                            nabla0_phi_pass, phi_bases)
+                            nabla0_phi, nabla0_phi_pass, phi_bases)
 from acsgeo.expressions import (Dual, ExpressionError, Jet, NonFiniteError, parse_expression,
                                 primal, tangent)
 from acsgeo.manifold import ChartManifold, FrameStack
@@ -310,7 +314,6 @@ def test_frame_grid_matches_frame_at(spec):
     single = manifold_from_dict(spec)
     for i, p in enumerate(pts):
         got, want = m.frame_at(p), single.frame_at(p)
-        assert got is m._frame_cache[tuple(p)]
         for name in FRAME_FIELDS:
             assert getattr(got, name).shape == getattr(want, name).shape, name
             assert_same(getattr(got, name), getattr(want, name))
@@ -451,8 +454,9 @@ def test_frame_arrays_are_read_only():
 
 
 def test_full_request_after_a_replay_gets_the_grid_bits():
-    """A replay leaves the pass of its last subset kept; the next request
-    for the whole grid is a new pass with the grid pass's bits."""
+    """A replay over points of the kept grid reads their rows and leaves
+    the grid's parts kept; the next request for the whole grid gets the
+    grid pass's bits."""
     m = manifold_from_dict(LAMBDA_K)
     pts = m.grid_points()
     grid = [np.array(a) for a in m.frame_stack(pts) + curv.statistical_curvatures(m, pts)]
@@ -464,10 +468,87 @@ def test_full_request_after_a_replay_gets_the_grid_bits():
             raise ValueError("fails at x = 1")
     with pytest.raises(ValueError):
         curv.replay(run, list(pts), None)
-    assert [len(part.point) for part in m._kept_parts.values()] == [1, 1]
+    assert [len(part.point) for part in m._kept_parts.values()] == [len(pts)] * 2
     again = m.frame_stack(pts) + curv.statistical_curvatures(m, pts)
     for got, want in zip(again, grid):
         assert_same(got, want)
+
+
+def _bits(result):
+    """A result as its shapes and bytes, sign bits included."""
+    if isinstance(result, AuditReport):
+        return result.to_json_lines()
+    if isinstance(result, tuple):
+        return tuple(map(_bits, result))
+    a = np.asarray(result)
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+def _one_point_functions(m, p):
+    """The bits of every one-point function at ``p``."""
+    x = phi_basis(m, p)[:, 0]
+    return [_bits(r) for r in (
+        validate_structure(m, p), validate_statistical(m, p), validate_acs(m, p),
+        lambda_of(m, p), conjugate_connection(m, p), is_cosymplectic(m, [p]),
+        nabla0_phi(m, p), lemma_5_6_check(m, p), geodesic_xi_check(m, p),
+        statistical_curvature(m, p), phi_sectional_triple(m, p, x), m.frame_at(p))]
+
+
+@pytest.mark.parametrize("name,params", [("example_flat_acs", {"n": 1}),
+                                         ("random", {"dim": 5, "seed": 0,
+                                                     "family": "trivial-lambda"})])
+def test_one_point_functions_read_the_kept_grid(name, params, monkeypatch):
+    """After a grid audit, the one-point functions at the grid's points (and
+    at none) read the rows of the kept parts: no frame, curvature or
+    nabla^0 phi pass runs, each result has the bits of a chart that runs
+    them alone, and the grid's parts stay kept for the next audit."""
+    m = get_entry(name, **params).manifold
+    pts = m.grid_points(2)
+    alone = get_entry(name, **params).manifold
+    want = [_one_point_functions(alone, p) for p in pts]
+    counts = Counter()
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+        return call
+    monkeypatch.setattr(ChartManifold, "_frames", counted("frames", ChartManifold._frames))
+    monkeypatch.setattr(curv, "_curvature_parts", counted("curvature", curv._curvature_parts))
+    monkeypatch.setattr(contact, "covariant_derivative_11",
+                        counted("nabla0_phi", contact.covariant_derivative_11))
+
+    def passes(run):
+        counts.clear()
+        result = run()
+        return [counts["frames"], counts["curvature"], counts["nabla0_phi"]], result
+
+    def audit():
+        rng = np.random.default_rng(0)
+        return cli.audit_report(m, pts, 1e-9, None, rng).to_json_lines()
+    taken, first = passes(audit)
+    assert taken == [1, 1, 1]
+    taken, got = passes(lambda: ([_one_point_functions(m, p) for p in pts],
+                                 is_cosymplectic(m, [])))
+    assert taken == [0, 0, 0] and got == (want, (True, 0.0))
+    assert m._kept_points.tobytes() == np.array(pts).tobytes()
+    assert passes(audit) == ([0, 0, 0], first)
+
+
+def test_points_match_by_the_bytes_of_their_coordinates():
+    """-0.0 and 0.0 are different points: neither the request for the kept
+    points nor a row of them serves one for the other, so a report names
+    the coordinates it was asked for."""
+    def chart():
+        return get_entry("example_flat_acs", n=1).manifold
+    minus = [-0.0, 0.0, 0.0]
+    want = validate_structure(chart(), minus)
+    assert '"point": [-0.0, 0.0, 0.0]' in want.to_json_lines()
+    for kept in ([[0.0, 0.0, 0.0]], chart().grid_points()):
+        m = chart()
+        m.frame_stack(kept)
+        assert validate_structure(m, minus).to_json_lines() == want.to_json_lines()
+        assert np.signbit(m.frame_at(minus).point[0])
 
 
 # ---------------------------------------------------------------------------
