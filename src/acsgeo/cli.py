@@ -281,8 +281,22 @@ def cmd_list_zoo() -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative float in any spelling
+    (``-1e-5``, ``-inf``) as a value, where argparse alone takes only
+    ``-1`` and ``-0.5`` for values and the rest for unknown options, so
+    ``--tol -1e-5`` reaches the tolerance check as ``--tol=-1e-5`` does."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="acsgeo",
         description="Pointwise audits of almost contact statistical structures")
     sub = ap.add_subparsers(dest="command", required=True)

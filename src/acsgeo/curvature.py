@@ -26,8 +26,8 @@ from .contact import nabla0_phi_pass, phi_bases, phi_basis
 from .expressions import ExpressionError, NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame, lane_rows, named_pass
 from .metric import (DegeneratePlaneError, GeometryError, christoffel_jet, contract,
-                     covariant_derivative_11, covariant_derivative_vector, inner,
-                     nabla_g, norms, outer, per_16_lanes, plane_q, point_lanes,
+                     covariant_derivative_11, covariant_derivative_vector, first_slot,
+                     inner, nabla_g, norms, outer, per_16_lanes, plane_q, point_lanes,
                      pow2, riemann, sectional_values)
 from .report import AuditReport, Column, max_abs, raise_first, within
 from .statistical import lambdas
@@ -552,8 +552,8 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
     horiz, keep_h = horizontal_projections(fs)
     vecs = np.array(frame_vectors(m.dim))
     with np.errstate(all="ignore"):
-        kvv = np.einsum("...ijk,aj,ak->...ai", fs.K, vecs, vecs)
-        kvv_h = np.einsum("...ijk,...aj,...ak->...ai", fs.K, horiz, horiz)
+        kvv = _k_pairs(fs.K, vecs, vecs)
+        kvv_h = _k_pairs(fs.K, horiz, horiz)
         phiv = vecs @ np.swapaxes(fs.phi, 1, 2)
         residuals = {
             "c1_kphi_zero": k_phi,
@@ -566,7 +566,7 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
                                            curvatures.s, curvatures.r0),
             "c6_K_XX_zero_horizontal": np.max(np.abs(np.where(keep_h[..., None], kvv_h, 0.0)),
                                               axis=(1, 2), initial=0.0),
-            "c7_K_X_phiX_zero": max_abs(np.einsum("...ijk,aj,...ak->...ai", fs.K, vecs, phiv)),
+            "c7_K_X_phiX_zero": max_abs(_k_pairs(fs.K, vecs, phiv)),
             "c8_phi_K_XX_zero": max_abs(kvv @ np.swapaxes(fs.phi, 1, 2)),
             "c9_K_XX_parallel_xi": max_abs(kvv - outer(contract(kvv, fs.eta), fs.xi)),
         }
@@ -582,6 +582,18 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
         rep.flag(f"EquivalenceViolation at {list(map(float, pts[i]))}: "
                  + ", ".join(f"{name}={bool(ok[i])}" for name, ok in zip(oks, stacked)))
     return rep
+
+
+def _k_pairs(k: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K(X_a, Y_a) at the lanes of ``k`` for a (V, dim) family of pairs or
+    an (L, V, dim) one, (L, V, dim): K @ Y^T, the family axis moved forward,
+    then @ X, so one lane takes the same (dim x dim) @ (dim x V) and
+    (dim x dim) @ (dim x 1) products alone as in a stack, 16 lanes at a
+    time."""
+    def pairs(k, x, y):
+        ky = k @ np.swapaxes(y, -1, -2)[:, None]        # K(e_j, Y_a)^i as [l, i, j, a]
+        return (ky.transpose(0, 3, 1, 2) @ x[..., None])[..., 0]
+    return per_16_lanes(pairs, k, *(v if v.ndim == 3 else v[None] for v in (x, y)))
 
 
 def audit_branch(report: AuditReport) -> str:
@@ -601,7 +613,7 @@ def lemma_5_6_residuals(fs: FrameStack, nabla0_phi) -> np.ndarray:
     all frame pairs at each lane of ``fs``, (L,), from ``nabla0_phi``,
     nabla^0 phi at those lanes (``contact.nabla0_phi_pass``)."""
     d1 = covariant_derivative_11(fs.gamma0 + fs.K, fs.phi, fs.dphi)
-    phi_k = np.einsum("...im,...mak->...aik", fs.phi, fs.K)
+    phi_k = np.swapaxes(first_slot(fs.phi, fs.K), -3, -2)        # phi K(e_a, e_k) as [a, i, k]
     return max_abs(nabla0_phi - d1 - 2.0 * phi_k)
 
 
@@ -646,14 +658,14 @@ def _compat_residuals(fs: FrameStack, d0_phi):
     """The residuals of the three formulations of phi-compatibility at the
     lanes of ``fs``, (3, L); (c) reads ``d0_phi``, nabla^0 phi there."""
     gamma = fs.gamma0 + fs.K
-    phi_k = np.einsum("...im,...mak->...aik", fs.phi, fs.K)
+    phi_k = np.swapaxes(first_slot(fs.phi, fs.K), -3, -2)        # phi K(e_a, e_k) as [a, i, k]
     return np.stack([
         # (a) nabla phi = 0 componentwise
         max_abs(covariant_derivative_11(gamma, fs.phi, fs.dphi)),
         # (b) nabla_X (phi Y) = phi nabla_X Y on coordinate fields, computed
         # without forming the covariant derivative of phi
-        max_abs(fs.dphi + np.einsum("...iam,...mk->...aik", gamma, fs.phi)
-                - np.einsum("...im,...mak->...aik", fs.phi, gamma)),
+        max_abs(fs.dphi + np.swapaxes(gamma @ fs.phi[:, None], -3, -2)
+                - np.swapaxes(first_slot(fs.phi, gamma), -3, -2)),
         # (c) (nabla^0_X phi)Y = 2 phi K(X,Y)
         max_abs(d0_phi - 2.0 * phi_k)])
 
@@ -743,14 +755,13 @@ def _psi(m: ChartManifold, points, tol, k_phi=None) -> AuditReport:
         k_phi = _k_phi(*phi_sweep(fs))
     with np.errstate(all="ignore"):
         ng = nabla_g(fs.gamma0 + fs.K, fs.g, fs.dg)                  # (nabla_X g)_xyz
-        psi = np.einsum("...xym,...mz->...xyz", ng, fs.phi)          # Psi_X(Y, Z)
+        psi = ng @ fs.phi[:, None]                                   # Psi_X(Y, Z)
         # Psi_X(Y,Z) = 2 g(phi K(Y,Z), X)
-        phi_k = np.einsum("...im,...mjk->...ijk", fs.phi, fs.K)
-        target = 2.0 * np.einsum("...xi,...iyz->...xyz", fs.g, phi_k)
+        target = 2.0 * first_slot(fs.g, first_slot(fs.phi, fs.K))
         # phi-slot rules
-        psi_phi_y = np.einsum("...xmz,...my->...xyz", psi, fs.phi)
-        psi_phi_z = np.einsum("...xym,...mz->...xyz", psi, fs.phi)
-        psi_phi_both = np.einsum("...xmn,...my,...nz->...xyz", psi, fs.phi, fs.phi)
+        psi_phi_y = np.swapaxes(fs.phi, 1, 2)[:, None] @ psi
+        psi_phi_z = psi @ fs.phi[:, None]
+        psi_phi_both = psi_phi_y @ fs.phi[:, None]
         columns = [
             within("psi/antisymmetry_YZ", max_abs(psi + np.einsum("...xzy->...xyz", psi)), tol),
             within("psi/equals_2g_phiK", max_abs(psi - target), tol),

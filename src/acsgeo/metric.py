@@ -13,8 +13,12 @@ it gets inside a grid.  Functions that take a ``point`` accept one point
 of floats or (P,) lane coordinates.
 
 ``nabla_g`` and the covariant derivatives take the values and first
-derivatives the frames carry, stacked on any leading axes, evaluating no
-fields.  ``inner``, ``contract``, ``plane_q``, ``apply_curvature`` and
+derivatives the frames carry, stacked on leading axes, evaluating no
+fields.  ``first_slot`` applies a matrix to the first slot of a tensor as
+one (dim x dim) @ (dim x dim^r) product per lane; ``nabla_g``, the
+covariant derivative of a (1,1) field and the checks' contractions are
+such products, or (dim x dim) @ (dim x dim) ones per matrix, read through
+transposed views.  ``inner``, ``contract``, ``plane_q``, ``apply_curvature`` and
 ``sectional_values`` take vectors stacked on leading axes, and a stack goes
 through the products of one vector: ``inner`` a (1 x dim) @ (dim x dim)
 and a (1 x dim) @ (dim x 1) product per pair, ``contract`` one
@@ -362,6 +366,18 @@ def contract(a: np.ndarray, v) -> np.ndarray:
     return out.reshape(out.shape[:-2] + rows)
 
 
+def first_slot(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(a t)[..., i, j, ...] = sum_m a[..., i, m] t[..., m, j, ...]: the matrix
+    ``a`` applied to the first slot of the tensor ``t``, both with the same
+    number of leading axes.  Each lane takes one (dim x dim) @ (dim x dim^r)
+    product, the other slots of ``t`` merged into columns, so a lane alone
+    and a stack get the same floats."""
+    lead = a.ndim - 2
+    slots = t.shape[lead + 1:]
+    out = a @ t.reshape(t.shape[:lead + 1] + (math.prod(slots),))
+    return out.reshape(out.shape[:-1] + slots)
+
+
 def pow2(a: np.ndarray) -> np.ndarray:
     """a ** 2 of every entry as a Python float computes it: libm ``pow``,
     which is not always the rounded ``a * a`` that numpy squares with."""
@@ -408,9 +424,12 @@ def sectional_curvature(g: np.ndarray, r: np.ndarray, x, y) -> float:
 def nabla_g(gamma: np.ndarray, g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """(nabla g)_ijk = d_i g_jk - Gamma^m_ij g_mk - Gamma^m_ik g_jm for an
     arbitrary connection, from its coefficients, g and dg[..., i, j, k] =
-    d_i g_jk (any leading axes)."""
-    out = dg - np.einsum("...mij,...mk->...ijk", gamma, g)
-    out -= np.einsum("...mik,...jm->...ijk", gamma, g)
+    d_i g_jk (the same number of leading axes).  Each Gamma g term is one
+    ``first_slot`` product per lane, (dim x dim) @ (dim x dim^2), read
+    through a transposed view."""
+    gamma_g = first_slot(np.swapaxes(g, -1, -2), gamma)              # [k, i, j]
+    out = dg - np.swapaxes(np.swapaxes(gamma_g, -3, -2), -2, -1)
+    out -= np.swapaxes(first_slot(g, gamma), -3, -2)
     return out
 
 
@@ -418,14 +437,16 @@ def covariant_derivative_11(gamma: np.ndarray, phi: np.ndarray,
                             dphi: np.ndarray) -> np.ndarray:
     """Covariant derivative of a (1,1) tensor field from its values
     phi[..., j, k] and first derivatives dphi[..., i, j, k] = d_i phi^j_k
-    (any leading axes):
+    (the same number of leading axes):
 
         (nabla_i phi)^j_k = d_i phi^j_k + Gamma^j_im phi^m_k - Gamma^m_ik phi^j_m
 
-    Returns shape (..., dim, dim, dim) indexed [..., i, j, k].
+    Returns shape (..., dim, dim, dim) indexed [..., i, j, k].  The Gamma phi
+    terms are (dim x dim) @ (dim x dim) products per matrix of Gamma and
+    one ``first_slot`` product per lane, read through transposed views.
     """
-    out = dphi + np.einsum("...jim,...mk->...ijk", gamma, phi)
-    out -= np.einsum("...mik,...jm->...ijk", gamma, phi)
+    out = dphi + np.swapaxes(gamma @ phi[..., None, :, :], -3, -2)
+    out -= np.swapaxes(first_slot(phi, gamma), -3, -2)
     return out
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .manifold import ChartManifold, FrameStack, _as_fields
 from .metric import (FieldArray, MetricField, christoffel_values, contract, field_jet,
-                     inner, lanes_of, nabla_g, outer, per_16_lanes, point_lanes)
+                     first_slot, inner, lanes_of, nabla_g, outer, per_16_lanes, point_lanes)
 from .report import AuditReport, max_abs, raise_first, within
 
 
@@ -106,7 +106,7 @@ def difference_from_connection(gamma_fields, metric: MetricField,
 
 def cubic_form(g: np.ndarray, k: np.ndarray) -> np.ndarray:
     """C_ijk = g(e_i, K(e_j, e_k)) (any leading axes)."""
-    return np.einsum("...im,...mjk->...ijk", g, k)
+    return first_slot(g, k)
 
 
 def total_symmetry_residual(t: np.ndarray):
@@ -154,9 +154,9 @@ def acs_columns(fs: FrameStack, tol: float):
     and its equivalent form K(X, phi Y) = K(phi X, Y), over all basis
     pairs, at the lanes of ``fs``, 16 lanes at a time."""
     def residuals(k, phi):
-        k_phi = np.einsum("...ijm,...mk->...ijk", k, phi)       # K(e_j, phi e_k)
-        phi_k = np.einsum("...im,...mjk->...ijk", phi, k)       # phi K(e_j, e_k)
-        k_phi_first = np.einsum("...imk,...mj->...ijk", k, phi)  # K(phi e_j, e_k)
+        k_phi = k @ phi[:, None]                                # K(e_j, phi e_k)
+        phi_k = first_slot(phi, k)                              # phi K(e_j, e_k)
+        k_phi_first = np.swapaxes(phi, 1, 2)[:, None] @ k       # K(phi e_j, e_k)
         return np.stack([max_abs(k_phi + phi_k), max_abs(k_phi - k_phi_first)], axis=1)
     defining, swap = per_16_lanes(residuals, fs.K, fs.phi).T
     return [within("acs_defining_condition", defining, tol),
@@ -199,8 +199,9 @@ def conjugate_connections(fs: FrameStack, tol: float):
     re-checked on all coordinate triples; raises StatisticalError at the
     first point where it fails.  Returns (gamma_bar, duality_residual)."""
     gamma_bar = fs.gamma0 - fs.K
-    lhs = (np.einsum("...mz,...mxy->...xyz", fs.g, fs.gamma0 + fs.K)
-           + np.einsum("...ym,...mxz->...xyz", fs.g, gamma_bar))
+    g_gamma = first_slot(np.swapaxes(fs.g, 1, 2), fs.gamma0 + fs.K)     # [z, x, y]
+    lhs = (np.swapaxes(np.swapaxes(g_gamma, 1, 2), 2, 3)
+           + np.swapaxes(first_slot(fs.g, gamma_bar), 1, 2))
     res = max_abs(lhs - fs.dg)
     raise_first(StatisticalError, fs.point, res, tol, "conjugate duality residual")
     return gamma_bar, res

@@ -386,6 +386,18 @@ def test_bad_seed_and_tol_exit_two(capsys):
         assert run(capsys, verb, "zoo:example_flat_acs", "--tol", "0", "--seed", "0")[0] == 0
 
 
+@pytest.mark.parametrize("verb", ["validate", "audit", "curvature"])
+@pytest.mark.parametrize("value, shown", [("-1e-5", "-1e-05"), ("-inf", "-inf"),
+                                          ("-2.5E+3", "-2500.0")])
+def test_negative_tol_is_one_error_line_in_either_spelling(capsys, verb, value, shown):
+    """A negative tolerance in exponent form or -inf, given as a separate
+    word or after '=', ends in the tolerance check's one line, not in
+    argparse's usage block."""
+    for argv in (["--tol", value], [f"--tol={value}"]):
+        assert run(capsys, verb, "zoo:example_flat_acs", *argv) == (
+            2, "", f"error: tol must be finite and non-negative, got {shown}\n"), argv
+
+
 def test_failure_messages_print_plain_floats(capsys, tmp_path):
     spec = {
         "coordinates": ["x", "y", "z"], "grid": 2,

@@ -122,7 +122,7 @@ GOLDEN = [
     ("audit-inadmissible-k", ["audit", "@inadmissible_k"] + JSON,
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     ("audit-pulled-back-warped", ["audit", "@pulled_back_warped", "--seed", "7"] + JSON,
-     "37aee17ecbaa9084863a3d41f4eeef48f22894d0df40fce8b1fc1b703507d707"),
+     "660ae70b74739e4176752b8ffbdd2e6ec07d401ca074356bf050edec8f4c73ce"),
     ("curvature-pulled-back-warped",
      ["curvature", "@pulled_back_warped", "--seed", "8"] + JSON,
      "fa7432cdccac279362e094b3e5ba422517710d367aeed1bc06ec341e1598e3ef"),
@@ -139,7 +139,7 @@ GOLDEN = [
      "55bb27f6ea287f0f1500b97b7c9309339ac2900f9e8dd3aeb0c23d645be7d11d"),
     ("audit-mixed-dim7",
      ["audit", "zoo:random:dim=7,seed=3,family=mixed", "--grid", "2"] + JSON,
-     "081a442034e4d969066a5bc871c981518457841781c58b5e4258ef09bfa0f55a"),
+     "1c22f179b1786e70cbaf6885072281b193d5bc290aa72d4e30ac676c74b97858"),
     ("curvature-flat-n2", ["curvature", "zoo:example_flat_acs:n=2"] + JSON,
      "ab87d25fea8739e613b5221e524a6945d7412982af000703a9b0b1150872de45"),
     ("curvature-r3-section",
@@ -147,7 +147,7 @@ GOLDEN = [
      "f55da494805aaffe75d06527de318ac4036f0989cc2ac3bce52221e7fe68e1b8"),
     # the flags follow the records as {"flag": ...} lines
     ("audit-small-planar-flags", ["audit", "@small_planar"] + JSON,
-     "686ee680680c6cd8b6481817921379abecf01cdce123ba6fe11935768e73267b"),
+     "17bd3fe7dc9d5b561f8d001b1364c44f4c2bac0660e37a856da81c05d28143b9"),
 ]
 
 # (id, argv, sha256 of "<exit code>\n<stderr>") for runs that fail
