@@ -117,9 +117,11 @@ def check_groups(text, valid):
     return groups
 
 
-def sample_points(m: ChartManifold, grid):
-    """The sample grid of a run: ``--grid`` points per coordinate, or the
-    spec's grid when it is not given; fewer than one is an input error."""
+def sample_points(m: ChartManifold, grid) -> np.ndarray:
+    """The (P, dim) sample grid of a run, ``ChartManifold.grid_points``:
+    ``--grid`` points per coordinate, or the spec's grid when it is not
+    given; fewer than one is an input error.  Any count keeps at most
+    GRID_CAP points, and only their coordinates are computed."""
     k = m.grid if grid is None else grid
     if k < 1:
         raise InputError(f"grid must be at least 1 point per coordinate, got {k}")
@@ -146,7 +148,7 @@ def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
         if selected("acs", checks):
             columns += acs_columns(fs, tol)
         return AuditReport.from_columns(fs.point, columns)
-    return curv.replay(run, list(pts), None)
+    return curv.replay(run, pts, None)
 
 
 def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
@@ -176,7 +178,7 @@ def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
             columns.append(within("connection_duality",
                                   conjugate_connections(fs, tol=loose)[1], loose))
         return AuditReport.from_columns(fs.point, columns)
-    return curv.replay(run, list(pts), None) if wanted else AuditReport()
+    return curv.replay(run, pts, None) if wanted else AuditReport()
 
 
 def cmd_validate(m: ChartManifold, args) -> int:
@@ -232,7 +234,7 @@ def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
     rep = axiom_checks(m, pts, tol, checks)
     if selected("cosymplectic", checks):
         flag, res = curv.replay(lambda points, _: is_cosymplectic(m, points, tol=tol),
-                                list(pts), None)
+                                pts, None)
         rep.add("cosymplectic", pts[0], res, passed=True, value=float(flag))
 
     if selected("thm_5_8", checks):

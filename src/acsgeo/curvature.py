@@ -25,10 +25,10 @@ import numpy as np
 from .contact import nabla0_phi_pass, phi_bases, phi_basis
 from .expressions import ExpressionError, NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame, lane_rows, named_pass
-from .metric import (DegeneratePlaneError, GeometryError, christoffel_jet, contract,
-                     covariant_derivative_11, covariant_derivative_vector, first_slot,
-                     inner, nabla_g, norms, outer, per_16_lanes, plane_q, point_lanes,
-                     pow2, riemann, sectional_values)
+from .metric import (DegeneratePlaneError, GeometryError, apply_curvature, christoffel_jet,
+                     contract, covariant_derivative_11, covariant_derivative_vector,
+                     first_slot, inner, nabla_g, norms, outer, per_16_lanes, plane_q,
+                     point_lanes, pow2, riemann)
 from .report import AuditReport, Column, max_abs, raise_first, within
 from .statistical import lambdas
 
@@ -156,16 +156,19 @@ class SectionSweep:
 
     def with_curvatures(self, g, curvatures) -> "SectionSweep":
         """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
-        ``CurvatureStack`` of its points, applied to each block 16 rows at a
-        time (``per_16_lanes``) with its sections as a batch axis, so a block
-        of one row (the shared sections of a constant chart) is evaluated
-        once; a pair that is OK or MISMATCH becomes NON_FINITE where one of
-        them is not finite."""
-        def sectional(r, g, x, px):
-            return sectional_values(g[:, None], r[:, None], x, px)[0]
-        k_s, k_0 = (_points_concat(len(self.point), [
-            per_16_lanes(sectional, r, g, x, px) for x, px in self.blocks])
-            for r in (curvatures.s, curvatures.r0))
+        ``CurvatureStack`` of its points: the numerators g(R(X, phi X) phi X, X)
+        of each block 16 rows at a time (``per_16_lanes``) with its sections
+        as a batch axis, so a block of one row (the shared sections of a
+        constant chart) is evaluated once, over the sweep's own Q(X, phi X),
+        the ``plane_q`` of ``sectional_values`` on the same operands; a pair
+        that is OK or MISMATCH becomes NON_FINITE where one of them is not
+        finite."""
+        def numerator(r, g, x, px):
+            return inner(g[:, None], x, apply_curvature(r[:, None], x, px, px))
+        with np.errstate(all="ignore"):
+            k_s, k_0 = (_points_concat(len(self.point), [
+                per_16_lanes(numerator, r, g, x, px) for x, px in self.blocks]) / self.q
+                for r in (curvatures.s, curvatures.r0))
         status = np.where(np.isin(self.status, (OK, MISMATCH))
                           & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
         return replace(self, k_s=k_s, k_0=k_0, status=status)
@@ -516,7 +519,7 @@ def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
         return lams, _section_triples(m, stack, sweep, keep), keep
     if not len(points):     # no points, no sections: not the (0, S, 3) of a sweep
         return np.zeros(0), np.zeros((0, 0, 3)), np.zeros((0, 0), dtype=bool)
-    return replay(run, list(points), rng)
+    return replay(run, points, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +536,7 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
     horizontal projections.  Steps, through ``replay``: frames, lambda,
     phi-bases, section statuses, statistical curvature (when it raises, the
     statuses come first, without the sectional values)."""
-    pts = list(points) if points is not None else m.grid_points()
+    pts = m.grid_points() if points is None else points
     return replay(lambda pts, rng: _theorem_5_8(m, pts, tol, rng), pts, rng)
 
 
@@ -686,7 +689,7 @@ def phi_compat_audit(m: ChartManifold, points=None, tol: float = 1e-9, rng=None)
     """``phi_compat_check`` and, per point, max |K_phi| over the plain
     sections of its sweep (0 where it is not compatible), which
     ``psi_check`` reads."""
-    pts = list(points) if points is not None else m.grid_points()
+    pts = m.grid_points() if points is None else points
     return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), pts, rng)
 
 
@@ -740,7 +743,7 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
     no sweep of its own.  Raises PreconditionNotMetError when the structure
     is not phi-compatible at the points; then the steps, through
     ``replay``, are frames, phi-bases and section statuses."""
-    points = [point] if np.ndim(point) == 1 and len(point) else list(point)
+    points = [point] if np.ndim(point) == 1 and len(point) else point
     if compat_report is None:
         compat_report = phi_compat_check(m, points, tol=max(tol, 1e-9))
     if not is_phi_compatible(compat_report):

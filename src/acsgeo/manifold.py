@@ -4,30 +4,20 @@ and a difference tensor, plus the evaluation frames of their points."""
 from __future__ import annotations
 
 import logging
+import operator
 import time
 from contextlib import contextmanager
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .expressions import ExpressionError, NonFiniteError, ScalarField, parse_expression
-from .metric import (FieldArray, GeometryError, MetricField, NotPositiveDefiniteError,
+from .expressions import ExpressionError, NonFiniteError
+from .metric import (FieldArray, GeometryError, MetricField, NotPositiveDefiniteError, _as_fields,
                      christoffel_from, contract, field_jet, inner, inv_generic, point_lanes)
 
 log = logging.getLogger(__name__)
 
 GRID_CAP = 243      # the most points a sample grid keeps
-
-
-def _as_fields(entries, coord_names):
-    """Recursively convert a nested array of strings/numbers to ScalarFields."""
-    if isinstance(entries, ScalarField):
-        return entries
-    if isinstance(entries, str):
-        return parse_expression(entries, coord_names)
-    if isinstance(entries, (int, float)):
-        return parse_expression(repr(float(entries)), coord_names)
-    return [_as_fields(e, coord_names) for e in entries]
 
 
 def _finite(name, arr) -> np.ndarray:
@@ -36,6 +26,25 @@ def _finite(name, arr) -> np.ndarray:
     if np.count_nonzero(np.isfinite(arr)) < arr.size:   # cheaper than .all()
         raise NonFiniteError(f"{name} is not finite")
     return arr
+
+
+def _linspace_at(lo: float, hi: float, k: int, idx: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo, hi, k)[idx]`` at the integer indices ``idx`` alone:
+    the float operations linspace takes on those entries (its branch for a
+    step that underflows to zero and its exact endpoint included), so the
+    same bits."""
+    start, stop = np.float64(lo), np.float64(hi)
+    delta = stop - start
+    y = idx.astype(float)
+    div = k - 1
+    if div > 0:
+        step = delta / div
+        y = y / div * delta if step == 0 else y * step
+        y += start
+        y[idx == div] = stop
+    else:
+        y = y * delta + start
+    return y
 
 
 @contextmanager
@@ -150,9 +159,10 @@ class ChartManifold:
         if metric.dim != dim:
             raise ValueError("metric dimension mismatch")
         self.metric = metric
-        self.phi = FieldArray(_as_fields(phi, self.coords))
-        self.xi = FieldArray(_as_fields(xi, self.coords))
-        self.eta = FieldArray(_as_fields(eta, self.coords)) if eta is not None else None
+        memo = {}       # phi, xi and eta parse each distinct text once
+        self.phi = FieldArray(_as_fields(phi, self.coords, memo))
+        self.xi = FieldArray(_as_fields(xi, self.coords, memo))
+        self.eta = FieldArray(_as_fields(eta, self.coords, memo)) if eta is not None else None
         self.difference = difference
         self.box = [(float(lo), float(hi)) for lo, hi in box] if box is not None \
             else [(-1.0, 1.0)] * dim
@@ -175,17 +185,28 @@ class ChartManifold:
     def n(self):
         return (self.dim - 1) // 2
 
-    def grid_points(self, per_axis: Optional[int] = None):
-        """Uniform sample grid over the box in product order or, above
+    def grid_points(self, per_axis: Optional[int] = None) -> np.ndarray:
+        """The (P, dim) uniform sample grid over the box, ``per_axis`` points
+        per coordinate (default ``grid``), in product order or, above
         GRID_CAP points, GRID_CAP of them at evenly spaced positions of that
-        order, which meet every value of every axis."""
-        k = self.grid if per_axis is None else per_axis
-        axes = [np.linspace(lo, hi, k) for lo, hi in self.box]
+        order, which meet every value of every axis.  Coordinates are
+        computed at the kept points alone, each bit for bit the entry of
+        ``np.linspace(lo, hi, per_axis)`` it takes, so any grid costs at most
+        GRID_CAP points; the positions are exact integers at any size."""
+        k = operator.index(self.grid if per_axis is None else per_axis)
+        if k < 0:
+            raise ValueError(f"a grid needs a non-negative count per axis, got {k}")
         total = k ** self.dim
-        picks = range(total) if total <= GRID_CAP else \
-            [i * (total - 1) // (GRID_CAP - 1) for i in range(GRID_CAP)]
-        return [np.array([axis[q // k ** (self.dim - 1 - n) % k] for n, axis in enumerate(axes)])
-                for q in picks]
+        if total <= GRID_CAP:
+            picks = np.arange(total)
+        else:
+            # int64 while the products fit, else Python integers
+            exact = np.int64 if (GRID_CAP - 1) * total < 2 ** 63 else object
+            picks = np.arange(GRID_CAP, dtype=exact) * (total - 1) // (GRID_CAP - 1)
+        pts = np.empty((len(picks), self.dim))
+        for n, (lo, hi) in enumerate(self.box):
+            pts[:, n] = _linspace_at(lo, hi, k, picks // k ** (self.dim - 1 - n) % k)
+        return pts
 
     def _fields(self, coords):
         """The PointFrame fields after ``point`` at the (P,) lane coordinates

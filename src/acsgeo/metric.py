@@ -122,6 +122,29 @@ def _reads_coordinate(node) -> bool:
                for child in ("arg", "left", "right", "base") if hasattr(node, child))
 
 
+def _as_fields(entries, coord_names, memo=None):
+    """A nested array of expression strings, numbers and ScalarFields as one
+    of ScalarFields; a number is read as its float repr.  Each distinct
+    text is parsed once per ``memo`` (text -> field), so its entries share
+    one field, which ``field_jet`` walks once.  A builder passes one memo
+    for all the fields of its input and drops it when the input is built;
+    without one, the call keeps its own."""
+    memo = {} if memo is None else memo
+
+    def field(entry):
+        if isinstance(entry, ScalarField):
+            return entry
+        if isinstance(entry, (int, float)):
+            entry = repr(float(entry))
+        elif not isinstance(entry, str):
+            return [field(e) for e in entry]
+        parsed = memo.get(entry)
+        if parsed is None:
+            parsed = memo[entry] = parse_expression(entry, coord_names)
+        return parsed
+    return field(entries)
+
+
 class FieldArray(list):
     """A nested array of ScalarFields (a list of rows) whose constancy is
     decided once, when it is built, so derivative calls never re-walk it."""
@@ -202,17 +225,18 @@ class MetricField:
     @classmethod
     def from_lower_triangle(cls, entries, coord_names):
         """Build from rows of expression strings giving the lower triangle
-        (row i has i+1 entries); the upper triangle is mirrored, so symmetry
-        holds exactly by construction."""
+        (row i has i+1 entries), each distinct text parsed once; the upper
+        triangle is mirrored, so symmetry holds exactly by construction."""
         dim = len(entries)
         comp = [[None] * dim for _ in range(dim)]
+        memo = {}
         for i, row in enumerate(entries):
             if len(row) < i + 1:
                 raise ValueError(f"row {i} of lower triangle needs {i + 1} entries")
             for j in range(i + 1):
                 f = row[j]
                 if isinstance(f, str):
-                    f = parse_expression(f, coord_names)
+                    f = _as_fields(f, coord_names, memo)
                 comp[i][j] = f
                 comp[j][i] = f
         return cls(comp)

@@ -130,17 +130,25 @@ class AuditReport:
         first point, then at the next; an entry of length 1 is every
         point's.  Each record is one ``add`` call, the count the
         benchmark's tracer reports as ``report.records``, given the point's
-        bytes, taken once per point."""
+        bytes, cut from the bytes of the (P, dim) points."""
+        pts = np.ascontiguousarray(points, dtype=float)
+        count = len(pts)
+
         def full(a):
-            return None if a is None else np.broadcast_to(a, (len(points),)).tolist()
+            if a is None:
+                return None
+            a = np.ravel(a).tolist()
+            return a * count if len(a) == 1 else a
         lists = [(c.check, full(c.residual), full(c.passed), full(c.value), full(c.at))
                  for c in columns]
-        keys = [np.asarray(p, dtype=float).tobytes() for p in points]
-        for i, p in enumerate(keys):
+        raw, width = pts.tobytes(), pts[0].nbytes if count else 0
+        add = self.add
+        for i in range(count):
+            p = raw[i * width:(i + 1) * width]
             for check, residual, passed, value, at in lists:
                 if at is None or at[i]:
-                    self.add(check, p, residual[i], passed=passed[i],
-                             value=None if value is None else value[i])
+                    add(check, p, residual[i], None, passed[i],
+                        None if value is None else value[i])
 
     def flag(self, message: str):
         self.flags.append(message)

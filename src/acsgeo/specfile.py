@@ -13,7 +13,7 @@ import json
 import sys
 
 from .manifold import ChartManifold
-from .metric import MetricField
+from .metric import MetricField, _as_fields
 from .statistical import (ConnectionDifferenceTensor, ExplicitDifferenceTensor,
                           difference_from_connection)
 
@@ -85,11 +85,16 @@ def manifold_from_dict(data: dict) -> ChartManifold:
     grid = data.get("grid", 3)
     _require(isinstance(grid, int) and not isinstance(grid, bool), "grid must be an integer")
 
+    memo = {}       # each distinct expression of the spec is parsed once
+
+    def fields(table):
+        return _as_fields(table, coords, memo)
+
     rows = data["metric_lower"]
     _require(isinstance(rows, list) and len(rows) == dim,
              f"metric_lower must be a list of {dim} rows")
-    metric = MetricField.from_lower_triangle(
-        [_scalars(row, (i + 1,), f"metric_lower[{i}]") for i, row in enumerate(rows)], coords)
+    metric = MetricField.from_lower_triangle(fields(
+        [_scalars(row, (i + 1,), f"metric_lower[{i}]") for i, row in enumerate(rows)]), coords)
     phi = _scalars(data["phi"], (dim, dim), "phi")
     xi = _scalars(data["xi"], (dim,), "xi")
     eta = data.get("eta")
@@ -101,13 +106,13 @@ def manifold_from_dict(data: dict) -> ChartManifold:
     _require(has_k != has_conn,
              "exactly one of 'K' and 'connection' must be present")
     if has_k:
-        diff = ExplicitDifferenceTensor(_sparse_tensor3(data["K"], coords, "K"), coords)
+        diff = ExplicitDifferenceTensor(fields(_sparse_tensor3(data["K"], coords, "K")))
     else:
         diff = difference_from_connection(
-            _sparse_tensor3(data["connection"], coords, "connection"), metric,
-            coord_names=coords)
+            fields(_sparse_tensor3(data["connection"], coords, "connection")), metric)
 
-    return ChartManifold(coords, metric, phi, xi, diff, eta=eta, box=box, grid=grid,
+    return ChartManifold(coords, metric, fields(phi), fields(xi), diff,
+                         eta=None if eta is None else fields(eta), box=box, grid=grid,
                          name=str(data.get("name", "")))
 
 

@@ -7,8 +7,8 @@ import itertools
 
 import numpy as np
 
-from .manifold import ChartManifold, FrameStack, _as_fields
-from .metric import (FieldArray, MetricField, christoffel_values, contract, field_jet,
+from .manifold import ChartManifold, FrameStack
+from .metric import (FieldArray, MetricField, _as_fields, christoffel_values, contract, field_jet,
                      first_slot, inner, lanes_of, nabla_g, outer, per_16_lanes, point_lanes)
 from .report import AuditReport, max_abs, raise_first, within
 

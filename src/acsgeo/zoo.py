@@ -9,7 +9,7 @@ from typing import Dict
 import numpy as np
 
 from .manifold import ChartManifold
-from .metric import MetricField
+from .metric import MetricField, _as_fields
 from .statistical import ExplicitDifferenceTensor, difference_from_connection
 
 
@@ -25,26 +25,44 @@ class ZooEntry:
 
 
 def _flat_chart(n: int):
-    """Coordinates, flat metric and the standard block phi / xi / eta for
-    R^(2n+1) with coordinate order (x1, y1, ..., xn, yn, z)."""
+    """Coordinates, flat metric (lower triangle) and the standard block
+    phi / xi / eta for R^(2n+1) with coordinate order (x1, y1, ..., xn, yn,
+    z), as expression strings."""
     coords = []
     for i in range(1, n + 1):
         coords += [f"x{i}", f"y{i}"]
     coords.append("z")
     dim = 2 * n + 1
-    g = MetricField.from_lower_triangle(
-        [["1" if j == i else "0" for j in range(i + 1)] for i in range(dim)], coords)
+    lower = [["1" if j == i else "0" for j in range(i + 1)] for i in range(dim)]
     phi = [["0"] * dim for _ in range(dim)]
     for b in range(n):
         xi_idx, yi_idx = 2 * b, 2 * b + 1
         phi[yi_idx][xi_idx] = "1"    # phi(d/dx_i) = d/dy_i
         phi[xi_idx][yi_idx] = "-1"   # phi(d/dy_i) = -d/dx_i
     xi = ["0"] * (dim - 1) + ["1"]
-    return coords, g, phi, xi
+    return coords, lower, phi, xi
 
 
 def _zero_tensor3(dim):
     return [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
+
+
+def _chart(name, coords, lower, phi, xi, k=None, gamma=None) -> ChartManifold:
+    """The chart over the box [-1, 1]^dim of an entry's expression tables:
+    the metric's lower triangle, phi, xi and either the difference tensor
+    ``k`` or a connection table ``gamma`` (torsion-free at the origin).
+    Each distinct expression of the entry is parsed once."""
+    memo = {}
+
+    def fields(table):
+        return _as_fields(table, coords, memo)
+
+    g = MetricField.from_lower_triangle(fields(lower), coords)
+    dim = len(coords)
+    diff = ExplicitDifferenceTensor(fields(k)) if gamma is None else \
+        difference_from_connection(fields(gamma), g, sample_points=[(0.0,) * dim])
+    return ChartManifold(coords, g, fields(phi), fields(xi), diff, box=[(-1.0, 1.0)] * dim,
+                         name=name)
 
 
 def example_flat_acs(n: int = 1) -> ZooEntry:
@@ -53,17 +71,14 @@ def example_flat_acs(n: int = 1) -> ZooEntry:
     vanishing phi-sectional K-curvature, lambda = 1."""
     if n < 1:
         raise UnsupportedDimensionError("n must be >= 1")
-    coords, g, phi, xi = _flat_chart(n)
+    coords, lower, phi, xi = _flat_chart(n)
     dim = 2 * n + 1
     k = _zero_tensor3(dim)
     k[dim - 1][dim - 1][dim - 1] = "1"
-    m = ChartManifold(coords, g, phi, xi,
-                      ExplicitDifferenceTensor(k, coords),
-                      box=[(-1.0, 1.0)] * dim,
-                      name=f"example_flat_acs(n={n})")
+    name = f"example_flat_acs(n={n})"
     return ZooEntry(
-        name=f"example_flat_acs(n={n})",
-        manifold=m,
+        name=name,
+        manifold=_chart(name, coords, lower, phi, xi, k=k),
         expected={
             "lambda": 1.0,
             "k_phi": 0.0,
@@ -79,9 +94,7 @@ def example_r3_negative() -> ZooEntry:
     """Flat R^3 with the standard structure and a non-trivial statistical
     connection supported on the (x, y) plane; constant phi-sectional
     K-curvature -1 and not phi-compatible."""
-    coords, g, phi, xi = _flat_chart(1)
-    coords = ["x", "y", "z"]
-    g = MetricField.from_lower_triangle([["1"], ["0", "1"], ["0", "0", "1"]], coords)
+    _, lower, phi, xi = _flat_chart(1)
     gamma = _zero_tensor3(3)
     x, y = 0, 1
     gamma[x][x][x] = "-1/2"
@@ -90,13 +103,9 @@ def example_r3_negative() -> ZooEntry:
     gamma[y][x][y] = gamma[y][y][x] = "1/2"
     gamma[x][y][y] = "1/2"
     gamma[y][y][y] = "-1/2"
-    diff = difference_from_connection(gamma, g, sample_points=[(0.0, 0.0, 0.0)],
-                                      coord_names=coords)
-    m = ChartManifold(coords, g, phi, xi, diff, box=[(-1.0, 1.0)] * 3,
-                      name="example_r3_negative")
     return ZooEntry(
         name="example_r3_negative",
-        manifold=m,
+        manifold=_chart("example_r3_negative", ["x", "y", "z"], lower, phi, xi, gamma=gamma),
         expected={
             "lambda": 0.0,
             "k_phi": -1.0,
@@ -148,7 +157,7 @@ def generate_random_acs(dim: int, seed: int, family: str) -> ZooEntry:
     n = (dim - 1) // 2
     stable = (dim * 1000003 + int(seed) * 7919 + FAMILIES.index(family)) % 2 ** 32
     rng = np.random.default_rng(stable)
-    coords, g, phi, xi = _flat_chart(n)
+    coords, lower, phi, xi = _flat_chart(n)
     k = _zero_tensor3(dim)
     expected = {"family": family, "seed": int(seed)}
 
@@ -185,9 +194,8 @@ def generate_random_acs(dim: int, seed: int, family: str) -> ZooEntry:
                          "constant_k_phi": n == 1, "phi_compatible": False})
 
     name = f"random:{family}:dim={dim}:seed={seed}"
-    m = ChartManifold(coords, g, phi, xi, ExplicitDifferenceTensor(k, coords),
-                      box=[(-1.0, 1.0)] * dim, name=name)
-    return ZooEntry(name=name, manifold=m, expected=expected)
+    return ZooEntry(name=name, manifold=_chart(name, coords, lower, phi, xi, k=k),
+                    expected=expected)
 
 
 # ---------------------------------------------------------------------------

@@ -189,12 +189,18 @@ def test_riemann_and_kk_tensor_match_two_einsums(dim):
 # the sectional curvatures of a sweep: one product per block, not per section
 
 
-def sweep_of(blocks, lanes):
-    """A SectionSweep that holds only what ``with_curvatures`` reads."""
+def sweep_of(blocks, lanes, g):
+    """A SectionSweep that holds only what ``with_curvatures`` reads: its
+    blocks, their Q(X, phi X) under the metrics ``g`` as ``section_sweep``
+    takes it, and the statuses."""
     points = max(lanes, *(len(x) for x, _ in blocks))
     shape = (points, sum(x.shape[1] for x, _ in blocks))
     status = np.full(shape, curv.OK)
-    return SectionSweep(np.zeros((points, 3)), *(None,) * 8, status, blocks)
+    with np.errstate(all="ignore"):
+        q = np.concatenate([np.broadcast_to(plane_q(g[:, None], x, px), shape[:1] + x.shape[1:2])
+                            for x, px in blocks], axis=1)
+    return SectionSweep(np.zeros((points, 3)), None, None, None, q, *(None,) * 4, status,
+                        blocks)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -210,7 +216,7 @@ def test_with_curvatures_matches_section_loop(dim):
             curvatures = CurvatureStack(None, s["dense"][lane], r0[lane], *(None,) * 4)
             blocks = [(x, px) for x, px, _ in vector_sets(rng, lanes, dim).values()]
             blocks.append(tuple(a[:1] for a in blocks[0]))       # a shared block
-            sweep = sweep_of(blocks, lanes)
+            sweep = sweep_of(blocks, lanes, g[lane])
             with np.errstate(all="ignore"):
                 got = sweep.with_curvatures(g[lane], curvatures)
                 k_s, k_0 = ref_with_curvatures(sweep, g[lane], curvatures)
