@@ -65,8 +65,10 @@ def resolve_input(ref: str) -> ChartManifold:
             for item in parts[2].split(","):
                 if "=" not in item:
                     raise InputError(f"malformed zoo parameter {item!r}")
-                key, val = item.split("=", 1)
-                params[key.strip()] = val.strip()
+                key, val = (part.strip() for part in item.split("=", 1))
+                if key in params:
+                    raise InputError(f"duplicate zoo parameter {key!r}")
+                params[key] = val
         try:
             return get_entry(name, **params).manifold
         except (KeyError, ValueError) as exc:
@@ -297,37 +299,55 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def build_parser():
+VERBS = ("validate", "curvature", "audit", "export-zoo", "list-zoo")
+
+
+def build_parser(verb=None):
+    """The argument parser of ``acsgeo``: with every verb, or with the
+    subparser of ``verb`` alone, which parses that verb's arguments as the
+    full parser does."""
     ap = _Parser(
         prog="acsgeo",
         description="Pointwise audits of almost contact statistical structures")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
+    def add_common(name, text):
+        if verb in (None, name):
+            p = sub.add_parser(name, help=text)
             p.add_argument("input", help="spec-file path or zoo:name[:k=v,...]")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--grid", type=int, default=None,
-                       help="sample points per coordinate (default from spec)")
-        p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--checks", default=None,
-                       help="comma list of check groups to run")
-        p.add_argument("--section", default=None,
-                       help="comma-separated component expressions of a section vector")
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--grid", type=int, default=None,
+                           help="sample points per coordinate (default from spec)")
+            p.add_argument("--format", choices=("json", "table"), default="table")
+            p.add_argument("--checks", default=None,
+                           help="comma list of check groups to run")
+            p.add_argument("--section", default=None,
+                           help="comma-separated component expressions of a section vector")
+            p.add_argument("--seed", type=int, default=0)
 
-    add_common(sub.add_parser("validate", help="structure/statistical/ACS axioms"))
-    add_common(sub.add_parser("curvature", help="phi-sectional curvature triples"))
-    add_common(sub.add_parser("audit", help="full theorem audit"))
-    pe = sub.add_parser("export-zoo", help="write a zoo entry as a spec file")
-    pe.add_argument("input")
-    pe.add_argument("-o", "--output", default=None)
-    sub.add_parser("list-zoo", help="list built-in zoo entries")
+    add_common("validate", "structure/statistical/ACS axioms")
+    add_common("curvature", "phi-sectional curvature triples")
+    add_common("audit", "full theorem audit")
+    if verb in (None, "export-zoo"):
+        pe = sub.add_parser("export-zoo", help="write a zoo entry as a spec file")
+        pe.add_argument("input")
+        pe.add_argument("-o", "--output", default=None)
+    if verb in (None, "list-zoo"):
+        sub.add_parser("list-zoo", help="list built-in zoo entries")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Runs the verb of ``argv`` (default ``sys.argv[1:]``) and returns its
+    exit code.  When ``argv`` starts with a verb, the parser of that verb
+    alone parses it, else the full parser; arguments left over go to the
+    full parser, whose usage lists every verb, and a parse error prints
+    argparse's usage and message and exits 2."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args, extra = build_parser(verb).parse_known_args(argv)
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         level = os.environ.get("ACSM_LOG", "warning")
         if level.lower() not in LOG_LEVELS:

@@ -18,6 +18,7 @@ from .metric import (FieldArray, GeometryError, MetricField, NotPositiveDefinite
 log = logging.getLogger(__name__)
 
 GRID_CAP = 243      # the most points a sample grid keeps
+FRAME_CACHE_CAP = 4096      # the most points ``_frame_cache`` holds
 
 
 def _finite(name, arr) -> np.ndarray:
@@ -173,7 +174,9 @@ class ChartManifold:
         self.is_constant = (metric.is_constant and self.phi.is_constant
                             and self.xi.is_constant and difference.is_constant
                             and (self.eta is None or self.eta.is_constant))
-        self._frame_cache = {}       # each point's frame; only bench/tracer.py reads it
+        self._frame_passes = []      # (pts, fields) of the passes not yet in _frame_dict
+        self._frame_pass_points = 0  # the points of those passes
+        self._frame_dict = {}        # point -> its frame, the first of at most FRAME_CACHE_CAP
         self._kept_points = np.empty((0, dim))     # the points of the kept parts
         self._kept_parts = {}        # pass function -> its part of those points
 
@@ -242,19 +245,39 @@ class ChartManifold:
 
     def _frames(self, pts) -> FrameStack:
         """The FrameStack of the (P, dim) ``pts`` from one pass, one lane per
-        point (on a constant chart, the first point's lane alone).  Each
-        point's frame, views of its lane, is cached while ``_frame_cache``
-        holds fewer than 4096.  Raises the fields' errors (``named_pass``)."""
+        point (on a constant chart, the first point's lane alone).  A pass
+        that passes is recorded for ``_frame_cache`` until it is full.
+        Raises the fields' errors (``named_pass``)."""
         lanes = pts[:1] if self.is_constant else pts
         # Python floats overflow silently; so do the lanes
         with named_pass(lanes), np.errstate(all="ignore"):
             fields = self._fields(point_lanes(lanes))
         pts.flags.writeable = False
-        frames = zip(pts, *(np.broadcast_to(a, (len(pts),) + a.shape[1:]) for a in fields))
-        for key, frame in zip(map(tuple, pts.tolist()), frames):
-            if key not in self._frame_cache and len(self._frame_cache) < 4096:
-                self._frame_cache[key] = PointFrame(*frame)
+        if len(self._frame_dict) < FRAME_CACHE_CAP:
+            self._frame_passes.append((pts, fields))
+            self._frame_pass_points += len(pts)
+            if len(self._frame_dict) + self._frame_pass_points >= FRAME_CACHE_CAP:
+                self._fold_frame_passes()
         return FrameStack(pts, *fields)
+
+    def _fold_frame_passes(self):
+        """Adds the frames of the recorded passes to ``_frame_dict``, in pass
+        order: views of their lanes, the first frame of a point kept, while
+        it holds fewer than FRAME_CACHE_CAP."""
+        for pts, fields in self._frame_passes:
+            frames = zip(pts, *(np.broadcast_to(a, (len(pts),) + a.shape[1:]) for a in fields))
+            for key, frame in zip(map(tuple, pts.tolist()), frames):
+                if key not in self._frame_dict and len(self._frame_dict) < FRAME_CACHE_CAP:
+                    self._frame_dict[key] = PointFrame(*frame)
+        self._frame_passes, self._frame_pass_points = [], 0
+
+    @property
+    def _frame_cache(self) -> dict:
+        """Each point's frame from the passes of ``_frames``, the first
+        frame of a point, at most FRAME_CACHE_CAP points in the order the
+        passes met them; built when read.  Only bench/tracer.py reads it."""
+        self._fold_frame_passes()
+        return self._frame_dict
 
     def frame_at(self, point) -> PointFrame:
         """The frame of one point: row 0 of ``frame_stack([point])``."""

@@ -163,25 +163,25 @@ def _flat(fields):
 def field_jet(fields, coords, order: int):
     """The jet of a nested array of ScalarFields at the (P,) lane coordinates
     ``coords``: the values (P, *shape) and, up to ``order`` (0, 1 or 2), the
-    gradients (P, dim, *shape) and Hessians (P, dim, dim, *shape), from one
-    walk of each distinct field (a metric's mirrored entries share one).
-    The derivatives of a constant array are broadcast zeros.  Run it under
+    gradients (P, dim, *shape) and Hessians (P, dim, dim, *shape).  Each
+    distinct field is walked once into a (..., n_distinct) array, which one
+    ``np.take`` per array expands to the entries (a metric's mirrored
+    entries share one field); ``take`` returns C-contiguous arrays, whose
+    products sum in the order a filled array's do.  The derivatives of a
+    constant array are broadcast zeros.  Run it under
     ``np.errstate(all="ignore")``: lanes overflow as Python floats do."""
     lanes, dim = len(coords[0]), len(coords)
     flat = _flat(fields)
     shape = np.shape(fields)
     constant = fields.is_constant if isinstance(fields, FieldArray) else fields_constant(fields)
-    out = [np.empty((lanes, len(flat)))]
+    column = {}     # the column of each distinct field
+    index = [column.setdefault(id(f), len(column)) for f in flat]
+    distinct = list({id(f): f for f in flat}.values())
+    out = [np.empty((lanes, len(distinct)))]
     if not constant:
-        out += [np.zeros((lanes,) + (dim,) * k + (len(flat),)) for k in range(1, order + 1)]
+        out += [np.zeros((lanes,) + (dim,) * k + (len(distinct),)) for k in range(1, order + 1)]
     env = Jet.variables(coords, order) if len(out) > 1 else coords
-    first = {}
-    for i, f in enumerate(flat):
-        j = first.setdefault(id(f), i)
-        if j < i:
-            for a in out:
-                a[..., i] = a[..., j]
-            continue
+    for i, f in enumerate(distinct):
         jet = f.eval_scalar(env)
         if isinstance(jet, Jet):
             out[0][:, i] = jet.val
@@ -190,6 +190,8 @@ def field_jet(fields, coords, order: int):
                 out[2][..., i] = jet.hess.transpose(2, 0, 1)
         else:
             out[0][:, i] = jet
+    if len(distinct) < len(flat):
+        out = [np.take(a, index, axis=-1) for a in out]
     if constant:
         out += [np.broadcast_to(0.0, (lanes,) + (dim,) * k + (len(flat),))
                 for k in range(1, order + 1)]

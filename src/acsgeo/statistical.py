@@ -3,8 +3,6 @@ statistical validation, and the conjugate connection."""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .manifold import ChartManifold, FrameStack
@@ -112,10 +110,19 @@ def cubic_form(g: np.ndarray, k: np.ndarray) -> np.ndarray:
 def total_symmetry_residual(t: np.ndarray):
     """max |t - t permuted| over the permutations of the last three slots:
     a float for one tensor, an array for tensors stacked on leading axes;
-    NaN where t holds a NaN."""
-    lead, slots = tuple(range(t.ndim - 3)), tuple(range(t.ndim - 3, t.ndim))
+    NaN where t holds a NaN or an inf.  Four permutations give that maximum:
+    the three transpositions and one 3-cycle, as the other 3-cycle gives
+    the same differences negated.  The identity adds 0, or NaN where t holds
+    an inf (inf - inf), where the other permutations give inf or NaN: so an
+    inf maximum of a tensor holding an inf becomes NaN."""
+    n = t.ndim - 3
+    lead, slots = tuple(range(n)), (n, n + 1, n + 2)
     res = np.maximum.reduce([np.max(np.abs(t - np.transpose(t, lead + perm)), axis=slots)
-                             for perm in itertools.permutations(slots)])
+                             for perm in ((n + 1, n, n + 2), (n, n + 2, n + 1),
+                                          (n + 2, n + 1, n), (n + 1, n + 2, n))])
+    over = np.isinf(res)
+    if over.any():
+        res = np.where(over & ~np.isfinite(t).all(axis=slots), np.nan, res)
     return float(res) if res.ndim == 0 else res
 
 

@@ -171,6 +171,14 @@ def test_malformed_zoo_ref_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("ref", ["zoo:random:dim=3,dim=5", "zoo:random:seed=1, dim=5 ,dim=5",
+                                 "zoo:example_flat_acs:n=1,n=1"])
+def test_duplicate_zoo_parameter_exits_two(capsys, ref):
+    code, out, err = run(capsys, "validate", ref)
+    key = ref.rsplit(",", 1)[1].split("=")[0].strip()
+    assert (code, out, err) == (2, "", f"error: duplicate zoo parameter {key!r}\n")
+
+
 def test_audit_table_format(capsys):
     code, out, _ = run(capsys, "audit", "zoo:example_r3_negative",
                        "--grid", "2", "--checks", "thm_5_8,geodesic")
