@@ -3,14 +3,15 @@ differentiation.
 
 Expressions are parsed from strings over declared coordinate names and a
 small set of operators and elementary functions.  Evaluation is generic in
-the scalar type: plugging in floats gives values, plugging in ``Dual``
-numbers gives exact directional derivatives, and plugging in ``Jet``s
-gives the value, the gradient and the Hessian in one walk of the tree
-(used downstream for curvature).
+the scalar type: floats give values, and ``Jet``s give the value, the
+gradient and, at order 2, the Hessian in one walk of the tree.  A ``Dual``
+is a first-order ``Jet`` in one seeded direction, so there is one
+derivative engine for every verb, ``eval_with_derivative`` and nested
+``Dual`` seeding.
 
 A scalar may also be a ``(P,)`` float array with one lane per sample point,
-bare or as the parts of a ``Dual`` or ``Jet``.  Every lane then goes through
-the same IEEE operations (``sin``/``cos``/``exp``/``log``/``sqrt`` call
+bare or as the parts of a ``Jet``.  Every lane then goes through the same
+IEEE operations (``sin``/``cos``/``exp``/``log``/``sqrt`` call
 :mod:`math` lane by lane), so a lane's result does not depend on the other
 lanes.  Domain checks look at values only and raise when any lane fails.
 Like Python floats, lanes overflow to inf silently: callers that evaluate
@@ -80,67 +81,6 @@ def _libm(fn, x):
         raise NonFiniteError(f"{fn.__name__}({x}) overflows") from None
     except ValueError:
         raise NonFiniteError(f"{fn.__name__}({x}) is undefined") from None
-
-
-# ---------------------------------------------------------------------------
-# dual numbers
-
-
-class Dual:
-    """Forward-mode dual number (value, tangent).
-
-    ``val`` and ``dot`` may themselves be Dual, which yields exact mixed
-    second derivatives by nested seeding, and the innermost parts may be
-    floats or ``(P,)`` lane arrays.
-    """
-
-    __slots__ = ("val", "dot")
-    __array_ufunc__ = None   # ndarray op Dual defers to Dual's reflected op
-
-    def __init__(self, val, dot=0.0):
-        self.val = val
-        self.dot = dot
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, Dual):
-            return x
-        return Dual(x if isinstance(x, np.ndarray) else float(x), 0.0)
-
-    def __add__(self, other):
-        o = Dual._lift(other)
-        return Dual(self.val + o.val, self.dot + o.dot)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = Dual._lift(other)
-        return Dual(self.val - o.val, self.dot - o.dot)
-
-    def __rsub__(self, other):
-        return Dual._lift(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = Dual._lift(other)
-        return Dual(self.val * o.val, self.dot * o.val + self.val * o.dot)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Dual._lift(other)
-        if any_lane(primal(o) == 0.0):
-            raise EvalDomainError("division by zero")
-        v = self.val / o.val
-        return Dual(v, (self.dot - v * o.dot) / o.val)
-
-    def __rtruediv__(self, other):
-        return Dual._lift(other).__truediv__(self)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.dot)
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.dot!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +178,31 @@ def _sym_outer(a, b):
     return cross + cross.transpose(1, 0, 2)
 
 
+class Dual(Jet):
+    """A first-order jet in one seeded direction: value ``val`` and tangent
+    ``grad``, floats or (P,) lanes.  Its arithmetic is Jet arithmetic and
+    returns Jets; nested seeding, ``Dual(Dual(x, 1), Dual(1, 0))``, gives
+    exact second derivatives."""
+
+    __slots__ = ()
+
+    def __init__(self, val, dot=0.0):
+        Jet.__init__(self, val, dot)
+
+
 def primal(x):
-    """Strip all dual or jet levels and return the underlying value."""
-    while isinstance(x, (Dual, Jet)):
+    """Strip all jet levels and return the underlying value."""
+    while isinstance(x, Jet):
         x = x.val
     return x
 
 
 def tangent(x):
-    """First-order tangent of a scalar; 0 for plain floats."""
-    return x.dot if isinstance(x, Dual) else 0.0
+    """The first-order part of a scalar, a Dual's tangent; 0 for a float."""
+    return x.grad if isinstance(x, Jet) else 0.0
 
 
 def d_sin(x):
-    if isinstance(x, Dual):
-        return Dual(d_sin(x.val), d_cos(x.val) * x.dot)
     if isinstance(x, Jet):
         s = d_sin(x.val)
         return x.chain(s, d_cos(x.val), -s)
@@ -260,8 +210,6 @@ def d_sin(x):
 
 
 def d_cos(x):
-    if isinstance(x, Dual):
-        return Dual(d_cos(x.val), -d_sin(x.val) * x.dot)
     if isinstance(x, Jet):
         c = d_cos(x.val)
         return x.chain(c, -d_sin(x.val), -c)
@@ -269,9 +217,6 @@ def d_cos(x):
 
 
 def d_exp(x):
-    if isinstance(x, Dual):
-        e = d_exp(x.val)
-        return Dual(e, e * x.dot)
     if isinstance(x, Jet):
         e = d_exp(x.val)
         return x.chain(e, e, e)
@@ -287,8 +232,6 @@ def _check_positive(x, what):
 
 def d_log(x):
     _check_positive(x, "log")
-    if isinstance(x, Dual):
-        return Dual(d_log(x.val), x.dot / x.val)
     if isinstance(x, Jet):
         inv = 1.0 / x.val
         return x.chain(d_log(x.val), inv, -inv * inv)
@@ -296,14 +239,12 @@ def d_log(x):
 
 
 def d_sqrt(x):
-    # disallow 0 too: the derivative blows up there
+    # disallow 0 too: the derivative blows up there; f'' is formed at order 2
+    # only, since s * x.val can underflow to a float 0.0
     _check_positive(x, "sqrt")
-    if isinstance(x, Dual):
-        s = d_sqrt(x.val)
-        return Dual(s, x.dot / (2.0 * s))
     if isinstance(x, Jet):
         s = d_sqrt(x.val)
-        return x.chain(s, 0.5 / s, -0.25 / (s * x.val))
+        return x.chain(s, 0.5 / s, None if x.hess is None else -0.25 / (s * x.val))
     return _libm(math.sqrt, x)
 
 
@@ -332,6 +273,7 @@ _FUNCTIONS = {"sin": d_sin, "cos": d_cos, "exp": d_exp, "log": d_log, "sqrt": d_
 
 # Node precedence levels used for minimal-paren printing.
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+MAX_EXPONENT = 64   # the largest |n| of x^n: its walk makes |n| - 1 products
 
 
 class Num:
@@ -543,8 +485,11 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind != "number" or not re.fullmatch(r"\d+", val):
                 raise ExprSyntaxError("expected integer exponent after '^'", pos)
+            n = int(val.lstrip("0")[:3] or 0)   # three digits exceed the bound
+            if n > MAX_EXPONENT:
+                raise ExprSyntaxError(f"integer exponent beyond {MAX_EXPONENT} in magnitude", pos)
             self.next()
-            return Pow(base, sign * int(val))
+            return Pow(base, sign * n)
         return base
 
     def atom(self):
@@ -591,8 +536,7 @@ class ScalarField:
         return len(self.coord_names)
 
     def eval_scalar(self, env):
-        """Evaluate with an arbitrary scalar environment (floats, lane arrays,
-        Duals of either or Jets)."""
+        """Evaluate with a generic scalar environment: floats, lane arrays or Jets."""
         return self.body.eval(env)
 
     def __call__(self, point: Sequence[float]) -> float:

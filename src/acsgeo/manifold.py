@@ -174,9 +174,9 @@ class ChartManifold:
         self.is_constant = (metric.is_constant and self.phi.is_constant
                             and self.xi.is_constant and difference.is_constant
                             and (self.eta is None or self.eta.is_constant))
-        self._frame_passes = []      # (pts, fields) of the passes not yet in _frame_dict
-        self._frame_pass_points = 0  # the points of those passes
-        self._frame_dict = {}        # point -> its frame, the first of at most FRAME_CACHE_CAP
+        self._frame_passes = []      # the (P, dim) points of the passes not yet in _frame_dict
+        self._frame_pass_points = 0  # how many points those are
+        self._frame_dict = {}        # point -> None, the first FRAME_CACHE_CAP points met
         self._kept_points = np.empty((0, dim))     # the points of the kept parts
         self._kept_parts = {}        # pass function -> its part of those points
 
@@ -245,37 +245,36 @@ class ChartManifold:
 
     def _frames(self, pts) -> FrameStack:
         """The FrameStack of the (P, dim) ``pts`` from one pass, one lane per
-        point (on a constant chart, the first point's lane alone).  A pass
-        that passes is recorded for ``_frame_cache`` until it is full.
-        Raises the fields' errors (``named_pass``)."""
+        point (on a constant chart, the first point's lane alone).  The points
+        of a pass that passes are recorded for ``_frame_cache`` until it is
+        full.  Raises the fields' errors (``named_pass``)."""
         lanes = pts[:1] if self.is_constant else pts
         # Python floats overflow silently; so do the lanes
         with named_pass(lanes), np.errstate(all="ignore"):
             fields = self._fields(point_lanes(lanes))
         pts.flags.writeable = False
         if len(self._frame_dict) < FRAME_CACHE_CAP:
-            self._frame_passes.append((pts, fields))
+            self._frame_passes.append(pts)
             self._frame_pass_points += len(pts)
             if len(self._frame_dict) + self._frame_pass_points >= FRAME_CACHE_CAP:
                 self._fold_frame_passes()
         return FrameStack(pts, *fields)
 
     def _fold_frame_passes(self):
-        """Adds the frames of the recorded passes to ``_frame_dict``, in pass
-        order: views of their lanes, the first frame of a point kept, while
-        it holds fewer than FRAME_CACHE_CAP."""
-        for pts, fields in self._frame_passes:
-            frames = zip(pts, *(np.broadcast_to(a, (len(pts),) + a.shape[1:]) for a in fields))
-            for key, frame in zip(map(tuple, pts.tolist()), frames):
-                if key not in self._frame_dict and len(self._frame_dict) < FRAME_CACHE_CAP:
-                    self._frame_dict[key] = PointFrame(*frame)
+        """Adds the points of the recorded passes to ``_frame_dict``, in pass
+        order, while it holds fewer than FRAME_CACHE_CAP."""
+        for pts in self._frame_passes:
+            for key in map(tuple, pts.tolist()):
+                if len(self._frame_dict) == FRAME_CACHE_CAP:
+                    break
+                self._frame_dict[key] = None    # a point met before keeps its place
         self._frame_passes, self._frame_pass_points = [], 0
 
     @property
     def _frame_cache(self) -> dict:
-        """Each point's frame from the passes of ``_frames``, the first
-        frame of a point, at most FRAME_CACHE_CAP points in the order the
-        passes met them; built when read.  Only bench/tracer.py reads it."""
+        """The points the passes of ``_frames`` met, each once, at most
+        FRAME_CACHE_CAP in the order met, as the keys of a dict; built when
+        read.  Only bench/tracer.py reads it, for its length."""
         self._fold_frame_passes()
         return self._frame_dict
 

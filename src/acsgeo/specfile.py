@@ -120,7 +120,7 @@ def load_spec(path) -> ChartManifold:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # a JSONDecodeError, or an integer of too many digits
             raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
     return manifold_from_dict(data)
 

@@ -17,6 +17,11 @@ class UnsupportedDimensionError(ValueError):
     pass
 
 
+# the largest dimension a zoo structure takes: its tables hold dim^3 strings
+# and an audit's frame and curvature stacks dim^4 floats per point
+MAX_DIM = 15
+
+
 @dataclass
 class ZooEntry:
     name: str
@@ -71,6 +76,8 @@ def example_flat_acs(n: int = 1) -> ZooEntry:
     vanishing phi-sectional K-curvature, lambda = 1."""
     if n < 1:
         raise UnsupportedDimensionError("n must be >= 1")
+    if 2 * n + 1 > MAX_DIM:
+        raise UnsupportedDimensionError(f"n must be at most {(MAX_DIM - 1) // 2}, got {n}")
     coords, lower, phi, xi = _flat_chart(n)
     dim = 2 * n + 1
     k = _zero_tensor3(dim)
@@ -152,6 +159,8 @@ def generate_random_acs(dim: int, seed: int, family: str) -> ZooEntry:
     """
     if dim % 2 == 0 or dim < 3:
         raise UnsupportedDimensionError(f"dimension must be odd and >= 3, got {dim}")
+    if dim > MAX_DIM:
+        raise UnsupportedDimensionError(f"dimension must be at most {MAX_DIM}, got {dim}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     n = (dim - 1) // 2

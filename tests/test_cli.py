@@ -8,6 +8,7 @@ import logging
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -708,6 +709,43 @@ def test_malformed_field_exits_two(field, value):
     if field == "connection":
         del spec["K"]
     _exits_two_everywhere(spec)
+
+
+def _run_bounded(argv, memory=1536 << 20, seconds=60):
+    """``acsgeo argv`` in a child process limited to ``memory`` bytes of
+    address space and ``seconds`` of wall time, so that an input whose cost
+    is unbounded fails the test instead of exhausting the host."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("ACSM_LOG", None)
+    return subprocess.run(
+        [sys.executable, "-m", "acsgeo.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=seconds, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (memory,) * 2))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "zoo:random:dim=9999"], "dimension must be at most 15, got 9999"),
+    (["audit", "zoo:example_flat_acs:n=5000"], "n must be at most 7, got 5000"),
+    (["validate", "x^1000000000"], "integer exponent beyond 64 in magnitude (at position 8)"),
+    (["validate", "x^" + "9" * 5000], "integer exponent beyond 64 in magnitude (at position 8)"),
+    (["validate", "grid"], "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["dim 9999", "n 5000", "exponent 1e9", "exponent of 5000 digits", "grid of 5000 digits"])
+def test_unbounded_inputs_exit_two(tmp_path, argv, message):
+    """A zoo dimension, an integer exponent or a spec integer whose cost has
+    no bound is rejected before any work scales with it: exit 2 with one
+    line on stderr, no traceback."""
+    verb, what = argv
+    if not what.startswith("zoo:"):
+        path = tmp_path / "spec.json"
+        if what == "grid":
+            path.write_text(json.dumps(FLAT_BLOCK).replace('"grid": 2', '"grid": ' + "9" * 5000))
+        else:
+            metric = [["1 + 0*" + what], ["0", "1"], ["0", "0", "1"]]
+            path.write_text(json.dumps(dict(FLAT_BLOCK, metric_lower=metric)))
+        argv = [verb, str(path)]
+    proc = _run_bounded(argv)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-2000:]
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 NOT_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from acsgeo import (Dual, EvalDomainError, ExprSyntaxError, NonFiniteError,
                     UnknownIdentifierError, eval_with_derivative,
                     parse_expression)
-from acsgeo.expressions import primal, tangent
+from acsgeo.expressions import Jet, primal, tangent
+from acsgeo.metric import field_jet
 
 from conftest import central_difference
 
@@ -60,6 +61,23 @@ def test_grammar_cases(text, point, expected):
 def test_fractional_exponent_rejected():
     with pytest.raises(ExprSyntaxError):
         parse_expression("x^2.5", ["x"])
+
+
+@pytest.mark.parametrize("exponent, position", [
+    ("65", 2), ("-65", 3), ("100", 2), ("1000000000", 2), ("9" * 5000, 2)],
+    ids=["65", "-65", "100", "1e9", "5000 digits"])
+def test_exponent_beyond_64_rejected_at_its_position(exponent, position):
+    """A walk of x^n makes |n| - 1 products, and int() of a long digit string
+    raises; both are bounded at parse time, before int() sees the digits."""
+    with pytest.raises(ExprSyntaxError, match="beyond 64") as exc:
+        parse_expression(f"x^{exponent}", ["x"])
+    assert exc.value.position == position
+
+
+def test_exponent_bound_is_inclusive_and_ignores_leading_zeros():
+    assert parse_expression("x^64", ["x"])([1.0]) == 1.0
+    assert parse_expression("x^-64", ["x"])([2.0]) == 2.0 ** -64
+    assert parse_expression("x^" + "0" * 5000 + "2", ["x"]).to_string() == "x^2"
 
 
 def test_domain_errors():
@@ -141,6 +159,36 @@ def test_nested_dual_second_derivative():
     assert primal(primal(out)) == pytest.approx(8.0)
     assert primal(tangent(out)) == pytest.approx(12.0)   # first derivative
     assert tangent(tangent(out)) == pytest.approx(12.0)  # second derivative
+
+
+JET_TEXTS = ["log(x*y + 2)", "sqrt(x^2 + y^2 + 0.1)", "x / (y - 3)", "(x + y*z + 3)^-3",
+             "log(sqrt(z + 2)) / (x - 2)", "sqrt(exp(x) + 1)^3", "1 / log(2 + x*z)",
+             "(y - 0.5)^4 / sqrt(1 + x^2)", "-log(3 - x) * z^2 + 1/(y + 2)"]
+
+
+def test_eval_with_derivative_is_a_one_lane_jet_walk():
+    """Seeded Duals run the Jet rules every verb runs: value and partial
+    derivative equal ``field_jet`` of one lane bit for bit."""
+    points = np.random.default_rng(7).uniform(-1.0, 1.0, (100, 3))
+    for text in JET_TEXTS:
+        f = parse_expression(text, ["x", "y", "z"])
+        for p in points:
+            value, grad = field_jet([f], [np.array([c]) for c in p], 1)
+            for j in range(3):
+                got = eval_with_derivative(f, list(p), j)
+                assert np.float64(got.value).tobytes() == value[0, 0].tobytes(), (text, p)
+                assert np.float64(got.derivative).tobytes() == grad[0, j, 0].tobytes(), \
+                    (text, p, j)
+
+
+def test_dual_is_a_first_order_jet():
+    """Arithmetic on a Dual is Jet arithmetic; outside an expression a zero
+    divisor is Python's ZeroDivisionError, inside one an EvalDomainError."""
+    x = Dual(2.0, 1.0)
+    out = x * x + 1
+    assert type(out) is Jet and (primal(out), tangent(out)) == (5.0, 4.0)
+    with pytest.raises(ZeroDivisionError):
+        x / 0.0
 
 
 def test_derivative_index_out_of_range():

@@ -18,14 +18,14 @@ from acsgeo import (AuditReport, cli, conjugate_connection, contact, generate_ra
 from acsgeo import curvature as curv
 from acsgeo.contact import (DegenerateSeedError, ExhaustedCandidatesError, FrameError,
                             nabla0_phi, nabla0_phi_pass, phi_bases)
-from acsgeo.expressions import (Dual, ExpressionError, Jet, NonFiniteError, parse_expression,
-                                primal, tangent)
+from acsgeo.expressions import ExpressionError, Jet, NonFiniteError, parse_expression
 from acsgeo.manifold import ChartManifold, FrameStack
 from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField,
                            SingularMetricError, christoffel, christoffel_jet,
                            field_first_derivatives, field_values, inv_generic, riemann)
 from acsgeo.specfile import manifold_from_dict
 
+import dual_reference as ref
 from conftest import poly3_metric
 
 XYZ = ["x", "y", "z"]
@@ -77,9 +77,9 @@ COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0]),
 POINTS = st.lists(st.tuples(COORD, COORD, COORD), min_size=2, max_size=7)
 
 
-def _evaluate(field, env):
+def _evaluate(field, env, walk=None):
     try:
-        return field.eval_scalar(env), None
+        return (walk or field.eval_scalar)(env), None
     except ExpressionError as exc:
         return None, type(exc)
 
@@ -113,19 +113,21 @@ def test_expression_lanes_match_points(text, points, order):
 @given(EXPRESSIONS, st.tuples(COORD, COORD, COORD))
 def test_jet_matches_nested_duals(text, point):
     """The gradient and Hessian of one Taylor walk against d_m and d_i d_m
-    from nested Dual seeding, an independent reference."""
+    from nested Dual seeding in ``tests/dual_reference.py``, an independent
+    reference with its own arithmetic, rules and walk."""
     field = parse_expression(text, XYZ)
     with np.errstate(all="ignore"):
         jet, error = _evaluate(field, seeded(point, 2))
         for m, i in itertools.product(range(3), repeat=2):
-            env = [Dual(Dual(c, float(n == m)), float(n == i)) for n, c in enumerate(point)]
-            out, dual_error = _evaluate(field, env)
+            env = [ref.Dual(ref.Dual(c, float(n == m)), float(n == i))
+                   for n, c in enumerate(point)]
+            out, dual_error = _evaluate(field, env, lambda env: ref.evaluate(field.body, env))
             assert dual_error == error
             if error is not None:
                 return
             grad, hess = parts(jet, 2, 1)[1:]
-            d_m = primal(tangent(out.val)) if isinstance(out, Dual) else 0.0
-            for got, want in ((grad[0, m], d_m), (hess[0, i, m], tangent(tangent(out)))):
+            d_m = ref.primal(ref.tangent(out.val)) if isinstance(out, ref.Dual) else 0.0
+            for got, want in ((grad[0, m], d_m), (hess[0, i, m], ref.tangent(ref.tangent(out)))):
                 if np.isfinite(got) and np.isfinite(want):
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 

@@ -9,7 +9,7 @@ from acsgeo import (generate_random_acs, get_entry, lambda_of, list_zoo,
                     validate_statistical, validate_structure)
 from acsgeo.curvature import audit_branch, sweep_sections
 from acsgeo.specfile import manifold_to_dict
-from acsgeo.zoo import FAMILIES, UnsupportedDimensionError
+from acsgeo.zoo import FAMILIES, UnsupportedDimensionError, example_flat_acs
 
 from conftest import sample_points
 
@@ -99,6 +99,15 @@ def test_dimension_validation():
         generate_random_acs(4, 0, "mixed")
     with pytest.raises(UnsupportedDimensionError):
         generate_random_acs(1, 0, "mixed")
+    # the tables grow as dim^3: dimensions above 15 are refused before any is built
+    for dim in (17, 9999):
+        with pytest.raises(UnsupportedDimensionError, match="at most 15"):
+            generate_random_acs(dim, 0, "mixed")
+    for n in (8, 5000):
+        with pytest.raises(UnsupportedDimensionError, match="at most 7"):
+            example_flat_acs(n)
+    assert generate_random_acs(15, 0, "mixed").manifold.dim == 15
+    assert example_flat_acs(7).manifold.dim == 15
     with pytest.raises(ValueError):
         generate_random_acs(3, 0, "no-such-family")
 
