@@ -28,7 +28,7 @@ import numpy as np
 from . import curvature as curv
 from .contact import FrameError, is_cosymplectic, nabla0_phi_pass, structure_columns
 from .expressions import ExpressionError, parse_expression
-from .manifold import ChartManifold
+from .manifold import GRID_CAP, ChartManifold
 from .metric import GeometryError, field_jet, point_lanes
 from .report import AuditReport, Column, within
 from .specfile import SpecFormatError, dump_spec, load_spec, manifold_to_dict
@@ -36,6 +36,7 @@ from .statistical import (StatisticalError, acs_columns, conjugate_connections,
                           statistical_columns)
 from .zoo import UnsupportedDimensionError, get_entry, list_zoo
 
+log = logging.getLogger(__name__)
 render_log = logging.getLogger("acsgeo.report")
 
 EXIT_OK, EXIT_MATH_FAIL, EXIT_INPUT_ERROR = 0, 1, 2
@@ -123,11 +124,16 @@ def sample_points(m: ChartManifold, grid) -> np.ndarray:
     """The (P, dim) sample grid of a run, ``ChartManifold.grid_points``:
     ``--grid`` points per coordinate, or the spec's grid when it is not
     given; fewer than one is an input error.  Any count keeps at most
-    GRID_CAP points, and only their coordinates are computed."""
+    GRID_CAP points, and only their coordinates are computed; a grid the
+    cap cuts logs its nominal and kept counts at info level."""
     k = m.grid if grid is None else grid
     if k < 1:
         raise InputError(f"grid must be at least 1 point per coordinate, got {k}")
-    return m.grid_points(k)
+    pts = m.grid_points(k)
+    if len(pts) < k ** m.dim:
+        log.info("sample grid: %d of %d points kept (grid cap %d)", len(pts), k ** m.dim,
+                 GRID_CAP)
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +155,7 @@ def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
             columns += statistical_columns(fs, tol)
         if selected("acs", checks):
             columns += acs_columns(fs, tol)
-        return AuditReport.from_columns(fs.point, columns)
+        return AuditReport.from_columns(fs.point, columns, fs.lane)
     return curv.replay(run, pts, None)
 
 
@@ -179,7 +185,7 @@ def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
         if "duality" in wanted:
             columns.append(within("connection_duality",
                                   conjugate_connections(fs, tol=loose)[1], loose))
-        return AuditReport.from_columns(fs.point, columns)
+        return AuditReport.from_columns(fs.point, columns, fs.lane)
     return curv.replay(run, pts, None) if wanted else AuditReport()
 
 

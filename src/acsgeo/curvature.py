@@ -25,10 +25,10 @@ import numpy as np
 from .contact import nabla0_phi_pass, phi_bases, phi_basis
 from .expressions import ExpressionError, NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame, lane_rows, named_pass
-from .metric import (DegeneratePlaneError, GeometryError, apply_curvature, christoffel_jet,
-                     contract, covariant_derivative_11, covariant_derivative_vector,
-                     first_slot, inner, nabla_g, norms, outer, per_16_lanes, plane_q,
-                     point_lanes, pow2, riemann)
+from .metric import (DegeneratePlaneError, GeometryError, apply_curvature, at_points,
+                     christoffel_jet, contract, covariant_derivative_11,
+                     covariant_derivative_vector, first_slot, inner, nabla_g, norms, outer,
+                     per_16_lanes, plane_q, point_lanes, pow2, riemann)
 from .report import AuditReport, Column, max_abs, raise_first, within
 from .statistical import lambdas
 
@@ -117,7 +117,8 @@ class SectionSweep:
     ``closed`` and the ``status``.  ``k_s`` and ``k_0``, the S and R^0
     sectional curvatures of span{X, phi X}, are None until
     ``with_curvatures`` adds them from ``blocks``, the (X, phi X) of each
-    section block with the strides of its vectors."""
+    section block with the strides of its vectors, and ``lane``, the lane
+    of each point in the frames the sweep read (None: one per point)."""
 
     point: np.ndarray
     x: np.ndarray
@@ -130,6 +131,7 @@ class SectionSweep:
     k_0: Optional[np.ndarray]
     status: np.ndarray
     blocks: list
+    lane: Optional[np.ndarray] = None
 
     def error(self, i, j, plane: bool = False) -> Optional[Exception]:
         """The error phi_sectional_k_curvature raises for pair (i, j), or
@@ -156,19 +158,22 @@ class SectionSweep:
 
     def with_curvatures(self, g, curvatures) -> "SectionSweep":
         """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
-        ``CurvatureStack`` of its points: the numerators g(R(X, phi X) phi X, X)
-        of each block 16 rows at a time (``per_16_lanes``) with its sections
-        as a batch axis, so a block of one row (the shared sections of a
-        constant chart) is evaluated once, over the sweep's own Q(X, phi X),
-        the ``plane_q`` of ``sectional_values`` on the same operands; a pair
+        ``CurvatureStack`` of its points' lanes: the numerators
+        g(R(X, phi X) phi X, X) of each block 16 rows at a time
+        (``per_16_lanes``) with its sections as a batch axis, so a block of
+        one row per lane (the plain sections) is evaluated once per lane and
+        a block of one row per point (the random sections) reads the lane
+        of each of its rows, over the sweep's own Q(X, phi X), the
+        ``plane_q`` of ``sectional_values`` on the same operands; a pair
         that is OK or MISMATCH becomes NON_FINITE where one of them is not
         finite."""
         def numerator(r, g, x, px):
             return inner(g[:, None], x, apply_curvature(r[:, None], x, px, px))
+        points, lane = len(self.point), self.lane
         with np.errstate(all="ignore"):
-            k_s, k_0 = (_points_concat(len(self.point), [
-                per_16_lanes(numerator, r, g, x, px) for x, px in self.blocks]) / self.q
-                for r in (curvatures.s, curvatures.r0))
+            k_s, k_0 = (_points_concat(points, lane, [
+                per_16_lanes(numerator, r, g, x, px, lane=lane if len(x) == points else None)
+                for x, px in self.blocks]) / self.q for r in (curvatures.s, curvatures.r0))
         status = np.where(np.isin(self.status, (OK, MISMATCH))
                           & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
         return replace(self, k_s=k_s, k_0=k_0, status=status)
@@ -179,14 +184,15 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     and its closed form -2 ||K(X,X)||^2 / ||X||^4 on an independent path,
     for every section X of every point of ``frames``.
 
-    ``sections`` is a list of (P, S_b, dim) blocks, joined along the
-    section axis; a block of one row, like a one-lane stack, is shared by
-    all P points and evaluated once.  Each pair gets the operand shapes of
-    one vector (see ``metric.inner``), so every value is bit-identical to
-    the per-point functions, and a block keeps the strides of its vectors:
-    the legs of a phi-basis are strided columns, which BLAS may sum in
-    another order than contiguous vectors.  Intermediates stay
-    O(P S dim^2).
+    ``sections`` is a list of section blocks, joined along the section
+    axis: a block of one row per lane of the stack (or of one row, shared
+    by all P points) is evaluated once per lane, and a block of P rows
+    reads the fields of each row's lane.  Each pair gets the operand
+    shapes of one vector (see ``metric.inner``), so every value is
+    bit-identical to the per-point functions, and a block keeps the
+    strides of its vectors: the legs of a phi-basis are strided columns,
+    which BLAS may sum in another order than contiguous vectors.
+    Intermediates stay O(P S dim^2).
 
     Nothing is raised: a pair that fails gets a status, the first of
     NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE (a value is inf or
@@ -194,19 +200,22 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     relative); ``SectionSweep.error`` gives the exception.
     """
     start = time.perf_counter()
-    g, k = frames.g[:, None], frames.K[:, None]
+    points, lane = len(frames.point), frames.lane
     blocks = []
     with np.errstate(all="ignore"):
         for x in sections:
-            px = contract(frames.phi[:, None], x)
+            g, phi, k, eta = (at_points(a, lane, points) if len(x) == points else a
+                              for a in (frames.g, frames.phi, frames.K, frames.eta))
+            g, k = g[:, None], k[:, None]
+            px = contract(phi[:, None], x)
             sq = inner(g, x, x)
             q = plane_q(g, x, px)
             kxx = contract(contract(k, x), x)
-            blocks.append([x, px, (frames.eta[:, None, None, :] @ x[..., :, None])[..., 0, 0],
+            blocks.append([x, px, (eta[:, None, None, :] @ x[..., :, None])[..., 0, 0],
                            sq, q, inner(g, kk_bracket(k, x, px, px), x) / q,
                            -2.0 * inner(g, kxx, kxx) / pow2(sq)])
         x, px, eta, sq, q, value, closed = (
-            _points_concat(len(frames.point), parts) for parts in zip(*blocks))
+            _points_concat(points, lane, parts) for parts in zip(*blocks))
         blocks = [block[:2] for block in blocks]
 
         finite = np.isfinite(eta) & np.isfinite(q) & np.isfinite(value) & np.isfinite(closed)
@@ -218,13 +227,14 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     log.debug("section sweep: %d points, %d sections in %.4f s",
               x.shape[0], x.shape[1], time.perf_counter() - start)
     return SectionSweep(frames.point, x, px, eta, q, value, closed, None, None, status,
-                        blocks)
+                        blocks, lane)
 
 
-def _points_concat(points: int, parts) -> np.ndarray:
-    """Arrays of 1 or ``points`` rows, broadcast to ``points`` rows and joined
-    along the section axis."""
-    return np.concatenate([np.broadcast_to(a, (points,) + a.shape[1:]) for a in parts], axis=1)
+def _points_concat(points: int, lane, parts) -> np.ndarray:
+    """Arrays of 1 row, one row per lane or one per point, read at each of
+    ``points`` points (``at_points``) and joined along the section axis."""
+    return np.concatenate([np.broadcast_to(at_points(a, lane, points), (points,) + a.shape[1:])
+                           for a in parts], axis=1)
 
 
 def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
@@ -257,9 +267,10 @@ def _statistical_parts(gamma0, dgamma0, k, dk, flat: bool = False):
 
 class CurvatureStack(NamedTuple):
     """The statistical curvature of the (P, dim) ``point`` from one pass,
-    read-only: S = (R + R-bar)/2, R^0, [K,K], R and R-bar, (L, dim, dim,
-    dim, dim), and ``cross`` = max |S - R^0 - [K,K]|, (L,), with one lane per
-    point or, on a constant chart, one lane that all P points share."""
+    read-only: S = (R + R-bar)/2, R^0, [K,K], R and R-bar, (U, dim, dim,
+    dim, dim), and ``cross`` = max |S - R^0 - [K,K]|, (U,), on the U lanes
+    of the points (``ChartManifold.lanes``), and ``lane`` (P,), the lane of
+    each point."""
 
     point: np.ndarray
     s: np.ndarray
@@ -268,17 +279,19 @@ class CurvatureStack(NamedTuple):
     r: np.ndarray
     r_bar: np.ndarray
     cross: np.ndarray
+    lane: Optional[np.ndarray] = None
 
 
 def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
-    """The CurvatureStack of the (P, dim) ``pts`` from one pass: one
-    second-order walk of g gives the Gamma^0 jet in closed form, one
+    """The CurvatureStack of the (P, dim) ``pts`` from one pass over their
+    lanes: one second-order walk of g gives the Gamma^0 jet in closed form, one
     first-order walk of the K table (or of the connection table, less
     Gamma^0) the K jet, and the parts and residuals follow 16 lanes at a
     time.  R^0 of a constant metric is one broadcast zero, never computed.
     A jet entry that is not finite makes a part non-finite, the one gate:
     NonFiniteError."""
-    lanes = pts[:1] if m.is_constant else pts
+    first, lane = m.lanes(pts)
+    lanes = pts[first]
     coords = point_lanes(lanes)
     shape = (len(lanes),) + (m.dim,) * 4
     flat = m.metric.is_constant
@@ -296,9 +309,9 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
             cross[rows] = max_abs(parts[0][rows] - parts[1][rows] - parts[2][rows])
         if not all(np.isfinite(a).all() for a in parts):
             raise NonFiniteError("statistical curvature is not finite")
-    for a in parts + [cross, pts]:
+    for a in parts + [cross, pts, lane]:
         a.flags.writeable = False
-    return CurvatureStack(pts, *parts, cross)
+    return CurvatureStack(pts, *parts, cross, lane)
 
 
 def _curvature_pass(m: ChartManifold, pts) -> CurvatureStack:
@@ -309,7 +322,8 @@ def _curvature_pass(m: ChartManifold, pts) -> CurvatureStack:
     except (ExpressionError, GeometryError) as exc:
         log.info("curvature grid pass: failed: %s", exc)
         raise
-    log.info("curvature grid pass: %d points in %.3f s", len(pts), time.perf_counter() - start)
+    log.info("curvature grid pass: %d points on %d lanes in %.3f s", len(pts), len(stack.s),
+             time.perf_counter() - start)
     return stack
 
 
@@ -321,7 +335,8 @@ def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
     ``_curvature_pass`` (``ChartManifold.kept``); a pass that fails raises
     its own error and keeps nothing."""
     stack = m.kept(_curvature_pass, points)
-    raise_first(CrossCheckError, stack.point, stack.cross, 1e-6, "S - R0 - [K,K] residual")
+    raise_first(CrossCheckError, stack.point, stack.cross, 1e-6, "S - R0 - [K,K] residual",
+                stack.lane)
     return stack
 
 
@@ -364,16 +379,17 @@ def plain_sections(n: int) -> int:
     return n * (n + 3) // 2
 
 
-def _sweep_blocks(g, basis, points: int, rng=None, extra: int = 2):
-    """The sections of ``sweep_sections`` at P = ``points`` points from their
-    phi-bases (L, dim, 2n+1), one per point or one that all points share
-    (L = 1), as section blocks (the legs, their mixtures and, with ``rng``,
-    the random combinations) and the (P, S) mask of the sections each point
-    keeps.  The legs are strided views of the basis columns, as in one
-    point's loop; the random combinations draw ``extra`` times 2n normals
-    per point, in point order, from one block of ``rng``, and a point keeps
-    those with norm above 1e-3, whose plane form Q(X, phi X) = |X|^4 clears
-    the kernel's 1e-12 gate."""
+def _sweep_blocks(g, basis, points: int, rng=None, extra: int = 2, lane=None):
+    """The sections of ``sweep_sections`` at P = ``points`` points from the
+    metrics and phi-bases (U, dim, 2n+1) of their lanes, ``lane`` (P,), as
+    section blocks (the legs and their mixtures, one row per lane, and,
+    with ``rng``, the random combinations, one row per point) and the
+    (P, S) mask of the sections each point keeps.  The legs are strided
+    views of the basis columns, as in one point's loop; the random
+    combinations draw ``extra`` times 2n normals per point, in point order,
+    from one block of ``rng``, and a point keeps those with norm above
+    1e-3, whose plane form Q(X, phi X) = |X|^4 clears the kernel's 1e-12
+    gate."""
     P, dim = points, basis.shape[1]
     n = (dim - 1) // 2
     legs = basis[:, :, :n].transpose(0, 2, 1)
@@ -386,6 +402,7 @@ def _sweep_blocks(g, basis, points: int, rng=None, extra: int = 2):
     keep = [np.ones((P, plain_sections(n)), dtype=bool)]
     if rng is not None:
         coef = rng.standard_normal((P, extra, 2 * n))
+        g, basis = (at_points(a, lane, P) for a in (g, basis))
         with np.errstate(all="ignore"):
             blocks.append(contract(basis[:, None, :, :2 * n], coef))
             keep.append(norms(g[:, None], blocks[-1]) > 1e-3)
@@ -405,12 +422,13 @@ def sweep_sections(m: ChartManifold, fr: PointFrame, rng=None, extra: int = 2):
 def phi_sweep(frames: FrameStack, rng=None):
     """The ``section_sweep`` of the sweep sections of every point of
     ``frames`` and the (P, S) mask of the sections each point keeps; the
-    plain sections of a one-lane stack are one row, and the random ones are
-    drawn for every point.  Raises the first point's ``phi_bases`` error."""
+    plain sections are one row per lane, and the random ones are drawn for
+    every point.  Raises the first point's ``phi_bases`` error: the error
+    of the first lane, as lanes are numbered in point order."""
     basis, errors = phi_bases(frames.g, frames.phi, frames.xi)
     for error in filter(None, errors):
         raise error
-    blocks, keep = _sweep_blocks(frames.g, basis, len(frames.point), rng)
+    blocks, keep = _sweep_blocks(frames.g, basis, len(frames.point), rng, lane=frames.lane)
     return section_sweep(frames, blocks), keep
 
 
@@ -434,14 +452,16 @@ def replay(run, points, rng):
     points fails alone, and a run that passes draws from ``rng`` what the
     per-point runs of its points draw.  A run that fails in a pass of one
     lane, the lane of its first point (``manifold.named_pass`` keeps it on
-    the error), has met that point's own error and raises it: every pass of
-    a constant chart is such a pass.  Otherwise the points are bisected:
-    from the rng state before them, run the first half; if it fails, the
-    failure lies there (rewind; a half of one point raises, as does a half
-    that fails in the lane of its first point), else go on with the second
-    half from the state the first half left, and a point left runs alone:
-    at most ceil(log2 P) + 2 runs, none of a point alone twice.  If that
-    passes, no point fails alone and the batch's own error surfaces."""
+    the error), has met that point's own error and raises it: a pass of
+    points that all share one lane, such as every pass of a constant chart,
+    is such a pass.  Otherwise the points are bisected: from the rng state
+    before them, run the first half; if it fails, the failure lies there
+    (rewind; a half of one point raises, as does a half that fails in the
+    lane of its first point, so a half whose points share one lane is
+    located at once), else go on with the second half from the state the
+    first half left, and a point left runs alone: at most ceil(log2 P) + 2
+    runs, none of a point alone twice.  If that passes, no point fails
+    alone and the batch's own error surfaces."""
     def located(exc, points):
         return getattr(exc, "lane", None) == np.asarray(points[0], dtype=float).tolist()
 
@@ -510,7 +530,8 @@ def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
     through ``replay``."""
     def run(points, rng):
         stack = m.frame_stack(points)
-        lams = np.broadcast_to(lambdas(stack, lambda_tol), (len(points),))
+        lams = np.broadcast_to(at_points(lambdas(stack, lambda_tol), stack.lane, len(points)),
+                               (len(points),))
         if section is None:
             sweep, keep = phi_sweep(stack, rng)
         else:
@@ -542,6 +563,7 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
 
 def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
     fs = m.frame_stack(pts)
+    points, lane = len(pts), fs.lane
     lams = lambdas(fs, max(tol, 1e-6))
     sweep, keep = phi_sweep(fs, rng)
     try:
@@ -573,6 +595,7 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
             "c8_phi_K_XX_zero": max_abs(kvv @ np.swapaxes(fs.phi, 1, 2)),
             "c9_K_XX_parallel_xi": max_abs(kvv - outer(contract(kvv, fs.eta), fs.xi)),
         }
+    residuals = {name: at_points(res, lane, points) for name, res in residuals.items()}
     oks = {name: res <= tol for name, res in residuals.items()}
     stacked = np.array(np.broadcast_arrays(*oks.values()))
     unanimous = stacked.all(axis=0) | ~stacked.any(axis=0)
@@ -580,7 +603,7 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
     rep = AuditReport.from_columns(fs.point, [Column("thm_5_8/lambda", zero, yes, lams)] + [
         Column(f"thm_5_8/{name}", res, yes, oks[name].astype(float))
         for name, res in residuals.items()] + [
-        Column("thm_5_8/unanimity", np.where(unanimous, 0.0, 1.0), unanimous)])
+        Column("thm_5_8/unanimity", np.where(unanimous, 0.0, 1.0), unanimous)], lane)
     for i in np.flatnonzero(~unanimous):
         rep.flag(f"EquivalenceViolation at {list(map(float, pts[i]))}: "
                  + ", ".join(f"{name}={bool(ok[i])}" for name, ok in zip(oks, stacked)))
@@ -628,7 +651,7 @@ def lemma_5_6_check(m: ChartManifold, point) -> float:
 
 @np.errstate(all="ignore")
 def geodesic_norms(fs: FrameStack):
-    """(||nabla^0_xi xi||, ||nabla_xi xi||) at each point of ``fs``, two (P,)."""
+    """(||nabla^0_xi xi||, ||nabla_xi xi||) at each lane of ``fs``, two (U,)."""
     dxi = covariant_derivative_vector(fs.gamma0, fs.xi, fs.dxi)   # [p, i, j]
     v0 = np.einsum("...ij,...i->...j", dxi, fs.xi)
     v1 = v0 + contract(contract(fs.K, fs.xi), fs.xi)
@@ -695,14 +718,15 @@ def phi_compat_audit(m: ChartManifold, points=None, tol: float = 1e-9, rng=None)
 
 def _phi_compat(m: ChartManifold, pts, tol, rng):
     fs = m.frame_stack(pts)
+    points, lane = len(pts), fs.lane
     d0_phi = m.kept(nabla0_phi_pass, pts)
     res = _compat_residuals(fs, d0_phi)
     oks = res <= tol
     compatible = oks.all(axis=0)
-    at = np.broadcast_to(compatible, (len(pts),))
-    k_phi, k_plain = np.zeros(len(pts)), np.zeros(len(pts))
+    at = np.broadcast_to(at_points(compatible, lane, points), (points,))
+    k_phi, k_plain = np.zeros(points), np.zeros(points)
     if at.any():
-        sweep, keep = phi_sweep(lane_rows(fs, np.flatnonzero(at), len(pts)), rng)
+        sweep, keep = phi_sweep(lane_rows(fs, np.flatnonzero(at), lane), rng)
         k_phi[at] = _k_phi(sweep, keep)
         k_plain[at] = np.max(np.abs(sweep.value[:, :plain_sections(m.n)]), axis=1, initial=0.0)
     with np.errstate(all="ignore"):
@@ -722,8 +746,9 @@ def _phi_compat(m: ChartManifold, pts, tol, rng):
                     ("nabla0_xi_parallel", parallel[0]), ("nabla_xi_parallel", parallel[1]))
     columns += [within(f"phi_compat/{name}", r, tol)._replace(at=compatible)
                 for name, r in consequences]
-    rep = AuditReport.from_columns(fs.point, columns)
-    for i in np.flatnonzero(np.broadcast_to(oks.any(axis=0) & ~compatible, (len(pts),))):
+    rep = AuditReport.from_columns(fs.point, columns, lane)
+    disagree = at_points(oks.any(axis=0) & ~compatible, lane, points)
+    for i in np.flatnonzero(np.broadcast_to(disagree, (points,))):
         rep.flag(f"phi-compatibility formulations disagree at {list(map(float, pts[i]))}")
     return rep, k_plain
 
@@ -777,4 +802,4 @@ def _psi(m: ChartManifold, points, tol, k_phi=None) -> AuditReport:
             # phi-sectional K-curvature vanish
             within("psi/psi_zero", max_abs(psi), tol),
             within("psi/kphi_zero", k_phi, tol)]
-    return AuditReport.from_columns(fs.point, columns)
+    return AuditReport.from_columns(fs.point, columns, fs.lane)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .expressions import ExpressionError, NonFiniteError
 from .metric import (FieldArray, GeometryError, MetricField, NotPositiveDefiniteError, _as_fields,
-                     christoffel_from, contract, field_jet, inner, inv_generic, point_lanes)
+                     christoffel_from, contract, distinct_rows, field_jet, inner, inv_generic,
+                     point_lanes, take_lanes)
 
 log = logging.getLogger(__name__)
 
@@ -50,9 +51,10 @@ def _linspace_at(lo: float, hi: float, k: int, idx: np.ndarray) -> np.ndarray:
 
 @contextmanager
 def named_pass(lanes):
-    """A pass over the (L, dim) ``lanes``: an ExpressionError or GeometryError
-    it raises ends with ``at [p]`` for one lane, which it keeps as its
-    ``lane`` attribute, else ``on the grid``."""
+    """A pass over the (L, dim) ``lanes``, each lane evaluated at its first
+    point: an ExpressionError or GeometryError it raises ends with ``at
+    [p]`` for one lane, which it keeps as its ``lane`` attribute, else ``on
+    the grid``."""
     try:
         yield
     except (ExpressionError, GeometryError) as exc:
@@ -68,14 +70,15 @@ class PointFrame(NamedTuple):
     """All structure tensors evaluated at one chart point, with the first
     derivatives of g, phi and xi (derivative index first); as a
     ``FrameStack``, the frames of P points, which the batched checks and
-    the section sweep read: ``point`` is (P, dim) and every field is
-    stacked on a leading lane axis, with one lane per point or, on a
-    constant chart, one lane that all P points share.  A check over a
-    stack gives one entry per lane, and ``report.AuditReport`` broadcasts
-    a one-lane column to the points.
+    the section sweep read: ``point`` is (P, dim), every field is stacked
+    on a leading axis of U lanes, one per distinct value of the coordinates
+    the chart's fields read (``ChartManifold.lanes``), and ``lane`` (P,) is
+    the lane of each point.  A check over a stack gives one entry per lane,
+    which ``report.AuditReport`` reads at each point through ``lane``.  A
+    stack built by hand may leave ``lane`` None: one lane per point, or one
+    that every point shares.
 
-    The arrays are read-only: the frames of a pass are views of one lane
-    array per field.
+    The arrays are read-only.
     """
 
     point: np.ndarray
@@ -89,11 +92,12 @@ class PointFrame(NamedTuple):
     dg: np.ndarray       # d_i g_jk, (dim, dim, dim)
     dphi: np.ndarray     # d_i phi^j_k, (dim, dim, dim)
     dxi: np.ndarray      # d_i xi^j, (dim, dim)
+    lane: Optional[np.ndarray] = None   # the lane of each point of a stack
 
     @classmethod
     def of(cls, frames) -> "FrameStack":
-        """The frames stacked on a leading point axis."""
-        return cls(*(np.stack(field) for field in zip(*frames)))
+        """The frames stacked on a leading point axis, a lane per point."""
+        return cls(*(np.stack(field) for field in zip(*(fr[:-1] for fr in frames))))
 
     @property
     def dim(self):
@@ -115,15 +119,22 @@ class PointFrame(NamedTuple):
 FrameStack = PointFrame
 
 
-def lane_rows(part, rows, points: int):
-    """The point ``rows`` of ``part``, a pass's lane arrays of ``points`` points
-    (a NamedTuple of them, or one), read-only; a lane the points share stays one."""
+def lane_rows(part, rows, lane):
+    """The point ``rows`` of ``part``, a pass's lane arrays of points whose
+    lanes are ``lane`` (P,): one lane array, or a NamedTuple of them that
+    starts with the points and ends with their ``lane``.  The rows keep the
+    lanes they use, numbered in the order they meet them; every array is a
+    read-only view, and a stride-0 broadcast, such as the flat R^0, stays one."""
+    first, sub = distinct_rows(lane[rows])
+    used = lane[rows][first]
+
     def of(a):
-        if len(a) != points:        # the one lane of a constant chart
-            return a[:min(len(rows), 1)]
-        # a read-only view; a stride-0 broadcast, such as the flat R^0, stays one
-        return np.broadcast_to(a[rows] if a.strides[0] else a[:1], (len(rows),) + a.shape[1:])
-    return of(part) if isinstance(part, np.ndarray) else type(part)(*map(of, part))
+        return np.broadcast_to(take_lanes(a, used), (len(used),) + a.shape[1:])
+    if isinstance(part, np.ndarray):
+        return of(part)
+    sub.flags.writeable = False
+    point = np.broadcast_to(part.point[rows], (len(sub),) + part.point.shape[1:])
+    return type(part)(point, *map(of, part[1:-1]), sub)
 
 
 class ChartManifold:
@@ -131,7 +142,7 @@ class ChartManifold:
 
     ``difference`` must expose ``jet(coords, levi_civita)``, K at lane
     coordinates to the order of the Levi-Civita jet it is given, and
-    ``is_constant``, the constancy of its components decided when it was
+    ``reads``, the coordinates its components read, found when it was
     built; see :mod:`acsgeo.statistical`.
 
     ``kept`` stores one part per pass of the last points asked for: the
@@ -141,13 +152,16 @@ class ChartManifold:
     ``frame_at`` and the one-point functions after a grid run take no pass.
     A failing pass keeps nothing and ``curvature.replay`` localises it.
 
-    ``is_constant`` is decided once, when the chart is built, from the
-    build-time constancy of g, phi, xi, eta (when given) and K.  The
-    fields of a constant chart, and so its curvatures, are the same at
-    every point: its frame and curvature passes evaluate the first point's
-    lane alone, and their stacks carry that one lane for all their points.
-    A point alone gets the bits it gets in a grid, so the lane serves
-    every point bit for bit.
+    ``reads`` is found once, when the chart is built: the sorted indices
+    of the coordinates that g, phi, xi, eta (when given) and K, or the
+    connection table behind it, read.  The fields at a point, and so its
+    curvatures, depend on those coordinates alone, so the frame and
+    curvature passes evaluate one lane per distinct value of them
+    (``lanes``), at the first point that takes it, and their stacks carry
+    the lane of each point.  A point alone gets the bits it gets in a grid,
+    so a lane serves each of its points bit for bit.  A chart that reads
+    no coordinate is constant (``is_constant``): one lane serves every
+    point.
     """
 
     def __init__(self, coord_names: Sequence[str], metric: MetricField,
@@ -171,18 +185,33 @@ class ChartManifold:
             raise ValueError("sampling box must have one interval per coordinate")
         self.grid = int(grid)
         self.name = name
-        self.is_constant = (metric.is_constant and self.phi.is_constant
-                            and self.xi.is_constant and difference.is_constant
-                            and (self.eta is None or self.eta.is_constant))
+        self.reads = tuple(sorted(set(metric.reads).union(
+            self.phi.reads, self.xi.reads, difference.reads,
+            self.eta.reads if self.eta is not None else ())))
         self._frame_passes = []      # the (P, dim) points of the passes not yet in _frame_dict
         self._frame_pass_points = 0  # how many points those are
         self._frame_dict = {}        # point -> None, the first FRAME_CACHE_CAP points met
         self._kept_points = np.empty((0, dim))     # the points of the kept parts
+        self._kept_lane = None       # their lanes, once a row read needs them
         self._kept_parts = {}        # pass function -> its part of those points
 
     @property
     def dim(self):
         return len(self.coords)
+
+    @property
+    def is_constant(self) -> bool:
+        """No field reads a coordinate: one lane serves every point."""
+        return not self.reads
+
+    def lanes(self, pts):
+        """(first, lane) of the (P, dim) ``pts``: points share a lane when the
+        coordinates the fields read (``reads``) have the same float64 bytes,
+        so -0.0 and 0.0 take two.  ``first`` (U,) is the first point of each
+        lane, where the passes evaluate it, and ``lane`` (P,) the lane of
+        each point; lanes are numbered in the order the points meet them, so
+        lane 0 is point 0's."""
+        return distinct_rows(pts[:, list(self.reads)])
 
     @property
     def n(self):
@@ -244,21 +273,22 @@ class ChartManifold:
         return fields
 
     def _frames(self, pts) -> FrameStack:
-        """The FrameStack of the (P, dim) ``pts`` from one pass, one lane per
-        point (on a constant chart, the first point's lane alone).  The points
-        of a pass that passes are recorded for ``_frame_cache`` until it is
-        full.  Raises the fields' errors (``named_pass``)."""
-        lanes = pts[:1] if self.is_constant else pts
+        """The FrameStack of the (P, dim) ``pts`` from one pass over their
+        ``lanes``.  The points of a pass that passes are recorded for
+        ``_frame_cache`` until it is full.  Raises the fields' errors
+        (``named_pass``)."""
+        first, lane = self.lanes(pts)
+        lanes = pts[first]
         # Python floats overflow silently; so do the lanes
         with named_pass(lanes), np.errstate(all="ignore"):
             fields = self._fields(point_lanes(lanes))
-        pts.flags.writeable = False
+        pts.flags.writeable = lane.flags.writeable = False
         if len(self._frame_dict) < FRAME_CACHE_CAP:
             self._frame_passes.append(pts)
             self._frame_pass_points += len(pts)
             if len(self._frame_dict) + self._frame_pass_points >= FRAME_CACHE_CAP:
                 self._fold_frame_passes()
-        return FrameStack(pts, *fields)
+        return FrameStack(pts, *fields, lane)
 
     def _fold_frame_passes(self):
         """Adds the points of the recorded passes to ``_frame_dict``, in pass
@@ -280,7 +310,7 @@ class ChartManifold:
 
     def frame_at(self, point) -> PointFrame:
         """The frame of one point: row 0 of ``frame_stack([point])``."""
-        return PointFrame(*(a[0] for a in self.frame_stack([point])))
+        return PointFrame(*(a[0] for a in self.frame_stack([point])[:-1]))
 
     def kept(self, pass_fn, points):
         """``pass_fn(self, pts)`` of the (P, dim) ``pts`` of ``points``: the part kept for
@@ -292,8 +322,10 @@ class ChartManifold:
                 index = {p.tobytes(): i for i, p in enumerate(self._kept_points)}
                 rows = [index.get(p.tobytes()) for p in pts]
                 if None not in rows:
-                    return lane_rows(self._kept_parts[pass_fn], rows, len(self._kept_points))
-            self._kept_points, self._kept_parts = pts, {}
+                    if self._kept_lane is None:
+                        self._kept_lane = self.lanes(self._kept_points)[1]
+                    return lane_rows(self._kept_parts[pass_fn], rows, self._kept_lane)
+            self._kept_points, self._kept_lane, self._kept_parts = pts, None, {}
         if pass_fn not in self._kept_parts:
             self._kept_parts[pass_fn] = pass_fn(self, self._kept_points)
         return self._kept_parts[pass_fn]
@@ -312,5 +344,6 @@ class ChartManifold:
         except (ExpressionError, GeometryError) as exc:
             log.debug("frame grid pass: failed: %s", exc)
             raise
-        log.debug("frame grid pass: %d points in %.3f s", len(pts), time.perf_counter() - start)
+        log.debug("frame grid pass: %d points on %d lanes in %.3f s", len(pts), len(stack.g),
+                  time.perf_counter() - start)
         return stack

@@ -1,7 +1,7 @@
 """Riemannian machinery on a coordinate chart.
 
 A field is a nested array of expression fields.  ``field_jet`` evaluates
-one at (P,) lane coordinates, one lane per sample point, with one Taylor
+one at (P,) lane coordinates, one lane per evaluated point, with one Taylor
 walk of each distinct expression tree: the values and, to the order asked,
 the gradients and Hessians, as float arrays with the lane axis first.  The
 Levi-Civita connection and its derivatives follow in closed form
@@ -67,14 +67,56 @@ def point_lanes(points: np.ndarray):
     return list(np.ascontiguousarray(points.T))
 
 
-def per_16_lanes(fn, *arrays):
+def per_16_lanes(fn, *arrays, lane=None):
     """``fn`` of the lanes of ``arrays``, 16 at a time, joined on the lane
     axis, so no temporary holds more than 16 lanes of a (L, dim, dim, dim,
     dim) curvature stack; an argument of one lane is shared by every lane.
-    Without lanes, ``fn`` runs once, on none."""
+    With ``lane``, the (P,) lane of each of P points, ``fn`` runs on the
+    points: an argument of P rows is read 16 rows at a time and one of
+    other lanes at the lanes of those rows (``take_lanes``).  Without
+    lanes, ``fn`` runs once, on none."""
+    rows = max(map(len, arrays)) if lane is None else len(lane)
+
+    def at(a, c):
+        if len(a) == 1:
+            return a
+        return a[c:c + 16] if lane is None or len(a) == rows else take_lanes(a, lane[c:c + 16])
     with np.errstate(all="ignore"):
-        return np.concatenate([fn(*(a if len(a) == 1 else a[c:c + 16] for a in arrays))
-                               for c in range(0, max(map(len, arrays)) or 1, 16)])
+        return np.concatenate([fn(*(at(a, c) for a in arrays)) for c in range(0, rows or 1, 16)])
+
+
+def take_lanes(a: np.ndarray, lanes) -> np.ndarray:
+    """The rows ``lanes`` of the lane array ``a``; a stride-0 broadcast, such
+    as the flat R^0, stays one."""
+    if a.strides[0]:
+        return a[lanes]
+    return np.broadcast_to(a[:1], (len(lanes),) + a.shape[1:])
+
+
+def at_points(a, lane, points: int):
+    """A lane array read at each of ``points`` points: ``a`` itself when it
+    has a row per point or one row that every point shares, else the row
+    of each point's lane, ``lane`` (P,)."""
+    a = np.asarray(a)
+    return a if len(a) in (1, points) else take_lanes(a, lane)
+
+
+def distinct_rows(a: np.ndarray):
+    """(first, index) of the rows of ``a``, (P, ...), by the bytes of their
+    entries, so -0.0 is not 0.0: the position of the first row of each
+    distinct row, in the order the rows meet them, and the (P,) number of
+    each row's, so row 0 has number 0."""
+    raw = np.ascontiguousarray(a).tobytes()
+    width = len(raw) // len(a) if len(a) else 0
+    seen, first, index = {}, [], []
+    for i in range(len(a)):
+        key = raw[i * width:(i + 1) * width]
+        n = seen.get(key)
+        if n is None:
+            n = seen[key] = len(first)
+            first.append(i)
+        index.append(n)
+    return np.array(first, dtype=np.intp), np.array(index, dtype=np.intp)
 
 
 def inv_generic(mat):
@@ -109,17 +151,28 @@ def field_values(fields, env):
 def fields_constant(fields) -> bool:
     """True when no ScalarField in a nested array reads a coordinate: its
     expression tree holds no Var."""
-    if isinstance(fields, ScalarField):
-        # a bare constant, the common entry, skips the walk
-        return isinstance(fields.body, Num) or not _reads_coordinate(fields.body)
-    return all(fields_constant(sub) for sub in fields)
+    return not coordinates_read(fields)
 
 
-def _reads_coordinate(node) -> bool:
-    if isinstance(node, (Num, Var)):
-        return isinstance(node, Var)
-    return any(_reads_coordinate(getattr(node, child))
-               for child in ("arg", "left", "right", "base") if hasattr(node, child))
+def coordinates_read(fields) -> tuple:
+    """The sorted indices of the coordinates the ScalarFields of a nested
+    array read: the Vars of their expression trees, every child walked."""
+    found = set()
+
+    def walk(node):
+        if isinstance(node, ScalarField):
+            walk(node.body)
+        elif isinstance(node, Var):
+            found.add(node.index)
+        elif isinstance(node, (list, tuple)):
+            for sub in node:
+                walk(sub)
+        elif not isinstance(node, Num):     # a bare constant, the common entry
+            for child in ("arg", "left", "right", "base"):
+                if hasattr(node, child):
+                    walk(getattr(node, child))
+    walk(fields)
+    return tuple(sorted(found))
 
 
 def _as_fields(entries, coord_names, memo=None):
@@ -146,12 +199,14 @@ def _as_fields(entries, coord_names, memo=None):
 
 
 class FieldArray(list):
-    """A nested array of ScalarFields (a list of rows) whose constancy is
-    decided once, when it is built, so derivative calls never re-walk it."""
+    """A nested array of ScalarFields (a list of rows) whose read
+    coordinates, and so its constancy, are found once, when it is built, so
+    derivative calls never re-walk it."""
 
     def __init__(self, rows):
         super().__init__(rows)
-        self.is_constant = fields_constant(self)
+        self.reads = coordinates_read(self)
+        self.is_constant = not self.reads
 
 
 def _flat(fields):
@@ -221,6 +276,7 @@ class MetricField:
                 raise ValueError("metric component array must be square")
         self.components = FieldArray(list(row) for row in components)
         self.dim = dim
+        self.reads = self.components.reads
         # constant metrics short-circuit every derivative evaluation
         self.is_constant = self.components.is_constant
 

@@ -9,10 +9,11 @@ record, but renders each distinct check name, each distinct point and
 each distinct float once.
 
 A batched check gives one ``Column`` per check name: its residuals, pass
-flags and values at P points, each of length P or of length 1 when all
-points share the entry (the checks of a constant chart run on one lane).
-``AuditReport.add_columns`` writes them point-major, one ``add`` per
-record.
+flags and values at P points, each of length P, of length 1 when all
+points share the entry, or one entry per lane of a frame stack, which the
+points' ``lane`` index reads (a check runs once per distinct value of the
+coordinates the chart's fields read).  ``AuditReport.add_columns`` writes
+them point-major, one ``add`` per record.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
+
+from .metric import at_points
 
 
 def fmt(x: float) -> str:
@@ -63,8 +66,8 @@ class CheckRecord:
 class Column(NamedTuple):
     """One check at P points: residuals, pass flags and, when the check
     reports one, values; ``at`` masks the points that get a record (all of
-    them when None).  Each array has length P, or length 1 when all P
-    points share its entry."""
+    them when None).  Each array has length P, length 1 when all P points
+    share its entry, or one entry per lane of the points."""
 
     check: str
     residual: np.ndarray
@@ -85,10 +88,12 @@ def max_abs(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))
 
 
-def raise_first(error, points, residual, tol: float, text: str):
+def raise_first(error, points, residual, tol: float, text: str, lane=None):
     """Raise ``error`` at the first of ``points`` whose residual exceeds
     ``tol`` (never a NaN one), naming the residual and the point; a
-    residual of one lane is every point's."""
+    residual of one lane is every point's, and one per lane is read at the
+    points through their ``lane``."""
+    residual = at_points(residual, lane, len(points))
     bad = np.flatnonzero(residual > tol)
     if bad.size:
         raise error(f"{text} {float(residual[bad[0]])} at {list(map(float, points[bad[0]]))}")
@@ -120,24 +125,25 @@ class AuditReport:
         return passed
 
     @classmethod
-    def from_columns(cls, points, columns) -> "AuditReport":
+    def from_columns(cls, points, columns, lane=None) -> "AuditReport":
         rep = cls()
-        rep.add_columns(points, columns)
+        rep.add_columns(points, columns, lane)
         return rep
 
-    def add_columns(self, points, columns):
+    def add_columns(self, points, columns, lane=None):
         """One record per point and column, point-major: every column at the
         first point, then at the next; an entry of length 1 is every
-        point's.  Each record is one ``add`` call, the count the
-        benchmark's tracer reports as ``report.records``, given the point's
-        bytes, cut from the bytes of the (P, dim) points."""
+        point's, and an array of one entry per lane is read at each point
+        through the points' ``lane``.  Each record is one ``add`` call, the
+        count the benchmark's tracer reports as ``report.records``, given the
+        point's bytes, cut from the bytes of the (P, dim) points."""
         pts = np.ascontiguousarray(points, dtype=float)
         count = len(pts)
 
         def full(a):
             if a is None:
                 return None
-            a = np.ravel(a).tolist()
+            a = at_points(np.ravel(a), lane, count).tolist()
             return a * count if len(a) == 1 else a
         lists = [(c.check, full(c.residual), full(c.passed), full(c.value), full(c.at))
                  for c in columns]

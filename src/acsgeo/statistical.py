@@ -31,8 +31,8 @@ class DifferenceTensor:
     """Base of the difference tensors: ``jet(coords, levi_civita)`` gives
     K^i_jk at (P,) lane coordinates and, when ``levi_civita`` is the jet
     (Gamma, dGamma) of the Levi-Civita connection there rather than
-    (Gamma,), its derivatives dK[P, m, i, j, k] = d_m K^i_jk; ``is_constant``
-    says whether K is independent of the point."""
+    (Gamma,), its derivatives dK[P, m, i, j, k] = d_m K^i_jk; ``reads`` is
+    the sorted indices of the coordinates its fields read."""
 
 
 class ExplicitDifferenceTensor(DifferenceTensor):
@@ -43,7 +43,7 @@ class ExplicitDifferenceTensor(DifferenceTensor):
             fields = _as_fields(fields, coord_names)
         self.fields = FieldArray(fields)
         self.dim = len(fields)
-        self.is_constant = self.fields.is_constant
+        self.reads = self.fields.reads
 
     def jet(self, coords, levi_civita):
         return field_jet(self.fields, coords, len(levi_civita) - 1)
@@ -63,7 +63,7 @@ class ConnectionDifferenceTensor(DifferenceTensor):
         self.gamma_fields = FieldArray(gamma_fields)
         self.metric = metric
         self.dim = len(gamma_fields)
-        self.is_constant = metric.is_constant and self.gamma_fields.is_constant
+        self.reads = tuple(sorted(set(metric.reads) | set(self.gamma_fields.reads)))
 
     def jet(self, coords, levi_civita):
         user = field_jet(self.gamma_fields, coords, len(levi_civita) - 1)
@@ -179,7 +179,7 @@ def validate_acs(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:
 
 @np.errstate(all="ignore")
 def lambdas(fs: FrameStack, tol: float) -> np.ndarray:
-    """lambda = g(K(xi, xi), xi) at the points of ``fs``, (P,); verifies
+    """lambda = g(K(xi, xi), xi) at the lanes of ``fs``, (U,); verifies
     K(xi,xi) = lambda xi and K(X, xi) = lambda eta(X) xi on the coordinate
     frame and raises AcsViolatedError at the first point where they fail."""
     k_xi = contract(fs.K, fs.xi)                      # K(e_j, xi)^i as [p, i, j]
@@ -189,7 +189,7 @@ def lambdas(fs: FrameStack, tol: float) -> np.ndarray:
     res_x = max_abs(k_xi - lam[:, None, None] * outer(fs.xi, fs.eta))
     res = np.where(res_x > res, res_x, res)              # max(res, res_x) as floats take it
     raise_first(AcsViolatedError, fs.point, res, tol,
-                "K(X, xi) = lambda eta(X) xi fails with residual")
+                "K(X, xi) = lambda eta(X) xi fails with residual", fs.lane)
     return lam
 
 
@@ -201,7 +201,7 @@ def lambda_of(m: ChartManifold, point, tol: float = 1e-9) -> float:
 
 @np.errstate(all="ignore")
 def conjugate_connections(fs: FrameStack, tol: float):
-    """Coefficients of the conjugate connection at the points of ``fs``, with
+    """Coefficients of the conjugate connection at the lanes of ``fs``, with
     the defining duality g(nabla_X Y, Z) + g(Y, nabla-bar_X Z) = X . g(Y, Z)
     re-checked on all coordinate triples; raises StatisticalError at the
     first point where it fails.  Returns (gamma_bar, duality_residual)."""
@@ -210,7 +210,7 @@ def conjugate_connections(fs: FrameStack, tol: float):
     lhs = (np.swapaxes(np.swapaxes(g_gamma, 1, 2), 2, 3)
            + np.swapaxes(first_slot(fs.g, gamma_bar), 1, 2))
     res = max_abs(lhs - fs.dg)
-    raise_first(StatisticalError, fs.point, res, tol, "conjugate duality residual")
+    raise_first(StatisticalError, fs.point, res, tol, "conjugate duality residual", fs.lane)
     return gamma_bar, res
 
 

@@ -261,13 +261,14 @@ def test_grid_pass_logs_at_info(capsys, caplog, tmp_path):
     code, out, lines = _logged(caplog, capsys, "audit", "zoo:example_r3_negative",
                                "--grid", "2")
     assert (code, out) == quiet[:2]        # logging never touches stdout
-    assert len(lines) == 1 and lines[0].startswith("curvature grid pass: 8 points in ")
+    assert len(lines) == 1 and lines[0].startswith("curvature grid pass: 8 points on 1 lanes in ")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), ACSM_LOG="info")
     proc = subprocess.run([sys.executable, "-m", "acsgeo.cli", "audit", "zoo:example_r3_negative",
                            "--grid", "2"], capture_output=True, text=True, env=env, timeout=120)
     lines = [line for line in proc.stderr.splitlines() if "grid pass" in line]
     assert proc.returncode == 0 and len(lines) == 1
-    assert lines[0].startswith("INFO:acsgeo.curvature:curvature grid pass: 8 points in ")
+    assert lines[0].startswith(
+        "INFO:acsgeo.curvature:curvature grid pass: 8 points on 1 lanes in ")
 
     # K K overflows from x = 1 on: the pass fails, and the replay's passes
     # over its halves end at the first point that fails alone
@@ -281,8 +282,9 @@ def test_grid_pass_logs_at_info(capsys, caplog, tmp_path):
                        "on the grid"
     assert lines[-1] == "curvature grid pass: failed: statistical curvature is not finite " \
                         "at [1.0, -1.0, -1.0]"
-    assert all(re.fullmatch(r"curvature grid pass: (\d+ points in \d+\.\d{3} s|failed: .*)",
-                            line) for line in lines)
+    assert all(re.fullmatch(
+        r"curvature grid pass: (\d+ points on \d+ lanes in \d+\.\d{3} s|failed: .*)", line)
+        for line in lines)
 
 
 def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
@@ -291,7 +293,7 @@ def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
     code, out, lines = _logged(caplog, capsys, "validate", "zoo:example_r3_negative",
                                "--grid", "2")
     assert (code, out) == quiet[:2]
-    assert len(lines) == 1 and lines[0].startswith("frame grid pass: 8 points in ")
+    assert len(lines) == 1 and lines[0].startswith("frame grid pass: 8 points on 1 lanes in ")
 
     code, _, lines = _logged(caplog, capsys, "audit", "zoo:example_r3_negative",
                              "--grid", "2")
@@ -299,15 +301,16 @@ def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
     assert [line.split(":")[0] for line in lines] == ["frame grid pass",
                                                       "curvature grid pass"]
 
-    # the grid pass meets the log at x = 1 first; the replay's passes over
-    # the halves holding x = -1 fail there, down to the first point alone
+    # the grid pass meets the log at x = 1 first; the replay's pass over the
+    # first half (x = -1 and x = 0) fails at x = -1, and the next half, whose
+    # points all take the lane of x = -1, fails at its first point
     path = tmp_path / "two_failures.json"
     path.write_text(json.dumps(TWO_FAILURES))
     code, _, lines = _logged(caplog, capsys, "validate", str(path))
     assert code == 1
     singular = "frame grid pass: failed: matrix is numerically singular"
-    assert lines == ["frame grid pass: failed: log of non-positive argument -0.5 on the grid"] \
-        + [f"{singular} on the grid"] * 3 + [f"{singular} at [-1.0, -1.0, -1.0]"]
+    assert lines == ["frame grid pass: failed: log of non-positive argument -0.5 on the grid",
+                     f"{singular} on the grid", f"{singular} at [-1.0, -1.0, -1.0]"]
 
 
 @pytest.mark.parametrize("argv, passes", [
@@ -506,6 +509,27 @@ def test_render_logs_at_debug(capsys, caplog):
         assert code == 0 and len(lines) == 1
         assert re.fullmatch(r"report: \d+ records at 8 points rendered in \d+\.\d{3} s",
                             lines[0]), lines
+
+
+def test_capped_grid_logs_its_counts_at_info(capsys, caplog):
+    """A grid the cap cuts says so at info level, with its nominal and kept
+    counts; stdout is the same with the log on, and an uncut grid logs
+    nothing."""
+    def logged(*argv):
+        caplog.clear()
+        code, out, _ = run(capsys, *argv)
+        return code, out, [r.getMessage() for r in caplog.records if r.name == "acsgeo.cli"]
+
+    capped = ("validate", "zoo:example_flat_acs:n=3", "--grid", "3", "--format", "json")
+    quiet = logged(*capped)
+    assert quiet[0] == 0 and quiet[2] == []         # nothing at warning level
+    caplog.set_level(logging.INFO, logger="acsgeo")
+    code, out, lines = logged(*capped)
+    assert (code, out) == quiet[:2]
+    assert lines == ["sample grid: 243 of 2187 points kept (grid cap 243)"]
+    code, _, lines = logged("validate", "zoo:example_flat_acs", "--grid", "1000000000000")
+    assert code == 0 and lines == [f"sample grid: 243 of {10 ** 36} points kept (grid cap 243)"]
+    assert logged("validate", "zoo:example_flat_acs:n=2", "--grid", "3")[2] == []   # 3^5 = 243
 
 
 def test_closed_stdout_pipe_is_not_an_error():

@@ -1,8 +1,9 @@
 """Constant charts: when g, phi, xi, eta and K are all constant, the frame
 and curvature passes evaluate the first point's lane alone and every point
 shares it.  Each record that draws no random numbers must then be, bit for
-bit, the record a run at that point alone gives; a chart with one
-non-constant field must take a lane per point."""
+bit, the record a run at that point alone gives; a chart with a
+non-constant field takes one lane per distinct value of the coordinates
+its fields read."""
 
 import json
 import logging
@@ -16,6 +17,7 @@ from acsgeo.specfile import manifold_from_dict
 
 from test_invariance import WARPED
 from test_lanes import ROTATING5, sweep_rng_next
+from test_read_lanes import distinct_read_rows
 
 CONSTANT = [("example_r3_negative", {})] + [
     ("example_flat_acs", {"n": n}) for n in (1, 2, 3)] + [
@@ -102,8 +104,10 @@ def test_constant_chart_takes_one_lane(monkeypatch, ref):
 @pytest.mark.parametrize("spec", ["trivial-lambda", "rotating5", "warped"])
 def test_one_varying_field_takes_every_lane(monkeypatch, spec):
     """trivial-lambda has a constant g and a varying K, ROTATING5 a
-    constant g and a varying phi, WARPED a varying g and K: R^0 is taken
-    where the metric varies, and only there."""
+    constant g and a varying phi, WARPED a varying g and K: every pass
+    takes a lane per distinct value of the coordinates the fields read (2
+    of 5, 2 of 5 and 2 of 3 here), and R^0 is taken where the metric
+    varies, and only there."""
     m = get_entry("random", dim=5, seed=0, family=spec).manifold \
         if spec == "trivial-lambda" else manifold_from_dict(
             ROTATING5 if spec == "rotating5" else WARPED)
@@ -111,9 +115,11 @@ def test_one_varying_field_takes_every_lane(monkeypatch, spec):
     seen = _count_lanes(monkeypatch)
     points = len(_audit(m, 2))
     assert points == 2 ** m.dim
-    assert set(seen["field_jet"]) == {points}
+    lanes = distinct_read_rows(m, m.grid_points(2))
+    assert lanes == 4 < points
+    assert set(seen["field_jet"]) == {lanes}
     # R and R-bar, and R^0 where the metric varies, 16 lanes at a time
-    assert sum(seen["riemann"]) == (2 if m.metric.is_constant else 3) * points
+    assert sum(seen["riemann"]) == (2 if m.metric.is_constant else 3) * lanes
 
 
 @pytest.mark.parametrize("argv", [
@@ -121,7 +127,8 @@ def test_one_varying_field_takes_every_lane(monkeypatch, spec):
     ["zoo:example_flat_acs:n=2", "--checks", "psi"],
     ["zoo:example_r3_negative", "--checks", "cosymplectic,lemma_5_6"]])
 def test_nabla0_phi_once_per_audit(monkeypatch, capsys, argv):
-    """One pass over every point: one lane each, or one on a constant chart."""
+    """One pass over every point: one lane per distinct value of the
+    coordinates the fields read, so one on a constant chart."""
     calls = []
     orig = contact.covariant_derivative_11
 
@@ -132,7 +139,7 @@ def test_nabla0_phi_once_per_audit(monkeypatch, capsys, argv):
     assert cli.main(["audit"] + argv + ["--grid", "2", "--format", "json"]) == 0
     out = capsys.readouterr().out
     points = {tuple(json.loads(line)["point"]) for line in out.splitlines()}
-    assert calls == [1 if cli.resolve_input(argv[0]).is_constant else len(points)]
+    assert calls == [distinct_read_rows(cli.resolve_input(argv[0]), list(points))]
 
 
 @pytest.mark.parametrize("dim", [3, 7])

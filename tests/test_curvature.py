@@ -293,8 +293,9 @@ def test_flat_r0_is_one_broadcast_zero():
     """The kept R^0 of a constant metric holds no memory of its own."""
     m = get_entry("random", dim=7, seed=5, family="trivial-lambda").manifold
     pts = m.grid_points(3)
-    r0 = curvature.statistical_curvatures(m, pts).r0
-    assert r0.shape == (len(pts),) + (7,) * 4 and r0.strides == (0,) * 5 and not r0.any()
+    stack = curvature.statistical_curvatures(m, pts)
+    r0 = stack.r0
+    assert r0.shape == (len(stack.s),) + (7,) * 4 and r0.strides == (0,) * 5 and not r0.any()
     r0 = curvature.statistical_curvature(m, pts[0])[1]
     assert r0.shape == (7,) * 4 and r0.strides == (0,) * 4 and not r0.any()
 

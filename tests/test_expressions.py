@@ -14,6 +14,7 @@ from acsgeo import (Dual, EvalDomainError, ExprSyntaxError, NonFiniteError,
 from acsgeo.expressions import Jet, primal, tangent
 from acsgeo.metric import field_jet
 
+import dual_reference as ref
 from conftest import central_difference
 
 
@@ -179,6 +180,40 @@ def test_eval_with_derivative_is_a_one_lane_jet_walk():
                 assert np.float64(got.value).tobytes() == value[0, 0].tobytes(), (text, p)
                 assert np.float64(got.derivative).tobytes() == grad[0, j, 0].tobytes(), \
                     (text, p, j)
+
+
+# a fixed table per derivative rule: each expression needs the rule's f'
+# and f'' at the points below, where neither vanishes
+RULE_TABLE = {
+    "sin": ["sin(x*y + z)", "y*sin(x)^2", "sin(2*x - z) * (2 + y)"],
+    "cos": ["cos(x*y + z)", "x*cos(y - z^2)", "cos(x)^2 * y"],
+    "exp": ["exp(x*y - z)", "y*exp(0.5*x^2)", "exp(-1*x) * z"],
+    "log": ["log(1.5 + x*y + z^2)", "z*log(2 + x)", "log(3 - y)^2"],
+    "sqrt": ["sqrt(2 + x*y + z)", "y*sqrt(3 + x^2)", "sqrt(4 - z)^3"],
+    "division": ["x / (2 + y*z)", "(x + y) / (3 + z^2)", "1 / (x + 2) - y / (z - 3)"],
+    "negative power": ["(2 + x*y)^-1", "y*(3 + x + z)^-2", "(x - 2)^-3"],
+}
+RULE_POINTS = [(0.3, -0.7, 0.5), (-1.1, 0.4, 0.9), (0.8, 1.3, -0.6)]
+
+
+@pytest.mark.parametrize("text", [t for texts in RULE_TABLE.values() for t in texts])
+def test_derivative_rules_match_the_reference(text):
+    """Value, gradient and Hessian of an order-2 ``field_jet`` against
+    ``tests/dual_reference.py`` (own rules, arithmetic and walk): plain,
+    singly and doubly seeded walks at fixed points."""
+    f = parse_expression(text, ["x", "y", "z"])
+    for p in RULE_POINTS:
+        with np.errstate(all="ignore"):
+            value, grad, hess = field_jet([f], [np.array([c]) for c in p], 2)
+        assert value[0, 0] == pytest.approx(ref.evaluate(f.body, list(p)), rel=1e-13)
+        for m in range(3):
+            out = ref.evaluate(f.body, [ref.Dual(c, float(n == m)) for n, c in enumerate(p)])
+            assert grad[0, m, 0] == pytest.approx(ref.tangent(out), rel=1e-12, abs=1e-12)
+            for i in range(3):
+                out = ref.evaluate(f.body, [ref.Dual(ref.Dual(c, float(n == m)), float(n == i))
+                                            for n, c in enumerate(p)])
+                assert hess[0, i, m, 0] == pytest.approx(ref.tangent(ref.tangent(out)),
+                                                         rel=1e-12, abs=1e-12), (text, p, i, m)
 
 
 def test_dual_is_a_first_order_jet():

@@ -26,8 +26,9 @@ from acsgeo import curvature as curv
 from acsgeo import get_entry
 from acsgeo.curvature import CurvatureStack, SectionSweep, kk_bracket, kk_tensor
 from acsgeo.manifold import FrameStack
-from acsgeo.metric import (apply_curvature, contract, covariant_derivative_11, first_slot,
-                           inner, nabla_g, per_16_lanes, plane_q, riemann, sectional_values)
+from acsgeo.metric import (apply_curvature, at_points, contract, covariant_derivative_11,
+                           first_slot, inner, nabla_g, per_16_lanes, plane_q, riemann,
+                           sectional_values)
 from acsgeo.report import max_abs
 from acsgeo.specfile import manifold_from_dict
 from acsgeo.statistical import (acs_columns, conjugate_connections, statistical_columns,
@@ -87,11 +88,15 @@ def ref_sectional_values(g, r, x, y):
 
 
 def ref_with_curvatures(sweep, g, curvatures):
-    """(k_s, k_0) of ``SectionSweep.with_curvatures`` one section at a time."""
+    """(k_s, k_0) of ``SectionSweep.with_curvatures`` one section at a time;
+    a block of one row per point reads the curvature of each point's lane."""
     def one_section(r, g, x, px):
         return ref_sectional_values(g, r, x, px)
-    return tuple(np.concatenate([np.broadcast_to(
-        per_16_lanes(one_section, r, g, x[:, j], px[:, j]), (len(sweep.point),))[:, None]
+    points = len(sweep.point)
+    return tuple(np.concatenate([np.broadcast_to(at_points(
+        per_16_lanes(one_section, r, g, x[:, j], px[:, j],
+                     lane=sweep.lane if len(x) == points else None),
+        sweep.lane, points), (points,))[:, None]
         for x, px in sweep.blocks for j in range(x.shape[1])], axis=1)
         for r in (curvatures.s, curvatures.r0))
 

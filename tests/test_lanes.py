@@ -229,12 +229,12 @@ def test_grid_pass_matches_statistical_curvature(spec):
     pts = m.grid_points()
     stack = curv.statistical_curvatures(m, pts)
     assert curv.statistical_curvatures(m, pts) is stack        # the kept pass
-    assert len(stack.s) == len(stack.cross) == len(pts)
+    assert len(stack.s) == len(stack.cross) == stack.lane.max() + 1
     single = manifold_from_dict(spec)
     for i, p in enumerate(pts):
         alone = curv.statistical_curvatures(single, [p])
-        for got, want in zip(stack[1:], alone[1:]):
-            assert_same(got[i], want[0])
+        for got, want in zip(stack[1:-1], alone[1:-1]):
+            assert_same(got[stack.lane[i]], want[0])
 
 
 def test_grid_pass_caches_nothing_on_error():
@@ -319,7 +319,8 @@ def test_frame_grid_matches_frame_at(spec):
         for name in FRAME_FIELDS:
             assert getattr(got, name).shape == getattr(want, name).shape, name
             assert_same(getattr(got, name), getattr(want, name))
-            assert_same(getattr(stack, name)[i], getattr(want, name))
+            row = i if name == "point" else stack.lane[i]
+            assert_same(getattr(stack, name)[row], getattr(want, name))
 
 
 FRAME_CHARTS = pytest.mark.parametrize(
@@ -665,9 +666,11 @@ CHARTS = {"lambda_k": LAMBDA_K, "pulled_back": PULLED_BACK, "exp_frame": EXP_FRA
 
 
 def check_sweep_matches_loop(m, pts, seed):
-    frames = [m.frame_at(p) for p in pts]
+    """The sweep of the frame stack of ``pts``, whose bases and projections
+    are per lane, against a loop over the frames of the points alone."""
+    frames = [m.frame_at(p) for p in pts]      # a one-point pass each
+    stack = m.frame_stack(pts)
     curvatures = curv.statistical_curvatures(m, pts)
-    stack = FrameStack.of(frames)
     sweep, keep = curv.phi_sweep(stack, np.random.default_rng(seed))
     sweep = sweep.with_curvatures(stack.g, curvatures)
     bases, errors = phi_bases(stack.g, stack.phi, stack.xi)
@@ -675,8 +678,9 @@ def check_sweep_matches_loop(m, pts, seed):
     ref_rng = np.random.default_rng(seed)
     for i, fr in enumerate(frames):
         basis = ref_phi_basis(fr)
-        assert errors[i] is None
-        assert_same(bases[i], basis)
+        lane = stack.lane[i]
+        assert errors[lane] is None
+        assert_same(bases[lane], basis)
         sections = ref_sweep_sections(fr, basis, ref_rng)
         cols = np.flatnonzero(keep[i])
         assert len(cols) == len(sections)
@@ -694,7 +698,7 @@ def check_sweep_matches_loop(m, pts, seed):
             assert_same(sweep.k_0[i, j], ref_sectional(fr.g, r0, x, px))
         ref_h = [v - float(fr.eta @ v) * fr.xi for v in curv.frame_vectors(fr.dim)]
         ref_h = np.array([h for h in ref_h if ref_norm(fr, h) > 1e-8])
-        assert_same(horiz[i][keep_h[i]], ref_h)
+        assert_same(horiz[lane][keep_h[lane]], ref_h)
     assert ref_rng.standard_normal() == sweep_rng_next(len(frames), frames[0].dim, seed)
 
 
