@@ -11,11 +11,11 @@ Run with:  python3 demos/builtin_structures_audit.py
 
 import numpy as np
 
-from acsgeo import (example_flat_acs, example_r3_negative, geodesic_xi_check,
-                    is_cosymplectic, lambda_of, phi_sectional_triple,
-                    psi_check, theorem_5_8_audit, validate_acs,
+from acsgeo import (example_flat_acs, example_r3_negative, is_cosymplectic,
+                    lambda_of, psi_check, theorem_5_8_audit, validate_acs,
                     validate_statistical, validate_structure)
-from acsgeo.curvature import audit_branch, is_phi_compatible, phi_compat_check
+from acsgeo.curvature import (audit_branch, geodesic_norms, is_phi_compatible,
+                              phi_compat_check, phi_sectional_triples)
 
 
 def tour(entry):
@@ -34,7 +34,9 @@ def tour(entry):
     print("cosymplectic     =", cos, f"(residual {res:.2e})")
 
     x = np.eye(m.dim)[0]
-    k_s, k_0, k_phi = phi_sectional_triple(m, p, x)
+    # the batched triples at one point, on the one section span(x, phi x)
+    _, triples, _ = phi_sectional_triples(m, [p], section=lambda frames: x[None])
+    k_s, k_0, k_phi = triples[0, 0].tolist()
     print(f"sectional triple = (S {k_s: .6f}, Riemannian {k_0: .6f}, "
           f"K {k_phi: .6f}) on span(d1, phi d1)")
 
@@ -49,7 +51,7 @@ def tour(entry):
         print("Psi form         = vanishes" if psi.all_passed
               else f"Psi checks fail: {psi.to_table()}")
 
-    n0, n1 = geodesic_xi_check(m, p)
+    n0, n1 = (float(n[0]) for n in geodesic_norms(m.frame_stack([p])))
     print(f"geodesic pair    = (|nabla0_xi xi| {n0:.3f}, |nabla_xi xi| {n1:.3f})")
     print("expected table   =", entry.expected)
 

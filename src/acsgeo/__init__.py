@@ -4,8 +4,8 @@ curvature machinery, and executable audits of the structure theorems."""
 
 from .expressions import (Dual, DualScalar, EvalDomainError, ExprSyntaxError,
                           ExpressionError, NonFiniteError, ScalarField,
-                          UnknownIdentifierError, constant_field,
-                          eval_with_derivative, parse_expression)
+                          UnknownIdentifierError, eval_with_derivative,
+                          parse_expression)
 from .manifold import ChartManifold, PointFrame
 from .metric import (DegeneratePlaneError, MetricField, SingularMetricError,
                      christoffel, covariant_derivative_11, nabla_g, riemann,
@@ -14,14 +14,13 @@ from .contact import (DegenerateSeedError, ExhaustedCandidatesError,
                       is_cosymplectic, phi_basis, validate_structure)
 from .statistical import (AcsViolatedError, ConnectionDifferenceTensor,
                           ExplicitDifferenceTensor, TorsionPresentError,
-                          conjugate_connection, difference_from_connection,
-                          lambda_of, validate_acs, validate_statistical)
+                          difference_from_connection, lambda_of, validate_acs,
+                          validate_statistical)
 from .curvature import (CrossCheckError, DegenerateSectionError,
                         NotHorizontalError, PhiSectionalValue,
-                        PreconditionNotMetError, geodesic_xi_check, kk_bracket,
-                        kk_tensor, lemma_5_6_check, phi_compat_check,
-                        phi_sectional_k_curvature, phi_sectional_triple,
-                        psi_check, statistical_curvature, theorem_5_8_audit)
+                        PreconditionNotMetError, kk_bracket, kk_tensor,
+                        phi_compat_check, phi_sectional_k_curvature, psi_check,
+                        statistical_curvature, theorem_5_8_audit)
 from .report import AuditReport, CheckRecord
 from .zoo import (ZooEntry, example_flat_acs, example_r3_negative,
                   generate_random_acs, get_entry, list_zoo)

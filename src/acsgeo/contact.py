@@ -128,10 +128,6 @@ def phi_basis(m: ChartManifold, point, seed=None, frame: PointFrame = None) -> n
     return basis[0]
 
 
-def gram_residual(fr: PointFrame, basis: np.ndarray) -> float:
-    return float(np.max(np.abs(basis.T @ fr.g @ basis - np.eye(basis.shape[1]))))
-
-
 @np.errstate(all="ignore")
 def nabla0_phi_pass(m: ChartManifold, pts) -> np.ndarray:
     """nabla^0 phi with the Levi-Civita connection at the lanes of the frame

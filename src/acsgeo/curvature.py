@@ -491,7 +491,7 @@ def replay(run, points, rng):
 
 def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, keep):
     """(K^S, K^0, K_phi) of each section of each point, (P, S, 3), with the
-    checks of ``phi_sectional_triple`` at the sections ``keep`` holds: the
+    checks of a sectional triple at the sections ``keep`` holds: the
     horizontality of the first section, the statistical curvature of the
     point, and for each section the plane check of ``sectional_curvature``,
     the K_phi checks and the additivity K^S = K^0 + K_phi (to 1e-6 relative)."""
@@ -510,14 +510,6 @@ def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, 
         raise CrossCheckError(f"sectional additivity fails: {float(k_s[i, j])} vs "
                               f"{float(k_0[i, j])} + {float(k_phi[i, j])}")
     return np.stack([k_s, k_0, k_phi], axis=-1)
-
-
-def phi_sectional_triple(m: ChartManifold, point, x):
-    """(statistical, Riemannian, K) sectional values on the phi-section of X,
-    with the additivity K^S = K^0 + K asserted."""
-    frames = m.frame_stack([point])
-    sweep = section_sweep(frames, [np.asarray(x, dtype=float)[None, None]])
-    return tuple(_section_triples(m, frames, sweep, np.ones((1, 1), dtype=bool))[0, 0].tolist())
 
 
 def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
@@ -643,12 +635,6 @@ def lemma_5_6_residuals(fs: FrameStack, nabla0_phi) -> np.ndarray:
     return max_abs(nabla0_phi - d1 - 2.0 * phi_k)
 
 
-def lemma_5_6_check(m: ChartManifold, point) -> float:
-    """``lemma_5_6_residuals`` at one point."""
-    return float(lemma_5_6_residuals(m.frame_stack([point]),
-                                     m.kept(nabla0_phi_pass, [point]))[0])
-
-
 @np.errstate(all="ignore")
 def geodesic_norms(fs: FrameStack):
     """(||nabla^0_xi xi||, ||nabla_xi xi||) at each lane of ``fs``, two (U,)."""
@@ -656,12 +642,6 @@ def geodesic_norms(fs: FrameStack):
     v0 = np.einsum("...ij,...i->...j", dxi, fs.xi)
     v1 = v0 + contract(contract(fs.K, fs.xi), fs.xi)
     return norms(fs.g, v0), norms(fs.g, v1)
-
-
-def geodesic_xi_check(m: ChartManifold, point):
-    """(||nabla^0_xi xi||, ||nabla_xi xi||) at a point."""
-    n0, n1 = geodesic_norms(m.frame_stack([point]))
-    return float(n0[0]), float(n1[0])
 
 
 def prop_5_2_residuals(m: ChartManifold, fs: FrameStack):

@@ -274,10 +274,16 @@ _FUNCTIONS = {"sin": d_sin, "cos": d_cos, "exp": d_exp, "log": d_log, "sqrt": d_
 # Node precedence levels used for minimal-paren printing.
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 MAX_EXPONENT = 64   # the largest |n| of x^n: its walk makes |n| - 1 products
+# the deepest nesting of parentheses, calls and unary minus the parser
+# recurses through (about 5 frames a level), and the greatest height of the
+# tree it builds (an n-term chain is n - 1 high), which each walk recurses
+# through: within the default recursion limit at this bound
+MAX_DEPTH = 100
 
 
 class Num:
     __slots__ = ("value",)
+    height = 0
 
     def __init__(self, value):
         self.value = float(value)
@@ -293,6 +299,7 @@ class Num:
 
 class Var:
     __slots__ = ("index", "name")
+    height = 0
 
     def __init__(self, index, name):
         self.index = index
@@ -308,10 +315,11 @@ class Var:
 
 
 class Neg:
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "height")
 
     def __init__(self, arg):
         self.arg = arg
+        self.height = arg.height + 1
 
     def eval(self, env):
         return -self.arg.eval(env)
@@ -323,12 +331,13 @@ class Neg:
 
 
 class BinOp:
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "height")
 
     def __init__(self, op, left, right):
         self.op = op
         self.left = left
         self.right = right
+        self.height = max(left.height, right.height) + 1
 
     def eval(self, env):
         a = self.left.eval(env)
@@ -356,11 +365,12 @@ class BinOp:
 
 
 class Pow:
-    __slots__ = ("base", "exponent")
+    __slots__ = ("base", "exponent", "height")
 
     def __init__(self, base, exponent):
         self.base = base
         self.exponent = int(exponent)
+        self.height = base.height + 1
 
     def eval(self, env):
         return d_ipow(self.base.eval(env), self.exponent)
@@ -372,11 +382,12 @@ class Pow:
 
 
 class Call:
-    __slots__ = ("fname", "arg")
+    __slots__ = ("fname", "arg", "height")
 
     def __init__(self, fname, arg):
         self.fname = fname
         self.arg = arg
+        self.height = arg.height + 1
 
     def eval(self, env):
         return _FUNCTIONS[self.fname](self.arg.eval(env))
@@ -427,6 +438,7 @@ class _Parser:
     def __init__(self, text, coord_names):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0      # the nesting levels open at the current token
         self.coord_index = {name: k for k, name in enumerate(coord_names)}
 
     def peek(self):
@@ -443,6 +455,19 @@ class _Parser:
             raise ExprSyntaxError(f"expected {value!r}", pos)
         return self.next()
 
+    def enter(self, pos):
+        """Opens a nesting level at ``pos``; ExprSyntaxError past MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", pos)
+
+    def built(self, node, pos):
+        """``node``, or ExprSyntaxError at ``pos`` when its tree is higher than
+        MAX_DEPTH."""
+        if node.height > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", pos)
+        return node
+
     def parse(self):
         node = self.expr()
         kind, val, pos = self.peek()
@@ -453,25 +478,27 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.term())
+            _, op, pos = self.next()
+            node = self.built(BinOp(op, node, self.term()), pos)
         return node
 
     def term(self):
         node = self.unary()
         while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.unary())
+            _, op, pos = self.next()
+            node = self.built(BinOp(op, node, self.unary()), pos)
         return node
 
     def unary(self):
         if self.peek()[1] == "-":
-            self.next()
+            pos = self.next()[2]
+            self.enter(pos)
             arg = self.unary()
+            self.depth -= 1
             # fold negated literals so constant detection sees them
             if isinstance(arg, Num):
                 return Num(-arg.value)
-            return Neg(arg)
+            return self.built(Neg(arg), pos)
         return self.power()
 
     def power(self):
@@ -489,7 +516,7 @@ class _Parser:
             if n > MAX_EXPONENT:
                 raise ExprSyntaxError(f"integer exponent beyond {MAX_EXPONENT} in magnitude", pos)
             self.next()
-            return Pow(base, sign * n)
+            return self.built(Pow(base, sign * n), pos)
         return base
 
     def atom(self):
@@ -498,16 +525,19 @@ class _Parser:
             return Num(val)
         if kind == "ident":
             if val in _FUNCTIONS:
-                self.expect("(")
+                self.enter(self.expect("(")[2])
                 arg = self.expr()
                 self.expect(")")
-                return Call(val, arg)
+                self.depth -= 1
+                return self.built(Call(val, arg), pos)
             if val in self.coord_index:
                 return Var(self.coord_index[val], val)
             raise UnknownIdentifierError(val, pos)
         if val == "(":
+            self.enter(pos)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ExprSyntaxError(f"expected a number, identifier or '('", pos)
 
@@ -564,10 +594,6 @@ def parse_expression(text: str, coord_names: Sequence[str]) -> ScalarField:
     if len(set(names)) != len(names):
         raise ValueError("coordinate names must be pairwise distinct")
     return ScalarField(_Parser(text, names).parse(), names)
-
-
-def constant_field(value: float, coord_names: Sequence[str]) -> ScalarField:
-    return ScalarField(Num(value), coord_names)
 
 
 def eval_with_derivative(f: ScalarField, point: Sequence[float], j: int) -> DualScalar:

@@ -106,15 +106,6 @@ class PointFrame(NamedTuple):
     def inner(self, x, y) -> float:
         return float(inner(self.g, x, y))
 
-    def norm(self, x) -> float:
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
-
-    def eta_of(self, x) -> float:
-        return float(self.eta @ np.asarray(x))
-
-    def apply_k(self, x, y) -> np.ndarray:
-        return (self.K @ np.asarray(y)) @ np.asarray(x)
-
 
 FrameStack = PointFrame
 
@@ -192,6 +183,7 @@ class ChartManifold:
         self._frame_pass_points = 0  # how many points those are
         self._frame_dict = {}        # point -> None, the first FRAME_CACHE_CAP points met
         self._kept_points = np.empty((0, dim))     # the points of the kept parts
+        self._kept_index = None      # their bytes -> row, once a subset request needs it
         self._kept_lane = None       # their lanes, once a row read needs them
         self._kept_parts = {}        # pass function -> its part of those points
 
@@ -314,18 +306,21 @@ class ChartManifold:
 
     def kept(self, pass_fn, points):
         """``pass_fn(self, pts)`` of the (P, dim) ``pts`` of ``points``: the part kept for
-        them, its ``lane_rows`` when all are kept points (matched by bytes), else a new pass,
-        kept beside their parts or in place of other points'; a pass that raises keeps nothing."""
+        them, its ``lane_rows`` when all are kept points (matched by bytes, through an index
+        built once per kept point set), else a new pass, kept beside their parts or in place
+        of other points'; a pass that raises keeps nothing."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
         if pts.tobytes() != self._kept_points.tobytes():
             if pass_fn in self._kept_parts:
-                index = {p.tobytes(): i for i, p in enumerate(self._kept_points)}
-                rows = [index.get(p.tobytes()) for p in pts]
+                if self._kept_index is None:
+                    self._kept_index = {p.tobytes(): i for i, p in enumerate(self._kept_points)}
+                rows = [self._kept_index.get(p.tobytes()) for p in pts]
                 if None not in rows:
                     if self._kept_lane is None:
                         self._kept_lane = self.lanes(self._kept_points)[1]
                     return lane_rows(self._kept_parts[pass_fn], rows, self._kept_lane)
-            self._kept_points, self._kept_lane, self._kept_parts = pts, None, {}
+            self._kept_points, self._kept_parts = pts, {}
+            self._kept_index = self._kept_lane = None
         if pass_fn not in self._kept_parts:
             self._kept_parts[pass_fn] = pass_fn(self, self._kept_points)
         return self._kept_parts[pass_fn]

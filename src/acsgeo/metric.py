@@ -137,17 +137,6 @@ def inv_generic(mat):
 # nested arrays of scalar fields
 
 
-def field_values(fields, env):
-    """Evaluate a nested array of ScalarFields at one environment of
-    generic scalars (floats, lane arrays or Duals); returns nested python
-    lists of the same shape."""
-    if isinstance(fields, ScalarField):
-        return fields.eval_scalar(env)
-    if isinstance(fields[0], ScalarField):
-        return [f.eval_scalar(env) for f in fields]
-    return [field_values(sub, env) for sub in fields]
-
-
 def fields_constant(fields) -> bool:
     """True when no ScalarField in a nested array reads a coordinate: its
     expression tree holds no Var."""
@@ -299,30 +288,14 @@ class MetricField:
                 comp[j][i] = f
         return cls(comp)
 
-    def matrix_at(self, coords):
-        """Evaluate g as a nested list; generic in the scalar type."""
-        return field_values(self.components, coords)
-
     def array_at(self, point) -> np.ndarray:
-        return np.array(self.matrix_at([float(x) for x in point]), dtype=float)
+        """g_ij at one point, (dim, dim): a one-lane, order-0 ``field_jet``."""
+        with np.errstate(all="ignore"):
+            return field_jet(self.components, lanes_of(point)[0], 0)[0][0]
 
     def derivatives_at(self, point) -> np.ndarray:
         """d_i g_jk at a point, shape (dim, dim, dim)."""
         return field_first_derivatives(self.components, point)
-
-    def check_point(self, point):
-        """Symmetry (to 1e-12) and positive definiteness (leading principal
-        minors above 1e-10) at one point; raises on failure."""
-        g = self.array_at(point)
-        asym = float(np.max(np.abs(g - g.T)))
-        if asym > 1e-12:
-            raise GeometryError(f"metric asymmetry {asym} at {list(point)}")
-        for k in range(1, self.dim + 1):
-            minor = float(np.linalg.det(g[:k, :k]))
-            if minor <= 1e-10:
-                raise NotPositiveDefiniteError(
-                    f"leading principal minor {k} is {minor} at {list(point)}")
-        return g
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +399,8 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def norms(g: np.ndarray, v) -> np.ndarray:
-    """sqrt(max(g(v, v), 0)) of stacked vectors: ``PointFrame.norm`` of each
-    (a zero norm may lose its sign, so compare it, do not print it)."""
+    """sqrt(max(g(v, v), 0)) of stacked vectors, the norm of each (a zero
+    norm may lose its sign, so compare it, do not print it)."""
     return np.sqrt(np.maximum(inner(g, v, v), 0.0))
 
 

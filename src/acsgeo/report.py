@@ -205,9 +205,6 @@ class AuditReport:
                 worst[c] = i
         return {c: self._record(i) for c, i in worst.items()}
 
-    def failures(self) -> List[CheckRecord]:
-        return [self._record(i) for i, ok in enumerate(self.passed) if not ok]
-
     def to_json_lines(self) -> str:
         heads = {c: f'{{"check": {json.dumps(c)}, "point": [' for c in set(self.checks)}
         mids = {k: ", ".join(map(_num, np.frombuffer(k).tolist())) + '], "residual": '

@@ -120,7 +120,9 @@ def load_spec(path) -> ChartManifold:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:   # a JSONDecodeError, or an integer of too many digits
+        # a JSONDecodeError, an integer of too many digits, or nesting deeper
+        # than the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
     return manifold_from_dict(data)
 

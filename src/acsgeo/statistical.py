@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .manifold import ChartManifold, FrameStack
-from .metric import (FieldArray, MetricField, _as_fields, christoffel_values, contract, field_jet,
-                     first_slot, inner, lanes_of, nabla_g, outer, per_16_lanes, point_lanes)
+from .metric import (FieldArray, MetricField, _as_fields, contract, field_jet, first_slot, inner,
+                     nabla_g, outer, per_16_lanes, point_lanes)
 from .report import AuditReport, max_abs, raise_first, within
 
 
@@ -48,10 +48,6 @@ class ExplicitDifferenceTensor(DifferenceTensor):
     def jet(self, coords, levi_civita):
         return field_jet(self.fields, coords, len(levi_civita) - 1)
 
-    def array_at(self, point) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return field_jet(self.fields, lanes_of(point)[0], 0)[0][0]
-
 
 class ConnectionDifferenceTensor(DifferenceTensor):
     """K obtained as a user connection table minus the Levi-Civita symbols of
@@ -68,11 +64,6 @@ class ConnectionDifferenceTensor(DifferenceTensor):
     def jet(self, coords, levi_civita):
         user = field_jet(self.gamma_fields, coords, len(levi_civita) - 1)
         return tuple(u - lc for u, lc in zip(user, levi_civita))
-
-    def array_at(self, point) -> np.ndarray:
-        coords = lanes_of(point)[0]
-        with np.errstate(all="ignore"):
-            return self.jet(coords, (christoffel_values(self.metric, coords),))[0][0]
 
 
 def zero_difference_tensor(coord_names) -> ExplicitDifferenceTensor:
@@ -212,9 +203,3 @@ def conjugate_connections(fs: FrameStack, tol: float):
     res = max_abs(lhs - fs.dg)
     raise_first(StatisticalError, fs.point, res, tol, "conjugate duality residual", fs.lane)
     return gamma_bar, res
-
-
-def conjugate_connection(m: ChartManifold, point, tol: float = 1e-9):
-    """``conjugate_connections`` at one point: (gamma_bar, duality_residual)."""
-    gamma_bar, res = conjugate_connections(m.frame_stack([point]), tol)
-    return gamma_bar[0], float(res[0])

@@ -113,7 +113,7 @@ def run(argv, workdir):
     """(exit code, stdout, stderr) of one in-process CLI run; an ``@name``
     input is written to ``workdir`` as a spec file first."""
     argv = list(argv)
-    if argv[1].startswith("@"):
+    if argv[1:] and argv[1].startswith("@"):
         path = os.path.join(workdir, argv[1][1:] + ".json")
         with open(path, "w") as fh:
             json.dump(SPECS[argv[1][1:]], fh)

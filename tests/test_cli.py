@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from acsgeo import contact, curvature, manifold
 from acsgeo.cli import main
-from acsgeo.expressions import ExpressionError, parse_expression
+from acsgeo.expressions import MAX_DEPTH, ExpressionError, parse_expression
 from acsgeo.metric import GeometryError
 from acsgeo.specfile import manifold_from_dict
 
@@ -752,24 +752,54 @@ def _run_bounded(argv, memory=1536 << 20, seconds=60):
     (["validate", "x^1000000000"], "integer exponent beyond 64 in magnitude (at position 8)"),
     (["validate", "x^" + "9" * 5000], "integer exponent beyond 64 in magnitude (at position 8)"),
     (["validate", "grid"], "Exceeds the limit (4300 digits) for integer string conversion"),
-], ids=["dim 9999", "n 5000", "exponent 1e9", "exponent of 5000 digits", "grid of 5000 digits"])
+    (["validate", "K:" + "(" * 3000 + "x" + ")" * 3000],
+     "expression nested deeper than 100 (at position 100)"),
+    (["validate", "K:" + "-" * 3000 + "x"], "expression nested deeper than 100 (at position 100)"),
+    (["validate", "K:" + "+".join(["x"] * 20000)],
+     "expression nested deeper than 100 (at position 201)"),
+    (["curvature", "zoo:example_r3_negative", "--section", "(" * 3000 + "1" + ")" * 3000 + ",0,0"],
+     "expression nested deeper than 100 (at position 100)"),
+    (["validate", "phi"], "maximum recursion depth exceeded"),
+], ids=["dim 9999", "n 5000", "exponent 1e9", "exponent of 5000 digits", "grid of 5000 digits",
+        "3000 parentheses", "3000 unary minuses", "20000-term sum", "3000 parentheses in a section",
+        "phi of 100000 nested lists"])
 def test_unbounded_inputs_exit_two(tmp_path, argv, message):
-    """A zoo dimension, an integer exponent or a spec integer whose cost has
-    no bound is rejected before any work scales with it: exit 2 with one
-    line on stderr, no traceback."""
-    verb, what = argv
+    """A zoo dimension, an integer exponent, a spec integer, an expression's
+    nesting or a spec's JSON nesting whose cost has no bound is rejected
+    before any work scales with it (or a walk recurses past the recursion
+    limit): exit 2 with one line on stderr, no traceback."""
+    verb, what, *options = argv
     if not what.startswith("zoo:"):
         path = tmp_path / "spec.json"
         if what == "grid":
             path.write_text(json.dumps(FLAT_BLOCK).replace('"grid": 2', '"grid": ' + "9" * 5000))
+        elif what == "phi":
+            path.write_text(json.dumps(dict(FLAT_BLOCK, phi=None)).replace(
+                "null", "[" * 100000 + "]" * 100000))
+        elif what.startswith("K:"):
+            path.write_text(json.dumps(dict(FLAT_BLOCK, K={"z,z,z": what[2:]})))
         else:
             metric = [["1 + 0*" + what], ["0", "1"], ["0", "0", "1"]]
             path.write_text(json.dumps(dict(FLAT_BLOCK, metric_lower=metric)))
-        argv = [verb, str(path)]
-    proc = _run_bounded(argv)
+        what = str(path)
+    proc = _run_bounded([verb, what, *options])
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr[-2000:]
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "(" * MAX_DEPTH + "+".join(["z"] * (MAX_DEPTH + 1)) + ")" * MAX_DEPTH,
+    "-" * MAX_DEPTH + "z", "sin(" * MAX_DEPTH + "z" + ")" * MAX_DEPTH],
+    ids=["parentheses around a sum", "unary minuses", "calls"])
+def test_expression_at_the_depth_bound_runs_every_verb(tmp_path, text):
+    """A K entry nested MAX_DEPTH deep is evaluated by every verb in-process,
+    within the default recursion limit."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(FLAT_BLOCK, K={"z,z,z": text})))
+    for verb in ("validate", "curvature", "audit"):
+        code, out, err = _run_quiet(verb, str(path), "--format", "json")
+        assert code in (0, 1) and out and "Recursion" not in err, err
 
 
 NOT_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),

@@ -7,18 +7,24 @@ import numpy as np
 import pytest
 
 from acsgeo import contact, curvature, get_entry
-from acsgeo import (NotHorizontalError, PreconditionNotMetError,
-                    geodesic_xi_check, kk_bracket, kk_tensor, lemma_5_6_check,
-                    phi_compat_check, phi_sectional_k_curvature,
-                    phi_sectional_triple, psi_check, statistical_curvature,
-                    theorem_5_8_audit)
-from acsgeo.contact import is_cosymplectic
+from acsgeo import (NotHorizontalError, PreconditionNotMetError, kk_bracket,
+                    kk_tensor, phi_compat_check, phi_sectional_k_curvature, psi_check,
+                    statistical_curvature, theorem_5_8_audit)
+from acsgeo.contact import is_cosymplectic, nabla0_phi_pass
 from acsgeo.curvature import (audit_branch, curvature_like_symmetry_residuals,
-                              is_phi_compatible, sweep_sections)
+                              geodesic_norms, is_phi_compatible, lemma_5_6_residuals,
+                              phi_sectional_triples, sweep_sections)
 
 from conftest import sample_points
 
 ORIGIN3 = np.zeros(3)
+
+
+def phi_sectional_triple(m, p, x):
+    """(K^S, K^0, K_phi) on the phi-section of ``x`` at ``p``: the batched
+    triples at one point and one section."""
+    x = np.asarray(x, dtype=float)
+    return tuple(phi_sectional_triples(m, [p], section=lambda fs: x[None])[1][0, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +74,7 @@ def test_r3_value_general_section(r3):
     assert v.value == pytest.approx(-1.0, abs=1e-12)
     # hand check of the ingredients
     x = np.array([3.0, -4.0, 0.0])
-    kxx = fr.apply_k(x, x)
+    kxx = (fr.K @ x) @ x
     f_sq = 25.0
     assert fr.inner(kxx, kxx) == pytest.approx(0.5 * f_sq ** 2, abs=1e-9)
 
@@ -174,14 +180,15 @@ def test_audit_zero_k_all_true(warped):
 def test_lemma_5_6(entry_fixture, request):
     m = request.getfixturevalue(entry_fixture)
     for p in sample_points(m, 3):
-        assert lemma_5_6_check(m, p) < 1e-9
+        assert lemma_5_6_residuals(m.frame_stack([p]), m.kept(nabla0_phi_pass, [p]))[0] < 1e-9
 
 
 def test_geodesic_pairs(flat3, flat5, r3, warped):
     for m, expected in ((flat3, (0.0, 1.0)), (flat5, (0.0, 1.0)),
                         (r3, (0.0, 0.0)), (warped, (0.0, 0.0))):
         for p in sample_points(m, 3):
-            assert geodesic_xi_check(m, p) == pytest.approx(expected, abs=1e-9)
+            n0, n1 = geodesic_norms(m.frame_stack([p]))
+            assert (n0[0], n1[0]) == pytest.approx(expected, abs=1e-9)
 
 
 def test_phi_compatibility(flat3, flat5, r3, warped):
@@ -233,7 +240,7 @@ def test_phi_compat_takes_nabla0_phi_once_per_point(flat3, monkeypatch):
     pts = flat3.grid_points(2)
     rep = phi_compat_check(flat3, pts)
     assert len(calls) == 1 and np.array_equal(flat3._kept_points, pts)
-    assert rep.failures() == [] and is_phi_compatible(rep)
+    assert [r for r in rep.records if not r.passed] == [] and is_phi_compatible(rep)
     consequences = [r.residual for r in rep.records
                     if r.check == "phi_compat/cosymplectic_consequence"]
     assert consequences == [is_cosymplectic(flat3, [p])[1] for p in pts]

@@ -1,4 +1,4 @@
-"""The demos call the sweep API directly (phi_sectional_triple,
+"""The demos call the sweep API directly (phi_sectional_triples,
 theorem_5_8_audit, psi_check, sweep_sections, ...): each must run to the
 end, without a warning, and print exactly its pinned output (sha256 of
 stdout)."""

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from acsgeo import (Dual, EvalDomainError, ExprSyntaxError, NonFiniteError,
                     UnknownIdentifierError, eval_with_derivative,
                     parse_expression)
-from acsgeo.expressions import Jet, primal, tangent
-from acsgeo.metric import field_jet
+from acsgeo.expressions import MAX_DEPTH, Jet, primal, tangent
+from acsgeo.metric import coordinates_read, field_jet
+from acsgeo.specfile import manifold_from_dict, manifold_to_dict
 
 import dual_reference as ref
 from conftest import central_difference
@@ -79,6 +80,53 @@ def test_exponent_bound_is_inclusive_and_ignores_leading_zeros():
     assert parse_expression("x^64", ["x"])([1.0]) == 1.0
     assert parse_expression("x^-64", ["x"])([2.0]) == 2.0 ** -64
     assert parse_expression("x^" + "0" * 5000 + "2", ["x"]).to_string() == "x^2"
+
+
+D = MAX_DEPTH
+# (text at the bound, text one level past it, the position of the error)
+DEEP = {
+    "parentheses": ("(" * D + "x" + ")" * D, "(" * (D + 1) + "x" + ")" * (D + 1), D),
+    "calls": ("sin(" * D + "x" + ")" * D, "sin(" * (D + 1) + "x" + ")" * (D + 1), 4 * D + 3),
+    "unary minus": ("-" * D + "x", "-" * (D + 1) + "x", D),
+    "sum": ("+".join(["x"] * (D + 1)), "+".join(["x"] * (D + 2)), 2 * D + 1),
+    "product": ("*".join(["x"] * (D + 1)), "*".join(["x"] * (D + 2)), 2 * D + 1),
+    "powers": ("(" * (D - 1) + "x" + "^1)" * (D - 1) + "^1", "(" * D + "x" + "^1)" * D + "^1",
+               4 * D + 2),
+    "negated sum": ("-(" + "+".join(["x"] * D) + ")", "-(" + "+".join(["x"] * (D + 1)) + ")",
+                    0),
+    "parenthesised sum": ("(" * D + "+".join(["x"] * (D + 1)) + ")" * D,
+                          "(" * D + "+".join(["x"] * (D + 2)) + ")" * D, 3 * D + 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_expression_at_the_depth_bound_runs_every_walk(shape):
+    """An expression nested MAX_DEPTH deep parses and goes through every walk
+    of its tree within the default recursion limit: the Jet walk at order 2,
+    coordinates_read, to_string and a parse of it, the export of a spec, and
+    the independent reference walk."""
+    coords = ["x", "y", "z"]
+    f = parse_expression(DEEP[shape][0], coords)
+    with np.errstate(all="ignore"):
+        value, grad, hess = field_jet([f], [np.array([0.25])] * 3, 2)
+    assert np.isfinite(value).all() and np.isfinite(grad).all() and np.isfinite(hess).all()
+    assert coordinates_read([f]) == (0,)
+    text = f.to_string()
+    assert parse_expression(text, coords).to_string() == text
+    spec = {"coordinates": coords, "grid": 1,
+            "metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]],
+            "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+            "xi": ["0", "0", "1"], "K": {"z,z,z": DEEP[shape][0]}}
+    assert manifold_to_dict(manifold_from_dict(spec))["K"]["z,z,z"] == text
+    dual = ref.evaluate(f.body, [ref.Dual(0.25, 1.0), ref.Dual(0.25, 0.0), ref.Dual(0.25, 0.0)])
+    assert ref.primal(dual) == value[0, 0]
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_expression_past_the_depth_bound_is_a_syntax_error(shape):
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH}") as exc:
+        parse_expression(DEEP[shape][1], ["x", "y", "z"])
+    assert exc.value.position == DEEP[shape][2]
 
 
 def test_domain_errors():

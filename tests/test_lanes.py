@@ -11,22 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acsgeo import (AuditReport, cli, conjugate_connection, contact, generate_random_acs,
-                    geodesic_xi_check, get_entry, is_cosymplectic, lambda_of,
-                    lemma_5_6_check, phi_basis, phi_sectional_triple, statistical_curvature,
+from acsgeo import (AuditReport, ConnectionDifferenceTensor, cli, contact, generate_random_acs,
+                    get_entry, is_cosymplectic, lambda_of, phi_basis, statistical_curvature,
                     validate_acs, validate_statistical, validate_structure)
 from acsgeo import curvature as curv
 from acsgeo.contact import (DegenerateSeedError, ExhaustedCandidatesError, FrameError,
                             nabla0_phi, nabla0_phi_pass, phi_bases)
-from acsgeo.expressions import ExpressionError, Jet, NonFiniteError, parse_expression
+from acsgeo.expressions import ExpressionError, Jet, NonFiniteError, ScalarField, parse_expression
 from acsgeo.manifold import ChartManifold, FrameStack
 from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField,
                            SingularMetricError, christoffel, christoffel_jet,
-                           field_first_derivatives, field_values, inv_generic, riemann)
+                           field_first_derivatives, inv_generic, riemann)
+from acsgeo.statistical import conjugate_connections
 from acsgeo.specfile import manifold_from_dict
 
 import dual_reference as ref
-from conftest import poly3_metric
+from conftest import poly3_metric, sphere_metric
 
 XYZ = ["x", "y", "z"]
 
@@ -328,6 +328,28 @@ FRAME_CHARTS = pytest.mark.parametrize(
     ids=["poly3", "exp_frame", "connection", "pulled_back"])
 
 
+def float_walk(fields, x):
+    """A nested array of ScalarFields evaluated field by field at one point
+    of Python floats: the reference of the lane paths."""
+    if isinstance(fields, ScalarField):
+        return fields.eval_scalar(x)
+    return [float_walk(f, x) for f in fields]
+
+
+@FRAME_CHARTS
+def test_metric_array_at_is_the_float_walk(spec):
+    """MetricField.array_at, a one-lane order-0 field_jet, has the bits of
+    the metric evaluated field by field at Python floats."""
+    metrics = [(manifold_from_dict(spec).metric, manifold_from_dict(spec).grid_points()),
+               (sphere_metric(), [[0.3, -1.2], [np.pi / 3, 0.0], [-0.0, 2.5]])]
+    for metric, points in metrics:
+        for p in points:
+            want = np.array(float_walk(metric.components, [float(c) for c in p]))
+            got = metric.array_at(p)
+            assert got.shape == want.shape == (metric.dim, metric.dim)
+            assert_same(got, want)
+
+
 @FRAME_CHARTS
 def test_point_frame_matches_float_paths(spec):
     """A point alone is a pass of one lane; the functions of metric that
@@ -335,12 +357,17 @@ def test_point_frame_matches_float_paths(spec):
     m = manifold_from_dict(spec)
     for p in m.grid_points():
         x = [float(c) for c in p]
-        g = m.metric.array_at(p)
-        xi = np.array(field_values(m.xi, x), dtype=float)
-        want = {"point": p, "g": g, "g_inv": inv_generic(m.metric.matrix_at(x)),
-                "phi": field_values(m.phi, x), "xi": xi,
-                "eta": g @ xi if m.eta is None else field_values(m.eta, x),
-                "gamma0": christoffel(m.metric, p), "K": m.difference.array_at(p),
+        g = np.array(float_walk(m.metric.components, x))
+        xi = np.array(float_walk(m.xi, x))
+        gamma0 = christoffel(m.metric, p)
+        if isinstance(m.difference, ConnectionDifferenceTensor):
+            k = np.array(float_walk(m.difference.gamma_fields, x)) - gamma0
+        else:
+            k = float_walk(m.difference.fields, x)
+        want = {"point": p, "g": g, "g_inv": inv_generic(g),
+                "phi": float_walk(m.phi, x), "xi": xi,
+                "eta": g @ xi if m.eta is None else float_walk(m.eta, x),
+                "gamma0": gamma0, "K": k,
                 "dg": m.metric.derivatives_at(p),
                 "dphi": field_first_derivatives(m.phi, x),
                 "dxi": field_first_derivatives(m.xi, x)}
@@ -492,9 +519,11 @@ def _one_point_functions(m, p):
     x = phi_basis(m, p)[:, 0]
     return [_bits(r) for r in (
         validate_structure(m, p), validate_statistical(m, p), validate_acs(m, p),
-        lambda_of(m, p), conjugate_connection(m, p), is_cosymplectic(m, [p]),
-        nabla0_phi(m, p), lemma_5_6_check(m, p), geodesic_xi_check(m, p),
-        statistical_curvature(m, p), phi_sectional_triple(m, p, x), m.frame_at(p))]
+        lambda_of(m, p), conjugate_connections(m.frame_stack([p]), 1e-9),
+        is_cosymplectic(m, [p]), nabla0_phi(m, p),
+        curv.lemma_5_6_residuals(m.frame_stack([p]), m.kept(nabla0_phi_pass, [p])),
+        curv.geodesic_norms(m.frame_stack([p])), statistical_curvature(m, p),
+        curv.phi_sectional_triples(m, [p], section=lambda fs: x[None]), m.frame_at(p))]
 
 
 @pytest.mark.parametrize("name,params", [("example_flat_acs", {"n": 1}),

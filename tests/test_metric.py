@@ -109,14 +109,6 @@ def test_singular_metric_rejected():
         christoffel(g, [1.0, 0.5])
 
 
-def test_not_positive_definite_detected():
-    coords = ["x", "y"]
-    g = MetricField.from_lower_triangle([["1"], ["0", "-1"]], coords)
-    from acsgeo.metric import NotPositiveDefiniteError
-    with pytest.raises(NotPositiveDefiniteError):
-        g.check_point([0.0, 0.0])
-
-
 def test_degenerate_plane_rejected():
     g = np.eye(2)
     r = np.zeros((2, 2, 2, 2))

@@ -13,6 +13,7 @@ import pytest
 
 from acsgeo import curvature as curv
 from acsgeo import get_entry
+from acsgeo.manifold import ChartManifold, lane_rows
 from acsgeo.specfile import manifold_from_dict, manifold_to_dict
 
 from test_invariance import WARPED, WARPED_CONNECTION
@@ -112,6 +113,28 @@ def test_row_reads_keep_the_lanes_they_use():
     assert_rows_are_one_point_passes(m, pts[rows], sub,
                                      curv.statistical_curvatures(m, pts[rows]))
     assert curv.statistical_curvatures(m, pts) is curvatures
+
+
+def test_row_reads_match_lane_rows_of_the_whole_part():
+    """The store indexes its kept points once per point set: every request
+    for some of them, one row at a time or several in any order, gives
+    ``lane_rows`` of the whole kept part, bit for bit, and takes no pass."""
+    m = manifold_from_dict(WARPED)
+    pts = m.grid_points(4)
+    parts = {ChartManifold._frame_pass: m.frame_stack(pts),
+             curv._curvature_pass: curv.statistical_curvatures(m, pts)}
+    lane = m.lanes(pts)[1]
+    requests = [[i] for i in range(len(pts))] + [[63, 1, 0, 62, 5], list(range(63, -1, -1))]
+    index = None
+    for rows in requests:
+        for pass_fn, part in parts.items():
+            got, want = m.kept(pass_fn, pts[rows]), lane_rows(part, rows, lane)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        index = index or m._kept_index
+        assert m._kept_index is index
+    assert all(m.kept(pass_fn, pts) is part for pass_fn, part in parts.items())
 
 
 def test_signed_zeros_take_two_lanes():
