@@ -51,6 +51,13 @@ class InputError(Exception):
     pass
 
 
+class StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is when a record is emitted, so a run
+    whose stderr is redirected logs there; setting ``stream`` does nothing."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
 # the errors main() reports with exit 2 and with exit 1
 INPUT_ERRORS = (InputError, SpecFormatError, ExpressionError, OSError,
                 UnsupportedDimensionError, curv.NotHorizontalError)
@@ -358,7 +365,12 @@ def main(argv=None) -> int:
         level = os.environ.get("ACSM_LOG", "warning")
         if level.lower() not in LOG_LEVELS:
             raise InputError(f"ACSM_LOG must be one of {', '.join(LOG_LEVELS)}, got {level!r}")
-        logging.basicConfig(level=level.upper())
+        root = logging.getLogger()     # each call logs at its own ACSM_LOG level
+        if not root.handlers:
+            handler = StderrHandler()
+            handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+            root.addHandler(handler)
+        root.setLevel(level.upper())
         if args.command == "list-zoo":
             return cmd_list_zoo()
         if args.command == "export-zoo":

@@ -56,30 +56,25 @@ def validate_structure(m: ChartManifold, point, tol: float = 1e-9) -> AuditRepor
     return AuditReport.from_columns(fs.point, structure_columns(m, fs, tol))
 
 
-def phi_bases(g, phi, xi, seed=None):
+def phi_bases(g, phi, xi):
     """phi_basis at P points at once, from stacked g, phi (P, dim, dim) and
     xi (P, dim): the bases as a (P, dim, 2n+1) array, and per point None or
     the FrameError that phi_basis raises there.
 
-    Without a ``seed`` the seed of a point is its first coordinate vector
-    with a component in ker(eta).  The Gram-Schmidt runs on all points in
-    lockstep with the float operations of one point; a point that skips a
-    candidate, or has all its pairs, keeps its vectors through ``np.where``,
-    so every basis is bit-identical to phi_basis at its point.
+    The seed of a point is its first coordinate vector with a component in
+    ker(eta).  The Gram-Schmidt runs on all points in lockstep with the
+    float operations of one point; a point that skips a candidate, or has
+    all its pairs, keeps its vectors through ``np.where``, so every basis is
+    bit-identical to phi_basis at its point.
     """
     P, dim = xi.shape
     n = (dim - 1) // 2
     eye = np.eye(dim)
     with np.errstate(all="ignore"):
-        if seed is None:
-            hs = eye - inner(g[:, None], eye, xi[:, None])[..., None] * xi[:, None]
-            usable = ~(norms(g[:, None], hs) < 1e-10)
-            h = hs[np.arange(P), np.argmax(usable, axis=1)]
-            degenerate = ~usable.any(axis=1)
-        else:
-            seed = np.broadcast_to(np.asarray(seed, dtype=float), (P, dim))
-            h = seed - inner(g, seed, xi)[:, None] * xi
-            degenerate = norms(g, h) < 1e-10
+        hs = eye - inner(g[:, None], eye, xi[:, None])[..., None] * xi[:, None]
+        usable = ~(norms(g[:, None], hs) < 1e-10)
+        h = hs[np.arange(P), np.argmax(usable, axis=1)]
+        degenerate = ~usable.any(axis=1)
 
         built = np.zeros((P, dim, dim))     # rows xi, e_1, phi e_1, e_2, ...
         built[:, 0] = xi
@@ -104,8 +99,7 @@ def phi_bases(g, phi, xi, seed=None):
     basis[:, :, :n] = built[:, 1::2].transpose(0, 2, 1)
     basis[:, :, n:2 * n] = built[:, 2::2].transpose(0, 2, 1)
     basis[:, :, 2 * n] = xi
-    errors = [DegenerateSeedError("seed has no component in ker(eta)" if seed is not None
-                                  else "no coordinate vector has a component in ker(eta)")
+    errors = [DegenerateSeedError("no coordinate vector has a component in ker(eta)")
               if degenerate[i] else
               ExhaustedCandidatesError(
                   "could not complete a phi-adapted frame; structure is degenerate")
@@ -114,15 +108,14 @@ def phi_bases(g, phi, xi, seed=None):
     return basis, errors
 
 
-def phi_basis(m: ChartManifold, point, seed=None, frame: PointFrame = None) -> np.ndarray:
+def phi_basis(m: ChartManifold, point, frame: PointFrame = None) -> np.ndarray:
     """Orthonormal frame (e_1..e_n, phi e_1..phi e_n, xi) at a point, built by
-    Gram-Schmidt adapted to phi from ``seed`` (by default the first
-    coordinate vector with a component in ker(eta)) and then the coordinate
-    vectors.  Returns a (dim, 2n+1) array of columns; a one-point
-    ``phi_bases``.
+    Gram-Schmidt adapted to phi from the first coordinate vector with a
+    component in ker(eta) and then the coordinate vectors.  Returns a
+    (dim, 2n+1) array of columns; a one-point ``phi_bases``.
     """
     fr = frame if frame is not None else m.frame_at(point)
-    basis, errors = phi_bases(fr.g[None], fr.phi[None], fr.xi[None], seed)
+    basis, errors = phi_bases(fr.g[None], fr.phi[None], fr.xi[None])
     if errors[0] is not None:
         raise errors[0]
     return basis[0]

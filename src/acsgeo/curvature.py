@@ -23,9 +23,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .contact import nabla0_phi_pass, phi_bases, phi_basis
-from .expressions import ExpressionError, NonFiniteError
-from .manifold import ChartManifold, FrameStack, PointFrame, lane_rows, named_pass
-from .metric import (DegeneratePlaneError, GeometryError, apply_curvature, at_points,
+from .expressions import NonFiniteError
+from .manifold import ChartManifold, FrameStack, PointFrame, lane_pass, lane_rows
+from .metric import (DegeneratePlaneError, apply_curvature, at_points,
                      christoffel_jet, contract, covariant_derivative_11,
                      covariant_derivative_vector, first_slot, inner, nabla_g, norms, outer,
                      per_16_lanes, plane_q, point_lanes, pow2, riemann)
@@ -289,7 +289,7 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
     Gamma^0) the K jet, and the parts and residuals follow 16 lanes at a
     time.  R^0 of a constant metric is one broadcast zero, never computed.
     A jet entry that is not finite makes a part non-finite, the one gate:
-    NonFiniteError."""
+    NonFiniteError.  The pass is logged at info level."""
     first, lane = m.lanes(pts)
     lanes = pts[first]
     coords = point_lanes(lanes)
@@ -298,7 +298,7 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
     parts = [np.broadcast_to(0.0, shape) if flat and n == 1 else np.empty(shape)
              for n in range(5)]
     cross = np.empty(len(lanes))
-    with named_pass(lanes), np.errstate(all="ignore"):
+    with lane_pass(log, logging.INFO, "curvature", pts, lanes):
         levi_civita = christoffel_jet(m.metric, coords)
         jets = levi_civita + m.difference.jet(coords, levi_civita)
         for c in range(0, len(lanes), 16):    # 16 lanes at a time bounds the temporaries
@@ -309,22 +309,7 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
             cross[rows] = max_abs(parts[0][rows] - parts[1][rows] - parts[2][rows])
         if not all(np.isfinite(a).all() for a in parts):
             raise NonFiniteError("statistical curvature is not finite")
-    for a in parts + [cross, pts, lane]:
-        a.flags.writeable = False
     return CurvatureStack(pts, *parts, cross, lane)
-
-
-def _curvature_pass(m: ChartManifold, pts) -> CurvatureStack:
-    """``_curvature_parts`` of ``pts``, logged at info level."""
-    start = time.perf_counter()
-    try:
-        stack = _curvature_parts(m, pts)
-    except (ExpressionError, GeometryError) as exc:
-        log.info("curvature grid pass: failed: %s", exc)
-        raise
-    log.info("curvature grid pass: %d points on %d lanes in %.3f s", len(pts), len(stack.s),
-             time.perf_counter() - start)
-    return stack
 
 
 def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
@@ -332,9 +317,9 @@ def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
     nabla^0 + K and nabla-bar = nabla^0 - K, with S = R^0 + [K,K] asserted
     (to 1e-6) as an internal cross-check, which raises CrossCheckError at
     the first point where it fails.  The stack is the chart's kept part of
-    ``_curvature_pass`` (``ChartManifold.kept``); a pass that fails raises
+    ``_curvature_parts`` (``ChartManifold.kept``); a pass that fails raises
     its own error and keeps nothing."""
-    stack = m.kept(_curvature_pass, points)
+    stack = m.kept(_curvature_parts, points)
     raise_first(CrossCheckError, stack.point, stack.cross, 1e-6, "S - R0 - [K,K] residual",
                 stack.lane)
     return stack
@@ -451,7 +436,7 @@ def replay(run, points, rng):
     Each step acts on each point alone, so a run fails when one of its
     points fails alone, and a run that passes draws from ``rng`` what the
     per-point runs of its points draw.  A run that fails in a pass of one
-    lane, the lane of its first point (``manifold.named_pass`` keeps it on
+    lane, the lane of its first point (``manifold.lane_pass`` keeps it on
     the error), has met that point's own error and raises it: a pass of
     points that all share one lane, such as every pass of a constant chart,
     is such a pass.  Otherwise the points are bisected: from the rng state

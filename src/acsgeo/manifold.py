@@ -19,7 +19,6 @@ from .metric import (FieldArray, GeometryError, MetricField, NotPositiveDefinite
 log = logging.getLogger(__name__)
 
 GRID_CAP = 243      # the most points a sample grid keeps
-FRAME_CACHE_CAP = 4096      # the most points ``_frame_cache`` holds
 
 
 def _finite(name, arr) -> np.ndarray:
@@ -50,20 +49,28 @@ def _linspace_at(lo: float, hi: float, k: int, idx: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
-def named_pass(lanes):
-    """A pass over the (L, dim) ``lanes``, each lane evaluated at its first
-    point: an ExpressionError or GeometryError it raises ends with ``at
-    [p]`` for one lane, which it keeps as its ``lane`` attribute, else ``on
-    the grid``."""
+def lane_pass(logger, level, what, points, lanes):
+    """A pass over the (P, dim) ``points``, evaluated at their (U, dim)
+    ``lanes``, each lane at its first point, under ``np.errstate(all="ignore")``:
+    Python floats overflow silently, and so do the lanes.  An ExpressionError
+    or GeometryError it raises ends with ``at [p]`` for one lane, which it
+    keeps as its ``lane`` attribute, else ``on the grid``.  The pass is logged
+    to ``logger`` at ``level``: ``<what> grid pass: failed: <error>``, or its
+    points, lanes and seconds when it passes."""
+    start = time.perf_counter()
     try:
-        yield
+        with np.errstate(all="ignore"):
+            yield
     except (ExpressionError, GeometryError) as exc:
         where = "on the grid"
         if len(lanes) == 1:
             exc.lane = lanes[0].tolist()
             where = f"at {exc.lane}"
         exc.args = (f"{exc} {where}",)
+        logger.log(level, "%s grid pass: failed: %s", what, exc)
         raise
+    logger.log(level, "%s grid pass: %d points on %d lanes in %.3f s", what, len(points),
+               len(lanes), time.perf_counter() - start)
 
 
 class PointFrame(NamedTuple):
@@ -136,8 +143,8 @@ class ChartManifold:
     ``reads``, the coordinates its components read, found when it was
     built; see :mod:`acsgeo.statistical`.
 
-    ``kept`` stores one part per pass of the last points asked for: the
-    frames of ``frame_stack``, the curvatures of
+    ``kept`` stores one part per pass of the last points asked for, each
+    array of it read-only: the frames of ``frame_stack``, the curvatures of
     ``curvature.statistical_curvatures`` and ``contact.nabla0_phi_pass``.
     A request for some of those points reads the rows of a kept part, so
     ``frame_at`` and the one-point functions after a grid run take no pass.
@@ -179,9 +186,6 @@ class ChartManifold:
         self.reads = tuple(sorted(set(metric.reads).union(
             self.phi.reads, self.xi.reads, difference.reads,
             self.eta.reads if self.eta is not None else ())))
-        self._frame_passes = []      # the (P, dim) points of the passes not yet in _frame_dict
-        self._frame_pass_points = 0  # how many points those are
-        self._frame_dict = {}        # point -> None, the first FRAME_CACHE_CAP points met
         self._kept_points = np.empty((0, dim))     # the points of the kept parts
         self._kept_index = None      # their bytes -> row, once a subset request needs it
         self._kept_lane = None       # their lanes, once a row read needs them
@@ -259,46 +263,25 @@ class ChartManifold:
         for name, arr in (("metric derivative", dg), ("Levi-Civita connection", gamma0),
                           ("phi derivative", dphi), ("xi derivative", dxi)):
             _finite(name, arr)
-        fields = (g, g_inv, phi, xi, eta, gamma0, k, dg, dphi, dxi)
-        for arr in fields:
-            arr.flags.writeable = False
-        return fields
+        return g, g_inv, phi, xi, eta, gamma0, k, dg, dphi, dxi
 
     def _frames(self, pts) -> FrameStack:
         """The FrameStack of the (P, dim) ``pts`` from one pass over their
-        ``lanes``.  The points of a pass that passes are recorded for
-        ``_frame_cache`` until it is full.  Raises the fields' errors
-        (``named_pass``)."""
+        ``lanes``, logged at debug level.  Raises the fields' errors
+        (``lane_pass``)."""
         first, lane = self.lanes(pts)
         lanes = pts[first]
-        # Python floats overflow silently; so do the lanes
-        with named_pass(lanes), np.errstate(all="ignore"):
+        with lane_pass(log, logging.DEBUG, "frame", pts, lanes):
             fields = self._fields(point_lanes(lanes))
-        pts.flags.writeable = lane.flags.writeable = False
-        if len(self._frame_dict) < FRAME_CACHE_CAP:
-            self._frame_passes.append(pts)
-            self._frame_pass_points += len(pts)
-            if len(self._frame_dict) + self._frame_pass_points >= FRAME_CACHE_CAP:
-                self._fold_frame_passes()
         return FrameStack(pts, *fields, lane)
-
-    def _fold_frame_passes(self):
-        """Adds the points of the recorded passes to ``_frame_dict``, in pass
-        order, while it holds fewer than FRAME_CACHE_CAP."""
-        for pts in self._frame_passes:
-            for key in map(tuple, pts.tolist()):
-                if len(self._frame_dict) == FRAME_CACHE_CAP:
-                    break
-                self._frame_dict[key] = None    # a point met before keeps its place
-        self._frame_passes, self._frame_pass_points = [], 0
 
     @property
     def _frame_cache(self) -> dict:
-        """The points the passes of ``_frames`` met, each once, at most
-        FRAME_CACHE_CAP in the order met, as the keys of a dict; built when
-        read.  Only bench/tracer.py reads it, for its length."""
-        self._fold_frame_passes()
-        return self._frame_dict
+        """The points of the kept frame part, each once in row order, as the
+        keys of a dict; {} when no frame part is kept.  Only bench/tracer.py
+        reads it, for its length."""
+        frames = self._kept_parts.get(ChartManifold._frames)
+        return {} if frames is None else dict.fromkeys(map(tuple, frames.point.tolist()))
 
     def frame_at(self, point) -> PointFrame:
         """The frame of one point: row 0 of ``frame_stack([point])``."""
@@ -308,7 +291,7 @@ class ChartManifold:
         """``pass_fn(self, pts)`` of the (P, dim) ``pts`` of ``points``: the part kept for
         them, its ``lane_rows`` when all are kept points (matched by bytes, through an index
         built once per kept point set), else a new pass, kept beside their parts or in place
-        of other points'; a pass that raises keeps nothing."""
+        of other points' and made read-only; a pass that raises keeps nothing."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
         if pts.tobytes() != self._kept_points.tobytes():
             if pass_fn in self._kept_parts:
@@ -322,23 +305,14 @@ class ChartManifold:
             self._kept_points, self._kept_parts = pts, {}
             self._kept_index = self._kept_lane = None
         if pass_fn not in self._kept_parts:
-            self._kept_parts[pass_fn] = pass_fn(self, self._kept_points)
+            part = pass_fn(self, self._kept_points)
+            for a in [part] if isinstance(part, np.ndarray) else part:
+                a.flags.writeable = False
+            self._kept_parts[pass_fn] = part
         return self._kept_parts[pass_fn]
 
     def frame_stack(self, points) -> FrameStack:
-        """The FrameStack of ``points``, the part of ``_frame_pass`` that ``kept``
+        """The FrameStack of ``points``, the part of ``_frames`` that ``kept``
         gives.  A pass that fails raises its own error; a caller that must name
         the point a per-point loop meets first runs under ``curvature.replay``."""
-        return self.kept(ChartManifold._frame_pass, points)
-
-    def _frame_pass(self, pts) -> FrameStack:
-        """``_frames`` of ``pts``, logged at debug level."""
-        start = time.perf_counter()
-        try:
-            stack = self._frames(pts)
-        except (ExpressionError, GeometryError) as exc:
-            log.debug("frame grid pass: failed: %s", exc)
-            raise
-        log.debug("frame grid pass: %d points on %d lanes in %.3f s", len(pts), len(stack.g),
-                  time.perf_counter() - start)
-        return stack
+        return self.kept(ChartManifold._frames, points)

@@ -11,8 +11,11 @@ moves the last bits of residuals; byte digests of the output do not.
 ``record`` runs every op in-process and writes, per op, the decision and
 the floats behind it (residuals, values, the unmasked stderr line).
 ``compare`` lists the ops whose decisions differ and the largest change of
-any residual or value (and stderr float), absolute and relative to
-max(1, |before|), and exits 1 when any op decides differently.  pytest
+any finite residual or value (and stderr float), absolute and relative to
+max(1, |before|), and exits 1 when any op decides differently.  An op
+where a float turns finite or non-finite, or a non-finite float changes
+(inf to nan, say), decides differently too: the decision records only
+whether a value is non-zero.  pytest
 does not collect this file; ``tests/test_decisions.py`` pins the decision
 digest of every op (``decision_digests.json``).
 """
@@ -198,6 +201,7 @@ def compare(before_path, after_path):
                 for rb, ra in [p for p in pairs if p[0] != p[1]][:3]:
                     print(f"    {rb} -> {ra}")
             continue
+        non_finite = []
         for part in ("stderr", "residuals", "values"):
             xb, xa = np.array(_floats(b["floats"][part])), np.array(_floats(a["floats"][part]))
             if xb.shape != xa.shape or not xb.size:
@@ -205,13 +209,16 @@ def compare(before_path, after_path):
             both = np.isfinite(xb) & np.isfinite(xa)
             if not np.array_equal(np.isfinite(xb), np.isfinite(xa)) or \
                     not np.array_equal(xb[~both], xa[~both], equal_nan=True):
-                print("non-finite float differs:", " ".join(b["argv"]), part)
+                non_finite.append(part)
             diff = np.abs(xa[both] - xb[both])
             if diff.size:
                 i = int(np.argmax(diff / np.maximum(1.0, np.abs(xb[both]))))
                 rel = float(diff[i] / max(1.0, abs(xb[both][i])))
                 if rel > worst.get(part, (0.0,))[0]:
                     worst[part] = (rel, float(diff[i]), " ".join(b["argv"]))
+        if non_finite:
+            changed += 1
+            print("non-finite float differs:", " ".join(b["argv"]), ", ".join(non_finite))
     print(f"{changed} of {len(before)} ops decide differently")
     for part, (rel, absolute, argv) in worst.items():
         print(f"largest {part} change: {absolute:.3e} ({rel:.3e} relative) in {argv}")

@@ -21,7 +21,6 @@ function no longer exists, or an entry has no tagged reason.  pytest does not co
 """
 
 import ast
-import logging
 import os
 import re
 import sys
@@ -74,19 +73,12 @@ def functions():
 
 
 def debug_run(argv, workdir):
-    """``run`` under ``ACSM_LOG=debug``; ``logging.basicConfig`` sets the
-    level only while the root logger has no handler, so the root logger is
-    emptied for the run and restored after it."""
-    root = logging.getLogger()
-    handlers, level = root.handlers[:], root.level
-    root.handlers = []
+    """``run`` under ``ACSM_LOG=debug``."""
     os.environ["ACSM_LOG"] = "debug"
     try:
         run(argv, workdir)
     finally:
         del os.environ["ACSM_LOG"]
-        root.handlers = handlers
-        root.setLevel(level)
 
 
 def called(at):

@@ -643,6 +643,33 @@ def test_log_levels_are_accepted(capsys, monkeypatch, value):
     assert run(capsys, "validate", "zoo:example_r3_negative", "--grid", "2")[0] == 0
 
 
+LEVEL_CALLS = """
+import contextlib, io, logging, os, sys
+from acsgeo.cli import main
+counts = []
+for level in sys.argv[1:]:
+    os.environ["ACSM_LOG"] = level
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        main(["audit", "zoo:example_r3_negative", "--grid", "2"])
+    counts.append(sum("grid pass" in line for line in err.getvalue().splitlines()))
+print(counts, len(logging.getLogger().handlers))
+"""
+
+
+def test_each_call_logs_at_its_own_level():
+    """``ACSM_LOG`` applies to each call of ``main`` in one process, and a
+    call's pass lines go to the stderr it runs with.  In a subprocess: the
+    root logger starts with no handler there, as it does outside pytest."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    levels = ["warning", "debug", "debug", "info", "warning", "debug"]
+    proc = subprocess.run([sys.executable, "-c", LEVEL_CALLS, *levels], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # a frame and a curvature pass at debug level, the curvature pass at info
+    assert proc.stdout == "[0, 2, 2, 1, 0, 2] 1\n"
+
+
 
 def test_non_finite_derivatives_exit_two(capsys, tmp_path):
     """g stays finite at x = 1 while d g overflows: every verb stops at the

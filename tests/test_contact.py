@@ -4,8 +4,7 @@ cosymplectic test."""
 import numpy as np
 import pytest
 
-from acsgeo import (DegenerateSeedError, MetricField, is_cosymplectic,
-                    phi_basis, validate_structure)
+from acsgeo import MetricField, is_cosymplectic, phi_basis, validate_structure
 from acsgeo.manifold import ChartManifold
 from acsgeo.statistical import zero_difference_tensor
 
@@ -57,24 +56,6 @@ def test_phi_basis_orthonormal(entry_fixture, request):
         # all non-xi columns are horizontal
         for i in range(2 * n):
             assert abs(fr.eta @ basis[:, i]) < 1e-9
-
-
-def test_phi_basis_custom_seed(flat5):
-    p = np.zeros(5)
-    seed = np.array([0.3, -0.2, 0.9, 0.1, 0.7])
-    basis = phi_basis(flat5, p, seed=seed)
-    fr = flat5.frame_at(p)
-    assert gram_residual(fr.g, basis) < 1e-9
-    # first leg is the normalized horizontal part of the seed
-    h = seed - (fr.eta @ seed) * fr.xi
-    h = h / np.sqrt(fr.inner(h, h))
-    assert np.max(np.abs(basis[:, 0] - h)) < 1e-12
-
-
-def test_phi_basis_degenerate_seed(flat3):
-    fr = flat3.frame_at(np.zeros(3))
-    with pytest.raises(DegenerateSeedError):
-        phi_basis(flat3, np.zeros(3), seed=fr.xi)
 
 
 def test_broken_structure_is_reported_not_raised():

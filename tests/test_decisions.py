@@ -102,17 +102,24 @@ def test_corpus_decision_digest(argv, expected, tmp_path):
 
 
 def test_compare_exits_one_on_a_decision_change(tmp_path):
+    """``compare`` of a one-op corpus against changed copies exits 1 on a
+    changed decision and on a float that turns non-finite: the decision
+    records only whether a value is non-zero, so -1 -> inf keeps it.  A
+    finite change of a value exits 0."""
     argv = ["validate", "zoo:example_r3_negative", "--grid", "1"]
-    floats = {"stderr": "", "residuals": [0.0], "values": [None]}
-    corpora = {}
-    for name, passed in (("before", True), ("same", True), ("after", False)):
-        decision = {"exit": 0, "stderr": "", "records": [["phi_squared", [0.0] * 3, passed, None]],
+
+    def corpus(passed=True, residual=0.0, value=-1.0):
+        decision = {"exit": 0, "stderr": "", "records": [["k_phi", [0.0] * 3, passed, True]],
                     "flags": []}
-        corpora[name] = tmp_path / f"{name}.json"
-        corpora[name].write_text(json.dumps([{"argv": argv, "decision": decision,
-                                              "floats": floats}]))
+        floats = {"stderr": "", "residuals": [residual], "values": [value]}
+        return [{"argv": argv, "decision": decision, "floats": floats}]
+    paths = []
+    for n, ops in enumerate([corpus(), corpus(), corpus(passed=False), corpus(value=-1.0000001),
+                             corpus(value=float("inf")), corpus(value=float("nan")),
+                             corpus(residual=float("-inf"))]):
+        paths.append(tmp_path / f"corpus{n}.json")
+        paths[-1].write_text(json.dumps(ops))
     script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "decision_corpus.py")
-    codes = [subprocess.run([sys.executable, script, "compare", str(corpora["before"]),
-                             str(corpora[name])], capture_output=True).returncode
-             for name in ("same", "after")]
-    assert codes == [0, 1]
+    codes = [subprocess.run([sys.executable, script, "compare", str(paths[0]), str(path)],
+                            capture_output=True).returncode for path in paths[1:]]
+    assert codes == [0, 1, 0, 1, 1, 1]

@@ -245,7 +245,7 @@ def test_grid_pass_caches_nothing_on_error():
     curv.statistical_curvatures(m, [p for p in pts if p[0] == 0.0])
     with pytest.raises(ExpressionError):
         curv.statistical_curvatures(m, pts)
-    assert curv._curvature_pass not in m._kept_parts
+    assert curv._curvature_parts not in m._kept_parts
 
 
 def test_cache_read_applies_the_cross_check():
@@ -255,7 +255,7 @@ def test_cache_read_applies_the_cross_check():
     p = m.grid_points()[0]
     stack = curv.statistical_curvatures(m, [p])
     assert stack.cross[0] == float(np.max(np.abs(stack.s - stack.r0 - stack.kk)))
-    m._kept_parts[curv._curvature_pass] = stack._replace(cross=np.ones(1))
+    m._kept_parts[curv._curvature_parts] = stack._replace(cross=np.ones(1))
     with pytest.raises(curv.CrossCheckError, match=r"^S - R0 - \[K,K\] residual 1\.0 at "):
         curv.statistical_curvature(m, p)
 
@@ -274,12 +274,12 @@ def test_store_keeps_the_parts_of_one_point_set():
     kept = parts(head)
     assert all(a is b for a, b in zip(parts(head), kept))
     frames = m.frame_stack(pts)
-    assert list(m._kept_parts) == [ChartManifold._frame_pass]
+    assert list(m._kept_parts) == [ChartManifold._frames]
     # the curvature of x = 1 is not finite
     with pytest.raises(NonFiniteError, match=" on the grid$"):
         curv.statistical_curvatures(m, pts)
     d0_phi = m.kept(nabla0_phi_pass, pts)
-    assert list(m._kept_parts) == [ChartManifold._frame_pass, nabla0_phi_pass]
+    assert list(m._kept_parts) == [ChartManifold._frames, nabla0_phi_pass]
     assert m.frame_stack(pts) is frames and m.kept(nabla0_phi_pass, pts) is d0_phi
     assert not any(a is b for a, b in zip(parts(head), kept))
 
@@ -312,7 +312,7 @@ def test_frame_grid_matches_frame_at(spec):
     pts = m.grid_points()
     stack = m.frame_stack(pts)
     assert m.frame_stack(pts) is stack         # the kept pass
-    assert len(m._frame_cache) == len(pts)
+    assert list(m._frame_cache) == list(map(tuple, pts.tolist()))
     single = manifold_from_dict(spec)
     for i, p in enumerate(pts):
         got, want = m.frame_at(p), single.frame_at(p)
@@ -396,7 +396,7 @@ def test_non_finite_jets_fail_the_parts_gate(k):
     with pytest.raises(NonFiniteError, match="^statistical curvature is not finite "
                                              "on the grid$"):
         curv.statistical_curvatures(m, m.grid_points())
-    assert curv._curvature_pass not in m._kept_parts
+    assert curv._curvature_parts not in m._kept_parts
     with pytest.raises(NonFiniteError, match=r"not finite at \[1.0, -1.0, -1.0\]$"):
         curv.statistical_curvature(m, [1.0, -1.0, -1.0])
 
@@ -430,8 +430,8 @@ def _replayed_frames(m, pts):
 @pytest.mark.parametrize("name", sorted(FAILING))
 def test_frame_grid_caches_nothing_on_error(name):
     """A failing pass is not kept and raises its own error; under
-    ``replay`` the first point that fails alone raises, and the passes that
-    passed cached the frames of exactly the points before it."""
+    ``replay`` the first point that fails alone raises, and its failing
+    pass leaves no frame part, so ``_frame_cache`` is empty."""
     m = manifold_from_dict(FAILING[name])
     pts = m.grid_points()
     alone = _first_failure(manifold_from_dict(FAILING[name]), pts)
@@ -444,28 +444,28 @@ def test_frame_grid_caches_nothing_on_error(name):
         _replayed_frames(m, pts)
     assert str(info.value) == alone[2] and m._kept_parts == {}
     assert str(info.value).endswith(f" at {pts[alone[0]].tolist()}")
-    assert list(m._frame_cache) == [tuple(p) for p in pts[:alone[0]]]
+    assert m._frame_cache == {}
     assert _first_failure(m, pts) == alone
 
 
 def test_pass_error_surfaces_when_no_point_fails_alone(monkeypatch):
     m = manifold_from_dict(LAMBDA_K)
-    frames = m._frames
+    frames = ChartManifold._frames
     passes = []
 
-    def batch_fails(pts):
+    def batch_fails(self, pts):
         passes.append(len(pts))
         if len(pts) > 1:
             raise GeometryError(f"batch of {len(pts)}")
-        return frames(pts)
-    monkeypatch.setattr(m, "_frames", batch_fails)
+        return frames(self, pts)
+    monkeypatch.setattr(ChartManifold, "_frames", batch_fails)
     with pytest.raises(GeometryError, match="^batch of 27$"):
         _replayed_frames(m, m.grid_points())
     # 27, 13, 6 and 3 fail; the first point passes alone, then the second,
     # and the third is left to run alone
     assert passes == [27, 13, 6, 3, 1, 1, 1]
-    assert len(m._kept_parts[ChartManifold._frame_pass].point) == 1
-    assert len(m._frame_cache) == 3
+    assert list(m._kept_parts) == [batch_fails]
+    assert list(m._frame_cache) == [tuple(m.grid_points()[2])]
 
 
 def test_frame_arrays_are_read_only():
@@ -481,6 +481,23 @@ def test_frame_arrays_are_read_only():
     for part in curvatures:
         with pytest.raises(ValueError, match="read-only"):
             part[...] = 0.0
+
+
+def test_every_kept_array_is_read_only():
+    """The store freezes every array of each part it keeps, nabla^0 phi
+    included: a caller's write raises and every later read keeps the bits."""
+    m = get_entry("random", dim=5, seed=1, family="trivial-lambda").manifold
+    pts = m.grid_points(2)
+    want = is_cosymplectic(m, pts)
+    cli.audit_report(m, pts, 1e-9, None, np.random.default_rng(0))
+    assert set(m._kept_parts) == {ChartManifold._frames, curv._curvature_parts,
+                                  nabla0_phi_pass}
+    for part in m._kept_parts.values():
+        for a in [part] if isinstance(part, np.ndarray) else part:
+            assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        m.kept(nabla0_phi_pass, pts)[0, 0, 0, 0] = 123.0
+    assert is_cosymplectic(m, pts) == want and want[1] != 123.0
 
 
 def test_full_request_after_a_replay_gets_the_grid_bits():
@@ -784,8 +801,6 @@ def test_phi_bases_report_the_loop_errors():
     assert errors[0] is None
     assert type(errors[1]) is ExhaustedCandidatesError
     assert type(errors[2]) is DegenerateSeedError
-    _, errors = phi_bases(g[:1], phi[:1], xi[:1], seed=xi[0])
-    assert str(errors[0]) == "seed has no component in ker(eta)"
 
 
 def test_sweep_statuses_match_loop():

@@ -121,8 +121,8 @@ def test_row_reads_match_lane_rows_of_the_whole_part():
     ``lane_rows`` of the whole kept part, bit for bit, and takes no pass."""
     m = manifold_from_dict(WARPED)
     pts = m.grid_points(4)
-    parts = {ChartManifold._frame_pass: m.frame_stack(pts),
-             curv._curvature_pass: curv.statistical_curvatures(m, pts)}
+    parts = {ChartManifold._frames: m.frame_stack(pts),
+             curv._curvature_parts: curv.statistical_curvatures(m, pts)}
     lane = m.lanes(pts)[1]
     requests = [[i] for i in range(len(pts))] + [[63, 1, 0, 62, 5], list(range(63, -1, -1))]
     index = None

@@ -1,13 +1,13 @@
 """Work that no output reads, left out bit for bit.
 
 The references below are the forms the package replaced, kept here and
-nowhere in it: argument parsing by the full parser of every verb, a
-``_frame_cache`` filled point by point during each pass, ``field_jet``
-copying each duplicate entry one column at a time, and the total symmetry
-residual over all six permutations.  Each must agree with the package
-exactly: the same output text and exit code, the same cache keys in the
-same order, and the same array bits and layout, sign bits and NaN
-included."""
+nowhere in it: argument parsing by the full parser of every verb,
+``field_jet`` copying each duplicate entry one column at a time, and the
+total symmetry residual over all six permutations.  Each must agree with
+the package exactly: the same output text and exit code, and the same
+array bits and layout, sign bits and NaN included.  ``_frame_cache``, once
+a record of every frame pass, is now a read of the chart's kept frame part,
+and its tests pin that read."""
 
 import itertools
 
@@ -17,8 +17,8 @@ import pytest
 from acsgeo import cli
 from acsgeo import curvature as curv
 from acsgeo import get_entry
+from acsgeo.contact import is_cosymplectic, nabla0_phi
 from acsgeo.expressions import Jet
-from acsgeo.manifold import FRAME_CACHE_CAP
 from acsgeo.metric import FieldArray, _as_fields, _flat, field_jet, fields_constant, point_lanes
 from acsgeo.specfile import manifold_from_dict
 from acsgeo.statistical import total_symmetry_residual
@@ -89,86 +89,56 @@ def test_unrecognized_argument_prints_full_usage(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the frame cache, built when read
+# the frame cache, a read of the kept frame part
 
 
-def ref_frame_cache(passes):
-    """The cache's points as ``_frames`` filled it during each pass."""
-    cache = {}
-    for pts in passes:
-        for key in map(tuple, pts.tolist()):
-            if key not in cache and len(cache) < 4096:
-                cache[key] = None
-    return cache
-
-
-def recorded(m):
-    """``m`` with the points of each pass of ``_frames`` that passes recorded."""
-    passes, frames = [], m._frames
-
-    def record(pts):
-        stack = frames(pts)
-        passes.append(stack.point)
-        return stack
-    m._frames = record
-    return passes
-
-
-def assert_same_cache(m, passes):
-    got = m._frame_cache
-    assert list(got) == list(ref_frame_cache(passes)) and len(got) <= FRAME_CACHE_CAP
+def points_of(pts):
+    return list(map(tuple, pts.tolist()))
 
 
 def test_frame_cache_after_one_grid_pass():
+    """The grid passes keep the grid's parts; one-point reads of its points
+    take no pass, so the cache stays the grid's points."""
     m = manifold_from_dict(WARPED)
-    passes = recorded(m)
-    m.frame_stack(m.grid_points())
-    assert len(passes) == 1
-    assert_same_cache(m, passes)
+    pts = m.grid_points()
+    stack = m.frame_stack(pts)
+    assert list(m._frame_cache) == points_of(pts)
+    curv.statistical_curvatures(m, pts)
+    is_cosymplectic(m, pts)
+    for p in pts[::-1]:
+        m.frame_at(p)
+        nabla0_phi(m, p)
+        curv.statistical_curvature(m, p)
+    assert m.frame_stack(pts) is stack
+    assert list(m._frame_cache) == points_of(pts)
 
 
 @pytest.mark.parametrize("shift", [0, -9], ids=["grid_order", "x0_first"])
 def test_frame_cache_after_replay_bisection(shift):
-    """The bisection passes of ``replay`` on a chart singular at x = -1 with
-    a log domain error at x = 1: from the x = 0 points first, some pass."""
+    """The bisection of ``replay`` on a chart singular at x = -1 with a log
+    domain error at x = 1 ends in the failing pass of the first point that
+    fails alone, which keeps nothing."""
     m = manifold_from_dict(SPECS["two_failures"])
-    passes = recorded(m)
     pts = np.roll(m.grid_points(), shift, axis=0)
+    m.frame_stack(pts[9:18] if shift == 0 else pts[:9])     # the x = 0 points pass
+    assert len(m._frame_cache) == 9
     with pytest.raises(Exception):
         curv.replay(lambda points, _: m.frame_stack(points), list(pts), None)
-    assert [len(p) for p in passes] == ([] if shift == 0 else [6, 3])
-    assert_same_cache(m, passes)
+    assert m._frame_cache == {}
 
 
 @pytest.mark.parametrize("spec", [WARPED, SPECS["two_failures"], None],
                          ids=["warped", "two_failures", "constant"])
 def test_frame_cache_after_repeated_passes(spec):
+    """Each pass over new points replaces the kept points; a request for
+    kept points, in any order, reads their rows and keeps them."""
     m = get_entry("example_flat_acs").manifold if spec is None else manifold_from_dict(spec)
-    passes = recorded(m)
     pts = m.grid_points()[9:18]
-    for rows in (slice(0, 5), slice(3, 9), slice(0, 5), slice(None)):
-        m._frames(np.array(pts[rows]))
-        assert_same_cache(m, passes)      # read between passes as well
-    m._frames(np.array(pts[::-1]))
-    assert_same_cache(m, passes)
-
-
-@pytest.mark.parametrize("read_at", [None, 7])
-@pytest.mark.parametrize("constant", [False, True])
-def test_frame_cache_holds_at_most_the_cap(constant, read_at):
-    """Passes of 4,860 points in all: the records are folded, unread, once
-    they and the cache hold 4,096 points, and a full cache records no pass."""
-    m = get_entry("example_flat_acs").manifold if constant else manifold_from_dict(WARPED)
-    passes = recorded(m)
-    rng = np.random.default_rng(3)
-    for n in range(20):
-        m._frames(rng.uniform(-1, 1, (243, m.dim)))
-        if n == read_at:
-            assert_same_cache(m, passes)
-        assert len(m._frame_dict) + m._frame_pass_points < FRAME_CACHE_CAP \
-            or not m._frame_passes
-    assert len(m._frame_dict) == FRAME_CACHE_CAP and m._frame_passes == []
-    assert_same_cache(m, passes)
+    for rows, kept in ((slice(0, 5), slice(0, 5)), (slice(3, 9), slice(3, 9)),
+                       (slice(0, 5), slice(0, 5)), (slice(None), slice(None)),
+                       (slice(None, None, -1), slice(None)), (slice(2, 4), slice(None))):
+        m.frame_stack(pts[rows])
+        assert list(m._frame_cache) == points_of(pts[kept])
 
 
 # ---------------------------------------------------------------------------
