@@ -13,8 +13,7 @@ from .metric import (DegeneratePlaneError, MetricField, SingularMetricError,
 from .contact import (DegenerateSeedError, ExhaustedCandidatesError,
                       is_cosymplectic, phi_basis, validate_structure)
 from .statistical import (AcsViolatedError, ConnectionDifferenceTensor,
-                          ExplicitDifferenceTensor, TorsionPresentError,
-                          difference_from_connection, lambda_of, validate_acs,
+                          ExplicitDifferenceTensor, lambda_of, validate_acs,
                           validate_statistical)
 from .curvature import (CrossCheckError, DegenerateSectionError,
                         NotHorizontalError, PhiSectionalValue,

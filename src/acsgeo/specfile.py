@@ -14,8 +14,11 @@ import sys
 
 from .manifold import ChartManifold
 from .metric import MetricField, _as_fields
-from .statistical import (ConnectionDifferenceTensor, ExplicitDifferenceTensor,
-                          difference_from_connection)
+from .statistical import ConnectionDifferenceTensor, ExplicitDifferenceTensor
+
+# the largest dimension a chart takes: its tables hold dim^3 strings and an
+# audit's frame and curvature stacks dim^4 floats per point
+MAX_DIM = 15
 
 
 class SpecFormatError(ValueError):
@@ -50,12 +53,15 @@ def _sparse_tensor3(table, coords, name):
     dim = len(coords)
     index = {c: i for i, c in enumerate(coords)}
     out = [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = {}       # (i, j, k) -> the key that names it
     for key, expr in table.items():
         parts = [s.strip() for s in key.split(",")]
         _require(len(parts) == 3, f"tensor key {key!r} must have three indices")
         for s in parts:
             _require(s in index, f"tensor key {key!r} uses unknown coordinate {s!r}")
         i, j, k = (index[s] for s in parts)
+        first = seen.setdefault((i, j, k), key)
+        _require(first == key, f"tensor key {key!r} names the entry of {first!r} again")
         out[i][j][k] = _scalars(expr, (), f"{name}[{key!r}]")
     return out
 
@@ -73,6 +79,7 @@ def manifold_from_dict(data: dict) -> ChartManifold:
     dim = len(coords)
     _require(dim % 2 == 1 and dim >= 3,
              f"dimension must be odd and >= 3, got {dim}")
+    _require(dim <= MAX_DIM, f"dimension must be at most {MAX_DIM}, got {dim}")
     if "dimension" in data:
         _require(data["dimension"] == dim and not isinstance(data["dimension"], bool),
                  "declared dimension disagrees with the coordinate list")
@@ -108,7 +115,7 @@ def manifold_from_dict(data: dict) -> ChartManifold:
     if has_k:
         diff = ExplicitDifferenceTensor(fields(_sparse_tensor3(data["K"], coords, "K")))
     else:
-        diff = difference_from_connection(
+        diff = ConnectionDifferenceTensor(
             fields(_sparse_tensor3(data["connection"], coords, "connection")), metric)
 
     return ChartManifold(coords, metric, fields(phi), fields(xi), diff,
@@ -116,10 +123,22 @@ def manifold_from_dict(data: dict) -> ChartManifold:
                          name=str(data.get("name", "")))
 
 
+def _object(pairs) -> dict:
+    """A JSON object's dict; a name it repeats is a SpecFormatError, where
+    ``json`` would keep the last value."""
+    out = {}
+    for key, value in pairs:
+        _require(key not in out, f"spec object repeats the name {key!r}")
+        out[key] = value
+    return out
+
+
 def load_spec(path) -> ChartManifold:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_object)
+        except SpecFormatError:
+            raise
         # a JSONDecodeError, an integer of too many digits, or nesting deeper
         # than the recursion limit
         except (ValueError, RecursionError) as exc:

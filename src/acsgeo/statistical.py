@@ -7,15 +7,11 @@ import numpy as np
 
 from .manifold import ChartManifold, FrameStack
 from .metric import (FieldArray, MetricField, _as_fields, contract, field_jet, first_slot, inner,
-                     nabla_g, outer, per_16_lanes, point_lanes)
+                     nabla_g, outer, per_16_lanes)
 from .report import AuditReport, max_abs, raise_first, within
 
 
 class StatisticalError(Exception):
-    pass
-
-
-class TorsionPresentError(StatisticalError):
     pass
 
 
@@ -24,18 +20,14 @@ class AcsViolatedError(StatisticalError):
 
 
 # ---------------------------------------------------------------------------
-# difference tensors
+# difference tensors: ``jet(coords, levi_civita)`` gives K^i_jk at (P,) lane
+# coordinates and, when ``levi_civita`` is the jet (Gamma, dGamma) of the
+# Levi-Civita connection there rather than (Gamma,), its derivatives
+# dK[P, m, i, j, k] = d_m K^i_jk; ``reads`` is the sorted indices of the
+# coordinates its fields read.
 
 
-class DifferenceTensor:
-    """Base of the difference tensors: ``jet(coords, levi_civita)`` gives
-    K^i_jk at (P,) lane coordinates and, when ``levi_civita`` is the jet
-    (Gamma, dGamma) of the Levi-Civita connection there rather than
-    (Gamma,), its derivatives dK[P, m, i, j, k] = d_m K^i_jk; ``reads`` is
-    the sorted indices of the coordinates its fields read."""
-
-
-class ExplicitDifferenceTensor(DifferenceTensor):
+class ExplicitDifferenceTensor:
     """K^i_jk given directly as component ScalarFields."""
 
     def __init__(self, fields, coord_names=None):
@@ -49,13 +41,13 @@ class ExplicitDifferenceTensor(DifferenceTensor):
         return field_jet(self.fields, coords, len(levi_civita) - 1)
 
 
-class ConnectionDifferenceTensor(DifferenceTensor):
+class ConnectionDifferenceTensor:
     """K obtained as a user connection table minus the Levi-Civita symbols of
-    the metric, whose jet the caller passes in."""
+    the metric, whose jet the caller passes in.  The table is not checked for
+    torsion here: a lower-index asymmetry shows in K and fails the
+    ``K_lower_symmetry`` check of ``statistical_columns``."""
 
-    def __init__(self, gamma_fields, metric: MetricField, coord_names=None):
-        if coord_names is not None:
-            gamma_fields = _as_fields(gamma_fields, coord_names)
+    def __init__(self, gamma_fields, metric: MetricField):
         self.gamma_fields = FieldArray(gamma_fields)
         self.metric = metric
         self.dim = len(gamma_fields)
@@ -70,23 +62,6 @@ def zero_difference_tensor(coord_names) -> ExplicitDifferenceTensor:
     d = len(coord_names)
     zeros = [[["0"] * d for _ in range(d)] for _ in range(d)]
     return ExplicitDifferenceTensor(zeros, coord_names)
-
-
-def difference_from_connection(gamma_fields, metric: MetricField,
-                               sample_points=None, coord_names=None) -> ConnectionDifferenceTensor:
-    """Normalize a full connection table into a difference tensor.
-
-    The user connection must be torsion-free; asymmetry of the lower index
-    pair beyond 1e-12 at any sample point raises TorsionPresentError.
-    """
-    k = ConnectionDifferenceTensor(gamma_fields, metric, coord_names)
-    if sample_points is not None and len(sample_points):
-        pts = np.array(sample_points, dtype=float).reshape(len(sample_points), k.dim)
-        with np.errstate(all="ignore"):
-            gam = field_jet(k.gamma_fields, point_lanes(pts), 0)[0]
-        raise_first(TorsionPresentError, pts, max_abs(gam - np.swapaxes(gam, 2, 3)),
-                    1e-12, "connection has torsion residual")
-    return k
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Built-in example structures and deterministic random generators of
-admissible almost contact statistical structures."""
+admissible almost contact statistical structures.  Each entry is a spec
+dict, as a spec file holds, that ``specfile.manifold_from_dict`` builds."""
 
 from __future__ import annotations
 
@@ -9,17 +10,11 @@ from typing import Dict
 import numpy as np
 
 from .manifold import ChartManifold
-from .metric import MetricField, _as_fields
-from .statistical import ExplicitDifferenceTensor, difference_from_connection
+from .specfile import MAX_DIM, manifold_from_dict
 
 
 class UnsupportedDimensionError(ValueError):
     pass
-
-
-# the largest dimension a zoo structure takes: its tables hold dim^3 strings
-# and an audit's frame and curvature stacks dim^4 floats per point
-MAX_DIM = 15
 
 
 @dataclass
@@ -29,10 +24,10 @@ class ZooEntry:
     expected: Dict = field(default_factory=dict)
 
 
-def _flat_chart(n: int):
-    """Coordinates, flat metric (lower triangle) and the standard block
-    phi / xi / eta for R^(2n+1) with coordinate order (x1, y1, ..., xn, yn,
-    z), as expression strings."""
+def _flat_spec(name: str, n: int) -> dict:
+    """The spec ``name`` of flat R^(2n+1) with the standard block phi / xi
+    and coordinate order (x1, y1, ..., xn, yn, z), before its difference
+    tensor or connection table is added."""
     coords = []
     for i in range(1, n + 1):
         coords += [f"x{i}", f"y{i}"]
@@ -45,29 +40,13 @@ def _flat_chart(n: int):
         phi[yi_idx][xi_idx] = "1"    # phi(d/dx_i) = d/dy_i
         phi[xi_idx][yi_idx] = "-1"   # phi(d/dy_i) = -d/dx_i
     xi = ["0"] * (dim - 1) + ["1"]
-    return coords, lower, phi, xi
+    return {"name": name, "coordinates": coords, "metric_lower": lower, "phi": phi, "xi": xi}
 
 
-def _zero_tensor3(dim):
-    return [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
-
-
-def _chart(name, coords, lower, phi, xi, k=None, gamma=None) -> ChartManifold:
-    """The chart over the box [-1, 1]^dim of an entry's expression tables:
-    the metric's lower triangle, phi, xi and either the difference tensor
-    ``k`` or a connection table ``gamma`` (torsion-free at the origin).
-    Each distinct expression of the entry is parsed once."""
-    memo = {}
-
-    def fields(table):
-        return _as_fields(table, coords, memo)
-
-    g = MetricField.from_lower_triangle(fields(lower), coords)
-    dim = len(coords)
-    diff = ExplicitDifferenceTensor(fields(k)) if gamma is None else \
-        difference_from_connection(fields(gamma), g, sample_points=[(0.0,) * dim])
-    return ChartManifold(coords, g, fields(phi), fields(xi), diff, box=[(-1.0, 1.0)] * dim,
-                         name=name)
+def _entry(spec: dict, expected: Dict) -> ZooEntry:
+    """The entry of ``spec`` over the box [-1, 1]^dim, built by the spec
+    builder like any spec file."""
+    return ZooEntry(name=spec["name"], manifold=manifold_from_dict(spec), expected=expected)
 
 
 def example_flat_acs(n: int = 1) -> ZooEntry:
@@ -78,50 +57,42 @@ def example_flat_acs(n: int = 1) -> ZooEntry:
         raise UnsupportedDimensionError("n must be >= 1")
     if 2 * n + 1 > MAX_DIM:
         raise UnsupportedDimensionError(f"n must be at most {(MAX_DIM - 1) // 2}, got {n}")
-    coords, lower, phi, xi = _flat_chart(n)
-    dim = 2 * n + 1
-    k = _zero_tensor3(dim)
-    k[dim - 1][dim - 1][dim - 1] = "1"
-    name = f"example_flat_acs(n={n})"
-    return ZooEntry(
-        name=name,
-        manifold=_chart(name, coords, lower, phi, xi, k=k),
-        expected={
-            "lambda": 1.0,
-            "k_phi": 0.0,
-            "cosymplectic": True,
-            "phi_compatible": True,
-            "thm_5_8_branch": "all-true",
-            "geodesic_pair": (0.0, 1.0),
-        },
-    )
+    spec = dict(_flat_spec(f"example_flat_acs(n={n})", n), K={"z,z,z": "1"})
+    return _entry(spec, {
+        "lambda": 1.0,
+        "k_phi": 0.0,
+        "cosymplectic": True,
+        "phi_compatible": True,
+        "thm_5_8_branch": "all-true",
+        "geodesic_pair": (0.0, 1.0),
+    })
+
+
+def _block(x: str, y: str, neg: str, pos: str) -> Dict[str, str]:
+    """The planar block of a difference tensor or connection table on the
+    coordinate pair (x, y), as sparse spec entries: ``neg`` at (x, x, x) and
+    (y, y, y), ``pos`` at the other six non-zero entries of the R^3
+    example's pattern."""
+    return {f"{x},{x},{x}": neg, f"{y},{x},{x}": pos,
+            f"{x},{x},{y}": pos, f"{x},{y},{x}": pos,
+            f"{y},{x},{y}": pos, f"{y},{y},{x}": pos,
+            f"{x},{y},{y}": pos, f"{y},{y},{y}": neg}
 
 
 def example_r3_negative() -> ZooEntry:
     """Flat R^3 with the standard structure and a non-trivial statistical
     connection supported on the (x, y) plane; constant phi-sectional
     K-curvature -1 and not phi-compatible."""
-    _, lower, phi, xi = _flat_chart(1)
-    gamma = _zero_tensor3(3)
-    x, y = 0, 1
-    gamma[x][x][x] = "-1/2"
-    gamma[y][x][x] = "1/2"
-    gamma[x][x][y] = gamma[x][y][x] = "1/2"
-    gamma[y][x][y] = gamma[y][y][x] = "1/2"
-    gamma[x][y][y] = "1/2"
-    gamma[y][y][y] = "-1/2"
-    return ZooEntry(
-        name="example_r3_negative",
-        manifold=_chart("example_r3_negative", ["x", "y", "z"], lower, phi, xi, gamma=gamma),
-        expected={
-            "lambda": 0.0,
-            "k_phi": -1.0,
-            "cosymplectic": True,
-            "phi_compatible": False,
-            "thm_5_8_branch": "all-false",
-            "geodesic_pair": (0.0, 0.0),
-        },
-    )
+    spec = dict(_flat_spec("example_r3_negative", 1), coordinates=["x", "y", "z"],
+                connection=_block("x", "y", "-1/2", "1/2"))
+    return _entry(spec, {
+        "lambda": 0.0,
+        "k_phi": -1.0,
+        "cosymplectic": True,
+        "phi_compatible": False,
+        "thm_5_8_branch": "all-false",
+        "geodesic_pair": (0.0, 0.0),
+    })
 
 
 FAMILIES = ("trivial-lambda", "planar-block", "mixed")
@@ -131,16 +102,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _block_k(k, b: int, a: float):
-    """Write the magnitude-``a`` planar difference-tensor block on the
-    coordinate pair (x_b, y_b); the pattern is the R^3 example scaled by a."""
-    x, y = 2 * b, 2 * b + 1
-    k[x][x][x] = _fmt(-0.5 * a)
-    k[y][x][x] = _fmt(0.5 * a)
-    k[x][x][y] = k[x][y][x] = _fmt(0.5 * a)
-    k[y][x][y] = k[y][y][x] = _fmt(0.5 * a)
-    k[x][y][y] = _fmt(0.5 * a)
-    k[y][y][y] = _fmt(-0.5 * a)
+def _block_k(b: int, a: float) -> Dict[str, str]:
+    """The magnitude-``a`` planar difference-tensor block on the coordinate
+    pair (x_b, y_b), numbered from 0: the R^3 example scaled by a."""
+    return _block(f"x{b + 1}", f"y{b + 1}", _fmt(-0.5 * a), _fmt(0.5 * a))
 
 
 def generate_random_acs(dim: int, seed: int, family: str) -> ZooEntry:
@@ -166,8 +131,9 @@ def generate_random_acs(dim: int, seed: int, family: str) -> ZooEntry:
     n = (dim - 1) // 2
     stable = (dim * 1000003 + int(seed) * 7919 + FAMILIES.index(family)) % 2 ** 32
     rng = np.random.default_rng(stable)
-    coords, lower, phi, xi = _flat_chart(n)
-    k = _zero_tensor3(dim)
+    spec = _flat_spec(f"random:{family}:dim={dim}:seed={seed}", n)
+    coords = spec["coordinates"]
+    k = spec["K"] = {}
     expected = {"family": family, "seed": int(seed)}
 
     if family == "trivial-lambda":
@@ -178,16 +144,16 @@ def generate_random_acs(dim: int, seed: int, family: str) -> ZooEntry:
         if rng.random() < 0.5:
             c1, c2 = rng.choice(coords, size=2, replace=False)
             terms.append("{:.6f} * {} * {}".format(rng.uniform(-0.3, 0.3), c1, c2))
-        k[dim - 1][dim - 1][dim - 1] = " + ".join(terms)
+        k["z,z,z"] = " + ".join(terms)
         expected.update({"thm_5_8_branch": "all-true", "k_phi": 0.0,
                          "phi_compatible": True})
     elif family == "planar-block":
         a = float(rng.uniform(0.5, 2.5))
         b = int(rng.integers(0, n))
-        _block_k(k, b, a)
+        k.update(_block_k(b, a))
         lam = float(rng.uniform(-1.0, 1.0)) if rng.random() < 0.5 else 0.0
         if lam:
-            k[dim - 1][dim - 1][dim - 1] = _fmt(lam)
+            k["z,z,z"] = _fmt(lam)
         expected.update({"thm_5_8_branch": "all-false", "block": b,
                          "block_magnitude": a, "block_k_phi": -a * a,
                          "lambda": lam, "phi_compatible": False})
@@ -195,16 +161,13 @@ def generate_random_acs(dim: int, seed: int, family: str) -> ZooEntry:
         base = float(rng.uniform(0.5, 1.5))
         mags = [base * (1.0 + 0.7 * i) for i in range(n)]
         for b, a in enumerate(mags):
-            _block_k(k, b, a)
+            k.update(_block_k(b, a))
         lam = float(rng.uniform(-1.0, 1.0))
-        k[dim - 1][dim - 1][dim - 1] = _fmt(lam)
+        k["z,z,z"] = _fmt(lam)
         expected.update({"thm_5_8_branch": "all-false",
                          "block_magnitudes": mags, "lambda": lam,
                          "constant_k_phi": n == 1, "phi_compatible": False})
-
-    name = f"random:{family}:dim={dim}:seed={seed}"
-    return ZooEntry(name=name, manifold=_chart(name, coords, lower, phi, xi, k=k),
-                    expected=expected)
+    return _entry(spec, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,17 @@ for label, spec, seed in (
     a, b = chart(len(spec["coordinates"]), seed)
     SPECS[label] = dict(pull_back(spec, a, b), grid=2)
 
+# spec files as text, for what a dict cannot hold: a name repeated in one
+# object.  K^x_yz = 1 fails K_lower_symmetry, unless a repeated key or a
+# repeated "K" were read as overriding it
+_FLAT = ('"coordinates": ["x", "y", "z"], "grid": 2, '
+         '"metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]], '
+         '"phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]], "xi": ["0", "0", "1"]')
+SPEC_TEXTS = {
+    "repeated_tensor_key": '{' + _FLAT + ', "K": {"x,y,z": "1", "x, y, z": "0"}}',
+    "repeated_field": '{' + _FLAT + ', "K": {"x,y,z": "1"}, "K": {}}',
+}
+
 
 def _ops():
     zoo = ["zoo:example_r3_negative", "zoo:example_flat_acs:n=1",
@@ -106,6 +117,9 @@ def _ops():
                 "zoo:example_r3_negative:n=4", "zoo:example_flat_acs:m=2",
                 "zoo:nope", "zoo:random:dim=4"):
         ops.append(["validate", ref, "--format", "json"])
+    for name in SPEC_TEXTS:
+        for verb in ("validate", "curvature", "audit"):
+            ops.append([verb, f"@{name}", "--format", "json"])
     return ops
 
 
@@ -117,9 +131,10 @@ def run(argv, workdir):
     input is written to ``workdir`` as a spec file first."""
     argv = list(argv)
     if argv[1:] and argv[1].startswith("@"):
-        path = os.path.join(workdir, argv[1][1:] + ".json")
+        name = argv[1][1:]
+        path = os.path.join(workdir, name + ".json")
         with open(path, "w") as fh:
-            json.dump(SPECS[argv[1][1:]], fh)
+            fh.write(SPEC_TEXTS[name] if name in SPEC_TEXTS else json.dumps(SPECS[name]))
         argv[1] = path
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

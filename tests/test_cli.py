@@ -23,6 +23,7 @@ from acsgeo.cli import main
 from acsgeo.expressions import MAX_DEPTH, ExpressionError, parse_expression
 from acsgeo.metric import GeometryError
 from acsgeo.specfile import manifold_from_dict
+from acsgeo.zoo import _flat_spec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -199,25 +200,20 @@ def test_audit_checks_selection(capsys):
 
 
 def test_export_import_round_trip(capsys, tmp_path):
-    path = tmp_path / "r3.json"
-    code, out, _ = run(capsys, "export-zoo", "zoo:example_r3_negative",
-                       "-o", str(path))
-    assert code == 0 and path.exists()
-
-    code_a, out_a, _ = run(capsys, "audit", "zoo:example_r3_negative",
-                           "--format", "json")
-    code_b, out_b, _ = run(capsys, "audit", str(path), "--format", "json")
-    assert code_a == code_b == 0
-    recs_a, recs_b = json_records(out_a), json_records(out_b)
-    assert len(recs_a) == len(recs_b)
-    for a, b in zip(recs_a, recs_b):
-        assert a["check"] == b["check"]
-        assert a["pass"] == b["pass"]
-        assert a["point"] == pytest.approx(b["point"], abs=1e-15)
-        assert a["residual"] == pytest.approx(b["residual"], abs=1e-12)
-        assert ("value" in a) == ("value" in b)
-        if "value" in a:
-            assert a["value"] == pytest.approx(b["value"], abs=1e-12)
+    """Every verb writes the same bytes for a zoo entry and for the spec
+    file it exports: both are the chart of one spec."""
+    refs = ["zoo:example_flat_acs", "zoo:example_r3_negative"] + [
+        f"zoo:random:dim={dim},family={family}" for dim in (3, 7)
+        for family in ("trivial-lambda", "planar-block", "mixed")]
+    for ref in refs:
+        path = tmp_path / "entry.json"
+        code, out, _ = run(capsys, "export-zoo", ref, "-o", str(path))
+        assert code == 0 and path.exists()
+        for verb in ("validate", "curvature", "audit"):
+            code_a, out_a, _ = run(capsys, verb, ref, "--format", "json")
+            code_b, out_b, _ = run(capsys, verb, str(path), "--format", "json")
+            assert code_a == code_b == 0 and json_records(out_a), (ref, verb)
+            assert out_a == out_b, (ref, verb)
 
 
 def test_export_stdout_is_valid_spec(capsys):
@@ -787,12 +783,13 @@ def _run_bounded(argv, memory=1536 << 20, seconds=60):
     (["curvature", "zoo:example_r3_negative", "--section", "(" * 3000 + "1" + ")" * 3000 + ",0,0"],
      "expression nested deeper than 100 (at position 100)"),
     (["validate", "phi"], "maximum recursion depth exceeded"),
+    (["audit", "coordinates:101"], "dimension must be at most 15, got 101"),
 ], ids=["dim 9999", "n 5000", "exponent 1e9", "exponent of 5000 digits", "grid of 5000 digits",
         "3000 parentheses", "3000 unary minuses", "20000-term sum", "3000 parentheses in a section",
-        "phi of 100000 nested lists"])
+        "phi of 100000 nested lists", "spec of 101 coordinates"])
 def test_unbounded_inputs_exit_two(tmp_path, argv, message):
-    """A zoo dimension, an integer exponent, a spec integer, an expression's
-    nesting or a spec's JSON nesting whose cost has no bound is rejected
+    """A zoo or spec dimension, an integer exponent, a spec integer, an
+    expression's nesting or a spec's JSON nesting whose cost has no bound is rejected
     before any work scales with it (or a walk recurses past the recursion
     limit): exit 2 with one line on stderr, no traceback."""
     verb, what, *options = argv
@@ -805,6 +802,9 @@ def test_unbounded_inputs_exit_two(tmp_path, argv, message):
                 "null", "[" * 100000 + "]" * 100000))
         elif what.startswith("K:"):
             path.write_text(json.dumps(dict(FLAT_BLOCK, K={"z,z,z": what[2:]})))
+        elif what.startswith("coordinates:"):
+            n = (int(what[12:]) - 1) // 2
+            path.write_text(json.dumps(dict(_flat_spec("flat", n), K={})))
         else:
             metric = [["1 + 0*" + what], ["0", "1"], ["0", "0", "1"]]
             path.write_text(json.dumps(dict(FLAT_BLOCK, metric_lower=metric)))

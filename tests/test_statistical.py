@@ -4,8 +4,7 @@ conjugate connection, and the pointwise K-identities on validated structures."""
 import numpy as np
 import pytest
 
-from acsgeo import (AcsViolatedError, MetricField, TorsionPresentError,
-                    difference_from_connection, lambda_of, validate_acs,
+from acsgeo import (AcsViolatedError, MetricField, lambda_of, manifold_from_dict, validate_acs,
                     validate_statistical)
 from acsgeo.curvature import frame_vectors
 from acsgeo.manifold import ChartManifold
@@ -48,15 +47,17 @@ def test_connection_table_normalization(r3):
     assert np.max(np.abs(k[:, :, 2])) == 0.0
 
 
-def test_torsion_is_rejected():
-    coords = ["x", "y", "z"]
-    g = MetricField.from_lower_triangle([["1"], ["0", "1"], ["0", "0", "1"]],
-                                        coords)
-    gamma = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
-    gamma[0][0][1] = "1"   # asymmetric lower pair: torsion
-    with pytest.raises(TorsionPresentError):
-        difference_from_connection(gamma, g, sample_points=[(0.0, 0.0, 0.0)],
-                                   coord_names=coords)
+def test_torsion_fails_k_lower_symmetry():
+    """A connection table with torsion builds; its asymmetric lower index
+    pair shows in K and fails K_lower_symmetry at every grid point."""
+    m = manifold_from_dict({
+        "coordinates": ["x", "y", "z"],
+        "metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]],
+        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+        "xi": ["0", "0", "1"], "connection": {"x,x,y": "1"}})
+    for p in m.grid_points():
+        rec, = [r for r in validate_statistical(m, p).records if r.check == "K_lower_symmetry"]
+        assert rec.residual == 1.0 and not rec.passed
 
 
 def test_cubic_form_symmetry(r3):

@@ -1,6 +1,8 @@
 """Built-in examples and the random structure generators: validator
 invariants, determinism, and the expected audit outcomes per family."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from acsgeo import (generate_random_acs, get_entry, lambda_of, list_zoo,
                     phi_sectional_k_curvature, theorem_5_8_audit, validate_acs,
                     validate_statistical, validate_structure)
 from acsgeo.curvature import audit_branch, sweep_sections
-from acsgeo.specfile import manifold_to_dict
-from acsgeo.zoo import FAMILIES, UnsupportedDimensionError, example_flat_acs
+from acsgeo.specfile import manifold_from_dict, manifold_to_dict
+from acsgeo.zoo import FAMILIES, MAX_DIM, UnsupportedDimensionError, example_flat_acs
 
 from conftest import sample_points
 
@@ -110,6 +112,19 @@ def test_dimension_validation():
     assert example_flat_acs(7).manifold.dim == 15
     with pytest.raises(ValueError):
         generate_random_acs(3, 0, "no-such-family")
+
+
+def test_export_rebuilds_every_entry():
+    """The chart rebuilt from a zoo entry's exported spec exports the same
+    spec: an entry is a spec that the spec builder builds."""
+    entries = [example_flat_acs(n) for n in range(1, (MAX_DIM + 1) // 2)]
+    entries += [get_entry("example_r3_negative")]
+    entries += [generate_random_acs(dim, seed, family) for dim in range(3, MAX_DIM + 1, 2)
+                for seed in range(2) for family in FAMILIES]
+    for entry in entries:
+        data = manifold_to_dict(entry.manifold)
+        assert manifold_to_dict(manifold_from_dict(json.loads(json.dumps(data)))) == data, \
+            entry.name
 
 
 def test_registry():
