@@ -29,7 +29,7 @@ from . import curvature as curv
 from .contact import FrameError, is_cosymplectic, nabla0_phi_pass, structure_columns
 from .expressions import ExpressionError, parse_expression
 from .manifold import GRID_CAP, ChartManifold
-from .metric import GeometryError, field_jet, point_lanes
+from .metric import FieldArray, GeometryError, field_jet, point_lanes
 from .report import AuditReport, Column, within
 from .specfile import SpecFormatError, dump_spec, load_spec, manifold_to_dict
 from .statistical import (StatisticalError, acs_columns, conjugate_connections,
@@ -206,9 +206,9 @@ def cmd_validate(m: ChartManifold, args) -> int:
 
 def section_reader(m: ChartManifold, text: str):
     """``--section`` as a function of stacked frames: the section vector at
-    each frame's point, (P, dim).  The components are parsed once, at the
-    first call, so a malformed or wrong-arity section fails at the first
-    point."""
+    each frame's point, (P, dim).  The components are parsed and indexed
+    once, at the first call, so a malformed or wrong-arity section fails at
+    the first point."""
     fields = []
 
     def at(frames):
@@ -217,9 +217,9 @@ def section_reader(m: ChartManifold, text: str):
             if len(parsed) != m.dim:
                 raise InputError(
                     f"--section needs {m.dim} comma-separated component expressions")
-            fields.extend(parsed)
+            fields.append(FieldArray(parsed))
         with np.errstate(all="ignore"):
-            return field_jet(fields, point_lanes(frames.point), 0)[0]
+            return field_jet(fields[0], point_lanes(frames.point), 0)[0]
     return at
 
 

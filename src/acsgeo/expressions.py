@@ -408,13 +408,19 @@ def _wrap(node, min_prec, strict=False):
 # ---------------------------------------------------------------------------
 # tokenizer / recursive-descent parser
 
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<op>[-+*/^()])"
     r")"
 )
+
+
+def coordinate_name(name: str) -> bool:
+    """Whether an expression can read a coordinate of this name: an identifier, not a function."""
+    return re.fullmatch(_IDENT, name) is not None and name not in _FUNCTIONS
 
 
 def _tokenize(text):
@@ -440,6 +446,7 @@ class _Parser:
         self.i = 0
         self.depth = 0      # the nesting levels open at the current token
         self.coord_index = {name: k for k, name in enumerate(coord_names)}
+        self.reads = set()  # the index of each Var built
 
     def peek(self):
         return self.tokens[self.i]
@@ -531,6 +538,7 @@ class _Parser:
                 self.depth -= 1
                 return self.built(Call(val, arg), pos)
             if val in self.coord_index:
+                self.reads.add(self.coord_index[val])
                 return Var(self.coord_index[val], val)
             raise UnknownIdentifierError(val, pos)
         if val == "(":
@@ -553,13 +561,16 @@ class DualScalar(NamedTuple):
 
 class ScalarField:
     """A real-valued function of chart coordinates, given by an expression
-    tree.  Immutable; evaluation is a pure function."""
+    tree, and ``reads``, the sorted indices of the coordinates its tree
+    holds a Var of, recorded by the parser (``0*x`` reads x).  Immutable;
+    evaluation is a pure function."""
 
-    __slots__ = ("body", "coord_names")
+    __slots__ = ("body", "coord_names", "reads")
 
-    def __init__(self, body, coord_names):
+    def __init__(self, body, coord_names, reads):
         self.body = body
         self.coord_names = tuple(coord_names)
+        self.reads = tuple(sorted(reads))
 
     @property
     def arity(self):
@@ -593,7 +604,8 @@ def parse_expression(text: str, coord_names: Sequence[str]) -> ScalarField:
     names = list(coord_names)
     if len(set(names)) != len(names):
         raise ValueError("coordinate names must be pairwise distinct")
-    return ScalarField(_Parser(text, names).parse(), names)
+    parser = _Parser(text, names)
+    return ScalarField(parser.parse(), names, parser.reads)
 
 
 def eval_with_derivative(f: ScalarField, point: Sequence[float], j: int) -> DualScalar:

@@ -12,8 +12,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .expressions import ExpressionError, NonFiniteError
-from .metric import (FieldArray, GeometryError, MetricField, NotPositiveDefiniteError, _as_fields,
-                     christoffel_from, contract, distinct_rows, field_jet, inner, inv_generic,
+from .metric import (GeometryError, MetricField, NotPositiveDefiniteError, christoffel_from,
+                     contract, distinct_rows, field_array, field_jet, inner, inv_generic,
                      point_lanes, take_lanes)
 
 log = logging.getLogger(__name__)
@@ -173,9 +173,9 @@ class ChartManifold:
             raise ValueError("metric dimension mismatch")
         self.metric = metric
         memo = {}       # phi, xi and eta parse each distinct text once
-        self.phi = FieldArray(_as_fields(phi, self.coords, memo))
-        self.xi = FieldArray(_as_fields(xi, self.coords, memo))
-        self.eta = FieldArray(_as_fields(eta, self.coords, memo)) if eta is not None else None
+        self.phi = field_array(phi, self.coords, memo)
+        self.xi = field_array(xi, self.coords, memo)
+        self.eta = None if eta is None else field_array(eta, self.coords, memo)
         self.difference = difference
         self.box = [(float(lo), float(hi)) for lo, hi in box] if box is not None \
             else [(-1.0, 1.0)] * dim

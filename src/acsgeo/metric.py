@@ -1,6 +1,7 @@
 """Riemannian machinery on a coordinate chart.
 
-A field is a nested array of expression fields.  ``field_jet`` evaluates
+A field is a nested array of expression fields, a ``FieldArray``, indexed
+once, when it is built, and never mutated after.  ``field_jet`` evaluates
 one at (P,) lane coordinates, one lane per evaluated point, with one Taylor
 walk of each distinct expression tree: the values and, to the order asked,
 the gradients and Hessians, as float arrays with the lane axis first.  The
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from .expressions import Jet, Num, ScalarField, Var, parse_expression
+from .expressions import Jet, ScalarField, parse_expression
 
 
 class GeometryError(Exception):
@@ -138,30 +139,8 @@ def inv_generic(mat):
 
 
 def fields_constant(fields) -> bool:
-    """True when no ScalarField in a nested array reads a coordinate: its
-    expression tree holds no Var."""
-    return not coordinates_read(fields)
-
-
-def coordinates_read(fields) -> tuple:
-    """The sorted indices of the coordinates the ScalarFields of a nested
-    array read: the Vars of their expression trees, every child walked."""
-    found = set()
-
-    def walk(node):
-        if isinstance(node, ScalarField):
-            walk(node.body)
-        elif isinstance(node, Var):
-            found.add(node.index)
-        elif isinstance(node, (list, tuple)):
-            for sub in node:
-                walk(sub)
-        elif not isinstance(node, Num):     # a bare constant, the common entry
-            for child in ("arg", "left", "right", "base"):
-                if hasattr(node, child):
-                    walk(getattr(node, child))
-    walk(fields)
-    return tuple(sorted(found))
+    """True when no ScalarField of ``fields`` (a field or a nested array) reads a coordinate."""
+    return not FieldArray([fields]).reads
 
 
 def _as_fields(entries, coord_names, memo=None):
@@ -174,53 +153,79 @@ def _as_fields(entries, coord_names, memo=None):
     memo = {} if memo is None else memo
 
     def field(entry):
+        if isinstance(entry, str):
+            parsed = memo.get(entry)
+            if parsed is None:
+                parsed = memo[entry] = parse_expression(entry, coord_names)
+            return parsed
         if isinstance(entry, ScalarField):
             return entry
         if isinstance(entry, (int, float)):
-            entry = repr(float(entry))
-        elif not isinstance(entry, str):
-            return [field(e) for e in entry]
-        parsed = memo.get(entry)
-        if parsed is None:
-            parsed = memo[entry] = parse_expression(entry, coord_names)
-        return parsed
+            return field(repr(float(entry)))
+        return [field(e) for e in entry]
     return field(entries)
 
 
+def _flat(fields, shape):
+    """The ScalarFields of a nested array in row-major order; ValueError
+    unless it holds a ScalarField at each index of ``shape``."""
+    level = [fields]
+    for n in shape:     # a row of another length is dropped, and so missed
+        level = [f for r in level if isinstance(r, (list, tuple)) and len(r) == n for f in r]
+    if len(level) != math.prod(shape) or not all(isinstance(f, ScalarField) for f in level):
+        raise ValueError(f"a field array of shape {shape} must hold a ScalarField at each index")
+    return level
+
+
 class FieldArray(list):
-    """A nested array of ScalarFields (a list of rows) whose read
-    coordinates, and so its constancy, are found once, when it is built, so
-    derivative calls never re-walk it."""
+    """A nested array of ScalarFields (a list of rows), indexed once, when it
+    is built, and never mutated after: its ``shape``, read from the
+    nesting; its ``distinct`` fields; the ``column`` of each entry among
+    them, in row-major order, or None when no two entries share a field;
+    and ``reads``, the sorted indices of the coordinates those fields read
+    (``ScalarField.reads``), so its constancy.  ``field_jet`` reads this
+    index and walks no table."""
 
     def __init__(self, rows):
         super().__init__(rows)
-        self.reads = coordinates_read(self)
+        shape, row = [], self
+        while isinstance(row, (list, tuple)):
+            shape.append(len(row))
+            row = row[0]
+        self.shape = tuple(shape)
+        flat = _flat(self, self.shape)
+        # ScalarFields hash and compare by identity
+        column = {f: i for i, f in enumerate(dict.fromkeys(flat))}
+        self.distinct = list(column)
+        self.column = np.array([column[f] for f in flat], dtype=np.intp) \
+            if len(column) < len(flat) else None
+        self.reads = tuple(sorted(set().union(*(f.reads for f in self.distinct))))
         self.is_constant = not self.reads
 
 
-def _flat(fields):
-    if isinstance(fields[0], ScalarField):
-        return list(fields)
-    return [f for sub in fields for f in _flat(sub)]
+def field_array(entries, coord_names=None, memo=None) -> FieldArray:
+    """``entries`` as a FieldArray: itself when it is one, else its expression
+    strings and numbers parsed over ``coord_names`` (``_as_fields``, with
+    ``memo``) and the array indexed once."""
+    if isinstance(entries, FieldArray):
+        return entries
+    return FieldArray(entries if coord_names is None else _as_fields(entries, coord_names, memo))
 
 
 def field_jet(fields, coords, order: int):
-    """The jet of a nested array of ScalarFields at the (P,) lane coordinates
-    ``coords``: the values (P, *shape) and, up to ``order`` (0, 1 or 2), the
-    gradients (P, dim, *shape) and Hessians (P, dim, dim, *shape).  Each
-    distinct field is walked once into a (..., n_distinct) array, which one
-    ``np.take`` per array expands to the entries (a metric's mirrored
-    entries share one field); ``take`` returns C-contiguous arrays, whose
-    products sum in the order a filled array's do.  The derivatives of a
-    constant array are broadcast zeros.  Run it under
-    ``np.errstate(all="ignore")``: lanes overflow as Python floats do."""
+    """The jet of a FieldArray at the (P,) lane coordinates ``coords``: the
+    values (P, *shape) and, up to ``order`` (0, 1 or 2), the gradients
+    (P, dim, *shape) and Hessians (P, dim, dim, *shape).  A plain nested
+    list is indexed first, at each call.  Each distinct field is walked
+    once into a (..., n_distinct) array, which one ``np.take`` per array
+    expands to the entries (a metric's mirrored entries share one field);
+    ``take`` returns C-contiguous arrays, whose products sum in the order a
+    filled array's do.  The derivatives of a constant array are broadcast
+    zeros.  Run it under ``np.errstate(all="ignore")``: lanes overflow as
+    Python floats do."""
+    fields = field_array(fields)
     lanes, dim = len(coords[0]), len(coords)
-    flat = _flat(fields)
-    shape = np.shape(fields)
-    constant = fields.is_constant if isinstance(fields, FieldArray) else fields_constant(fields)
-    column = {}     # the column of each distinct field
-    index = [column.setdefault(id(f), len(column)) for f in flat]
-    distinct = list({id(f): f for f in flat}.values())
+    distinct, constant = fields.distinct, fields.is_constant
     out = [np.empty((lanes, len(distinct)))]
     if not constant:
         out += [np.zeros((lanes,) + (dim,) * k + (len(distinct),)) for k in range(1, order + 1)]
@@ -234,12 +239,12 @@ def field_jet(fields, coords, order: int):
                 out[2][..., i] = jet.hess.transpose(2, 0, 1)
         else:
             out[0][:, i] = jet
-    if len(distinct) < len(flat):
-        out = [np.take(a, index, axis=-1) for a in out]
+    if fields.column is not None:
+        out = [np.take(a, fields.column, axis=-1) for a in out]
     if constant:
-        out += [np.broadcast_to(0.0, (lanes,) + (dim,) * k + (len(flat),))
-                for k in range(1, order + 1)]
-    return tuple(a.reshape(a.shape[:-1] + shape) for a in out)
+        size = out[0].shape[-1]
+        out += [np.broadcast_to(0.0, (lanes,) + (dim,) * k + (size,)) for k in range(1, order + 1)]
+    return tuple(a.reshape(a.shape[:-1] + fields.shape) for a in out)
 
 
 def field_first_derivatives(fields, point):
@@ -256,14 +261,15 @@ def field_first_derivatives(fields, point):
 
 
 class MetricField:
-    """Symmetric dim x dim array of ScalarFields g_ij."""
+    """Symmetric dim x dim array of ScalarFields g_ij, kept as the FieldArray
+    it is given or indexed once."""
 
     def __init__(self, components):
         dim = len(components)
         for row in components:
             if len(row) != dim:
                 raise ValueError("metric component array must be square")
-        self.components = FieldArray(list(row) for row in components)
+        self.components = field_array(components)
         self.dim = dim
         self.reads = self.components.reads
         # constant metrics short-circuit every derivative evaluation
@@ -271,22 +277,15 @@ class MetricField:
 
     @classmethod
     def from_lower_triangle(cls, entries, coord_names):
-        """Build from rows of expression strings giving the lower triangle
-        (row i has i+1 entries), each distinct text parsed once; the upper
-        triangle is mirrored, so symmetry holds exactly by construction."""
-        dim = len(entries)
-        comp = [[None] * dim for _ in range(dim)]
-        memo = {}
+        """Build from rows of expression strings (or ScalarFields) giving the
+        lower triangle (row i has i+1 entries), each distinct text parsed
+        once; the upper triangle is mirrored, so symmetry holds exactly by
+        construction."""
         for i, row in enumerate(entries):
             if len(row) < i + 1:
                 raise ValueError(f"row {i} of lower triangle needs {i + 1} entries")
-            for j in range(i + 1):
-                f = row[j]
-                if isinstance(f, str):
-                    f = _as_fields(f, coord_names, memo)
-                comp[i][j] = f
-                comp[j][i] = f
-        return cls(comp)
+        low = _as_fields([row[:i + 1] for i, row in enumerate(entries)], coord_names)
+        return cls([[low[max(i, j)][min(i, j)] for j in range(len(low))] for i in range(len(low))])
 
     def array_at(self, point) -> np.ndarray:
         """g_ij at one point, (dim, dim): a one-lane, order-0 ``field_jet``."""

@@ -4,16 +4,19 @@ A spec file declares the chart (dimension, coordinate names, sampling box,
 grid count) and all structure fields as expression strings.  The metric may
 be given by its lower triangle; exactly one of a difference-tensor table or
 a full connection table must be present.  Sparse tensor tables use keys of
-comma-separated coordinate names, e.g. ``"z,z,z": "1"``.
+comma-separated coordinate names, e.g. ``"z,z,z": "1"``; a coordinate name
+is an identifier that names no function, so keys and expressions can name it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
+from .expressions import coordinate_name
 from .manifold import ChartManifold
-from .metric import MetricField, _as_fields
+from .metric import MetricField, _as_fields, _flat, field_array
 from .statistical import ConnectionDifferenceTensor, ExplicitDifferenceTensor
 
 # the largest dimension a chart takes: its tables hold dim^3 strings and an
@@ -25,9 +28,10 @@ class SpecFormatError(ValueError):
     pass
 
 
-def _require(cond, message):
+def _require(cond, message, *args):
+    """SpecFormatError of ``message.format(*args)``, formatted only when ``cond`` fails."""
     if not cond:
-        raise SpecFormatError(message)
+        raise SpecFormatError(message.format(*args))
 
 
 def _number(x) -> bool:
@@ -36,54 +40,59 @@ def _number(x) -> bool:
         abs(x) <= sys.float_info.max
 
 
-def _scalars(value, shape, name):
+def _scalars(value, shape, name, at=()):
     """``value`` as nested lists of ``shape`` whose entries are expression
-    strings (numbers become their float repr); SpecFormatError otherwise."""
-    if not shape:
-        _require(isinstance(value, str) or _number(value),
-                 f"{name} must be an expression string or a finite number")
+    strings (numbers become their float repr); SpecFormatError naming the
+    first entry, depth first, that is not.  An entry's name,
+    ``name[at_0][at_1]...``, is formatted only when it fails."""
+    if shape and isinstance(value, list) and len(value) == shape[0]:
+        return [v if isinstance(v, str) and len(shape) == 1 else
+                _scalars(v, shape[1:], name, at + (i,)) for i, v in enumerate(value)]
+    if not shape and (isinstance(value, str) or _number(value)):
         return value if isinstance(value, str) else repr(float(value))
-    _require(isinstance(value, list) and len(value) == shape[0],
-             f"{name} must be a list of {shape[0]} entries")
-    return [_scalars(v, shape[1:], f"{name}[{i}]") for i, v in enumerate(value)]
+    what = f"a list of {shape[0]} entries" if shape else "an expression string or a finite number"
+    raise SpecFormatError(name + "".join(f"[{i!r}]" for i in at) + f" must be {what}")
 
 
 def _sparse_tensor3(table, coords, name):
-    _require(isinstance(table, dict), f"{name!r} must be an object of tensor entries")
+    _require(isinstance(table, dict), "{!r} must be an object of tensor entries", name)
     dim = len(coords)
     index = {c: i for i, c in enumerate(coords)}
     out = [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
     seen = {}       # (i, j, k) -> the key that names it
     for key, expr in table.items():
         parts = [s.strip() for s in key.split(",")]
-        _require(len(parts) == 3, f"tensor key {key!r} must have three indices")
+        _require(len(parts) == 3, "tensor key {!r} must have three indices", key)
         for s in parts:
-            _require(s in index, f"tensor key {key!r} uses unknown coordinate {s!r}")
-        i, j, k = (index[s] for s in parts)
-        first = seen.setdefault((i, j, k), key)
-        _require(first == key, f"tensor key {key!r} names the entry of {first!r} again")
-        out[i][j][k] = _scalars(expr, (), f"{name}[{key!r}]")
+            _require(s in index, "tensor key {!r} uses unknown coordinate {!r}", key, s)
+        i, j, k = ijk = tuple(index[s] for s in parts)
+        first = seen.setdefault(ijk, key)
+        _require(first == key, "tensor key {!r} names the entry of {!r} again", key, first)
+        out[i][j][k] = expr if isinstance(expr, str) else _scalars(expr, (), name, (key,))
     return out
 
 
 def manifold_from_dict(data: dict) -> ChartManifold:
     """The manifold of a spec; every field is checked for its type and
-    shape first, so a malformed spec raises SpecFormatError."""
+    shape first, so a malformed spec raises SpecFormatError, then each table
+    is parsed into the FieldArray the chart keeps."""
     _require(isinstance(data, dict), "spec must be a JSON object")
     for key in ("coordinates", "metric_lower", "phi", "xi"):
-        _require(key in data, f"spec is missing required field {key!r}")
+        _require(key in data, "spec is missing required field {!r}", key)
 
     coords = data["coordinates"]
     _require(isinstance(coords, list) and all(isinstance(c, str) for c in coords),
              "coordinates must be a list of names")
     dim = len(coords)
-    _require(dim % 2 == 1 and dim >= 3,
-             f"dimension must be odd and >= 3, got {dim}")
-    _require(dim <= MAX_DIM, f"dimension must be at most {MAX_DIM}, got {dim}")
+    _require(dim % 2 == 1 and dim >= 3, "dimension must be odd and >= 3, got {}", dim)
+    _require(dim <= MAX_DIM, "dimension must be at most {}, got {}", MAX_DIM, dim)
     if "dimension" in data:
         _require(data["dimension"] == dim and not isinstance(data["dimension"], bool),
                  "declared dimension disagrees with the coordinate list")
     _require(len(set(coords)) == dim, "coordinate names must be distinct")
+    for c in coords:
+        _require(coordinate_name(c), "coordinate {!r} must be an identifier "
+                 "that is not a function name", c)
 
     box = data.get("box", [[-1.0, 1.0]] * dim)
     _require(isinstance(box, list) and len(box) == dim and all(
@@ -95,13 +104,13 @@ def manifold_from_dict(data: dict) -> ChartManifold:
     memo = {}       # each distinct expression of the spec is parsed once
 
     def fields(table):
-        return _as_fields(table, coords, memo)
+        return field_array(table, coords, memo)
 
     rows = data["metric_lower"]
     _require(isinstance(rows, list) and len(rows) == dim,
-             f"metric_lower must be a list of {dim} rows")
-    metric = MetricField.from_lower_triangle(fields(
-        [_scalars(row, (i + 1,), f"metric_lower[{i}]") for i, row in enumerate(rows)]), coords)
+             "metric_lower must be a list of {} rows", dim)
+    lower = [_scalars(row, (i + 1,), "metric_lower", (i,)) for i, row in enumerate(rows)]
+    metric = MetricField.from_lower_triangle(_as_fields(lower, coords, memo), coords)
     phi = _scalars(data["phi"], (dim, dim), "phi")
     xi = _scalars(data["xi"], (dim,), "xi")
     eta = data.get("eta")
@@ -128,7 +137,7 @@ def _object(pairs) -> dict:
     ``json`` would keep the last value."""
     out = {}
     for key, value in pairs:
-        _require(key not in out, f"spec object repeats the name {key!r}")
+        _require(key not in out, "spec object repeats the name {!r}", key)
         out[key] = value
     return out
 
@@ -153,15 +162,10 @@ _ZERO_STRINGS = {"0", "0.0", "-0.0"}
 
 
 def _dense_to_sparse(fields, coords):
-    out = {}
-    dim = len(coords)
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                s = fields[i][j][k].to_string()
-                if s not in _ZERO_STRINGS:
-                    out[f"{coords[i]},{coords[j]},{coords[k]}"] = s
-    return out
+    """The non-zero entries of a dim^3 table, keyed in row-major order."""
+    flat = _flat(fields, fields.shape)
+    texts = zip(itertools.product(coords, repeat=3), (f.to_string() for f in flat))
+    return {",".join(key): s for key, s in texts if s not in _ZERO_STRINGS}
 
 
 def manifold_to_dict(m: ChartManifold) -> dict:

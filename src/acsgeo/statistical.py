@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .manifold import ChartManifold, FrameStack
-from .metric import (FieldArray, MetricField, _as_fields, contract, field_jet, first_slot, inner,
-                     nabla_g, outer, per_16_lanes)
+from .metric import (MetricField, contract, field_array, field_jet, first_slot, inner, nabla_g,
+                     outer, per_16_lanes)
 from .report import AuditReport, max_abs, raise_first, within
 
 
@@ -31,10 +31,7 @@ class ExplicitDifferenceTensor:
     """K^i_jk given directly as component ScalarFields."""
 
     def __init__(self, fields, coord_names=None):
-        if coord_names is not None:
-            fields = _as_fields(fields, coord_names)
-        self.fields = FieldArray(fields)
-        self.dim = len(fields)
+        self.fields = field_array(fields, coord_names)
         self.reads = self.fields.reads
 
     def jet(self, coords, levi_civita):
@@ -48,9 +45,7 @@ class ConnectionDifferenceTensor:
     ``K_lower_symmetry`` check of ``statistical_columns``."""
 
     def __init__(self, gamma_fields, metric: MetricField):
-        self.gamma_fields = FieldArray(gamma_fields)
-        self.metric = metric
-        self.dim = len(gamma_fields)
+        self.gamma_fields = field_array(gamma_fields)
         self.reads = tuple(sorted(set(metric.reads) | set(self.gamma_fields.reads)))
 
     def jet(self, coords, levi_civita):

@@ -74,13 +74,17 @@ for label, spec, seed in (
 
 # spec files as text, for what a dict cannot hold: a name repeated in one
 # object.  K^x_yz = 1 fails K_lower_symmetry, unless a repeated key or a
-# repeated "K" were read as overriding it
-_FLAT = ('"coordinates": ["x", "y", "z"], "grid": 2, '
-         '"metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]], '
+# repeated "K" were read as overriding it.  The flat specs whose third
+# coordinate no tensor key or expression can name exit 2
+_BODY = ('"grid": 2, "metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]], '
          '"phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]], "xi": ["0", "0", "1"]')
+_FLAT = '"coordinates": ["x", "y", "z"], ' + _BODY
 SPEC_TEXTS = {
     "repeated_tensor_key": '{' + _FLAT + ', "K": {"x,y,z": "1", "x, y, z": "0"}}',
     "repeated_field": '{' + _FLAT + ', "K": {"x,y,z": "1"}, "K": {}}',
+    "comma_coordinate": '{"coordinates": ["x", "y", "x,y"], ' + _BODY + ', "K": {}}',
+    "empty_coordinate": '{"coordinates": ["x", "y", ""], ' + _BODY + ', "K": {}}',
+    "function_coordinate": '{"coordinates": ["x", "sin", "z"], ' + _BODY + ', "K": {}}',
 }
 
 

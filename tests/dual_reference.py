@@ -4,7 +4,8 @@ Dual numbers with their own arithmetic, their own sin/cos/exp/log/sqrt
 rules on :mod:`math`, their own domain and overflow checks and their own
 walk of a parsed tree.  Nothing here comes from the package's derivative
 engine: only the parsed tree's node classes and the exception classes are
-shared, so tests can hold the package's ``Jet`` walk against it.  A Dual's
+shared, so tests can hold the package's ``Jet`` walk against it, and the
+coordinates a parse records as read against ``reads``.  A Dual's
 parts may be Duals, which gives mixed second derivatives by nested
 seeding.  pytest does not collect this file.
 """
@@ -162,4 +163,19 @@ def evaluate(node, env):
         if primal(b) == 0.0:
             raise EvalDomainError("division by zero")
         return a / b
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def reads(node) -> set:
+    """The indices of the coordinates the parsed tree ``node`` holds a Var of."""
+    if isinstance(node, Num):
+        return set()
+    if isinstance(node, Var):
+        return {node.index}
+    if isinstance(node, (Neg, Call)):
+        return reads(node.arg)
+    if isinstance(node, Pow):
+        return reads(node.base)
+    if isinstance(node, BinOp):
+        return reads(node.left) | reads(node.right)
     raise TypeError(f"not an expression node: {node!r}")

@@ -907,6 +907,54 @@ def test_wrong_field_types_and_shapes_exit_two(field_value, text):
         pass
 
 
+SPEC_FIELDS = ("name", "dimension", "coordinates", "box", "grid", "metric_lower", "phi", "xi",
+               "eta", "K", "connection")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["x", "y", "z", "1", "x*y", "z,z,z"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(max_size=4) | st.sampled_from(["z,z,z", "x,y,z"]), inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(SPEC_FIELDS), JSON_VALUES, max_size=4),
+       missing=st.sets(st.sampled_from(SPEC_FIELDS), max_size=2),
+       extra=st.dictionaries(st.text(max_size=5).filter(lambda k: k not in SPEC_FIELDS),
+                             JSON_VALUES, max_size=2),
+       verb=st.sampled_from(["validate", "curvature", "audit"]))
+def test_any_spec_structure_ends_in_a_documented_outcome(values, missing, extra, verb):
+    """Any JSON value in any field of a valid spec, with fields missing and
+    unknown fields added: the run exits 0, 1 or 2 with at most one line on
+    stderr and no traceback."""
+    spec = {k: v for k, v in dict(FLAT_BLOCK, **values).items() if k not in missing}
+    spec.update(extra)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        code, _, err = _run_quiet(verb, path)
+    assert code in (0, 1, 2) and err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("name", ["K", "{}", "{0}", "{x}", "{", "}"])
+@pytest.mark.parametrize("where", ["top", "K"])
+def test_a_repeated_name_exits_two_with_one_line(name, where):
+    """A name repeated in one JSON object, braces and all, is named in the
+    one-line exit-2 message."""
+    body = json.dumps(dict(FLAT_BLOCK, K={}))[1:-1]
+    pair = json.dumps(name) + ': "1"'
+    text = ("{" + body + ", " + pair + ", " + pair + "}" if where == "top" else
+            "{" + body.replace('"K": {}', '"K": {' + pair + ", " + pair + "}") + "}")
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "spec.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for verb in ("validate", "curvature", "audit"):
+            assert _run_quiet(verb, path) == (
+                2, "", f"error: spec object repeats the name {name!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # specs valid in shape whose expressions fail on part of the grid end in one
 # message, the one a per-point loop meets first, from O(log P) frame passes

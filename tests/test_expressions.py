@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from acsgeo import (Dual, EvalDomainError, ExprSyntaxError, NonFiniteError,
                     UnknownIdentifierError, eval_with_derivative,
                     parse_expression)
-from acsgeo.expressions import MAX_DEPTH, Jet, primal, tangent
-from acsgeo.metric import coordinates_read, field_jet
+from acsgeo.expressions import _FUNCTIONS, MAX_DEPTH, Jet, primal, tangent
+from acsgeo.metric import field_jet
 from acsgeo.specfile import manifold_from_dict, manifold_to_dict
 
 import dual_reference as ref
@@ -103,14 +103,14 @@ DEEP = {
 def test_expression_at_the_depth_bound_runs_every_walk(shape):
     """An expression nested MAX_DEPTH deep parses and goes through every walk
     of its tree within the default recursion limit: the Jet walk at order 2,
-    coordinates_read, to_string and a parse of it, the export of a spec, and
+    to_string and a parse of it, the export of a spec, and
     the independent reference walk."""
     coords = ["x", "y", "z"]
     f = parse_expression(DEEP[shape][0], coords)
     with np.errstate(all="ignore"):
         value, grad, hess = field_jet([f], [np.array([0.25])] * 3, 2)
     assert np.isfinite(value).all() and np.isfinite(grad).all() and np.isfinite(hess).all()
-    assert coordinates_read([f]) == (0,)
+    assert f.reads == (0,)
     text = f.to_string()
     assert parse_expression(text, coords).to_string() == text
     spec = {"coordinates": coords, "grid": 1,
@@ -320,3 +320,46 @@ def test_round_trip_preserves_values(text, point):
     f = parse_expression(text, ["x", "y", "z"])
     g = parse_expression(f.to_string(), ["x", "y", "z"])
     assert g(list(point)) == pytest.approx(f(list(point)), abs=1e-12, rel=1e-12)
+
+
+# hypothesis: the coordinates a parse records as read
+
+READ_COORDS = ["x", "y", "z", "w"]
+
+
+def _joined(template, *parts):
+    """(text, read names) of the texts of ``parts`` put into ``template``."""
+    return template.format(*(text for text, _ in parts)), frozenset().union(
+        *(names for _, names in parts))
+
+
+def grammar_texts():
+    """(expression text, names of the coordinates it holds) over the whole
+    grammar: numbers, coordinates and 0*coordinate, function calls, unary
+    minus, integer powers, nested binary operators and parentheses."""
+    atoms = st.one_of(
+        st.sampled_from(["0", "1", "2.5", ".5", "1e-3", "3E+2"]).map(lambda t: (t, frozenset())),
+        st.sampled_from(READ_COORDS).map(lambda c: (c, frozenset([c]))),
+        st.sampled_from(READ_COORDS).map(lambda c: (f"0*{c}", frozenset([c]))))
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(lambda f, a: _joined(f + "({})", a), st.sampled_from(sorted(_FUNCTIONS)), inner),
+            inner.map(lambda a: _joined("-{}", a)),
+            st.builds(lambda a, n: _joined("({})^" + str(n), a), inner, st.integers(-3, 3)),
+            st.builds(lambda a, op, b: _joined("{} " + op + " {}", a, b),
+                      inner, st.sampled_from("+-*/"), inner),
+            inner.map(lambda a: _joined("({})", a)))
+    return st.recursive(atoms, extend, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grammar_texts())
+def test_reads_match_an_independent_walk(case):
+    """``ScalarField.reads``, recorded by the parser, is the sorted indices of
+    the coordinates the text names and of the Vars of its tree, found by a
+    walk written here (``dual_reference.reads``)."""
+    text, names = case
+    f = parse_expression(text, READ_COORDS)
+    expected = tuple(sorted(READ_COORDS.index(c) for c in names))
+    assert f.reads == tuple(sorted(ref.reads(f.body))) == expected

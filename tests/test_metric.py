@@ -8,8 +8,8 @@ import pytest
 from acsgeo import (DegeneratePlaneError, MetricField, SingularMetricError,
                     christoffel, nabla_g, riemann, sectional_curvature)
 from acsgeo.curvature import curvature_like_symmetry_residuals
-from acsgeo.metric import (covariant_derivative_vector, field_first_derivatives,
-                           plane_q)
+from acsgeo.metric import (FieldArray, _as_fields, covariant_derivative_vector,
+                           field_first_derivatives, plane_q)
 
 from conftest import (POLY3_COORDS, fd_riemann, poly3_metric, sphere_metric,
                       sphere_metric_at)
@@ -127,3 +127,16 @@ def test_covariant_derivative_of_coordinate_field():
     dv = covariant_derivative_vector(gam, np.array([f(p) for f in v_fields]),
                                      field_first_derivatives(v_fields, p))
     assert np.max(np.abs(dv - gam[:, :, 0].T)) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [
+    [["x", "y", "1"], ["0", "1"], ["1", "0", "0", "1"]],    # 9 entries, as a 3x3 holds
+    [["x", "y"], ["0", "1", "1"]],
+    [["x", "y"], "1"],
+    [["x", ["y"]], ["0", "1"]]], ids=["ragged_nine", "ragged", "shallow", "deep"])
+def test_a_ragged_field_array_is_refused(rows):
+    """A nested array whose rows at some depth differ from its first row's
+    lengths, or whose entries are not all ScalarFields, is a ValueError when
+    it is built, never read in another layout."""
+    with pytest.raises(ValueError, match="field array of shape"):
+        FieldArray(_as_fields(rows, ["x", "y", "z"]))

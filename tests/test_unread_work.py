@@ -3,7 +3,8 @@
 The references below are the forms the package replaced, kept here and
 nowhere in it: argument parsing by the full parser of every verb,
 ``field_jet`` copying each duplicate entry one column at a time, and the
-total symmetry residual over all six permutations.  Each must agree with
+total symmetry residual over all six permutations.  The passes read each
+field table's index, built with the chart, and walk no table again.  Each must agree with
 the package exactly: the same output text and exit code, and the same
 array bits and layout, sign bits and NaN included.  ``_frame_cache``, once
 a record of every frame pass, is now a read of the chart's kept frame part,
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from acsgeo import cli
+from acsgeo import cli, metric
 from acsgeo import curvature as curv
 from acsgeo import get_entry
 from acsgeo.contact import is_cosymplectic, nabla0_phi
@@ -24,7 +25,7 @@ from acsgeo.specfile import manifold_from_dict
 from acsgeo.statistical import total_symmetry_residual
 
 from test_golden import SPECS
-from test_invariance import WARPED
+from test_invariance import WARPED, WARPED_CONNECTION
 
 
 def assert_bits(got, want):
@@ -148,8 +149,8 @@ def test_frame_cache_after_repeated_passes(spec):
 def ref_field_jet(fields, coords, order):
     """``field_jet`` copying each duplicate entry one column at a time."""
     lanes, dim = len(coords[0]), len(coords)
-    flat = _flat(fields)
     shape = np.shape(fields)
+    flat = _flat(fields, shape)
     constant = fields.is_constant if isinstance(fields, FieldArray) else fields_constant(fields)
     out = [np.empty((lanes, len(flat)))]
     if not constant:
@@ -206,6 +207,31 @@ def test_field_jet_matches_column_copies(table, order, lanes):
         assert_bits(a, b)
         assert a.flags.c_contiguous == b.flags.c_contiguous
         assert a.strides == b.strides
+
+
+@pytest.mark.parametrize("make", [
+    lambda: get_entry("random", dim=7, seed=0, family="mixed").manifold,
+    lambda: manifold_from_dict(WARPED), lambda: manifold_from_dict(WARPED_CONNECTION)],
+    ids=["dim7_mixed", "warped", "warped_connection"])
+def test_no_pass_rewalks_a_table(make, monkeypatch, capsys):
+    """With ``_flat``, the table walk of a FieldArray's index, raising once
+    the chart is built, validate and audit print what they print without the
+    patch: every pass reads the index and flattens no table."""
+    def outcomes(patch):
+        out = []
+        for verb in ("validate", "audit"):
+            m = make()
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "resolve_input", lambda ref: m)
+                if patch:
+                    patched.setattr(metric, "_flat", patch)
+                code = cli.main([verb, "chart", "--grid", "2", "--format", "json"])
+            out.append((code, capsys.readouterr()))
+        return out
+
+    def rewalk(*args):
+        raise AssertionError("a pass flattened a field table")
+    assert outcomes(rewalk) == outcomes(None)
 
 
 # ---------------------------------------------------------------------------
