@@ -112,15 +112,11 @@ def emit(report: AuditReport, fmt_kind: str):
                          time.perf_counter() - start)
 
 
-def selected(name: str, checks) -> bool:
-    return checks is None or name in checks
-
-
 def check_groups(text, valid):
-    """The set of ``--checks`` groups, or None (every group) when the option
-    is not given; a name outside ``valid`` is an input error."""
-    groups = None if text is None else set(text.split(","))
-    unknown = sorted((groups or set()) - set(valid))
+    """The set of ``--checks`` groups, every group of ``valid`` when the
+    option is not given; a name outside ``valid`` is an input error."""
+    groups = set(valid if text is None else text.split(","))
+    unknown = sorted(groups - set(valid))
     if unknown:
         raise InputError(f"unknown check group {', '.join(map(repr, unknown))}; "
                          f"valid groups: {', '.join(valid)}")
@@ -148,30 +144,34 @@ def sample_points(m: ChartManifold, grid) -> np.ndarray:
 
 
 def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
-    """The selected structure/statistical/ACS axiom checks at every point,
-    over one stack of the frames; they raise only the frames' errors."""
-    if not any(selected(name, checks) for name in CHECK_GROUPS[:3]):
+    """The structure/statistical/ACS axiom checks of the groups ``checks``
+    (None: every group) at every point, over one stack of the frames; they
+    raise only the frames' errors."""
+    checks = CHECK_GROUPS if checks is None else checks
+    if not any(name in checks for name in CHECK_GROUPS[:3]):
         return AuditReport()
 
     def run(points, _):
         fs = m.frame_stack(points)
         columns = []
-        if selected("structure", checks):
+        if "structure" in checks:
             columns += structure_columns(m, fs, tol)
-        if selected("statistical", checks):
+        if "statistical" in checks:
             columns += statistical_columns(fs, tol)
-        if selected("acs", checks):
+        if "acs" in checks:
             columns += acs_columns(fs, tol)
         return AuditReport.from_columns(fs.point, columns, fs.lane)
     return curv.replay(run, pts, None)
 
 
 def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
-    """The selected lemma_5_6, geodesic, prop_5_2 and duality checks at every
-    point, in one run through ``curvature.replay``: the statistical
-    curvature and the conjugate duality raise where a per-point loop would."""
+    """The lemma_5_6, geodesic, prop_5_2 and duality checks of the groups
+    ``checks`` (None: every group) at every point, in one run through
+    ``curvature.replay``: the statistical curvature and the conjugate
+    duality raise where a per-point loop would."""
+    checks = CHECK_GROUPS if checks is None else checks
     wanted = [name for name in ("lemma_5_6", "geodesic", "prop_5_2", "duality")
-              if selected(name, checks)]
+              if name in checks]
     loose = max(tol, 1e-6)
 
     def run(points, _):
@@ -194,14 +194,6 @@ def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
                                   conjugate_connections(fs, tol=loose)[1], loose))
         return AuditReport.from_columns(fs.point, columns, fs.lane)
     return curv.replay(run, pts, None) if wanted else AuditReport()
-
-
-def cmd_validate(m: ChartManifold, args) -> int:
-    checks = check_groups(args.checks, CHECK_GROUPS[:3])
-    pts = sample_points(m, args.grid)
-    rep = axiom_checks(m, pts, args.tol, checks)
-    emit(rep, args.format)
-    return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
 
 
 def section_reader(m: ChartManifold, text: str):
@@ -244,34 +236,38 @@ def cmd_curvature(m: ChartManifold, args) -> int:
 
 
 def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
-    """The records and flags of ``audit`` at the points ``pts``: the
-    selected check groups in ``CHECK_GROUPS`` order."""
+    """The records and flags of ``audit`` at the points ``pts``: the check
+    groups ``checks`` (None: every group) in ``CHECK_GROUPS`` order."""
+    checks = CHECK_GROUPS if checks is None else checks
     rep = axiom_checks(m, pts, tol, checks)
-    if selected("cosymplectic", checks):
+    if "cosymplectic" in checks:
         flag, res = curv.replay(lambda points, _: is_cosymplectic(m, points, tol=tol),
                                 pts, None)
         rep.add("cosymplectic", pts[0], res, passed=True, value=float(flag))
 
-    if selected("thm_5_8", checks):
+    if "thm_5_8" in checks:
         rep.extend(curv.theorem_5_8_audit(m, pts, tol=tol, rng=rng))
 
-    if selected("phi_compat", checks) or selected("psi", checks):
+    if "phi_compat" in checks or "psi" in checks:
         # psi alone needs the verdict only: no records, no draws from rng
         compat_rep, k_phi = curv.phi_compat_audit(
-            m, pts, tol=tol, rng=rng if selected("phi_compat", checks) else None)
-        if selected("phi_compat", checks):
+            m, pts, tol=tol, rng=rng if "phi_compat" in checks else None)
+        if "phi_compat" in checks:
             rep.extend(compat_rep)
 
     rep.extend(pointwise_checks(m, pts, tol, checks))
 
-    if selected("psi", checks) and curv.is_phi_compatible(compat_rep):
+    if "psi" in checks and curv.is_phi_compatible(compat_rep):
         # Psi reads the plain-section K_phi of the phi-compatibility sweep
         rep.extend(curv.psi_check(m, pts, tol=tol, compat_report=compat_rep, k_phi=k_phi))
     return rep
 
 
 def cmd_audit(m: ChartManifold, args) -> int:
-    checks = check_groups(args.checks, CHECK_GROUPS)
+    """``audit``, and ``validate``, which is the audit of the first three
+    groups."""
+    checks = check_groups(args.checks, CHECK_GROUPS[:3] if args.command == "validate"
+                          else CHECK_GROUPS)
     rng = np.random.default_rng(args.seed)
     rep = audit_report(m, sample_points(m, args.grid), args.tol, checks, rng)
     emit(rep, args.format)
@@ -324,7 +320,7 @@ def build_parser(verb=None):
         description="Pointwise audits of almost contact statistical structures")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(name, text):
+    def add_common(name, text, option, option_help):
         if verb in (None, name):
             p = sub.add_parser(name, help=text)
             p.add_argument("input", help="spec-file path or zoo:name[:k=v,...]")
@@ -332,15 +328,15 @@ def build_parser(verb=None):
             p.add_argument("--grid", type=int, default=None,
                            help="sample points per coordinate (default from spec)")
             p.add_argument("--format", choices=("json", "table"), default="table")
-            p.add_argument("--checks", default=None,
-                           help="comma list of check groups to run")
-            p.add_argument("--section", default=None,
-                           help="comma-separated component expressions of a section vector")
+            p.add_argument(option, default=None, help=option_help)
+            # validate draws nothing, but command lines pass every verb a seed
             p.add_argument("--seed", type=int, default=0)
 
-    add_common("validate", "structure/statistical/ACS axioms")
-    add_common("curvature", "phi-sectional curvature triples")
-    add_common("audit", "full theorem audit")
+    checks = "comma list of check groups to run"
+    add_common("validate", "structure/statistical/ACS axioms", "--checks", checks)
+    add_common("curvature", "phi-sectional curvature triples", "--section",
+               "comma-separated component expressions of a section vector")
+    add_common("audit", "full theorem audit", "--checks", checks)
     if verb in (None, "export-zoo"):
         pe = sub.add_parser("export-zoo", help="write a zoo entry as a spec file")
         pe.add_argument("input")
@@ -375,19 +371,16 @@ def main(argv=None) -> int:
             return cmd_list_zoo()
         if args.command == "export-zoo":
             return cmd_export_zoo(args)
-        check_groups(args.checks, CHECK_GROUPS)
+        if args.command != "curvature":     # an unknown group before the input
+            check_groups(args.checks, CHECK_GROUPS)
         if args.seed < 0:
             raise InputError(f"seed must be non-negative, got {args.seed}")
         if not 0.0 <= args.tol < float("inf"):
             raise InputError(f"tol must be finite and non-negative, got {args.tol}")
         m = resolve_input(args.input)
-        if args.command == "validate":
-            return cmd_validate(m, args)
         if args.command == "curvature":
             return cmd_curvature(m, args)
-        if args.command == "audit":
-            return cmd_audit(m, args)
-        raise InputError(f"unknown command {args.command}")
+        return cmd_audit(m, args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

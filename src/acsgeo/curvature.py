@@ -112,17 +112,16 @@ HORIZONTAL_TOL = 1e-9
 @dataclass(frozen=True)
 class SectionSweep:
     """The results of ``section_sweep``, one entry per (point, section) pair:
-    the sections ``x`` and ``px`` = phi X, (P, S, dim), and (P, S) arrays of
-    eta(X), Q(X, phi X), the K_phi quotient ``value``, its closed form
-    ``closed`` and the ``status``.  ``k_s`` and ``k_0``, the S and R^0
-    sectional curvatures of span{X, phi X}, are None until
-    ``with_curvatures`` adds them from ``blocks``, the (X, phi X) of each
-    section block with the strides of its vectors, and ``lane``, the lane
-    of each point in the frames the sweep read (None: one per point)."""
+    (P, S) arrays of eta(X), Q(X, phi X), the K_phi quotient ``value``, its
+    closed form ``closed`` and the ``status``.  ``k_s`` and ``k_0``, the S
+    and R^0 sectional curvatures of span{X, phi X}, are None until
+    ``with_curvatures`` adds them.  ``blocks`` holds the sections: the
+    (X, phi X) of each section block, with the rows the block was given
+    (one, one per lane or one per point) and the strides of its vectors;
+    ``lane`` is the lane of each point in the frames the sweep read (None:
+    one per point)."""
 
     point: np.ndarray
-    x: np.ndarray
-    px: np.ndarray
     eta: np.ndarray
     q: np.ndarray
     value: np.ndarray
@@ -170,10 +169,13 @@ class SectionSweep:
         def numerator(r, g, x, px):
             return inner(g[:, None], x, apply_curvature(r[:, None], x, px, px))
         points, lane = len(self.point), self.lane
+
+        def sectional(r):
+            return np.concatenate([at_points(per_16_lanes(
+                numerator, r, g, x, px, lane=lane if len(x) == points else None), lane, points)
+                for x, px in self.blocks], axis=1) / self.q
         with np.errstate(all="ignore"):
-            k_s, k_0 = (_points_concat(points, lane, [
-                per_16_lanes(numerator, r, g, x, px, lane=lane if len(x) == points else None)
-                for x, px in self.blocks]) / self.q for r in (curvatures.s, curvatures.r0))
+            k_s, k_0 = sectional(curvatures.s), sectional(curvatures.r0)
         status = np.where(np.isin(self.status, (OK, MISMATCH))
                           & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
         return replace(self, k_s=k_s, k_0=k_0, status=status)
@@ -201,7 +203,7 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     """
     start = time.perf_counter()
     points, lane = len(frames.point), frames.lane
-    blocks = []
+    blocks, parts = [], []
     with np.errstate(all="ignore"):
         for x in sections:
             g, phi, k, eta = (at_points(a, lane, points) if len(x) == points else a
@@ -211,12 +213,12 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
             sq = inner(g, x, x)
             q = plane_q(g, x, px)
             kxx = contract(contract(k, x), x)
-            blocks.append([x, px, (eta[:, None, None, :] @ x[..., :, None])[..., 0, 0],
-                           sq, q, inner(g, kk_bracket(k, x, px, px), x) / q,
-                           -2.0 * inner(g, kxx, kxx) / pow2(sq)])
-        x, px, eta, sq, q, value, closed = (
-            _points_concat(points, lane, parts) for parts in zip(*blocks))
-        blocks = [block[:2] for block in blocks]
+            blocks.append((x, px))
+            parts.append([(eta[:, None, None, :] @ x[..., :, None])[..., 0, 0], sq, q,
+                          inner(g, kk_bracket(k, x, px, px), x) / q,
+                          -2.0 * inner(g, kxx, kxx) / pow2(sq)])
+        eta, sq, q, value, closed = (np.concatenate([at_points(a, lane, points) for a in arrays],
+                                                    axis=1) for arrays in zip(*parts))
 
         finite = np.isfinite(eta) & np.isfinite(q) & np.isfinite(value) & np.isfinite(closed)
         scale = np.maximum(np.maximum(1.0, np.abs(value)), np.abs(closed))
@@ -225,16 +227,8 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
              q <= 1e-12, ~finite, np.abs(value - closed) > 1e-9 * scale],
             [NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH], OK)
     log.debug("section sweep: %d points, %d sections in %.4f s",
-              x.shape[0], x.shape[1], time.perf_counter() - start)
-    return SectionSweep(frames.point, x, px, eta, q, value, closed, None, None, status,
-                        blocks, lane)
-
-
-def _points_concat(points: int, lane, parts) -> np.ndarray:
-    """Arrays of 1 row, one row per lane or one per point, read at each of
-    ``points`` points (``at_points``) and joined along the section axis."""
-    return np.concatenate([np.broadcast_to(at_points(a, lane, points), (points,) + a.shape[1:])
-                           for a in parts], axis=1)
+              value.shape[0], value.shape[1], time.perf_counter() - start)
+    return SectionSweep(frames.point, eta, q, value, closed, None, None, status, blocks, lane)
 
 
 def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
@@ -247,7 +241,7 @@ def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
     if error is not None:
         raise error
     return PhiSectionalValue(value=float(sweep.value[0, 0]),
-                             section=(tuple(x), tuple(sweep.px[0, 0])),
+                             section=(tuple(x), tuple(sweep.blocks[0][1][0, 0])),
                              point=tuple(fr.point))
 
 
@@ -507,8 +501,7 @@ def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
     through ``replay``."""
     def run(points, rng):
         stack = m.frame_stack(points)
-        lams = np.broadcast_to(at_points(lambdas(stack, lambda_tol), stack.lane, len(points)),
-                               (len(points),))
+        lams = at_points(lambdas(stack, lambda_tol), stack.lane, len(points))
         if section is None:
             sweep, keep = phi_sweep(stack, rng)
         else:
@@ -574,7 +567,7 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
         }
     residuals = {name: at_points(res, lane, points) for name, res in residuals.items()}
     oks = {name: res <= tol for name, res in residuals.items()}
-    stacked = np.array(np.broadcast_arrays(*oks.values()))
+    stacked = np.array(list(oks.values()))
     unanimous = stacked.all(axis=0) | ~stacked.any(axis=0)
     zero, yes = np.zeros(1), np.ones(1, dtype=bool)
     rep = AuditReport.from_columns(fs.point, [Column("thm_5_8/lambda", zero, yes, lams)] + [
@@ -688,7 +681,7 @@ def _phi_compat(m: ChartManifold, pts, tol, rng):
     res = _compat_residuals(fs, d0_phi)
     oks = res <= tol
     compatible = oks.all(axis=0)
-    at = np.broadcast_to(at_points(compatible, lane, points), (points,))
+    at = at_points(compatible, lane, points)
     k_phi, k_plain = np.zeros(points), np.zeros(points)
     if at.any():
         sweep, keep = phi_sweep(lane_rows(fs, np.flatnonzero(at), lane), rng)
@@ -713,7 +706,7 @@ def _phi_compat(m: ChartManifold, pts, tol, rng):
                 for name, r in consequences]
     rep = AuditReport.from_columns(fs.point, columns, lane)
     disagree = at_points(oks.any(axis=0) & ~compatible, lane, points)
-    for i in np.flatnonzero(np.broadcast_to(disagree, (points,))):
+    for i in np.flatnonzero(disagree):
         rep.flag(f"phi-compatibility formulations disagree at {list(map(float, pts[i]))}")
     return rep, k_plain
 

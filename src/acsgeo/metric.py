@@ -95,11 +95,14 @@ def take_lanes(a: np.ndarray, lanes) -> np.ndarray:
 
 
 def at_points(a, lane, points: int):
-    """A lane array read at each of ``points`` points: ``a`` itself when it
-    has a row per point or one row that every point shares, else the row
-    of each point's lane, ``lane`` (P,)."""
+    """A lane array read at each of ``points`` points, (points, ...): ``a``
+    itself when it has a row per point, a read-only broadcast view of its
+    row when it has one that every point shares, else the row of each
+    point's lane, ``lane`` (P,) (``take_lanes``)."""
     a = np.asarray(a)
-    return a if len(a) in (1, points) else take_lanes(a, lane)
+    if len(a) == points:
+        return a
+    return np.broadcast_to(a, (points,) + a.shape[1:]) if len(a) == 1 else take_lanes(a, lane)
 
 
 def distinct_rows(a: np.ndarray):

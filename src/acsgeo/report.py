@@ -141,10 +141,7 @@ class AuditReport:
         count = len(pts)
 
         def full(a):
-            if a is None:
-                return None
-            a = at_points(np.ravel(a), lane, count).tolist()
-            return a * count if len(a) == 1 else a
+            return None if a is None else at_points(np.ravel(a), lane, count).tolist()
         lists = [(c.check, full(c.residual), full(c.passed), full(c.value), full(c.at))
                  for c in columns]
         raw, width = pts.tobytes(), pts[0].nbytes if count else 0

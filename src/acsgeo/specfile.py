@@ -14,14 +14,17 @@ import itertools
 import json
 import sys
 
-from .expressions import coordinate_name
+from .expressions import ExpressionError, coordinate_name
 from .manifold import ChartManifold
-from .metric import MetricField, _as_fields, _flat, field_array
+from .metric import FieldArray, MetricField, _as_fields, _flat
 from .statistical import ConnectionDifferenceTensor, ExplicitDifferenceTensor
 
 # the largest dimension a chart takes: its tables hold dim^3 strings and an
 # audit's frame and curvature stacks dim^4 floats per point
 MAX_DIM = 15
+# the fields a spec may hold, in the order ``manifold_to_dict`` writes them
+FIELDS = ("name", "dimension", "coordinates", "box", "grid", "metric_lower", "phi", "xi",
+          "eta", "K", "connection")
 
 
 class SpecFormatError(ValueError):
@@ -69,14 +72,27 @@ def _sparse_tensor3(table, coords, name):
         first = seen.setdefault(ijk, key)
         _require(first == key, "tensor key {!r} names the entry of {!r} again", key, first)
         out[i][j][k] = expr if isinstance(expr, str) else _scalars(expr, (), name, (key,))
-    return out
+    return out, seen
+
+
+def _entries(table, at=()):
+    """(index, text) of each entry of nested lists of strings, row-major."""
+    if isinstance(table, str):
+        yield at, table
+    else:
+        for i, row in enumerate(table):
+            yield from _entries(row, at + (i,))
 
 
 def manifold_from_dict(data: dict) -> ChartManifold:
     """The manifold of a spec; every field is checked for its type and
     shape first, so a malformed spec raises SpecFormatError, then each table
-    is parsed into the FieldArray the chart keeps."""
+    is parsed into the FieldArray the chart keeps.  An expression that does
+    not parse is a SpecFormatError that names its entry."""
     _require(isinstance(data, dict), "spec must be a JSON object")
+    unknown = [key for key in data if key not in FIELDS]
+    _require(not unknown, "spec has unknown field {}; valid fields: {}",
+             ", ".join(map(repr, unknown)), ", ".join(FIELDS))
     for key in ("coordinates", "metric_lower", "phi", "xi"):
         _require(key in data, "spec is missing required field {!r}", key)
 
@@ -101,35 +117,42 @@ def manifold_from_dict(data: dict) -> ChartManifold:
     grid = data.get("grid", 3)
     _require(isinstance(grid, int) and not isinstance(grid, bool), "grid must be an integer")
 
-    memo = {}       # each distinct expression of the spec is parsed once
-
-    def fields(table):
-        return field_array(table, coords, memo)
-
     rows = data["metric_lower"]
     _require(isinstance(rows, list) and len(rows) == dim,
              "metric_lower must be a list of {} rows", dim)
     lower = [_scalars(row, (i + 1,), "metric_lower", (i,)) for i, row in enumerate(rows)]
-    metric = MetricField.from_lower_triangle(_as_fields(lower, coords, memo), coords)
     phi = _scalars(data["phi"], (dim, dim), "phi")
     xi = _scalars(data["xi"], (dim,), "xi")
     eta = data.get("eta")
     if eta is not None:
         eta = _scalars(eta, (dim,), "eta")
-
     has_k = "K" in data and data["K"] is not None
     has_conn = "connection" in data and data["connection"] is not None
     _require(has_k != has_conn,
              "exactly one of 'K' and 'connection' must be present")
-    if has_k:
-        diff = ExplicitDifferenceTensor(fields(_sparse_tensor3(data["K"], coords, "K")))
-    else:
-        diff = ConnectionDifferenceTensor(
-            fields(_sparse_tensor3(data["connection"], coords, "connection")), metric)
+    table = "K" if has_k else "connection"
+    tensor, keys = _sparse_tensor3(data[table], coords, table)
 
-    return ChartManifold(coords, metric, fields(phi), fields(xi), diff,
-                         eta=None if eta is None else fields(eta), box=box, grid=grid,
-                         name=str(data.get("name", "")))
+    memo = {}       # each distinct expression of the spec is parsed once
+
+    def parsed(entries, name, keys=None):
+        """``entries`` parsed (``metric._as_fields``); the entry whose text
+        does not parse is the first, row-major, that the memo lacks."""
+        try:
+            return _as_fields(entries, coords, memo)
+        except ExpressionError as exc:
+            at = next(at for at, text in _entries(entries) if text not in memo)
+            entry = f"[{keys[at]!r}]" if keys else "".join(f"[{i!r}]" for i in at)
+            raise SpecFormatError(f"{name}{entry}: {exc}") from exc
+
+    metric = MetricField.from_lower_triangle(parsed(lower, "metric_lower"), coords)
+    tensor = FieldArray(parsed(tensor, table, keys))
+    diff = ExplicitDifferenceTensor(tensor) if has_k else \
+        ConnectionDifferenceTensor(tensor, metric)
+    return ChartManifold(coords, metric, FieldArray(parsed(phi, "phi")),
+                         FieldArray(parsed(xi, "xi")), diff,
+                         eta=None if eta is None else FieldArray(parsed(eta, "eta")),
+                         box=box, grid=grid, name=str(data.get("name", "")))
 
 
 def _object(pairs) -> dict:

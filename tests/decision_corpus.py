@@ -86,6 +86,16 @@ SPEC_TEXTS = {
     "empty_coordinate": '{"coordinates": ["x", "y", ""], ' + _BODY + ', "K": {}}',
     "function_coordinate": '{"coordinates": ["x", "sin", "z"], ' + _BODY + ', "K": {}}',
 }
+# an expression that does not parse, in the metric (alone, and beside a
+# malformed phi, whose shape check comes first) or in a K entry, and a
+# field that is not part of the spec format: each exits 2
+_SPEC = json.loads('{' + _FLAT + ', "K": {}}')
+_UNPARSED = [["sin("], ["0", "1"], ["0", "0", "1"]]
+SPEC_TEXTS.update({name: json.dumps(dict(_SPEC, **fields)) for name, fields in (
+    ("unparsed_metric", {"metric_lower": _UNPARSED}),
+    ("unparsed_metric_null_phi", {"metric_lower": _UNPARSED, "phi": None}),
+    ("unparsed_k_entry", {"K": {"x,y,z": "1 +"}}),
+    ("unknown_field", {"gird": 5}))})
 
 
 def _ops():
@@ -124,6 +134,11 @@ def _ops():
     for name in SPEC_TEXTS:
         for verb in ("validate", "curvature", "audit"):
             ops.append([verb, f"@{name}", "--format", "json"])
+    # options a verb does not read
+    for verb, option, value in (("validate", "--section", "1,2,0"),
+                                ("audit", "--section", "1,2,0"),
+                                ("curvature", "--checks", "thm_5_8")):
+        ops.append([verb, "zoo:example_r3_negative", option, value, "--format", "json"])
     return ops
 
 
@@ -132,7 +147,8 @@ OPS = _ops()
 
 def run(argv, workdir):
     """(exit code, stdout, stderr) of one in-process CLI run; an ``@name``
-    input is written to ``workdir`` as a spec file first."""
+    input is written to ``workdir`` as a spec file first.  Arguments that
+    argparse refuses end the run in its SystemExit, whose code is kept."""
     argv = list(argv)
     if argv[1:] and argv[1].startswith("@"):
         name = argv[1][1:]
@@ -142,7 +158,10 @@ def run(argv, workdir):
         argv[1] = path
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 

@@ -25,6 +25,8 @@ from acsgeo.metric import GeometryError
 from acsgeo.specfile import manifold_from_dict
 from acsgeo.zoo import _flat_spec
 
+from test_invariance import WARPED
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -449,10 +451,10 @@ def test_frame_error_exits_one(capsys, tmp_path):
                 xi=["0", "0", repr(2.0 ** -40)])
     path = tmp_path / "tiny_metric.json"
     path.write_text(json.dumps(spec))
-    for verb in ("curvature", "audit"):
-        code, _, err = run(capsys, verb, str(path), "--checks", "thm_5_8")
+    for argv in (["curvature"], ["audit", "--checks", "thm_5_8"]):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, err) == (1, "audit failure: could not complete a phi-adapted "
-                                  "frame; structure is degenerate\n"), verb
+                                  "frame; structure is degenerate\n"), argv
 
 
 def test_section_sweep_logs_at_debug(capsys, caplog):
@@ -563,7 +565,7 @@ def test_section_is_parsed_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("checks", ["thm58", ",", "", "thm_5_8,bogus"])
 def test_unknown_check_group_exits_two(capsys, checks):
-    for verb in ("validate", "curvature", "audit"):
+    for verb in ("validate", "audit"):
         code, out, err = run(capsys, verb, "zoo:example_r3_negative", "--grid", "2",
                              "--checks", checks)
         assert (code, out) == (2, ""), verb
@@ -602,6 +604,43 @@ def test_validate_runs_the_selected_groups(capsys):
         r for r in full if r["check"] in STRUCTURE_CHECKS or r["check"].startswith("acs_")]
     assert json_records(run(capsys, "validate", *flat, "--checks",
                             "structure,statistical,acs")[1]) == full
+
+
+VALIDATE_INPUTS = [f"zoo:random:dim={dim},seed=1,family={family}" for dim in (3, 5)
+                   for family in ("trivial-lambda", "planar-block", "mixed")]
+VALIDATE_SPECS = {
+    "warped": WARPED,
+    # eta(xi) = 4: failing records
+    "long_xi": {"coordinates": ["x", "y", "z"], "grid": 2,
+                "metric_lower": [["1"], ["0", "1"], ["0", "0", "1"]],
+                "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+                "xi": ["0", "0", "2"], "K": {}},
+    # g11 = x + 1 vanishes at x = -1: an audit failure that names its point
+    "singular": {"coordinates": ["x", "y", "z"], "grid": 3,
+                 "metric_lower": [["x + 1"], ["0", "1"], ["0", "0", "1"]],
+                 "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+                 "xi": ["0", "0", "1"], "K": {}}}
+
+
+@pytest.mark.parametrize("ref", VALIDATE_INPUTS + [f"@{name}" for name in VALIDATE_SPECS])
+def test_validate_is_the_audit_of_its_groups(capsys, tmp_path, ref):
+    """``validate REF [--checks G]`` prints the bytes and exits with the code
+    of ``audit REF --checks G``, where G is the three axiom groups when
+    ``--checks`` is not given, in either format."""
+    failing = ref in ("@long_xi", "@singular")
+    if ref.startswith("@"):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(VALIDATE_SPECS[ref[1:]]))
+        ref = str(path)
+    codes = set()
+    for fmt in ("json", "table"):
+        for given, groups in ((None, "structure,statistical,acs"), ("structure", "structure"),
+                              ("acs,statistical", "acs,statistical")):
+            argv = (ref, "--grid", "2", "--format", fmt)
+            validate = run(capsys, "validate", *argv, *(["--checks", given] if given else []))
+            assert validate == run(capsys, "audit", *argv, "--checks", groups), (fmt, given)
+            codes.add(validate[0])
+    assert codes <= {0, 1} and (1 in codes) == failing
 
 
 @pytest.mark.parametrize("checks", ["cosymplectic", "structure,thm_5_8"])
@@ -746,6 +785,45 @@ def _exits_two_everywhere(spec):
             code, out, err = _run_quiet(verb, path)
             assert (code, out) == (2, ""), (verb, err)
             assert err.startswith("error: ") and err.count("\n") == 1, (verb, err)
+
+
+_UNPARSED = [["sin("], ["0", "1"], ["0", "0", "1"]]
+_PARSE_ERROR = "expected a number, identifier or '(' (at position {})"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"metric_lower": _UNPARSED}, "metric_lower[0][0]: " + _PARSE_ERROR.format(4)),
+    ({"K": {"x, y,z": "1 +"}}, "K['x, y,z']: " + _PARSE_ERROR.format(3)),
+    ({"K": None, "connection": {"z,x,y": "q"}},
+     "connection['z,x,y']: unknown identifier 'q' (at position 0)"),
+    ({"phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "x y"]]},
+     "phi[2][2]: unexpected token 'y' (at position 2)"),
+    ({"xi": ["0", "0", ")"]}, "xi[2]: " + _PARSE_ERROR.format(0)),
+    ({"eta": ["0", "0", "1 +"]}, "eta[2]: " + _PARSE_ERROR.format(3)),
+    # every field is checked before an expression is parsed
+    ({"metric_lower": _UNPARSED, "phi": None}, "phi must be a list of 3 entries"),
+    ({"metric_lower": _UNPARSED, "eta": ["0"]}, "eta must be a list of 3 entries"),
+    ({"metric_lower": _UNPARSED, "K": {"x,y": "1"}}, "tensor key 'x,y' must have three indices"),
+    ({"metric_lower": _UNPARSED, "connection": {}},
+     "exactly one of 'K' and 'connection' must be present"),
+    # a field that is not part of the spec format
+    ({"gird": 5}, "spec has unknown field 'gird'; valid fields: name, dimension, coordinates, "
+                  "box, grid, metric_lower, phi, xi, eta, K, connection"),
+    ({"Eta": ["0", "0", "1"], "metric_lower": _UNPARSED},
+     "spec has unknown field 'Eta'; valid fields: name, dimension, coordinates, box, grid, "
+     "metric_lower, phi, xi, eta, K, connection")],
+    ids=["metric entry", "K entry", "connection entry", "phi entry", "xi entry", "eta entry",
+         "phi shape first", "eta shape first", "K key first", "K and connection first",
+         "unknown field", "unknown field first"])
+def test_spec_errors_name_their_field_or_entry(tmp_path, fields, message):
+    """A spec expression that does not parse names its entry, a K or
+    connection entry by its key as the spec writes it; the type, shape and
+    key checks of every field come before any expression is parsed; and a
+    field that is not part of the spec format exits 2."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(FLAT_BLOCK, **fields)))
+    for verb in ("validate", "curvature", "audit"):
+        assert _run_quiet(verb, str(path)) == (2, "", f"error: {message}\n"), verb
 
 
 @pytest.mark.parametrize("field, value", [

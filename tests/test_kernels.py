@@ -204,8 +204,8 @@ def sweep_of(blocks, lanes, g):
     with np.errstate(all="ignore"):
         q = np.concatenate([np.broadcast_to(plane_q(g[:, None], x, px), shape[:1] + x.shape[1:2])
                             for x, px in blocks], axis=1)
-    return SectionSweep(np.zeros((points, 3)), None, None, None, q, *(None,) * 4, status,
-                        blocks)
+    return SectionSweep(np.zeros((points, 3)), eta=None, q=q, value=None, closed=None,
+                        k_s=None, k_0=None, status=status, blocks=blocks)
 
 
 @pytest.mark.parametrize("dim", DIMS)

@@ -721,6 +721,12 @@ def check_sweep_matches_loop(m, pts, seed):
     sweep = sweep.with_curvatures(stack.g, curvatures)
     bases, errors = phi_bases(stack.g, stack.phi, stack.xi)
     horiz, keep_h = curv.horizontal_projections(stack)
+    # the (X, phi X) of each point and section, read by plain indexing from
+    # blocks of a row per point, a row per lane or one row for every point
+    rows = [np.arange(len(pts)) if len(x) == len(pts) else stack.lane if len(x) > 1
+            else np.zeros(len(pts), dtype=int) for x, _ in sweep.blocks]
+    xs, pxs = (np.concatenate([block[n][r] for block, r in zip(sweep.blocks, rows)], axis=1)
+               for n in (0, 1))
     ref_rng = np.random.default_rng(seed)
     for i, fr in enumerate(frames):
         basis = ref_phi_basis(fr)
@@ -732,14 +738,15 @@ def check_sweep_matches_loop(m, pts, seed):
         assert len(cols) == len(sections)
         s, r0 = curv.statistical_curvature(m, fr.point)[:2]      # the point alone
         for j, x in zip(cols, sections):
-            assert_same(sweep.x[i, j], x)
+            assert_same(xs[i, j], x)
+            px = fr.phi @ x
+            assert_same(pxs[i, j], px)
             code, eta, q, value, closed = ref_k_phi(fr, x)
             assert sweep.status[i, j] == code
             assert_same(sweep.eta[i, j], eta)
             assert_same(sweep.q[i, j], q)
             assert_same(sweep.value[i, j], value)
             assert_same(sweep.closed[i, j], closed)
-            px = fr.phi @ x
             assert_same(sweep.k_s[i, j], ref_sectional(fr.g, s, x, px))
             assert_same(sweep.k_0[i, j], ref_sectional(fr.g, r0, x, px))
         ref_h = [v - float(fr.eta @ v) * fr.xi for v in curv.frame_vectors(fr.dim)]

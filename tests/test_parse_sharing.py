@@ -1,6 +1,7 @@
 """Building an input parses each distinct expression once: entries with
 equal text share one ScalarField, no parse outlives the input, and a
-malformed entry fails as a parse of its own text does."""
+malformed entry fails with the parse error of its own text, named by the
+entry."""
 
 import collections
 import json
@@ -10,6 +11,7 @@ import pytest
 from acsgeo import metric
 from acsgeo.cli import main, resolve_input
 from acsgeo.expressions import ExprSyntaxError, parse_expression
+from acsgeo.specfile import SpecFormatError
 
 ZOO = "zoo:random:dim=7,seed=0,family={}"
 
@@ -88,22 +90,27 @@ def test_spec_file_parses_each_distinct_text_once(parses, tmp_path):
     assert len(parses) == 2 * len(spec_strings(SPEC))
 
 
-@pytest.mark.parametrize("where", ["metric", "K", "phi"])
-def test_malformed_entry_raises_its_own_parse_error(capsys, tmp_path, where):
+@pytest.mark.parametrize("where, entry", [
+    ("metric", "metric_lower[2][1]"), ("K", "K['x,x,x']"), ("phi", "phi[2][2]")],
+    ids=["metric", "K", "phi"])
+def test_malformed_entry_raises_its_own_parse_error(capsys, tmp_path, where, entry):
+    """The first malformed entry, in parse order (the metric, K, phi) and
+    row-major within a table, is named: a K entry by its key as the spec
+    writes it, the first in index order, not in the order of the keys."""
     bad = "1 + *x"
     spec = json.loads(json.dumps(SPEC))
     if where == "metric":
         spec["metric_lower"][2] = ["0", bad, bad]
     elif where == "K":
-        spec["K"]["x,x,x"] = spec["K"]["y,y,y"] = bad
+        spec["K"]["y,y,y"] = spec["K"]["x,x,x"] = bad
     spec["phi"][2][2] = bad             # parsed after the metric and K
     with pytest.raises(ExprSyntaxError) as own:
         parse_expression(bad, spec["coordinates"])
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    with pytest.raises(ExprSyntaxError) as built:
+    with pytest.raises(SpecFormatError) as built:
         resolve_input(str(path))
-    assert str(built.value) == str(own.value)
-    assert built.value.position == own.value.position
+    assert str(built.value) == f"{entry}: {own.value}"
+    assert built.value.__cause__.position == own.value.position
     assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {own.value}\n"
+    assert capsys.readouterr().err == f"error: {entry}: {own.value}\n"

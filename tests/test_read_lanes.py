@@ -14,6 +14,7 @@ import pytest
 from acsgeo import curvature as curv
 from acsgeo import get_entry
 from acsgeo.manifold import ChartManifold, lane_rows
+from acsgeo.metric import at_points
 from acsgeo.specfile import manifold_from_dict, manifold_to_dict
 
 from test_invariance import WARPED, WARPED_CONNECTION
@@ -135,6 +136,30 @@ def test_row_reads_match_lane_rows_of_the_whole_part():
         index = index or m._kept_index
         assert m._kept_index is index
     assert all(m.kept(pass_fn, pts) is part for pass_fn, part in parts.items())
+
+
+def test_at_points_reads_any_lane_array_at_the_points():
+    """A lane array of one row, one row per lane, one row per point or a
+    stride-0 broadcast of one row per lane comes back with one row per
+    point, the rows plain indexing reads; one row is a read-only view of
+    itself, a row per point the array itself, and a stride-0 broadcast
+    stays one."""
+    rng = np.random.default_rng(12)
+    lane = np.array([0, 2, 1, 2, 0, 0])
+    points = len(lane)
+    one, per_lane = rng.standard_normal((1, 3, 3)), rng.standard_normal((3, 3, 3))
+    per_point = rng.standard_normal((points, 3, 3))
+    zero = np.broadcast_to(-0.0, (3, 3, 3))
+    for a, rows in ((one, np.zeros(points, dtype=int)), (per_lane, lane),
+                    (per_point, np.arange(points)), (zero, lane)):
+        got = at_points(a, lane, points)
+        want = np.asarray(a)[rows]
+        assert got.shape == want.shape == (points, 3, 3)
+        assert got.tobytes() == want.tobytes()
+    got = at_points(one, lane, points)
+    assert np.shares_memory(got, one) and not got.flags.writeable
+    assert at_points(per_point, lane, points) is per_point
+    assert at_points(zero, lane, points).strides[0] == 0
 
 
 def test_signed_zeros_take_two_lanes():

@@ -60,7 +60,9 @@ RUN_VERB_ARGVS = [
     for tail in (["-h"], [], ["zoo:example_flat_acs", "--format", "xml"],
                  ["zoo:example_flat_acs", "--bogus"], ["zoo:example_flat_acs", "extra"],
                  ["zoo:example_flat_acs", "--tol"], ["zoo:example_flat_acs", "--grid", "x"],
-                 ["zoo:example_flat_acs:n=1", "--grid", "1", "--format", "json"])]
+                 ["zoo:example_flat_acs:n=1", "--grid", "1", "--format", "json"],
+                 ["zoo:example_flat_acs:n=1", "--grid", "1", "--section", "1,0,0"],
+                 ["zoo:example_flat_acs:n=1", "--grid", "1", "--checks", "structure"])]
 OTHER_ARGVS = [
     ["export-zoo", "-h"], ["export-zoo"], ["export-zoo", "example_flat_acs", "--bogus"],
     ["export-zoo", "example_flat_acs", "extra"], ["export-zoo", "example_flat_acs", "-o"],
@@ -87,6 +89,22 @@ def test_unrecognized_argument_prints_full_usage(capsys):
     assert code == 2
     assert err.splitlines()[0] == \
         "usage: acsgeo [-h] {validate,curvature,audit,export-zoo,list-zoo} ..."
+
+
+@pytest.mark.parametrize("verb, option, value", [
+    ("validate", "--section", "1,0,0"), ("audit", "--section", "1,0,0"),
+    ("curvature", "--checks", "thm_5_8")])
+def test_an_option_the_verb_does_not_read_prints_full_usage(capsys, verb, option, value):
+    """Each verb's parser holds only the options the verb reads: another
+    verb's option is an unrecognized argument, and ``-h`` does not list it."""
+    code, out, err = outcome(capsys, [verb, "zoo:example_flat_acs", option, value])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == \
+        "usage: acsgeo [-h] {validate,curvature,audit,export-zoo,list-zoo} ..."
+    assert err.splitlines()[-1] == f"acsgeo: error: unrecognized arguments: {option} {value}"
+    code, out, _ = outcome(capsys, [verb, "-h"])
+    assert code == 0 and option not in out
+    assert ("--section" if option == "--checks" else "--checks") in out
 
 
 # ---------------------------------------------------------------------------
