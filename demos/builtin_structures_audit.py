@@ -11,7 +11,7 @@ Run with:  python3 demos/builtin_structures_audit.py
 
 import numpy as np
 
-from acsgeo import (example_flat_acs, example_r3_negative, is_cosymplectic,
+from acsgeo import (AuditReport, example_flat_acs, example_r3_negative, is_cosymplectic,
                     lambda_of, psi_check, theorem_5_8_audit, validate_acs,
                     validate_statistical, validate_structure)
 from acsgeo.curvature import (audit_branch, geodesic_norms, is_phi_compatible,
@@ -24,12 +24,13 @@ def tour(entry):
     print(entry.name, f"(dim {m.dim})")
     p = np.zeros(m.dim)
 
-    rep = validate_structure(m, p)
-    rep.extend(validate_statistical(m, p))
-    rep.extend(validate_acs(m, p))
+    # the batched checks on a stack of the one point p
+    fs = m.frame_stack([p])
+    rep = AuditReport.from_columns([p], validate_structure(m, fs, 1e-9)
+                                   + validate_statistical(fs, 1e-9) + validate_acs(fs, 1e-9))
     print("validators:", "all pass" if rep.all_passed else "FAIL")
 
-    print("lambda           =", lambda_of(m, p))
+    print("lambda           =", float(lambda_of(fs, 1e-9)[0]))
     cos, res = is_cosymplectic(m, [p])
     print("cosymplectic     =", cos, f"(residual {res:.2e})")
 
@@ -51,7 +52,7 @@ def tour(entry):
         print("Psi form         = vanishes" if psi.all_passed
               else f"Psi checks fail: {psi.to_table()}")
 
-    n0, n1 = (float(n[0]) for n in geodesic_norms(m.frame_stack([p])))
+    n0, n1 = (float(n[0]) for n in geodesic_norms(fs))
     print(f"geodesic pair    = (|nabla0_xi xi| {n0:.3f}, |nabla_xi xi| {n1:.3f})")
     print("expected table   =", entry.expected)
 

@@ -26,14 +26,14 @@ import time
 import numpy as np
 
 from . import curvature as curv
-from .contact import FrameError, is_cosymplectic, nabla0_phi_pass, structure_columns
+from .contact import FrameError, is_cosymplectic, nabla0_phi, validate_structure
 from .expressions import ExpressionError, parse_expression
 from .manifold import GRID_CAP, ChartManifold
 from .metric import FieldArray, GeometryError, field_jet, point_lanes
 from .report import AuditReport, Column, within
 from .specfile import SpecFormatError, dump_spec, load_spec, manifold_to_dict
-from .statistical import (StatisticalError, acs_columns, conjugate_connections,
-                          statistical_columns)
+from .statistical import (StatisticalError, conjugate_connections, validate_acs,
+                          validate_statistical)
 from .zoo import UnsupportedDimensionError, get_entry, list_zoo
 
 log = logging.getLogger(__name__)
@@ -143,11 +143,10 @@ def sample_points(m: ChartManifold, grid) -> np.ndarray:
 # verbs
 
 
-def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
+def axiom_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
     """The structure/statistical/ACS axiom checks of the groups ``checks``
-    (None: every group) at every point, over one stack of the frames; they
-    raise only the frames' errors."""
-    checks = CHECK_GROUPS if checks is None else checks
+    at every point, over one stack of the frames; they raise only the
+    frames' errors."""
     if not any(name in checks for name in CHECK_GROUPS[:3]):
         return AuditReport()
 
@@ -155,21 +154,20 @@ def axiom_checks(m: ChartManifold, pts, tol: float, checks=None) -> AuditReport:
         fs = m.frame_stack(points)
         columns = []
         if "structure" in checks:
-            columns += structure_columns(m, fs, tol)
+            columns += validate_structure(m, fs, tol)
         if "statistical" in checks:
-            columns += statistical_columns(fs, tol)
+            columns += validate_statistical(fs, tol)
         if "acs" in checks:
-            columns += acs_columns(fs, tol)
+            columns += validate_acs(fs, tol)
         return AuditReport.from_columns(fs.point, columns, fs.lane)
     return curv.replay(run, pts, None)
 
 
 def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
     """The lemma_5_6, geodesic, prop_5_2 and duality checks of the groups
-    ``checks`` (None: every group) at every point, in one run through
-    ``curvature.replay``: the statistical curvature and the conjugate
-    duality raise where a per-point loop would."""
-    checks = CHECK_GROUPS if checks is None else checks
+    ``checks`` at every point, in one run through ``curvature.replay``: the
+    statistical curvature and the conjugate duality raise where a per-point
+    loop would."""
     wanted = [name for name in ("lemma_5_6", "geodesic", "prop_5_2", "duality")
               if name in checks]
     loose = max(tol, 1e-6)
@@ -180,7 +178,7 @@ def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
         columns = []
         if "lemma_5_6" in wanted:
             columns.append(within("lemma_5_6", curv.lemma_5_6_residuals(
-                fs, m.kept(nabla0_phi_pass, points)), tol))
+                fs, m.kept(nabla0_phi, points)), tol))
         if "geodesic" in wanted:
             n0, n1 = curv.geodesic_norms(fs)
             columns += [Column("geodesic/nabla0_xi_xi", zero, yes, n0),
@@ -237,8 +235,7 @@ def cmd_curvature(m: ChartManifold, args) -> int:
 
 def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
     """The records and flags of ``audit`` at the points ``pts``: the check
-    groups ``checks`` (None: every group) in ``CHECK_GROUPS`` order."""
-    checks = CHECK_GROUPS if checks is None else checks
+    groups ``checks`` in ``CHECK_GROUPS`` order."""
     rep = axiom_checks(m, pts, tol, checks)
     if "cosymplectic" in checks:
         flag, res = curv.replay(lambda points, _: is_cosymplectic(m, points, tol=tol),

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifold import ChartManifold, FrameStack, PointFrame
+from .manifold import ChartManifold, FrameStack
 from .metric import contract, covariant_derivative_11, inner, norms, outer
-from .report import AuditReport, Column, max_abs, within
+from .report import Column, max_abs, within
 
 
 class FrameError(Exception):
@@ -23,9 +23,10 @@ class ExhaustedCandidatesError(FrameError):
 
 
 @np.errstate(all="ignore")
-def structure_columns(m: ChartManifold, fs: FrameStack, tol: float):
+def validate_structure(m: ChartManifold, fs: FrameStack, tol: float):
     """The almost contact metric axioms and their derived identities at the
-    points of ``fs``, one column each; a residual that is not finite fails."""
+    lanes of ``fs``, one column each; a residual that is not finite fails.
+    Failures are report entries, never exceptions."""
     gphi = fs.g @ fs.phi
     sv = np.linalg.svd(fs.phi, compute_uv=False)
     return [
@@ -48,24 +49,18 @@ def structure_columns(m: ChartManifold, fs: FrameStack, tol: float):
     ]
 
 
-def validate_structure(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:
-    """Residuals of the almost contact metric axioms and their derived
-    identities at one point.  Failures are report entries, never exceptions.
-    """
-    fs = m.frame_stack([point])
-    return AuditReport.from_columns(fs.point, structure_columns(m, fs, tol))
-
-
-def phi_bases(g, phi, xi):
-    """phi_basis at P points at once, from stacked g, phi (P, dim, dim) and
-    xi (P, dim): the bases as a (P, dim, 2n+1) array, and per point None or
-    the FrameError that phi_basis raises there.
+def phi_basis(g, phi, xi):
+    """The orthonormal frames (e_1..e_n, phi e_1..phi e_n, xi) at P points,
+    built by Gram-Schmidt adapted to phi, from stacked g, phi (P, dim, dim)
+    and xi (P, dim): the bases as a (P, dim, 2n+1) array of columns, and
+    per point None or the FrameError met there.
 
     The seed of a point is its first coordinate vector with a component in
-    ker(eta).  The Gram-Schmidt runs on all points in lockstep with the
-    float operations of one point; a point that skips a candidate, or has
-    all its pairs, keeps its vectors through ``np.where``, so every basis is
-    bit-identical to phi_basis at its point.
+    ker(eta); the coordinate vectors follow.  The Gram-Schmidt runs on all
+    points in lockstep with the float operations of one point; a point that
+    skips a candidate, or has all its pairs, keeps its vectors through
+    ``np.where``, so every basis is bit-identical to a stack of that point
+    alone.
     """
     P, dim = xi.shape
     n = (dim - 1) // 2
@@ -108,31 +103,13 @@ def phi_bases(g, phi, xi):
     return basis, errors
 
 
-def phi_basis(m: ChartManifold, point, frame: PointFrame = None) -> np.ndarray:
-    """Orthonormal frame (e_1..e_n, phi e_1..phi e_n, xi) at a point, built by
-    Gram-Schmidt adapted to phi from the first coordinate vector with a
-    component in ker(eta) and then the coordinate vectors.  Returns a
-    (dim, 2n+1) array of columns; a one-point ``phi_bases``.
-    """
-    fr = frame if frame is not None else m.frame_at(point)
-    basis, errors = phi_bases(fr.g[None], fr.phi[None], fr.xi[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return basis[0]
-
-
 @np.errstate(all="ignore")
-def nabla0_phi_pass(m: ChartManifold, pts) -> np.ndarray:
+def nabla0_phi(m: ChartManifold, pts) -> np.ndarray:
     """nabla^0 phi with the Levi-Civita connection at the lanes of the frame
     pass of ``pts``, (L, dim, dim, dim) indexed [lane, i, j, k]: the part of
     the chart's store (``ChartManifold.kept``) that its checks read."""
     fs = m.frame_stack(pts)
     return covariant_derivative_11(fs.gamma0, fs.phi, fs.dphi)
-
-
-def nabla0_phi(m: ChartManifold, point) -> np.ndarray:
-    """(nabla^0 phi)^j_{i,k} with the Levi-Civita connection, shape [i,j,k]."""
-    return m.kept(nabla0_phi_pass, [point])[0]
 
 
 def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9):
@@ -142,5 +119,5 @@ def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9):
     the pass's error; a caller that must name the first failing point runs
     it under ``curvature.replay``.  Returns (flag, max_residual)."""
     pts = points if points is not None else m.grid_points()
-    worst = float(np.fmax.reduce(max_abs(m.kept(nabla0_phi_pass, pts)), initial=0.0))
+    worst = float(np.fmax.reduce(max_abs(m.kept(nabla0_phi, pts)), initial=0.0))
     return worst <= tol, worst

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .contact import nabla0_phi_pass, phi_bases, phi_basis
+from .contact import nabla0_phi, phi_basis
 from .expressions import NonFiniteError
 from .manifold import ChartManifold, FrameStack, PointFrame, lane_pass, lane_rows
 from .metric import (DegeneratePlaneError, apply_curvature, at_points,
@@ -30,7 +30,7 @@ from .metric import (DegeneratePlaneError, apply_curvature, at_points,
                      covariant_derivative_vector, first_slot, inner, nabla_g, norms, outer,
                      per_16_lanes, plane_q, point_lanes, pow2, riemann)
 from .report import AuditReport, Column, max_abs, raise_first, within
-from .statistical import lambdas
+from .statistical import lambda_of
 
 log = logging.getLogger(__name__)
 
@@ -392,8 +392,10 @@ def sweep_sections(m: ChartManifold, fr: PointFrame, rng=None, extra: int = 2):
     """Horizontal section vectors for a phi-basis sweep at a point: the
     phi-basis legs e_1..e_n, their pairwise mixtures, and a few random
     horizontal combinations."""
-    basis = phi_basis(m, fr.point, frame=fr)
-    blocks, keep = _sweep_blocks(fr.g[None], basis[None], 1, rng, extra)
+    basis, errors = phi_basis(fr.g[None], fr.phi[None], fr.xi[None])
+    if errors[0] is not None:
+        raise errors[0]
+    blocks, keep = _sweep_blocks(fr.g[None], basis, 1, rng, extra)
     vectors = [v for block in blocks for v in block[0]]
     return [v for v, kept in zip(vectors, keep[0]) if kept]
 
@@ -402,9 +404,9 @@ def phi_sweep(frames: FrameStack, rng=None):
     """The ``section_sweep`` of the sweep sections of every point of
     ``frames`` and the (P, S) mask of the sections each point keeps; the
     plain sections are one row per lane, and the random ones are drawn for
-    every point.  Raises the first point's ``phi_bases`` error: the error
+    every point.  Raises the first point's ``phi_basis`` error: the error
     of the first lane, as lanes are numbered in point order."""
-    basis, errors = phi_bases(frames.g, frames.phi, frames.xi)
+    basis, errors = phi_basis(frames.g, frames.phi, frames.xi)
     for error in filter(None, errors):
         raise error
     blocks, keep = _sweep_blocks(frames.g, basis, len(frames.point), rng, lane=frames.lane)
@@ -497,11 +499,11 @@ def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
     of the sweep sections of each point, or of the one vector per point
     that ``section(frames)`` gives, (P, dim), from one ``section_sweep``,
     and the mask of the sections each point keeps.  Steps: frames,
-    ``lambdas``, ``section``, then ``_section_triples``; a failure raises
+    ``lambda_of``, ``section``, then ``_section_triples``; a failure raises
     through ``replay``."""
     def run(points, rng):
         stack = m.frame_stack(points)
-        lams = at_points(lambdas(stack, lambda_tol), stack.lane, len(points))
+        lams = at_points(lambda_of(stack, lambda_tol), stack.lane, len(points))
         if section is None:
             sweep, keep = phi_sweep(stack, rng)
         else:
@@ -534,7 +536,7 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
 def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
     fs = m.frame_stack(pts)
     points, lane = len(pts), fs.lane
-    lams = lambdas(fs, max(tol, 1e-6))
+    lams = lambda_of(fs, max(tol, 1e-6))
     sweep, keep = phi_sweep(fs, rng)
     try:
         curvatures = statistical_curvatures(m, pts)
@@ -604,13 +606,13 @@ def audit_branch(report: AuditReport) -> str:
 
 
 @np.errstate(all="ignore")
-def lemma_5_6_residuals(fs: FrameStack, nabla0_phi) -> np.ndarray:
+def lemma_5_6_residuals(fs: FrameStack, d0_phi) -> np.ndarray:
     """Max residual of (nabla^0_X phi)Y = (nabla_X phi)Y + 2 phi K(X,Y) over
-    all frame pairs at each lane of ``fs``, (L,), from ``nabla0_phi``,
-    nabla^0 phi at those lanes (``contact.nabla0_phi_pass``)."""
+    all frame pairs at each lane of ``fs``, (L,), from ``d0_phi``, nabla^0
+    phi at those lanes (``contact.nabla0_phi``)."""
     d1 = covariant_derivative_11(fs.gamma0 + fs.K, fs.phi, fs.dphi)
     phi_k = np.swapaxes(first_slot(fs.phi, fs.K), -3, -2)        # phi K(e_a, e_k) as [a, i, k]
-    return max_abs(nabla0_phi - d1 - 2.0 * phi_k)
+    return max_abs(d0_phi - d1 - 2.0 * phi_k)
 
 
 @np.errstate(all="ignore")
@@ -677,7 +679,7 @@ def phi_compat_audit(m: ChartManifold, points=None, tol: float = 1e-9, rng=None)
 def _phi_compat(m: ChartManifold, pts, tol, rng):
     fs = m.frame_stack(pts)
     points, lane = len(pts), fs.lane
-    d0_phi = m.kept(nabla0_phi_pass, pts)
+    d0_phi = m.kept(nabla0_phi, pts)
     res = _compat_residuals(fs, d0_phi)
     oks = res <= tol
     compatible = oks.all(axis=0)

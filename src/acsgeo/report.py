@@ -141,7 +141,10 @@ class AuditReport:
         count = len(pts)
 
         def full(a):
-            return None if a is None else at_points(np.ravel(a), lane, count).tolist()
+            if a is None:
+                return None
+            a = np.ravel(a)
+            return a.tolist() * count if len(a) == 1 else at_points(a, lane, count).tolist()
         lists = [(c.check, full(c.residual), full(c.passed), full(c.value), full(c.at))
                  for c in columns]
         raw, width = pts.tobytes(), pts[0].nbytes if count else 0

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifold import ChartManifold, FrameStack
+from .manifold import FrameStack
 from .metric import (MetricField, contract, field_array, field_jet, first_slot, inner, nabla_g,
                      outer, per_16_lanes)
-from .report import AuditReport, max_abs, raise_first, within
+from .report import max_abs, raise_first, within
 
 
 class StatisticalError(Exception):
@@ -42,7 +42,7 @@ class ConnectionDifferenceTensor:
     """K obtained as a user connection table minus the Levi-Civita symbols of
     the metric, whose jet the caller passes in.  The table is not checked for
     torsion here: a lower-index asymmetry shows in K and fails the
-    ``K_lower_symmetry`` check of ``statistical_columns``."""
+    ``K_lower_symmetry`` check of ``validate_statistical``."""
 
     def __init__(self, gamma_fields, metric: MetricField):
         self.gamma_fields = field_array(gamma_fields)
@@ -88,7 +88,7 @@ def total_symmetry_residual(t: np.ndarray):
 
 
 @np.errstate(all="ignore")
-def statistical_columns(fs: FrameStack, tol: float):
+def validate_statistical(fs: FrameStack, tol: float):
     """The statistical-structure conditions at the lanes of ``fs``, one
     column each: lower-index symmetry of K, total symmetry of the cubic
     form C, total symmetry of nabla g (for both nabla and the conjugate),
@@ -109,15 +109,8 @@ def statistical_columns(fs: FrameStack, tol: float):
             within("conjugate_nabla_g_symmetry", res[4], tol)]
 
 
-def validate_statistical(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:
-    """Residuals of the statistical-structure conditions at one point (see
-    ``statistical_columns``)."""
-    fs = m.frame_stack([point])
-    return AuditReport.from_columns(fs.point, statistical_columns(fs, tol))
-
-
 @np.errstate(all="ignore")
-def acs_columns(fs: FrameStack, tol: float):
+def validate_acs(fs: FrameStack, tol: float):
     """The almost-contact statistical condition K(X, phi Y) + phi K(X, Y) = 0
     and its equivalent form K(X, phi Y) = K(phi X, Y), over all basis
     pairs, at the lanes of ``fs``, 16 lanes at a time."""
@@ -131,15 +124,8 @@ def acs_columns(fs: FrameStack, tol: float):
             within("acs_swap_condition", swap, tol)]
 
 
-def validate_acs(m: ChartManifold, point, tol: float = 1e-9) -> AuditReport:
-    """The almost-contact statistical conditions at one point (see
-    ``acs_columns``)."""
-    fs = m.frame_stack([point])
-    return AuditReport.from_columns(fs.point, acs_columns(fs, tol))
-
-
 @np.errstate(all="ignore")
-def lambdas(fs: FrameStack, tol: float) -> np.ndarray:
+def lambda_of(fs: FrameStack, tol: float) -> np.ndarray:
     """lambda = g(K(xi, xi), xi) at the lanes of ``fs``, (U,); verifies
     K(xi,xi) = lambda xi and K(X, xi) = lambda eta(X) xi on the coordinate
     frame and raises AcsViolatedError at the first point where they fail."""
@@ -152,12 +138,6 @@ def lambdas(fs: FrameStack, tol: float) -> np.ndarray:
     raise_first(AcsViolatedError, fs.point, res, tol,
                 "K(X, xi) = lambda eta(X) xi fails with residual", fs.lane)
     return lam
-
-
-def lambda_of(m: ChartManifold, point, tol: float = 1e-9) -> float:
-    """lambda = g(K(xi, xi), xi) at one point; also verifies K(xi,xi) =
-    lambda xi and K(X, xi) = lambda eta(X) xi on the coordinate frame."""
-    return float(lambdas(m.frame_stack([point]), tol)[0])
 
 
 @np.errstate(all="ignore")

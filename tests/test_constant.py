@@ -44,11 +44,12 @@ def test_shared_lane_records_match_one_point_runs(name, params):
     m = get_entry(name, **params).manifold
     assert m.is_constant
     pts = m.grid_points(2)
-    grid = _lines_by_point(cli.audit_report(m, pts, 1e-9, None, np.random.default_rng(0)))
+    grid = _lines_by_point(cli.audit_report(m, pts, 1e-9, cli.CHECK_GROUPS,
+                                            np.random.default_rng(0)))
     assert len(grid) == len(pts)
     alone = get_entry(name, **params).manifold
     for p in pts:
-        rep = cli.audit_report(alone, [p], 1e-9, None, np.random.default_rng(0))
+        rep = cli.audit_report(alone, [p], 1e-9, cli.CHECK_GROUPS, np.random.default_rng(0))
         assert grid[tuple(p.tolist())] == _lines_by_point(rep)[tuple(p.tolist())]
 
 
@@ -87,7 +88,8 @@ def _count_lanes(monkeypatch):
 
 def _audit(m, grid):
     """The distinct points of an audit of ``m`` on ``grid`` points per axis."""
-    rep = cli.audit_report(m, m.grid_points(grid), 1e-9, None, np.random.default_rng(0))
+    rep = cli.audit_report(m, m.grid_points(grid), 1e-9, cli.CHECK_GROUPS,
+                           np.random.default_rng(0))
     return {tuple(np.frombuffer(k)) for k in rep.points} - {()}
 
 

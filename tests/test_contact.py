@@ -4,7 +4,7 @@ cosymplectic test."""
 import numpy as np
 import pytest
 
-from acsgeo import MetricField, is_cosymplectic, phi_basis, validate_structure
+from acsgeo import AuditReport, MetricField, is_cosymplectic, phi_basis, validate_structure
 from acsgeo.manifold import ChartManifold
 from acsgeo.statistical import zero_difference_tensor
 
@@ -20,7 +20,7 @@ def gram_residual(g, basis):
 def test_structure_axioms_hold(entry_fixture, request):
     m = request.getfixturevalue(entry_fixture)
     for p in sample_points(m):
-        rep = validate_structure(m, p)
+        rep = AuditReport.from_columns([p], validate_structure(m, m.frame_stack([p]), 1e-9))
         assert rep.all_passed, rep.to_table()
 
 
@@ -46,7 +46,9 @@ def test_phi_basis_orthonormal(entry_fixture, request):
     n = m.n
     for p in sample_points(m, 3):
         fr = m.frame_at(p)
-        basis = phi_basis(m, p)
+        fs = m.frame_stack([p])
+        (basis,), errors = phi_basis(fs.g, fs.phi, fs.xi)
+        assert errors == [None]
         assert basis.shape == (m.dim, m.dim)
         assert gram_residual(fr.g, basis) < 1e-9
         # columns n..2n-1 are phi of columns 0..n-1; last column is xi
@@ -66,9 +68,8 @@ def test_broken_structure_is_reported_not_raised():
     phi = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]
     m = ChartManifold(coords, g, phi, ["0", "0", "2"],
                       zero_difference_tensor(coords))
-    rep = validate_structure(m, np.zeros(3))
-    assert not rep.all_passed
-    failed = {r.check for r in rep.records if not r.passed}
+    columns = validate_structure(m, m.frame_stack([np.zeros(3)]), 1e-9)
+    failed = {c.check for c in columns if not c.passed[0]}
     assert "eta_of_xi" in failed
 
 
@@ -81,7 +82,7 @@ def test_z_warped_metric_is_not_cosymplectic():
     phi = [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]
     m = ChartManifold(coords, g, phi, ["0", "0", "1"],
                       zero_difference_tensor(coords))
-    assert validate_structure(m, [0.3, 0.2, 0.4]).all_passed
+    assert all(c.passed[0] for c in validate_structure(m, m.frame_stack([[0.3, 0.2, 0.4]]), 1e-9))
     flag, res = is_cosymplectic(m, sample_points(m, 4))
     assert not flag and res > 1e-6
 

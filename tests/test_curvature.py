@@ -10,7 +10,7 @@ from acsgeo import contact, curvature, get_entry
 from acsgeo import (NotHorizontalError, PreconditionNotMetError, kk_bracket,
                     kk_tensor, phi_compat_check, phi_sectional_k_curvature, psi_check,
                     statistical_curvature, theorem_5_8_audit)
-from acsgeo.contact import is_cosymplectic, nabla0_phi_pass
+from acsgeo.contact import is_cosymplectic, nabla0_phi
 from acsgeo.curvature import (audit_branch, curvature_like_symmetry_residuals,
                               geodesic_norms, is_phi_compatible, lemma_5_6_residuals,
                               phi_sectional_triples, sweep_sections)
@@ -180,7 +180,7 @@ def test_audit_zero_k_all_true(warped):
 def test_lemma_5_6(entry_fixture, request):
     m = request.getfixturevalue(entry_fixture)
     for p in sample_points(m, 3):
-        assert lemma_5_6_residuals(m.frame_stack([p]), m.kept(nabla0_phi_pass, [p]))[0] < 1e-9
+        assert lemma_5_6_residuals(m.frame_stack([p]), m.kept(nabla0_phi, [p]))[0] < 1e-9
 
 
 def test_geodesic_pairs(flat3, flat5, r3, warped):

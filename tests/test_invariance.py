@@ -113,8 +113,8 @@ def _close(x, y, tol):
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
-def _decisions(rep):
-    return [(c, ok) for c, ok in zip(rep.checks, rep.passed)]
+def _decisions(columns):
+    return [(c.check, bool(c.passed[0])) for c in columns]
 
 
 def check_invariance(spec, seed, points=2):
@@ -129,9 +129,12 @@ def check_invariance(spec, seed, points=2):
     xs = [a @ u + b for u in us]
 
     for x, u in zip(xs, us):
-        assert _close(lambda_of(m, x), lambda_of(pulled, u), 1e-9)
-        for check in (validate_structure, validate_statistical, validate_acs):
-            assert _decisions(check(m, x)) == _decisions(check(pulled, u)), check.__name__
+        fs, fs_u = m.frame_stack([x]), pulled.frame_stack([u])
+        assert _close(lambda_of(fs, 1e-9)[0], lambda_of(fs_u, 1e-9)[0], 1e-9)
+        assert _decisions(validate_structure(m, fs, 1e-9)) == _decisions(
+            validate_structure(pulled, fs_u, 1e-9))
+        for check in (validate_statistical, validate_acs):
+            assert _decisions(check(fs, 1e-9)) == _decisions(check(fs_u, 1e-9)), check.__name__
         s, r0 = curv.statistical_curvature(m, x)[:2]
         s_u, r0_u = curv.statistical_curvature(pulled, u)[:2]
         g, g_u = m.frame_at(x).g, pulled.frame_at(u).g

@@ -31,8 +31,8 @@ from acsgeo.metric import (apply_curvature, at_points, contract, covariant_deriv
                            sectional_values)
 from acsgeo.report import max_abs
 from acsgeo.specfile import manifold_from_dict
-from acsgeo.statistical import (acs_columns, conjugate_connections, statistical_columns,
-                                total_symmetry_residual)
+from acsgeo.statistical import (conjugate_connections, total_symmetry_residual, validate_acs,
+                                validate_statistical)
 
 from test_invariance import WARPED
 
@@ -457,7 +457,7 @@ def lane_stack(fs, i):
 
 def body_residuals(fs, d0_phi):
     """The residuals of every audit body that takes these products, (C, L)."""
-    columns = statistical_columns(fs, 1e-9) + acs_columns(fs, 1e-9)
+    columns = validate_statistical(fs, 1e-9) + validate_acs(fs, 1e-9)
     return np.concatenate([
         np.stack([np.broadcast_to(c.residual, (len(fs.K),)) for c in columns]),
         conjugate_connections(fs, np.inf)[1][None],
@@ -466,7 +466,7 @@ def body_residuals(fs, d0_phi):
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_audit_bodies_match_einsums_on_synthetic_frames(dim):
-    """statistical_columns, acs_columns, conjugate_connections,
+    """validate_statistical, validate_acs, conjugate_connections,
     _compat_residuals, lemma_5_6_residuals and _psi against their einsum forms, and each lane alone against the stack."""
     rng = np.random.default_rng(70 + dim)
     for fs in frame_stacks(rng, 20, dim).values():

@@ -15,8 +15,7 @@ from acsgeo import (AuditReport, ConnectionDifferenceTensor, cli, contact, gener
                     get_entry, is_cosymplectic, lambda_of, phi_basis, statistical_curvature,
                     validate_acs, validate_statistical, validate_structure)
 from acsgeo import curvature as curv
-from acsgeo.contact import (DegenerateSeedError, ExhaustedCandidatesError, FrameError,
-                            nabla0_phi, nabla0_phi_pass, phi_bases)
+from acsgeo.contact import DegenerateSeedError, ExhaustedCandidatesError, FrameError, nabla0_phi
 from acsgeo.expressions import ExpressionError, Jet, NonFiniteError, ScalarField, parse_expression
 from acsgeo.manifold import ChartManifold, FrameStack
 from acsgeo.metric import (DegeneratePlaneError, GeometryError, MetricField,
@@ -270,7 +269,7 @@ def test_store_keeps_the_parts_of_one_point_set():
 
     def parts(points):
         return [m.frame_stack(points), curv.statistical_curvatures(m, points),
-                m.kept(nabla0_phi_pass, points)]
+                m.kept(nabla0_phi, points)]
     kept = parts(head)
     assert all(a is b for a, b in zip(parts(head), kept))
     frames = m.frame_stack(pts)
@@ -278,9 +277,9 @@ def test_store_keeps_the_parts_of_one_point_set():
     # the curvature of x = 1 is not finite
     with pytest.raises(NonFiniteError, match=" on the grid$"):
         curv.statistical_curvatures(m, pts)
-    d0_phi = m.kept(nabla0_phi_pass, pts)
-    assert list(m._kept_parts) == [ChartManifold._frames, nabla0_phi_pass]
-    assert m.frame_stack(pts) is frames and m.kept(nabla0_phi_pass, pts) is d0_phi
+    d0_phi = m.kept(nabla0_phi, pts)
+    assert list(m._kept_parts) == [ChartManifold._frames, nabla0_phi]
+    assert m.frame_stack(pts) is frames and m.kept(nabla0_phi, pts) is d0_phi
     assert not any(a is b for a, b in zip(parts(head), kept))
 
 
@@ -489,14 +488,13 @@ def test_every_kept_array_is_read_only():
     m = get_entry("random", dim=5, seed=1, family="trivial-lambda").manifold
     pts = m.grid_points(2)
     want = is_cosymplectic(m, pts)
-    cli.audit_report(m, pts, 1e-9, None, np.random.default_rng(0))
-    assert set(m._kept_parts) == {ChartManifold._frames, curv._curvature_parts,
-                                  nabla0_phi_pass}
+    cli.audit_report(m, pts, 1e-9, cli.CHECK_GROUPS, np.random.default_rng(0))
+    assert set(m._kept_parts) == {ChartManifold._frames, curv._curvature_parts, nabla0_phi}
     for part in m._kept_parts.values():
         for a in [part] if isinstance(part, np.ndarray) else part:
             assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        m.kept(nabla0_phi_pass, pts)[0, 0, 0, 0] = 123.0
+        m.kept(nabla0_phi, pts)[0, 0, 0, 0] = 123.0
     assert is_cosymplectic(m, pts) == want and want[1] != 123.0
 
 
@@ -532,15 +530,18 @@ def _bits(result):
 
 
 def _one_point_functions(m, p):
-    """The bits of every one-point function at ``p``."""
-    x = phi_basis(m, p)[:, 0]
+    """The bits of every batched body on a stack of the one point ``p``, and
+    of the one-point functions at ``p``."""
+    fs = m.frame_stack([p])
+    basis = phi_basis(fs.g, fs.phi, fs.xi)[0]
+    d0_phi = m.kept(nabla0_phi, [p])
     return [_bits(r) for r in (
-        validate_structure(m, p), validate_statistical(m, p), validate_acs(m, p),
-        lambda_of(m, p), conjugate_connections(m.frame_stack([p]), 1e-9),
-        is_cosymplectic(m, [p]), nabla0_phi(m, p),
-        curv.lemma_5_6_residuals(m.frame_stack([p]), m.kept(nabla0_phi_pass, [p])),
-        curv.geodesic_norms(m.frame_stack([p])), statistical_curvature(m, p),
-        curv.phi_sectional_triples(m, [p], section=lambda fs: x[None]), m.frame_at(p))]
+        AuditReport.from_columns(fs.point, validate_structure(m, fs, 1e-9)
+                                 + validate_statistical(fs, 1e-9) + validate_acs(fs, 1e-9)),
+        basis, lambda_of(fs, 1e-9), conjugate_connections(fs, 1e-9),
+        is_cosymplectic(m, [p]), d0_phi, curv.lemma_5_6_residuals(fs, d0_phi),
+        curv.geodesic_norms(fs), statistical_curvature(m, p),
+        curv.phi_sectional_triples(m, [p], section=lambda fs: basis[:, :, 0]), m.frame_at(p))]
 
 
 @pytest.mark.parametrize("name,params", [("example_flat_acs", {"n": 1}),
@@ -574,7 +575,7 @@ def test_one_point_functions_read_the_kept_grid(name, params, monkeypatch):
 
     def audit():
         rng = np.random.default_rng(0)
-        return cli.audit_report(m, pts, 1e-9, None, rng).to_json_lines()
+        return cli.audit_report(m, pts, 1e-9, cli.CHECK_GROUPS, rng).to_json_lines()
     taken, first = passes(audit)
     assert taken == [1, 1, 1]
     taken, got = passes(lambda: ([_one_point_functions(m, p) for p in pts],
@@ -591,12 +592,16 @@ def test_points_match_by_the_bytes_of_their_coordinates():
     def chart():
         return get_entry("example_flat_acs", n=1).manifold
     minus = [-0.0, 0.0, 0.0]
-    want = validate_structure(chart(), minus)
-    assert '"point": [-0.0, 0.0, 0.0]' in want.to_json_lines()
+
+    def structure(m):
+        fs = m.frame_stack([minus])
+        return AuditReport.from_columns(fs.point, validate_structure(m, fs, 1e-9)).to_json_lines()
+    want = structure(chart())
+    assert '"point": [-0.0, 0.0, 0.0]' in want
     for kept in ([[0.0, 0.0, 0.0]], chart().grid_points()):
         m = chart()
         m.frame_stack(kept)
-        assert validate_structure(m, minus).to_json_lines() == want.to_json_lines()
+        assert structure(m) == want
         assert np.signbit(m.frame_at(minus).point[0])
 
 
@@ -719,7 +724,7 @@ def check_sweep_matches_loop(m, pts, seed):
     curvatures = curv.statistical_curvatures(m, pts)
     sweep, keep = curv.phi_sweep(stack, np.random.default_rng(seed))
     sweep = sweep.with_curvatures(stack.g, curvatures)
-    bases, errors = phi_bases(stack.g, stack.phi, stack.xi)
+    bases, errors = phi_basis(stack.g, stack.phi, stack.xi)
     horiz, keep_h = curv.horizontal_projections(stack)
     # the (X, phi X) of each point and section, read by plain indexing from
     # blocks of a row per point, a row per lane or one row for every point
@@ -804,7 +809,7 @@ def test_phi_bases_report_the_loop_errors():
     g = np.eye(3)[None] * np.array([1.0, 1e-18, 1e-30])[:, None, None]
     phi = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 3)
     xi = np.array([[0.0, 0.0, 1.0]] * 3)
-    _, errors = phi_bases(g, phi, xi)
+    _, errors = phi_basis(g, phi, xi)
     assert errors[0] is None
     assert type(errors[1]) is ExhaustedCandidatesError
     assert type(errors[2]) is DegenerateSeedError

@@ -4,6 +4,7 @@ writes, and keeps each record's values as they were at ``add`` time."""
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,26 @@ def test_columns_add_one_record_at_a_time(monkeypatch):
         Column("b", np.arange(3.0), np.ones(3, dtype=bool), np.ones(1),
                np.array([True, False, True]))])
     assert calls == ["a", "b", "a", "a", "b"] == rep.checks
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_one_row_columns_repeat_their_special_floats(count):
+    """A one-row column is every point's, -0.0, NaN and +-inf as they are;
+    beside it a column of one entry per lane reads each point's lane."""
+    pts = np.arange(2.0 * count).reshape(count, 2)
+    lane = np.array([0, 1, 0])[:count]
+    special = [-0.0, float("nan"), float("inf"), float("-inf")]
+    columns = [Column(f"c{i}", np.array([x]), np.array([i % 2 == 0]), np.array([-x]))
+               for i, x in enumerate(special)]
+    columns.append(Column("lanes", np.array([-0.0, float("nan")]), np.array([True, False]),
+                          np.array([float("inf"), -0.0])))
+    rep = AuditReport.from_columns(pts, columns, lane)
+    lines = []
+    for p, k in zip(pts, lane):
+        lines += [reference_line(f"c{i}", p, x, i % 2 == 0, -x) for i, x in enumerate(special)]
+        lines.append(reference_line("lanes", p, [-0.0, float("nan")][k], k == 0,
+                                    [float("inf"), -0.0][k]))
+    assert rep.to_json_lines() == "\n".join(lines)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,8 +4,8 @@ conjugate connection, and the pointwise K-identities on validated structures."""
 import numpy as np
 import pytest
 
-from acsgeo import (AcsViolatedError, MetricField, lambda_of, manifold_from_dict, validate_acs,
-                    validate_statistical)
+from acsgeo import (AcsViolatedError, AuditReport, MetricField, lambda_of, manifold_from_dict,
+                    validate_acs, validate_statistical)
 from acsgeo.curvature import frame_vectors
 from acsgeo.manifold import ChartManifold
 from acsgeo.statistical import (ExplicitDifferenceTensor, conjugate_connections,
@@ -23,7 +23,7 @@ def apply_k(fr, x, y):
 def test_statistical_validation(entry_fixture, request):
     m = request.getfixturevalue(entry_fixture)
     for p in sample_points(m):
-        rep = validate_statistical(m, p)
+        rep = AuditReport.from_columns([p], validate_statistical(m.frame_stack([p]), 1e-9))
         assert rep.all_passed, rep.to_table()
 
 
@@ -31,7 +31,7 @@ def test_statistical_validation(entry_fixture, request):
 def test_acs_validation(entry_fixture, request):
     m = request.getfixturevalue(entry_fixture)
     for p in sample_points(m):
-        rep = validate_acs(m, p)
+        rep = AuditReport.from_columns([p], validate_acs(m.frame_stack([p]), 1e-9))
         assert rep.all_passed, rep.to_table()
 
 
@@ -56,8 +56,9 @@ def test_torsion_fails_k_lower_symmetry():
         "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
         "xi": ["0", "0", "1"], "connection": {"x,x,y": "1"}})
     for p in m.grid_points():
-        rec, = [r for r in validate_statistical(m, p).records if r.check == "K_lower_symmetry"]
-        assert rec.residual == 1.0 and not rec.passed
+        col, = [c for c in validate_statistical(m.frame_stack([p]), 1e-9)
+                if c.check == "K_lower_symmetry"]
+        assert col.residual[0] == 1.0 and not col.passed[0]
 
 
 def test_cubic_form_symmetry(r3):
@@ -71,24 +72,20 @@ def test_cubic_form_symmetry(r3):
 
 
 def test_lambda_values(flat3, flat5, r3):
-    for p in sample_points(flat3, 3):
-        assert lambda_of(flat3, p) == pytest.approx(1.0, abs=1e-12)
-    for p in sample_points(flat5, 3):
-        assert lambda_of(flat5, p) == pytest.approx(1.0, abs=1e-12)
-    for p in sample_points(r3, 3):
-        assert lambda_of(r3, p) == pytest.approx(0.0, abs=1e-12)
+    for m, lam in ((flat3, 1.0), (flat5, 1.0), (r3, 0.0)):
+        for p in sample_points(m, 3):
+            assert lambda_of(m.frame_stack([p]), 1e-9)[0] == pytest.approx(lam, abs=1e-12)
 
 
 def test_lambda_rejects_inadmissible_k():
     m = inadmissible_k_manifold()
     with pytest.raises(AcsViolatedError):
-        lambda_of(m, np.zeros(3))
+        lambda_of(m.frame_stack([np.zeros(3)]), 1e-9)
 
 
 def test_inadmissible_k_fails_acs_validation():
     m = inadmissible_k_manifold()
-    rep = validate_acs(m, np.zeros(3))
-    assert not rep.all_passed
+    assert not all(c.passed.all() for c in validate_acs(m.frame_stack([np.zeros(3)]), 1e-9))
 
 
 @pytest.mark.parametrize("entry_fixture", ["flat3", "r3", "warped"])

@@ -126,7 +126,7 @@ def test_frame_cache_after_one_grid_pass():
     is_cosymplectic(m, pts)
     for p in pts[::-1]:
         m.frame_at(p)
-        nabla0_phi(m, p)
+        m.kept(nabla0_phi, [p])
         curv.statistical_curvature(m, p)
     assert m.frame_stack(pts) is stack
     assert list(m._frame_cache) == points_of(pts)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from acsgeo import (generate_random_acs, get_entry, lambda_of, list_zoo,
+from acsgeo import (AuditReport, generate_random_acs, get_entry, lambda_of, list_zoo,
                     phi_sectional_k_curvature, theorem_5_8_audit, validate_acs,
                     validate_statistical, validate_structure)
 from acsgeo.curvature import audit_branch, sweep_sections
@@ -18,10 +18,10 @@ from conftest import sample_points
 
 def all_validators_pass(m, points):
     for p in points:
-        for validator in (validate_structure, validate_statistical,
-                          validate_acs):
-            rep = validator(m, p)
-            assert rep.all_passed, f"{m.name}: {rep.to_table()}"
+        fs = m.frame_stack([p])
+        rep = AuditReport.from_columns([p], validate_structure(m, fs, 1e-9)
+                                       + validate_statistical(fs, 1e-9) + validate_acs(fs, 1e-9))
+        assert rep.all_passed, f"{m.name}: {rep.to_table()}"
 
 
 @pytest.mark.parametrize("name,params", [
@@ -79,8 +79,8 @@ def test_planar_block_branch():
     e = np.eye(3)[2 * entry.expected["block"]]
     val = phi_sectional_k_curvature(fr, e).value
     assert val == pytest.approx(-a * a, abs=1e-9, rel=1e-9)
-    assert lambda_of(m, np.zeros(3)) == pytest.approx(entry.expected["lambda"],
-                                                      abs=1e-9)
+    assert lambda_of(m.frame_stack([np.zeros(3)]), 1e-9)[0] == pytest.approx(
+        entry.expected["lambda"], abs=1e-9)
 
 
 def test_mixed_family_nonconstant_curvature():
