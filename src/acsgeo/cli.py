@@ -7,11 +7,11 @@ shortest round-trip repr, as ``json.dumps`` does; the table prints
 residuals with 17 significant digits.  Exit codes are 0 (success), 1
 (mathematical validation or audit failure), 2 (input error).
 
-The checks read the frames, the statistical curvature and nabla^0 phi of
-the sample points from the chart's store (``ChartManifold.kept``), each
-computed once per run; every check over several points runs under
-``curvature.replay``, so a failing pass or check raises what a per-point
-loop meets first.
+The checks read the frames, the statistical curvature, nabla^0 phi and the
+plain section sweep of the sample points from the chart's store
+(``ChartManifold.kept``), each computed once per run; every check over
+several points runs under ``curvature.replay``, so a failing pass or check
+raises what a per-point loop meets first.
 """
 
 from __future__ import annotations
@@ -247,16 +247,14 @@ def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
 
     if "phi_compat" in checks or "psi" in checks:
         # psi alone needs the verdict only: no records, no draws from rng
-        compat_rep, k_phi = curv.phi_compat_audit(
-            m, pts, tol=tol, rng=rng if "phi_compat" in checks else None)
+        compat_rep = curv.phi_compat_check(m, pts, tol, rng if "phi_compat" in checks else None)
         if "phi_compat" in checks:
             rep.extend(compat_rep)
 
     rep.extend(pointwise_checks(m, pts, tol, checks))
 
     if "psi" in checks and curv.is_phi_compatible(compat_rep):
-        # Psi reads the plain-section K_phi of the phi-compatibility sweep
-        rep.extend(curv.psi_check(m, pts, tol=tol, compat_report=compat_rep, k_phi=k_phi))
+        rep.extend(curv.psi_check(m, pts, tol=tol, compat_report=compat_rep))
     return rep
 
 

@@ -3,9 +3,9 @@ phi-sectional K-curvature, the statistical curvature tensor, and executable
 audits of the equivalence and compatibility theorems.
 
 The statistical curvature of some points is one lane pass, a part of the
-chart's store (``ChartManifold.kept``).  The sweeps over sections (phi-basis
-legs, their mixtures and random horizontal combinations) are one
-``section_sweep`` per audit over the stacked frames of its points; the
+chart's store (``ChartManifold.kept``), and so is the ``section_sweep`` of
+their phi-basis legs and mixtures (``plain_sweep``), which every audit that
+sweeps reads at its own points before it sweeps its random sections; the
 per-point functions (``phi_sectional_k_curvature``, ...) are one-point calls
 of that kernel.
 
@@ -111,15 +111,15 @@ HORIZONTAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SectionSweep:
-    """The results of ``section_sweep``, one entry per (point, section) pair:
-    (P, S) arrays of eta(X), Q(X, phi X), the K_phi quotient ``value``, its
+    """The results of ``section_sweep``, one entry per (row, section) pair,
+    a row per row of the fields it read (per point in ``phi_sweep``'s):
+    arrays of eta(X), Q(X, phi X), the K_phi quotient ``value``, its
     closed form ``closed`` and the ``status``.  ``k_s`` and ``k_0``, the S
     and R^0 sectional curvatures of span{X, phi X}, are None until
     ``with_curvatures`` adds them.  ``blocks`` holds the sections: the
-    (X, phi X) of each section block, with the rows the block was given
-    (one, one per lane or one per point) and the strides of its vectors;
-    ``lane`` is the lane of each point in the frames the sweep read (None:
-    one per point)."""
+    (X, phi X) of each section block, with its rows (one per lane or one
+    per point) and the strides of its vectors; ``lane`` is the lane of
+    each point in the frames the sweep read (None: one per point)."""
 
     point: np.ndarray
     eta: np.ndarray
@@ -159,13 +159,11 @@ class SectionSweep:
         """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
         ``CurvatureStack`` of its points' lanes: the numerators
         g(R(X, phi X) phi X, X) of each block 16 rows at a time
-        (``per_16_lanes``) with its sections as a batch axis, so a block of
-        one row per lane (the plain sections) is evaluated once per lane and
-        a block of one row per point (the random sections) reads the lane
-        of each of its rows, over the sweep's own Q(X, phi X), the
-        ``plane_q`` of ``sectional_values`` on the same operands; a pair
-        that is OK or MISMATCH becomes NON_FINITE where one of them is not
-        finite."""
+        (``per_16_lanes``) with its sections as a batch axis, once per lane
+        for a block of a row per lane and at the lane of each row for one of
+        a row per point, over the sweep's own Q(X, phi X), the ``plane_q`` of
+        ``sectional_values`` on the same operands; a pair that is OK or
+        MISMATCH becomes NON_FINITE where one of them is not finite."""
         def numerator(r, g, x, px):
             return inner(g[:, None], x, apply_curvature(r[:, None], x, px, px))
         points, lane = len(self.point), self.lane
@@ -184,17 +182,14 @@ class SectionSweep:
 def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     """phi-sectional K-curvature g([K,K](X, phi X) phi X, X) / Q(X, phi X)
     and its closed form -2 ||K(X,X)||^2 / ||X||^4 on an independent path,
-    for every section X of every point of ``frames``.
+    for every section X of every row of the fields of ``frames``.
 
     ``sections`` is a list of section blocks, joined along the section
-    axis: a block of one row per lane of the stack (or of one row, shared
-    by all P points) is evaluated once per lane, and a block of P rows
-    reads the fields of each row's lane.  Each pair gets the operand
-    shapes of one vector (see ``metric.inner``), so every value is
-    bit-identical to the per-point functions, and a block keeps the
-    strides of its vectors: the legs of a phi-basis are strided columns,
-    which BLAS may sum in another order than contiguous vectors.
-    Intermediates stay O(P S dim^2).
+    axis, each with a row per row of the fields (a lane, or a point of
+    ``_point_rows``).  Each pair gets the operand shapes of one vector (see
+    ``metric.inner``), so every value is bit-identical to the per-point
+    functions, and a block keeps the strides of its vectors: the legs of a
+    phi-basis are strided columns, which BLAS may sum in another order.
 
     Nothing is raised: a pair that fails gets a status, the first of
     NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE (a value is inf or
@@ -202,23 +197,19 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     relative); ``SectionSweep.error`` gives the exception.
     """
     start = time.perf_counter()
-    points, lane = len(frames.point), frames.lane
+    g, k, eta = frames.g[:, None], frames.K[:, None], frames.eta[:, None, None, :]
     blocks, parts = [], []
     with np.errstate(all="ignore"):
         for x in sections:
-            g, phi, k, eta = (at_points(a, lane, points) if len(x) == points else a
-                              for a in (frames.g, frames.phi, frames.K, frames.eta))
-            g, k = g[:, None], k[:, None]
-            px = contract(phi[:, None], x)
+            px = contract(frames.phi[:, None], x)
             sq = inner(g, x, x)
             q = plane_q(g, x, px)
             kxx = contract(contract(k, x), x)
             blocks.append((x, px))
-            parts.append([(eta[:, None, None, :] @ x[..., :, None])[..., 0, 0], sq, q,
+            parts.append([(eta @ x[..., :, None])[..., 0, 0], sq, q,
                           inner(g, kk_bracket(k, x, px, px), x) / q,
                           -2.0 * inner(g, kxx, kxx) / pow2(sq)])
-        eta, sq, q, value, closed = (np.concatenate([at_points(a, lane, points) for a in arrays],
-                                                    axis=1) for arrays in zip(*parts))
+        eta, sq, q, value, closed = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
 
         finite = np.isfinite(eta) & np.isfinite(q) & np.isfinite(value) & np.isfinite(closed)
         scale = np.maximum(np.maximum(1.0, np.abs(value)), np.abs(closed))
@@ -226,9 +217,10 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
             [np.abs(eta) > HORIZONTAL_TOL, np.sqrt(np.maximum(sq, 0.0)) <= 1e-10,
              q <= 1e-12, ~finite, np.abs(value - closed) > 1e-9 * scale],
             [NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH], OK)
-    log.debug("section sweep: %d points, %d sections in %.4f s",
+    log.debug("section sweep: %d rows, %d sections in %.4f s",
               value.shape[0], value.shape[1], time.perf_counter() - start)
-    return SectionSweep(frames.point, eta, q, value, closed, None, None, status, blocks, lane)
+    return SectionSweep(frames.point, eta, q, value, closed, None, None, status, blocks,
+                        frames.lane)
 
 
 def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
@@ -352,40 +344,29 @@ def horizontal_projections(frames: FrameStack):
     return h, keep
 
 
-def plain_sections(n: int) -> int:
-    """The number of sweep sections that draw no random numbers: the n legs
-    and their n (n + 1) / 2 mixtures."""
-    return n * (n + 3) // 2
-
-
-def _sweep_blocks(g, basis, points: int, rng=None, extra: int = 2, lane=None):
-    """The sections of ``sweep_sections`` at P = ``points`` points from the
-    metrics and phi-bases (U, dim, 2n+1) of their lanes, ``lane`` (P,), as
-    section blocks (the legs and their mixtures, one row per lane, and,
-    with ``rng``, the random combinations, one row per point) and the
-    (P, S) mask of the sections each point keeps.  The legs are strided
-    views of the basis columns, as in one point's loop; the random
-    combinations draw ``extra`` times 2n normals per point, in point order,
-    from one block of ``rng``, and a point keeps those with norm above
-    1e-3, whose plane form Q(X, phi X) = |X|^4 clears the kernel's 1e-12
-    gate."""
-    P, dim = points, basis.shape[1]
-    n = (dim - 1) // 2
+def _plain_blocks(basis):
+    """The legs of the phi-bases (U, dim, 2n+1), strided views of the basis
+    columns as in one point's loop, and their mixtures: two section blocks."""
+    n = (basis.shape[1] - 1) // 2
     legs = basis[:, :, :n].transpose(0, 2, 1)
     mixtures = []
     for i in range(n):
         for j in range(i + 1, n):
             mixtures.append(legs[:, i] + legs[:, j])
         mixtures.append(legs[:, i] + basis[:, :, n + i])  # mix in phi e_i
-    blocks = [legs, np.stack(mixtures, axis=1)]
-    keep = [np.ones((P, plain_sections(n)), dtype=bool)]
-    if rng is not None:
-        coef = rng.standard_normal((P, extra, 2 * n))
-        g, basis = (at_points(a, lane, P) for a in (g, basis))
-        with np.errstate(all="ignore"):
-            blocks.append(contract(basis[:, None, :, :2 * n], coef))
-            keep.append(norms(g[:, None], blocks[-1]) > 1e-3)
-    return blocks, np.concatenate(keep, axis=1)
+    return [legs, np.stack(mixtures, axis=1)]
+
+
+def _random_sections(g, basis, rng, extra: int = 2):
+    """``extra`` random combinations of the phi-basis legs at each of P points
+    (metrics and bases (P, ...); 2n normals each, in point order, from one
+    block of ``rng``) and the (P, extra) mask of those with norm above 1e-3,
+    whose Q(X, phi X) = |X|^4 clears the kernel's 1e-12 gate."""
+    horizontal = basis.shape[-1] - 1
+    coef = rng.standard_normal((len(basis), extra, horizontal))
+    with np.errstate(all="ignore"):
+        x = contract(basis[:, None, :, :horizontal], coef)
+        return x, norms(g[:, None], x) > 1e-3
 
 
 def sweep_sections(m: ChartManifold, fr: PointFrame, rng=None, extra: int = 2):
@@ -395,22 +376,69 @@ def sweep_sections(m: ChartManifold, fr: PointFrame, rng=None, extra: int = 2):
     basis, errors = phi_basis(fr.g[None], fr.phi[None], fr.xi[None])
     if errors[0] is not None:
         raise errors[0]
-    blocks, keep = _sweep_blocks(fr.g[None], basis, 1, rng, extra)
-    vectors = [v for block in blocks for v in block[0]]
-    return [v for v, kept in zip(vectors, keep[0]) if kept]
+    vectors = [v for block in _plain_blocks(basis) for v in block[0]]
+    if rng is not None:
+        x, keep = _random_sections(fr.g[None], basis, rng, extra)
+        vectors += [v for v, kept in zip(x[0], keep[0]) if kept]
+    return vectors
 
 
-def phi_sweep(frames: FrameStack, rng=None):
-    """The ``section_sweep`` of the sweep sections of every point of
-    ``frames`` and the (P, S) mask of the sections each point keeps; the
-    plain sections are one row per lane, and the random ones are drawn for
-    every point.  Raises the first point's ``phi_basis`` error: the error
-    of the first lane, as lanes are numbered in point order."""
-    basis, errors = phi_basis(frames.g, frames.phi, frames.xi)
-    for error in filter(None, errors):
-        raise error
-    blocks, keep = _sweep_blocks(frames.g, basis, len(frames.point), rng, lane=frames.lane)
-    return section_sweep(frames, blocks), keep
+class PlainSweep(NamedTuple):
+    """Per lane of the (P, dim) ``point``, read-only: its phi-basis (U, dim,
+    2n+1), its FrameError or None, and the sweep of its legs and mixtures,
+    (U, S) each; ``lane`` (P,) is the lane of each point."""
+
+    point: np.ndarray
+    basis: np.ndarray
+    error: np.ndarray
+    eta: np.ndarray
+    q: np.ndarray
+    value: np.ndarray
+    closed: np.ndarray
+    status: np.ndarray
+    lane: Optional[np.ndarray] = None
+
+
+def plain_sweep(m: ChartManifold, pts) -> PlainSweep:
+    """The PlainSweep of ``pts`` from one pass over the lanes of their frames,
+    a part of the chart's store (``ChartManifold.kept``); it raises nothing
+    and is logged at debug level."""
+    fs = m.frame_stack(pts)
+    with lane_pass(log, logging.DEBUG, "plain sweep", pts,
+                   pts[np.unique(fs.lane, return_index=True)[1]]):
+        basis, errors = phi_basis(fs.g, fs.phi, fs.xi)
+        sweep = section_sweep(fs, _plain_blocks(basis))
+    return PlainSweep(pts, basis, np.array(errors, dtype=object), sweep.eta, sweep.q,
+                      sweep.value, sweep.closed, sweep.status, fs.lane)
+
+
+def _point_rows(fs: FrameStack) -> FrameStack:
+    """``fs`` with the g, phi, K and eta that ``section_sweep`` reads at each point."""
+    return fs._replace(**{name: at_points(getattr(fs, name), fs.lane, len(fs.point))
+                          for name in ("g", "phi", "K", "eta")})
+
+
+def phi_sweep(plain: PlainSweep, fs: FrameStack, rng=None):
+    """The sweep of every point of ``fs`` and the (P, S) mask of the sections
+    each keeps: ``plain``, the kept ``plain_sweep`` of those points, then with
+    ``rng`` one ``section_sweep`` of random sections.  Raises the first basis
+    error of those points (lanes are numbered in point order)."""
+    for error in filter(None, plain.error):
+        raise type(error)(*error.args)      # the kept error never holds a traceback
+    points, lane = len(fs.point), fs.lane
+    blocks = [(x, contract(fs.phi[:, None], x)) for x in _plain_blocks(plain.basis)]
+    parts = [[at_points(a, lane, points) for a in plain[3:8]]]     # eta, q, value, closed, status
+    keep = [np.ones((points, plain.status.shape[1]), dtype=bool)]
+    if rng is not None:
+        rows = _point_rows(fs)
+        x, kept = _random_sections(rows.g, at_points(plain.basis, lane, points), rng)
+        sweep = section_sweep(rows, [x])
+        blocks += sweep.blocks
+        parts.append([sweep.eta, sweep.q, sweep.value, sweep.closed, sweep.status])
+        keep.append(kept)
+    eta, q, value, closed, status = (np.concatenate(a, axis=1) for a in zip(*parts))
+    return (SectionSweep(fs.point, eta, q, value, closed, None, None, status, blocks, lane),
+            np.concatenate(keep, axis=1))
 
 
 def _k_phi(sweep: SectionSweep, keep) -> np.ndarray:
@@ -505,9 +533,9 @@ def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
         stack = m.frame_stack(points)
         lams = at_points(lambda_of(stack, lambda_tol), stack.lane, len(points))
         if section is None:
-            sweep, keep = phi_sweep(stack, rng)
+            sweep, keep = phi_sweep(m.kept(plain_sweep, stack.point), stack, rng)
         else:
-            sweep = section_sweep(stack, [section(stack)[:, None]])
+            sweep = section_sweep(_point_rows(stack), [section(stack)[:, None]])
             keep = np.ones((len(points), 1), dtype=bool)
         return lams, _section_triples(m, stack, sweep, keep), keep
     if not len(points):     # no points, no sections: not the (0, S, 3) of a sweep
@@ -525,10 +553,11 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
     every sample point and flag any disagreement (which would falsify the
     equivalence, i.e. signal an engine bug or inadmissible input).
 
-    c1 and c2 read one section sweep over all points, and c6 one stack of
-    horizontal projections.  Steps, through ``replay``: frames, lambda,
-    phi-bases, section statuses, statistical curvature (when it raises, the
-    statuses come first, without the sectional values)."""
+    c1 and c2 read the kept ``plain_sweep`` and one sweep of the random
+    sections of all points, and c6 one stack of horizontal projections.
+    Steps, through ``replay``: frames, lambda, phi-bases, section statuses,
+    statistical curvature (when it raises, the statuses come first, without
+    the sectional values)."""
     pts = m.grid_points() if points is None else points
     return replay(lambda pts, rng: _theorem_5_8(m, pts, tol, rng), pts, rng)
 
@@ -537,7 +566,8 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
     fs = m.frame_stack(pts)
     points, lane = len(pts), fs.lane
     lams = lambda_of(fs, max(tol, 1e-6))
-    sweep, keep = phi_sweep(fs, rng)
+    kept = m.kept(plain_sweep, fs.point)
+    sweep, keep = phi_sweep(kept, fs, rng)
     try:
         curvatures = statistical_curvatures(m, pts)
     except Exception:
@@ -545,7 +575,7 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
         raise
     sweep = sweep.with_curvatures(fs.g, curvatures)
     k_phi = _k_phi(sweep, keep)
-    plain = plain_sections(m.n)        # the legs and mixtures, not the random sections
+    plain = kept.value.shape[1]        # the legs and mixtures, not the random sections
     horiz, keep_h = horizontal_projections(fs)
     vecs = np.array(frame_vectors(m.dim))
     with np.errstate(all="ignore"):
@@ -662,21 +692,15 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
     independent formulations that must agree; when compatible, the forced
     consequences (cosymplectic, vanishing phi-sectional K-curvature, and
     xi-parallel covariant derivatives of xi) are asserted as well.  The
-    K_phi consequence of all compatible points is one section sweep.
-    Steps, through ``replay``: frames, then the phi-bases and section
-    statuses of the compatible points."""
-    return phi_compat_audit(m, points, tol, rng)[0]
-
-
-def phi_compat_audit(m: ChartManifold, points=None, tol: float = 1e-9, rng=None):
-    """``phi_compat_check`` and, per point, max |K_phi| over the plain
-    sections of its sweep (0 where it is not compatible), which
-    ``psi_check`` reads."""
+    K_phi consequence of the compatible points reads their rows of the
+    kept ``plain_sweep`` and sweeps their random sections.  Steps, through
+    ``replay``: frames, then the phi-bases and section statuses of the
+    compatible points."""
     pts = m.grid_points() if points is None else points
     return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), pts, rng)
 
 
-def _phi_compat(m: ChartManifold, pts, tol, rng):
+def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
     fs = m.frame_stack(pts)
     points, lane = len(pts), fs.lane
     d0_phi = m.kept(nabla0_phi, pts)
@@ -684,11 +708,11 @@ def _phi_compat(m: ChartManifold, pts, tol, rng):
     oks = res <= tol
     compatible = oks.all(axis=0)
     at = at_points(compatible, lane, points)
-    k_phi, k_plain = np.zeros(points), np.zeros(points)
+    k_phi = np.zeros(points)
     if at.any():
-        sweep, keep = phi_sweep(lane_rows(fs, np.flatnonzero(at), lane), rng)
-        k_phi[at] = _k_phi(sweep, keep)
-        k_plain[at] = np.max(np.abs(sweep.value[:, :plain_sections(m.n)]), axis=1, initial=0.0)
+        rows = np.flatnonzero(at)
+        k_phi[at] = _k_phi(*phi_sweep(lane_rows(m.kept(plain_sweep, fs.point), rows, lane),
+                                      lane_rows(fs, rows, lane), rng))
     with np.errstate(all="ignore"):
         # nabla_X xi and nabla^0_X xi parallel to xi
         dxi0 = covariant_derivative_vector(fs.gamma0, fs.xi, fs.dxi)
@@ -710,7 +734,7 @@ def _phi_compat(m: ChartManifold, pts, tol, rng):
     disagree = at_points(oks.any(axis=0) & ~compatible, lane, points)
     for i in np.flatnonzero(disagree):
         rep.flag(f"phi-compatibility formulations disagree at {list(map(float, pts[i]))}")
-    return rep, k_plain
+    return rep
 
 
 def is_phi_compatible(report: AuditReport) -> bool:
@@ -719,28 +743,25 @@ def is_phi_compatible(report: AuditReport) -> bool:
 
 
 def psi_check(m: ChartManifold, point, tol: float = 1e-9,
-              compat_report: AuditReport = None, k_phi=None) -> AuditReport:
+              compat_report: AuditReport = None) -> AuditReport:
     """The 2-form family Psi_X(Y,Z) = (nabla_X g)(Y, phi Z) and its identities
     under phi-compatibility, at one point or, for a (P, dim) sequence of
-    points, at each of them with one section sweep (no points give an
-    empty report).  ``k_phi`` is the plain-section K_phi of the points from
-    the ``phi_compat_audit`` that gave ``compat_report``, which then takes
-    no sweep of its own.  Raises PreconditionNotMetError when the structure
-    is not phi-compatible at the points; then the steps, through
-    ``replay``, are frames, phi-bases and section statuses."""
+    points, at each of them (no points give an empty report), K_phi from
+    the plain sections of the kept ``plain_sweep``.  Raises
+    PreconditionNotMetError when the structure is not phi-compatible at the
+    points (``compat_report``, else a ``phi_compat_check`` of them); then the
+    steps, through ``replay``, are frames, phi-bases and section statuses."""
     points = [point] if np.ndim(point) == 1 and len(point) else point
     if compat_report is None:
         compat_report = phi_compat_check(m, points, tol=max(tol, 1e-9))
     if not is_phi_compatible(compat_report):
         raise PreconditionNotMetError("structure is not phi-compatible")
-    return replay(lambda pts, _: _psi(m, pts, tol, k_phi if len(pts) == len(points) else None),
-                  points, None)
+    return replay(lambda pts, _: _psi(m, pts, tol), points, None)
 
 
-def _psi(m: ChartManifold, points, tol, k_phi=None) -> AuditReport:
+def _psi(m: ChartManifold, points, tol) -> AuditReport:
     fs = m.frame_stack(points)
-    if k_phi is None:
-        k_phi = _k_phi(*phi_sweep(fs))
+    k_phi = _k_phi(*phi_sweep(m.kept(plain_sweep, fs.point), fs))
     with np.errstate(all="ignore"):
         ng = nabla_g(fs.gamma0 + fs.K, fs.g, fs.dg)                  # (nabla_X g)_xyz
         psi = ng @ fs.phi[:, None]                                   # Psi_X(Y, Z)

@@ -145,7 +145,8 @@ class ChartManifold:
 
     ``kept`` stores one part per pass of the last points asked for, each
     array of it read-only: the frames of ``frame_stack``, the curvatures of
-    ``curvature.statistical_curvatures`` and ``contact.nabla0_phi``.
+    ``curvature.statistical_curvatures``, ``contact.nabla0_phi`` and the
+    phi-bases and plain sections of ``curvature.plain_sweep``.
     A request for some of those points reads the rows of a kept part, so
     ``frame_at`` and the one-point functions after a grid run take no pass.
     A failing pass keeps nothing and ``curvature.replay`` localises it.

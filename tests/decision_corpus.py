@@ -71,6 +71,13 @@ for label, spec, seed in (
         ("pulled_warped", WARPED_CONNECTION, 13)):
     a, b = chart(len(spec["coordinates"]), seed)
     SPECS[label] = dict(pull_back(spec, a, b), grid=2)
+# phi scaled by 1 - x1^2 vanishes at x1 = -1 and 1: a full audit fails there
+# (Q(X, phi X) = 0), while the 9 points at x1 = 0 are phi-compatible, so a
+# check that sweeps only those sees none of the failing statuses
+_FLAT1 = manifold_to_dict(get_entry("example_flat_acs", n=1).manifold)
+SPECS["flat1_scaled_phi"] = dict(_FLAT1, phi=[
+    [entry if float(entry) == 0.0 else f"{entry}*(1 - x1^2)" for entry in row]
+    for row in _FLAT1["phi"]])
 
 # spec files as text, for what a dict cannot hold: a name repeated in one
 # object.  K^x_yz = 1 fails K_lower_symmetry, unless a repeated key or a
@@ -107,7 +114,7 @@ def _ops():
     zoo += [f"zoo:random:dim=7,seed=0,family={f}"
             for f in ("trivial-lambda", "planar-block", "mixed")]
     ops = []
-    for ref in zoo + [f"@{name}" for name in SPECS]:
+    for ref in zoo + [f"@{name}" for name in SPECS if name != "flat1_scaled_phi"]:
         grids = (1, 2) if "dim=7" in ref or "n=3" in ref else (1, 2, 3)
         for verb in ("validate", "curvature", "audit"):
             for grid in grids:
@@ -139,6 +146,13 @@ def _ops():
                                 ("audit", "--section", "1,2,0"),
                                 ("curvature", "--checks", "thm_5_8")):
         ops.append([verb, "zoo:example_r3_negative", option, value, "--format", "json"])
+    # added last, so every op above keeps its number
+    for verb in ("validate", "curvature", "audit"):
+        for grid in (1, 2, 3):
+            ops.append([verb, "@flat1_scaled_phi", "--grid", str(grid), "--format", "json",
+                        "--seed", str(grid)])
+    for checks in ("phi_compat", "psi", "thm_5_8,phi_compat,psi"):
+        ops.append(["audit", "@flat1_scaled_phi", "--checks", checks, "--format", "json"])
     return ops
 
 

@@ -311,14 +311,22 @@ def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
                      f"{singular} on the grid", f"{singular} at [-1.0, -1.0, -1.0]"]
 
 
+TRIVIAL3 = "zoo:random:dim=3,seed=1,family=trivial-lambda"     # phi-compatible at every point
+
+
 @pytest.mark.parametrize("argv, passes", [
-    (["validate"], (1, 0, 0)), (["curvature"], (1, 1, 0)), (["audit"], (1, 1, 1)),
-    (["audit", "--checks", "structure"], (1, 0, 0)),
-    (["audit", "--checks", "cosymplectic,lemma_5_6,phi_compat"], (1, 0, 1))])
+    (["validate", TRIVIAL3], (1, 0, 0, 0)), (["curvature", TRIVIAL3], (1, 1, 0, 1)),
+    (["audit", TRIVIAL3], (1, 1, 1, 1)),
+    (["audit", TRIVIAL3, "--checks", "structure"], (1, 0, 0, 0)),
+    (["audit", TRIVIAL3, "--checks", "cosymplectic,lemma_5_6,phi_compat"], (1, 0, 1, 1)),
+    (["audit", "zoo:example_flat_acs:n=2"], (1, 1, 1, 1)),
+    (["audit", TRIVIAL3, "--checks", "psi"], (1, 0, 1, 1)),
+    # no point is phi-compatible: no sweep reads a phi-basis
+    (["audit", "zoo:example_r3_negative", "--checks", "phi_compat"], (1, 0, 1, 0))])
 def test_one_pass_per_store(monkeypatch, capsys, argv, passes):
-    """A passing run evaluates its frames once, and its curvature and
-    nabla^0 phi at most once, however many checks read them."""
-    counts = {"frames": 0, "curvature": 0, "nabla0_phi": 0}
+    """A passing run evaluates its frames once, and its curvature, nabla^0
+    phi and phi-bases at most once, however many checks read them."""
+    counts = {"frames": 0, "curvature": 0, "nabla0_phi": 0, "phi_basis": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -332,10 +340,10 @@ def test_one_pass_per_store(monkeypatch, capsys, argv, passes):
     # contact calls covariant_derivative_11 in the nabla^0 phi pass only
     monkeypatch.setattr(contact, "covariant_derivative_11",
                         counted("nabla0_phi", contact.covariant_derivative_11))
-    code, out, _ = run(capsys, argv[0], "zoo:random:dim=3,seed=1,family=trivial-lambda",
-                       *argv[1:], "--grid", "2", "--format", "json")
+    monkeypatch.setattr(curvature, "phi_basis", counted("phi_basis", curvature.phi_basis))
+    code, out, _ = run(capsys, *argv, "--grid", "2", "--format", "json")
     assert code == 0 and out
-    assert (counts["frames"], counts["curvature"], counts["nabla0_phi"]) == passes
+    assert tuple(counts.values()) == passes
 
 
 def test_a_later_group_keeps_the_first_error(capsys, tmp_path):
@@ -458,10 +466,11 @@ def test_frame_error_exits_one(capsys, tmp_path):
 
 
 def test_section_sweep_logs_at_debug(capsys, caplog):
-    """One line per kernel call: the theorem 5.8 sweep (a leg, its phi-mixture
-    and two random combinations per point), the phi-compatibility sweep of a
-    compatible structure, whose plain sections Psi reads, and a --section
-    run."""
+    """One line per kernel call and per plain-sweep pass: the plain sections
+    (a leg and its phi-mixture) of the one lane, kept for every check that
+    reads them, then the random combinations (two per point) of the
+    theorem 5.8 sweep and of the phi-compatibility sweep of a compatible
+    structure; and a --section run."""
     def sweeps(*argv):
         caplog.clear()
         code, out, _ = run(capsys, *argv)
@@ -472,16 +481,17 @@ def test_section_sweep_logs_at_debug(capsys, caplog):
     caplog.set_level(logging.DEBUG, logger="acsgeo")
     code, out, lines = sweeps("audit", "zoo:example_flat_acs:n=1", "--grid", "2")
     assert (code, out) == quiet[:2]
-    assert [line.split(" in ")[0] for line in lines] == [
-        "section sweep: 8 points, 4 sections",     # theorem 5.8
-        "section sweep: 8 points, 4 sections"]     # phi-compatibility and Psi
+    plain = ["section sweep: 1 rows, 2 sections", "plain sweep grid pass: 8 points on 1 lanes"]
+    assert [line.split(" in ")[0] for line in lines] == plain + [
+        "section sweep: 8 rows, 2 sections",       # theorem 5.8
+        "section sweep: 8 rows, 2 sections"]       # phi-compatibility; Psi reads the kept part
     assert all(line.endswith(" s") for line in lines)
     _, _, lines = sweeps("curvature", "zoo:example_r3_negative", "--grid", "2",
                          "--section", "1,2,0")
-    assert [line.split(" in ")[0] for line in lines] == ["section sweep: 8 points, 1 sections"]
-    # Psi alone: the verdict's sweep of the plain sections serves it
+    assert [line.split(" in ")[0] for line in lines] == ["section sweep: 8 rows, 1 sections"]
+    # Psi alone: the plain sweep the verdict kept serves it
     _, _, lines = sweeps("audit", "zoo:example_flat_acs:n=1", "--grid", "2", "--checks", "psi")
-    assert [line.split(" in ")[0] for line in lines] == ["section sweep: 8 points, 2 sections"]
+    assert [line.split(" in ")[0] for line in lines] == plain
 
 
 def test_render_logs_at_debug(capsys, caplog):
@@ -701,8 +711,9 @@ def test_each_call_logs_at_its_own_level():
     proc = subprocess.run([sys.executable, "-c", LEVEL_CALLS, *levels], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # a frame and a curvature pass at debug level, the curvature pass at info
-    assert proc.stdout == "[0, 2, 2, 1, 0, 2] 1\n"
+    # a frame, a curvature and a plain-sweep pass at debug level, the
+    # curvature pass at info
+    assert proc.stdout == "[0, 3, 3, 1, 0, 3] 1\n"
 
 
 

@@ -153,9 +153,11 @@ def test_shared_lane_sweep_draws_for_every_point(dim):
     fs = m.frame_stack(pts)
     assert len(fs.point) == len(pts) and len(fs.g) == 1
     rng = np.random.default_rng(5)
-    sweep, keep = curvature.phi_sweep(fs, rng)
+    kept = m.kept(curvature.plain_sweep, pts)
+    assert len(kept.basis) == len(kept.value) == 1
+    sweep, keep = curvature.phi_sweep(kept, fs, rng)
     assert rng.standard_normal() == sweep_rng_next(len(pts), dim, 5)
-    plain = curvature.plain_sections(m.n)
+    plain = m.n * (m.n + 3) // 2        # n legs and n (n + 1) / 2 mixtures
     assert sweep.value.shape == keep.shape == (len(pts), plain + 2)
     assert len(sweep.blocks[0][0]) == 1 and len(sweep.blocks[-1][0]) == len(pts)
     assert (sweep.value[:, :plain] == sweep.value[:1, :plain]).all()

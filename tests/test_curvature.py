@@ -317,13 +317,12 @@ def test_no_points_sweep_to_empty_results(name, params):
     assert m.is_constant == (name == "example_flat_acs")
     rng = np.random.default_rng(0)
     frames = m.frame_stack([])
-    sweep, keep = curvature.phi_sweep(frames, rng)
+    sweep, keep = curvature.phi_sweep(m.kept(curvature.plain_sweep, []), frames, rng)
     sweep = sweep.with_curvatures(frames.g, curvature.statistical_curvatures(m, []))
-    sections = curvature.plain_sections(m.n) + 2
+    sections = m.n * (m.n + 3) // 2 + 2       # legs, mixtures and two random sections
     assert keep.shape == sweep.k_s.shape == sweep.value.shape == (0, sections)
-    compat, k_plain = curvature.phi_compat_audit(m, [], rng=rng)
-    assert k_plain.shape == (0,)
-    for rep in (theorem_5_8_audit(m, [], rng=rng), compat, psi_check(m, [])):
+    for rep in (theorem_5_8_audit(m, [], rng=rng), phi_compat_check(m, [], rng=rng),
+                psi_check(m, [])):
         assert not rep.checks and not rep.flags and rep.to_json_lines() == ""
     lams, triples, keep = curvature.phi_sectional_triples(m, [], rng=rng)
     assert (lams.shape, triples.shape, keep.shape) == ((0,), (0, 0, 3), (0, 0))

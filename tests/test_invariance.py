@@ -7,16 +7,23 @@ Every zoo structure has g = I in its own chart, so only a pulled-back chart
 with A non-orthogonal can tell an upper index of K from a lower one.  At
 corresponding points both charts must give the same lambda, Theorem 5.8
 branch, cosymplectic flag, phi-compatibility decision, axiom decisions and
-S and R^0 sectional curvatures of corresponding planes."""
+S and R^0 sectional curvatures of corresponding planes.
+
+Two sign flips give another almost contact metric structure with the same
+g and K: phi -> -phi, and (xi, eta) -> (-xi, -eta).  An audit of either
+keeps every verdict and value, except lambda, which K(xi, xi) = lambda xi
+turns into -lambda under the second."""
 
 import itertools
+import json
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acsgeo import generate_random_acs
+from acsgeo import cli, generate_random_acs
 from acsgeo import curvature as curv
 from acsgeo.contact import is_cosymplectic, validate_structure
 from acsgeo.metric import sectional_curvature
@@ -193,3 +200,39 @@ def test_pull_back_of_the_identity_chart_is_the_chart():
     p = np.array([0.2, -0.4, 0.7])
     for name in ("g", "phi", "xi", "eta", "K", "gamma0"):
         assert np.array_equal(getattr(m.frame_at(p), name), getattr(same.frame_at(p), name))
+
+
+def _negated(spec, *fields):
+    """``spec`` with every expression of the given ``fields`` negated."""
+    def negate(v):
+        return [negate(x) for x in v] if isinstance(v, list) else _combine([(-1.0, v)])
+    return dict(spec, **{f: negate(spec[f]) for f in fields if spec.get(f) is not None})
+
+
+def _audit_records(spec):
+    """The (check, point, pass, value) records and the flags of a full audit
+    of ``spec`` at grid 2."""
+    m = manifold_from_dict(spec)
+    rep = cli.audit_report(m, m.grid_points(2), 1e-9, cli.CHECK_GROUPS,
+                           np.random.default_rng(0))
+    records = [json.loads(line) for line in rep.to_json_lines().splitlines()]
+    return [(r["check"], r["point"], r["pass"], r.get("value")) for r in records], rep.flags
+
+
+@pytest.mark.parametrize("ref", ["example_r3_negative", "example_flat_acs:n=2"] + [
+    f"random:dim={dim},seed=1,family={family}" for dim in (5, 7)
+    for family in ("trivial-lambda", "planar-block", "mixed")])
+def test_sign_flips_keep_every_verdict(ref):
+    spec = manifold_to_dict(cli.resolve_input(f"zoo:{ref}"))
+    want, flags = _audit_records(spec)
+    for fields in (("phi",), ("xi", "eta")):
+        got, got_flags = _audit_records(_negated(spec, *fields))
+        assert got_flags == flags
+        assert [r[:3] for r in got] == [r[:3] for r in want], fields
+        for (check, _, _, value), (_, _, _, expected) in zip(got, want):
+            if expected is None:
+                assert value is None
+                continue
+            if fields[0] == "xi" and check == "thm_5_8/lambda":
+                expected = -expected
+            assert _close(value, expected, 1e-9), (fields, check, value, expected)

@@ -244,7 +244,7 @@ def test_sweep_curvatures_match_section_loop_on_charts(chart):
                   family=chart).manifold
     pts = m.grid_points(2)[:40]
     frames = m.frame_stack(pts)
-    sweep, _ = curv.phi_sweep(frames, np.random.default_rng(1))
+    sweep, _ = curv.phi_sweep(m.kept(curv.plain_sweep, pts), frames, np.random.default_rng(1))
     curvatures = curv.statistical_curvatures(m, pts)
     assert sweep.blocks[0][0].strides[-1] != 8      # the legs: basis columns
     got = sweep.with_curvatures(frames.g, curvatures)
@@ -410,10 +410,16 @@ def ref_psi_residuals(fs):
 
 
 def psi_residuals(fs):
-    """The residual columns of ``curvature._psi`` on the frames ``fs``."""
+    """The residual columns of ``curvature._psi`` on the frames ``fs``, with
+    a kept plain sweep whose bases pass and whose K_phi is 0."""
     points = fs.point if len(fs.K) > 1 else fs.point[:1]
-    rep = curv._psi(SimpleNamespace(frame_stack=lambda _: fs), points, 1e-9,
-                    k_phi=np.zeros(len(points)))
+    lanes, dim = fs.g.shape[:2]
+    n = (dim - 1) // 2
+    zero = np.zeros((lanes, n * (n + 3) // 2))
+    plain = curv.PlainSweep(fs.point, np.zeros((lanes, dim, dim)), np.full(lanes, None),
+                            zero, zero, zero, zero, np.full(zero.shape, curv.OK), fs.lane)
+    rep = curv._psi(SimpleNamespace(frame_stack=lambda _: fs, kept=lambda *_: plain), points,
+                    1e-9)
     return {check: np.array([r for c, r in zip(rep.checks, rep.residuals) if c == check])
             for check in ref_psi_residuals(lane_stack(fs, 0))}
 

@@ -489,7 +489,8 @@ def test_every_kept_array_is_read_only():
     pts = m.grid_points(2)
     want = is_cosymplectic(m, pts)
     cli.audit_report(m, pts, 1e-9, cli.CHECK_GROUPS, np.random.default_rng(0))
-    assert set(m._kept_parts) == {ChartManifold._frames, curv._curvature_parts, nabla0_phi}
+    assert set(m._kept_parts) == {ChartManifold._frames, curv._curvature_parts, nabla0_phi,
+                                  curv.plain_sweep}
     for part in m._kept_parts.values():
         for a in [part] if isinstance(part, np.ndarray) else part:
             assert not a.flags.writeable
@@ -722,7 +723,8 @@ def check_sweep_matches_loop(m, pts, seed):
     frames = [m.frame_at(p) for p in pts]      # a one-point pass each
     stack = m.frame_stack(pts)
     curvatures = curv.statistical_curvatures(m, pts)
-    sweep, keep = curv.phi_sweep(stack, np.random.default_rng(seed))
+    sweep, keep = curv.phi_sweep(m.kept(curv.plain_sweep, pts), stack,
+                                 np.random.default_rng(seed))
     sweep = sweep.with_curvatures(stack.g, curvatures)
     bases, errors = phi_basis(stack.g, stack.phi, stack.xi)
     horiz, keep_h = curv.horizontal_projections(stack)
@@ -800,7 +802,11 @@ def test_sweep_matches_loop_on_generated_structures(dim, seed, family, rng_seed,
 @pytest.mark.parametrize("name", sorted(CHARTS))
 def test_sweep_matches_loop_on_charts(name):
     m = manifold_from_dict(CHARTS[name])
-    check_sweep_matches_loop(m, m.grid_points(), 3)
+    pts = m.grid_points()
+    check_sweep_matches_loop(m, pts, 3)
+    # some of the points read their rows of the kept parts, as phi_compat does
+    check_sweep_matches_loop(m, pts[1::2], 4)
+    assert m._kept_points.tobytes() == pts.tobytes()
 
 
 def test_phi_bases_report_the_loop_errors():

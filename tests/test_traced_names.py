@@ -19,7 +19,7 @@ import tracer  # noqa: E402
 REF = "zoo:random:dim=5,seed=1,family=trivial-lambda"
 VALIDATE = ("contact.validate_structure_s", "statistical.validate_s")
 AUDIT = VALIDATE + ("contact.nabla0_phi_s", "statistical.lambda_of_calls",
-                    "contact.phi_basis_calls")
+                    "contact.phi_basis_calls", "curvature.phi_compat_s")
 
 
 def traced(argv):
