@@ -303,55 +303,47 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-VERBS = ("validate", "curvature", "audit", "export-zoo", "list-zoo")
-
-
-def build_parser(verb=None):
-    """The argument parser of ``acsgeo``: with every verb, or with the
-    subparser of ``verb`` alone, which parses that verb's arguments as the
-    full parser does."""
+def build_parser():
+    """The argument parser of ``acsgeo``, with every verb; ``PARSER`` is the
+    one a process parses with."""
     ap = _Parser(
         prog="acsgeo",
         description="Pointwise audits of almost contact statistical structures")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(name, text, option, option_help):
-        if verb in (None, name):
-            p = sub.add_parser(name, help=text)
-            p.add_argument("input", help="spec-file path or zoo:name[:k=v,...]")
-            p.add_argument("--tol", type=float, default=1e-9)
-            p.add_argument("--grid", type=int, default=None,
-                           help="sample points per coordinate (default from spec)")
-            p.add_argument("--format", choices=("json", "table"), default="table")
-            p.add_argument(option, default=None, help=option_help)
-            # validate draws nothing, but command lines pass every verb a seed
-            p.add_argument("--seed", type=int, default=0)
+        p = sub.add_parser(name, help=text)
+        p.add_argument("input", help="spec-file path or zoo:name[:k=v,...]")
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--grid", type=int, default=None,
+                       help="sample points per coordinate (default from spec)")
+        p.add_argument("--format", choices=("json", "table"), default="table")
+        p.add_argument(option, default=None, help=option_help)
+        # validate draws nothing, but command lines pass every verb a seed
+        p.add_argument("--seed", type=int, default=0)
 
     checks = "comma list of check groups to run"
     add_common("validate", "structure/statistical/ACS axioms", "--checks", checks)
     add_common("curvature", "phi-sectional curvature triples", "--section",
                "comma-separated component expressions of a section vector")
     add_common("audit", "full theorem audit", "--checks", checks)
-    if verb in (None, "export-zoo"):
-        pe = sub.add_parser("export-zoo", help="write a zoo entry as a spec file")
-        pe.add_argument("input")
-        pe.add_argument("-o", "--output", default=None)
-    if verb in (None, "list-zoo"):
-        sub.add_parser("list-zoo", help="list built-in zoo entries")
+    pe = sub.add_parser("export-zoo", help="write a zoo entry as a spec file")
+    pe.add_argument("input")
+    pe.add_argument("-o", "--output", default=None)
+    sub.add_parser("list-zoo", help="list built-in zoo entries")
     return ap
+
+
+# built once, at import: a parser holds no input, so every call parses with it
+PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     """Runs the verb of ``argv`` (default ``sys.argv[1:]``) and returns its
-    exit code.  When ``argv`` starts with a verb, the parser of that verb
-    alone parses it, else the full parser; arguments left over go to the
-    full parser, whose usage lists every verb, and a parse error prints
-    argparse's usage and message and exits 2."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    verb = argv[0] if argv and argv[0] in VERBS else None
-    args, extra = build_parser(verb).parse_known_args(argv)
-    if extra:
-        args = build_parser().parse_args(argv)
+    exit code.  ``PARSER``, built at import, parses it and builds nothing;
+    a parse error prints argparse's usage, which lists every verb, and its
+    message, and exits 2."""
+    args = PARSER.parse_args(argv)
     try:
         level = os.environ.get("ACSM_LOG", "warning")
         if level.lower() not in LOG_LEVELS:

@@ -112,12 +112,11 @@ def nabla0_phi(m: ChartManifold, pts) -> np.ndarray:
     return covariant_derivative_11(fs.gamma0, fs.phi, fs.dphi)
 
 
-def is_cosymplectic(m: ChartManifold, points=None, tol: float = 1e-9):
-    """True iff max |nabla^0 phi| over the sample points is within ``tol``
+def is_cosymplectic(m: ChartManifold, points, tol: float = 1e-9):
+    """True iff max |nabla^0 phi| over ``points`` is within ``tol``
     (a point where it is NaN does not count), from the chart's kept nabla^0
     phi of the points.  A frame pass over several points that fails raises
     the pass's error; a caller that must name the first failing point runs
     it under ``curvature.replay``.  Returns (flag, max_residual)."""
-    pts = points if points is not None else m.grid_points()
-    worst = float(np.fmax.reduce(max_abs(m.kept(nabla0_phi, pts)), initial=0.0))
+    worst = float(np.fmax.reduce(max_abs(m.kept(nabla0_phi, points)), initial=0.0))
     return worst <= tol, worst

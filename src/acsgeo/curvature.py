@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -116,10 +116,11 @@ class SectionSweep:
     arrays of eta(X), Q(X, phi X), the K_phi quotient ``value``, its
     closed form ``closed`` and the ``status``.  ``k_s`` and ``k_0``, the S
     and R^0 sectional curvatures of span{X, phi X}, are None until
-    ``with_curvatures`` adds them.  ``blocks`` holds the sections: the
-    (X, phi X) of each section block, with its rows (one per lane or one
-    per point) and the strides of its vectors; ``lane`` is the lane of
-    each point in the frames the sweep read (None: one per point)."""
+    ``with_curvatures`` adds them.  ``blocks()`` gives the sections, which
+    ``phi_sweep`` builds when asked: the (X, phi X) of each section block,
+    with its rows (one per lane or one per point) and the strides of its
+    vectors; ``lane`` is the lane of each point in the frames the sweep
+    read (None: one per point)."""
 
     point: np.ndarray
     eta: np.ndarray
@@ -129,7 +130,7 @@ class SectionSweep:
     k_s: Optional[np.ndarray]
     k_0: Optional[np.ndarray]
     status: np.ndarray
-    blocks: list
+    blocks: Callable[[], list]
     lane: Optional[np.ndarray] = None
 
     def error(self, i, j, plane: bool = False) -> Optional[Exception]:
@@ -166,12 +167,12 @@ class SectionSweep:
         MISMATCH becomes NON_FINITE where one of them is not finite."""
         def numerator(r, g, x, px):
             return inner(g[:, None], x, apply_curvature(r[:, None], x, px, px))
-        points, lane = len(self.point), self.lane
+        points, lane, blocks = len(self.point), self.lane, self.blocks()
 
         def sectional(r):
             return np.concatenate([at_points(per_16_lanes(
                 numerator, r, g, x, px, lane=lane if len(x) == points else None), lane, points)
-                for x, px in self.blocks], axis=1) / self.q
+                for x, px in blocks], axis=1) / self.q
         with np.errstate(all="ignore"):
             k_s, k_0 = sectional(curvatures.s), sectional(curvatures.r0)
         status = np.where(np.isin(self.status, (OK, MISMATCH))
@@ -219,8 +220,8 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
             [NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH], OK)
     log.debug("section sweep: %d rows, %d sections in %.4f s",
               value.shape[0], value.shape[1], time.perf_counter() - start)
-    return SectionSweep(frames.point, eta, q, value, closed, None, None, status, blocks,
-                        frames.lane)
+    return SectionSweep(frames.point, eta, q, value, closed, None, None, status,
+                        lambda: blocks, frames.lane)
 
 
 def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
@@ -233,7 +234,7 @@ def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
     if error is not None:
         raise error
     return PhiSectionalValue(value=float(sweep.value[0, 0]),
-                             section=(tuple(x), tuple(sweep.blocks[0][1][0, 0])),
+                             section=(tuple(x), tuple(sweep.blocks()[0][1][0, 0])),
                              point=tuple(fr.point))
 
 
@@ -269,15 +270,16 @@ class CurvatureStack(NamedTuple):
 
 
 def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
-    """The CurvatureStack of the (P, dim) ``pts`` from one pass over their
-    lanes: one second-order walk of g gives the Gamma^0 jet in closed form, one
+    """The CurvatureStack of the (P, dim) ``pts`` from one pass over the lanes
+    of their frames (``frame_stack``, whose error it raises): one
+    second-order walk of g gives the Gamma^0 jet in closed form, one
     first-order walk of the K table (or of the connection table, less
     Gamma^0) the K jet, and the parts and residuals follow 16 lanes at a
     time.  R^0 of a constant metric is one broadcast zero, never computed.
     A jet entry that is not finite makes a part non-finite, the one gate:
     NonFiniteError.  The pass is logged at info level."""
-    first, lane = m.lanes(pts)
-    lanes = pts[first]
+    fs = m.frame_stack(pts)
+    lanes = fs.lane_points
     coords = point_lanes(lanes)
     shape = (len(lanes),) + (m.dim,) * 4
     flat = m.metric.is_constant
@@ -295,7 +297,7 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
             cross[rows] = max_abs(parts[0][rows] - parts[1][rows] - parts[2][rows])
         if not all(np.isfinite(a).all() for a in parts):
             raise NonFiniteError("statistical curvature is not finite")
-    return CurvatureStack(pts, *parts, cross, lane)
+    return CurvatureStack(pts, *parts, cross, fs.lane)
 
 
 def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
@@ -404,8 +406,7 @@ def plain_sweep(m: ChartManifold, pts) -> PlainSweep:
     a part of the chart's store (``ChartManifold.kept``); it raises nothing
     and is logged at debug level."""
     fs = m.frame_stack(pts)
-    with lane_pass(log, logging.DEBUG, "plain sweep", pts,
-                   pts[np.unique(fs.lane, return_index=True)[1]]):
+    with lane_pass(log, logging.DEBUG, "plain sweep", pts, fs.lane_points):
         basis, errors = phi_basis(fs.g, fs.phi, fs.xi)
         sweep = section_sweep(fs, _plain_blocks(basis))
     return PlainSweep(pts, basis, np.array(errors, dtype=object), sweep.eta, sweep.q,
@@ -421,22 +422,27 @@ def _point_rows(fs: FrameStack) -> FrameStack:
 def phi_sweep(plain: PlainSweep, fs: FrameStack, rng=None):
     """The sweep of every point of ``fs`` and the (P, S) mask of the sections
     each keeps: ``plain``, the kept ``plain_sweep`` of those points, then with
-    ``rng`` one ``section_sweep`` of random sections.  Raises the first basis
-    error of those points (lanes are numbered in point order)."""
+    ``rng`` one ``section_sweep`` of random sections, whose ``blocks()``
+    builds the plain blocks when called.  Raises the first basis error of
+    those points (lanes are numbered in point order)."""
     for error in filter(None, plain.error):
         raise type(error)(*error.args)      # the kept error never holds a traceback
     points, lane = len(fs.point), fs.lane
-    blocks = [(x, contract(fs.phi[:, None], x)) for x in _plain_blocks(plain.basis)]
     parts = [[at_points(a, lane, points) for a in plain[3:8]]]     # eta, q, value, closed, status
     keep = [np.ones((points, plain.status.shape[1]), dtype=bool)]
+    random_blocks = []
     if rng is not None:
         rows = _point_rows(fs)
         x, kept = _random_sections(rows.g, at_points(plain.basis, lane, points), rng)
         sweep = section_sweep(rows, [x])
-        blocks += sweep.blocks
+        random_blocks = sweep.blocks()
         parts.append([sweep.eta, sweep.q, sweep.value, sweep.closed, sweep.status])
         keep.append(kept)
     eta, q, value, closed, status = (np.concatenate(a, axis=1) for a in zip(*parts))
+
+    def blocks():
+        return [(x, contract(fs.phi[:, None], x))
+                for x in _plain_blocks(plain.basis)] + random_blocks
     return (SectionSweep(fs.point, eta, q, value, closed, None, None, status, blocks, lane),
             np.concatenate(keep, axis=1))
 
@@ -547,7 +553,7 @@ def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
 # theorem audits
 
 
-def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
+def theorem_5_8_audit(m: ChartManifold, points, tol: float = 1e-9,
                       rng=None) -> AuditReport:
     """Evaluate the nine equivalent vanishing conditions independently at
     every sample point and flag any disagreement (which would falsify the
@@ -558,8 +564,7 @@ def theorem_5_8_audit(m: ChartManifold, points=None, tol: float = 1e-9,
     Steps, through ``replay``: frames, lambda, phi-bases, section statuses,
     statistical curvature (when it raises, the statuses come first, without
     the sectional values)."""
-    pts = m.grid_points() if points is None else points
-    return replay(lambda pts, rng: _theorem_5_8(m, pts, tol, rng), pts, rng)
+    return replay(lambda pts, rng: _theorem_5_8(m, pts, tol, rng), points, rng)
 
 
 def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
@@ -686,7 +691,7 @@ def _compat_residuals(fs: FrameStack, d0_phi):
         max_abs(d0_phi - 2.0 * phi_k)])
 
 
-def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
+def phi_compat_check(m: ChartManifold, points, tol: float = 1e-9,
                      rng=None) -> AuditReport:
     """phi-compatibility of the statistical connection, decided by three
     independent formulations that must agree; when compatible, the forced
@@ -696,8 +701,7 @@ def phi_compat_check(m: ChartManifold, points=None, tol: float = 1e-9,
     kept ``plain_sweep`` and sweeps their random sections.  Steps, through
     ``replay``: frames, then the phi-bases and section statuses of the
     compatible points."""
-    pts = m.grid_points() if points is None else points
-    return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), pts, rng)
+    return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), points, rng)
 
 
 def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:

@@ -110,6 +110,11 @@ class PointFrame(NamedTuple):
     def dim(self):
         return self.point.shape[-1]
 
+    @property
+    def lane_points(self) -> np.ndarray:
+        """The (U, dim) first point of each lane, where the passes evaluate it."""
+        return self.point[np.unique(self.lane, return_index=True)[1]]
+
     def inner(self, x, y) -> float:
         return float(inner(self.g, x, y))
 
@@ -154,13 +159,14 @@ class ChartManifold:
     ``reads`` is found once, when the chart is built: the sorted indices
     of the coordinates that g, phi, xi, eta (when given) and K, or the
     connection table behind it, read.  The fields at a point, and so its
-    curvatures, depend on those coordinates alone, so the frame and
-    curvature passes evaluate one lane per distinct value of them
-    (``lanes``), at the first point that takes it, and their stacks carry
-    the lane of each point.  A point alone gets the bits it gets in a grid,
-    so a lane serves each of its points bit for bit.  A chart that reads
-    no coordinate is constant (``is_constant``): one lane serves every
-    point.
+    curvatures, depend on those coordinates alone, so the passes evaluate
+    one lane per distinct value of them, at the first point that takes it,
+    and their stacks carry the lane of each point.  The frame pass finds
+    the lanes (``lanes``); every other pass and every row read of a kept
+    part takes them from the frames.  A point alone gets the bits it gets
+    in a grid, so a lane serves each of its points bit for bit.  A chart
+    that reads no coordinate is constant (``is_constant``): one lane serves
+    every point.
     """
 
     def __init__(self, coord_names: Sequence[str], metric: MetricField,
@@ -189,7 +195,6 @@ class ChartManifold:
             self.eta.reads if self.eta is not None else ())))
         self._kept_points = np.empty((0, dim))     # the points of the kept parts
         self._kept_index = None      # their bytes -> row, once a subset request needs it
-        self._kept_lane = None       # their lanes, once a row read needs them
         self._kept_parts = {}        # pass function -> its part of those points
 
     @property
@@ -291,8 +296,9 @@ class ChartManifold:
     def kept(self, pass_fn, points):
         """``pass_fn(self, pts)`` of the (P, dim) ``pts`` of ``points``: the part kept for
         them, its ``lane_rows`` when all are kept points (matched by bytes, through an index
-        built once per kept point set), else a new pass, kept beside their parts or in place
-        of other points' and made read-only; a pass that raises keeps nothing."""
+        built once per kept point set, read at the lanes of the kept frames), else a new pass,
+        kept beside their parts or in place of other points' and made read-only; a pass that
+        raises keeps nothing."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
         if pts.tobytes() != self._kept_points.tobytes():
             if pass_fn in self._kept_parts:
@@ -300,11 +306,10 @@ class ChartManifold:
                     self._kept_index = {p.tobytes(): i for i, p in enumerate(self._kept_points)}
                 rows = [self._kept_index.get(p.tobytes()) for p in pts]
                 if None not in rows:
-                    if self._kept_lane is None:
-                        self._kept_lane = self.lanes(self._kept_points)[1]
-                    return lane_rows(self._kept_parts[pass_fn], rows, self._kept_lane)
+                    return lane_rows(self._kept_parts[pass_fn], rows,
+                                     self._kept_parts[ChartManifold._frames].lane)
             self._kept_points, self._kept_parts = pts, {}
-            self._kept_index = self._kept_lane = None
+            self._kept_index = None
         if pass_fn not in self._kept_parts:
             part = pass_fn(self, self._kept_points)
             for a in [part] if isinstance(part, np.ndarray) else part:

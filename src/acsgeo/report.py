@@ -111,18 +111,15 @@ class AuditReport:
         self.values: List[Optional[float]] = []
         self.flags: List[str] = []
 
-    def add(self, check, point, residual, tol=None, passed=None, value=None):
+    def add(self, check, point, residual, passed, value=None):
         """One record; ``point`` is coordinates or, as it is kept, their
         float64 bytes."""
-        if passed is None:
-            passed = abs(residual) <= tol
         self.checks.append(check)
         self.points.append(point if isinstance(point, bytes)
                            else np.asarray(point, dtype=float).tobytes())
         self.residuals.append(float(residual))
         self.passed.append(bool(passed))
         self.values.append(None if value is None else float(value))
-        return passed
 
     @classmethod
     def from_columns(cls, points, columns, lane=None) -> "AuditReport":
@@ -153,7 +150,7 @@ class AuditReport:
             p = raw[i * width:(i + 1) * width]
             for check, residual, passed, value, at in lists:
                 if at is None or at[i]:
-                    add(check, p, residual[i], None, passed[i],
+                    add(check, p, residual[i], passed[i],
                         None if value is None else value[i])
 
     def flag(self, message: str):

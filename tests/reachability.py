@@ -3,14 +3,15 @@
     python tests/reachability.py            # print the never-called functions
     python tests/reachability.py --check    # compare them with never_called.txt
 
-The probe runs every op of ``decision_corpus.OPS`` in-process under
-``sys.setprofile``, then ``export-zoo`` (to stdout and to a file),
-``list-zoo``, a run with the default table format and a run under
-``ACSM_LOG=debug``.  Each called code object is named ``module.Qualname``
-through an ``ast`` walk of the package's sources (by file and first line,
-a decorated function by its decorators' lines too), so no
-``co_qualname`` is needed.  It prints each function that never ran, with
-its line count.
+The probe imports ``acsgeo.cli`` under ``sys.setprofile``, so the code
+every CLI process runs at import (the argument parser's build) counts as
+called, then runs every op of ``decision_corpus.OPS`` in-process under it,
+then ``export-zoo`` (to stdout and to a file), ``list-zoo``, a run with the
+default table format and a run under ``ACSM_LOG=debug``.  Each called
+code object is named ``module.Qualname`` through an ``ast`` walk of the
+package's sources (by file and first line, a decorated function by its
+decorators' lines too), so no ``co_qualname`` is needed.  It prints each
+function that never ran, with its line count.
 
 ``--check`` compares that list with ``never_called.txt``, one
 ``module.Qualname  reason`` per line, each reason tagged with one of the
@@ -21,6 +22,7 @@ function no longer exists, or an entry has no tagged reason.  pytest does not co
 """
 
 import ast
+import importlib
 import os
 import re
 import sys
@@ -32,6 +34,23 @@ PACKAGE = os.path.join(SRC, "acsgeo")
 ALLOWLIST = os.path.join(HERE, "never_called.txt")
 sys.path.insert(0, HERE)
 sys.path.insert(0, SRC)
+
+
+def profiled(codes, fn, *args):
+    """``fn(*args)`` with the code object of every call it makes added to
+    ``codes``."""
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+    sys.setprofile(profile)
+    try:
+        return fn(*args)
+    finally:
+        sys.setprofile(None)
+
+
+IMPORT_CODES = set()        # the calls of the import, before decision_corpus imports cli
+profiled(IMPORT_CODES, importlib.import_module, "acsgeo.cli")
 
 from decision_corpus import OPS, run  # noqa: E402
 
@@ -82,21 +101,17 @@ def debug_run(argv, workdir):
 
 
 def called(at):
-    """The qualnames of the functions that run while the ops run."""
-    codes = set()
+    """The qualnames of the functions that run while ``acsgeo.cli`` is
+    imported and while the ops run."""
+    codes = set(IMPORT_CODES)
 
-    def profile(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
+    def run_all(ops, workdir):
+        for argv in ops:
+            run(argv, workdir)
+        debug_run(DEBUG_OP, workdir)
     with tempfile.TemporaryDirectory() as workdir:
         ops = OPS + [[a.format(workdir=workdir) for a in op] for op in EXTRA_OPS]
-        sys.setprofile(profile)
-        try:
-            for argv in ops:
-                run(argv, workdir)
-            debug_run(DEBUG_OP, workdir)
-        finally:
-            sys.setprofile(None)
+        profiled(codes, run_all, ops, workdir)
     return {at[os.path.abspath(c.co_filename), c.co_firstlineno] for c in codes
             if (os.path.abspath(c.co_filename), c.co_firstlineno) in at}
 

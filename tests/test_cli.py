@@ -314,19 +314,29 @@ def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
 TRIVIAL3 = "zoo:random:dim=3,seed=1,family=trivial-lambda"     # phi-compatible at every point
 
 
+FLAT2 = "zoo:example_flat_acs:n=2"
+
+
 @pytest.mark.parametrize("argv, passes", [
-    (["validate", TRIVIAL3], (1, 0, 0, 0)), (["curvature", TRIVIAL3], (1, 1, 0, 1)),
-    (["audit", TRIVIAL3], (1, 1, 1, 1)),
-    (["audit", TRIVIAL3, "--checks", "structure"], (1, 0, 0, 0)),
-    (["audit", TRIVIAL3, "--checks", "cosymplectic,lemma_5_6,phi_compat"], (1, 0, 1, 1)),
-    (["audit", "zoo:example_flat_acs:n=2"], (1, 1, 1, 1)),
-    (["audit", TRIVIAL3, "--checks", "psi"], (1, 0, 1, 1)),
+    (["validate", TRIVIAL3], (1, 0, 0, 0, 1, 0)), (["curvature", TRIVIAL3], (1, 1, 0, 1, 1, 2)),
+    (["audit", TRIVIAL3], (1, 1, 1, 1, 1, 2)),
+    (["audit", TRIVIAL3, "--checks", "structure"], (1, 0, 0, 0, 1, 0)),
+    (["audit", TRIVIAL3, "--checks", "cosymplectic,lemma_5_6,phi_compat"], (1, 0, 1, 1, 1, 1)),
+    (["audit", FLAT2], (1, 1, 1, 1, 1, 2)),
+    (["audit", TRIVIAL3, "--checks", "psi"], (1, 0, 1, 1, 1, 1)),
     # no point is phi-compatible: no sweep reads a phi-basis
-    (["audit", "zoo:example_r3_negative", "--checks", "phi_compat"], (1, 0, 1, 0))])
+    (["audit", "zoo:example_r3_negative", "--checks", "phi_compat"], (1, 0, 1, 0, 1, 0)),
+    (["audit", FLAT2, "--checks", "phi_compat,psi"], (1, 0, 1, 1, 1, 1)),
+    (["audit", FLAT2, "--checks", "psi"], (1, 0, 1, 1, 1, 1)),
+    (["curvature", FLAT2], (1, 1, 0, 1, 1, 2))])
 def test_one_pass_per_store(monkeypatch, capsys, argv, passes):
-    """A passing run evaluates its frames once, and its curvature, nabla^0
-    phi and phi-bases at most once, however many checks read them."""
-    counts = {"frames": 0, "curvature": 0, "nabla0_phi": 0, "phi_basis": 0}
+    """A passing run evaluates its frames and finds their lanes once, and
+    its curvature, nabla^0 phi and phi-bases at most once, however many
+    checks read them.  The plain section blocks are built by the plain
+    sweep and by each sweep whose sectional curvatures are read, and by no
+    other."""
+    counts = {"frames": 0, "curvature": 0, "nabla0_phi": 0, "phi_basis": 0, "lanes": 0,
+              "plain_blocks": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -341,9 +351,33 @@ def test_one_pass_per_store(monkeypatch, capsys, argv, passes):
     monkeypatch.setattr(contact, "covariant_derivative_11",
                         counted("nabla0_phi", contact.covariant_derivative_11))
     monkeypatch.setattr(curvature, "phi_basis", counted("phi_basis", curvature.phi_basis))
+    monkeypatch.setattr(manifold.ChartManifold, "lanes",
+                        counted("lanes", manifold.ChartManifold.lanes))
+    monkeypatch.setattr(curvature, "_plain_blocks",
+                        counted("plain_blocks", curvature._plain_blocks))
     code, out, _ = run(capsys, *argv, "--grid", "2", "--format", "json")
     assert code == 0 and out
     assert tuple(counts.values()) == passes
+
+
+def test_a_replayed_run_finds_each_point_sets_lanes_once(monkeypatch, capsys, tmp_path):
+    """A failing audit whose replay bisects its points finds the lanes of
+    each point set it passes once: the frame pass finds them, and the
+    curvature pass and the row reads take them from it."""
+    spec = dict(TWO_FAILURES, metric_lower=[["1"], ["0", "1"], ["0", "0", "1"]],
+                K={"z,z,z": "1e-10*exp(709*(x + 1))"})
+    path = tmp_path / "replayed.json"
+    path.write_text(json.dumps(spec))
+    point_sets = []
+    lanes = manifold.ChartManifold.lanes
+
+    def recorded(self, pts):
+        point_sets.append(pts.tobytes())
+        return lanes(self, pts)
+    monkeypatch.setattr(manifold.ChartManifold, "lanes", recorded)
+    assert run(capsys, "audit", str(path), "--checks", "thm_5_8") == (
+        2, "", "error: statistical curvature is not finite at [0.0, -1.0, -1.0]\n")
+    assert len(point_sets) > 2 and len(set(point_sets)) == len(point_sets)
 
 
 def test_a_later_group_keeps_the_first_error(capsys, tmp_path):

@@ -159,7 +159,8 @@ def test_shared_lane_sweep_draws_for_every_point(dim):
     assert rng.standard_normal() == sweep_rng_next(len(pts), dim, 5)
     plain = m.n * (m.n + 3) // 2        # n legs and n (n + 1) / 2 mixtures
     assert sweep.value.shape == keep.shape == (len(pts), plain + 2)
-    assert len(sweep.blocks[0][0]) == 1 and len(sweep.blocks[-1][0]) == len(pts)
+    blocks = sweep.blocks()
+    assert len(blocks[0][0]) == 1 and len(blocks[-1][0]) == len(pts)
     assert (sweep.value[:, :plain] == sweep.value[:1, :plain]).all()
 
 

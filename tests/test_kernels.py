@@ -97,7 +97,7 @@ def ref_with_curvatures(sweep, g, curvatures):
         per_16_lanes(one_section, r, g, x[:, j], px[:, j],
                      lane=sweep.lane if len(x) == points else None),
         sweep.lane, points), (points,))[:, None]
-        for x, px in sweep.blocks for j in range(x.shape[1])], axis=1)
+        for x, px in sweep.blocks() for j in range(x.shape[1])], axis=1)
         for r in (curvatures.s, curvatures.r0))
 
 
@@ -205,7 +205,7 @@ def sweep_of(blocks, lanes, g):
         q = np.concatenate([np.broadcast_to(plane_q(g[:, None], x, px), shape[:1] + x.shape[1:2])
                             for x, px in blocks], axis=1)
     return SectionSweep(np.zeros((points, 3)), eta=None, q=q, value=None, closed=None,
-                        k_s=None, k_0=None, status=status, blocks=blocks)
+                        k_s=None, k_0=None, status=status, blocks=lambda: blocks)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -246,7 +246,7 @@ def test_sweep_curvatures_match_section_loop_on_charts(chart):
     frames = m.frame_stack(pts)
     sweep, _ = curv.phi_sweep(m.kept(curv.plain_sweep, pts), frames, np.random.default_rng(1))
     curvatures = curv.statistical_curvatures(m, pts)
-    assert sweep.blocks[0][0].strides[-1] != 8      # the legs: basis columns
+    assert sweep.blocks()[0][0].strides[-1] != 8      # the legs: basis columns
     got = sweep.with_curvatures(frames.g, curvatures)
     k_s, k_0 = ref_with_curvatures(sweep, frames.g, curvatures)
     assert_bits(got.k_s, k_s)

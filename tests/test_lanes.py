@@ -388,11 +388,16 @@ def test_point_curvature_matches_float_jets(spec):
             assert_same(got, ref)
 
 
-# K is inf at x = 1; K is finite there but its derivative is not
-@pytest.mark.parametrize("k", ["exp(400*x)*exp(400*x)", "1e-10*exp(709*x)"])
+# K is inf at x = 1, which fails the frame pass that the curvature pass
+# reads; K is finite there but its derivative is not
+NON_FINITE_PARTS = {"exp(400*x)*exp(400*x)": "K",
+                    "1e-10*exp(709*x)": "statistical curvature"}
+
+
+@pytest.mark.parametrize("k", NON_FINITE_PARTS)
 def test_non_finite_jets_fail_the_parts_gate(k):
     m = manifold_from_dict(dict(LAMBDA_K, K={"z,z,z": k}))
-    with pytest.raises(NonFiniteError, match="^statistical curvature is not finite "
+    with pytest.raises(NonFiniteError, match=f"^{NON_FINITE_PARTS[k]} is not finite "
                                              "on the grid$"):
         curv.statistical_curvatures(m, m.grid_points())
     assert curv._curvature_parts not in m._kept_parts
@@ -730,9 +735,10 @@ def check_sweep_matches_loop(m, pts, seed):
     horiz, keep_h = curv.horizontal_projections(stack)
     # the (X, phi X) of each point and section, read by plain indexing from
     # blocks of a row per point, a row per lane or one row for every point
+    blocks = sweep.blocks()
     rows = [np.arange(len(pts)) if len(x) == len(pts) else stack.lane if len(x) > 1
-            else np.zeros(len(pts), dtype=int) for x, _ in sweep.blocks]
-    xs, pxs = (np.concatenate([block[n][r] for block, r in zip(sweep.blocks, rows)], axis=1)
+            else np.zeros(len(pts), dtype=int) for x, _ in blocks]
+    xs, pxs = (np.concatenate([block[n][r] for block, r in zip(blocks, rows)], axis=1)
                for n in (0, 1))
     ref_rng = np.random.default_rng(seed)
     for i, fr in enumerate(frames):

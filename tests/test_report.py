@@ -62,7 +62,7 @@ def test_render_matches_one_dumps_per_record(rows, cut):
     first, second = AuditReport(), AuditReport()
     for i, (check, point, residual, passed, value) in enumerate(rows):
         rep = first if i < cut else second
-        assert rep.add(check, point, residual, passed=passed, value=value) is passed
+        rep.add(check, point, residual, passed=passed, value=value)
     first.extend(second)
     expected = "\n".join(reference_line(*row) for row in rows)
     assert first.to_json_lines() == expected
@@ -159,10 +159,12 @@ def test_one_row_columns_repeat_their_special_floats(count):
 @given(st.lists(st.tuples(points(), st.one_of(doubles(), doubles().map(np.float64))),
                 max_size=8), doubles())
 def test_passed_from_tolerance(rows, tol):
-    """Without ``passed``, a record passes when ``abs(residual) <= tol``."""
+    """A record passes as its ``passed`` says: here ``abs(residual) <= tol``,
+    which a NaN residual never meets."""
     rep = AuditReport()
     for point, residual in rows:
-        assert rep.add("check", point, residual, tol) == (abs(residual) <= tol)
+        rep.add("check", point, residual, passed=abs(residual) <= tol)
+    assert rep.passed == [bool(abs(r) <= tol) for _, r in rows]
     assert rep.to_json_lines() == "\n".join(
         reference_line("check", p, r, abs(r) <= tol, None) for p, r in rows)
 
@@ -173,7 +175,7 @@ def test_point_is_kept_at_add_time():
     p = np.array([0.5, -1.0, 2.0])
     rep = AuditReport()
     rep.add("a", p, 0.0, passed=True)
-    rep.add("b", p, 1e-12, 1e-9)
+    rep.add("b", p, 1e-12, passed=True)
     p[0] = 7.0
     rep.add("c", p, 0.0, passed=True, value=1.0)
     assert rep.to_json_lines() == "\n".join([
@@ -195,8 +197,8 @@ def test_signed_zero_points_stay_distinct():
 
 def test_queries_read_the_columns():
     rep = AuditReport()
-    rep.add("x/a", [0.0, 1.0], 1e-3, 1e-9)
-    rep.add("x/a", [1.0, 1.0], -2e-3, 1e-9)
+    for point, r in (([0.0, 1.0], 1e-3), ([1.0, 1.0], -2e-3)):
+        rep.add("x/a", point, r, passed=abs(r) <= 1e-9)
     rep.add("x/b", [0.0, 1.0], 0.0, passed=True, value=0.0)
     rep.add("y", (), 5.0, passed=True, value=5.0)
     assert not rep.all_passed
@@ -216,11 +218,9 @@ def test_queries_read_the_columns():
 
 def test_nan_residual_is_the_worst():
     rep = AuditReport()
-    rep.add("c", [0.0], 0.5, tol=1.0)
-    rep.add("c", [1.0], float("nan"), tol=1.0)
-    rep.add("c", [2.0], 2.0, tol=1.0)
-    rep.add("d", [0.0], float("nan"), tol=1.0)
-    rep.add("d", [1.0], float("nan"), tol=1.0)
+    for check, point, r in (("c", [0.0], 0.5), ("c", [1.0], float("nan")), ("c", [2.0], 2.0),
+                            ("d", [0.0], float("nan")), ("d", [1.0], float("nan"))):
+        rep.add(check, point, r, passed=abs(r) <= 1.0)
     worst = rep.worst_by_check()
     assert worst["c"].point == (1.0,) and worst["d"].point == (0.0,)
     assert np.isnan(rep.max_residual("c")) and np.isnan(rep.max_residual())

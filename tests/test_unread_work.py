@@ -1,7 +1,7 @@
 """Work that no output reads, left out bit for bit.
 
 The references below are the forms the package replaced, kept here and
-nowhere in it: argument parsing by the full parser of every verb,
+nowhere in it: argument parsing by a newly built parser of every verb,
 ``field_jet`` copying each duplicate entry one column at a time, and the
 total symmetry residual over all six permutations.  The passes read each
 field table's index, built with the chart, and walk no table again.  Each must agree with
@@ -10,6 +10,7 @@ array bits and layout, sign bits and NaN included.  ``_frame_cache``, once
 a record of every frame pass, is now a read of the chart's kept frame part,
 and its tests pin that read."""
 
+import argparse
 import itertools
 
 import numpy as np
@@ -35,7 +36,7 @@ def assert_bits(got, want):
 
 
 # ---------------------------------------------------------------------------
-# one parser per verb
+# one parser per process
 
 
 def outcome(capsys, argv):
@@ -48,10 +49,10 @@ def outcome(capsys, argv):
 
 
 def full_parser_outcome(capsys, monkeypatch, argv):
-    """``main(argv)`` with every verb's parser built, as it parsed before."""
-    full = cli.build_parser
+    """``main(argv)`` with a newly built parser of every verb, as each call
+    parsed once, in place of the one ``cli`` built at import."""
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "build_parser", lambda verb=None: full())
+        patch.setattr(cli, "PARSER", cli.build_parser())
         return outcome(capsys, argv)
 
 
@@ -73,15 +74,25 @@ OTHER_ARGVS = [
 
 @pytest.mark.parametrize("argv", RUN_VERB_ARGVS + OTHER_ARGVS, ids=" ".join)
 def test_verb_parser_matches_full_parser(capsys, monkeypatch, argv):
+    """The parser built at import, which every call shares, parses each
+    argv as a newly built one does: a parse keeps nothing."""
     want = full_parser_outcome(capsys, monkeypatch, argv)
     assert outcome(capsys, argv) == want
 
 
-def test_verb_parser_holds_one_verb():
-    for verb in cli.VERBS:
-        sub = cli.build_parser(verb)._subparsers._group_actions[0]
-        assert list(sub.choices) == [verb]
-    assert tuple(cli.build_parser()._subparsers._group_actions[0].choices) == cli.VERBS
+def test_main_builds_no_parser(capsys, monkeypatch):
+    """After import, ``main`` parses with the one parser it built and
+    constructs no other."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert outcome(capsys, ["list-zoo"])[0] == 0
+    assert outcome(capsys, ["validate", "zoo:example_flat_acs:n=1", "--grid", "1"])[0] == 0
+    assert built == []
 
 
 def test_unrecognized_argument_prints_full_usage(capsys):
