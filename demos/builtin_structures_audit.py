@@ -36,12 +36,12 @@ def tour(entry):
 
     x = np.eye(m.dim)[0]
     # the batched triples at one point, on the one section span(x, phi x)
-    _, triples, _ = phi_sectional_triples(m, [p], section=lambda frames: x[None])
+    _, triples = phi_sectional_triples(m, [p], section=lambda frames: x[None])
     k_s, k_0, k_phi = triples[0, 0].tolist()
     print(f"sectional triple = (S {k_s: .6f}, Riemannian {k_0: .6f}, "
           f"K {k_phi: .6f}) on span(d1, phi d1)")
 
-    audit = theorem_5_8_audit(m, [p], rng=np.random.default_rng(0))
+    audit = theorem_5_8_audit(m, [p])
     print("equivalence audit:", audit_branch(audit), "branch,",
           "unanimous" if not audit.flags else f"FLAGS {audit.flags}")
 

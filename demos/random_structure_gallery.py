@@ -25,8 +25,7 @@ for family in ("trivial-lambda", "planar-block", "mixed"):
 
         vals = [phi_sectional_k_curvature(fr, x).value
                 for x in sweep_sections(m, fr, rng=np.random.default_rng(1))]
-        audit = theorem_5_8_audit(m, [p], tol=1e-6,
-                                  rng=np.random.default_rng(1))
+        audit = theorem_5_8_audit(m, [p], tol=1e-6)
         print(f"  dim {dim}, seed {seed}: branch {audit_branch(audit):9s}  "
               f"K_phi in [{min(vals):+.4f}, {max(vals):+.4f}]  "
               f"spread {max(vals) - min(vals):.2e}")

@@ -11,7 +11,8 @@ The checks read the frames, the statistical curvature, nabla^0 phi and the
 plain section sweep of the sample points from the chart's store
 (``ChartManifold.kept``), each computed once per run; every check over
 several points runs under ``curvature.replay``, so a failing pass or check
-raises what a per-point loop meets first.
+raises what a per-point loop meets first.  No verb draws random numbers:
+``--seed`` is accepted and checked, and changes nothing.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def axiom_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
     if not any(name in checks for name in CHECK_GROUPS[:3]):
         return AuditReport()
 
-    def run(points, _):
+    def run(points):
         fs = m.frame_stack(points)
         columns = []
         if "structure" in checks:
@@ -160,7 +161,7 @@ def axiom_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
         if "acs" in checks:
             columns += validate_acs(fs, tol)
         return AuditReport.from_columns(fs.point, columns, fs.lane)
-    return curv.replay(run, pts, None)
+    return curv.replay(run, pts)
 
 
 def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
@@ -172,7 +173,7 @@ def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
               if name in checks]
     loose = max(tol, 1e-6)
 
-    def run(points, _):
+    def run(points):
         fs = m.frame_stack(points)
         zero, yes = np.zeros(1), np.ones(1, dtype=bool)
         columns = []
@@ -191,7 +192,7 @@ def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
             columns.append(within("connection_duality",
                                   conjugate_connections(fs, tol=loose)[1], loose))
         return AuditReport.from_columns(fs.point, columns, fs.lane)
-    return curv.replay(run, pts, None) if wanted else AuditReport()
+    return curv.replay(run, pts) if wanted else AuditReport()
 
 
 def section_reader(m: ChartManifold, text: str):
@@ -214,18 +215,17 @@ def section_reader(m: ChartManifold, text: str):
 
 
 def cmd_curvature(m: ChartManifold, args) -> int:
-    rng = np.random.default_rng(args.seed)
     pts = sample_points(m, args.grid)
     section = section_reader(m, args.section) if args.section else None
-    lams, triples, keep = curv.phi_sectional_triples(m, pts, rng=rng, section=section,
-                                                     lambda_tol=max(args.tol, 1e-6))
+    lams, triples = curv.phi_sectional_triples(m, pts, section=section,
+                                               lambda_tol=max(args.tol, 1e-6))
     names = ("k_phi_S", "k_phi_0", "k_phi")
     zero, yes = np.zeros(1), np.ones(1, dtype=bool)
     rep = AuditReport.from_columns(pts, [Column("curvature/lambda", zero, yes, lams)] + [
-        Column(f"curvature/{name}", zero, yes, triples[:, j, n], keep[:, j])
-        for j in range(keep.shape[1]) for n, name in enumerate(names)])
-    # the kept values in point-major order, as Python max and min take them
-    values = [triples[..., n][keep].tolist() for n in range(3)] + [lams.tolist()]
+        Column(f"curvature/{name}", zero, yes, triples[:, j, n])
+        for j in range(triples.shape[1]) for n, name in enumerate(names)])
+    # the values in point-major order, as Python max and min take them
+    values = [triples[..., n].ravel().tolist() for n in range(3)] + [lams.tolist()]
     for name, vals in zip(names + ("lambda",), values):
         gap = (max(vals) - min(vals)) if vals else 0.0
         rep.add(f"curvature/constancy_gap/{name}", (), gap, passed=True, value=gap)
@@ -233,21 +233,19 @@ def cmd_curvature(m: ChartManifold, args) -> int:
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
 
 
-def audit_report(m: ChartManifold, pts, tol: float, checks, rng) -> AuditReport:
+def audit_report(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
     """The records and flags of ``audit`` at the points ``pts``: the check
     groups ``checks`` in ``CHECK_GROUPS`` order."""
     rep = axiom_checks(m, pts, tol, checks)
     if "cosymplectic" in checks:
-        flag, res = curv.replay(lambda points, _: is_cosymplectic(m, points, tol=tol),
-                                pts, None)
+        flag, res = curv.replay(lambda points: is_cosymplectic(m, points, tol=tol), pts)
         rep.add("cosymplectic", pts[0], res, passed=True, value=float(flag))
 
     if "thm_5_8" in checks:
-        rep.extend(curv.theorem_5_8_audit(m, pts, tol=tol, rng=rng))
+        rep.extend(curv.theorem_5_8_audit(m, pts, tol=tol))
 
     if "phi_compat" in checks or "psi" in checks:
-        # psi alone needs the verdict only: no records, no draws from rng
-        compat_rep = curv.phi_compat_check(m, pts, tol, rng if "phi_compat" in checks else None)
+        compat_rep = curv.phi_compat_check(m, pts, tol)    # psi alone reads the verdict only
         if "phi_compat" in checks:
             rep.extend(compat_rep)
 
@@ -263,8 +261,7 @@ def cmd_audit(m: ChartManifold, args) -> int:
     groups."""
     checks = check_groups(args.checks, CHECK_GROUPS[:3] if args.command == "validate"
                           else CHECK_GROUPS)
-    rng = np.random.default_rng(args.seed)
-    rep = audit_report(m, sample_points(m, args.grid), args.tol, checks, rng)
+    rep = audit_report(m, sample_points(m, args.grid), args.tol, checks)
     emit(rep, args.format)
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
 
@@ -319,8 +316,8 @@ def build_parser():
                        help="sample points per coordinate (default from spec)")
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument(option, default=None, help=option_help)
-        # validate draws nothing, but command lines pass every verb a seed
-        p.add_argument("--seed", type=int, default=0)
+        # no verb draws, but command lines pass every verb a seed
+        p.add_argument("--seed", type=int, default=0, help="accepted; no verb draws")
 
     checks = "comma list of check groups to run"
     add_common("validate", "structure/statistical/ACS axioms", "--checks", checks)

@@ -4,10 +4,10 @@ audits of the equivalence and compatibility theorems.
 
 The statistical curvature of some points is one lane pass, a part of the
 chart's store (``ChartManifold.kept``), and so is the ``section_sweep`` of
-their phi-basis legs and mixtures (``plain_sweep``), which every audit that
-sweeps reads at its own points before it sweeps its random sections; the
-per-point functions (``phi_sectional_k_curvature``, ...) are one-point calls
-of that kernel.
+their phi-basis legs and mixtures with a certificate of every other
+horizontal section (``plain_sweep``), which every sweeping check reads at
+its own points; only ``sweep_sections`` draws, given an rng.  The per-point
+functions (``phi_sectional_k_curvature``, ...) are one-point calls of it.
 
 An audit takes each of its steps for all points at once and raises at the
 first failure; ``replay`` then runs it again one point at a time, so the
@@ -104,8 +104,9 @@ class PhiSectionalValue:
 
 
 # the status of a (point, section) pair: the first check it fails, in the
-# order phi_sectional_k_curvature runs them
-OK, NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH = range(6)
+# order phi_sectional_k_curvature runs them; UNCERTIFIED marks the first
+# section of a lane whose sections pass and whose ``quartic_gaps`` fails
+OK, NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH, UNCERTIFIED = range(7)
 HORIZONTAL_TOL = 1e-9
 
 
@@ -134,27 +135,31 @@ class SectionSweep:
     lane: Optional[np.ndarray] = None
 
     def error(self, i, j, plane: bool = False) -> Optional[Exception]:
-        """The error phi_sectional_k_curvature raises for pair (i, j), or
-        None.  With ``plane`` a degenerate section is the
-        DegeneratePlaneError of ``sectional_curvature``, which callers of
-        the sectional curvatures meet first."""
-        code = self.status[i, j]
+        """The error phi_sectional_k_curvature raises for pair (i, j), with
+        row i's point as its ``lane`` (see ``replay``), or None.  With
+        ``plane`` a degenerate section is the DegeneratePlaneError of
+        ``sectional_curvature``, which callers of it meet first."""
+        code, point = self.status[i, j], self.point[i].tolist()
         if code == NOT_HORIZONTAL:
-            return NotHorizontalError(
+            exc = NotHorizontalError(
                 f"eta(X) = {float(self.eta[i, j])} beyond tolerance {HORIZONTAL_TOL}")
-        if code == NEGLIGIBLE:
-            return NotHorizontalError("X has negligible norm")
-        if code == DEGENERATE:
+        elif code == NEGLIGIBLE:
+            exc = NotHorizontalError("X has negligible norm")
+        elif code == DEGENERATE:
             q = float(self.q[i, j])
-            return (DegeneratePlaneError(f"Q(X,Y) = {q} below threshold") if plane
-                    else DegenerateSectionError(f"Q(X, phi X) = {q} below threshold"))
-        if code == NON_FINITE:
-            return NonFiniteError("phi-sectional curvature is not finite at "
-                                  f"{list(map(float, self.point[i]))}")
-        if code == MISMATCH:
-            return CrossCheckError(f"phi-sectional quotient {float(self.value[i, j])} "
-                                   f"vs closed form {float(self.closed[i, j])}")
-        return None
+            exc = (DegeneratePlaneError(f"Q(X,Y) = {q} below threshold") if plane
+                   else DegenerateSectionError(f"Q(X, phi X) = {q} below threshold"))
+        elif code == NON_FINITE:
+            exc = NonFiniteError(f"phi-sectional curvature is not finite at {point}")
+        elif code == MISMATCH:
+            exc = CrossCheckError(f"phi-sectional quotient {float(self.value[i, j])} "
+                                  f"vs closed form {float(self.closed[i, j])}")
+        elif code == UNCERTIFIED:
+            exc = CrossCheckError(f"K_phi fails its quartic-form certificate at {point}")
+        else:
+            return None
+        exc.lane = point
+        return exc
 
     def with_curvatures(self, g, curvatures) -> "SectionSweep":
         """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
@@ -359,36 +364,55 @@ def _plain_blocks(basis):
     return [legs, np.stack(mixtures, axis=1)]
 
 
-def _random_sections(g, basis, rng, extra: int = 2):
-    """``extra`` random combinations of the phi-basis legs at each of P points
-    (metrics and bases (P, ...); 2n normals each, in point order, from one
-    block of ``rng``) and the (P, extra) mask of those with norm above 1e-3,
-    whose Q(X, phi X) = |X|^4 clears the kernel's 1e-12 gate."""
-    horizontal = basis.shape[-1] - 1
-    coef = rng.standard_normal((len(basis), extra, horizontal))
-    with np.errstate(all="ignore"):
-        x = contract(basis[:, None, :, :horizontal], coef)
-        return x, norms(g[:, None], x) > 1e-3
-
-
 def sweep_sections(m: ChartManifold, fr: PointFrame, rng=None, extra: int = 2):
     """Horizontal section vectors for a phi-basis sweep at a point: the
-    phi-basis legs e_1..e_n, their pairwise mixtures, and a few random
-    horizontal combinations."""
+    phi-basis legs e_1..e_n, their pairwise mixtures and, with ``rng``,
+    ``extra`` random combinations of the horizontal legs (2n normals each)
+    of norm above 1e-3, whose Q(X, phi X) = |X|^4 clears the 1e-12 gate."""
     basis, errors = phi_basis(fr.g[None], fr.phi[None], fr.xi[None])
     if errors[0] is not None:
         raise errors[0]
     vectors = [v for block in _plain_blocks(basis) for v in block[0]]
     if rng is not None:
-        x, keep = _random_sections(fr.g[None], basis, rng, extra)
-        vectors += [v for v, kept in zip(x[0], keep[0]) if kept]
+        horizontal = basis.shape[-1] - 1
+        x = contract(basis[:, None, :, :horizontal],
+                     rng.standard_normal((1, extra, horizontal)))[0]
+        vectors += [v for v, kept in zip(x, norms(fr.g, x) > 1e-3) if kept]
     return vectors
+
+
+def _in_basis(t, mats):
+    """t[l, ..., i_1, .., i_r] M_1[l, i_1, a_1] .. M_r[l, i_r, a_r] of the lane
+    tensors ``t`` and (L, dim, m) ``mats`` as [l, a_1, .., a_r, ...], by matmuls."""
+    for mat in reversed(mats):
+        t = np.moveaxis(t @ np.expand_dims(mat, tuple(range(1, t.ndim - 2))), -1, 1)
+    return t
+
+
+def quartic_gaps(fs: FrameStack, basis) -> np.ndarray:
+    """The certificate of the K_phi identity at each lane of ``fs``, (U,), 16
+    lanes at a time: in the horizontal legs h_a of its phi-basis (U, dim,
+    2n+1), N_abcd = g([K,K](h_a, phi h_b) phi h_c, h_d) from ``kk_tensor``,
+    C_abcd = -2 g(K(h_a, h_b), K(h_c, h_d)) from K alone, and the gap
+    max |Sym^4 (N - C)| / max(1, max |C|).  As Q(X, phi X) = |X|^4 there, a
+    gap within 1e-9 makes K_phi its closed form -2 |K(X,X)|^2 / |X|^4 <= 0 at
+    every horizontal X.  A NaN gap (an overflowing [K,K]) decides nothing."""
+    def gaps(g, phi, k, h):
+        ph, m = phi @ h, h.shape[-1]
+        n = _in_basis(kk_tensor(k), (g @ h, ph, h, ph))         # N as [d, c, a, b]
+        kh = _in_basis(k, (h, h)).reshape(len(k), m * m, k.shape[-1])     # K(h_a, h_b) as [ab, i]
+        c = -2.0 * (kh @ g @ np.swapaxes(kh, -1, -2)).reshape(n.shape)
+        sym = n - c
+        for r in (2, 3, 4):     # Sym^4 as coset sums: the last two axes, three, four
+            sym = sum(sym.swapaxes(-r, j - r) for j in range(r))
+        return max_abs(sym) / 24.0 / np.maximum(1.0, max_abs(c))
+    return per_16_lanes(gaps, fs.g, fs.phi, fs.K, basis[..., :-1])
 
 
 class PlainSweep(NamedTuple):
     """Per lane of the (P, dim) ``point``, read-only: its phi-basis (U, dim,
-    2n+1), its FrameError or None, and the sweep of its legs and mixtures,
-    (U, S) each; ``lane`` (P,) is the lane of each point."""
+    2n+1), its FrameError or None, and the sweep of its legs and mixtures
+    with its certificate, (U, S) each; ``lane`` (P,) is each point's lane."""
 
     point: np.ndarray
     basis: np.ndarray
@@ -403,113 +427,89 @@ class PlainSweep(NamedTuple):
 
 def plain_sweep(m: ChartManifold, pts) -> PlainSweep:
     """The PlainSweep of ``pts`` from one pass over the lanes of their frames,
-    a part of the chart's store (``ChartManifold.kept``); it raises nothing
-    and is logged at debug level."""
+    a part of the chart's store (``ChartManifold.kept``); a lane whose
+    sections pass and whose ``quartic_gaps`` exceeds 1e-9 is UNCERTIFIED at
+    its first.  It raises nothing and is logged at debug level."""
     fs = m.frame_stack(pts)
     with lane_pass(log, logging.DEBUG, "plain sweep", pts, fs.lane_points):
         basis, errors = phi_basis(fs.g, fs.phi, fs.xi)
         sweep = section_sweep(fs, _plain_blocks(basis))
+        status = sweep.status
+        status[(status == OK).all(axis=1) & (quartic_gaps(fs, basis) > 1e-9), 0] = UNCERTIFIED
     return PlainSweep(pts, basis, np.array(errors, dtype=object), sweep.eta, sweep.q,
-                      sweep.value, sweep.closed, sweep.status, fs.lane)
+                      sweep.value, sweep.closed, status, fs.lane)
 
 
-def _point_rows(fs: FrameStack) -> FrameStack:
-    """``fs`` with the g, phi, K and eta that ``section_sweep`` reads at each point."""
-    return fs._replace(**{name: at_points(getattr(fs, name), fs.lane, len(fs.point))
-                          for name in ("g", "phi", "K", "eta")})
-
-
-def phi_sweep(plain: PlainSweep, fs: FrameStack, rng=None):
-    """The sweep of every point of ``fs`` and the (P, S) mask of the sections
-    each keeps: ``plain``, the kept ``plain_sweep`` of those points, then with
-    ``rng`` one ``section_sweep`` of random sections, whose ``blocks()``
-    builds the plain blocks when called.  Raises the first basis error of
+def phi_sweep(plain: PlainSweep, fs: FrameStack) -> SectionSweep:
+    """The sweep of every point of ``fs``: ``plain``, the kept ``plain_sweep``
+    of those points, read at each point, whose ``blocks()`` builds the legs
+    and mixtures of each lane when called.  Raises the first basis error of
     those points (lanes are numbered in point order)."""
     for error in filter(None, plain.error):
         raise type(error)(*error.args)      # the kept error never holds a traceback
-    points, lane = len(fs.point), fs.lane
-    parts = [[at_points(a, lane, points) for a in plain[3:8]]]     # eta, q, value, closed, status
-    keep = [np.ones((points, plain.status.shape[1]), dtype=bool)]
-    random_blocks = []
-    if rng is not None:
-        rows = _point_rows(fs)
-        x, kept = _random_sections(rows.g, at_points(plain.basis, lane, points), rng)
-        sweep = section_sweep(rows, [x])
-        random_blocks = sweep.blocks()
-        parts.append([sweep.eta, sweep.q, sweep.value, sweep.closed, sweep.status])
-        keep.append(kept)
-    eta, q, value, closed, status = (np.concatenate(a, axis=1) for a in zip(*parts))
+    eta, q, value, closed, status = (at_points(a, fs.lane, len(fs.point)) for a in plain[3:8])
 
     def blocks():
-        return [(x, contract(fs.phi[:, None], x))
-                for x in _plain_blocks(plain.basis)] + random_blocks
-    return (SectionSweep(fs.point, eta, q, value, closed, None, None, status, blocks, lane),
-            np.concatenate(keep, axis=1))
+        return [(x, contract(fs.phi[:, None], x)) for x in _plain_blocks(plain.basis)]
+    return SectionSweep(fs.point, eta, q, value, closed, None, None, status, blocks, fs.lane)
 
 
-def _k_phi(sweep: SectionSweep, keep) -> np.ndarray:
-    """max |K_phi| over the kept sections of each point (0 without any), or
-    the error of the first kept pair that fails, in point order."""
-    failed = np.argwhere(keep & (sweep.status != OK))
+def _k_phi(sweep: SectionSweep) -> np.ndarray:
+    """max |K_phi| over the sections of each point, or the error of the first
+    pair that fails, in point order."""
+    failed = np.argwhere(sweep.status != OK)
     if len(failed):
         raise sweep.error(*failed[0])
-    return np.max(np.abs(np.where(keep, sweep.value, 0.0)), axis=1, initial=0.0)
+    return np.max(np.abs(sweep.value), axis=1)
 
 
-def replay(run, points, rng):
-    """``run(points, rng)``, an audit that takes each step for all points
-    at once and raises at the first failure.  When it raises, the error
-    that surfaces is the one a per-point loop meets first: the run over
-    that loop's first failing point alone.  The stores raise the error of
-    a failing pass, so every multi-point caller of the CLI runs here.
+def replay(run, points):
+    """``run(points)``, an audit that takes each step for all points at
+    once and raises at the first failure.  When it raises, the error that
+    surfaces is the one a per-point loop meets first: the run over that
+    loop's first failing point alone.  The stores raise the error of a
+    failing pass, so every multi-point caller of the CLI runs here.
 
     Each step acts on each point alone, so a run fails when one of its
-    points fails alone, and a run that passes draws from ``rng`` what the
-    per-point runs of its points draw.  A run that fails in a pass of one
-    lane, the lane of its first point (``manifold.lane_pass`` keeps it on
-    the error), has met that point's own error and raises it: a pass of
-    points that all share one lane, such as every pass of a constant chart,
-    is such a pass.  Otherwise the points are bisected: from the rng state
-    before them, run the first half; if it fails, the failure lies there
-    (rewind; a half of one point raises, as does a half that fails in the
-    lane of its first point, so a half whose points share one lane is
-    located at once), else go on with the second half from the state the
-    first half left, and a point left runs alone: at most ceil(log2 P) + 2
-    runs, none of a point alone twice.  If that passes, no point fails
+    points fails alone, and a run whose error names its first point as its
+    ``lane`` has met that point's own error: a pass of one lane, the lane of
+    its first point (``manifold.lane_pass``; every pass of a constant chart),
+    or a check at the first point it fails (``report.raise_first``,
+    ``SectionSweep.error``).  Otherwise the points are bisected: run the
+    first half; if it fails, the failure lies there (a half of one point
+    raises, as does a half whose error names its first point), else go on
+    with the second half, and a point left runs alone: at most ceil(log2 P)
+    + 2 runs, none of a point alone twice.  If that passes, no point fails
     alone and the batch's own error surfaces."""
     def located(exc, points):
         return getattr(exc, "lane", None) == np.asarray(points[0], dtype=float).tolist()
 
-    state = None if rng is None else rng.bit_generator.state
     try:
-        return run(points, rng)
+        return run(points)
     except Exception as exc:
         if len(points) < 2 or located(exc, points):
             raise
         log.debug("replay: %d points one at a time after %s", len(points), exc)
         while len(points) > 1:
-            if rng is not None:
-                rng.bit_generator.state = state
             half = len(points) // 2
             try:
-                run(points[:half], rng)
+                run(points[:half])
             except Exception as half_exc:
                 if half == 1 or located(half_exc, points):
                     raise       # the first point that fails alone
                 points = points[:half]
                 continue
             points = points[half:]
-            state = None if rng is None else rng.bit_generator.state
-        run(points, rng)        # from the state the passing half left
+        run(points)
         raise       # no point fails alone: the batch's own error
 
 
-def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, keep):
+def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep):
     """(K^S, K^0, K_phi) of each section of each point, (P, S, 3), with the
-    checks of a sectional triple at the sections ``keep`` holds: the
-    horizontality of the first section, the statistical curvature of the
-    point, and for each section the plane check of ``sectional_curvature``,
-    the K_phi checks and the additivity K^S = K^0 + K_phi (to 1e-6 relative)."""
+    checks of a sectional triple: the horizontality of the first section,
+    the statistical curvature of the point, and for each section the plane
+    check of ``sectional_curvature``, the K_phi checks and the additivity
+    K^S = K^0 + K_phi (to 1e-6 relative)."""
     vertical = np.flatnonzero(np.isin(sweep.status[:, 0], (NOT_HORIZONTAL, NEGLIGIBLE)))
     if vertical.size:
         raise sweep.error(vertical[0], 0)
@@ -517,7 +517,7 @@ def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, 
     k_s, k_0, k_phi = sweep.k_s, sweep.k_0, sweep.value
     with np.errstate(all="ignore"):
         additive = np.abs(k_s - (k_0 + k_phi)) <= 1e-6 * np.maximum(1.0, np.abs(k_s))
-    failed = np.argwhere(keep & ((sweep.status != OK) | ~additive))
+    failed = np.argwhere((sweep.status != OK) | ~additive)
     if len(failed):
         i, j = failed[0]
         if sweep.status[i, j] != OK:
@@ -527,60 +527,58 @@ def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, 
     return np.stack([k_s, k_0, k_phi], axis=-1)
 
 
-def phi_sectional_triples(m: ChartManifold, points, rng=None, section=None,
-                          lambda_tol: float = 1e-6):
-    """(lambda (P,), triples (P, S, 3), keep (P, S)): the (K^S, K^0, K_phi)
-    of the sweep sections of each point, or of the one vector per point
-    that ``section(frames)`` gives, (P, dim), from one ``section_sweep``,
-    and the mask of the sections each point keeps.  Steps: frames,
-    ``lambda_of``, ``section``, then ``_section_triples``; a failure raises
-    through ``replay``."""
-    def run(points, rng):
+def phi_sectional_triples(m: ChartManifold, points, section=None, lambda_tol: float = 1e-6):
+    """(lambda (P,), triples (P, S, 3)): the (K^S, K^0, K_phi) of the legs
+    and mixtures of each point's phi-basis, or of the one vector per point
+    that ``section(frames)`` gives, (P, dim), from one ``section_sweep``.
+    Steps: frames, ``lambda_of``, the kept ``plain_sweep`` (its basis
+    errors, then its statuses and certificate) or ``section``, then
+    ``_section_triples``; a failure raises through ``replay``."""
+    def run(points):
         stack = m.frame_stack(points)
         lams = at_points(lambda_of(stack, lambda_tol), stack.lane, len(points))
         if section is None:
-            sweep, keep = phi_sweep(m.kept(plain_sweep, stack.point), stack, rng)
+            sweep = phi_sweep(m.kept(plain_sweep, stack.point), stack)
         else:
-            sweep = section_sweep(_point_rows(stack), [section(stack)[:, None]])
-            keep = np.ones((len(points), 1), dtype=bool)
-        return lams, _section_triples(m, stack, sweep, keep), keep
+            rows = stack._replace(**{f: at_points(getattr(stack, f), stack.lane, len(points))
+                                     for f in ("g", "phi", "K", "eta")})
+            sweep = section_sweep(rows, [section(stack)[:, None]])
+        return lams, _section_triples(m, stack, sweep)
     if not len(points):     # no points, no sections: not the (0, S, 3) of a sweep
-        return np.zeros(0), np.zeros((0, 0, 3)), np.zeros((0, 0), dtype=bool)
-    return replay(run, points, rng)
+        return np.zeros(0), np.zeros((0, 0, 3))
+    return replay(run, points)
 
 
 # ---------------------------------------------------------------------------
 # theorem audits
 
 
-def theorem_5_8_audit(m: ChartManifold, points, tol: float = 1e-9,
-                      rng=None) -> AuditReport:
+def theorem_5_8_audit(m: ChartManifold, points, tol: float = 1e-9, rng=None) -> AuditReport:
     """Evaluate the nine equivalent vanishing conditions independently at
     every sample point and flag any disagreement (which would falsify the
     equivalence, i.e. signal an engine bug or inadmissible input).
 
-    c1 and c2 read the kept ``plain_sweep`` and one sweep of the random
-    sections of all points, and c6 one stack of horizontal projections.
-    Steps, through ``replay``: frames, lambda, phi-bases, section statuses,
-    statistical curvature (when it raises, the statuses come first, without
-    the sectional values)."""
-    return replay(lambda pts, rng: _theorem_5_8(m, pts, tol, rng), points, rng)
+    c1 (max |K_phi| over the legs and mixtures, which polarize K(X,X) on
+    ker(eta) under the conditions c3-c9 check) and c2 read the kept
+    ``plain_sweep``, and c6 one stack of horizontal projections.  Steps,
+    through ``replay``: frames, lambda, phi-bases, section statuses and
+    certificates, statistical curvature (when it raises, the statuses come
+    first, without the sectional values).  ``rng`` is ignored."""
+    return replay(lambda pts: _theorem_5_8(m, pts, tol), points)
 
 
-def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
+def _theorem_5_8(m: ChartManifold, pts, tol) -> AuditReport:
     fs = m.frame_stack(pts)
     points, lane = len(pts), fs.lane
     lams = lambda_of(fs, max(tol, 1e-6))
-    kept = m.kept(plain_sweep, fs.point)
-    sweep, keep = phi_sweep(kept, fs, rng)
+    sweep = phi_sweep(m.kept(plain_sweep, fs.point), fs)
     try:
         curvatures = statistical_curvatures(m, pts)
     except Exception:
-        _k_phi(sweep, keep)     # the statuses come first
+        _k_phi(sweep)     # the statuses come first
         raise
     sweep = sweep.with_curvatures(fs.g, curvatures)
-    k_phi = _k_phi(sweep, keep)
-    plain = kept.value.shape[1]        # the legs and mixtures, not the random sections
+    k_phi = _k_phi(sweep)
     horiz, keep_h = horizontal_projections(fs)
     vecs = np.array(frame_vectors(m.dim))
     with np.errstate(all="ignore"):
@@ -589,8 +587,8 @@ def _theorem_5_8(m: ChartManifold, pts, tol, rng) -> AuditReport:
         phiv = vecs @ np.swapaxes(fs.phi, 1, 2)
         residuals = {
             "c1_kphi_zero": k_phi,
-            "c2_statistical_equals_riemannian": np.max(np.abs(
-                sweep.k_s[:, :plain] - sweep.k_0[:, :plain]), axis=1, initial=0.0),
+            "c2_statistical_equals_riemannian": np.max(np.abs(sweep.k_s - sweep.k_0),
+                                                       axis=1, initial=0.0),
             "c3_K_is_lambda_eta_eta_xi": max_abs(fs.K - lams[:, None, None, None] * np.einsum(
                 "...i,...j,...k->...ijk", fs.xi, fs.eta, fs.eta)),
             "c4_kk_bracket_zero": per_16_lanes(max_abs, curvatures.kk),
@@ -691,20 +689,19 @@ def _compat_residuals(fs: FrameStack, d0_phi):
         max_abs(d0_phi - 2.0 * phi_k)])
 
 
-def phi_compat_check(m: ChartManifold, points, tol: float = 1e-9,
-                     rng=None) -> AuditReport:
+def phi_compat_check(m: ChartManifold, points, tol: float = 1e-9, rng=None) -> AuditReport:
     """phi-compatibility of the statistical connection, decided by three
     independent formulations that must agree; when compatible, the forced
     consequences (cosymplectic, vanishing phi-sectional K-curvature, and
     xi-parallel covariant derivatives of xi) are asserted as well.  The
     K_phi consequence of the compatible points reads their rows of the
-    kept ``plain_sweep`` and sweeps their random sections.  Steps, through
-    ``replay``: frames, then the phi-bases and section statuses of the
-    compatible points."""
-    return replay(lambda pts, rng: _phi_compat(m, pts, tol, rng), points, rng)
+    kept ``plain_sweep``.  Steps, through ``replay``: frames, then the
+    phi-bases, statuses and certificates of the compatible points.  ``rng``
+    is ignored."""
+    return replay(lambda pts: _phi_compat(m, pts, tol), points)
 
 
-def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
+def _phi_compat(m: ChartManifold, pts, tol) -> AuditReport:
     fs = m.frame_stack(pts)
     points, lane = len(pts), fs.lane
     d0_phi = m.kept(nabla0_phi, pts)
@@ -715,8 +712,8 @@ def _phi_compat(m: ChartManifold, pts, tol, rng) -> AuditReport:
     k_phi = np.zeros(points)
     if at.any():
         rows = np.flatnonzero(at)
-        k_phi[at] = _k_phi(*phi_sweep(lane_rows(m.kept(plain_sweep, fs.point), rows, lane),
-                                      lane_rows(fs, rows, lane), rng))
+        k_phi[at] = _k_phi(phi_sweep(lane_rows(m.kept(plain_sweep, fs.point), rows, lane),
+                                     lane_rows(fs, rows, lane)))
     with np.errstate(all="ignore"):
         # nabla_X xi and nabla^0_X xi parallel to xi
         dxi0 = covariant_derivative_vector(fs.gamma0, fs.xi, fs.dxi)
@@ -760,12 +757,12 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
         compat_report = phi_compat_check(m, points, tol=max(tol, 1e-9))
     if not is_phi_compatible(compat_report):
         raise PreconditionNotMetError("structure is not phi-compatible")
-    return replay(lambda pts, _: _psi(m, pts, tol), points, None)
+    return replay(lambda pts: _psi(m, pts, tol), points)
 
 
 def _psi(m: ChartManifold, points, tol) -> AuditReport:
     fs = m.frame_stack(points)
-    k_phi = _k_phi(*phi_sweep(m.kept(plain_sweep, fs.point), fs))
+    k_phi = _k_phi(phi_sweep(m.kept(plain_sweep, fs.point), fs))
     with np.errstate(all="ignore"):
         ng = nabla_g(fs.gamma0 + fs.K, fs.g, fs.dg)                  # (nabla_X g)_xyz
         psi = ng @ fs.phi[:, None]                                   # Psi_X(Y, Z)

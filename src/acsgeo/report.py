@@ -90,13 +90,17 @@ def max_abs(a: np.ndarray) -> np.ndarray:
 
 def raise_first(error, points, residual, tol: float, text: str, lane=None):
     """Raise ``error`` at the first of ``points`` whose residual exceeds
-    ``tol`` (never a NaN one), naming the residual and the point; a
-    residual of one lane is every point's, and one per lane is read at the
-    points through their ``lane``."""
+    ``tol`` (never a NaN one), naming the residual and the point, which it
+    keeps as its ``lane`` (``curvature.replay`` stops at its first point);
+    a residual of one lane is every point's, and one per lane is read at
+    the points through their ``lane``."""
     residual = at_points(residual, lane, len(points))
     bad = np.flatnonzero(residual > tol)
     if bad.size:
-        raise error(f"{text} {float(residual[bad[0]])} at {list(map(float, points[bad[0]]))}")
+        at = list(map(float, points[bad[0]]))
+        exc = error(f"{text} {float(residual[bad[0]])} at {at}")
+        exc.lane = at
+        raise exc
 
 
 class AuditReport:

@@ -14,15 +14,16 @@ import sys
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acsgeo import contact, curvature, manifold
+from acsgeo import contact, curvature, get_entry, manifold
 from acsgeo.cli import main
 from acsgeo.expressions import MAX_DEPTH, ExpressionError, parse_expression
 from acsgeo.metric import GeometryError
-from acsgeo.specfile import manifold_from_dict
+from acsgeo.specfile import manifold_from_dict, manifold_to_dict
 from acsgeo.zoo import _flat_spec
 
 from test_invariance import WARPED
@@ -438,6 +439,28 @@ def test_bad_seed_and_tol_exit_two(capsys):
         assert run(capsys, verb, "zoo:example_flat_acs", "--tol", "0", "--seed", "0")[0] == 0
 
 
+def test_no_verb_draws(capsys, tmp_path, monkeypatch):
+    """audit and curvature print the same bytes whatever --seed, and no
+    random generator is made: the certificate of each lane stands in for
+    random sections.  The generated structure is read from its exported
+    spec, since the zoo seeds a generator to build it."""
+    refs = ["zoo:example_r3_negative"]
+    for name, spec in (("mixed5", manifold_to_dict(get_entry(
+            "random", dim=5, seed=1, family="mixed").manifold)), ("warped", WARPED)):
+        refs.append(str(tmp_path / f"{name}.json"))
+        with open(refs[-1], "w") as fh:
+            json.dump(spec, fh)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a verb made a random generator")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for ref in refs:
+        for verb in ("audit", "curvature"):
+            outs = {run(capsys, verb, ref, "--grid", "2", "--format", "json", "--seed", seed)
+                    for seed in ("0", "1", "7")}
+            assert len(outs) == 1 and next(iter(outs))[0] == 0, (verb, ref)
+
+
 @pytest.mark.parametrize("verb", ["validate", "audit", "curvature"])
 @pytest.mark.parametrize("value, shown", [("-1e-5", "-1e-05"), ("-inf", "-inf"),
                                           ("-2.5E+3", "-2500.0")])
@@ -502,9 +525,7 @@ def test_frame_error_exits_one(capsys, tmp_path):
 def test_section_sweep_logs_at_debug(capsys, caplog):
     """One line per kernel call and per plain-sweep pass: the plain sections
     (a leg and its phi-mixture) of the one lane, kept for every check that
-    reads them, then the random combinations (two per point) of the
-    theorem 5.8 sweep and of the phi-compatibility sweep of a compatible
-    structure; and a --section run."""
+    reads them, so a full audit sweeps nothing else; and a --section run."""
     def sweeps(*argv):
         caplog.clear()
         code, out, _ = run(capsys, *argv)
@@ -516,9 +537,7 @@ def test_section_sweep_logs_at_debug(capsys, caplog):
     code, out, lines = sweeps("audit", "zoo:example_flat_acs:n=1", "--grid", "2")
     assert (code, out) == quiet[:2]
     plain = ["section sweep: 1 rows, 2 sections", "plain sweep grid pass: 8 points on 1 lanes"]
-    assert [line.split(" in ")[0] for line in lines] == plain + [
-        "section sweep: 8 rows, 2 sections",       # theorem 5.8
-        "section sweep: 8 rows, 2 sections"]       # phi-compatibility; Psi reads the kept part
+    assert [line.split(" in ")[0] for line in lines] == plain
     assert all(line.endswith(" s") for line in lines)
     _, _, lines = sweeps("curvature", "zoo:example_r3_negative", "--grid", "2",
                          "--section", "1,2,0")

@@ -1,7 +1,7 @@
 """Constant charts: when g, phi, xi, eta and K are all constant, the frame
 and curvature passes evaluate the first point's lane alone and every point
-shares it.  Each record that draws no random numbers must then be, bit for
-bit, the record a run at that point alone gives; a chart with a
+shares it.  Each record of a point must then be, bit for bit, the record
+a run at that point alone gives; a chart with a
 non-constant field takes one lane per distinct value of the coordinates
 its fields read."""
 
@@ -16,17 +16,15 @@ from acsgeo.expressions import parse_expression
 from acsgeo.specfile import manifold_from_dict
 
 from test_invariance import WARPED
-from test_lanes import ROTATING5, sweep_rng_next
+from test_lanes import ROTATING5
 from test_read_lanes import distinct_read_rows
 
 CONSTANT = [("example_r3_negative", {})] + [
     ("example_flat_acs", {"n": n}) for n in (1, 2, 3)] + [
     ("random", {"dim": dim, "seed": 0, "family": family})
     for dim in (3, 5, 7) for family in ("planar-block", "mixed")]
-# the checks that read the random sweep sections, and cosymplectic, which
-# the audit reports once, at its first point
-PER_RUN = {"thm_5_8/c1_kphi_zero", "thm_5_8/unanimity",
-           "phi_compat/kphi_zero_consequence", "cosymplectic"}
+# cosymplectic, which the audit reports once, at its first point
+PER_RUN = {"cosymplectic"}
 
 
 def _lines_by_point(rep):
@@ -44,12 +42,11 @@ def test_shared_lane_records_match_one_point_runs(name, params):
     m = get_entry(name, **params).manifold
     assert m.is_constant
     pts = m.grid_points(2)
-    grid = _lines_by_point(cli.audit_report(m, pts, 1e-9, cli.CHECK_GROUPS,
-                                            np.random.default_rng(0)))
+    grid = _lines_by_point(cli.audit_report(m, pts, 1e-9, cli.CHECK_GROUPS))
     assert len(grid) == len(pts)
     alone = get_entry(name, **params).manifold
     for p in pts:
-        rep = cli.audit_report(alone, [p], 1e-9, cli.CHECK_GROUPS, np.random.default_rng(0))
+        rep = cli.audit_report(alone, [p], 1e-9, cli.CHECK_GROUPS)
         assert grid[tuple(p.tolist())] == _lines_by_point(rep)[tuple(p.tolist())]
 
 
@@ -88,8 +85,7 @@ def _count_lanes(monkeypatch):
 
 def _audit(m, grid):
     """The distinct points of an audit of ``m`` on ``grid`` points per axis."""
-    rep = cli.audit_report(m, m.grid_points(grid), 1e-9, cli.CHECK_GROUPS,
-                           np.random.default_rng(0))
+    rep = cli.audit_report(m, m.grid_points(grid), 1e-9, cli.CHECK_GROUPS)
     return {tuple(np.frombuffer(k)) for k in rep.points} - {()}
 
 
@@ -145,23 +141,20 @@ def test_nabla0_phi_once_per_audit(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("dim", [3, 7])
-def test_shared_lane_sweep_draws_for_every_point(dim):
-    """The plain sections of a one-lane stack are one row; the random ones
-    are drawn, (P, 2, 2n) in point order, for every point."""
+def test_shared_lane_sweep_reads_one_row_at_every_point(dim):
+    """The sections of a one-lane stack, its legs and mixtures, are one
+    row, which the sweep reads at every point."""
     m = get_entry("random", dim=dim, seed=1, family="mixed").manifold
     pts = m.grid_points(2)
     fs = m.frame_stack(pts)
     assert len(fs.point) == len(pts) and len(fs.g) == 1
-    rng = np.random.default_rng(5)
     kept = m.kept(curvature.plain_sweep, pts)
     assert len(kept.basis) == len(kept.value) == 1
-    sweep, keep = curvature.phi_sweep(kept, fs, rng)
-    assert rng.standard_normal() == sweep_rng_next(len(pts), dim, 5)
+    sweep = curvature.phi_sweep(kept, fs)
     plain = m.n * (m.n + 3) // 2        # n legs and n (n + 1) / 2 mixtures
-    assert sweep.value.shape == keep.shape == (len(pts), plain + 2)
-    blocks = sweep.blocks()
-    assert len(blocks[0][0]) == 1 and len(blocks[-1][0]) == len(pts)
-    assert (sweep.value[:, :plain] == sweep.value[:1, :plain]).all()
+    assert sweep.value.shape == sweep.status.shape == (len(pts), plain)
+    assert all(len(x) == 1 for x, _ in sweep.blocks())
+    assert (sweep.value == sweep.value[:1]).all() and (sweep.status == curvature.OK).all()
 
 
 def test_shared_lane_failure_is_not_bisected(caplog, capsys, tmp_path):

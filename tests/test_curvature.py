@@ -224,8 +224,8 @@ def test_no_points_give_empty_reports(flat3):
     for rep in (psi_check(flat3, []), psi_check(flat3, np.empty((0, 3))),
                 theorem_5_8_audit(flat3, []), phi_compat_check(flat3, [])):
         assert rep.records == [] and not rep.flags and rep.all_passed
-    lams, triples, keep = curvature.phi_sectional_triples(flat3, [])
-    assert (lams.shape, triples.shape, keep.shape) == ((0,), (0, 0, 3), (0, 0))
+    lams, triples = curvature.phi_sectional_triples(flat3, [])
+    assert (lams.shape, triples.shape) == ((0,), (0, 0, 3))
 
 
 def test_phi_compat_takes_nabla0_phi_once_per_point(flat3, monkeypatch):
@@ -251,16 +251,15 @@ def test_phi_compat_takes_nabla0_phi_once_per_point(flat3, monkeypatch):
 
 
 def _failing_from(k, runs):
-    """A batched run that draws one normal per point and fails at every point
-    from ``k`` on; a batch names its last failing point, so only a run of
-    one point names the point the per-point loop meets first."""
-    def run(points, rng):
+    """A batched run that fails at every point from ``k`` on; a batch names
+    its last failing point, so only a run of one point names the point the
+    per-point loop meets first."""
+    def run(points):
         runs.append(list(points))
-        draws = rng.standard_normal(len(points))
-        bad = [(p, d) for p, d in zip(points, draws) if p >= k]
+        bad = [p for p in points if p >= k]
         if bad:
-            raise ValueError(f"point {bad[-1][0]} fails after drawing {bad[-1][1]}")
-        return draws
+            raise ValueError(f"point {bad[-1]} fails")
+        return points
     return run
 
 
@@ -269,30 +268,27 @@ def _failing_from(k, runs):
 def test_replay_bisects_to_the_per_point_error(P, k):
     runs = []
     run = _failing_from(k, runs)
-    rng = np.random.default_rng(3)
     with pytest.raises(ValueError) as loop:
         for p in range(P):
-            run([p], rng)
+            run([p])
     runs.clear()
-    replay_rng = np.random.default_rng(3)
     with pytest.raises(ValueError) as replayed:
-        curvature.replay(run, list(range(P)), replay_rng)
+        curvature.replay(run, list(range(P)))
     assert str(replayed.value) == str(loop.value)
-    # the rng ends where the loop left it, and the failing point runs alone once
-    assert replay_rng.bit_generator.state == rng.bit_generator.state
+    # the failing point runs alone once
     assert runs.count([k]) == 1 and len(runs) <= math.ceil(math.log2(P)) + 2
 
 
 def test_replay_keeps_the_batch_error_when_no_point_fails_alone():
     runs = []
 
-    def run(points, rng):
+    def run(points):
         runs.append(len(points))
         if len(points) > 1:
             raise ValueError(f"batch of {len(points)}")
 
     with pytest.raises(ValueError, match="^batch of 9$"):
-        curvature.replay(run, list(range(9)), None)
+        curvature.replay(run, list(range(9)))
     assert runs[-1] == 1 and len(runs) <= 2 * math.ceil(math.log2(9)) + 1
 
 
@@ -312,19 +308,16 @@ def test_flat_r0_is_one_broadcast_zero():
                                                      "family": "trivial-lambda"})])
 def test_no_points_sweep_to_empty_results(name, params):
     """The batched sweep runs on zero points, on a constant chart and on a
-    varying one: each entry gives an empty result and draws nothing."""
+    varying one: each entry gives an empty result."""
     m = get_entry(name, **params).manifold
     assert m.is_constant == (name == "example_flat_acs")
-    rng = np.random.default_rng(0)
     frames = m.frame_stack([])
-    sweep, keep = curvature.phi_sweep(m.kept(curvature.plain_sweep, []), frames, rng)
+    sweep = curvature.phi_sweep(m.kept(curvature.plain_sweep, []), frames)
     sweep = sweep.with_curvatures(frames.g, curvature.statistical_curvatures(m, []))
-    sections = m.n * (m.n + 3) // 2 + 2       # legs, mixtures and two random sections
-    assert keep.shape == sweep.k_s.shape == sweep.value.shape == (0, sections)
-    for rep in (theorem_5_8_audit(m, [], rng=rng), phi_compat_check(m, [], rng=rng),
-                psi_check(m, [])):
+    sections = m.n * (m.n + 3) // 2       # legs and mixtures
+    assert sweep.status.shape == sweep.k_s.shape == sweep.value.shape == (0, sections)
+    for rep in (theorem_5_8_audit(m, []), phi_compat_check(m, []), psi_check(m, [])):
         assert not rep.checks and not rep.flags and rep.to_json_lines() == ""
-    lams, triples, keep = curvature.phi_sectional_triples(m, [], rng=rng)
-    assert (lams.shape, triples.shape, keep.shape) == ((0,), (0, 0, 3), (0, 0))
+    lams, triples = curvature.phi_sectional_triples(m, [])
+    assert (lams.shape, triples.shape) == ((0,), (0, 0, 3))
     assert is_cosymplectic(m, []) == (True, 0.0)
-    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()

@@ -23,7 +23,7 @@ PINNED = [
     (["validate", "zoo:example_r3_negative", "--grid", "2", "--format", "json"],
      "999b1648d96d73ac17918566633e5cfa74d4340b9a4a8b686947e4600c25af9d"),  # exit 0
     (["curvature", "zoo:example_r3_negative", "--grid", "2", "--format", "json"],
-     "50181c52808817d52b24eebd7d8e055c1ad29a815b2a20c869a36f8157b1238d"),  # exit 0
+     "0fd9ec39ac02956a1bbc7eec7659dda75204ac0b6eafa8b826fedd085f5fd4cf"),  # exit 0
     (["audit", "zoo:example_r3_negative", "--grid", "2", "--format", "json"],
      "019e9a27c61e717ef4748d368e450bdd2473983a4f813d57d2af3cad1c9ddb93"),  # exit 0
     (["audit", "zoo:example_r3_negative", "--grid", "2", "--format", "table"],
@@ -33,7 +33,7 @@ PINNED = [
     (["audit", "zoo:example_flat_acs:n=1", "--grid", "2", "--format", "json"],
      "c74f9ab04ad205126dfdeab0d1c3ca3d58ea2243d09043c1c226d2f69c52d296"),  # exit 0
     (["curvature", "zoo:example_flat_acs:n=2", "--grid", "2", "--format", "json"],
-     "272a93da300291710d5df8496db3d32d816f762720cf803bc2a5285eba3f45ff"),  # exit 0
+     "a7302d3634edee08a26760f03f744d1259485af10e7438dc184eff428d749501"),  # exit 0
     (["audit", "zoo:random:dim=3,seed=1,family=trivial-lambda", "--grid", "2", "--seed", "1", "--format", "json"],
      "c74f9ab04ad205126dfdeab0d1c3ca3d58ea2243d09043c1c226d2f69c52d296"),  # exit 0
     (["audit", "zoo:random:dim=3,seed=0,family=planar-block", "--grid", "2", "--format", "json"],
@@ -45,11 +45,11 @@ PINNED = [
     (["audit", "@warped", "--grid", "2", "--format", "json"],
      "c74f9ab04ad205126dfdeab0d1c3ca3d58ea2243d09043c1c226d2f69c52d296"),  # exit 0
     (["curvature", "@warped", "--grid", "3", "--seed", "4", "--format", "json"],
-     "51c91991db152a2f0e813a4ed431c7f085cd44186e9668169e81d87e914eda1f"),  # exit 0
+     "27a47fdcf3b4abdb2893d9f3867cb51ad44894944716312d66ba4f49de2a2ab6"),  # exit 0
     (["audit", "@warped_connection_table", "--grid", "2", "--format", "json"],
      "c74f9ab04ad205126dfdeab0d1c3ca3d58ea2243d09043c1c226d2f69c52d296"),  # exit 0
     (["curvature", "@warped_connection", "--grid", "2", "--format", "json"],
-     "f9056640639e65d81fc6f1fd88a822df929c0aa3eb5ff440bfdf23fbe0424bd3"),  # exit 0
+     "0ef56981274bb4680111ae0a5d2942b1348881329c9f7369fbf4c8e01be41324"),  # exit 0
     (["audit", "@warped_connection", "--checks", "prop_5_2", "--format", "json"],
      "22c8baa0f3662f3be07e167c4689bb1cc4fee259375c0f3f513b8faa7d074655"),  # exit 0
     (["audit", "@poly3", "--grid", "2", "--format", "json"],
@@ -61,7 +61,7 @@ PINNED = [
     (["audit", "@pulled_back_warped", "--grid", "2", "--format", "json"],
      "4ecb4defbcfd492079ec3d5235755d5a47ccb35c7452e5b20354678c6e7f5ac5"),  # exit 0
     (["curvature", "@pulled_mixed3", "--grid", "2", "--format", "json"],
-     "fad4e7c8ec23e6d5e141dbec45d443017854ae898904f239f5b5d140311266f4"),  # exit 0
+     "19eeca85fc85ff890b452014b24b190f24b2c1aaad61f8aeb2528dbe0765f9e3"),  # exit 0
     (["audit", "@pulled_planar5", "--grid", "1", "--format", "json"],
      "334e7b08172128a8200e19dce562071e1e181604a5243228854e356a55787f82"),  # exit 0
     (["audit", "@pulled_warped", "--grid", "2", "--format", "json"],

@@ -9,6 +9,7 @@ import logging
 
 import pytest
 
+from acsgeo import curvature
 from acsgeo.cli import main
 
 F = "1 + 0.3*(x^2 + y^2)"
@@ -94,7 +95,7 @@ JSON = ["--format", "json"]
 # (id, argv, sha256 of "<exit code>\n<stdout>"); "@name" is a spec of SPECS
 GOLDEN = [
     ("audit-r3", ["audit", R3, "--grid", "2"] + JSON,
-     "98dc618cdf7906e399c415747bf4470b270ed8990891a319e08046af8109239e"),
+     "232bfa4e08eaaca395d7213df6a569a4691ca891e21e24d3db21d39c8470fd42"),
     ("audit-flat-n1", ["audit", FLAT, "--grid", "2"] + JSON,
      "c55a6ff38770685878e1291816cefbd85f4cc58150383daaa207056e882eaf57"),
     ("audit-trivial-lambda-dim3",
@@ -104,36 +105,36 @@ GOLDEN = [
     ("audit-planar-block-dim3",
      ["audit", "zoo:random:dim=3,seed=2,family=planar-block", "--grid", "2",
       "--seed", "2"] + JSON,
-     "ba9c2816db9f011fac0046527a1cb80d89bd214e406e51e7669ca37b395e8ff8"),
+     "943f6fd2b18361259a0410ce9f19437cc85f41ec4eb8abed947160c6067d67d9"),
     ("audit-mixed-dim3",
      ["audit", "zoo:random:dim=3,seed=3,family=mixed", "--grid", "2",
       "--seed", "3"] + JSON,
-     "0b709d66b27810d00a1263d5cd529ceb74d74f83d009aff24df93c3452163e46"),
+     "79fea187cf6a0be357040ab6f3d81e1c8df7d0a08cdf2963670a7f95843cec88"),
     ("validate-mixed-dim5",
      ["validate", "zoo:random:dim=5,seed=4,family=mixed", "--grid", "2"] + JSON,
      "abd74820870b958a82271534ed174eeb188f80b881080454c1152375ce1be178"),
     ("audit-warped-connection", ["audit", "@warped_connection", "--seed", "5"] + JSON,
-     "deb2d842244c566c4ddc656067f3f8e594019242848d19f475c571dbd21ec7ab"),
+     "726750c9e1020e90954e3c610b5f61be4f2699e748517b731f6ea53dbfecd0c2"),
     ("curvature-warped-connection",
      ["curvature", "@warped_connection", "--seed", "6"] + JSON,
-     "34e1438e0a3241a2e4a495bf2406e2c45b898b190389cf37af081284a6579867"),
+     "440abadf02bf02cb583de6ee51359ddc334338bb2790a4f444ca7d758dc4cd80"),
     ("audit-r3-table", ["audit", R3, "--grid", "2", "--format", "table"],
-     "30349ae26507a5dc82e6ef9a214949c6cf444a0d687ea00b47e9b4aa1db3ddd2"),
+     "fd95c749c00cc1e09fcb4a2927f2aa507dc71e2068fafe847013f9c4c2f5dd7c"),
     ("audit-inadmissible-k", ["audit", "@inadmissible_k"] + JSON,
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     ("audit-pulled-back-warped", ["audit", "@pulled_back_warped", "--seed", "7"] + JSON,
      "660ae70b74739e4176752b8ffbdd2e6ec07d401ca074356bf050edec8f4c73ce"),
     ("curvature-pulled-back-warped",
      ["curvature", "@pulled_back_warped", "--seed", "8"] + JSON,
-     "fa7432cdccac279362e094b3e5ba422517710d367aeed1bc06ec341e1598e3ef"),
+     "4fe39d2123d672cd654b647a1d78e329aed23f52fb1aa55f6af673e0339c01f4"),
     ("validate-exp-frame", ["validate", "@exp_frame"] + JSON,
      "a0f372f362b5c74607f4d3becb17b4823939728e25378434c25f9276a9ab3f18"),
     ("audit-exp-frame", ["audit", "@exp_frame", "--seed", "9"] + JSON,
      "5e675437eb1d3a63ed845ae2e333b7be47b169297d0f49b45fddf3bce1824c81"),
     ("curvature-exp-frame", ["curvature", "@exp_frame", "--seed", "10"] + JSON,
-     "0ec10d269e6b9df1524d81e32812218ab81165923b8ad82060f073c3159f7110"),
-    # the section sweep beyond dim 3: mixtures of n >= 2 legs, seeded random
-    # extras at dims 5 and 7, and a --section vector
+     "28ed02ac41197396fae7e386f00690d56f5cdb286edfbc1da521cf95736613e2"),
+    # the section sweep beyond dim 3: mixtures of n >= 2 legs at dims 5 and
+    # 7, and a --section vector
     ("audit-planar-block-dim5",
      ["audit", "zoo:random:dim=5,seed=4,family=planar-block", "--grid", "2"] + JSON,
      "55bb27f6ea287f0f1500b97b7c9309339ac2900f9e8dd3aeb0c23d645be7d11d"),
@@ -141,13 +142,13 @@ GOLDEN = [
      ["audit", "zoo:random:dim=7,seed=3,family=mixed", "--grid", "2"] + JSON,
      "1c22f179b1786e70cbaf6885072281b193d5bc290aa72d4e30ac676c74b97858"),
     ("curvature-flat-n2", ["curvature", "zoo:example_flat_acs:n=2"] + JSON,
-     "ab87d25fea8739e613b5221e524a6945d7412982af000703a9b0b1150872de45"),
+     "2417f978ddd69cfe26dfaea21c229ea01339ae6d03fade50fdb2c21ac0b4d5bd"),
     ("curvature-r3-section",
      ["curvature", R3, "--grid", "2", "--section", "1,2,0"] + JSON,
      "f55da494805aaffe75d06527de318ac4036f0989cc2ac3bce52221e7fe68e1b8"),
     # the flags follow the records as {"flag": ...} lines
     ("audit-small-planar-flags", ["audit", "@small_planar"] + JSON,
-     "17bd3fe7dc9d5b561f8d001b1364c44f4c2bac0660e37a856da81c05d28143b9"),
+     "9a825e2df3d7a8d30c9c8105f8657b9638cfe05c2f3acc99abda52ccc5e4e9d8"),
 ]
 
 # (id, argv, sha256 of "<exit code>\n<stderr>") for runs that fail
@@ -231,3 +232,20 @@ def test_failing_batch_is_replayed_point_by_point(capsys, caplog, tmp_path):
     assert replays == [("acsgeo.curvature", logging.DEBUG,
                         "replay: 27 points one at a time after K(X, xi) = lambda "
                         "eta(X) xi fails with residual 0.5 at [0.0, -1.0, -1.0]")]
+
+
+def test_error_naming_the_first_point_is_not_replayed(capsys, tmp_path, monkeypatch):
+    """The lambda check fails at the first point and names it: each check
+    runs once on the 27 points, where the theorem 5.8 audit bisected to
+    that point in 5 runs (27, 13, 6, 3, 1) while only a pass of one lane
+    stopped the replay."""
+    runs = []
+    replay = curvature.replay
+
+    def counted(run, points):
+        return replay(lambda pts: runs.append(len(pts)) or run(pts), points)
+    monkeypatch.setattr(curvature, "replay", counted)
+    code, captured = run(capsys, tmp_path, ["audit", "@inadmissible_k", "--grid", "3"])
+    assert (code, captured.err) == (1, "audit failure: K(X, xi) = lambda eta(X) xi fails "
+                                       "with residual 1.0 at [-1.0, -1.0, -1.0]\n")
+    assert runs == [27] * 3         # the axiom checks, cosymplectic and theorem 5.8

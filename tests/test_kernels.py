@@ -236,15 +236,15 @@ def test_with_curvatures_matches_section_loop(dim):
 
 @pytest.mark.parametrize("chart", ["warped", "trivial-lambda", "planar-block"])
 def test_sweep_curvatures_match_section_loop_on_charts(chart):
-    """Real sweeps: phi-basis legs and mixtures, random sections, and the
-    curvatures of a varying metric, of a flat one (broadcast zero R^0) and
-    of a constant chart (one shared lane)."""
+    """Real sweeps: phi-basis legs and mixtures, and the curvatures of a
+    varying metric, of a flat one (broadcast zero R^0) and of a constant
+    chart (one shared lane)."""
     m = manifold_from_dict(WARPED) if chart == "warped" else \
         get_entry("random", dim=7 if chart == "trivial-lambda" else 5, seed=2,
                   family=chart).manifold
     pts = m.grid_points(2)[:40]
     frames = m.frame_stack(pts)
-    sweep, _ = curv.phi_sweep(m.kept(curv.plain_sweep, pts), frames, np.random.default_rng(1))
+    sweep = curv.phi_sweep(m.kept(curv.plain_sweep, pts), frames)
     curvatures = curv.statistical_curvatures(m, pts)
     assert sweep.blocks()[0][0].strides[-1] != 8      # the legs: basis columns
     got = sweep.with_curvatures(frames.g, curvatures)

@@ -153,7 +153,7 @@ def test_frame_cache_after_replay_bisection(shift):
     m.frame_stack(pts[9:18] if shift == 0 else pts[:9])     # the x = 0 points pass
     assert len(m._frame_cache) == 9
     with pytest.raises(Exception):
-        curv.replay(lambda points, _: m.frame_stack(points), list(pts), None)
+        curv.replay(lambda points: m.frame_stack(points), list(pts))
     assert m._frame_cache == {}
 
 
