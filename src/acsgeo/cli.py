@@ -9,10 +9,10 @@ residuals with 17 significant digits.  Exit codes are 0 (success), 1
 
 The checks read the frames, the statistical curvature, nabla^0 phi and the
 plain section sweep of the sample points from the chart's store
-(``ChartManifold.kept``), each computed once per run; every check over
-several points runs under ``curvature.replay``, so a failing pass or check
-raises what a per-point loop meets first.  No verb draws random numbers:
-``--seed`` is accepted and checked, and changes nothing.
+(``ChartManifold.kept``), each computed once per run; a failing pass or
+check names its first failing point, and ``curvature.replay`` reruns the
+points before it, to raise what a per-point loop meets first.  No verb
+draws random numbers: ``--seed`` is accepted and checked, and changes nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import curvature as curv
 from .contact import FrameError, is_cosymplectic, nabla0_phi, validate_structure
 from .expressions import ExpressionError, parse_expression
-from .manifold import GRID_CAP, ChartManifold
+from .manifold import GRID_CAP, ChartManifold, run_lanes
 from .metric import FieldArray, GeometryError, field_jet, point_lanes
 from .report import AuditReport, Column, within
 from .specfile import SpecFormatError, dump_spec, load_spec, manifold_to_dict
@@ -197,9 +197,9 @@ def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
 
 def section_reader(m: ChartManifold, text: str):
     """``--section`` as a function of stacked frames: the section vector at
-    each frame's point, (P, dim).  The components are parsed and indexed
-    once, at the first call, so a malformed or wrong-arity section fails at
-    the first point."""
+    each frame's point, (P, dim), by ``manifold.run_lanes``.  The components
+    are parsed and indexed once, at the first call, so a malformed or
+    wrong-arity section fails at the first point."""
     fields = []
 
     def at(frames):
@@ -209,8 +209,7 @@ def section_reader(m: ChartManifold, text: str):
                 raise InputError(
                     f"--section needs {m.dim} comma-separated component expressions")
             fields.append(FieldArray(parsed))
-        with np.errstate(all="ignore"):
-            return field_jet(fields[0], point_lanes(frames.point), 0)[0]
+        return run_lanes(lambda pts: field_jet(fields[0], point_lanes(pts), 0)[0], frames.point)
     return at
 
 

@@ -115,8 +115,8 @@ def nabla0_phi(m: ChartManifold, pts) -> np.ndarray:
 def is_cosymplectic(m: ChartManifold, points, tol: float = 1e-9):
     """True iff max |nabla^0 phi| over ``points`` is within ``tol``
     (a point where it is NaN does not count), from the chart's kept nabla^0
-    phi of the points.  A frame pass over several points that fails raises
-    the pass's error; a caller that must name the first failing point runs
-    it under ``curvature.replay``.  Returns (flag, max_residual)."""
+    phi of the points.  A frame pass that fails raises the error of its
+    first failing point (``manifold.lane_pass``).  Returns (flag,
+    max_residual)."""
     worst = float(np.fmax.reduce(max_abs(m.kept(nabla0_phi, points)), initial=0.0))
     return worst <= tol, worst

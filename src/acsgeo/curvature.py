@@ -10,8 +10,8 @@ its own points; only ``sweep_sections`` draws, given an rng.  The per-point
 functions (``phi_sectional_k_curvature``, ...) are one-point calls of it.
 
 An audit takes each of its steps for all points at once and raises at the
-first failure; ``replay`` then runs it again one point at a time, so the
-error it reports is the one a per-point loop meets first."""
+first failure, at its first failing point; ``replay`` reruns the points
+before it, so the error is the one a per-point loop meets first."""
 
 from __future__ import annotations
 
@@ -284,14 +284,13 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
     A jet entry that is not finite makes a part non-finite, the one gate:
     NonFiniteError.  The pass is logged at info level."""
     fs = m.frame_stack(pts)
-    lanes = fs.lane_points
-    coords = point_lanes(lanes)
-    shape = (len(lanes),) + (m.dim,) * 4
     flat = m.metric.is_constant
-    parts = [np.broadcast_to(0.0, shape) if flat and n == 1 else np.empty(shape)
-             for n in range(5)]
-    cross = np.empty(len(lanes))
-    with lane_pass(log, logging.INFO, "curvature", pts, lanes):
+
+    def parts_of(lanes):
+        coords, shape = point_lanes(lanes), (len(lanes),) + (m.dim,) * 4
+        parts = [np.broadcast_to(0.0, shape) if flat and n == 1 else np.empty(shape)
+                 for n in range(5)]
+        cross = np.empty(len(lanes))
         levi_civita = christoffel_jet(m.metric, coords)
         jets = levi_civita + m.difference.jet(coords, levi_civita)
         for c in range(0, len(lanes), 16):    # 16 lanes at a time bounds the temporaries
@@ -302,6 +301,8 @@ def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
             cross[rows] = max_abs(parts[0][rows] - parts[1][rows] - parts[2][rows])
         if not all(np.isfinite(a).all() for a in parts):
             raise NonFiniteError("statistical curvature is not finite")
+        return parts, cross
+    parts, cross = lane_pass(log, logging.INFO, "curvature", pts, fs.lane_points, parts_of)
     return CurvatureStack(pts, *parts, cross, fs.lane)
 
 
@@ -430,12 +431,14 @@ def plain_sweep(m: ChartManifold, pts) -> PlainSweep:
     a part of the chart's store (``ChartManifold.kept``); a lane whose
     sections pass and whose ``quartic_gaps`` exceeds 1e-9 is UNCERTIFIED at
     its first.  It raises nothing and is logged at debug level."""
-    fs = m.frame_stack(pts)
-    with lane_pass(log, logging.DEBUG, "plain sweep", pts, fs.lane_points):
+    fs, start = m.frame_stack(pts), time.perf_counter()
+    with np.errstate(all="ignore"):
         basis, errors = phi_basis(fs.g, fs.phi, fs.xi)
         sweep = section_sweep(fs, _plain_blocks(basis))
         status = sweep.status
         status[(status == OK).all(axis=1) & (quartic_gaps(fs, basis) > 1e-9), 0] = UNCERTIFIED
+    log.debug("plain sweep grid pass: %d points on %d lanes in %.3f s", len(pts), len(basis),
+              time.perf_counter() - start)
     return PlainSweep(pts, basis, np.array(errors, dtype=object), sweep.eta, sweep.q,
                       sweep.value, sweep.closed, status, fs.lane)
 
@@ -444,9 +447,12 @@ def phi_sweep(plain: PlainSweep, fs: FrameStack) -> SectionSweep:
     """The sweep of every point of ``fs``: ``plain``, the kept ``plain_sweep``
     of those points, read at each point, whose ``blocks()`` builds the legs
     and mixtures of each lane when called.  Raises the first basis error of
-    those points (lanes are numbered in point order)."""
-    for error in filter(None, plain.error):
-        raise type(error)(*error.args)      # the kept error never holds a traceback
+    those points, with its lane's first point as its ``lane``."""
+    for error, point in zip(plain.error, fs.lane_points):
+        if error is not None:
+            exc = type(error)(*error.args)      # the kept error never holds a traceback
+            exc.lane = point.tolist()
+            raise exc
     eta, q, value, closed, status = (at_points(a, fs.lane, len(fs.point)) for a in plain[3:8])
 
     def blocks():
@@ -464,44 +470,25 @@ def _k_phi(sweep: SectionSweep) -> np.ndarray:
 
 
 def replay(run, points):
-    """``run(points)``, an audit that takes each step for all points at
-    once and raises at the first failure.  When it raises, the error that
-    surfaces is the one a per-point loop meets first: the run over that
-    loop's first failing point alone.  The stores raise the error of a
-    failing pass, so every multi-point caller of the CLI runs here.
-
-    Each step acts on each point alone, so a run fails when one of its
-    points fails alone, and a run whose error names its first point as its
-    ``lane`` has met that point's own error: a pass of one lane, the lane of
-    its first point (``manifold.lane_pass``; every pass of a constant chart),
-    or a check at the first point it fails (``report.raise_first``,
-    ``SectionSweep.error``).  Otherwise the points are bisected: run the
-    first half; if it fails, the failure lies there (a half of one point
-    raises, as does a half whose error names its first point), else go on
-    with the second half, and a point left runs alone: at most ceil(log2 P)
-    + 2 runs, none of a point alone twice.  If that passes, no point fails
-    alone and the batch's own error surfaces."""
-    def located(exc, points):
-        return getattr(exc, "lane", None) == np.asarray(points[0], dtype=float).tolist()
-
+    """``run(points)``, an audit that takes each step for all points at once
+    and raises at the first step that fails, naming as the error's ``lane``
+    the first point where it fails (``manifold.lane_pass``,
+    ``report.raise_first``, ``SectionSweep.error``).  The error that
+    surfaces is the one a per-point loop meets first: when it names
+    ``points[i]``, i > 0, ``replay`` runs the points before it, whose error,
+    if any, surfaces instead; an error naming no point surfaces as it is.
+    Each step acts on each point alone, so a point before i fails, if at
+    all, at a later step: each rerun fails at a later step or passes."""
     try:
         return run(points)
     except Exception as exc:
-        if len(points) < 2 or located(exc, points):
-            raise
-        log.debug("replay: %d points one at a time after %s", len(points), exc)
-        while len(points) > 1:
-            half = len(points) // 2
-            try:
-                run(points[:half])
-            except Exception as half_exc:
-                if half == 1 or located(half_exc, points):
-                    raise       # the first point that fails alone
-                points = points[:half]
-                continue
-            points = points[half:]
-        run(points)
-        raise       # no point fails alone: the batch's own error
+        keys = [np.asarray(p, dtype=float).tobytes() for p in points]
+        at = np.asarray(getattr(exc, "lane", []), dtype=float).tobytes()    # b"": no point
+        i = keys.index(at) if at in keys else 0
+        if i:
+            log.debug("replay: the %d points before %s after %s", i, exc.lane, exc)
+            replay(run, points[:i])
+        raise
 
 
 def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep):
@@ -522,8 +509,10 @@ def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep):
         i, j = failed[0]
         if sweep.status[i, j] != OK:
             raise sweep.error(i, j, plane=True)
-        raise CrossCheckError(f"sectional additivity fails: {float(k_s[i, j])} vs "
+        exc = CrossCheckError(f"sectional additivity fails: {float(k_s[i, j])} vs "
                               f"{float(k_0[i, j])} + {float(k_phi[i, j])}")
+        exc.lane = sweep.point[i].tolist()
+        raise exc
     return np.stack([k_s, k_0, k_phi], axis=-1)
 
 

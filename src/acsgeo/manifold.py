@@ -6,7 +6,6 @@ from __future__ import annotations
 import logging
 import operator
 import time
-from contextlib import contextmanager
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -48,29 +47,40 @@ def _linspace_at(lo: float, hi: float, k: int, idx: np.ndarray) -> np.ndarray:
     return y
 
 
-@contextmanager
-def lane_pass(logger, level, what, points, lanes):
-    """A pass over the (P, dim) ``points``, evaluated at their (U, dim)
-    ``lanes``, each lane at its first point, under ``np.errstate(all="ignore")``:
-    Python floats overflow silently, and so do the lanes.  An ExpressionError
-    or GeometryError it raises ends with ``at [p]`` for one lane, which it
-    keeps as its ``lane`` attribute, else ``on the grid``.  The pass is logged
-    to ``logger`` at ``level``: ``<what> grid pass: failed: <error>``, or its
-    points, lanes and seconds when it passes."""
-    start = time.perf_counter()
+def run_lanes(body, lanes):
+    """``body(lanes)`` of the (U, dim) ``lanes`` under ``np.errstate(all="ignore")``.
+    On an ExpressionError or GeometryError the lanes run alone in lane
+    order, each with the bits it has in the batch, and the first that fails
+    raises its own error with the lane as its ``lane``; else the batch's."""
     try:
         with np.errstate(all="ignore"):
-            yield
+            return body(lanes)
     except (ExpressionError, GeometryError) as exc:
-        where = "on the grid"
         if len(lanes) == 1:
             exc.lane = lanes[0].tolist()
-            where = f"at {exc.lane}"
-        exc.args = (f"{exc} {where}",)
+            raise
+        for lane in lanes:
+            run_lanes(body, lane[None])
+        raise
+
+
+def lane_pass(logger, level, what, points, lanes, body):
+    """``run_lanes(body, lanes)``, a pass over the (P, dim) ``points`` at
+    their (U, dim) ``lanes``, each at its first point.  Its error ends ``at
+    [p]`` for the ``lane`` p it names, the first point that fails the pass
+    (lanes are numbered in point order), else ``on the grid``.  The pass is
+    logged to ``logger`` at ``level``: ``<what> grid pass: failed: <error>``,
+    or its points, lanes and seconds."""
+    start = time.perf_counter()
+    try:
+        out = run_lanes(body, lanes)
+    except (ExpressionError, GeometryError) as exc:
+        exc.args = (f"{exc} " + (f"at {exc.lane}" if hasattr(exc, "lane") else "on the grid"),)
         logger.log(level, "%s grid pass: failed: %s", what, exc)
         raise
     logger.log(level, "%s grid pass: %d points on %d lanes in %.3f s", what, len(points),
                len(lanes), time.perf_counter() - start)
+    return out
 
 
 class PointFrame(NamedTuple):
@@ -154,7 +164,8 @@ class ChartManifold:
     phi-bases and plain sections of ``curvature.plain_sweep``.
     A request for some of those points reads the rows of a kept part, so
     ``frame_at`` and the one-point functions after a grid run take no pass.
-    A failing pass keeps nothing and ``curvature.replay`` localises it.
+    A failing pass keeps nothing and names its first failing point
+    (``lane_pass``).
 
     ``reads`` is found once, when the chart is built: the sorted indices
     of the coordinates that g, phi, xi, eta (when given) and K, or the
@@ -276,9 +287,8 @@ class ChartManifold:
         ``lanes``, logged at debug level.  Raises the fields' errors
         (``lane_pass``)."""
         first, lane = self.lanes(pts)
-        lanes = pts[first]
-        with lane_pass(log, logging.DEBUG, "frame", pts, lanes):
-            fields = self._fields(point_lanes(lanes))
+        fields = lane_pass(log, logging.DEBUG, "frame", pts, pts[first],
+                           lambda lanes: self._fields(point_lanes(lanes)))
         return FrameStack(pts, *fields, lane)
 
     @property
@@ -319,6 +329,7 @@ class ChartManifold:
 
     def frame_stack(self, points) -> FrameStack:
         """The FrameStack of ``points``, the part of ``_frames`` that ``kept``
-        gives.  A pass that fails raises its own error; a caller that must name
-        the point a per-point loop meets first runs under ``curvature.replay``."""
+        gives.  A pass that fails raises the error of its first failing point;
+        a caller that must raise what a per-point loop meets first, over this
+        and later steps, runs under ``curvature.replay``."""
         return self.kept(ChartManifold._frames, points)

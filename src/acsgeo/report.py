@@ -91,7 +91,7 @@ def max_abs(a: np.ndarray) -> np.ndarray:
 def raise_first(error, points, residual, tol: float, text: str, lane=None):
     """Raise ``error`` at the first of ``points`` whose residual exceeds
     ``tol`` (never a NaN one), naming the residual and the point, which it
-    keeps as its ``lane`` (``curvature.replay`` stops at its first point);
+    keeps as its ``lane`` (``curvature.replay`` reruns the points before it);
     a residual of one lane is every point's, and one per lane is read at
     the points through their ``lane``."""
     residual = at_points(residual, lane, len(points))

@@ -9,7 +9,9 @@ moves the last bits of residuals; byte digests of the output do not.
     python tests/decision_corpus.py compare BEFORE.json AFTER.json
 
 ``record`` runs every op in-process and writes, per op, the decision and
-the floats behind it (residuals, values, the unmasked stderr line).
+the floats behind it (residuals, values, the unmasked stderr line).  It
+measures the ``acsgeo`` that ``PYTHONPATH`` names, else this checkout's
+``src``, and prints the path of the one it imported.
 ``compare`` lists the ops whose decisions differ and the largest change of
 any finite residual or value (and stderr float), absolute and relative to
 max(1, |before|), and exits 1 when any op decides differently.  An op
@@ -31,10 +33,12 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+if not os.environ.get("PYTHONPATH"):    # else it names the acsgeo to measure
+    sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import numpy as np  # noqa: E402
 
+import acsgeo  # noqa: E402
 from acsgeo.cli import main  # noqa: E402
 from acsgeo.specfile import manifold_to_dict  # noqa: E402
 from acsgeo.zoo import get_entry  # noqa: E402
@@ -222,7 +226,7 @@ def record(path):
             corpus.append({"argv": argv, "decision": decision, "floats": floats})
     with open(path, "w") as fh:
         json.dump(corpus, fh)
-    print(f"{len(corpus)} ops written to {path}")
+    print(f"{len(corpus)} ops of {os.path.dirname(acsgeo.__file__)} written to {path}")
 
 
 def _floats(x):

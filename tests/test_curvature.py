@@ -1,10 +1,10 @@
 """[K,K] bracket, phi-sectional K-curvature, statistical curvature, and the
 executable theorem audits on the built-in structures."""
 
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acsgeo import contact, curvature, get_entry
 from acsgeo import (NotHorizontalError, PreconditionNotMetError, kk_bracket,
@@ -251,21 +251,22 @@ def test_phi_compat_takes_nabla0_phi_once_per_point(flat3, monkeypatch):
 
 
 def _failing_from(k, runs):
-    """A batched run that fails at every point from ``k`` on; a batch names
-    its last failing point, so only a run of one point names the point the
-    per-point loop meets first."""
+    """A batched run of one step that fails at every point from ``k`` on and
+    names the first point where it fails, as the batched steps do."""
     def run(points):
         runs.append(list(points))
         bad = [p for p in points if p >= k]
         if bad:
-            raise ValueError(f"point {bad[-1]} fails")
+            exc = ValueError(f"point {bad[0]} fails")
+            exc.lane = bad[0]
+            raise exc
         return points
     return run
 
 
 @pytest.mark.parametrize("P, k", [(1, 0), (2, 0), (2, 1), (7, 3), (243, 0), (243, 162),
                                   (243, 242)])
-def test_replay_bisects_to_the_per_point_error(P, k):
+def test_replay_reruns_the_prefix_to_the_per_point_error(P, k):
     runs = []
     run = _failing_from(k, runs)
     with pytest.raises(ValueError) as loop:
@@ -275,21 +276,67 @@ def test_replay_bisects_to_the_per_point_error(P, k):
     with pytest.raises(ValueError) as replayed:
         curvature.replay(run, list(range(P)))
     assert str(replayed.value) == str(loop.value)
-    # the failing point runs alone once
-    assert runs.count([k]) == 1 and len(runs) <= math.ceil(math.log2(P)) + 2
+    # the points before the failing one run once more, and pass
+    assert runs == [list(range(P))] + ([list(range(k))] if k else [])
 
 
-def test_replay_keeps_the_batch_error_when_no_point_fails_alone():
-    runs = []
-
+def _stepped(table, runs):
+    """A batched run over points 0..P-1 of the steps of a (P, S) table of
+    failures: each step runs for every point and raises at the first point
+    that fails it, naming that point."""
     def run(points):
-        runs.append(len(points))
-        if len(points) > 1:
-            raise ValueError(f"batch of {len(points)}")
+        runs.append(list(points))
+        for step in range(len(table[0])):
+            failing = [p for p in points if table[p][step]]
+            if failing:
+                exc = ValueError(f"step {step} fails at {failing[0]}")
+                exc.lane = failing[0]
+                raise exc
+        return points
+    return run
 
-    with pytest.raises(ValueError, match="^batch of 9$"):
-        curvature.replay(run, list(range(9)))
-    assert runs[-1] == 1 and len(runs) <= 2 * math.ceil(math.log2(9)) + 1
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda steps: st.lists(
+    st.lists(st.booleans(), min_size=steps, max_size=steps), min_size=1, max_size=12)))
+def test_replay_surfaces_the_per_point_error(table):
+    """Over any table of failures, the error that surfaces is the one a
+    per-point loop meets first, and each rerun fails at a later step or
+    passes, so there are at most as many reruns as steps."""
+    runs = []
+    run = _stepped(table, runs)
+    loop = None
+    for p in range(len(table)):
+        try:
+            run([p])
+        except ValueError as exc:
+            loop = str(exc)
+            break
+    runs.clear()
+    try:
+        assert curvature.replay(run, list(range(len(table)))) == list(range(len(table)))
+        replayed = None
+    except ValueError as exc:
+        replayed = str(exc)
+    assert replayed == loop
+    assert len(runs) - 1 <= len(table[0])
+
+
+def test_replay_raises_an_error_without_a_lane_as_it_is():
+    """An error that names no point, or a point the run does not hold,
+    surfaces after the one run."""
+    for lane in (None, 99):
+        runs = []
+
+        def run(points):
+            runs.append(len(points))
+            exc = ValueError(f"batch of {len(points)}")
+            if lane is not None:
+                exc.lane = lane
+            raise exc
+        with pytest.raises(ValueError, match="^batch of 9$"):
+            curvature.replay(run, list(range(9)))
+        assert runs == [9]
 
 
 def test_flat_r0_is_one_broadcast_zero():

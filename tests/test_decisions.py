@@ -10,9 +10,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from decision_corpus import OPS, decision_of, digest
+from acsgeo import curvature
+from decision_corpus import OPS, decision_of, digest, run
 
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "decision_digests.json")) as _fh:
@@ -99,6 +101,28 @@ def test_digests_cover_the_corpus():
                          ids=[f"{i}-" + "-".join(argv[:2]) for i, (argv, _) in enumerate(CORPUS)])
 def test_corpus_decision_digest(argv, expected, tmp_path):
     assert digest(decision_of(argv, str(tmp_path))) == expected
+
+
+def test_every_error_replay_meets_names_one_of_its_points(monkeypatch, tmp_path):
+    """The precondition of ``curvature.replay``'s prefix rule: over the
+    corpus, every error that a run under it raises keeps, as its ``lane``,
+    one of the points of that run."""
+    met = []
+    replay = curvature.replay
+
+    def observed(run, points):
+        def recorded(pts):
+            try:
+                return run(pts)
+            except Exception as exc:
+                met.append((getattr(exc, "lane", None), np.asarray(pts, dtype=float).tolist()))
+                raise
+        return replay(recorded, points)
+    monkeypatch.setattr(curvature, "replay", observed)
+    for argv in OPS:
+        run(argv, str(tmp_path))
+    assert len(met) > 30
+    assert [(lane, points) for lane, points in met if lane not in points] == []
 
 
 def test_compare_exits_one_on_a_decision_change(tmp_path):

@@ -222,16 +222,16 @@ def test_golden_error(capsys, tmp_path, label, argv, expected):
 
 
 def test_failing_batch_is_replayed_point_by_point(capsys, caplog, tmp_path):
-    """The batch fails at its lambda step (x = 0); the replay one point at a
-    time finds the mismatch at x = -1 first."""
+    """The batch fails at its lambda step, first at x = 0; the replay of the
+    9 points before it finds the mismatch at x = -1 first."""
     caplog.set_level(logging.DEBUG, logger="acsgeo")
     code, captured = run(capsys, tmp_path, ["curvature", "@mismatch_then_lambda"] + JSON)
     assert (code, captured.out) == (1, "")
     replays = [(r.name, r.levelno, r.getMessage()) for r in caplog.records
                if r.getMessage().startswith("replay:")]
     assert replays == [("acsgeo.curvature", logging.DEBUG,
-                        "replay: 27 points one at a time after K(X, xi) = lambda "
-                        "eta(X) xi fails with residual 0.5 at [0.0, -1.0, -1.0]")]
+                        "replay: the 9 points before [0.0, -1.0, -1.0] after K(X, xi) = "
+                        "lambda eta(X) xi fails with residual 0.5 at [0.0, -1.0, -1.0]")]
 
 
 def test_error_naming_the_first_point_is_not_replayed(capsys, tmp_path, monkeypatch):

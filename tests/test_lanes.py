@@ -242,8 +242,11 @@ def test_grid_pass_caches_nothing_on_error():
     m = manifold_from_dict(spec)
     pts = m.grid_points()
     curv.statistical_curvatures(m, [p for p in pts if p[0] == 0.0])
-    with pytest.raises(ExpressionError):
+    # the batched frame pass meets the log at x = 1; the first point that
+    # fails alone is singular, at x = -1
+    with pytest.raises(SingularMetricError, match=r" at \[-1\.0, -1\.0, -1\.0\]$") as info:
         curv.statistical_curvatures(m, pts)
+    assert info.value.lane == [-1.0, -1.0, -1.0]
     assert curv._curvature_parts not in m._kept_parts
 
 
@@ -275,8 +278,9 @@ def test_store_keeps_the_parts_of_one_point_set():
     frames = m.frame_stack(pts)
     assert list(m._kept_parts) == [ChartManifold._frames]
     # the curvature of x = 1 is not finite
-    with pytest.raises(NonFiniteError, match=" on the grid$"):
+    with pytest.raises(NonFiniteError, match=r" at \[1\.0, -1\.0, -1\.0\]$") as info:
         curv.statistical_curvatures(m, pts)
+    assert info.value.lane == [1.0, -1.0, -1.0]
     d0_phi = m.kept(nabla0_phi, pts)
     assert list(m._kept_parts) == [ChartManifold._frames, nabla0_phi]
     assert m.frame_stack(pts) is frames and m.kept(nabla0_phi, pts) is d0_phi
@@ -398,8 +402,9 @@ NON_FINITE_PARTS = {"exp(400*x)*exp(400*x)": "K",
 def test_non_finite_jets_fail_the_parts_gate(k):
     m = manifold_from_dict(dict(LAMBDA_K, K={"z,z,z": k}))
     with pytest.raises(NonFiniteError, match=f"^{NON_FINITE_PARTS[k]} is not finite "
-                                             "on the grid$"):
+                                             r"at \[1\.0, -1\.0, -1\.0\]$") as info:
         curv.statistical_curvatures(m, m.grid_points())
+    assert info.value.lane == [1.0, -1.0, -1.0]
     assert curv._curvature_parts not in m._kept_parts
     with pytest.raises(NonFiniteError, match=r"not finite at \[1.0, -1.0, -1.0\]$"):
         curv.statistical_curvature(m, [1.0, -1.0, -1.0])
@@ -433,43 +438,45 @@ def _replayed_frames(m, pts):
 
 @pytest.mark.parametrize("name", sorted(FAILING))
 def test_frame_grid_caches_nothing_on_error(name):
-    """A failing pass is not kept and raises its own error; under
-    ``replay`` the first point that fails alone raises, and its failing
-    pass leaves no frame part, so ``_frame_cache`` is empty."""
+    """A failing pass is not kept and raises the error of its first point
+    that fails alone, which it names as its ``lane``; under ``replay`` the
+    points before it pass, and theirs is the frame part kept."""
     m = manifold_from_dict(FAILING[name])
     pts = m.grid_points()
     alone = _first_failure(manifold_from_dict(FAILING[name]), pts)
     assert alone is not None and alone[0] > 0
     m.frame_stack(pts[:1])
-    with pytest.raises(alone[1], match=" on the grid$"):
+    with pytest.raises(alone[1]) as info:
         m.frame_stack(pts)
+    assert str(info.value) == alone[2] and info.value.lane == pts[alone[0]].tolist()
+    assert str(info.value).endswith(f" at {pts[alone[0]].tolist()}")
     assert m._kept_parts == {}
     with pytest.raises(alone[1]) as info:
         _replayed_frames(m, pts)
-    assert str(info.value) == alone[2] and m._kept_parts == {}
-    assert str(info.value).endswith(f" at {pts[alone[0]].tolist()}")
-    assert m._frame_cache == {}
+    assert str(info.value) == alone[2]
+    assert list(m._frame_cache) == list(map(tuple, pts[:alone[0]].tolist()))
     assert _first_failure(m, pts) == alone
 
 
 def test_pass_error_surfaces_when_no_point_fails_alone(monkeypatch):
+    """A pass that fails while each of its lanes passes alone raises its
+    own error, on the grid, which names no point: ``replay`` raises it as
+    it is, after one scan of the lanes."""
     m = manifold_from_dict(LAMBDA_K)
-    frames = ChartManifold._frames
+    fields = ChartManifold._fields
     passes = []
 
-    def batch_fails(self, pts):
-        passes.append(len(pts))
-        if len(pts) > 1:
-            raise GeometryError(f"batch of {len(pts)}")
-        return frames(self, pts)
-    monkeypatch.setattr(ChartManifold, "_frames", batch_fails)
-    with pytest.raises(GeometryError, match="^batch of 27$"):
+    def batch_fails(self, coords):
+        passes.append(len(coords[0]))
+        if len(coords[0]) > 1:
+            raise GeometryError(f"batch of {len(coords[0])}")
+        return fields(self, coords)
+    monkeypatch.setattr(ChartManifold, "_fields", batch_fails)
+    with pytest.raises(GeometryError, match="^batch of 9 on the grid$") as info:
         _replayed_frames(m, m.grid_points())
-    # 27, 13, 6 and 3 fail; the first point passes alone, then the second,
-    # and the third is left to run alone
-    assert passes == [27, 13, 6, 3, 1, 1, 1]
-    assert list(m._kept_parts) == [batch_fails]
-    assert list(m._frame_cache) == [tuple(m.grid_points()[2])]
+    assert not hasattr(info.value, "lane")
+    assert passes == [9] + [1] * 9         # the 27 points take 9 lanes
+    assert m._kept_parts == {}
 
 
 def test_frame_arrays_are_read_only():
