@@ -222,7 +222,7 @@ def cmd_curvature(m: ChartManifold, args) -> int:
     zero, yes = np.zeros(1), np.ones(1, dtype=bool)
     rep = AuditReport.from_columns(pts, [Column("curvature/lambda", zero, yes, lams)] + [
         Column(f"curvature/{name}", zero, yes, triples[:, j, n])
-        for j in range(triples.shape[1]) for n, name in enumerate(names)])
+        for j in range(triples.shape[1]) for n, name in enumerate(names)], m.frame_stack(pts).lane)
     # the values in point-major order, as Python max and min take them
     values = [triples[..., n].ravel().tolist() for n in range(3)] + [lams.tolist()]
     for name, vals in zip(names + ("lambda",), values):

@@ -150,6 +150,14 @@ def lane_rows(part, rows, lane):
     return type(part)(point, *map(of, part[1:-1]), sub)
 
 
+def _read_only(part):
+    """``part``, one array or a NamedTuple of them, with every array made
+    read-only."""
+    for a in [part] if isinstance(part, np.ndarray) else part:
+        a.flags.writeable = False
+    return part
+
+
 class ChartManifold:
     """An odd-dimensional chart with fields (g, phi, xi, eta, K) attached.
 
@@ -163,9 +171,12 @@ class ChartManifold:
     ``curvature.statistical_curvatures``, ``contact.nabla0_phi`` and the
     phi-bases and plain sections of ``curvature.plain_sweep``.
     A request for some of those points reads the rows of a kept part, so
-    ``frame_at`` and the one-point functions after a grid run take no pass.
-    A failing pass keeps nothing and names its first failing point
-    (``lane_pass``).
+    ``frame_at`` and the one-point functions after a grid run take no pass;
+    one for a part that is not kept runs its pass over them alone and keeps
+    it beside the kept parts, as a part of the last such points, so a
+    ``replay`` rerun of the points before a failing one reads the kept
+    frames and a repeated request takes no second pass.  A failing pass
+    keeps nothing and names its first failing point (``lane_pass``).
 
     ``reads`` is found once, when the chart is built: the sorted indices
     of the coordinates that g, phi, xi, eta (when given) and K, or the
@@ -207,6 +218,7 @@ class ChartManifold:
         self._kept_points = np.empty((0, dim))     # the points of the kept parts
         self._kept_index = None      # their bytes -> row, once a subset request needs it
         self._kept_parts = {}        # pass function -> its part of those points
+        self._subset = b"", {}       # some of them: their bytes and the parts not kept above
 
     @property
     def dim(self):
@@ -304,27 +316,34 @@ class ChartManifold:
         return PointFrame(*(a[0] for a in self.frame_stack([point])[:-1]))
 
     def kept(self, pass_fn, points):
-        """``pass_fn(self, pts)`` of the (P, dim) ``pts`` of ``points``: the part kept for
-        them, its ``lane_rows`` when all are kept points (matched by bytes, through an index
-        built once per kept point set, read at the lanes of the kept frames), else a new pass,
-        kept beside their parts or in place of other points' and made read-only; a pass that
-        raises keeps nothing."""
+        """``pass_fn(self, pts)`` of the (P, dim) ``pts`` of ``points``, made read-only: the
+        part kept for them, its ``lane_rows`` when all are kept points (matched by bytes,
+        through an index built once per kept point set, read at the lanes of the kept
+        frames), else a new pass.  A pass over kept points whose part is not kept, such as a
+        ``replay`` rerun of the points before a failing one, is kept beside the kept parts,
+        as a part of the last such points asked for; any other is kept beside their parts or
+        in place of other points'.  A pass that raises keeps nothing."""
         pts = np.array(points, dtype=float).reshape(len(points), self.dim)
-        if pts.tobytes() != self._kept_points.tobytes():
-            if pass_fn in self._kept_parts:
+        key = pts.tobytes()
+        if key != self._kept_points.tobytes():
+            if self._kept_parts:
                 if self._kept_index is None:
                     self._kept_index = {p.tobytes(): i for i, p in enumerate(self._kept_points)}
                 rows = [self._kept_index.get(p.tobytes()) for p in pts]
                 if None not in rows:
-                    return lane_rows(self._kept_parts[pass_fn], rows,
-                                     self._kept_parts[ChartManifold._frames].lane)
+                    if pass_fn in self._kept_parts:
+                        return lane_rows(self._kept_parts[pass_fn], rows,
+                                         self._kept_parts[ChartManifold._frames].lane)
+                    if self._subset[0] != key:
+                        self._subset = key, {}
+                    parts = self._subset[1]
+                    if pass_fn not in parts:
+                        parts[pass_fn] = _read_only(pass_fn(self, pts))
+                    return parts[pass_fn]
             self._kept_points, self._kept_parts = pts, {}
-            self._kept_index = None
+            self._kept_index, self._subset = None, (b"", {})
         if pass_fn not in self._kept_parts:
-            part = pass_fn(self, self._kept_points)
-            for a in [part] if isinstance(part, np.ndarray) else part:
-                a.flags.writeable = False
-            self._kept_parts[pass_fn] = part
+            self._kept_parts[pass_fn] = _read_only(pass_fn(self, self._kept_points))
         return self._kept_parts[pass_fn]
 
     def frame_stack(self, points) -> FrameStack:

@@ -309,6 +309,31 @@ def test_frame_pass_logs_at_debug(capsys, caplog, tmp_path):
                      "at [-1.0, -1.0, -1.0]"]
 
 
+def test_a_prefix_rerun_reads_the_kept_frames(capsys, caplog, tmp_path):
+    """The curvature pass fails at x = 1 after the frame pass passed on the
+    grid; the rerun of the 18 points before it reads their rows of the kept
+    frames, so one frame pass runs, and the grid's frames stay kept.  The
+    error and the exit code are those of a quiet run."""
+    spec = dict(TWO_FAILURES, metric_lower=[["1"], ["0", "1"], ["0", "0", "1"]],
+                K={"z,z,z": "1e-10*exp(709*x)"})
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec))
+    error = "error: statistical curvature is not finite at [1.0, -1.0, -1.0]\n"
+    assert run(capsys, "curvature", str(path)) == (2, "", error)
+    caplog.set_level(logging.DEBUG, logger="acsgeo")
+    caplog.clear()
+    assert run(capsys, "curvature", str(path)) == (2, "", error)
+    lines = [r.getMessage() for r in caplog.records if r.name == "acsgeo.manifold"]
+    assert len(lines) == 1 and lines[0].startswith("frame grid pass: 27 points on 3 lanes in ")
+
+    m = manifold_from_dict(spec)
+    pts = m.grid_points()
+    with pytest.raises(ExpressionError, match="not finite at"):
+        curvature.phi_sectional_triples(m, pts)
+    assert m.frame_stack(pts).point.tobytes() == pts.tobytes()
+    assert list(m._frame_cache) == list(map(tuple, pts.tolist()))
+
+
 TRIVIAL3 = "zoo:random:dim=3,seed=1,family=trivial-lambda"     # phi-compatible at every point
 
 
@@ -358,10 +383,36 @@ def test_one_pass_per_store(monkeypatch, capsys, argv, passes):
     assert tuple(counts.values()) == passes
 
 
+def test_a_subset_of_the_kept_points_passes_once(monkeypatch):
+    """After the grid's frame pass, the one-point functions at a grid point
+    run each pass that is not kept for the grid once, however often they
+    are asked, and the grid's frames stay kept."""
+    counts = {"curvature": 0, "plain_sweep": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(curvature, "_curvature_parts",
+                        counted("curvature", curvature._curvature_parts))
+    monkeypatch.setattr(curvature, "plain_sweep", counted("plain_sweep", curvature.plain_sweep))
+    m = get_entry("random", dim=3, seed=1, family="trivial-lambda").manifold
+    grid = m.grid_points()
+    frames = m.frame_stack(grid)
+    for _ in range(2):
+        assert curvature.psi_check(m, grid[5]).all_passed
+        curvature.statistical_curvature(m, grid[5])
+    assert counts == {"curvature": 1, "plain_sweep": 1}
+    assert m.frame_stack(grid) is frames
+
+
 def test_a_replayed_run_finds_each_point_sets_lanes_once(monkeypatch, capsys, tmp_path):
     """A failing audit whose replay reruns the points before its failing
     one finds the lanes of each point set it passes once: the frame pass finds them, and the
-    curvature pass and the row reads take them from it."""
+    curvature pass and the row reads take them from it.  The grid's frame pass fails at
+    x = 1 and its rerun keeps the frames of the 18 points before it; the curvature pass
+    fails at x = 0, and its rerun over the 9 points before that reads their kept frames."""
     spec = dict(TWO_FAILURES, metric_lower=[["1"], ["0", "1"], ["0", "0", "1"]],
                 K={"z,z,z": "1e-10*exp(709*(x + 1))"})
     path = tmp_path / "replayed.json"
@@ -375,7 +426,8 @@ def test_a_replayed_run_finds_each_point_sets_lanes_once(monkeypatch, capsys, tm
     monkeypatch.setattr(manifold.ChartManifold, "lanes", recorded)
     assert run(capsys, "audit", str(path), "--checks", "thm_5_8") == (
         2, "", "error: statistical curvature is not finite at [0.0, -1.0, -1.0]\n")
-    assert len(point_sets) > 2 and len(set(point_sets)) == len(point_sets)
+    pts = manifold_from_dict(spec).grid_points()
+    assert point_sets == [pts.tobytes(), pts[:18].tobytes()]
 
 
 def test_a_later_group_keeps_the_first_error(capsys, tmp_path):

@@ -226,3 +226,132 @@ def test_nan_residual_is_the_worst():
     assert np.isnan(rep.max_residual("c")) and np.isnan(rep.max_residual())
     assert rep.to_table().splitlines()[1:] == [
         f"{name:<5}  {'nan':>24}  FAIL" for name in "cd"]
+
+
+# a small pool, so lanes and points often meet equal floats of other bits
+POOL = [0.0, -0.0, float("nan"), 1.5, -float("inf"), 1e-300]
+
+
+@st.composite
+def lane_blocks(draw):
+    """(points, columns, lane) of one block: P points of dimension 0 to 3 on
+    lanes labelled by arbitrary indices, and columns whose arrays each have
+    length 1, one entry per lane label or P entries, those either constant on
+    each lane, constant but for one point (one point's -0.0 on a lane of
+    0.0, for a float array), or free; half the blocks have only
+    lane-constant floats."""
+    n, dim = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    pts = np.array(draw(st.lists(st.sampled_from(POOL) | doubles(), min_size=n * dim,
+                                 max_size=n * dim)), dtype=float).reshape(n, dim)
+    labels = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+    lane = np.array(draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)),
+                    dtype=np.intp)
+    lanes = max(labels) + 1
+    kinds = draw(st.sampled_from([
+        ["shared", "lane", "point", "lane-point", "lane-but-one", "lane-but-a-sign"],
+        # lane-constant as floats: only a -0.0 or a flag of one point differs
+        ["shared", "lane", "lane-point", "lane-but-a-sign"]]))
+
+    def array(elements, dtype):
+        kind = draw(st.sampled_from(kinds))
+        size = {"shared": 1, "lane": lanes, "point": n}.get(kind, lanes)
+        a = np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=dtype)
+        if kind.startswith("lane-"):
+            i = draw(st.integers(0, n - 1)) if n else None
+            if kind == "lane-but-a-sign" and dtype != bool and n:
+                a[lane[i]] = 0.0
+            a = a[lane]
+            if kind != "lane-point" and n:
+                # -0.0 on a lane of 0.0: equal as floats, not as bits
+                a[i] = draw(elements) if kind == "lane-but-one" or dtype == bool else -0.0
+        return a
+    floats = st.sampled_from(POOL) | doubles()
+    columns = [Column(draw(st.sampled_from(["a", "b/c", "thm_5_8/c1_kphi_zero"])),
+                      array(floats, float), array(st.booleans(), bool),
+                      array(floats, float) if draw(st.booleans()) else None,
+                      array(st.booleans(), bool) if draw(st.booleans()) else None)
+               for _ in range(draw(st.integers(0, 4)))]
+    return pts, columns, lane
+
+
+def block_lines(pts, columns, lane):
+    """One ``reference_line`` per record of a block, point-major, each entry
+    read at its point: its own, the shared one or its lane's."""
+    def at(a, i):
+        return None if a is None else a[i if len(a) == len(pts) else 0 if len(a) == 1
+                                        else lane[i]]
+    return [reference_line(c.check, p, at(c.residual, i), at(c.passed, i), at(c.value, i))
+            for i, p in enumerate(pts) for c in columns if c.at is None or at(c.at, i)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(lane_blocks(), rows), max_size=5), st.lists(st.integers(0, 3)))
+def test_blocks_render_as_one_dumps_per_record(parts, owners):
+    """Blocks on lanes and single records, added to up to four reports in
+    turn and joined with ``extend``, render as one ``json.dumps`` per
+    record."""
+    reports = [AuditReport() for _ in range(4)]
+    expected = [[] for _ in reports]
+    for k, part in enumerate(parts):
+        n = owners[k] if k < len(owners) else 0
+        if len(part) == 3:
+            reports[n].add_columns(*part)
+            expected[n] += block_lines(*part)
+        else:
+            check, point, residual, passed, value = part
+            reports[n].add(check, point, residual, passed=passed, value=value)
+            expected[n].append(reference_line(*part))
+    for rep in reports[1:]:
+        reports[0].extend(rep)
+    assert reports[0].to_json_lines() == "\n".join(sum(expected, []))
+
+
+def test_lane_constancy_reads_bits():
+    """P entries equal on a lane only as floats (-0.0 and 0.0) are not one
+    lane's, nor are NaNs of two signs, which render alike: each point
+    renders its own."""
+    pts = np.array([[0.0], [1.0], [2.0], [3.0]])
+    lane = np.array([2, 2, 0, 0])
+    for residual in ([0.0, -0.0, 1.0, 1.0], [np.nan, np.nan, np.copysign(np.nan, -1.0), np.nan]):
+        columns = [Column("a", np.array(residual), np.ones(1, dtype=bool),
+                          np.array([5.0, 5.0, 7.0, 7.0])),
+                   Column("b", np.array([1.0, 2.0, 3.0]), np.array([True, False, True]),
+                          None, np.array([True, True, False, False]))]
+        rep = AuditReport.from_columns(pts, columns, lane)
+        assert rep.to_json_lines() == "\n".join(block_lines(pts, columns, lane))
+    assert AuditReport.from_columns(pts[:2], [Column("a", np.array([0.0, -0.0]), np.ones(1))],
+                                    lane[:2]).to_json_lines().splitlines() == [
+        reference_line("a", [0.0], 0.0, True, None), reference_line("a", [1.0], -0.0, True, None)]
+
+
+def test_masks_of_one_entry_per_point_are_read_per_point():
+    """A mask of P entries that differs within a lane makes the block's
+    groups its points, as any other entry does."""
+    pts = np.array([[0.0], [1.0], [2.0], [3.0]])
+    lane = np.array([2, 2, 0, 0])
+    columns = [Column("a", np.array([1.0, 2.0, 3.0]), np.ones(1, dtype=bool), None,
+                      np.array([True, False, False, True])),
+               Column("b", np.zeros(1), np.array([True, True, False, False]))]
+    rep = AuditReport.from_columns(pts, columns, lane)
+    assert rep.to_json_lines() == "\n".join(block_lines(pts, columns, lane))
+    assert rep.checks == ["a", "b", "b", "b", "a", "b"]
+
+
+def test_blocks_render_their_values_at_add_time():
+    """``add_columns`` keeps a copy of the points, the columns and the lanes:
+    writing into them afterwards changes no rendered byte."""
+    pts = np.array([[0.5, -1.0], [0.5, 1.0], [2.0, 1.0]])
+    lane = np.array([1, 1, 0])
+    columns = [Column("a", np.array([0.25, 0.5]), np.array([True, False]),
+                      np.array([[1.0], [2.0], [3.0]]), np.array([True, False, True])),
+               Column("b", np.zeros(1), np.ones(1, dtype=bool), np.array([-0.0, -0.0, 4.0]))]
+    rep = AuditReport.from_columns(pts, columns, lane)
+    before = rep.to_json_lines()
+    assert before == "\n".join(block_lines(pts, [c._replace(value=np.ravel(c.value))
+                                                 for c in columns], lane))
+    pts[:] = 9.0
+    lane[:] = 0
+    for c in columns:
+        for a in filter(lambda a: a is not None, c[1:]):
+            a[...] = np.logical_not(a) if a.dtype == bool else -7.0
+    assert rep.to_json_lines() == before
