@@ -257,53 +257,77 @@ def _statistical_parts(gamma0, dgamma0, k, dk, flat: bool = False):
     return 0.5 * (r + r_bar), r0, kk_tensor(k), r, r_bar
 
 
+def _jets(m: ChartManifold, lanes):
+    """(Gamma^0, dGamma^0, K, dK) at the (U, dim) ``lanes``: one second-order
+    walk of g gives the Gamma^0 jet in closed form, one first-order walk of
+    the K table (or of the connection table, less Gamma^0) the K jet."""
+    coords = point_lanes(lanes)
+    levi_civita = christoffel_jet(m.metric, coords)
+    return levi_civita + m.difference.jet(coords, levi_civita)
+
+
+def _duality(r, r_bar, g):
+    """max |g(R(e_k, e_l) e_j, e_a) + g(e_j, R-bar(e_k, e_l) e_a)| at each
+    lane: the conjugate duality of the curvatures."""
+    low = np.einsum("...am,...mjkl->...ajkl", g, r)
+    low_bar = np.einsum("...am,...mjkl->...ajkl", g, r_bar)
+    return max_abs(low + np.einsum("...jakl->...ajkl", low_bar))
+
+
 class CurvatureStack(NamedTuple):
     """The statistical curvature of the (P, dim) ``point`` from one pass,
-    read-only: S = (R + R-bar)/2, R^0, [K,K], R and R-bar, (U, dim, dim,
-    dim, dim), and ``cross`` = max |S - R^0 - [K,K]|, (U,), on the U lanes
-    of the points (``ChartManifold.lanes``), and ``lane`` (P,), the lane of
-    each point."""
+    read-only, on the U lanes of the points (``ChartManifold.lanes``): S =
+    (R + R-bar)/2 and R^0, (U, dim, dim, dim, dim), and three maxima of the
+    parts the pass does not keep, (U,) each: ``cross`` = max |S - R^0 -
+    [K,K]| (Proposition 5.2), ``kk_max`` = max |[K,K]| (Theorem 5.8 c4) and
+    ``duality``, the conjugate duality of R and R-bar in the lane's metric;
+    ``lane`` (P,) is the lane of each point.  ``statistical_curvature``
+    recomputes [K,K], R and R-bar at one point."""
 
     point: np.ndarray
     s: np.ndarray
     r0: np.ndarray
-    kk: np.ndarray
-    r: np.ndarray
-    r_bar: np.ndarray
     cross: np.ndarray
+    kk_max: np.ndarray
+    duality: np.ndarray
     lane: Optional[np.ndarray] = None
 
 
 def _curvature_parts(m: ChartManifold, pts) -> CurvatureStack:
     """The CurvatureStack of the (P, dim) ``pts`` from one pass over the lanes
-    of their frames (``frame_stack``, whose error it raises): one
-    second-order walk of g gives the Gamma^0 jet in closed form, one
-    first-order walk of the K table (or of the connection table, less
-    Gamma^0) the K jet, and the parts and residuals follow 16 lanes at a
-    time.  R^0 of a constant metric is one broadcast zero, never computed.
-    A jet entry that is not finite makes a part non-finite, the one gate:
-    NonFiniteError.  The pass is logged at info level."""
+    of their frames (``frame_stack``, whose error it raises): the jets of
+    every lane (``_jets``), then the five parts of ``_statistical_parts`` 16
+    lanes at a time, of which each chunk keeps S and R^0 and reduces S - R^0
+    - [K,K], [K,K] and the duality of R and R-bar, in the metric of each
+    lane's own frame (also when ``run_lanes`` runs a lane alone), to their
+    maxima.  R^0 of a constant metric is one broadcast zero, never computed.
+    A part that is not finite fails the one gate: NonFiniteError.  The pass
+    is logged at info level."""
     fs = m.frame_stack(pts)
-    flat = m.metric.is_constant
+    flat, first = m.metric.is_constant, fs.lane_points
+    row = {p.tobytes(): i for i, p in enumerate(first)}
 
     def parts_of(lanes):
-        coords, shape = point_lanes(lanes), (len(lanes),) + (m.dim,) * 4
-        parts = [np.broadcast_to(0.0, shape) if flat and n == 1 else np.empty(shape)
-                 for n in range(5)]
-        cross = np.empty(len(lanes))
-        levi_civita = christoffel_jet(m.metric, coords)
-        jets = levi_civita + m.difference.jet(coords, levi_civita)
+        g = fs.g[[row[p.tobytes()] for p in lanes]]     # each lane's own, also run alone
+        shape = (len(lanes),) + (m.dim,) * 4
+        s = np.empty(shape)
+        r0 = np.broadcast_to(0.0, shape) if flat else np.empty(shape)
+        cross, kk_max, duality = np.empty((3, len(lanes)))
+        jets = _jets(m, lanes)
         for c in range(0, len(lanes), 16):    # 16 lanes at a time bounds the temporaries
             rows = slice(c, c + 16)
-            for n, value in enumerate(_statistical_parts(*(a[rows] for a in jets), flat)):
-                if value is not None:
-                    parts[n][rows] = value
-            cross[rows] = max_abs(parts[0][rows] - parts[1][rows] - parts[2][rows])
-        if not all(np.isfinite(a).all() for a in parts):
-            raise NonFiniteError("statistical curvature is not finite")
-        return parts, cross
-    parts, cross = lane_pass(log, logging.INFO, "curvature", pts, fs.lane_points, parts_of)
-    return CurvatureStack(pts, *parts, cross, fs.lane)
+            parts = _statistical_parts(*(a[rows] for a in jets), flat)
+            if not all(np.isfinite(a).all() for a in parts if a is not None):
+                raise NonFiniteError("statistical curvature is not finite")
+            s[rows], r0_rows, kk, r, r_bar = parts
+            if not flat:
+                r0[rows] = r0_rows
+            cross[rows] = max_abs(s[rows] - r0[rows] - kk)
+            kk_max[rows] = max_abs(kk)
+            duality[rows] = _duality(r, r_bar, g[rows])
+        return s, r0, cross, kk_max, duality
+    return CurvatureStack(pts, *lane_pass(log, logging.INFO, "curvature", pts, first, parts_of),
+                          fs.lane)
 
 
 def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
@@ -311,8 +335,8 @@ def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
     nabla^0 + K and nabla-bar = nabla^0 - K, with S = R^0 + [K,K] asserted
     (to 1e-6) as an internal cross-check, which raises CrossCheckError at
     the first point where it fails.  The stack is the chart's kept part of
-    ``_curvature_parts`` (``ChartManifold.kept``); a pass that fails raises
-    its own error and keeps nothing."""
+    ``_curvature_parts`` (``ChartManifold.kept``): S, R^0 and the per-lane
+    maxima; a pass that fails raises its own error and keeps nothing."""
     stack = m.kept(_curvature_parts, points)
     raise_first(CrossCheckError, stack.point, stack.cross, 1e-6, "S - R0 - [K,K] residual",
                 stack.lane)
@@ -320,8 +344,13 @@ def statistical_curvatures(m: ChartManifold, points) -> CurvatureStack:
 
 
 def statistical_curvature(m: ChartManifold, point):
-    """``statistical_curvatures`` at one point: (S, R^0, [K,K], R, R-bar)."""
-    return tuple(a[0] for a in statistical_curvatures(m, [point])[1:6])
+    """(S, R^0, [K,K], R, R-bar) at one point: S and R^0 of
+    ``statistical_curvatures``, which raises its errors, and [K,K], R and
+    R-bar recomputed by ``_statistical_parts`` on the jets of the point's
+    lane: the pass's kernel, so the pass's bits."""
+    stack = statistical_curvatures(m, [point])
+    kk, r, r_bar = _statistical_parts(*_jets(m, stack.point), m.metric.is_constant)[2:]
+    return stack.s[0], stack.r0[0], kk[0], r[0], r_bar[0]
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +609,7 @@ def _theorem_5_8(m: ChartManifold, pts, tol) -> AuditReport:
                                                        axis=1, initial=0.0),
             "c3_K_is_lambda_eta_eta_xi": max_abs(fs.K - lams[:, None, None, None] * np.einsum(
                 "...i,...j,...k->...ijk", fs.xi, fs.eta, fs.eta)),
-            "c4_kk_bracket_zero": per_16_lanes(max_abs, curvatures.kk),
+            "c4_kk_bracket_zero": curvatures.kk_max,
             "c5_S_equals_R0": per_16_lanes(lambda s, r0: max_abs(s - r0),
                                            curvatures.s, curvatures.r0),
             "c6_K_XX_zero_horizontal": np.max(np.abs(np.where(keep_h[..., None], kvv_h, 0.0)),
@@ -648,17 +677,12 @@ def geodesic_norms(fs: FrameStack):
 
 def prop_5_2_residuals(m: ChartManifold, fs: FrameStack):
     """At each lane of ``fs``, (L,) each: max |S - R^0 - [K,K]|
-    (Proposition 5.2, the residual the curvature pass keeps beside the
-    parts) and max |g(R(e_k, e_l) e_j, e_a) + g(e_j, R-bar(e_k, e_l) e_a)|
-    (the conjugate duality of the curvatures).  The statistical curvature
-    raises as in ``statistical_curvatures``."""
+    (Proposition 5.2) and max |g(R(e_k, e_l) e_j, e_a) + g(e_j, R-bar(e_k,
+    e_l) e_a)| (the conjugate duality of the curvatures), the maxima the
+    curvature pass keeps beside S and R^0 (``_curvature_parts``).  The
+    statistical curvature raises as in ``statistical_curvatures``."""
     curvatures = statistical_curvatures(m, fs.point)
-
-    def duality(r, r_bar, g):
-        low = np.einsum("...am,...mjkl->...ajkl", g, r)
-        low_bar = np.einsum("...am,...mjkl->...ajkl", g, r_bar)
-        return max_abs(low + np.einsum("...jakl->...ajkl", low_bar))
-    return curvatures.cross, per_16_lanes(duality, curvatures.r, curvatures.r_bar, fs.g)
+    return curvatures.cross, curvatures.duality
 
 
 @np.errstate(all="ignore")

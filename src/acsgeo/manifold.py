@@ -168,8 +168,10 @@ class ChartManifold:
 
     ``kept`` stores one part per pass of the last points asked for, each
     array of it read-only: the frames of ``frame_stack``, the curvatures of
-    ``curvature.statistical_curvatures``, ``contact.nabla0_phi`` and the
-    phi-bases and plain sections of ``curvature.plain_sweep``.
+    ``curvature.statistical_curvatures`` (S, R^0 and three maxima per lane;
+    the one-point ``statistical_curvature`` recomputes [K,K], R and R-bar
+    at its lane), ``contact.nabla0_phi`` and the phi-bases and plain
+    sections of ``curvature.plain_sweep``.
     A request for some of those points reads the rows of a kept part, so
     ``frame_at`` and the one-point functions after a grid run take no pass;
     one for a part that is not kept runs its pass over them alone and keeps

@@ -157,6 +157,10 @@ def _ops():
                         "--seed", str(grid)])
     for checks in ("phi_compat", "psi", "thm_5_8,phi_compat,psi"):
         ops.append(["audit", "@flat1_scaled_phi", "--checks", checks, "--format", "json"])
+    # 243 lanes in 16 chunks of the curvature pass: the benchmark's memory peak
+    for verb in ("validate", "curvature", "audit"):
+        ops.append([verb, "zoo:random:dim=7,seed=0,family=trivial-lambda", "--grid", "3",
+                    "--format", "json"])
     return ops
 
 

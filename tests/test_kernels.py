@@ -218,7 +218,7 @@ def test_with_curvatures_matches_section_loop(dim):
     for r0 in (s["dense"], s["zero"], s["special"]):
         for shared in (False, True):
             lane = slice(0, 1) if shared else slice(None)
-            curvatures = CurvatureStack(None, s["dense"][lane], r0[lane], *(None,) * 4)
+            curvatures = CurvatureStack(None, s["dense"][lane], r0[lane], *(None,) * 3)
             blocks = [(x, px) for x, px, _ in vector_sets(rng, lanes, dim).values()]
             blocks.append(tuple(a[:1] for a in blocks[0]))       # a shared block
             sweep = sweep_of(blocks, lanes, g[lane])

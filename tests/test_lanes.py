@@ -251,12 +251,13 @@ def test_grid_pass_caches_nothing_on_error():
 
 
 def test_cache_read_applies_the_cross_check():
-    """The pass keeps max |S - R0 - [K,K]| beside the parts, and a read of
-    the kept pass gates on it."""
+    """The pass keeps max |S - R0 - [K,K]| beside S and R0, that of the
+    one-point function's tensors, and a read of the kept pass gates on it."""
     m = manifold_from_dict(LAMBDA_K)
     p = m.grid_points()[0]
     stack = curv.statistical_curvatures(m, [p])
-    assert stack.cross[0] == float(np.max(np.abs(stack.s - stack.r0 - stack.kk)))
+    s, r0, kk = curv.statistical_curvature(m, p)[:3]
+    assert stack.cross[0] == float(np.max(np.abs(s - r0 - kk)))
     m._kept_parts[curv._curvature_parts] = stack._replace(cross=np.ones(1))
     with pytest.raises(curv.CrossCheckError, match=r"^S - R0 - \[K,K\] residual 1\.0 at "):
         curv.statistical_curvature(m, p)
