@@ -7,12 +7,15 @@ shortest round-trip repr, as ``json.dumps`` does; the table prints
 residuals with 17 significant digits.  Exit codes are 0 (success), 1
 (mathematical validation or audit failure), 2 (input error).
 
-The checks read the frames, the statistical curvature, nabla^0 phi and the
-plain section sweep of the sample points from the chart's store
-(``ChartManifold.kept``), each computed once per run; a failing pass or
-check names its first failing point, and ``curvature.replay`` reruns the
-points before it, to raise what a per-point loop meets first.  No verb
-draws random numbers: ``--seed`` is accepted and checked, and changes nothing.
+``GROUPS`` is the table of the check groups: the verbs that take each, its
+run and its body; validate, curvature and audit are one loop over the runs
+of the selected groups (``audit_report``).  The checks read the frames, the
+statistical curvature, nabla^0 phi and the plain section sweep of the
+sample points from the chart's store (``ChartManifold.kept``), each
+computed once per run; a failing pass or check names its first failing
+point, and ``curvature.replay`` reruns the points before it, to raise what
+a per-point loop meets first.  No verb draws random numbers: ``--seed`` is
+accepted and checked, and changes nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import logging
 import os
 import sys
 import time
+from itertools import groupby
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -42,10 +48,6 @@ render_log = logging.getLogger("acsgeo.report")
 
 EXIT_OK, EXIT_MATH_FAIL, EXIT_INPUT_ERROR = 0, 1, 2
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
-# the check groups of ``audit``, in the order it runs them; ``validate``
-# runs the first three
-CHECK_GROUPS = ("structure", "statistical", "acs", "cosymplectic", "thm_5_8",
-                "phi_compat", "lemma_5_6", "geodesic", "prop_5_2", "duality", "psi")
 
 
 class InputError(Exception):
@@ -113,17 +115,6 @@ def emit(report: AuditReport, fmt_kind: str):
                          time.perf_counter() - start)
 
 
-def check_groups(text, valid):
-    """The set of ``--checks`` groups, every group of ``valid`` when the
-    option is not given; a name outside ``valid`` is an input error."""
-    groups = set(valid if text is None else text.split(","))
-    unknown = sorted(groups - set(valid))
-    if unknown:
-        raise InputError(f"unknown check group {', '.join(map(repr, unknown))}; "
-                         f"valid groups: {', '.join(valid)}")
-    return groups
-
-
 def sample_points(m: ChartManifold, grid) -> np.ndarray:
     """The (P, dim) sample grid of a run, ``ChartManifold.grid_points``:
     ``--grid`` points per coordinate, or the spec's grid when it is not
@@ -144,55 +135,28 @@ def sample_points(m: ChartManifold, grid) -> np.ndarray:
 # verbs
 
 
-def axiom_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
-    """The structure/statistical/ACS axiom checks of the groups ``checks``
-    at every point, over one stack of the frames; they raise only the
-    frames' errors."""
-    if not any(name in checks for name in CHECK_GROUPS[:3]):
-        return AuditReport()
-
-    def run(points):
-        fs = m.frame_stack(points)
-        columns = []
-        if "structure" in checks:
-            columns += validate_structure(m, fs, tol)
-        if "statistical" in checks:
-            columns += validate_statistical(fs, tol)
-        if "acs" in checks:
-            columns += validate_acs(fs, tol)
-        return AuditReport.from_columns(fs.point, columns, fs.lane)
-    return curv.replay(run, pts)
+class Group(NamedTuple):
+    """A ``--checks`` group: the verbs that take it, its run and its body,
+    which reads ``ctx`` (the chart ``m``, ``tol``, the ``section`` text and
+    the ``reports`` of earlier runs).  A run of several rows is one block of
+    their columns, ``body(ctx, frames)``, under one ``curvature.replay``; a
+    one-row run is ``body(ctx, points)``.  A run that a selected group
+    ``reads`` runs too; it prints if a group of it is selected."""
+    name: str
+    verbs: Tuple[str, ...]
+    run: str
+    body: Callable
+    reads: str = ""
 
 
-def pointwise_checks(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
-    """The lemma_5_6, geodesic, prop_5_2 and duality checks of the groups
-    ``checks`` at every point, in one run through ``curvature.replay``: the
-    statistical curvature and the conjugate duality raise where a per-point
-    loop would."""
-    wanted = [name for name in ("lemma_5_6", "geodesic", "prop_5_2", "duality")
-              if name in checks]
-    loose = max(tol, 1e-6)
+_ZERO, _YES = np.zeros(1), np.ones(1, dtype=bool)
 
-    def run(points):
-        fs = m.frame_stack(points)
-        zero, yes = np.zeros(1), np.ones(1, dtype=bool)
-        columns = []
-        if "lemma_5_6" in wanted:
-            columns.append(within("lemma_5_6", curv.lemma_5_6_residuals(
-                fs, m.kept(nabla0_phi, points)), tol))
-        if "geodesic" in wanted:
-            n0, n1 = curv.geodesic_norms(fs)
-            columns += [Column("geodesic/nabla0_xi_xi", zero, yes, n0),
-                        Column("geodesic/nabla_xi_xi", zero, yes, n1)]
-        if "prop_5_2" in wanted:
-            cross, dual = curv.prop_5_2_residuals(m, fs)
-            columns += [within("prop_5_2", cross, loose),
-                        within("conjugate_duality", dual, loose)]
-        if "duality" in wanted:
-            columns.append(within("connection_duality",
-                                  conjugate_connections(fs, tol=loose)[1], loose))
-        return AuditReport.from_columns(fs.point, columns, fs.lane)
-    return curv.replay(run, pts) if wanted else AuditReport()
+
+def _cosymplectic(ctx, pts) -> AuditReport:
+    """The cosymplectic flag, one record at the first point."""
+    flag, res = curv.replay(lambda points: is_cosymplectic(ctx.m, points, tol=ctx.tol), pts)
+    return AuditReport.from_columns(pts[:1], [
+        Column("cosymplectic", np.array([res]), _YES, np.array([float(flag)]))])
 
 
 def section_reader(m: ChartManifold, text: str):
@@ -213,54 +177,96 @@ def section_reader(m: ChartManifold, text: str):
     return at
 
 
-def cmd_curvature(m: ChartManifold, args) -> int:
-    pts = sample_points(m, args.grid)
-    section = section_reader(m, args.section) if args.section else None
-    lams, triples = curv.phi_sectional_triples(m, pts, section=section,
-                                               lambda_tol=max(args.tol, 1e-6))
+def _phi_sectional(ctx, pts) -> AuditReport:
+    """lambda and the (K^S, K^0, K_phi) of each section at each point, then
+    the constancy gap (max - min) of each over all points, at no point."""
+    section = section_reader(ctx.m, ctx.section) if ctx.section else None
+    lams, triples = curv.phi_sectional_triples(ctx.m, pts, section=section,
+                                               lambda_tol=max(ctx.tol, 1e-6))
     names = ("k_phi_S", "k_phi_0", "k_phi")
-    zero, yes = np.zeros(1), np.ones(1, dtype=bool)
-    rep = AuditReport.from_columns(pts, [Column("curvature/lambda", zero, yes, lams)] + [
-        Column(f"curvature/{name}", zero, yes, triples[:, j, n])
-        for j in range(triples.shape[1]) for n, name in enumerate(names)], m.frame_stack(pts).lane)
+    rep = AuditReport.from_columns(pts, [Column("curvature/lambda", _ZERO, _YES, lams)] + [
+        Column(f"curvature/{name}", _ZERO, _YES, triples[:, j, n])
+        for j in range(triples.shape[1]) for n, name in enumerate(names)],
+        ctx.m.frame_stack(pts).lane)
     # the values in point-major order, as Python max and min take them
     values = [triples[..., n].ravel().tolist() for n in range(3)] + [lams.tolist()]
-    for name, vals in zip(names + ("lambda",), values):
-        gap = (max(vals) - min(vals)) if vals else 0.0
-        rep.add(f"curvature/constancy_gap/{name}", (), gap, passed=True, value=gap)
-    emit(rep, args.format)
-    return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
-
-
-def audit_report(m: ChartManifold, pts, tol: float, checks) -> AuditReport:
-    """The records and flags of ``audit`` at the points ``pts``: the check
-    groups ``checks`` in ``CHECK_GROUPS`` order."""
-    rep = axiom_checks(m, pts, tol, checks)
-    if "cosymplectic" in checks:
-        flag, res = curv.replay(lambda points: is_cosymplectic(m, points, tol=tol), pts)
-        rep.add("cosymplectic", pts[0], res, passed=True, value=float(flag))
-
-    if "thm_5_8" in checks:
-        rep.extend(curv.theorem_5_8_audit(m, pts, tol=tol))
-
-    if "phi_compat" in checks or "psi" in checks:
-        compat_rep = curv.phi_compat_check(m, pts, tol)    # psi alone reads the verdict only
-        if "phi_compat" in checks:
-            rep.extend(compat_rep)
-
-    rep.extend(pointwise_checks(m, pts, tol, checks))
-
-    if "psi" in checks and curv.is_phi_compatible(compat_rep):
-        rep.extend(curv.psi_check(m, pts, tol=tol, compat_report=compat_rep))
+    gaps = [np.array([max(vals) - min(vals) if vals else 0.0]) for vals in values]
+    rep.add_columns(np.zeros((1, 0)), [Column(f"curvature/constancy_gap/{name}", gap, _YES, gap)
+                                       for name, gap in zip(names + ("lambda",), gaps)])
     return rep
 
 
-def cmd_audit(m: ChartManifold, args) -> int:
-    """``audit``, and ``validate``, which is the audit of the first three
-    groups."""
-    checks = check_groups(args.checks, CHECK_GROUPS[:3] if args.command == "validate"
-                          else CHECK_GROUPS)
-    rep = audit_report(m, sample_points(m, args.grid), args.tol, checks)
+# The check groups, in the order they run.  The bodies look up the checks
+# they call at call time, so they call a name the benchmark's tracer rebinds
+VALIDATE, AUDIT = ("validate", "audit"), ("audit",)
+GROUPS = (
+    Group("structure", VALIDATE, "axioms", lambda ctx, fs: validate_structure(ctx.m, fs, ctx.tol)),
+    Group("statistical", VALIDATE, "axioms", lambda ctx, fs: validate_statistical(fs, ctx.tol)),
+    Group("acs", VALIDATE, "axioms", lambda ctx, fs: validate_acs(fs, ctx.tol)),
+    Group("cosymplectic", AUDIT, "cosymplectic", _cosymplectic),
+    Group("thm_5_8", AUDIT, "thm_5_8",
+          lambda ctx, pts: curv.theorem_5_8_audit(ctx.m, pts, tol=ctx.tol)),
+    Group("phi_compat", AUDIT, "phi_compat",
+          lambda ctx, pts: curv.phi_compat_check(ctx.m, pts, ctx.tol)),
+    Group("lemma_5_6", AUDIT, "pointwise", lambda ctx, fs: [within("lemma_5_6", (
+        curv.lemma_5_6_residuals(fs, ctx.m.kept(nabla0_phi, fs.point))), ctx.tol)]),
+    Group("geodesic", AUDIT, "pointwise", lambda ctx, fs: [
+        Column(f"geodesic/{name}", _ZERO, _YES, norm)
+        for name, norm in zip(("nabla0_xi_xi", "nabla_xi_xi"), curv.geodesic_norms(fs))]),
+    Group("prop_5_2", AUDIT, "pointwise", lambda ctx, fs: [
+        within(name, res, max(ctx.tol, 1e-6)) for name, res in
+        zip(("prop_5_2", "conjugate_duality"), curv.prop_5_2_residuals(ctx.m, fs))]),
+    Group("duality", AUDIT, "pointwise", lambda ctx, fs: [within("connection_duality", (
+        conjugate_connections(fs, tol=max(ctx.tol, 1e-6))[1]), max(ctx.tol, 1e-6))]),
+    # Psi at phi-compatible points alone (phi_compat's verdict)
+    Group("psi", AUDIT, "psi", lambda ctx, pts: curv.psi_check(
+        ctx.m, pts, tol=ctx.tol, compat_report=ctx.reports["phi_compat"])
+        if curv.is_phi_compatible(ctx.reports["phi_compat"]) else AuditReport(),
+        reads="phi_compat"),
+    Group("curvature", ("curvature",), "curvature", _phi_sectional),
+)
+CHECK_GROUPS = tuple(g.name for g in GROUPS if "audit" in g.verbs)     # in run order
+
+
+def audit_report(m: ChartManifold, pts, tol: float, checks, section=None) -> AuditReport:
+    """The records and flags of the groups ``checks`` at the points ``pts``:
+    once, in table order, each run of ``GROUPS`` that a selected group is
+    in or reads.  ``section`` is the curvature verb's ``--section``."""
+    ctx = SimpleNamespace(m=m, tol=tol, section=section, reports={})
+    read = {g.reads for g in GROUPS if g.name in checks}
+    rep = AuditReport()
+    for run, rows in groupby(GROUPS, key=lambda g: g.run):
+        rows = list(rows)
+        bodies = [g.body for g in rows if g.name in checks or run in read]
+        if bodies and len(rows) > 1:
+            def one_stack(points):
+                fs = m.frame_stack(points)
+                return AuditReport.from_columns(
+                    fs.point, [c for body in bodies for c in body(ctx, fs)], fs.lane)
+            ctx.reports[run] = curv.replay(one_stack, pts)
+        elif bodies:
+            ctx.reports[run] = bodies[0](ctx, pts)
+        if any(g.name in checks for g in rows):
+            rep.extend(ctx.reports[run])
+    return rep
+
+
+def cmd_check(args) -> int:
+    """``validate``, ``curvature`` and ``audit``: the verb's ``--checks``
+    groups (all when not given), checked before the input, then
+    ``audit_report`` at the sample points, then ``emit``."""
+    valid = [g.name for g in GROUPS if args.command in g.verbs]
+    checks = set(valid if args.checks is None else args.checks.split(","))
+    unknown = sorted(checks - set(valid))
+    if unknown:
+        raise InputError(f"unknown check group {', '.join(map(repr, unknown))}; "
+                         f"valid groups: {', '.join(valid)}")
+    if args.seed < 0:
+        raise InputError(f"seed must be non-negative, got {args.seed}")
+    if not 0.0 <= args.tol < float("inf"):
+        raise InputError(f"tol must be finite and non-negative, got {args.tol}")
+    m = resolve_input(args.input)
+    rep = audit_report(m, sample_points(m, args.grid), args.tol, checks, args.section)
     emit(rep, args.format)
     return EXIT_OK if rep.all_passed else EXIT_MATH_FAIL
 
@@ -314,6 +320,7 @@ def build_parser():
         p.add_argument("--grid", type=int, default=None,
                        help="sample points per coordinate (default from spec)")
         p.add_argument("--format", choices=("json", "table"), default="table")
+        p.set_defaults(checks=None, section=None)     # the option of another verb
         p.add_argument(option, default=None, help=option_help)
         # no verb draws, but command lines pass every verb a seed
         p.add_argument("--seed", type=int, default=0, help="accepted; no verb draws")
@@ -354,16 +361,7 @@ def main(argv=None) -> int:
             return cmd_list_zoo()
         if args.command == "export-zoo":
             return cmd_export_zoo(args)
-        if args.command != "curvature":     # an unknown group before the input
-            check_groups(args.checks, CHECK_GROUPS)
-        if args.seed < 0:
-            raise InputError(f"seed must be non-negative, got {args.seed}")
-        if not 0.0 <= args.tol < float("inf"):
-            raise InputError(f"tol must be finite and non-negative, got {args.tol}")
-        m = resolve_input(args.input)
-        if args.command == "curvature":
-            return cmd_curvature(m, args)
-        return cmd_audit(m, args)
+        return cmd_check(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -161,6 +161,10 @@ def _ops():
     for verb in ("validate", "curvature", "audit"):
         ops.append([verb, "zoo:random:dim=7,seed=0,family=trivial-lambda", "--grid", "3",
                     "--format", "json"])
+    # a group outside validate's three, named wrongly and on an input that
+    # does not resolve: the group error lists validate's own groups
+    ops.append(["validate", "zoo:example_r3_negative", "--checks", "thm58", "--format", "json"])
+    ops.append(["validate", "zoo:nope", "--checks", "thm_5_8", "--format", "json"])
     return ops
 
 

@@ -115,8 +115,8 @@ def test_batched_checks_match_the_per_point_loops(name):
     m = get_entry("random", dim=7, seed=4, family="mixed").manifold if name.startswith("zoo:") \
         else manifold_from_dict(SPECS[name])
     pts = m.grid_points(2)
-    rep = cli.axiom_checks(m, pts, TOL, cli.CHECK_GROUPS)
-    rep.extend(cli.pointwise_checks(m, pts, TOL, cli.CHECK_GROUPS))
+    rep = cli.audit_report(m, pts, TOL, {"structure", "statistical", "acs", "lemma_5_6",
+                                         "geodesic", "prop_5_2", "duality"})
     rep.extend(curvature.theorem_5_8_audit(m, pts, tol=TOL, rng=np.random.default_rng(0)))
     rep.extend(curvature.phi_compat_check(m, pts, tol=TOL))
     rep.extend(curvature._psi(m, pts, TOL))

@@ -99,7 +99,7 @@ def test_a_prefix_rerun_reads_its_own_frames():
     m, alone = manifold_from_dict(spec), manifold_from_dict(spec)
     pts = m.grid_points()
     with pytest.raises(NonFiniteError, match=r" at \[1\.0, -1\.0, -1\.0\]$"):
-        cli.pointwise_checks(m, pts, 1e-9, {"prop_5_2"})
+        cli.audit_report(m, pts, 1e-9, {"prop_5_2"})
     key, parts = m._subset
     assert key == pts[:18].tobytes()
     stack = parts[curv._curvature_parts]

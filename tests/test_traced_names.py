@@ -19,7 +19,9 @@ import tracer  # noqa: E402
 REF = "zoo:random:dim=5,seed=1,family=trivial-lambda"
 VALIDATE = ("contact.validate_structure_s", "statistical.validate_s")
 AUDIT = VALIDATE + ("contact.nabla0_phi_s", "statistical.lambda_of_calls",
-                    "contact.phi_basis_calls", "curvature.phi_compat_s")
+                    "contact.phi_basis_calls", "curvature.phi_compat_s",
+                    "curvature.thm_5_8_s", "curvature.psi_s")
+CURVATURE = ("contact.phi_basis_calls", "statistical.lambda_of_calls")
 
 
 def traced(argv):
@@ -34,7 +36,8 @@ def traced(argv):
     return code, tr.metrics()
 
 
-@pytest.mark.parametrize("verb,names", [("audit", AUDIT), ("validate", VALIDATE)])
+@pytest.mark.parametrize("verb,names", [("audit", AUDIT), ("validate", VALIDATE),
+                                        ("curvature", CURVATURE)])
 def test_traced_names_run(verb, names):
     code, metrics = traced([verb, REF, "--grid", "2", "--format", "json"])
     assert code == 0
