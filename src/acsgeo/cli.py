@@ -153,8 +153,9 @@ _ZERO, _YES = np.zeros(1), np.ones(1, dtype=bool)
 
 
 def _cosymplectic(ctx, pts) -> AuditReport:
-    """The cosymplectic flag, one record at the first point."""
-    flag, res = curv.replay(lambda points: is_cosymplectic(ctx.m, points, tol=ctx.tol), pts)
+    """The cosymplectic flag, one record at the first point (no ``replay``:
+    only its frame pass fails, at its first failing point)."""
+    flag, res = is_cosymplectic(ctx.m, pts, tol=ctx.tol)
     return AuditReport.from_columns(pts[:1], [
         Column("cosymplectic", np.array([res]), _YES, np.array([float(flag)]))])
 

@@ -5,9 +5,9 @@ audits of the equivalence and compatibility theorems.
 The statistical curvature of some points is one lane pass, a part of the
 chart's store (``ChartManifold.kept``), and so is the ``section_sweep`` of
 their phi-basis legs and mixtures with a certificate of every other
-horizontal section (``plain_sweep``), which every sweeping check reads at
-its own points; only ``sweep_sections`` draws, given an rng.  The per-point
-functions (``phi_sectional_k_curvature``, ...) are one-point calls of it.
+horizontal section (``plain_sweep``), one ``SectionSweep`` row per lane,
+which every sweeping check reads at its own lanes; only ``sweep_sections``
+draws, given an rng.  The per-point functions are one-point calls of it.
 
 An audit takes each of its steps for all points at once and raises at the
 first failure, at its first failing point; ``replay`` reruns the points
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .contact import nabla0_phi, phi_basis
 from .expressions import NonFiniteError
-from .manifold import ChartManifold, FrameStack, PointFrame, lane_pass, lane_rows
+from .manifold import ChartManifold, FrameStack, PointFrame, lane_pass
 from .metric import (DegeneratePlaneError, apply_curvature, at_points,
                      christoffel_jet, contract, covariant_derivative_11,
                      covariant_derivative_vector, first_slot, inner, nabla_g, norms, outer,
@@ -110,36 +110,35 @@ OK, NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH, UNCERTIFIED = 
 HORIZONTAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SectionSweep:
-    """The results of ``section_sweep``, one entry per (row, section) pair,
-    a row per row of the fields it read (per point in ``phi_sweep``'s):
-    arrays of eta(X), Q(X, phi X), the K_phi quotient ``value``, its
-    closed form ``closed`` and the ``status``.  ``k_s`` and ``k_0``, the S
-    and R^0 sectional curvatures of span{X, phi X}, are None until
-    ``with_curvatures`` adds them.  ``blocks()`` gives the sections, which
-    ``phi_sweep`` builds when asked: the (X, phi X) of each section block,
-    with its rows (one per lane or one per point) and the strides of its
-    vectors; ``lane`` is the lane of each point in the frames the sweep
-    read (None: one per point)."""
+class SectionSweep(NamedTuple):
+    """The results of ``section_sweep``, (R, S) each, one per (row, section)
+    pair: eta(X), Q(X, phi X), the K_phi quotient ``value``, its closed form
+    ``closed`` and the ``status``.  A row is a lane of the (P, dim)
+    ``point``, which ``lane`` (P,) numbers, or with ``lane`` None a point.
+    The kept ``plain_sweep`` holds the phi-bases (R, dim, 2n+1) of its lanes,
+    whose legs and mixtures are its ``sections``, and their FrameErrors or
+    None, ``basis_error``; a sweep of given sections has neither."""
 
     point: np.ndarray
+    basis: Optional[np.ndarray]
+    basis_error: Optional[np.ndarray]
     eta: np.ndarray
     q: np.ndarray
     value: np.ndarray
     closed: np.ndarray
-    k_s: Optional[np.ndarray]
-    k_0: Optional[np.ndarray]
     status: np.ndarray
-    blocks: Callable[[], list]
     lane: Optional[np.ndarray] = None
+
+    def first_point(self, i) -> list:
+        """The point of row i, or the first point of lane i."""
+        return self.point[i if self.lane is None else np.argmax(self.lane == i)].tolist()
 
     def error(self, i, j, plane: bool = False) -> Optional[Exception]:
         """The error phi_sectional_k_curvature raises for pair (i, j), with
-        row i's point as its ``lane`` (see ``replay``), or None.  With
+        row i's first point as its ``lane`` (see ``replay``), or None.  With
         ``plane`` a degenerate section is the DegeneratePlaneError of
         ``sectional_curvature``, which callers of it meet first."""
-        code, point = self.status[i, j], self.point[i].tolist()
+        code, point = self.status[i, j], self.first_point(i)
         if code == NOT_HORIZONTAL:
             exc = NotHorizontalError(
                 f"eta(X) = {float(self.eta[i, j])} beyond tolerance {HORIZONTAL_TOL}")
@@ -161,28 +160,46 @@ class SectionSweep:
         exc.lane = point
         return exc
 
-    def with_curvatures(self, g, curvatures) -> "SectionSweep":
-        """The sweep with ``k_s`` and ``k_0`` from the metrics ``g`` and the
-        ``CurvatureStack`` of its points' lanes: the numerators
-        g(R(X, phi X) phi X, X) of each block 16 rows at a time
-        (``per_16_lanes``) with its sections as a batch axis, once per lane
-        for a block of a row per lane and at the lane of each row for one of
-        a row per point, over the sweep's own Q(X, phi X), the ``plane_q`` of
-        ``sectional_values`` on the same operands; a pair that is OK or
-        MISMATCH becomes NON_FINITE where one of them is not finite."""
+    def check_bases(self, rows=None):
+        """Raise the first FrameError of the phi-bases of ``rows`` (all when
+        None), in row order, with its row's first point as its ``lane``."""
+        errors = self.basis_error.tolist()
+        for i in range(len(errors)) if rows is None else rows:
+            if errors[i] is not None:
+                exc = type(errors[i])(*errors[i].args)  # the kept error never holds a traceback
+                exc.lane = self.first_point(i)
+                raise exc
+
+    def sections(self, phi) -> list:
+        """The (X, phi X) section blocks of the legs and mixtures of the
+        phi-bases, with ``phi`` the phi of each row (``_plain_blocks``)."""
+        return _with_phi(phi, _plain_blocks(self.basis))
+
+    def with_curvatures(self, blocks, g, curvatures, lane=None):
+        """(k_s, k_0, status) of the sweep's section ``blocks`` (X, phi X):
+        the S and R^0 sectional curvatures of span{X, phi X} from the metrics
+        ``g`` and the ``CurvatureStack`` of the lanes, the numerators
+        g(R(X, phi X) phi X, X) of each block 16 rows at a time, at each
+        row's lane when the rows are points of ``lane`` (``per_16_lanes``),
+        over the sweep's own Q(X, phi X), the ``plane_q`` of
+        ``sectional_values``; an OK or MISMATCH pair is NON_FINITE where one
+        of them is not finite."""
         def numerator(r, g, x, px):
             return inner(g[:, None], x, apply_curvature(r[:, None], x, px, px))
-        points, lane, blocks = len(self.point), self.lane, self.blocks()
 
         def sectional(r):
-            return np.concatenate([at_points(per_16_lanes(
-                numerator, r, g, x, px, lane=lane if len(x) == points else None), lane, points)
-                for x, px in blocks], axis=1) / self.q
+            return np.concatenate([per_16_lanes(numerator, r, g, x, px, lane=lane)
+                                   for x, px in blocks], axis=1) / self.q
         with np.errstate(all="ignore"):
             k_s, k_0 = sectional(curvatures.s), sectional(curvatures.r0)
         status = np.where(np.isin(self.status, (OK, MISMATCH))
                           & ~(np.isfinite(k_s) & np.isfinite(k_0)), NON_FINITE, self.status)
-        return replace(self, k_s=k_s, k_0=k_0, status=status)
+        return k_s, k_0, status
+
+
+def _with_phi(phi, sections) -> list:
+    """(X, phi X) of each section block, with ``phi`` the phi of each row."""
+    return [(x, contract(phi[:, None], x)) for x in sections]
 
 
 def section_sweep(frames: FrameStack, sections) -> SectionSweep:
@@ -191,11 +208,12 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     for every section X of every row of the fields of ``frames``.
 
     ``sections`` is a list of section blocks, joined along the section
-    axis, each with a row per row of the fields (a lane, or a point of
-    ``_point_rows``).  Each pair gets the operand shapes of one vector (see
-    ``metric.inner``), so every value is bit-identical to the per-point
-    functions, and a block keeps the strides of its vectors: the legs of a
-    phi-basis are strided columns, which BLAS may sum in another order.
+    axis, each with a row per row of the fields (a lane, or a point of a
+    stack whose ``lane`` is None).  Each pair gets the operand shapes of one
+    vector (see ``metric.inner``), so every value is bit-identical to the
+    per-point functions, and a block keeps the strides of its vectors: the
+    legs of a phi-basis are strided columns, which BLAS may sum in another
+    order.
 
     Nothing is raised: a pair that fails gets a status, the first of
     NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE (a value is inf or
@@ -204,14 +222,12 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
     """
     start = time.perf_counter()
     g, k, eta = frames.g[:, None], frames.K[:, None], frames.eta[:, None, None, :]
-    blocks, parts = [], []
+    parts = []
     with np.errstate(all="ignore"):
-        for x in sections:
-            px = contract(frames.phi[:, None], x)
+        for x, px in _with_phi(frames.phi, sections):
             sq = inner(g, x, x)
             q = plane_q(g, x, px)
             kxx = contract(contract(k, x), x)
-            blocks.append((x, px))
             parts.append([(eta @ x[..., :, None])[..., 0, 0], sq, q,
                           inner(g, kk_bracket(k, x, px, px), x) / q,
                           -2.0 * inner(g, kxx, kxx) / pow2(sq)])
@@ -225,22 +241,20 @@ def section_sweep(frames: FrameStack, sections) -> SectionSweep:
             [NOT_HORIZONTAL, NEGLIGIBLE, DEGENERATE, NON_FINITE, MISMATCH], OK)
     log.debug("section sweep: %d rows, %d sections in %.4f s",
               value.shape[0], value.shape[1], time.perf_counter() - start)
-    return SectionSweep(frames.point, eta, q, value, closed, None, None, status,
-                        lambda: blocks, frames.lane)
+    return SectionSweep(frames.point, None, None, eta, q, value, closed, status, frames.lane)
 
 
 def phi_sectional_k_curvature(fr: PointFrame, x) -> PhiSectionalValue:
     """Definition-level quotient g([K,K](X, phi X) phi X, X) / Q(X, phi X),
     cross-checked against the closed form -2 ||K(X,X)||^2 / ||X||^4 computed
     on an independent path: a one-pair ``section_sweep``."""
-    x = np.asarray(x, dtype=float)
-    sweep = section_sweep(FrameStack.of([fr]), [x[None, None]])
+    fs, xs = FrameStack.of([fr]), [np.asarray(x, dtype=float)[None, None]]
+    sweep = section_sweep(fs, xs)
     error = sweep.error(0, 0)
     if error is not None:
         raise error
-    return PhiSectionalValue(value=float(sweep.value[0, 0]),
-                             section=(tuple(x), tuple(sweep.blocks()[0][1][0, 0])),
-                             point=tuple(fr.point))
+    return PhiSectionalValue(value=float(sweep.value[0, 0]), section=tuple(
+        tuple(v[0, 0]) for v in _with_phi(fs.phi, xs)[0]), point=tuple(fr.point))
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +453,13 @@ def quartic_gaps(fs: FrameStack, basis) -> np.ndarray:
     return per_16_lanes(gaps, fs.g, fs.phi, fs.K, basis[..., :-1])
 
 
-class PlainSweep(NamedTuple):
-    """Per lane of the (P, dim) ``point``, read-only: its phi-basis (U, dim,
-    2n+1), its FrameError or None, and the sweep of its legs and mixtures
-    with its certificate, (U, S) each; ``lane`` (P,) is each point's lane."""
-
-    point: np.ndarray
-    basis: np.ndarray
-    error: np.ndarray
-    eta: np.ndarray
-    q: np.ndarray
-    value: np.ndarray
-    closed: np.ndarray
-    status: np.ndarray
-    lane: Optional[np.ndarray] = None
-
-
-def plain_sweep(m: ChartManifold, pts) -> PlainSweep:
-    """The PlainSweep of ``pts`` from one pass over the lanes of their frames,
-    a part of the chart's store (``ChartManifold.kept``); a lane whose
-    sections pass and whose ``quartic_gaps`` exceeds 1e-9 is UNCERTIFIED at
-    its first.  It raises nothing and is logged at debug level."""
+def plain_sweep(m: ChartManifold, pts) -> SectionSweep:
+    """The SectionSweep of the legs and mixtures of the phi-bases of the
+    lanes of ``pts``, with those bases and their errors, from one pass over
+    the lanes of their frames, a part of the chart's store
+    (``ChartManifold.kept``); a lane whose sections pass and whose
+    ``quartic_gaps`` exceeds 1e-9 is UNCERTIFIED at its first.  It raises
+    nothing and is logged at debug level."""
     fs, start = m.frame_stack(pts), time.perf_counter()
     with np.errstate(all="ignore"):
         basis, errors = phi_basis(fs.g, fs.phi, fs.xi)
@@ -468,34 +468,19 @@ def plain_sweep(m: ChartManifold, pts) -> PlainSweep:
         status[(status == OK).all(axis=1) & (quartic_gaps(fs, basis) > 1e-9), 0] = UNCERTIFIED
     log.debug("plain sweep grid pass: %d points on %d lanes in %.3f s", len(pts), len(basis),
               time.perf_counter() - start)
-    return PlainSweep(pts, basis, np.array(errors, dtype=object), sweep.eta, sweep.q,
-                      sweep.value, sweep.closed, status, fs.lane)
+    return sweep._replace(point=pts, basis=basis, basis_error=np.array(errors, dtype=object))
 
 
-def phi_sweep(plain: PlainSweep, fs: FrameStack) -> SectionSweep:
-    """The sweep of every point of ``fs``: ``plain``, the kept ``plain_sweep``
-    of those points, read at each point, whose ``blocks()`` builds the legs
-    and mixtures of each lane when called.  Raises the first basis error of
-    those points, with its lane's first point as its ``lane``."""
-    for error, point in zip(plain.error, fs.lane_points):
-        if error is not None:
-            exc = type(error)(*error.args)      # the kept error never holds a traceback
-            exc.lane = point.tolist()
-            raise exc
-    eta, q, value, closed, status = (at_points(a, fs.lane, len(fs.point)) for a in plain[3:8])
-
-    def blocks():
-        return [(x, contract(fs.phi[:, None], x)) for x in _plain_blocks(plain.basis)]
-    return SectionSweep(fs.point, eta, q, value, closed, None, None, status, blocks, fs.lane)
-
-
-def _k_phi(sweep: SectionSweep) -> np.ndarray:
-    """max |K_phi| over the sections of each point, or the error of the first
-    pair that fails, in point order."""
-    failed = np.argwhere(sweep.status != OK)
+def _k_phi(sweep: SectionSweep, rows=None) -> np.ndarray:
+    """max |K_phi| over the sections of each row of ``rows`` (all when
+    None), or the error of the first basis, else of the first pair, that
+    fails, in row order."""
+    rows = np.arange(len(sweep.status)) if rows is None else rows
+    sweep.check_bases(rows)
+    failed = np.argwhere(sweep.status[rows] != OK)
     if len(failed):
-        raise sweep.error(*failed[0])
-    return np.max(np.abs(sweep.value), axis=1)
+        raise sweep.error(rows[failed[0, 0]], failed[0, 1])
+    return np.max(np.abs(sweep.value[rows]), axis=1)
 
 
 def replay(run, points):
@@ -520,48 +505,55 @@ def replay(run, points):
         raise
 
 
-def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep):
-    """(K^S, K^0, K_phi) of each section of each point, (P, S, 3), with the
-    checks of a sectional triple: the horizontality of the first section,
-    the statistical curvature of the point, and for each section the plane
+def _section_triples(m: ChartManifold, frames: FrameStack, sweep: SectionSweep, blocks,
+                     lane=None):
+    """(K^S, K^0, K_phi) of each section of each point of ``frames``, (P,
+    S, 3), from the ``sweep`` of its section ``blocks`` (with ``lane``, a row
+    per point; see ``SectionSweep.with_curvatures``), with the checks of a
+    sectional triple in row order: the horizontality of the first section,
+    the statistical curvature of the points, and for each section the plane
     check of ``sectional_curvature``, the K_phi checks and the additivity
     K^S = K^0 + K_phi (to 1e-6 relative)."""
     vertical = np.flatnonzero(np.isin(sweep.status[:, 0], (NOT_HORIZONTAL, NEGLIGIBLE)))
     if vertical.size:
         raise sweep.error(vertical[0], 0)
-    sweep = sweep.with_curvatures(frames.g, statistical_curvatures(m, frames.point))
-    k_s, k_0, k_phi = sweep.k_s, sweep.k_0, sweep.value
+    k_s, k_0, status = sweep.with_curvatures(
+        blocks, frames.g, statistical_curvatures(m, frames.point), lane)
+    k_phi = sweep.value
     with np.errstate(all="ignore"):
         additive = np.abs(k_s - (k_0 + k_phi)) <= 1e-6 * np.maximum(1.0, np.abs(k_s))
-    failed = np.argwhere((sweep.status != OK) | ~additive)
+    failed = np.argwhere((status != OK) | ~additive)
     if len(failed):
         i, j = failed[0]
-        if sweep.status[i, j] != OK:
-            raise sweep.error(i, j, plane=True)
+        if status[i, j] != OK:
+            raise sweep._replace(status=status).error(i, j, plane=True)
         exc = CrossCheckError(f"sectional additivity fails: {float(k_s[i, j])} vs "
                               f"{float(k_0[i, j])} + {float(k_phi[i, j])}")
-        exc.lane = sweep.point[i].tolist()
+        exc.lane = sweep.first_point(i)
         raise exc
-    return np.stack([k_s, k_0, k_phi], axis=-1)
+    return at_points(np.stack([k_s, k_0, k_phi], axis=-1), frames.lane, len(frames.point))
 
 
 def phi_sectional_triples(m: ChartManifold, points, section=None, lambda_tol: float = 1e-6):
     """(lambda (P,), triples (P, S, 3)): the (K^S, K^0, K_phi) of the legs
     and mixtures of each point's phi-basis, or of the one vector per point
     that ``section(frames)`` gives, (P, dim), from one ``section_sweep``.
-    Steps: frames, ``lambda_of``, the kept ``plain_sweep`` (its basis
-    errors, then its statuses and certificate) or ``section``, then
-    ``_section_triples``; a failure raises through ``replay``."""
+    Steps: frames, ``lambda_of``, the kept ``plain_sweep`` of their lanes
+    (its basis errors, then its statuses and certificate) or the sweep of
+    ``section`` at each point, then ``_section_triples``; a failure raises
+    through ``replay``."""
     def run(points):
         stack = m.frame_stack(points)
         lams = at_points(lambda_of(stack, lambda_tol), stack.lane, len(points))
         if section is None:
-            sweep = phi_sweep(m.kept(plain_sweep, stack.point), stack)
-        else:
-            rows = stack._replace(**{f: at_points(getattr(stack, f), stack.lane, len(points))
-                                     for f in ("g", "phi", "K", "eta")})
-            sweep = section_sweep(rows, [section(stack)[:, None]])
-        return lams, _section_triples(m, stack, sweep)
+            sweep = m.kept(plain_sweep, stack.point)
+            sweep.check_bases()
+            return lams, _section_triples(m, stack, sweep, sweep.sections(stack.phi))
+        rows = stack._replace(lane=None, **{f: at_points(getattr(stack, f), stack.lane, len(points))
+                                            for f in ("g", "phi", "K", "eta")})
+        xs = [section(stack)[:, None]]
+        return lams, _section_triples(m, stack, section_sweep(rows, xs),
+                                      _with_phi(rows.phi, xs), stack.lane)
     if not len(points):     # no points, no sections: not the (0, S, 3) of a sweep
         return np.zeros(0), np.zeros((0, 0, 3))
     return replay(run, points)
@@ -589,14 +581,15 @@ def _theorem_5_8(m: ChartManifold, pts, tol) -> AuditReport:
     fs = m.frame_stack(pts)
     points, lane = len(pts), fs.lane
     lams = lambda_of(fs, max(tol, 1e-6))
-    sweep = phi_sweep(m.kept(plain_sweep, fs.point), fs)
+    sweep = m.kept(plain_sweep, fs.point)
+    sweep.check_bases()
     try:
         curvatures = statistical_curvatures(m, pts)
     except Exception:
         _k_phi(sweep)     # the statuses come first
         raise
-    sweep = sweep.with_curvatures(fs.g, curvatures)
-    k_phi = _k_phi(sweep)
+    k_s, k_0, status = sweep.with_curvatures(sweep.sections(fs.phi), fs.g, curvatures)
+    k_phi = _k_phi(sweep._replace(status=status))
     horiz, keep_h = horizontal_projections(fs)
     vecs = np.array(frame_vectors(m.dim))
     with np.errstate(all="ignore"):
@@ -605,8 +598,7 @@ def _theorem_5_8(m: ChartManifold, pts, tol) -> AuditReport:
         phiv = vecs @ np.swapaxes(fs.phi, 1, 2)
         residuals = {
             "c1_kphi_zero": k_phi,
-            "c2_statistical_equals_riemannian": np.max(np.abs(sweep.k_s - sweep.k_0),
-                                                       axis=1, initial=0.0),
+            "c2_statistical_equals_riemannian": np.max(np.abs(k_s - k_0), axis=1, initial=0.0),
             "c3_K_is_lambda_eta_eta_xi": max_abs(fs.K - lams[:, None, None, None] * np.einsum(
                 "...i,...j,...k->...ijk", fs.xi, fs.eta, fs.eta)),
             "c4_kk_bracket_zero": curvatures.kk_max,
@@ -721,12 +713,9 @@ def _phi_compat(m: ChartManifold, pts, tol) -> AuditReport:
     res = _compat_residuals(fs, d0_phi)
     oks = res <= tol
     compatible = oks.all(axis=0)
-    at = at_points(compatible, lane, points)
-    k_phi = np.zeros(points)
-    if at.any():
-        rows = np.flatnonzero(at)
-        k_phi[at] = _k_phi(phi_sweep(lane_rows(m.kept(plain_sweep, fs.point), rows, lane),
-                                     lane_rows(fs, rows, lane)))
+    k_phi = np.zeros(len(compatible))
+    if compatible.any():
+        k_phi[compatible] = _k_phi(m.kept(plain_sweep, fs.point), np.flatnonzero(compatible))
     with np.errstate(all="ignore"):
         # nabla_X xi and nabla^0_X xi parallel to xi
         dxi0 = covariant_derivative_vector(fs.gamma0, fs.xi, fs.dxi)
@@ -775,7 +764,7 @@ def psi_check(m: ChartManifold, point, tol: float = 1e-9,
 
 def _psi(m: ChartManifold, points, tol) -> AuditReport:
     fs = m.frame_stack(points)
-    k_phi = _k_phi(phi_sweep(m.kept(plain_sweep, fs.point), fs))
+    k_phi = _k_phi(m.kept(plain_sweep, fs.point))
     with np.errstate(all="ignore"):
         ng = nabla_g(fs.gamma0 + fs.K, fs.g, fs.dg)                  # (nabla_X g)_xyz
         psi = ng @ fs.phi[:, None]                                   # Psi_X(Y, Z)

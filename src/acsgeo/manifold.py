@@ -170,8 +170,8 @@ class ChartManifold:
     array of it read-only: the frames of ``frame_stack``, the curvatures of
     ``curvature.statistical_curvatures`` (S, R^0 and three maxima per lane;
     the one-point ``statistical_curvature`` recomputes [K,K], R and R-bar
-    at its lane), ``contact.nabla0_phi`` and the phi-bases and plain
-    sections of ``curvature.plain_sweep``.
+    at its lane), ``contact.nabla0_phi`` and the ``curvature.plain_sweep``
+    of the phi-bases' legs and mixtures, one row per lane.
     A request for some of those points reads the rows of a kept part, so
     ``frame_at`` and the one-point functions after a grid run take no pass;
     one for a part that is not kept runs its pass over them alone and keeps

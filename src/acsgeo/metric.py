@@ -437,8 +437,16 @@ def first_slot(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def pow2(a: np.ndarray) -> np.ndarray:
     """a ** 2 of every entry as a Python float computes it: libm ``pow``,
-    which is not always the rounded ``a * a`` that numpy squares with."""
-    return np.array([v ** 2 for v in a.ravel().tolist()]).reshape(a.shape)
+    which is not always the rounded ``a * a`` that numpy squares with.  A
+    square that overflows is inf, as numpy's is, where Python raises."""
+    return np.array([_square(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _square(v: float) -> float:
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 def apply_curvature(r: np.ndarray, x, y, z) -> np.ndarray:

@@ -43,6 +43,7 @@ from acsgeo.cli import main  # noqa: E402
 from acsgeo.specfile import manifold_to_dict  # noqa: E402
 from acsgeo.zoo import get_entry  # noqa: E402
 
+from contact_forms import LAMBDA, sasakian, warped_cone  # noqa: E402
 from test_golden import SPECS as GOLDEN_SPECS  # noqa: E402
 from test_invariance import WARPED, WARPED_CONNECTION, chart, pull_back  # noqa: E402
 
@@ -82,6 +83,9 @@ _FLAT1 = manifold_to_dict(get_entry("example_flat_acs", n=1).manifold)
 SPECS["flat1_scaled_phi"] = dict(_FLAT1, phi=[
     [entry if float(entry) == 0.0 else f"{entry}*(1 - x1^2)" for entry in row]
     for row in _FLAT1["phi"]])
+# curved contact charts with exact phi-sectional curvatures (contact_forms.py)
+CONTACT_SPECS = {"sasakian2": sasakian(2, LAMBDA), "cone2": warped_cone(2)}
+SPECS.update(CONTACT_SPECS)
 
 # spec files as text, for what a dict cannot hold: a name repeated in one
 # object.  K^x_yz = 1 fails K_lower_symmetry, unless a repeated key or a
@@ -118,7 +122,8 @@ def _ops():
     zoo += [f"zoo:random:dim=7,seed=0,family={f}"
             for f in ("trivial-lambda", "planar-block", "mixed")]
     ops = []
-    for ref in zoo + [f"@{name}" for name in SPECS if name != "flat1_scaled_phi"]:
+    for ref in zoo + [f"@{name}" for name in SPECS
+                      if name != "flat1_scaled_phi" and name not in CONTACT_SPECS]:
         grids = (1, 2) if "dim=7" in ref or "n=3" in ref else (1, 2, 3)
         for verb in ("validate", "curvature", "audit"):
             for grid in grids:
@@ -165,6 +170,13 @@ def _ops():
     # does not resolve: the group error lists validate's own groups
     ops.append(["validate", "zoo:example_r3_negative", "--checks", "thm58", "--format", "json"])
     ops.append(["validate", "zoo:nope", "--checks", "thm_5_8", "--format", "json"])
+    # Sasakian R^5(-3) with K = lambda eta eta xi, and the warped cone
+    for ref in CONTACT_SPECS:
+        for verb in ("validate", "curvature", "audit"):
+            ops.append([verb, f"@{ref}", "--grid", "2", "--format", "json"])
+    # g(X, X) = 1e156 squares past the largest float: exit 2, no traceback
+    ops.append(["curvature", "zoo:example_r3_negative", "--grid", "2", "--section", "1e78,0,0",
+                "--format", "json"])
     return ops
 
 

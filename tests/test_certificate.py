@@ -108,3 +108,19 @@ def test_uncertified_lane_fails_at_its_first_point(tmp_path, capsys, monkeypatch
         assert captured.out == "" and captured.err == (
             "audit failure: K_phi fails its quartic-form certificate at [-1.0, -1.0, -1.0]\n")
         assert set(runs) == {8}
+
+
+def test_an_uncertified_later_lane_names_its_own_first_point(tmp_path, capsys):
+    """K of the test above scaled by 1 - x^2 vanishes on the lanes x = -1 and
+    x = 1 and fails the certificate on x = 0 alone: lane 1 of three, whose
+    first point is point 9 of the grid, not point 1.  The per-lane sweep
+    names that point on both verbs and on the thm_5_8 group alone."""
+    spec = dict(_flat_spec("uncertified", 1), coordinates=["x", "y", "z"], grid=3,
+                K={"y,y,y": "x^2 - 1", "y,x,y": "1 - x^2"})
+    path = tmp_path / "uncertified_at_zero.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["curvature"], ["audit"], ["audit", "--checks", "thm_5_8"]):
+        assert main(argv + [str(path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "audit failure: K_phi fails its quartic-form certificate at [0.0, -1.0, -1.0]\n")

@@ -167,6 +167,20 @@ def test_curvature_wrong_section_arity_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("ref, section", [
+    ("zoo:example_r3_negative", "1e78,0,0"), ("zoo:example_flat_acs:n=1", "1e78,0,0"),
+    ("zoo:example_r3_negative", "x*1e100,0,0"), ("zoo:example_r3_negative", "1e100,1e100,0"),
+    ("zoo:example_r3_negative", "1e160,0,0")])
+def test_a_section_whose_square_overflows_exits_two(capsys, ref, section):
+    """g(X, phi X) or g(X, X) past 1.3e154 squares to inf in Q(X, phi X) and
+    the closed form: the first point's K_phi is not finite, exit 2 with one
+    line, no OverflowError."""
+    code, out, err = run(capsys, "curvature", ref, "--grid", "2", "--section", section,
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == "error: phi-sectional curvature is not finite at [-1.0, -1.0, -1.0]\n"
+
+
 def test_malformed_zoo_ref_exits_two(capsys):
     code, _, err = run(capsys, "audit", "zoo:nonexistent")
     assert code == 2

@@ -143,18 +143,20 @@ def test_nabla0_phi_once_per_audit(monkeypatch, capsys, argv):
 @pytest.mark.parametrize("dim", [3, 7])
 def test_shared_lane_sweep_reads_one_row_at_every_point(dim):
     """The sections of a one-lane stack, its legs and mixtures, are one
-    row, which the sweep reads at every point."""
+    row, which the triples read at every point."""
     m = get_entry("random", dim=dim, seed=1, family="mixed").manifold
     pts = m.grid_points(2)
     fs = m.frame_stack(pts)
     assert len(fs.point) == len(pts) and len(fs.g) == 1
     kept = m.kept(curvature.plain_sweep, pts)
-    assert len(kept.basis) == len(kept.value) == 1
-    sweep = curvature.phi_sweep(kept, fs)
     plain = m.n * (m.n + 3) // 2        # n legs and n (n + 1) / 2 mixtures
-    assert sweep.value.shape == sweep.status.shape == (len(pts), plain)
-    assert all(len(x) == 1 for x, _ in sweep.blocks())
-    assert (sweep.value == sweep.value[:1]).all() and (sweep.status == curvature.OK).all()
+    assert len(kept.basis) == 1
+    assert kept.value.shape == kept.status.shape == (1, plain)
+    assert all(len(x) == 1 for x, _ in kept.sections(fs.phi))
+    assert (kept.status == curvature.OK).all()
+    triples = curvature.phi_sectional_triples(m, pts)[1]
+    assert triples.shape == (len(pts), plain, 3)
+    assert (triples == triples[:1]).all() and np.array_equal(triples[0, :, 2], kept.value[0])
 
 
 def test_shared_lane_failure_is_not_bisected(caplog, capsys, tmp_path):

@@ -359,10 +359,11 @@ def test_no_points_sweep_to_empty_results(name, params):
     m = get_entry(name, **params).manifold
     assert m.is_constant == (name == "example_flat_acs")
     frames = m.frame_stack([])
-    sweep = curvature.phi_sweep(m.kept(curvature.plain_sweep, []), frames)
-    sweep = sweep.with_curvatures(frames.g, curvature.statistical_curvatures(m, []))
+    sweep = m.kept(curvature.plain_sweep, [])
+    k_s, k_0, status = sweep.with_curvatures(sweep.sections(frames.phi), frames.g,
+                                             curvature.statistical_curvatures(m, []))
     sections = m.n * (m.n + 3) // 2       # legs and mixtures
-    assert sweep.status.shape == sweep.k_s.shape == sweep.value.shape == (0, sections)
+    assert status.shape == k_s.shape == k_0.shape == sweep.value.shape == (0, sections)
     for rep in (theorem_5_8_audit(m, []), phi_compat_check(m, []), psi_check(m, [])):
         assert not rep.checks and not rep.flags and rep.to_json_lines() == ""
     lams, triples = curvature.phi_sectional_triples(m, [])

@@ -235,10 +235,10 @@ def test_failing_batch_is_replayed_point_by_point(capsys, caplog, tmp_path):
 
 
 def test_error_naming_the_first_point_is_not_replayed(capsys, tmp_path, monkeypatch):
-    """The lambda check fails at the first point and names it: each check
-    runs once on the 27 points, where the theorem 5.8 audit bisected to
-    that point in 5 runs (27, 13, 6, 3, 1) while only a pass of one lane
-    stopped the replay."""
+    """The lambda check fails at the first point and names it: each run
+    under ``replay`` runs once on the 27 points, where the theorem 5.8
+    audit bisected to that point in 5 runs (27, 13, 6, 3, 1) while only a
+    pass of one lane stopped the replay."""
     runs = []
     replay = curvature.replay
 
@@ -248,4 +248,4 @@ def test_error_naming_the_first_point_is_not_replayed(capsys, tmp_path, monkeypa
     code, captured = run(capsys, tmp_path, ["audit", "@inadmissible_k", "--grid", "3"])
     assert (code, captured.err) == (1, "audit failure: K(X, xi) = lambda eta(X) xi fails "
                                        "with residual 1.0 at [-1.0, -1.0, -1.0]\n")
-    assert runs == [27] * 3         # the axiom checks, cosymplectic and theorem 5.8
+    assert runs == [27] * 2         # the axiom checks and theorem 5.8

@@ -87,17 +87,15 @@ def ref_sectional_values(g, r, x, y):
     return inner(g, x, ref_apply_curvature(r, x, y, y)) / plane_q(g, x, y)
 
 
-def ref_with_curvatures(sweep, g, curvatures):
+def ref_with_curvatures(blocks, g, curvatures, lane=None):
     """(k_s, k_0) of ``SectionSweep.with_curvatures`` one section at a time;
-    a block of one row per point reads the curvature of each point's lane."""
+    with ``lane``, a block of one row per point reads the curvature of each
+    point's lane."""
     def one_section(r, g, x, px):
         return ref_sectional_values(g, r, x, px)
-    points = len(sweep.point)
-    return tuple(np.concatenate([np.broadcast_to(at_points(
-        per_16_lanes(one_section, r, g, x[:, j], px[:, j],
-                     lane=sweep.lane if len(x) == points else None),
-        sweep.lane, points), (points,))[:, None]
-        for x, px in sweep.blocks() for j in range(x.shape[1])], axis=1)
+    return tuple(np.concatenate([
+        per_16_lanes(one_section, r, g, x[:, j], px[:, j], lane=lane)[:, None]
+        for x, px in blocks for j in range(x.shape[1])], axis=1)
         for r in (curvatures.s, curvatures.r0))
 
 
@@ -195,17 +193,16 @@ def test_riemann_and_kk_tensor_match_two_einsums(dim):
 
 
 def sweep_of(blocks, lanes, g):
-    """A SectionSweep that holds only what ``with_curvatures`` reads: its
-    blocks, their Q(X, phi X) under the metrics ``g`` as ``section_sweep``
-    takes it, and the statuses."""
-    points = max(lanes, *(len(x) for x, _ in blocks))
-    shape = (points, sum(x.shape[1] for x, _ in blocks))
+    """A SectionSweep that holds only what ``with_curvatures`` reads: the
+    Q(X, phi X) of its section ``blocks`` under the metrics ``g`` as
+    ``section_sweep`` takes it, and the statuses."""
+    shape = (lanes, sum(x.shape[1] for x, _ in blocks))
     status = np.full(shape, curv.OK)
     with np.errstate(all="ignore"):
         q = np.concatenate([np.broadcast_to(plane_q(g[:, None], x, px), shape[:1] + x.shape[1:2])
                             for x, px in blocks], axis=1)
-    return SectionSweep(np.zeros((points, 3)), eta=None, q=q, value=None, closed=None,
-                        k_s=None, k_0=None, status=status, blocks=lambda: blocks)
+    return SectionSweep(np.zeros((lanes, 3)), None, None, eta=None, q=q, value=None,
+                        closed=None, status=status)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -220,15 +217,16 @@ def test_with_curvatures_matches_section_loop(dim):
             lane = slice(0, 1) if shared else slice(None)
             curvatures = CurvatureStack(None, s["dense"][lane], r0[lane], *(None,) * 3)
             blocks = [(x, px) for x, px, _ in vector_sets(rng, lanes, dim).values()]
-            blocks.append(tuple(a[:1] for a in blocks[0]))       # a shared block
+            if not shared:
+                blocks.append(tuple(a[:1] for a in blocks[0]))       # a shared block
             sweep = sweep_of(blocks, lanes, g[lane])
             with np.errstate(all="ignore"):
-                got = sweep.with_curvatures(g[lane], curvatures)
-                k_s, k_0 = ref_with_curvatures(sweep, g[lane], curvatures)
-            assert_bits(got.k_s, k_s)
-            assert_bits(got.k_0, k_0)
+                got = sweep.with_curvatures(blocks, g[lane], curvatures)
+                k_s, k_0 = ref_with_curvatures(blocks, g[lane], curvatures)
+            assert_bits(got[0], k_s)
+            assert_bits(got[1], k_0)
             bad = ~(np.isfinite(k_s) & np.isfinite(k_0))
-            assert np.array_equal(got.status == curv.NON_FINITE, bad)
+            assert np.array_equal(got[2] == curv.NON_FINITE, bad)
             with np.errstate(all="ignore"):
                 one = sectional_values(g[0], s["dense"][0], blocks[1][0][0, 0], blocks[1][1][0, 0])
             assert_bits(one[0], k_s[0, blocks[0][0].shape[1]])
@@ -238,19 +236,30 @@ def test_with_curvatures_matches_section_loop(dim):
 def test_sweep_curvatures_match_section_loop_on_charts(chart):
     """Real sweeps: phi-basis legs and mixtures, and the curvatures of a
     varying metric, of a flat one (broadcast zero R^0) and of a constant
-    chart (one shared lane)."""
+    chart (one shared lane); and the same sections read at each point, a
+    block of a row per point, as ``--section`` gives, with g and R read at
+    each point's lane."""
     m = manifold_from_dict(WARPED) if chart == "warped" else \
         get_entry("random", dim=7 if chart == "trivial-lambda" else 5, seed=2,
                   family=chart).manifold
     pts = m.grid_points(2)[:40]
     frames = m.frame_stack(pts)
-    sweep = curv.phi_sweep(m.kept(curv.plain_sweep, pts), frames)
+    sweep = m.kept(curv.plain_sweep, pts)
     curvatures = curv.statistical_curvatures(m, pts)
-    assert sweep.blocks()[0][0].strides[-1] != 8      # the legs: basis columns
-    got = sweep.with_curvatures(frames.g, curvatures)
-    k_s, k_0 = ref_with_curvatures(sweep, frames.g, curvatures)
-    assert_bits(got.k_s, k_s)
-    assert_bits(got.k_0, k_0)
+    blocks = sweep.sections(frames.phi)
+    assert blocks[0][0].strides[-1] != 8      # the legs: basis columns
+    got = sweep.with_curvatures(blocks, frames.g, curvatures)
+    k_s, k_0 = ref_with_curvatures(blocks, frames.g, curvatures)
+    assert_bits(got[0], k_s)
+    assert_bits(got[1], k_0)
+    at = [tuple(a[frames.lane] for a in block) for block in blocks]
+    rows = sweep._replace(lane=None, **{f: at_points(getattr(sweep, f), frames.lane, len(pts))
+                                        for f in ("q", "status")})
+    got = rows.with_curvatures(at, frames.g, curvatures, frames.lane)
+    k_s, k_0 = ref_with_curvatures(at, frames.g, curvatures, frames.lane)
+    assert got[0].shape == (len(pts), sweep.q.shape[1])
+    assert_bits(got[0], k_s)
+    assert_bits(got[1], k_0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +425,8 @@ def psi_residuals(fs):
     lanes, dim = fs.g.shape[:2]
     n = (dim - 1) // 2
     zero = np.zeros((lanes, n * (n + 3) // 2))
-    plain = curv.PlainSweep(fs.point, np.zeros((lanes, dim, dim)), np.full(lanes, None),
-                            zero, zero, zero, zero, np.full(zero.shape, curv.OK), fs.lane)
+    plain = curv.SectionSweep(fs.point, np.zeros((lanes, dim, dim)), np.full(lanes, None),
+                              zero, zero, zero, zero, np.full(zero.shape, curv.OK), fs.lane)
     rep = curv._psi(SimpleNamespace(frame_stack=lambda _: fs, kept=lambda *_: plain), points,
                     1e-9)
     return {check: np.array([r for c, r in zip(rep.checks, rep.residuals) if c == check])

@@ -730,20 +730,21 @@ def check_sweep_matches_loop(m, pts):
     frames = [m.frame_at(p) for p in pts]      # a one-point pass each
     stack = m.frame_stack(pts)
     curvatures = curv.statistical_curvatures(m, pts)
-    sweep = curv.phi_sweep(m.kept(curv.plain_sweep, pts), stack)
-    sweep = sweep.with_curvatures(stack.g, curvatures)
+    sweep = m.kept(curv.plain_sweep, pts)
+    blocks = sweep.sections(stack.phi)
+    k_s, k_0, status = sweep.with_curvatures(blocks, stack.g, curvatures)
     bases, errors = phi_basis(stack.g, stack.phi, stack.xi)
     horiz, keep_h = curv.horizontal_projections(stack)
     # the (X, phi X) of each point and section, read by plain indexing from
     # blocks of a row per lane
-    blocks = sweep.blocks()
     xs, pxs = (np.concatenate([block[n][stack.lane] for block in blocks], axis=1)
                for n in (0, 1))
     for i, fr in enumerate(frames):
         basis = ref_phi_basis(fr)
         lane = stack.lane[i]
-        assert errors[lane] is None
+        assert errors[lane] is None and sweep.basis_error[lane] is None
         assert_same(bases[lane], basis)
+        assert_same(sweep.basis[lane], basis)
         sections = ref_sweep_sections(fr, basis)
         assert sweep.value.shape[1] == len(sections)
         s, r0 = curv.statistical_curvature(m, fr.point)[:2]      # the point alone
@@ -752,13 +753,13 @@ def check_sweep_matches_loop(m, pts):
             px = fr.phi @ x
             assert_same(pxs[i, j], px)
             code, eta, q, value, closed = ref_k_phi(fr, x)
-            assert sweep.status[i, j] == code
-            assert_same(sweep.eta[i, j], eta)
-            assert_same(sweep.q[i, j], q)
-            assert_same(sweep.value[i, j], value)
-            assert_same(sweep.closed[i, j], closed)
-            assert_same(sweep.k_s[i, j], ref_sectional(fr.g, s, x, px))
-            assert_same(sweep.k_0[i, j], ref_sectional(fr.g, r0, x, px))
+            assert status[lane, j] == code
+            assert_same(sweep.eta[lane, j], eta)
+            assert_same(sweep.q[lane, j], q)
+            assert_same(sweep.value[lane, j], value)
+            assert_same(sweep.closed[lane, j], closed)
+            assert_same(k_s[lane, j], ref_sectional(fr.g, s, x, px))
+            assert_same(k_0[lane, j], ref_sectional(fr.g, r0, x, px))
         ref_h = [v - float(fr.eta @ v) * fr.xi for v in curv.frame_vectors(fr.dim)]
         ref_h = np.array([h for h in ref_h if ref_norm(fr, h) > 1e-8])
         assert_same(horiz[lane][keep_h[lane]], ref_h)
@@ -812,6 +813,25 @@ def test_phi_bases_report_the_loop_errors():
     assert errors[0] is None
     assert type(errors[1]) is ExhaustedCandidatesError
     assert type(errors[2]) is DegenerateSeedError
+
+
+def test_a_basis_error_names_its_lanes_first_point():
+    """The kept sweep's basis errors are per lane: ``check_bases`` raises the
+    first of the rows it reads, in row order, as a copy naming the first
+    point of its lane, and ``_k_phi`` reads the bases of its rows only."""
+    point = np.arange(12.0).reshape(4, 3)
+    zero = np.zeros((3, 2))
+    errors = np.array([None, ExhaustedCandidatesError("exhausted"), DegenerateSeedError("seed")],
+                      dtype=object)
+    sweep = curv.SectionSweep(point, np.zeros((3, 3, 3)), errors, zero, zero, zero, zero,
+                              np.full(zero.shape, curv.OK), np.array([0, 0, 1, 2]))
+    with pytest.raises(ExhaustedCandidatesError, match="exhausted") as info:
+        sweep.check_bases()
+    assert info.value.lane == [6.0, 7.0, 8.0] and info.value is not errors[1]
+    with pytest.raises(DegenerateSeedError) as info:
+        curv._k_phi(sweep, np.array([0, 2]))
+    assert info.value.lane == [9.0, 10.0, 11.0]
+    assert curv._k_phi(sweep, np.array([0])).tolist() == [0.0]
 
 
 def test_sweep_statuses_match_loop():

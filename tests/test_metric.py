@@ -2,6 +2,8 @@
 closed-form Christoffel symbols and unit sectional curvature, a curved
 polynomial metric family, and the curvature identity suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from acsgeo import (DegeneratePlaneError, MetricField, SingularMetricError,
                     christoffel, nabla_g, riemann, sectional_curvature)
 from acsgeo.curvature import curvature_like_symmetry_residuals
 from acsgeo.metric import (FieldArray, _as_fields, covariant_derivative_vector,
-                           field_first_derivatives, plane_q)
+                           field_first_derivatives, plane_q, pow2)
 
 from conftest import (POLY3_COORDS, fd_riemann, poly3_metric, sphere_metric,
                       sphere_metric_at)
@@ -115,6 +117,20 @@ def test_degenerate_plane_rejected():
     with pytest.raises(DegeneratePlaneError):
         sectional_curvature(g, r, [1.0, 0.0], [2.0, 0.0])
     assert plane_q(g, np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 4.0
+
+
+@pytest.mark.parametrize("scale", [1.4e154, 1e160, 1e300])
+def test_plane_q_of_an_overflowing_square_is_not_finite(scale):
+    """g(X, Y) above 1.4e154 squares past the largest float: Q(X, Y) is
+    inf - inf = nan, alone and stacked, as numpy's square would give,
+    where Python's ``** 2`` raises OverflowError."""
+    g = np.eye(2)
+    x, y = np.array([scale, 0.0]), np.array([1.0, 1.0])
+    with np.errstate(all="ignore"):
+        assert np.isnan(plane_q(g, x, y))
+        q = plane_q(g, np.array([x, [1.0, 0.0]]), np.array([y, [0.0, 2.0]]))
+    assert np.isnan(q[0]) and q[1] == 4.0
+    assert pow2(np.array([scale, -scale, 3.0])).tolist() == [math.inf, math.inf, 9.0]
 
 
 def test_covariant_derivative_of_coordinate_field():
